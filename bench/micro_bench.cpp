@@ -6,7 +6,9 @@
 // (HashRing owner lookups and ring rebuilds).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <future>
+#include <memory>
 #include <semaphore>
 #include <thread>
 #include <vector>
@@ -449,6 +451,56 @@ void BM_ShardOpRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_ShardOpRoundTrip)->MinTime(0.2);
+
+service::ServiceConfig table_bench_config() {
+  service::ServiceConfig cfg;  // 64 shards, locked plane
+  cfg.delta_us = 10'000;
+  cfg.strategy.kind = core::StrategyKind::kGeneralized;
+  cfg.strategy.a_param = 4;
+  cfg.strategy.c_param = 16;
+  return cfg;
+}
+
+constexpr std::uint64_t kTableBenchKeys = 2'000'000;
+
+/// Keys [0, kTableBenchKeys) preloaded once and shared by every run of the
+/// hit variant (Google Benchmark re-enters a benchmark to size its runs).
+service::AccountTable& preloaded_table() {
+  static service::AccountTable* table = [] {
+    auto* t = new service::AccountTable(table_bench_config());
+    std::vector<service::AcquireOp> ops;
+    for (std::uint64_t k = 0; k < kTableBenchKeys; k += 4096) {
+      ops.clear();
+      for (std::uint64_t i = k; i < std::min(k + 4096, kTableBenchKeys); ++i)
+        ops.push_back(service::AcquireOp{i, 0});
+      t->acquire_batch(ops);
+    }
+    return t;
+  }();
+  return *table;
+}
+
+/// One AccountTable::acquire, the per-op cost of the account store.
+/// range(0) = 0: hits on 2M preloaded uniform keys — every lookup misses
+/// the cache, so the probe's memory touches dominate. range(0) = 1:
+/// first-contact inserts of fresh keys (capped at 1M iterations so the
+/// table stays small).
+void BM_AccountTableAcquire(benchmark::State& state) {
+  const bool inserts = state.range(0) == 1;
+  std::unique_ptr<service::AccountTable> fresh;
+  if (inserts) fresh = std::make_unique<service::AccountTable>(table_bench_config());
+  service::AccountTable& table = inserts ? *fresh : preloaded_table();
+  util::Rng rng(7);
+  std::uint64_t next = 0;
+  for (auto _ : state) {
+    const std::uint64_t key = inserts ? next++ : rng.below(kTableBenchKeys);
+    benchmark::DoNotOptimize(table.acquire(key, 1));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(inserts ? "insert" : "hit");
+}
+BENCHMARK(BM_AccountTableAcquire)->Arg(0);
+BENCHMARK(BM_AccountTableAcquire)->Arg(1)->Iterations(1 << 20);
 
 std::vector<NodeId> ring_nodes(std::int64_t count) {
   std::vector<NodeId> nodes(static_cast<std::size_t>(count));

@@ -84,6 +84,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/prctl.h>
+
 #include "cluster/cluster_client.hpp"
 #include "cluster/cluster_map.hpp"
 #include "cluster/cluster_server.hpp"
@@ -151,6 +153,12 @@ struct ModeResult {
   /// hand-off buffering the load actually needed.
   bool has_queue_depth = false;
   LatencySummary queue_depth;
+  /// Open-loop modes: how late the generator woke for each scheduled
+  /// arrival. Their latencies run from the schedule, so this lag is part
+  /// of every reading; a large p99 means the generator, not the service,
+  /// set the tail.
+  bool has_gen_lag = false;
+  LatencySummary gen_lag;
 
   double ops_per_sec() const { return seconds > 0 ? ops / seconds : 0; }
 
@@ -170,7 +178,21 @@ struct alignas(64) PerThread {
   std::uint64_t calls = 0;
   std::int64_t granted = 0;
   std::vector<double> lat_us;
+  std::vector<double> lag_us;  ///< open loops: wake-up lateness per arrival
 };
+
+/// Open-loop generators sleep until each scheduled arrival. The default
+/// 50 µs timer slack would make every wake-up tens of microseconds late,
+/// and that lateness would read as service latency; 1 µs keeps it out.
+void tighten_timer_slack() {
+  ::prctl(PR_SET_TIMERSLACK, 1000UL, 0UL, 0UL, 0UL);  // in nanoseconds
+}
+
+/// Sleeps until `scheduled` and records how late the wake-up came.
+void wait_for_arrival(Clock::time_point scheduled, PerThread& tally) {
+  std::this_thread::sleep_until(scheduled);
+  tally.lag_us.push_back(us_between(scheduled, Clock::now()));
+}
 
 /// Runs `body(thread_index, tally)` on `threads` OS threads and merges;
 /// meanwhile a sampler thread on the side records instantaneous throughput
@@ -212,14 +234,19 @@ ModeResult run_threads(const std::string& mode, std::size_t threads,
   res.threads = threads;
   res.seconds = us_between(start, stop) / 1e6;
   res.throughput = std::move(throughput);
-  std::vector<double> all_lat;
+  std::vector<double> all_lat, all_lag;
   for (PerThread& tally : tallies) {
     res.ops += tally.ops.load();
     res.calls += tally.calls;
     res.granted += tally.granted;
     all_lat.insert(all_lat.end(), tally.lat_us.begin(), tally.lat_us.end());
+    all_lag.insert(all_lag.end(), tally.lag_us.begin(), tally.lag_us.end());
   }
   res.latency = summarize(std::move(all_lat));
+  if (!all_lag.empty()) {
+    res.has_gen_lag = true;
+    res.gen_lag = summarize(std::move(all_lag));
+  }
   return res;
 }
 
@@ -351,11 +378,12 @@ ModeResult run_table_open(service::AccountTable& table,
   const auto deadline = start + std::chrono::microseconds(from_seconds(load.seconds));
   ModeResult res =
       run_threads("open", load.threads, [&](std::size_t t, PerThread& tally) {
+        tighten_timer_slack();
         util::Rng rng(3000 + t);
         auto scheduled = start + interval * static_cast<std::int64_t>(t) /
                                      static_cast<std::int64_t>(load.threads);
         while (scheduled < deadline) {
-          std::this_thread::sleep_until(scheduled);
+          wait_for_arrival(scheduled, tally);
           const std::uint64_t key = sampler.next(rng);
           tally.granted += table.acquire(key, 1).granted;
           tally.lat_us.push_back(us_between(scheduled, Clock::now()));
@@ -558,6 +586,7 @@ ModeResult run_open_async(const std::string& mode,
   const auto deadline = start + std::chrono::microseconds(from_seconds(load.seconds));
   ModeResult res = run_threads(mode, load.threads, [&](std::size_t t,
                                                        PerThread& tally) {
+    tighten_timer_slack();
     service::Client client(endpoint_of(t), 0);
     util::Rng rng(6000 + t);
     std::counting_semaphore<> outstanding(0);
@@ -565,7 +594,7 @@ ModeResult run_open_async(const std::string& mode,
     auto scheduled = start + interval * static_cast<std::int64_t>(t) /
                                  static_cast<std::int64_t>(load.threads);
     while (scheduled < deadline) {
-      std::this_thread::sleep_until(scheduled);
+      wait_for_arrival(scheduled, tally);
       const std::uint64_t key = sampler.next(rng);
       const auto t_sched = scheduled;
       client.acquire_async(
@@ -862,6 +891,7 @@ void run_overload(std::vector<ModeResult>& runs,
     const auto deadline = start + std::chrono::microseconds(from_seconds(phase_s));
     ModeResult res = run_threads(mode, load.threads, [&](std::size_t t,
                                                          PerThread& tally) {
+      tighten_timer_slack();
       service::Client client(net.endpoint(static_cast<NodeId>(1 + t)), 0);
       util::Rng rng(8000 + t);
       std::counting_semaphore<> outstanding(0);
@@ -869,7 +899,7 @@ void run_overload(std::vector<ModeResult>& runs,
       auto scheduled = start + interval * static_cast<std::int64_t>(t) /
                                    static_cast<std::int64_t>(load.threads);
       while (scheduled < deadline) {
-        std::this_thread::sleep_until(scheduled);
+        wait_for_arrival(scheduled, tally);
         const std::uint64_t key = sampler.next(rng);
         // Latency from issue, not schedule: under overload the question is
         // what the *admitted* requests pay, not how far the generator lags.
@@ -1481,6 +1511,12 @@ void write_json(const std::string& path, const std::vector<ModeResult>& runs,
                    r.queue_depth.samples, r.queue_depth.mean_us,
                    r.queue_depth.p50_us, r.queue_depth.p90_us,
                    r.queue_depth.p99_us, r.queue_depth.max_us);
+    }
+    if (r.has_gen_lag) {
+      std::fprintf(f,
+                   "     \"gen_lag_us\": {\"samples\": %zu, \"p99\": %.2f, "
+                   "\"max\": %.2f},\n",
+                   r.gen_lag.samples, r.gen_lag.p99_us, r.gen_lag.max_us);
     }
     std::fprintf(f,
                  "     \"latency_us\": {\"samples\": %zu, \"mean\": %.2f, "

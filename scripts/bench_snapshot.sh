@@ -5,8 +5,9 @@
 #  - BENCH_engine.json: wall-clock times for the figure-driver smokes that
 #    stress the engine hot paths, plus (when the Google-Benchmark binary was
 #    built) the engine micro-benchmarks: select_peer, event queue push/pop,
-#    churn toggles, MPSC op-queue push/pop and cross-thread hand-off, and
-#    the shard-engine op round trip.
+#    churn toggles, MPSC op-queue push/pop and cross-thread hand-off, the
+#    shard-engine op round trip, and the account table's per-acquire cost
+#    (cache-missing hits on 2M keys, and first-contact inserts).
 #  - BENCH_service.json: the tokend service load generator (service_load
 #    --quick): acquire throughput and latency percentiles over 1M+ Zipf-
 #    distributed keys, raw / batched / open-loop / wire-protocol, plus the
@@ -66,7 +67,7 @@ fig3_ms=$(time_ms "$build_dir/fig3_trace" --quick)
 micro_json=null
 if [ -x "$build_dir/micro_bench" ]; then
   "$build_dir/micro_bench" \
-      --benchmark_filter='BM_(SelectPeer|EventQueue|ChurnToggle|SimulatorThroughput|Protocol|ServiceRoundTrip|HashRing|MpscQueue|ShardOp)' \
+      --benchmark_filter='BM_(SelectPeer|EventQueue|ChurnToggle|SimulatorThroughput|Protocol|ServiceRoundTrip|HashRing|MpscQueue|ShardOp|AccountTable)' \
       --benchmark_out="$tmpdir/micro.json" --benchmark_out_format=json \
       > /dev/null 2>&1
   micro_json=$(cat "$tmpdir/micro.json")

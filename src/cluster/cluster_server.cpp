@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <exception>
 #include <optional>
 #include <utility>
 #include <variant>
 
 #include "util/error.hpp"
+#include "util/logging.hpp"
 
 namespace toka::cluster {
 
@@ -56,6 +58,8 @@ ClusterServer::~ClusterServer() {
   if (engine_ != nullptr) engine_->set_drain_hook({});
   transport_->set_peer_down_handler({});
   transport_->set_handler({});
+  // No handler can defer another promotion now; wait out the running ones.
+  for (std::thread& t : deferred_) t.join();
   if (registry_) {
     for (const std::string& name : metric_names_) registry_->remove(name);
   }
@@ -150,10 +154,11 @@ ApplyOutcome ClusterServer::apply_map(
   // account's balance leaves exactly once. If any of these frames is lost
   // the tokens are forfeited — never resurrected here.
   const NodeId self_id = self();
-  const std::vector<service::AccountExport> moved = table_->extract_if(
-      [&](service::NamespaceId ns, std::uint64_t key) {
-        return ring.owner(ns, key) != self_id;
-      });
+  const std::vector<service::AccountExport> moved = on_table([&] {
+    return table_->extract_if([&](service::NamespaceId ns, std::uint64_t key) {
+      return ring.owner(ns, key) != self_id;
+    });
+  });
   std::uint64_t sent = 0;
   const std::int64_t t_handoff =
       tracer_ != nullptr && trace ? obs::Tracer::now_us() : 0;
@@ -194,7 +199,8 @@ ApplyOutcome ClusterServer::apply_map(
   // keys this node owns under the *new* ring, extraction removed the rest.
   if (map.replicas > 0 && !table_->replication_enabled())
     table_->enable_replication(repl_headroom_);
-  const ReplicaInstallResult installs = repl_->on_map_applied(map, ring);
+  const ReplicaInstallResult installs =
+      on_table([&] { return repl_->on_map_applied(map, ring); });
   outcome.replica_installed = installs.installed;
   outcome.replica_forfeited = installs.forfeited;
   if (installs.forfeited > 0)
@@ -271,6 +277,26 @@ void ClusterServer::on_peer_down(NodeId peer) {
     }
   }
   if (coordinator != self()) return;
+  if (engine_ != nullptr && engine_->on_worker_thread()) {
+    // A shard worker's failed send surfaced the death; the promotion must
+    // quiesce that worker's engine, so it runs on a helper thread.
+    std::lock_guard lock(deferred_mu_);
+    if (std::find(deferring_.begin(), deferring_.end(), peer) !=
+        deferring_.end())
+      return;
+    deferring_.push_back(peer);
+    deferred_.emplace_back([this, peer, epoch = cur.epoch] {
+      try {
+        promote(peer, epoch);
+      } catch (const std::exception& e) {
+        TOKA_ERROR("node " << self() << ": promoting dead peer " << peer
+                           << " failed: " << e.what());
+      }
+      std::lock_guard done(deferred_mu_);
+      std::erase(deferring_, peer);
+    });
+    return;
+  }
   promote(peer, cur.epoch);
 }
 
@@ -285,7 +311,8 @@ void ClusterServer::handle_handoff(
   // dropped (the sender already forfeited it). install_account refuses
   // duplicates and unknown namespaces on its own.
   if (owner_of(r.ns, r.key) == self()) {
-    accepted = table_->install_account(r.ns, r.key, r.balance);
+    accepted = on_table(
+        [&] { return table_->install_account(r.ns, r.key, r.balance); });
   }
   if (accepted) {
     handoffs_installed_.fetch_add(1, std::memory_order_relaxed);

@@ -46,6 +46,8 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_map.hpp"
@@ -56,6 +58,7 @@
 #include "service/account_table.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "service/shard_engine.hpp"
 #include "util/types.hpp"
 
 namespace toka::cluster {
@@ -198,6 +201,14 @@ class ClusterServer {
       NodeId failed, std::uint64_t expected_epoch,
       const std::optional<service::protocol::TraceContext>& trace);
   std::optional<service::protocol::TraceContext> mint_cluster_trace();
+  /// Runs a table mutation that spans shards (handoff extraction, installs):
+  /// with every engine worker parked when the shards have owners, directly
+  /// in the locked plane, whose shard mutexes already serialize it.
+  template <typename F>
+  decltype(auto) on_table(F&& fn) {
+    if (engine_ != nullptr) return engine_->quiesced(std::forward<F>(fn));
+    return std::forward<F>(fn)();
+  }
   /// Peer-down reaction: the dead node's id-order successor promotes.
   void on_peer_down(NodeId peer);
   /// Engine-plane drain hook: streams worker `w`'s shards' dirty deltas.
@@ -246,6 +257,14 @@ class ClusterServer {
   std::atomic<std::uint64_t> handoffs_installed_{0};
   std::atomic<Tokens> tokens_forfeited_{0};
   std::atomic<std::uint64_t> promotions_{0};
+
+  /// Engine plane: a shard worker that sees a peer go down (its delta send
+  /// failed) cannot quiesce its own engine, so it hands the promotion to a
+  /// helper thread — at most one in flight per dead peer. Joined on
+  /// destruction; declared last, after everything a promotion touches.
+  std::mutex deferred_mu_;
+  std::vector<NodeId> deferring_;  ///< peers with a helper still running
+  std::vector<std::thread> deferred_;
 };
 
 }  // namespace toka::cluster

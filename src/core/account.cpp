@@ -21,20 +21,50 @@ TokenAccount::TokenAccount(const Strategy& strategy, Tokens initial,
                  "bucket cap must be non-negative, got " << bucket_cap);
 }
 
-bool TokenAccount::on_tick(util::Rng& rng) {
-  ++counters_.ticks;
-  if (rng.bernoulli(strategy_->proactive(balance_))) {
+TickOutcome tick_balance(const Strategy& strategy, Tokens& balance,
+                         Tokens bucket_cap, util::Rng& rng) {
+  if (rng.bernoulli(strategy.proactive(balance))) {
     // The period's token is consumed by the proactive send; the balance is
     // unchanged (Algorithm 4 lines 4-7).
-    ++counters_.proactive_sends;
-    return true;
+    return TickOutcome::kProactive;
   }
-  if (bucket_cap_ > 0 && balance_ >= bucket_cap_) {
-    ++counters_.overflowed_tokens;  // classic bucket overflow: token lost
-    return false;
+  // Classic bucket overflow: the token is lost.
+  if (bucket_cap > 0 && balance >= bucket_cap) return TickOutcome::kOverflowed;
+  ++balance;  // Algorithm 4 line 9.
+  return TickOutcome::kBanked;
+}
+
+Tokens spend_balance(Tokens& balance, std::uint64_t& outstanding, Tokens n,
+                     bool allow_overdraft) {
+  TOKA_CHECK_MSG(n >= 0, "try_spend requires n >= 0, got " << n);
+  Tokens x = n;
+  if (!allow_overdraft) x = std::min(x, std::max<Tokens>(balance, 0));
+  balance -= x;
+  outstanding += static_cast<std::uint64_t>(x);
+  return x;
+}
+
+Tokens refund_balance(Tokens& balance, std::uint64_t& outstanding, Tokens n) {
+  TOKA_CHECK_MSG(n >= 0, "refund requires n >= 0, got " << n);
+  const Tokens accepted = std::min(n, static_cast<Tokens>(outstanding));
+  balance += accepted;
+  outstanding -= static_cast<std::uint64_t>(accepted);
+  return accepted;
+}
+
+bool TokenAccount::on_tick(util::Rng& rng) {
+  ++counters_.ticks;
+  switch (tick_balance(*strategy_, balance_, bucket_cap_, rng)) {
+    case TickOutcome::kProactive:
+      ++counters_.proactive_sends;
+      return true;
+    case TickOutcome::kOverflowed:
+      ++counters_.overflowed_tokens;
+      return false;
+    case TickOutcome::kBanked:
+      ++counters_.banked_tokens;
+      return false;
   }
-  ++counters_.banked_tokens;
-  ++balance_;  // Algorithm 4 line 9.
   return false;
 }
 
@@ -63,21 +93,11 @@ void TokenAccount::refund_reactive(Tokens n) {
 }
 
 Tokens TokenAccount::refund_spend(Tokens n) {
-  TOKA_CHECK_MSG(n >= 0, "refund requires n >= 0, got " << n);
-  const Tokens accepted = std::min(
-      n, static_cast<Tokens>(counters_.direct_spends));
-  balance_ += accepted;
-  counters_.direct_spends -= static_cast<std::uint64_t>(accepted);
-  return accepted;
+  return refund_balance(balance_, counters_.direct_spends, n);
 }
 
 Tokens TokenAccount::try_spend(Tokens n) {
-  TOKA_CHECK_MSG(n >= 0, "try_spend requires n >= 0, got " << n);
-  Tokens x = n;
-  if (!allow_overdraft_) x = std::min(x, std::max<Tokens>(balance_, 0));
-  balance_ -= x;
-  counters_.direct_spends += static_cast<std::uint64_t>(x);
-  return x;
+  return spend_balance(balance_, counters_.direct_spends, n, allow_overdraft_);
 }
 
 }  // namespace toka::core

@@ -37,6 +37,35 @@ enum class RoundingMode {
   kFloor,       ///< plain floor — ablation of the randomized rounding
 };
 
+// Algorithm 4's balance arithmetic as free functions over a bare balance.
+// TokenAccount (the simulator's account, with counters) and the service's
+// compact account store both run exactly these, so the two draw the same
+// random numbers in the same order and reach the same decisions.
+
+/// What one period boundary did with its token.
+enum class TickOutcome {
+  kProactive,   ///< spent on a proactive message; balance unchanged
+  kBanked,      ///< banked: balance += 1
+  kOverflowed,  ///< lost to the bucket cap (classic token bucket only)
+};
+
+/// One period boundary (Algorithm 4 lines 4-9): one Bernoulli draw of
+/// proactive(balance) from `rng`, then the token is banked unless
+/// `bucket_cap` (0 = none) is reached.
+TickOutcome tick_balance(const Strategy& strategy, Tokens& balance,
+                         Tokens bucket_cap, util::Rng& rng);
+
+/// Deducts up to `n` >= 0 tokens — all of them with overdraft, else at
+/// most the non-negative balance — adds them to `outstanding` (the direct
+/// spends refund_balance may give back) and returns the amount deducted.
+Tokens spend_balance(Tokens& balance, std::uint64_t& outstanding, Tokens n,
+                     bool allow_overdraft);
+
+/// Gives back up to `n` >= 0 of the `outstanding` directly spent tokens:
+/// restores the balance, decrements `outstanding` and returns the amount
+/// accepted, min(n, outstanding).
+Tokens refund_balance(Tokens& balance, std::uint64_t& outstanding, Tokens n);
+
 class TokenAccount {
  public:
   /// The strategy must outlive the account. `initial` is the starting

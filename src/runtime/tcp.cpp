@@ -181,17 +181,17 @@ class TcpMesh::Endpoint final : public Transport {
       buf.insert(buf.end(), p, p + payload.size());
       return;
     }
-    const int fd = connection_to(to);
-    if (fd < 0) {
-      // Unknown or dead peer: the frame is dropped (best effort), and the
-      // failed connect is a peer-down observation worth surfacing.
-      notify_peer_down(to);
-      return;
-    }
     bool failed = false;
     {
+      // The fd is looked up under send_mutex_, which shutdown() holds to
+      // close connections, so it cannot be closed (and reused) mid-write.
       std::lock_guard lock(send_mutex_);
-      if (!write_frame(fd, header, payload.data(), payload.size())) {
+      const int fd = connection_to(to);
+      if (fd < 0) {
+        // Unknown or dead peer: the frame is dropped (best effort), and the
+        // failed connect is a peer-down observation worth surfacing.
+        failed = true;
+      } else if (!write_frame(fd, header, payload.data(), payload.size())) {
         drop_connection(to);
         failed = true;
       }
@@ -210,8 +210,14 @@ class TcpMesh::Endpoint final : public Transport {
     if (acceptor_.joinable()) acceptor_.join();
     listen_fd_.reset();
     {
+      // Wakes any writer blocked on a full socket; it fails and lets go of
+      // send_mutex_, under which the fds are then closed.
       std::lock_guard lock(conn_mutex_);
       for (auto& [peer, fd] : outgoing_) ::shutdown(fd.get(), SHUT_RDWR);
+    }
+    {
+      std::lock_guard send_lock(send_mutex_);
+      std::lock_guard lock(conn_mutex_);
       outgoing_.clear();
     }
     {
@@ -273,11 +279,12 @@ class TcpMesh::Endpoint final : public Transport {
     std::vector<NodeId> failed;
     for (auto& [peer, bytes] : cork.by_peer) {
       if (bytes.empty()) continue;
-      const int fd = connection_to(peer);
-      bool write_failed = fd < 0;
-      if (fd >= 0) {
-        std::lock_guard lock(send_mutex_);
-        if (!write_exact(fd, bytes.data(), bytes.size())) {
+      bool write_failed = false;
+      {
+        std::lock_guard lock(send_mutex_);  // see send(): lookup + write
+        const int fd = connection_to(peer);
+        write_failed = fd < 0;
+        if (fd >= 0 && !write_exact(fd, bytes.data(), bytes.size())) {
           drop_connection(peer);
           write_failed = true;
         }
@@ -347,6 +354,7 @@ class TcpMesh::Endpoint final : public Transport {
   }
 
   /// Returns a connected fd to `to`, opening one if needed. -1 on failure.
+  /// Caller holds send_mutex_ and uses the fd only while holding it.
   int connection_to(NodeId to) {
     std::lock_guard lock(conn_mutex_);
     auto it = outgoing_.find(to);

@@ -1,0 +1,23 @@
+#include "service/account_store.hpp"
+
+#include <sys/mman.h>
+
+#include <new>
+
+namespace toka::service {
+
+MappedArray::MappedArray(std::size_t bytes) {
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  data_ = p;
+  bytes_ = bytes;
+}
+
+void MappedArray::release() {
+  if (data_ != nullptr) ::munmap(data_, bytes_);
+  data_ = nullptr;
+  bytes_ = 0;
+}
+
+}  // namespace toka::service

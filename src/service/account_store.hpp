@@ -1,0 +1,207 @@
+// The account table's per-shard store: an open-addressing hash table of
+// fixed-size slots (linear probing, backward-shift deletion) kept in an
+// anonymous memory mapping.
+//
+// A slot holds an account's whole hot state inline — at most one cache
+// line — so a lookup is one probe run over contiguous memory instead of a
+// bucket load plus a node chase, and an account costs its slot and no
+// allocation. The store knows nothing about accounts: the slot type and a
+// traits class (liveness + hash) come from the table.
+//
+// The slot arrays come from mmap/munmap, not the heap. glibc keeps freed
+// interior heap chunks resident and its dynamic mmap threshold sends later
+// large allocations back to the heap, so every array a growing shard left
+// behind could stay in RSS. A mapping is returned to the kernel the moment
+// it is dropped, and its zero pages double as empty slots.
+#pragma once
+
+#include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <type_traits>
+#include <utility>
+
+namespace toka::service {
+
+/// An anonymous, private, zero-filled memory mapping; unmapped when
+/// destroyed or moved over.
+class MappedArray {
+ public:
+  MappedArray() = default;
+  /// Maps `bytes` > 0 of zero pages; throws std::bad_alloc on failure.
+  explicit MappedArray(std::size_t bytes);
+  ~MappedArray() { release(); }
+
+  MappedArray(MappedArray&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        bytes_(std::exchange(other.bytes_, 0)) {}
+  MappedArray& operator=(MappedArray&& other) noexcept {
+    if (this != &other) {
+      release();
+      data_ = std::exchange(other.data_, nullptr);
+      bytes_ = std::exchange(other.bytes_, 0);
+    }
+    return *this;
+  }
+  MappedArray(const MappedArray&) = delete;
+  MappedArray& operator=(const MappedArray&) = delete;
+
+  void* data() const { return data_; }
+  std::size_t bytes() const { return bytes_; }
+
+ private:
+  void release();
+
+  void* data_ = nullptr;
+  std::size_t bytes_ = 0;
+};
+
+/// Open-addressing table of `Slot`s. `Traits` supplies
+///   static bool live(const Slot&)          — false for the all-zero slot;
+///   static std::uint64_t hash(const Slot&) — the hash it was inserted under.
+/// The home index is the hash's top bits (the table's shard index uses the
+/// bottom ones). Capacity is a power of two that doubles above 3/4 load and
+/// halves back after a sweep leaves it under 1/8 (an empty store unmaps
+/// its array). Any insert or erase may move slots: a Slot& or Slot* stays
+/// valid only until the next one.
+template <typename Slot, typename Traits>
+class SlotStore {
+  static_assert(std::is_trivially_copyable_v<Slot> &&
+                    std::is_trivially_destructible_v<Slot>,
+                "slots are moved with plain copies and dropped by zeroing");
+
+ public:
+  /// Smallest non-empty capacity, in slots.
+  static constexpr std::size_t kMinCapacity = 64;
+
+  std::size_t size() const { return size_; }
+  std::size_t capacity() const { return capacity_; }
+
+  /// The live slot for which `eq(slot)` holds among those inserted under
+  /// `hash`, or nullptr.
+  template <typename Eq>
+  Slot* find(std::uint64_t hash, Eq&& eq) {
+    if (size_ == 0) return nullptr;
+    for (std::size_t i = home(hash);; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (!Traits::live(slot)) return nullptr;
+      if (eq(static_cast<const Slot&>(slot))) return &slot;
+    }
+  }
+
+  /// Inserts `value` — live, with Traits::hash(value) == `hash`, and not
+  /// already present — and returns its slot.
+  Slot& insert(std::uint64_t hash, const Slot& value) {
+    if ((size_ + 1) * 4 > capacity_ * 3)
+      rehash(std::max(kMinCapacity, capacity_ * 2));
+    Slot& slot = slots_[free_index(hash)];
+    slot = value;
+    ++size_;
+    return slot;
+  }
+
+  /// Removes `slot`, which must be a live slot of this store.
+  void erase(Slot& slot) {
+    erase_at(static_cast<std::size_t>(&slot - slots_));
+  }
+
+  /// Removes every live slot for which `pred(slot)` is true and returns how
+  /// many went. `pred` sees each live slot exactly once, intact, and may
+  /// act on it (drop its side state) before it is erased.
+  template <typename Pred>
+  std::size_t erase_if(Pred&& pred) {
+    if (size_ == 0) return 0;
+    // Start the sweep at an empty slot. A backward shift only moves slots
+    // within the run that follows the erased one, toward it; that run ends
+    // at an empty slot, and the start stays empty, so no run wraps past the
+    // start. Every shifted slot therefore comes from ahead of the cursor
+    // and lands at or ahead of it: re-examining the cursor after an erase
+    // visits it, and nothing already visited is seen again.
+    std::size_t start = 0;
+    while (Traits::live(slots_[start])) ++start;  // load <= 3/4: one exists
+    std::size_t erased = 0;
+    for (std::size_t step = 0; step < capacity_;) {
+      const std::size_t i = (start + step) & mask_;
+      if (Traits::live(slots_[i]) && pred(slots_[i])) {
+        erase_at(i);
+        ++erased;
+      } else {
+        ++step;
+      }
+    }
+    if (capacity_ > kMinCapacity && size_ * 8 < capacity_) shrink();
+    return erased;
+  }
+
+  /// Calls `fn(slot)` for every live slot.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t i = 0; i < capacity_; ++i) {
+      if (Traits::live(slots_[i])) fn(static_cast<const Slot&>(slots_[i]));
+    }
+  }
+
+ private:
+  std::size_t home(std::uint64_t hash) const {
+    return static_cast<std::size_t>(hash >> shift_);
+  }
+
+  std::size_t free_index(std::uint64_t hash) const {
+    std::size_t i = home(hash);
+    while (Traits::live(slots_[i])) i = (i + 1) & mask_;
+    return i;
+  }
+
+  /// Backward-shift deletion: walks the run after the hole and moves back
+  /// each slot whose home does not lie between the hole and itself, so
+  /// every remaining slot stays reachable from its home without
+  /// tombstones.
+  void erase_at(std::size_t hole) {
+    for (std::size_t j = (hole + 1) & mask_;; j = (j + 1) & mask_) {
+      const Slot& slot = slots_[j];
+      if (!Traits::live(slot)) break;
+      const std::size_t from_home = (j - home(Traits::hash(slot))) & mask_;
+      if (from_home >= ((j - hole) & mask_)) {
+        slots_[hole] = slot;
+        hole = j;
+      }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+  }
+
+  void shrink() {
+    if (size_ == 0) {
+      array_ = MappedArray();
+      slots_ = nullptr;
+      capacity_ = mask_ = 0;
+      return;
+    }
+    rehash(std::max(kMinCapacity, std::bit_ceil(size_ * 2)));
+  }
+
+  void rehash(std::size_t capacity) {
+    MappedArray fresh(capacity * sizeof(Slot));
+    Slot* const old_slots = slots_;
+    const std::size_t old_capacity = capacity_;
+    slots_ = static_cast<Slot*>(fresh.data());
+    capacity_ = capacity;
+    mask_ = capacity - 1;
+    shift_ = 64 - std::countr_zero(capacity);
+    for (std::size_t i = 0; i < old_capacity; ++i) {
+      if (Traits::live(old_slots[i]))
+        slots_[free_index(Traits::hash(old_slots[i]))] = old_slots[i];
+    }
+    array_ = std::move(fresh);  // unmaps the old array
+  }
+
+  MappedArray array_;
+  Slot* slots_ = nullptr;
+  std::size_t capacity_ = 0;
+  std::size_t mask_ = 0;
+  int shift_ = 64;
+  std::size_t size_ = 0;
+};
+
+}  // namespace toka::service

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <limits>
 #include <sstream>
 #include <utility>
 
+#include "core/account.hpp"
 #include "util/error.hpp"
 
 namespace toka::service {
@@ -54,8 +56,8 @@ std::shared_ptr<const AccountTable::Namespace> AccountTable::make_namespace(
   out->strategy = core::make_strategy(config.strategy);
   // The effective balance cap: the framework capacity for the paper's
   // strategies, the bucket size for the classic token bucket (whose
-  // framework capacity is unbounded — the account's bucket_cap enforces
-  // the bound instead, as in the simulator).
+  // framework capacity is unbounded — the bucket_cap enforces the bound
+  // instead, as in the simulator).
   if (config.strategy.kind == core::StrategyKind::kTokenBucket) {
     out->capacity = config.strategy.c_param;
     out->bucket_cap = config.strategy.c_param;
@@ -69,6 +71,12 @@ std::shared_ptr<const AccountTable::Namespace> AccountTable::make_namespace(
                                  "strategy; "
                               << out->strategy->name()
                               << " has unbounded bursts");
+  // Every balance the table stores lies in [0, C]: bounding C is what lets
+  // an account slot keep its balance in 32 bits.
+  TOKA_CHECK_MSG(out->capacity <= std::numeric_limits<std::int32_t>::max(),
+                 "namespace " << ns << ": capacity " << out->capacity
+                              << " exceeds the service limit "
+                              << std::numeric_limits<std::int32_t>::max());
   TOKA_CHECK_MSG(
       config.initial_tokens >= 0 && config.initial_tokens <= out->capacity,
       "namespace " << ns << ": initial balance " << config.initial_tokens
@@ -112,13 +120,14 @@ bool AccountTable::configure_namespace(NamespaceId ns,
   // Reset semantics on replace: retire the outgoing snapshot *before* the
   // purge, then drop the namespace's accounts so every key restarts under
   // the new policy from the initial balance (under-grants only). Requests
-  // racing the reset may briefly finish against an existing entry under
-  // the old policy — entries hold their Namespace alive — but account
-  // *creation* re-resolves on a retired snapshot, so once the purge has
-  // swept a shard no old-policy account can reappear in it: either the
-  // insert happened before the retire flag (then the purge, serialized
-  // behind the same shard lock, removes it) or the inserter saw the flag
-  // and created under the new policy.
+  // racing the reset may briefly finish against an existing account under
+  // the old policy, but account *creation* re-resolves on a retired
+  // snapshot, so once the purge has swept a shard no old-policy account
+  // can reappear in it: either the insert happened before the retire flag
+  // (then the purge, serialized behind the same shard lock, removes it) or
+  // the inserter saw the flag and created under the new policy. `old`
+  // keeps the snapshot alive across the purge, the last moment a slot can
+  // point at it.
   if (!created) {
     old->retired.store(true, std::memory_order_release);
     purge_namespace(ns);
@@ -126,12 +135,23 @@ bool AccountTable::configure_namespace(NamespaceId ns,
   return created;
 }
 
+template <typename Pred>
+std::size_t AccountTable::erase_accounts_if(Shard& shard, Pred&& pred) {
+  return shard.accounts.erase_if([&](const Slot& s) {
+    if (!pred(s)) return false;
+    // A re-created key must start a fresh watchdog ring and audit trace.
+    const AccountKey account_key{s.ns->id, s.key};
+    if ((s.flags & kSlotWatched) != 0) shard.watchdogs.erase(account_key);
+    if ((s.flags & kSlotAudited) != 0) shard.auditors.erase(account_key);
+    return true;
+  });
+}
+
 void AccountTable::purge_namespace(NamespaceId ns) {
   for (auto& shard : shards_) {
     ShardGuard lock(*this, *shard);
-    const std::size_t removed = std::erase_if(
-        shard->accounts,
-        [&](const auto& kv) { return kv.first.ns == ns; });
+    const std::size_t removed = erase_accounts_if(
+        *shard, [&](const Slot& s) { return s.ns->id == ns; });
     stats_for(*shard, ns).accounts_evicted += removed;
   }
 }
@@ -160,9 +180,9 @@ std::optional<NamespaceInfo> AccountTable::namespace_info(
   info.capacity = nsp->capacity;
   for (const auto& shard : shards_) {
     ShardGuard lock(*this, *shard);
-    for (const auto& [key, entry] : shard->accounts) {
-      if (key.ns == ns) ++info.accounts;
-    }
+    shard->accounts.for_each([&](const Slot& s) {
+      if (s.ns->id == ns) ++info.accounts;
+    });
   }
   return info;
 }
@@ -207,8 +227,7 @@ std::size_t AccountTable::shard_index(NamespaceId ns, std::uint64_t key) const {
   // splitmix64 finalizer: keys are caller-controlled, so the shard index
   // must not depend on low-entropy low bits. The namespace is folded in so
   // the same key in two namespaces lands on (usually) different shards.
-  std::uint64_t state = fold_key(ns, key);
-  return static_cast<std::size_t>(util::splitmix64(state)) & shard_mask_;
+  return static_cast<std::size_t>(account_hash(ns, key)) & shard_mask_;
 }
 
 AccountTable::Shard& AccountTable::shard_for(NamespaceId ns,
@@ -216,74 +235,99 @@ AccountTable::Shard& AccountTable::shard_for(NamespaceId ns,
   return *shards_[shard_index(ns, key)];
 }
 
-AccountTable::Entry& AccountTable::find_or_create(
-    Shard& shard, const std::shared_ptr<const Namespace>& ns,
-    std::uint64_t key, std::int64_t tick, TimeUs now) {
-  const AccountKey account_key{ns->id, key};
-  auto it = shard.accounts.find(account_key);
-  if (it == shard.accounts.end()) {
-    // Creation re-resolves a retired snapshot (taking ns_mu_ shared while
-    // holding the shard lock is safe: configure_namespace never holds
-    // shard locks under ns_mu_). See Namespace::retired for why this
-    // closes the reset/acquire resurrection race.
-    std::shared_ptr<const Namespace> current = ns;
-    while (current->retired.load(std::memory_order_acquire)) {
-      current = resolve(current->id);
-      tick = now / current->config.delta_us;
-    }
-    Entry entry{core::TokenAccount(*current->strategy,
-                                   current->config.initial_tokens,
-                                   /*allow_overdraft=*/false,
-                                   core::RoundingMode::kRandomized,
-                                   current->bucket_cap),
-                current, tick, now, nullptr, 0, 0, 0, false, nullptr};
-    if (current->config.audit) {
-      entry.auditor = std::make_unique<core::RateLimitAuditor>(
-          current->config.delta_us, current->capacity);
-    }
-    if (watchdog_samples(config_.watchdog_sample, current->id, key)) {
-      entry.watchdog = std::make_unique<core::BurstWatchdog>(
-          current->config.delta_us, current->capacity);
-    }
-    it = shard.accounts.emplace(account_key, std::move(entry)).first;
-    ++stats_for(shard, current->id).accounts_created;
-  }
-  return it->second;
+AccountTable::Slot* AccountTable::find_account(Shard& shard, NamespaceId ns,
+                                               std::uint64_t key) {
+  // The key compares first: the namespace is read through the slot's
+  // snapshot pointer only on a key match.
+  return shard.accounts.find(account_hash(ns, key), [&](const Slot& s) {
+    return s.key == key && s.ns->id == ns;
+  });
 }
 
-void AccountTable::settle(Shard& shard, Entry& entry, TimeUs now) {
-  // The tick index comes from the *entry's own* namespace snapshot: an
-  // entry surviving a racing reconfigure has a last_tick recorded under
+AccountTable::Slot& AccountTable::create_account(Shard& shard,
+                                                 const Namespace& ns,
+                                                 std::uint64_t key,
+                                                 Tokens balance,
+                                                 std::int64_t tick,
+                                                 TimeUs now) {
+  Slot slot;
+  slot.key = key;
+  slot.ns = &ns;
+  slot.last_tick = tick;
+  slot.last_access_us = now;
+  slot.balance = static_cast<std::int32_t>(balance);  // in [0, C]
+  slot.flags = kSlotLive;
+  const AccountKey account_key{ns.id, key};
+  if (ns.config.audit) {
+    shard.auditors.insert_or_assign(
+        account_key,
+        core::RateLimitAuditor(ns.config.delta_us, ns.capacity));
+    slot.flags |= kSlotAudited;
+  }
+  if (watchdog_samples(config_.watchdog_sample, ns.id, key)) {
+    shard.watchdogs.insert_or_assign(
+        account_key, core::BurstWatchdog(ns.config.delta_us, ns.capacity));
+    slot.flags |= kSlotWatched;
+  }
+  ++stats_for(shard, ns.id).accounts_created;
+  return shard.accounts.insert(account_hash(ns.id, key), slot);
+}
+
+AccountTable::Slot& AccountTable::find_or_create(
+    Shard& shard, const std::shared_ptr<const Namespace>& ns,
+    std::uint64_t key, std::int64_t tick, TimeUs now) {
+  if (Slot* slot = find_account(shard, ns->id, key)) return *slot;
+  // Creation re-resolves a retired snapshot (taking ns_mu_ shared while
+  // holding the shard lock is safe: configure_namespace never holds shard
+  // locks under ns_mu_). See Namespace::retired for why this closes the
+  // reset/acquire resurrection race.
+  std::shared_ptr<const Namespace> current = ns;
+  while (current->retired.load(std::memory_order_acquire)) {
+    current = resolve(current->id);
+    tick = now / current->config.delta_us;
+  }
+  return create_account(shard, *current, key, current->config.initial_tokens,
+                        tick, now);
+}
+
+void AccountTable::settle(Shard& shard, Slot& slot, TimeUs now) {
+  // The tick index comes from the *account's own* namespace snapshot: an
+  // account surviving a racing reconfigure has a last_tick recorded under
   // the old Δ, and dividing `now` by the new Δ would fabricate (or eat)
   // elapsed ticks — a shrunk Δ would instantly refill the account past
   // what real time banked, breaking the "reset only under-grants" rule.
-  const std::int64_t tick = now / entry.ns->config.delta_us;
-  const std::int64_t due = tick - entry.last_tick;
+  const Namespace& ns = *slot.ns;
+  const std::int64_t tick = now / ns.config.delta_us;
+  const std::int64_t due = tick - slot.last_tick;
   if (due > 0) {
-    const std::int64_t apply =
-        std::min<std::int64_t>(due, entry.ns->catchup_limit);
-    TableStats& stats = stats_for(shard, entry.ns->id);
+    const std::int64_t apply = std::min<std::int64_t>(due, ns.catchup_limit);
+    TableStats& stats = stats_for(shard, ns.id);
     stats.ticks_forfeited += static_cast<std::uint64_t>(due - apply);
+    Tokens balance = slot.balance;
     for (std::int64_t i = 0; i < apply; ++i) {
       // A proactive decision has no message to pay for here: the period's
       // token is dropped (never banked), exactly like the simulator's
       // no-online-peer rule, preserving balance <= C and with it §3.4.
-      if (entry.account.on_tick(shard.rng)) ++stats.proactive_dropped;
+      if (core::tick_balance(*ns.strategy, balance, ns.bucket_cap,
+                             shard.rng) == core::TickOutcome::kProactive)
+        ++stats.proactive_dropped;
     }
-    entry.last_tick = tick;
+    slot.balance = static_cast<std::int32_t>(balance);
+    slot.last_tick = tick;
   }
-  entry.last_access_us = now;
+  slot.last_access_us = now;
 }
 
 AcquireResult AccountTable::acquire_locked(
     Shard& shard, const std::shared_ptr<const Namespace>& ns,
     std::uint64_t key, Tokens n, std::int64_t tick, TimeUs now) {
   TOKA_CHECK_MSG(n >= 0, "acquire requires n >= 0, got " << n);
-  Entry& entry = find_or_create(shard, ns, key, tick, now);
+  Slot& slot = find_or_create(shard, ns, key, tick, now);
   // Balance before this call's settle: a grant within it was banked; a
   // grant beyond it spent tokens the settle just minted ("fresh").
-  const Tokens banked = entry.account.balance();
-  settle(shard, entry, now);
+  const Tokens banked = slot.balance;
+  settle(shard, slot, now);
+  Tokens balance = slot.balance;
   Tokens want = n;
   if (repl_enabled_.load(std::memory_order_relaxed)) {
     // The spend gate: never grant below the highest floor a promoted
@@ -291,26 +335,29 @@ AcquireResult AccountTable::acquire_locked(
     // for the stream to catch up (the gate collapses on ack in
     // drain_replica_dirty) — the availability price of the never-duplicate
     // guarantee under failover.
-    const Tokens spendable =
-        std::max<Tokens>(entry.account.balance() - entry.repl_gate, 0);
-    want = std::min(want, spendable);
+    want = std::min(want, std::max<Tokens>(balance - slot.repl_gate, 0));
   }
-  const Tokens granted = entry.account.try_spend(want);
-  mark_repl_dirty(shard, ns->id, key, entry);
+  const Tokens granted = core::spend_balance(balance, slot.spent, want,
+                                             /*allow_overdraft=*/false);
+  slot.balance = static_cast<std::int32_t>(balance);
+  mark_repl_dirty(shard, slot);
   TableStats& stats = stats_for(shard, ns->id);
   ++stats.acquires;
   stats.tokens_requested += static_cast<std::uint64_t>(n);
   stats.tokens_granted += static_cast<std::uint64_t>(granted);
   shard.hot.record(fold_key(ns->id, key));
-  if (entry.auditor) {
-    for (Tokens i = 0; i < granted; ++i) entry.auditor->record(now);
+  if ((slot.flags & kSlotAudited) != 0) {
+    core::RateLimitAuditor& auditor =
+        shard.auditors.at(AccountKey{ns->id, key});
+    for (Tokens i = 0; i < granted; ++i) auditor.record(now);
   }
-  if (entry.watchdog && granted > 0) {
-    const std::uint64_t before = entry.watchdog->checks();
-    stats.watchdog_violations += entry.watchdog->record(now, granted);
-    stats.watchdog_checks += entry.watchdog->checks() - before;
+  if ((slot.flags & kSlotWatched) != 0 && granted > 0) {
+    core::BurstWatchdog& watchdog = shard.watchdogs.at(AccountKey{ns->id, key});
+    const std::uint64_t before = watchdog.checks();
+    stats.watchdog_violations += watchdog.record(now, granted);
+    stats.watchdog_checks += watchdog.checks() - before;
   }
-  return AcquireResult{granted, entry.account.balance(), granted > banked};
+  return AcquireResult{granted, balance, granted > banked};
 }
 
 AcquireResult AccountTable::acquire(NamespaceId ns, std::uint64_t key,
@@ -337,8 +384,8 @@ RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
   const TimeUs now = clock_.now_us();
   TableStats& stats = stats_for(shard, ns);
   ++stats.refunds;
-  auto it = shard.accounts.find(AccountKey{ns, key});
-  if (it == shard.accounts.end()) {
+  Slot* slot = find_account(shard, ns, key);
+  if (slot == nullptr) {
     // Unknown or already-evicted account: the refund is dropped. Creating
     // an account here would let arbitrary keys mint balance from thin air.
     // The event counter (as opposed to the token count below) is what the
@@ -349,28 +396,31 @@ RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
     stats.tokens_refund_dropped += static_cast<std::uint64_t>(n);
     return RefundResult{0, 0};
   }
-  Entry& entry = it->second;
-  settle(shard, entry, now);
+  settle(shard, *slot, now);
   // Cap at the capacity headroom: ticks banked since the acquire may have
   // refilled the balance, and a late refund must not push it past C (that
-  // would mint burst allowance past the §3.4 bound). refund_spend further
-  // caps at the spends still outstanding. The caps come from the entry's
-  // own namespace snapshot, so accounts racing a reconfigure stay within
-  // the policy they were created under.
-  const Tokens headroom =
-      std::max<Tokens>(entry.ns->capacity - entry.account.balance(), 0);
-  const Tokens accepted = entry.account.refund_spend(std::min(n, headroom));
-  mark_repl_dirty(shard, ns, key, entry);
-  if (entry.auditor) {
+  // would mint burst allowance past the §3.4 bound). refund_balance
+  // further caps at the spends still outstanding. The caps come from the
+  // account's own namespace snapshot, so accounts racing a reconfigure
+  // stay within the policy they were created under.
+  Tokens balance = slot->balance;
+  const Tokens headroom = std::max<Tokens>(slot->ns->capacity - balance, 0);
+  const Tokens accepted =
+      core::refund_balance(balance, slot->spent, std::min(n, headroom));
+  slot->balance = static_cast<std::int32_t>(balance);
+  mark_repl_dirty(shard, *slot);
+  if ((slot->flags & kSlotAudited) != 0) {
     // The returned tokens' admissions never happened: strike them from the
     // audit trace so first_violation() checks *net* admissions. accepted
     // <= outstanding spends == recorded sends, so retract cannot underflow.
-    entry.auditor->retract(static_cast<std::size_t>(accepted));
+    shard.auditors.at(AccountKey{ns, key})
+        .retract(static_cast<std::size_t>(accepted));
   }
-  if (entry.watchdog) entry.watchdog->retract(accepted);
+  if ((slot->flags & kSlotWatched) != 0)
+    shard.watchdogs.at(AccountKey{ns, key}).retract(accepted);
   stats.tokens_refunded += static_cast<std::uint64_t>(accepted);
   stats.tokens_refund_dropped += static_cast<std::uint64_t>(n - accepted);
-  return RefundResult{accepted, entry.account.balance()};
+  return RefundResult{accepted, balance};
 }
 
 QueryResult AccountTable::query(NamespaceId ns, std::uint64_t key) {
@@ -379,10 +429,10 @@ QueryResult AccountTable::query(NamespaceId ns, std::uint64_t key) {
   ShardGuard lock(*this, shard);
   const TimeUs now = clock_.now_us();
   ++stats_for(shard, ns).queries;
-  auto it = shard.accounts.find(AccountKey{ns, key});
-  if (it == shard.accounts.end()) return QueryResult{0, false};
-  settle(shard, it->second, now);
-  return QueryResult{it->second.account.balance(), true};
+  Slot* slot = find_account(shard, ns, key);
+  if (slot == nullptr) return QueryResult{0, false};
+  settle(shard, *slot, now);
+  return QueryResult{slot->balance, true};
 }
 
 std::vector<AcquireResult> AccountTable::acquire_batch(
@@ -432,27 +482,19 @@ std::size_t AccountTable::evict_idle_shard(std::size_t shard_idx) {
   Shard& shard = *shards_[shard_idx];
   const TimeUs now = clock_.now_us();
   ShardGuard lock(*this, shard);
-  std::size_t removed_here = 0;
-  for (auto it = shard.accounts.begin(); it != shard.accounts.end();) {
-    const TimeUs ttl = it->second.ns->config.idle_ttl_us;
-    const TimeUs idle = now - it->second.last_access_us;
+  return erase_accounts_if(shard, [&](const Slot& s) {
+    const TimeUs ttl = s.ns->config.idle_ttl_us;
+    const TimeUs idle = now - s.last_access_us;
     // A nonzero banked balance earns a grace window up to 2x the TTL:
     // evicting at the TTL would drop the account — and with it any
     // refund still in flight for its outstanding grants — the moment it
     // goes quiet. The balance read is the unsettled banked value, which
     // only errs on the side of keeping the account.
     const bool expired =
-        ttl > 0 && idle >= ttl &&
-        (it->second.account.balance() == 0 || idle >= 2 * ttl);
-    if (expired) {
-      ++stats_for(shard, it->first.ns).accounts_evicted;
-      it = shard.accounts.erase(it);
-      ++removed_here;
-    } else {
-      ++it;
-    }
-  }
-  return removed_here;
+        ttl > 0 && idle >= ttl && (s.balance == 0 || idle >= 2 * ttl);
+    if (expired) ++stats_for(shard, s.ns->id).accounts_evicted;
+    return expired;
+  });
 }
 
 std::vector<AccountExport> AccountTable::extract_if(
@@ -460,20 +502,17 @@ std::vector<AccountExport> AccountTable::extract_if(
   std::vector<AccountExport> out;
   for (auto& shard : shards_) {
     ShardGuard lock(*this, *shard);
-    for (auto it = shard->accounts.begin(); it != shard->accounts.end();) {
-      if (should_extract(it->first.ns, it->first.key)) {
-        // Only the banked balance travels; unsettled elapsed ticks are
-        // forfeited (the receiver settles at its own clock). The balance
-        // can never exceed the account's own capacity, so the export is
-        // a legitimate §3.4 bank wherever it lands.
-        out.push_back(AccountExport{it->first.ns, it->first.key,
-                                    it->second.account.balance()});
-        ++stats_for(*shard, it->first.ns).accounts_extracted;
-        it = shard->accounts.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    erase_accounts_if(*shard, [&](const Slot& s) {
+      const NamespaceId ns = s.ns->id;
+      if (!should_extract(ns, s.key)) return false;
+      // Only the banked balance travels; unsettled elapsed ticks are
+      // forfeited (the receiver settles at its own clock). The balance
+      // can never exceed the account's own capacity, so the export is a
+      // legitimate §3.4 bank wherever it lands.
+      out.push_back(AccountExport{ns, s.key, s.balance});
+      ++stats_for(*shard, ns).accounts_extracted;
+      return true;
+    });
   }
   return out;
 }
@@ -490,33 +529,17 @@ bool AccountTable::install_account(NamespaceId ns, std::uint64_t key,
   Shard& shard = shard_for(ns, key);
   ShardGuard lock(*this, shard);
   while (nsp->retired.load(std::memory_order_acquire)) nsp = resolve(ns);
-  const AccountKey account_key{ns, key};
-  if (shard.accounts.contains(account_key)) return false;  // never duplicate
+  if (find_account(shard, ns, key) != nullptr) return false;  // never duplicate
   const TimeUs now = clock_.now_us();
   const std::int64_t tick = now / nsp->config.delta_us;
-  const Tokens clamped = std::clamp<Tokens>(balance, 0, nsp->capacity);
-  Entry entry{core::TokenAccount(*nsp->strategy, clamped,
-                                 /*allow_overdraft=*/false,
-                                 core::RoundingMode::kRandomized,
-                                 nsp->bucket_cap),
-              nsp, tick, now, nullptr, 0, 0, 0, false, nullptr};
-  if (nsp->config.audit) {
-    // The trace restarts empty: the installed balance is at most C, so
-    // spending it all at once still fits the fresh window's 1 + C slack.
-    entry.auditor = std::make_unique<core::RateLimitAuditor>(
-        nsp->config.delta_us, nsp->capacity);
-  }
-  if (watchdog_samples(config_.watchdog_sample, ns, key)) {
-    // Same empty-trace argument as the auditor above: the installed bank
-    // fits the first window's 1 + C slack, so the watchdog restarts clean.
-    entry.watchdog = std::make_unique<core::BurstWatchdog>(
-        nsp->config.delta_us, nsp->capacity);
-  }
-  auto slot = shard.accounts.emplace(account_key, std::move(entry)).first;
-  mark_repl_dirty(shard, ns, key, slot->second);
-  TableStats& stats = stats_for(shard, ns);
-  ++stats.accounts_created;
-  ++stats.accounts_installed;
+  // The audit trace and the watchdog ring restart empty: the installed
+  // balance is at most C, so spending it all at once still fits a fresh
+  // window's 1 + C slack.
+  Slot& slot = create_account(shard, *nsp, key,
+                              std::clamp<Tokens>(balance, 0, nsp->capacity),
+                              tick, now);
+  mark_repl_dirty(shard, slot);
+  ++stats_for(shard, ns).accounts_installed;
   return true;
 }
 
@@ -527,12 +550,12 @@ void AccountTable::enable_replication(Tokens headroom) {
   repl_enabled_.store(true, std::memory_order_release);
 }
 
-void AccountTable::mark_repl_dirty(Shard& shard, NamespaceId ns,
-                                   std::uint64_t key, Entry& entry) {
-  if (!repl_enabled_.load(std::memory_order_relaxed) || entry.repl_dirty)
+void AccountTable::mark_repl_dirty(Shard& shard, Slot& slot) {
+  if (!repl_enabled_.load(std::memory_order_relaxed) ||
+      (slot.flags & kSlotReplDirty) != 0)
     return;
-  entry.repl_dirty = true;
-  shard.repl_dirty.push_back(AccountKey{ns, key});
+  slot.flags |= kSlotReplDirty;
+  shard.repl_dirty.push_back(AccountKey{slot.ns->id, slot.key});
 }
 
 std::size_t AccountTable::drain_replica_dirty(
@@ -544,24 +567,24 @@ std::size_t AccountTable::drain_replica_dirty(
   ShardGuard lock(*this, shard);
   std::size_t appended = 0;
   for (const AccountKey& k : shard.repl_dirty) {
-    auto it = shard.accounts.find(k);
-    if (it == shard.accounts.end()) continue;  // evicted or extracted since
-    Entry& entry = it->second;
-    entry.repl_dirty = false;
+    Slot* slot = find_account(shard, k.ns, k.key);
+    if (slot == nullptr) continue;  // evicted or extracted since
+    slot->flags &= static_cast<std::uint8_t>(~kSlotReplDirty);
     // Gate collapse: once the last sent floor is acked, the follower's
     // installable floor is exactly that value — every older (possibly
     // higher) floor has been superseded on an ordered stream — so the
     // gate drops to it and the headroom above it becomes spendable again.
-    if (entry.repl_floor_seq != 0 && entry.repl_floor_seq <= acked_seq)
-      entry.repl_gate = entry.repl_sent_floor;
-    const Tokens balance = entry.account.balance();
+    if (slot->repl_floor_seq != 0 && slot->repl_floor_seq <= acked_seq)
+      slot->repl_gate = slot->repl_sent_floor;
+    const Tokens balance = slot->balance;
     const Tokens configured = repl_headroom_.load(std::memory_order_relaxed);
     const Tokens h =
-        configured > 0 ? configured : (entry.ns->capacity + 1) / 2;
+        configured > 0 ? configured : (slot->ns->capacity + 1) / 2;
+    // In [0, balance], so it fits the slot's 32 bits like the balance.
     const Tokens floor = std::max<Tokens>(balance - h, 0);
-    entry.repl_sent_floor = floor;
-    entry.repl_floor_seq = seq;
-    entry.repl_gate = std::max(entry.repl_gate, floor);
+    slot->repl_sent_floor = static_cast<std::int32_t>(floor);
+    slot->repl_floor_seq = seq;
+    slot->repl_gate = std::max(slot->repl_gate, slot->repl_sent_floor);
     out.push_back(ReplicaDeltaExport{k.ns, k.key, balance, floor});
     ++appended;
   }
@@ -629,9 +652,9 @@ TableStats AccountTable::stats(NamespaceId ns) const {
     ShardGuard lock(*this, *shard);
     auto it = shard->stats.find(ns);
     if (it != shard->stats.end()) out.merge(it->second);
-    for (const auto& [key, entry] : shard->accounts) {
-      if (key.ns == ns) ++out.accounts;
-    }
+    shard->accounts.for_each([&](const Slot& s) {
+      if (s.ns->id == ns) ++out.accounts;
+    });
   }
   return out;
 }
@@ -639,9 +662,8 @@ TableStats AccountTable::stats(NamespaceId ns) const {
 std::optional<std::string> AccountTable::audit_violation() const {
   for (const auto& shard : shards_) {
     ShardGuard lock(*this, *shard);
-    for (const auto& [key, entry] : shard->accounts) {
-      if (!entry.auditor) continue;
-      if (auto v = entry.auditor->first_violation()) {
+    for (const auto& [key, auditor] : shard->auditors) {
+      if (auto v = auditor.first_violation()) {
         std::ostringstream os;
         os << "ns=" << key.ns << " key=" << key.key << ": " << v->describe();
         return os.str();

@@ -1,6 +1,7 @@
 // tokend's in-memory store: millions of token accounts behind striped locks.
 //
-// The table maps (namespace, key) pairs to core::TokenAccount instances.
+// The table maps (namespace, key) pairs to token accounts (paper Algorithm
+// 4, the balance arithmetic core::TokenAccount runs in the simulator).
 // A *namespace* is a runtime-configurable policy domain (a tenant, an API
 // class, a flow group): it owns its own core::StrategyConfig, token period
 // Δ, initial balance, idle TTL and audit switch, so one tokend instance can
@@ -14,15 +15,20 @@
 // Keys are hash-partitioned over N shards (N rounded up to a power of two);
 // each shard owns its accounts behind its own mutex, so concurrent requests
 // for different shards never contend and a shard critical section is a
-// handful of arithmetic operations. The namespace registry is read-mostly
-// (std::shared_mutex): a request resolves its namespace exactly once —
-// strategy, clock divisor Δ and capacity come out of that one lookup — and
-// then works lock-free against the resolved snapshot.
+// handful of arithmetic operations. A shard keeps its accounts in a flat
+// open-addressing store of one-cache-line slots (service/account_store.hpp);
+// the rare per-account extras — the §3.4 watchdog of sampled keys and the
+// debug auditor — live in per-shard side maps that a slot flag gates, so an
+// ordinary account costs its slot and nothing else. The namespace registry
+// is read-mostly (std::shared_mutex): a request resolves its namespace
+// exactly once — strategy, clock divisor Δ and capacity come out of that
+// one lookup — and then works lock-free against the resolved snapshot.
 //
 // Token granting is *lazy*, driven by a coarse shared clock instead of a
 // timer per account: every account remembers the tick index it last settled
 // at, and any access first replays the elapsed ticks through
-// TokenAccount::on_tick (capped — see NamespaceConfig::max_catchup_ticks).
+// core::tick_balance, the simulator's Algorithm 4 arithmetic (capped — see
+// NamespaceConfig::max_catchup_ticks).
 // A proactive decision during replay has no message to pay for in an
 // admission-control service, so the period's token is dropped, mirroring
 // the simulator's "drop the token when no peer is online" rule that keeps
@@ -46,10 +52,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/account.hpp"
 #include "core/rate_limit.hpp"
 #include "core/strategy.hpp"
 #include "obs/admission.hpp"
+#include "service/account_store.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -418,19 +424,22 @@ class AccountTable {
 
  private:
   /// Immutable runtime form of a namespace: the resolved strategy object
-  /// plus the derived caps. Shared between the registry and every entry of
-  /// the namespace, so a reset cannot pull the strategy out from under an
-  /// account that was created against the previous policy. `retired` is
-  /// flipped when a reconfigure replaces this snapshot: account *creation*
-  /// re-resolves on seeing it, so a request racing the reset can never
-  /// insert a fresh account under the outgoing policy after the purge
-  /// swept its shard (existing entries keep the old snapshot by design).
+  /// plus the derived caps. Every account pins the snapshot it was created
+  /// under (Slot::ns, a raw pointer), so a reset cannot pull the strategy
+  /// out from under an account of the previous policy. The registry owns
+  /// the snapshot; configure_namespace keeps a replaced one alive until its
+  /// purge has swept every shard, and requests in flight hold their own
+  /// reference. `retired` is flipped when a reconfigure replaces this
+  /// snapshot: account *creation* re-resolves on seeing it, so a request
+  /// racing the reset can never insert a fresh account under the outgoing
+  /// policy after the purge swept its shard — which is also why no slot
+  /// can point at a snapshot once its purge is done.
   struct Namespace {
     NamespaceId id = 0;
     NamespaceConfig config;
     std::unique_ptr<core::Strategy> strategy;
     Tokens capacity = 0;       ///< effective balance cap
-    Tokens bucket_cap = 0;     ///< TokenAccount bucket cap (token bucket only)
+    Tokens bucket_cap = 0;     ///< tick_balance bucket cap (token bucket only)
     Tokens catchup_limit = 0;  ///< resolved max_catchup_ticks
     mutable std::atomic<bool> retired{false};
   };
@@ -441,32 +450,54 @@ class AccountTable {
     friend bool operator==(const AccountKey&, const AccountKey&) = default;
   };
 
+  /// The one hash of an account: shard_index() takes its bottom bits, the
+  /// shard's slot store its top bits, the side maps all of it.
+  static std::uint64_t account_hash(NamespaceId ns, std::uint64_t key) {
+    std::uint64_t state = fold_key(ns, key);
+    return util::splitmix64(state);
+  }
+
   struct AccountKeyHash {
     std::size_t operator()(const AccountKey& k) const {
-      std::uint64_t state = fold_key(k.ns, k.key);
-      return static_cast<std::size_t>(util::splitmix64(state));
+      return static_cast<std::size_t>(account_hash(k.ns, k.key));
     }
   };
 
-  struct Entry {
-    core::TokenAccount account;
-    std::shared_ptr<const Namespace> ns;  ///< keeps the strategy alive
-    std::int64_t last_tick = 0;           ///< tick index last settled at
-    TimeUs last_access_us = 0;            ///< for TTL eviction
-    std::unique_ptr<core::RateLimitAuditor> auditor;
-    // Replication state (unused until enable_replication; declared after
-    // the original members so positional Entry construction stays valid).
-    // The spend gate: the highest floor that a promoted follower might
-    // still install — acquire never grants below it, which is what makes
-    // a conservative replica install under-grant-only.
-    Tokens repl_gate = 0;
-    Tokens repl_sent_floor = 0;         ///< floor of the last emitted delta
-    std::uint64_t repl_floor_seq = 0;   ///< emission round it travelled in
-    bool repl_dirty = false;            ///< queued in Shard::repl_dirty?
-    /// Online §3.4 auditor, present only on watchdog-sampled keys (see
-    /// ServiceConfig::watchdog_sample). Guarded by the shard lock like
-    /// everything else in the entry.
-    std::unique_ptr<core::BurstWatchdog> watchdog;
+  // Slot::flags bits.
+  static constexpr std::uint8_t kSlotLive = 1;      ///< occupied
+  static constexpr std::uint8_t kSlotWatched = 2;   ///< Shard::watchdogs entry
+  static constexpr std::uint8_t kSlotAudited = 4;   ///< Shard::auditors entry
+  static constexpr std::uint8_t kSlotReplDirty = 8; ///< queued in repl_dirty
+
+  /// One account: everything the data path reads, in one cache line.
+  /// Balances fit 32 bits because make_namespace bounds every capacity by
+  /// INT32_MAX and balance, gate and sent floor all stay within [0, C];
+  /// everything unbounded (ticks, times, the spend count, rounds) keeps
+  /// 64 bits. The all-zero slot is empty.
+  struct Slot {
+    std::uint64_t key = 0;
+    const Namespace* ns = nullptr;  ///< the policy it was created under
+    std::int64_t last_tick = 0;     ///< tick index last settled at
+    TimeUs last_access_us = 0;      ///< for TTL eviction
+    /// Tokens granted and not refunded — exact, since the refund cap
+    /// reads it (core::refund_balance).
+    std::uint64_t spent = 0;
+    std::uint64_t repl_floor_seq = 0;  ///< round the sent floor travelled in
+    std::int32_t balance = 0;
+    /// The replication spend gate: the highest floor that a promoted
+    /// follower might still install — acquire never grants below it,
+    /// which is what makes a conservative replica install under-grant-only.
+    std::int32_t repl_gate = 0;
+    std::int32_t repl_sent_floor = 0;  ///< floor of the last emitted delta
+    std::uint8_t flags = 0;            ///< kSlot* bits
+  };
+  static_assert(sizeof(Slot) <= 64, "an account slot is one cache line");
+
+  struct SlotTraits {
+    static bool live(const Slot& s) { return (s.flags & kSlotLive) != 0; }
+    static std::uint64_t hash(const Slot& s) {
+      return account_hash(s.ns->id, s.key);
+    }
   };
 
   /// Padded to a cache line so neighbouring shards' mutexes don't false-
@@ -476,7 +507,7 @@ class AccountTable {
   /// accounts.size()).
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    std::unordered_map<AccountKey, Entry, AccountKeyHash> accounts;
+    SlotStore<Slot, SlotTraits> accounts;
     util::Rng rng{0};
     std::unordered_map<NamespaceId, TableStats> stats;
     NamespaceId cached_ns = 0;
@@ -486,8 +517,17 @@ class AccountTable {
     /// acquire.
     obs::SpaceSaving hot{8};
     /// Accounts touched since the last drain_replica_dirty() (replication
-    /// only; each account appears at most once — Entry::repl_dirty).
+    /// only; each account appears at most once — kSlotReplDirty).
     std::vector<AccountKey> repl_dirty;
+    /// Online §3.4 auditors of watchdog-sampled keys (see
+    /// ServiceConfig::watchdog_sample) and the debug audit traces of
+    /// NamespaceConfig::audit namespaces. Only flagged slots ever probe
+    /// them, and every erase path drops the account's entries, so a
+    /// re-created key starts from an empty trace.
+    std::unordered_map<AccountKey, core::BurstWatchdog, AccountKeyHash>
+        watchdogs;
+    std::unordered_map<AccountKey, core::RateLimitAuditor, AccountKeyHash>
+        auditors;
   };
 
   /// Scoped shard access: takes the shard mutex in the default striped-
@@ -523,20 +563,30 @@ class AccountTable {
   static TableStats& stats_for(Shard& shard, NamespaceId ns);
   std::size_t shard_index(NamespaceId ns, std::uint64_t key) const;
   Shard& shard_for(NamespaceId ns, std::uint64_t key);
-  Entry& find_or_create(Shard& shard,
-                        const std::shared_ptr<const Namespace>& ns,
-                        std::uint64_t key, std::int64_t tick, TimeUs now);
+  /// The live account (ns, key) in `shard`, or nullptr.
+  static Slot* find_account(Shard& shard, NamespaceId ns, std::uint64_t key);
+  /// Creates the account with the given starting balance, settled at
+  /// `tick`, with its side state; the caller checked it is absent.
+  Slot& create_account(Shard& shard, const Namespace& ns, std::uint64_t key,
+                       Tokens balance, std::int64_t tick, TimeUs now);
+  Slot& find_or_create(Shard& shard,
+                       const std::shared_ptr<const Namespace>& ns,
+                       std::uint64_t key, std::int64_t tick, TimeUs now);
+  /// The table's one erase path: removes every account of `shard` for which
+  /// `pred(slot)` holds, dropping its side-map entries with it, and returns
+  /// how many went.
+  template <typename Pred>
+  static std::size_t erase_accounts_if(Shard& shard, Pred&& pred);
   /// Replays elapsed ticks up to the cap (tick index derived from the
-  /// entry's own namespace Δ); updates last_tick/last_access.
-  void settle(Shard& shard, Entry& entry, TimeUs now);
+  /// account's own namespace Δ); updates last_tick/last_access.
+  static void settle(Shard& shard, Slot& slot, TimeUs now);
   AcquireResult acquire_locked(Shard& shard,
                                const std::shared_ptr<const Namespace>& ns,
                                std::uint64_t key, Tokens n, std::int64_t tick,
                                TimeUs now);
-  /// Queues (ns, key) for the next replica drain (no-op when replication
-  /// is off or the entry is already queued). Caller holds the shard.
-  void mark_repl_dirty(Shard& shard, NamespaceId ns, std::uint64_t key,
-                       Entry& entry);
+  /// Queues the account for the next replica drain (no-op when replication
+  /// is off or it is already queued). Caller holds the shard.
+  void mark_repl_dirty(Shard& shard, Slot& slot);
   /// Drops every account of `ns` (reset on reconfigure).
   void purge_namespace(NamespaceId ns);
 

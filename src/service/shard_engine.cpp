@@ -170,8 +170,12 @@ void ShardEngine::drain() {
   quiesced([] {});
 }
 
+bool ShardEngine::on_worker_thread() const {
+  return tls_worker_engine == this;
+}
+
 void ShardEngine::begin_quiesce() {
-  TOKA_CHECK_MSG(tls_worker_engine != this,
+  TOKA_CHECK_MSG(!on_worker_thread(),
                  "quiesced() called from a shard worker completion — that "
                  "would park the caller and deadlock; run admin ops from a "
                  "non-worker thread");

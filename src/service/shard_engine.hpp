@@ -189,6 +189,10 @@ class ShardEngine {
     return std::forward<F>(fn)();
   }
 
+  /// True on this engine's worker threads — where quiesced() must not be
+  /// called (a transport callback running there hands admin work off).
+  bool on_worker_thread() const;
+
   /// Waits until every queue is empty and every in-flight op has
   /// completed. Producers must have stopped submitting first.
   void drain();

@@ -291,17 +291,22 @@ TEST(ScrapeServer, TracesScrapeWhileServing) {
   ScrapeServer scrape(registry, &tracer, 0);
 
   std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> served{0};
   std::thread load([&] {
     service::Client client(net.endpoint(1), 0);
     client.set_tracer(&tracer);
     std::uint64_t key = 0;
-    while (!stop.load(std::memory_order_relaxed))
+    while (!stop.load(std::memory_order_relaxed)) {
       client.acquire(key++ % 64, 1);
+      served.fetch_add(1);
+    }
   });
   for (int i = 0; i < 20; ++i) {
     const std::string resp = http_get(scrape.port(), "/traces");
     EXPECT_NE(resp.find("\"spans\":["), std::string::npos);
   }
+  // On a loaded host the scrapes can finish before the first request.
+  while (served.load() == 0) std::this_thread::yield();
   stop.store(true);
   load.join();
   net.stop();

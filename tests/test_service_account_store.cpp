@@ -1,0 +1,268 @@
+// The account table's flat slot store, checked against a std::unordered_map
+// model: inserts, lookups, single erases and the erase-while-sweeping paths
+// the table builds its evict, extract and purge sweeps on, across several
+// power-of-two grow and shrink boundaries.
+#include "service/account_store.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
+#include "util/rng.hpp"
+
+namespace toka::service {
+namespace {
+
+/// A stand-in account: `group` plays the namespace, `value` the state.
+struct TestSlot {
+  std::uint64_t key = 0;
+  std::uint32_t group = 0;
+  std::uint32_t value = 0;
+  std::uint8_t live = 0;
+};
+
+std::uint64_t mix(std::uint32_t group, std::uint64_t key) {
+  std::uint64_t state = key + 0x9E3779B97F4A7C15ULL * (group + 1);
+  return util::splitmix64(state);
+}
+
+struct MixedTraits {
+  static bool live(const TestSlot& s) { return s.live != 0; }
+  static std::uint64_t hash(const TestSlot& s) { return mix(s.group, s.key); }
+};
+
+/// Every key homes at one of four slots near the end of the array (the
+/// home index is the hash's top bits), so the probe runs are long and wrap
+/// around the end — the hard case for backward shifts and for sweeps that
+/// erase while they walk.
+struct WrappingTraits {
+  static bool live(const TestSlot& s) { return s.live != 0; }
+  static std::uint64_t hash(const TestSlot& s) {
+    return ~std::uint64_t{0} - ((mix(s.group, s.key) % 4) << 58);
+  }
+};
+
+/// Model key: (group, key) packed.
+std::uint64_t model_key(std::uint32_t group, std::uint64_t key) {
+  return (static_cast<std::uint64_t>(group) << 48) | key;
+}
+
+template <typename Traits>
+class Harness {
+ public:
+  using Store = SlotStore<TestSlot, Traits>;
+
+  void insert(std::uint32_t group, std::uint64_t key, std::uint32_t value) {
+    TestSlot s{key, group, value, 1};
+    if (find(group, key) != nullptr) return;  // the store requires absence
+    const TestSlot& placed = store_.insert(Traits::hash(s), s);
+    ASSERT_EQ(placed.key, key);
+    model_[model_key(group, key)] = value;
+  }
+
+  TestSlot* find(std::uint32_t group, std::uint64_t key) {
+    const TestSlot probe{key, group, 0, 1};
+    return store_.find(Traits::hash(probe), [&](const TestSlot& s) {
+      return s.key == key && s.group == group;
+    });
+  }
+
+  /// The store and the model agree on (group, key).
+  void lookup(std::uint32_t group, std::uint64_t key) {
+    const TestSlot* s = find(group, key);
+    auto it = model_.find(model_key(group, key));
+    ASSERT_EQ(s != nullptr, it != model_.end()) << "key " << key;
+    if (s != nullptr) {
+      EXPECT_EQ(s->value, it->second);
+    }
+  }
+
+  void erase(std::uint32_t group, std::uint64_t key) {
+    if (TestSlot* s = find(group, key)) {
+      store_.erase(*s);
+      model_.erase(model_key(group, key));
+    }
+  }
+
+  /// Sweeps with `pred`, checking that every live slot is offered exactly
+  /// once; returns the erased slots.
+  template <typename Pred>
+  std::vector<TestSlot> sweep(Pred&& pred) {
+    std::unordered_set<std::uint64_t> seen;
+    std::vector<TestSlot> erased;
+    const std::size_t before = store_.size();
+    const std::size_t n = store_.erase_if([&](TestSlot& s) {
+      EXPECT_TRUE(seen.insert(model_key(s.group, s.key)).second)
+          << "slot " << s.key << " offered twice";
+      if (!pred(s)) return false;
+      erased.push_back(s);
+      return true;
+    });
+    EXPECT_EQ(seen.size(), before);
+    EXPECT_EQ(n, erased.size());
+    for (const TestSlot& s : erased) model_.erase(model_key(s.group, s.key));
+    return erased;
+  }
+
+  void check() {
+    ASSERT_EQ(store_.size(), model_.size());
+    std::size_t visited = 0;
+    store_.for_each([&](const TestSlot& s) {
+      ++visited;
+      auto it = model_.find(model_key(s.group, s.key));
+      ASSERT_NE(it, model_.end()) << "store holds a key the model lost";
+      EXPECT_EQ(s.value, it->second);
+    });
+    EXPECT_EQ(visited, model_.size());
+    for (const auto& [mk, value] : model_) {
+      const TestSlot* s = find(static_cast<std::uint32_t>(mk >> 48),
+                               mk & ((std::uint64_t{1} << 48) - 1));
+      ASSERT_NE(s, nullptr) << "model key " << mk << " unreachable";
+      EXPECT_EQ(s->value, value);
+    }
+    if (store_.capacity() > 0) {
+      EXPECT_TRUE(std::has_single_bit(store_.capacity()));
+      EXPECT_LE(store_.size() * 4, store_.capacity() * 3);
+    }
+  }
+
+  Store& store() { return store_; }
+  std::size_t model_size() const { return model_.size(); }
+
+ private:
+  Store store_;
+  std::unordered_map<std::uint64_t, std::uint32_t> model_;
+};
+
+template <typename Traits>
+void randomized_against_model(std::uint64_t seed, std::uint64_t key_space,
+                              int rounds) {
+  Harness<Traits> h;
+  util::Rng rng(seed);
+  std::uint32_t stamp = 0;
+  std::size_t peak_capacity = 0;
+  for (int round = 0; round < rounds; ++round) {
+    // Grow phase: mostly inserts, with lookups and single erases mixed in.
+    const std::uint64_t ops = 500 + rng.below(6000);
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      const auto group = static_cast<std::uint32_t>(rng.below(3));
+      const std::uint64_t key = rng.below(key_space);
+      switch (rng.below(10)) {
+        case 0:
+        case 1:
+          h.erase(group, key);
+          break;
+        case 2:
+          h.lookup(group, key);
+          break;
+        default:
+          h.insert(group, key, ++stamp);
+          break;
+      }
+    }
+    h.check();
+    peak_capacity = std::max(peak_capacity, h.store().capacity());
+    // One of the table's three sweeps.
+    switch (round % 3) {
+      case 0: {  // evict: drop "idle" slots, here the older stamps
+        const std::uint32_t cutoff = stamp - stamp / 3;
+        h.sweep([&](const TestSlot& s) { return s.value < cutoff; });
+        break;
+      }
+      case 1: {  // extract: move away a hash-chosen subset of keys
+        const std::vector<TestSlot> moved =
+            h.sweep([](const TestSlot& s) { return s.key % 3 == 1; });
+        for (const TestSlot& s : moved) EXPECT_EQ(s.key % 3, 1u);
+        break;
+      }
+      default: {  // purge: drop one whole group
+        const auto group = static_cast<std::uint32_t>(rng.below(3));
+        h.sweep([&](const TestSlot& s) { return s.group == group; });
+        break;
+      }
+    }
+    h.check();
+  }
+  // Several doublings happened on the way (64 -> 128 -> ... slots).
+  EXPECT_GE(peak_capacity, 1024u);
+  // A final purge of everything releases the array.
+  h.sweep([](const TestSlot&) { return true; });
+  h.check();
+  EXPECT_EQ(h.store().size(), 0u);
+  EXPECT_EQ(h.store().capacity(), 0u);
+}
+
+TEST(AccountStore, RandomizedAgainstUnorderedMap) {
+  randomized_against_model<MixedTraits>(/*seed=*/17, /*key_space=*/20'000,
+                                        /*rounds=*/24);
+}
+
+TEST(AccountStore, RandomizedWithWrappingProbeRuns) {
+  // Long runs that wrap the array end; small enough that the quadratic
+  // probe cost stays cheap.
+  randomized_against_model<WrappingTraits>(/*seed=*/5, /*key_space=*/1'500,
+                                           /*rounds=*/12);
+}
+
+TEST(AccountStore, GrowsThroughPowerOfTwoBoundariesAndShrinksBack) {
+  Harness<MixedTraits> h;
+  std::size_t capacity = 0;
+  std::vector<std::size_t> seen_capacities;
+  for (std::uint64_t key = 0; key < 10'000; ++key) {
+    h.insert(0, key, static_cast<std::uint32_t>(key));
+    if (h.store().capacity() != capacity) {
+      capacity = h.store().capacity();
+      seen_capacities.push_back(capacity);
+    }
+  }
+  h.check();
+  // 64, 128, ..., 16384: every doubling, each at just over 3/4 load.
+  ASSERT_EQ(seen_capacities.front(), 64u);
+  for (std::size_t i = 1; i < seen_capacities.size(); ++i)
+    EXPECT_EQ(seen_capacities[i], 2 * seen_capacities[i - 1]);
+  EXPECT_EQ(h.store().capacity(), 16'384u);
+
+  // Keep 1 in 16: the sweep leaves the store under 1/8 load, so it
+  // shrinks to the smallest power of two at or below half load.
+  h.sweep([](const TestSlot& s) { return s.key % 16 != 0; });
+  h.check();
+  EXPECT_EQ(h.store().size(), 625u);
+  EXPECT_EQ(h.store().capacity(), 2048u);
+}
+
+TEST(AccountStore, ErasedSlotsReadAsZeroAndEmptyStoreFindsNothing) {
+  Harness<MixedTraits> h;
+  EXPECT_EQ(h.find(0, 1), nullptr);  // no array mapped yet
+  h.insert(0, 1, 7);
+  h.insert(1, 1, 8);  // same key, other group: a distinct slot
+  ASSERT_NE(h.find(0, 1), nullptr);
+  EXPECT_EQ(h.find(0, 1)->value, 7u);
+  EXPECT_EQ(h.find(1, 1)->value, 8u);
+  h.erase(0, 1);
+  EXPECT_EQ(h.find(0, 1), nullptr);
+  EXPECT_EQ(h.find(1, 1)->value, 8u);
+  h.check();
+}
+
+TEST(MappedArray, ZeroFilledAndMovable) {
+  MappedArray a(1 << 16);
+  ASSERT_NE(a.data(), nullptr);
+  const auto* bytes = static_cast<const unsigned char*>(a.data());
+  for (std::size_t i = 0; i < a.bytes(); i += 4096) EXPECT_EQ(bytes[i], 0);
+  std::memset(a.data(), 0xAB, a.bytes());
+  MappedArray b(std::move(a));
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(a.bytes(), 0u);
+  EXPECT_EQ(static_cast<const unsigned char*>(b.data())[100], 0xAB);
+  b = MappedArray();  // unmaps
+  EXPECT_EQ(b.data(), nullptr);
+}
+
+}  // namespace
+}  // namespace toka::service

@@ -296,6 +296,48 @@ TEST(AccountTable, WatchdogAuditsGrantsAndRefundsCleanly) {
   EXPECT_EQ(table.stats().watchdog_violations, 0u);
 }
 
+TEST(AccountTable, EvictedWatchdogKeyRestartsWithAnEmptyRing) {
+  // The watchdog lives beside the account, not in it: evicting a sampled
+  // key must drop its ring too, so a re-created key audits from scratch.
+  // A grant sweeps one window per retained grant instant, which makes the
+  // ring's length visible in the check count.
+  ServiceConfig cfg = simple_config(10, 1000);
+  cfg.watchdog_sample = 1;
+  cfg.idle_ttl_us = 50'000;
+  AccountTable table(cfg);
+  table.acquire(7, 0);
+  for (int i = 0; i < 5; ++i) {
+    table.clock().advance(1000);
+    ASSERT_EQ(table.acquire(7, 1).granted, 1);
+  }
+  table.clock().advance(1000);
+  std::uint64_t before = table.stats().watchdog_checks;
+  ASSERT_EQ(table.acquire(7, 1).granted, 1);
+  EXPECT_EQ(table.stats().watchdog_checks - before, 6u);  // 5 retained + 1
+
+  table.clock().advance(200'000);  // idle past 2x the TTL
+  ASSERT_EQ(table.evict_idle(), 1u);
+  table.acquire(7, 0);  // re-created, broke
+  table.clock().advance(1000);
+  before = table.stats().watchdog_checks;
+  ASSERT_EQ(table.acquire(7, 1).granted, 1);
+  EXPECT_EQ(table.stats().watchdog_checks - before, 1u);  // a fresh ring
+  EXPECT_EQ(table.stats().watchdog_violations, 0u);
+}
+
+TEST(AccountTable, RejectsCapacitiesBeyondTheSlotBalance) {
+  // Account slots keep balances in 32 bits; a namespace whose capacity
+  // could not fit is refused up front rather than wrapped later.
+  ServiceConfig cfg = simple_config(10);
+  AccountTable table(cfg);
+  NamespaceConfig huge;
+  huge.strategy.kind = core::StrategyKind::kTokenBucket;
+  huge.strategy.c_param = Tokens{1} << 31;
+  EXPECT_THROW(table.configure_namespace(1, huge), util::InvariantError);
+  huge.strategy.c_param = (Tokens{1} << 31) - 1;
+  EXPECT_TRUE(table.configure_namespace(1, huge));
+}
+
 TEST(AccountTable, WatchdogSampleZeroDisablesAuditing) {
   ServiceConfig cfg = simple_config(10, 1000);
   cfg.watchdog_sample = 0;
