@@ -7,10 +7,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <functional>
 #include <future>
 #include <memory>
 #include <semaphore>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "analysis/eigen.hpp"
@@ -463,44 +465,114 @@ service::ServiceConfig table_bench_config() {
 
 constexpr std::uint64_t kTableBenchKeys = 2'000'000;
 
+/// A table preloaded with the first kTableBenchKeys keys for which `keep`
+/// holds, in 4096-op batches; returns those keys.
+std::vector<std::uint64_t> preload(service::AccountTable& table,
+                                   const std::function<bool(std::uint64_t)>& keep) {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(kTableBenchKeys);
+  std::vector<service::AcquireOp> ops;
+  for (std::uint64_t k = 0; keys.size() < kTableBenchKeys; ++k) {
+    if (!keep(k)) continue;
+    keys.push_back(k);
+    ops.push_back(service::AcquireOp{k, 0});
+    if (ops.size() == 4096 || keys.size() == kTableBenchKeys) {
+      table.acquire_batch(ops);
+      ops.clear();
+    }
+  }
+  return keys;
+}
+
 /// Keys [0, kTableBenchKeys) preloaded once and shared by every run of the
-/// hit variant (Google Benchmark re-enters a benchmark to size its runs).
+/// hit variants (Google Benchmark re-enters a benchmark to size its runs).
 service::AccountTable& preloaded_table() {
   static service::AccountTable* table = [] {
     auto* t = new service::AccountTable(table_bench_config());
-    std::vector<service::AcquireOp> ops;
-    for (std::uint64_t k = 0; k < kTableBenchKeys; k += 4096) {
-      ops.clear();
-      for (std::uint64_t i = k; i < std::min(k + 4096, kTableBenchKeys); ++i)
-        ops.push_back(service::AcquireOp{i, 0});
-      t->acquire_batch(ops);
-    }
+    preload(*t, [](std::uint64_t) { return true; });
     return t;
   }();
   return *table;
+}
+
+/// As preloaded_table(), but holding only keys that node 0 of a 3-node
+/// HashRing owns — what one tokad node's table holds. The ring position
+/// and the slot store's home index are the same hash bits, so these keys'
+/// homes bunch into the ring arcs node 0 owns.
+std::pair<service::AccountTable*, const std::vector<std::uint64_t>*>
+ring_node_table() {
+  static const std::vector<NodeId> nodes{0, 1, 2};
+  static const cluster::HashRing ring(std::span<const NodeId>(nodes),
+                                      cluster::kDefaultVnodes);
+  static auto* table = new service::AccountTable(table_bench_config());
+  static const auto* keys = new std::vector<std::uint64_t>(preload(
+      *table, [](std::uint64_t k) { return ring.owner(0, k) == 0; }));
+  return {table, keys};
 }
 
 /// One AccountTable::acquire, the per-op cost of the account store.
 /// range(0) = 0: hits on 2M preloaded uniform keys — every lookup misses
 /// the cache, so the probe's memory touches dominate. range(0) = 1:
 /// first-contact inserts of fresh keys (capped at 1M iterations so the
-/// table stays small).
+/// table stays small). range(0) = 2: hits on 2M keys one node of a 3-node
+/// ring owns; next to range(0) = 0 it prices the longer probe runs that
+/// the bunched homes cause.
 void BM_AccountTableAcquire(benchmark::State& state) {
+  const std::int64_t variant = state.range(0);
+  std::unique_ptr<service::AccountTable> fresh;
+  service::AccountTable* table = nullptr;
+  const std::vector<std::uint64_t>* ring_keys = nullptr;
+  if (variant == 1) {
+    fresh = std::make_unique<service::AccountTable>(table_bench_config());
+    table = fresh.get();
+  } else if (variant == 2) {
+    std::tie(table, ring_keys) = ring_node_table();
+  } else {
+    table = &preloaded_table();
+  }
+  util::Rng rng(7);
+  std::uint64_t next = 0;
+  for (auto _ : state) {
+    std::uint64_t key = 0;
+    if (variant == 1) {
+      key = next++;
+    } else {
+      key = rng.below(kTableBenchKeys);
+      if (ring_keys != nullptr) key = (*ring_keys)[key];
+    }
+    benchmark::DoNotOptimize(table->acquire(key, 1));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(variant == 1 ? "insert" : variant == 2 ? "ring-node hit" : "hit");
+}
+BENCHMARK(BM_AccountTableAcquire)->Arg(0);
+BENCHMARK(BM_AccountTableAcquire)->Arg(1)->Iterations(1 << 20);
+BENCHMARK(BM_AccountTableAcquire)->Arg(2);
+
+/// One AccountTable::acquire_batch, the path that prefetches home slots.
+/// range(0) = 0: 64-op batches of random hits on the 2M preloaded keys,
+/// the wire_batch frame shape (about one op per shard). range(0) = 1:
+/// 4096-op chunks of first-contact inserts, the tokabench preload shape
+/// (capped at 256 chunks, 1M accounts). Items are ops.
+void BM_AccountTableAcquireBatch(benchmark::State& state) {
   const bool inserts = state.range(0) == 1;
+  const std::size_t batch = inserts ? 4096 : 64;
   std::unique_ptr<service::AccountTable> fresh;
   if (inserts) fresh = std::make_unique<service::AccountTable>(table_bench_config());
   service::AccountTable& table = inserts ? *fresh : preloaded_table();
   util::Rng rng(7);
   std::uint64_t next = 0;
+  std::vector<service::AcquireOp> ops(batch);
   for (auto _ : state) {
-    const std::uint64_t key = inserts ? next++ : rng.below(kTableBenchKeys);
-    benchmark::DoNotOptimize(table.acquire(key, 1));
+    for (service::AcquireOp& op : ops)
+      op = service::AcquireOp{inserts ? next++ : rng.below(kTableBenchKeys), 1};
+    benchmark::DoNotOptimize(table.acquire_batch(ops));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(inserts ? "insert" : "hit");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * batch));
+  state.SetLabel(inserts ? "insert chunks" : "hit frames");
 }
-BENCHMARK(BM_AccountTableAcquire)->Arg(0);
-BENCHMARK(BM_AccountTableAcquire)->Arg(1)->Iterations(1 << 20);
+BENCHMARK(BM_AccountTableAcquireBatch)->Arg(0);
+BENCHMARK(BM_AccountTableAcquireBatch)->Arg(1)->Iterations(256);
 
 std::vector<NodeId> ring_nodes(std::int64_t count) {
   std::vector<NodeId> nodes(static_cast<std::size_t>(count));

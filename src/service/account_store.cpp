@@ -14,6 +14,17 @@ MappedArray::MappedArray(std::size_t bytes) {
   bytes_ = bytes;
 }
 
+void MappedArray::populate(std::size_t offset, std::size_t bytes) {
+#ifdef MADV_POPULATE_WRITE
+  // Kernels before 5.14 answer EINVAL; demand faulting then does the work.
+  (void)::madvise(static_cast<char*>(data_) + offset, bytes,
+                  MADV_POPULATE_WRITE);
+#else
+  (void)offset;
+  (void)bytes;
+#endif
+}
+
 void MappedArray::release() {
   if (data_ != nullptr) ::munmap(data_, bytes_);
   data_ = nullptr;

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace toka::service {
 
@@ -49,6 +50,11 @@ class MappedArray {
 
   void* data() const { return data_; }
   std::size_t bytes() const { return bytes_; }
+
+  /// Prefaults [offset, offset + bytes) writable (MADV_POPULATE_WRITE);
+  /// `offset` is page-aligned. Only a hint: where the kernel lacks it, the
+  /// pages fault on first touch as before.
+  void populate(std::size_t offset, std::size_t bytes);
 
  private:
   void release();
@@ -88,6 +94,14 @@ class SlotStore {
       if (!Traits::live(slot)) return nullptr;
       if (eq(static_cast<const Slot&>(slot))) return &slot;
     }
+  }
+
+  /// Starts loading the home slot of `hash`, the first line a find or
+  /// insert under it reads. A hint with no effect on contents; the caller
+  /// must hold the same access to the store as for find, since it reads the
+  /// array and its size.
+  void prefetch(std::uint64_t hash) const {
+    if (capacity_ != 0) __builtin_prefetch(&slots_[home(hash)], 1);
   }
 
   /// Inserts `value` — live, with Traits::hash(value) == `hash`, and not
@@ -189,11 +203,43 @@ class SlotStore {
     capacity_ = capacity;
     mask_ = capacity - 1;
     shift_ = 64 - std::countr_zero(capacity);
+    prefault_homes(fresh, old_slots, old_capacity);
     for (std::size_t i = 0; i < old_capacity; ++i) {
       if (Traits::live(old_slots[i]))
         slots_[free_index(Traits::hash(old_slots[i]))] = old_slots[i];
     }
     array_ = std::move(fresh);  // unmaps the old array
+  }
+
+  /// Populates, ready for writing, each run of pages of the new array
+  /// that holds some live slot's home. A page the re-inserts would fault
+  /// in is otherwise faulted twice: free_index's read maps the shared zero
+  /// page, then the slot's write takes a copy-on-write fault. Pages that
+  /// hold no home stay unpopulated, because homes need not cover the
+  /// array: on a cluster node the home bits are the hash ring's position
+  /// bits, so the node's keys leave whole stretches of it untouched.
+  void prefault_homes(MappedArray& array, const Slot* old_slots,
+                      std::size_t old_capacity) const {
+    constexpr std::size_t kPageBytes = 4096;
+    const std::size_t pages = (array.bytes() + kPageBytes - 1) / kPageBytes;
+    std::vector<bool> marked(pages);
+    for (std::size_t i = 0; i < old_capacity; ++i) {
+      if (Traits::live(old_slots[i]))
+        marked[home(Traits::hash(old_slots[i])) * sizeof(Slot) / kPageBytes] =
+            true;
+    }
+    for (std::size_t first = 0; first < pages;) {
+      if (!marked[first]) {
+        ++first;
+        continue;
+      }
+      std::size_t last = first + 1;
+      while (last < pages && marked[last]) ++last;
+      array.populate(first * kPageBytes,
+                     std::min(last * kPageBytes, array.bytes()) -
+                         first * kPageBytes);
+      first = last;
+    }
   }
 
   MappedArray array_;

@@ -19,6 +19,11 @@ namespace {
 // independent bit stream, so sampled keys land on every shard.
 constexpr std::uint64_t kWatchdogSalt = 0xA24BAED4963EE407ULL;
 
+// How many ops of a shard's run acquire_batch prefetches ahead of the one
+// it executes: a cache-missing op costs a DRAM round trip, so about this
+// many loads must be in flight to hide it behind the ops before it.
+constexpr std::size_t kPrefetchDistance = 8;
+
 bool watchdog_samples(std::uint64_t sample_every, NamespaceId ns,
                       std::uint64_t key) {
   if (sample_every == 0) return false;
@@ -230,22 +235,20 @@ std::size_t AccountTable::shard_index(NamespaceId ns, std::uint64_t key) const {
   return static_cast<std::size_t>(account_hash(ns, key)) & shard_mask_;
 }
 
-AccountTable::Shard& AccountTable::shard_for(NamespaceId ns,
-                                             std::uint64_t key) {
-  return *shards_[shard_index(ns, key)];
-}
-
-AccountTable::Slot* AccountTable::find_account(Shard& shard, NamespaceId ns,
+AccountTable::Slot* AccountTable::find_account(Shard& shard,
+                                               std::uint64_t hash,
+                                               NamespaceId ns,
                                                std::uint64_t key) {
   // The key compares first: the namespace is read through the slot's
   // snapshot pointer only on a key match.
-  return shard.accounts.find(account_hash(ns, key), [&](const Slot& s) {
+  return shard.accounts.find(hash, [&](const Slot& s) {
     return s.key == key && s.ns->id == ns;
   });
 }
 
 AccountTable::Slot& AccountTable::create_account(Shard& shard,
                                                  const Namespace& ns,
+                                                 std::uint64_t hash,
                                                  std::uint64_t key,
                                                  Tokens balance,
                                                  std::int64_t tick,
@@ -270,24 +273,25 @@ AccountTable::Slot& AccountTable::create_account(Shard& shard,
     slot.flags |= kSlotWatched;
   }
   ++stats_for(shard, ns.id).accounts_created;
-  return shard.accounts.insert(account_hash(ns.id, key), slot);
+  return shard.accounts.insert(hash, slot);
 }
 
 AccountTable::Slot& AccountTable::find_or_create(
     Shard& shard, const std::shared_ptr<const Namespace>& ns,
-    std::uint64_t key, std::int64_t tick, TimeUs now) {
-  if (Slot* slot = find_account(shard, ns->id, key)) return *slot;
+    std::uint64_t hash, std::uint64_t key, std::int64_t tick, TimeUs now) {
+  if (Slot* slot = find_account(shard, hash, ns->id, key)) return *slot;
   // Creation re-resolves a retired snapshot (taking ns_mu_ shared while
   // holding the shard lock is safe: configure_namespace never holds shard
   // locks under ns_mu_). See Namespace::retired for why this closes the
-  // reset/acquire resurrection race.
+  // reset/acquire resurrection race. The re-resolved snapshot has the same
+  // id, so `hash` still holds.
   std::shared_ptr<const Namespace> current = ns;
   while (current->retired.load(std::memory_order_acquire)) {
     current = resolve(current->id);
     tick = now / current->config.delta_us;
   }
-  return create_account(shard, *current, key, current->config.initial_tokens,
-                        tick, now);
+  return create_account(shard, *current, hash, key,
+                        current->config.initial_tokens, tick, now);
 }
 
 void AccountTable::settle(Shard& shard, Slot& slot, TimeUs now) {
@@ -320,9 +324,10 @@ void AccountTable::settle(Shard& shard, Slot& slot, TimeUs now) {
 
 AcquireResult AccountTable::acquire_locked(
     Shard& shard, const std::shared_ptr<const Namespace>& ns,
-    std::uint64_t key, Tokens n, std::int64_t tick, TimeUs now) {
+    std::uint64_t hash, std::uint64_t key, Tokens n, std::int64_t tick,
+    TimeUs now) {
   TOKA_CHECK_MSG(n >= 0, "acquire requires n >= 0, got " << n);
-  Slot& slot = find_or_create(shard, ns, key, tick, now);
+  Slot& slot = find_or_create(shard, ns, hash, key, tick, now);
   // Balance before this call's settle: a grant within it was banked; a
   // grant beyond it spent tokens the settle just minted ("fresh").
   const Tokens banked = slot.balance;
@@ -365,26 +370,28 @@ AcquireResult AccountTable::acquire(NamespaceId ns, std::uint64_t key,
   // Resolve the namespace once: strategy, Δ (the clock divisor) and
   // capacity all come out of this one registry lookup.
   const std::shared_ptr<const Namespace> nsp = resolve(ns);
-  Shard& shard = shard_for(ns, key);
+  const std::uint64_t hash = account_hash(ns, key);
+  Shard& shard = shard_for(hash);
   ShardGuard lock(*this, shard);
   // Read the clock only while holding the shard lock: lock ordering plus
   // atomic read coherence then guarantee non-decreasing times per account,
   // which settle()'s bookkeeping and the auditor's record() rely on.
   const TimeUs now = clock_.now_us();
   const std::int64_t tick = now / nsp->config.delta_us;
-  return acquire_locked(shard, nsp, key, n, tick, now);
+  return acquire_locked(shard, nsp, hash, key, n, tick, now);
 }
 
 RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
                                   Tokens n) {
   TOKA_CHECK_MSG(n >= 0, "refund requires n >= 0, got " << n);
   resolve(ns);  // reject unknown namespaces before touching the shard
-  Shard& shard = shard_for(ns, key);
+  const std::uint64_t hash = account_hash(ns, key);
+  Shard& shard = shard_for(hash);
   ShardGuard lock(*this, shard);
   const TimeUs now = clock_.now_us();
   TableStats& stats = stats_for(shard, ns);
   ++stats.refunds;
-  Slot* slot = find_account(shard, ns, key);
+  Slot* slot = find_account(shard, hash, ns, key);
   if (slot == nullptr) {
     // Unknown or already-evicted account: the refund is dropped. Creating
     // an account here would let arbitrary keys mint balance from thin air.
@@ -425,11 +432,12 @@ RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
 
 QueryResult AccountTable::query(NamespaceId ns, std::uint64_t key) {
   resolve(ns);  // reject unknown namespaces before touching the shard
-  Shard& shard = shard_for(ns, key);
+  const std::uint64_t hash = account_hash(ns, key);
+  Shard& shard = shard_for(hash);
   ShardGuard lock(*this, shard);
   const TimeUs now = clock_.now_us();
   ++stats_for(shard, ns).queries;
-  Slot* slot = find_account(shard, ns, key);
+  Slot* slot = find_account(shard, hash, ns, key);
   if (slot == nullptr) return QueryResult{0, false};
   settle(shard, *slot, now);
   return QueryResult{slot->balance, true};
@@ -440,29 +448,47 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
   const std::shared_ptr<const Namespace> nsp = resolve(ns);
   std::vector<AcquireResult> results(ops.size());
   // Order ops by shard so each touched shard is locked exactly once per
-  // batch; within a shard the original op order is preserved (stable sort
-  // by shard index via counting pairs).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> order;  // (shard, op)
+  // batch; within a shard the original op order is preserved (stable
+  // sort). Each op's hash is computed here once and carried to the store.
+  struct Pending {
+    std::uint64_t hash;
+    std::uint32_t shard;
+    std::uint32_t op;
+  };
+  std::vector<Pending> order;
   order.reserve(ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    order.emplace_back(static_cast<std::uint32_t>(shard_index(ns, ops[i].key)),
-                       static_cast<std::uint32_t>(i));
+    const std::uint64_t hash = account_hash(ns, ops[i].key);
+    order.push_back(Pending{hash, static_cast<std::uint32_t>(hash & shard_mask_),
+                            static_cast<std::uint32_t>(i)});
   }
   std::stable_sort(order.begin(), order.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+                   [](const Pending& a, const Pending& b) {
+                     return a.shard < b.shard;
+                   });
   std::size_t i = 0;
   while (i < order.size()) {
-    const std::uint32_t shard_idx = order[i].first;
+    const std::uint32_t shard_idx = order[i].shard;
+    std::size_t end = i;
+    while (end < order.size() && order[end].shard == shard_idx) ++end;
     Shard& shard = *shards_[shard_idx];
     ShardGuard lock(*this, shard);
     // Clock read under the shard lock, as in acquire(): keeps per-account
     // times non-decreasing across concurrent batches.
     const TimeUs now = clock_.now_us();
     const std::int64_t tick = now / nsp->config.delta_us;
-    for (; i < order.size() && order[i].first == shard_idx; ++i) {
-      const AcquireOp& op = ops[order[i].second];
-      results[order[i].second] =
-          acquire_locked(shard, nsp, op.key, op.tokens, tick, now);
+    // Home slots are prefetched kPrefetchDistance ops ahead, and only
+    // within this shard's run: another shard's store may be read only
+    // under its own lock (or by its owner worker).
+    for (std::size_t j = i; j < std::min(i + kPrefetchDistance, end); ++j)
+      shard.accounts.prefetch(order[j].hash);
+    for (; i < end; ++i) {
+      if (i + kPrefetchDistance < end)
+        shard.accounts.prefetch(order[i + kPrefetchDistance].hash);
+      const Pending& p = order[i];
+      const AcquireOp& op = ops[p.op];
+      results[p.op] =
+          acquire_locked(shard, nsp, p.hash, op.key, op.tokens, tick, now);
     }
   }
   return results;
@@ -526,16 +552,17 @@ bool AccountTable::install_account(NamespaceId ns, std::uint64_t key,
     if (it == namespaces_.end()) return false;  // unknown here: forfeit
     nsp = it->second;
   }
-  Shard& shard = shard_for(ns, key);
+  const std::uint64_t hash = account_hash(ns, key);
+  Shard& shard = shard_for(hash);
   ShardGuard lock(*this, shard);
   while (nsp->retired.load(std::memory_order_acquire)) nsp = resolve(ns);
-  if (find_account(shard, ns, key) != nullptr) return false;  // never duplicate
+  if (find_account(shard, hash, ns, key) != nullptr) return false;  // never duplicate
   const TimeUs now = clock_.now_us();
   const std::int64_t tick = now / nsp->config.delta_us;
   // The audit trace and the watchdog ring restart empty: the installed
   // balance is at most C, so spending it all at once still fits a fresh
   // window's 1 + C slack.
-  Slot& slot = create_account(shard, *nsp, key,
+  Slot& slot = create_account(shard, *nsp, hash, key,
                               std::clamp<Tokens>(balance, 0, nsp->capacity),
                               tick, now);
   mark_repl_dirty(shard, slot);
@@ -567,7 +594,7 @@ std::size_t AccountTable::drain_replica_dirty(
   ShardGuard lock(*this, shard);
   std::size_t appended = 0;
   for (const AccountKey& k : shard.repl_dirty) {
-    Slot* slot = find_account(shard, k.ns, k.key);
+    Slot* slot = find_account(shard, account_hash(k.ns, k.key), k.ns, k.key);
     if (slot == nullptr) continue;  // evicted or extracted since
     slot->flags &= static_cast<std::uint8_t>(~kSlotReplDirty);
     // Gate collapse: once the last sent floor is acked, the follower's

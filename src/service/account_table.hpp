@@ -213,6 +213,8 @@ struct TableStats {
 
   /// Adds every counter of `other` into this snapshot.
   void merge(const TableStats& other);
+
+  friend bool operator==(const TableStats&, const TableStats&) = default;
 };
 
 /// Admin-visible description of a live namespace.
@@ -562,16 +564,22 @@ class AccountTable {
 
   static TableStats& stats_for(Shard& shard, NamespaceId ns);
   std::size_t shard_index(NamespaceId ns, std::uint64_t key) const;
-  Shard& shard_for(NamespaceId ns, std::uint64_t key);
+  /// The shard of the account whose account_hash() is `hash`.
+  Shard& shard_for(std::uint64_t hash) { return *shards_[hash & shard_mask_]; }
+  // The account helpers below take the account's `hash` — account_hash(ns,
+  // key), computed once per request by the caller.
   /// The live account (ns, key) in `shard`, or nullptr.
-  static Slot* find_account(Shard& shard, NamespaceId ns, std::uint64_t key);
+  static Slot* find_account(Shard& shard, std::uint64_t hash, NamespaceId ns,
+                            std::uint64_t key);
   /// Creates the account with the given starting balance, settled at
   /// `tick`, with its side state; the caller checked it is absent.
-  Slot& create_account(Shard& shard, const Namespace& ns, std::uint64_t key,
-                       Tokens balance, std::int64_t tick, TimeUs now);
+  Slot& create_account(Shard& shard, const Namespace& ns, std::uint64_t hash,
+                       std::uint64_t key, Tokens balance, std::int64_t tick,
+                       TimeUs now);
   Slot& find_or_create(Shard& shard,
                        const std::shared_ptr<const Namespace>& ns,
-                       std::uint64_t key, std::int64_t tick, TimeUs now);
+                       std::uint64_t hash, std::uint64_t key,
+                       std::int64_t tick, TimeUs now);
   /// The table's one erase path: removes every account of `shard` for which
   /// `pred(slot)` holds, dropping its side-map entries with it, and returns
   /// how many went.
@@ -582,8 +590,8 @@ class AccountTable {
   static void settle(Shard& shard, Slot& slot, TimeUs now);
   AcquireResult acquire_locked(Shard& shard,
                                const std::shared_ptr<const Namespace>& ns,
-                               std::uint64_t key, Tokens n, std::int64_t tick,
-                               TimeUs now);
+                               std::uint64_t hash, std::uint64_t key, Tokens n,
+                               std::int64_t tick, TimeUs now);
   /// Queues the account for the next replica drain (no-op when replication
   /// is off or it is already queued). Caller holds the shard.
   void mark_repl_dirty(Shard& shard, Slot& slot);

@@ -1,8 +1,12 @@
 // The account table's flat slot store, checked against a std::unordered_map
 // model: inserts, lookups, single erases and the erase-while-sweeping paths
 // the table builds its evict, extract and purge sweeps on, across several
-// power-of-two grow and shrink boundaries.
+// power-of-two grow and shrink boundaries; plus which pages of its array a
+// rehash makes resident.
 #include "service/account_store.hpp"
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -46,6 +50,13 @@ struct WrappingTraits {
   static std::uint64_t hash(const TestSlot& s) {
     return ~std::uint64_t{0} - ((mix(s.group, s.key) % 4) << 58);
   }
+};
+
+/// The key is the hash, and callers keep its top bit clear, so every home
+/// lies in the lower half of the array.
+struct KeyIsHashTraits {
+  static bool live(const TestSlot& s) { return s.live != 0; }
+  static std::uint64_t hash(const TestSlot& s) { return s.key; }
 };
 
 /// Model key: (group, key) packed.
@@ -248,6 +259,48 @@ TEST(AccountStore, ErasedSlotsReadAsZeroAndEmptyStoreFindsNothing) {
   EXPECT_EQ(h.find(0, 1), nullptr);
   EXPECT_EQ(h.find(1, 1)->value, 8u);
   h.check();
+}
+
+TEST(AccountStore, RehashPrefaultsOnlyPagesThatHoldHomes) {
+  // Every home lies in the lower half, so the probe runs spill only a
+  // little past the middle and the array's top quarter is never touched.
+  // A rehash that prefaulted the whole array would make it resident; one
+  // that prefaults only the pages holding homes leaves it alone, whether
+  // or not the kernel supports the prefault. The array stays under 2 MiB,
+  // so no transparent huge page can back it either.
+  using Store = SlotStore<TestSlot, KeyIsHashTraits>;
+  Store store;
+  const auto find = [&](std::uint64_t hash) {
+    return store.find(hash, [&](const TestSlot& t) { return t.key == hash; });
+  };
+  // Hash 0 homes at slot 0 and stays there: each rehash re-inserts in
+  // array order, so it is always the first slot placed.
+  store.insert(0, TestSlot{0, 0, 0, 1});
+  util::Rng rng(3);
+  while (store.size() < 25'000) {
+    const std::uint64_t hash = rng.next_u64() >> 1;
+    if (find(hash) == nullptr) store.insert(hash, TestSlot{hash, 0, 0, 1});
+  }
+  ASSERT_EQ(store.capacity(), 65'536u);  // ten doublings from 64 slots
+
+  const auto base = reinterpret_cast<std::uintptr_t>(find(0));
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  ASSERT_EQ(base % page, 0u);  // slot 0 starts the mapping
+  const std::uintptr_t end = base + store.capacity() * sizeof(TestSlot);
+  const std::uintptr_t top =
+      (base + store.capacity() * 3 / 4 * sizeof(TestSlot) + page - 1) /
+      page * page;
+  std::vector<unsigned char> resident((end - top) / page);
+  ASSERT_EQ(::mincore(reinterpret_cast<void*>(top), end - top,
+                      resident.data()),
+            0);
+  EXPECT_EQ(std::count_if(resident.begin(), resident.end(),
+                          [](unsigned char r) { return (r & 1) != 0; }),
+            0)
+      << "of " << resident.size() << " top-quarter pages";
+  unsigned char first = 0;
+  ASSERT_EQ(::mincore(reinterpret_cast<void*>(base), page, &first), 0);
+  EXPECT_EQ(first & 1, 1) << "mincore does not see the store's own pages";
 }
 
 TEST(MappedArray, ZeroFilledAndMovable) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace toka::service {
 namespace {
@@ -693,6 +694,100 @@ TEST(AccountTableNamespaces, BatchRunsAgainstItsNamespace) {
   EXPECT_EQ(res[0].granted, 2);  // bucket cap, not the default ns's C=10
   EXPECT_EQ(res[1].granted, 2);
   EXPECT_EQ(table.stats(0).acquires, 0u);
+}
+
+// ------------------------------------------------- batch vs scalar path
+
+TEST(AccountTable, RandomizedBatchesMatchScalarAcquires) {
+  // Twin tables, one fed acquire_batch and the other the same ops one by
+  // one: per-op results and the counters must agree exactly. Batches of 1
+  // to 600 ops over 8 shards give shard runs both shorter and longer than
+  // the batch prefetch distance; keys repeat within a batch and span two
+  // namespaces; and ~24k fresh keys grow every shard's store through
+  // several doublings, many of them in the middle of a batch.
+  ServiceConfig cfg = simple_config(6, 1000);
+  cfg.strategy.kind = core::StrategyKind::kGeneralized;  // draws the RNG
+  cfg.strategy.a_param = 3;
+  cfg.watchdog_sample = 4;
+  AccountTable batched(cfg);
+  AccountTable scalar(cfg);
+  for (AccountTable* t : {&batched, &scalar}) {
+    ASSERT_TRUE(t->configure_namespace(1, bucket_namespace(4, 700)));
+  }
+  util::Rng rng(29);
+  std::uint64_t next_fresh = 0;
+  std::vector<AcquireOp> ops;
+  for (int round = 0; round < 320; ++round) {
+    const auto ns = static_cast<NamespaceId>(rng.below(2));
+    const std::uint64_t size =
+        round % 4 == 0 ? 1 + rng.below(8) : 1 + rng.below(600);
+    ops.clear();
+    for (std::uint64_t i = 0; i < size; ++i) {
+      std::uint64_t key = 0;
+      if (rng.below(3) == 0 && !ops.empty()) {
+        key = ops[rng.below(ops.size())].key;  // repeat within the batch
+      } else if (rng.below(2) == 0 || next_fresh == 0) {
+        key = next_fresh++;
+      } else {
+        key = rng.below(next_fresh);
+      }
+      ops.push_back(AcquireOp{key, static_cast<Tokens>(rng.below(4))});
+    }
+    const std::vector<AcquireResult> got = batched.acquire_batch(ns, ops);
+    ASSERT_EQ(got.size(), ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const AcquireResult want = scalar.acquire(ns, ops[i].key, ops[i].tokens);
+      ASSERT_EQ(got[i].granted, want.granted) << "round " << round << " op " << i;
+      ASSERT_EQ(got[i].balance, want.balance) << "round " << round << " op " << i;
+      ASSERT_EQ(got[i].fresh, want.fresh) << "round " << round << " op " << i;
+    }
+    const TimeUs step = static_cast<TimeUs>(rng.below(3000));
+    batched.clock().advance(step);
+    scalar.clock().advance(step);
+  }
+  EXPECT_GT(next_fresh, 20'000u);
+  EXPECT_TRUE(batched.stats() == scalar.stats());
+  EXPECT_TRUE(batched.stats(1) == scalar.stats(1));
+  EXPECT_GT(batched.stats().watchdog_checks, 0u);
+}
+
+TEST(AccountTable, ConcurrentGrowingBatchesOnSharedShards) {
+  // Striped-lock mode: several threads run long batches whose keys spread
+  // over the same shards, each batch inserting enough fresh accounts to
+  // grow those shards' stores while the other threads probe them. A batch
+  // may touch a shard's store only under that shard's lock; any read of
+  // another shard's store (a prefetch reaching past the current shard's
+  // run, say) races a concurrent rehash, which TSan reports.
+  ServiceConfig cfg = simple_config(4, 1000);
+  cfg.shards = 4;
+  AccountTable table(cfg);
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kBatches = 24;
+  constexpr std::uint64_t kBatchOps = 512;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&table, t] {
+      std::vector<AcquireOp> ops;
+      const std::uint64_t first = static_cast<std::uint64_t>(t) << 32;
+      for (std::uint64_t b = 0; b < kBatches; ++b) {
+        ops.clear();
+        for (std::uint64_t i = 0; i < kBatchOps; ++i)
+          ops.push_back(AcquireOp{first + b * kBatchOps + i, 1});
+        ops.push_back(AcquireOp{first, 1});  // and one old key
+        table.acquire_batch(ops);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  const TableStats stats = table.stats();
+  EXPECT_EQ(stats.accounts, kThreads * kBatches * kBatchOps);
+  EXPECT_EQ(stats.accounts_created, stats.accounts);
+  EXPECT_EQ(stats.acquires, kThreads * kBatches * (kBatchOps + 1));
+  for (int t = 0; t < kThreads; ++t) {
+    const std::uint64_t first = static_cast<std::uint64_t>(t) << 32;
+    EXPECT_TRUE(table.query(first).exists);
+    EXPECT_TRUE(table.query(first + kBatches * kBatchOps - 1).exists);
+  }
 }
 
 }  // namespace
