@@ -325,12 +325,14 @@ service::ServiceConfig service_bench_config() {
   return cfg;
 }
 
-/// One blocking acquire per iteration through Server/Client over the
-/// in-process fabric: the v1-style round trip the sync wrappers pay.
+/// One blocking acquire per iteration through Server/Client (and the
+/// server's shard engine) over the in-process fabric: the v1-style round
+/// trip the sync wrappers pay.
 void BM_ServiceRoundTripSync(benchmark::State& state) {
   service::AccountTable table(service_bench_config());
+  service::ShardEngine engine(table);
   runtime::InProcNetwork net(2);
-  service::Server server(table, net.endpoint(0));
+  service::Server server(table, net.endpoint(0), {.engine = &engine});
   service::Client client(net.endpoint(1), 0);
   net.start();
   for (auto _ : state) {
@@ -345,8 +347,9 @@ BENCHMARK(BM_ServiceRoundTripSync)->MinTime(0.2);
 /// core: items/s vs the sync case is the pipelining win in-process.
 void BM_ServiceRoundTripPipelined(benchmark::State& state) {
   service::AccountTable table(service_bench_config());
+  service::ShardEngine engine(table);
   runtime::InProcNetwork net(2);
-  service::Server server(table, net.endpoint(0));
+  service::Server server(table, net.endpoint(0), {.engine = &engine});
   service::Client client(net.endpoint(1), 0);
   net.start();
   const std::int64_t window = state.range(0);
@@ -429,7 +432,6 @@ void BM_ShardOpRoundTrip(benchmark::State& state) {
   cfg.strategy.kind = core::StrategyKind::kGeneralized;
   cfg.strategy.a_param = 2;
   cfg.strategy.c_param = 10;
-  cfg.exclusive_shards = true;
   service::AccountTable table(cfg);
   table.clock().advance(1'000'000);
   service::ShardEngineOptions opts;

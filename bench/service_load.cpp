@@ -1,12 +1,14 @@
 // Multi-threaded open- and closed-loop load generator for the tokend
 // service layer: 1M+ distinct keys with Zipf popularity against the sharded
-// AccountTable, measured raw (direct calls), batched, open-loop at a target
-// arrival rate, and through the wire protocol (Server/Client over the
-// in-process fabric or TCP loopback) — synchronously, and pipelined through
-// the v2 async client core.
+// AccountTable, measured raw (direct calls from the one thread that owns
+// the table while no engine runs), straight into the ShardEngine, and
+// through the wire protocol (engine-backed Server/Client over the
+// in-process fabric, TCP loopback or the epoll mesh) — synchronously,
+// pipelined through the v2 async client core, and open-loop at a target
+// arrival rate.
 //
 //   $ ./service_load --quick   # CI: preload,table,...,pipeline,cluster
-//   $ ./service_load --modes=table,tcp --threads=16 --seconds=5 --keys=4194304
+//   $ ./service_load --modes=preload,tcp --threads=16 --keys=4194304
 //   $ ./service_load --mode=pipeline --window=32 --seconds=5
 //   $ ./service_load --mode=cluster --cluster-nodes=3 --churn
 //
@@ -18,21 +20,21 @@
 //
 // The "cluster" mode answers the scale-OUT question: the same pipelined
 // Zipf workload against one tokad node ("cluster1") and against
-// --cluster-nodes nodes ("cluster"), each node a ClusterServer on its own
-// in-process dispatcher lane (one lane ≈ one machine's serial capacity),
+// --cluster-nodes nodes ("cluster"), each node a ClusterServer over a
+// one-worker ShardEngine on its own in-process dispatcher lane (one lane
+// and one worker ≈ one machine's serial capacity),
 // with ClusterClient routing per key. --min-cluster-speedup turns the
 // N-node-vs-1-node ratio into a CI floor, and --churn kills one node and
 // joins a fresh one mid-run (reported: errors must stay 0).
 //
 // The "sharded" and "epoll" modes answer the scale-UP question for the
-// shard-per-thread data plane. "sharded" drives batches straight into the
-// ShardEngine (bounded MPSC hand-off to shard-owner workers, vectorized
-// settle, no wire) and is compared against the striped-lock "table" mode:
-// --min-sharded-speedup turns that ratio into a CI floor on hosts with
-// enough cores for the workers not to fight the submitters. "epoll" runs
-// the full plane end to end — pipelined async clients over the
-// nonblocking EpollMesh into an engine-mode server with corked replies.
-// Both record the shard queues' depth percentiles while they run.
+// data plane. "sharded" drives batches straight into the ShardEngine
+// (bounded MPSC hand-off to shard-owner workers, vectorized settle, no
+// wire); --min-sharded-ops turns it into a CI floor on hosts with enough
+// cores for the workers not to fight the submitters. "epoll" runs the full
+// plane end to end — pipelined async clients over the nonblocking
+// EpollMesh into the server with corked replies. Both record the shard
+// queues' depth percentiles while they run.
 //
 // The "overload" mode answers the graceful-degradation question: an
 // admission-controlled server takes a 10x flash crowd on top of a baseline
@@ -43,8 +45,8 @@
 // exposition at the end of the run.
 //
 // The "scenario" mode replays trace-shaped traffic against the full traced
-// plane (async clients over the epoll mesh into an engine-mode,
-// admission-controlled server with the flight recorder attached): a
+// plane (async clients over the epoll mesh into an admission-controlled
+// server with the flight recorder attached): a
 // diurnal ramp whose arrival rate follows the synthetic availability
 // trace's online fraction, a 10x flash crowd, and a thundering-herd
 // reconnect (a dead-quiet window, then every client reconnects at once
@@ -66,10 +68,13 @@
 // (1 in --watchdog-sample keys); --max-watchdog-overhead is the matching
 // ceiling for the online auditor.
 //
-// Reports per-mode throughput and latency percentiles, and with --json=FILE
-// writes the BENCH_service.json document the release-bench CI job uploads
-// (stamped with --git-sha and an ISO-8601 --timestamp, self-generated when
-// not passed).
+// Reports per-mode throughput and latency percentiles, then evaluates every
+// gate the flags enable (the --min-*/--max-* floors and ceilings plus the
+// scenario and overload promises) and prints each outcome; the exit code is
+// non-zero if any gate failed. With --json=FILE it writes the
+// BENCH_service.json document the release-bench CI job uploads, gate
+// outcomes included (stamped with --git-sha and an ISO-8601 --timestamp,
+// self-generated when not passed).
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -300,34 +305,42 @@ class QueueDepthSampler {
   std::thread thread_;
 };
 
+/// Creates every key in [0, keys) with 4096-op batches from the calling
+/// thread, which must own the table (no engine running on it).
+void preload_keys(service::AccountTable& table, std::uint64_t keys) {
+  constexpr std::size_t kChunk = 4096;
+  std::vector<service::AcquireOp> ops;
+  ops.reserve(kChunk);
+  for (std::uint64_t key = 0; key < keys; key += kChunk) {
+    ops.clear();
+    const std::uint64_t end = std::min<std::uint64_t>(key + kChunk, keys);
+    for (std::uint64_t k = key; k < end; ++k)
+      ops.push_back(service::AcquireOp{k, 0});
+    table.acquire_batch(ops);
+  }
+}
+
 /// Preload: batch-create every key once so the timed phases run against a
 /// fully populated store (and so "distinct keys served" covers the whole
 /// keyspace). Reported as its own mode: creation throughput matters too.
+/// One thread, the table's sole accessor while no engine runs.
 ModeResult run_preload(service::AccountTable& table, const LoadConfig& load) {
-  return run_threads("preload", load.threads, [&](std::size_t t, PerThread& tally) {
-    constexpr std::size_t kChunk = 4096;
-    std::vector<service::AcquireOp> ops;
-    ops.reserve(kChunk);
-    for (std::uint64_t key = t * kChunk; key < load.keys;
-         key += load.threads * kChunk) {
-      ops.clear();
-      const std::uint64_t end = std::min<std::uint64_t>(key + kChunk, load.keys);
-      for (std::uint64_t k = key; k < end; ++k)
-        ops.push_back(service::AcquireOp{k, 0});
-      table.acquire_batch(ops);
-      tally.ops += ops.size();
-      ++tally.calls;
-    }
+  return run_threads("preload", 1, [&](std::size_t, PerThread& tally) {
+    preload_keys(table, load.keys);
+    tally.ops += load.keys;
+    tally.calls += (load.keys + 4095) / 4096;
   });
 }
 
+/// Raw store cost: direct acquires from the one thread that owns the table
+/// (no engine, no hand-off) — the floor every other mode adds layers to.
 ModeResult run_table_closed(service::AccountTable& table,
                             const util::ZipfSampler& sampler,
                             const LoadConfig& load) {
   const auto deadline =
       Clock::now() + std::chrono::microseconds(from_seconds(load.seconds));
-  return run_threads("table", load.threads, [&](std::size_t t, PerThread& tally) {
-    util::Rng rng(1000 + t);
+  return run_threads("table", 1, [&](std::size_t, PerThread& tally) {
+    util::Rng rng(1000);
     for (std::uint64_t i = 0;; ++i) {
       if ((i & 0xFF) == 0 && Clock::now() >= deadline) break;
       const std::uint64_t key = sampler.next(rng);
@@ -344,64 +357,12 @@ ModeResult run_table_closed(service::AccountTable& table,
   });
 }
 
-ModeResult run_table_batched(service::AccountTable& table,
-                             const util::ZipfSampler& sampler,
-                             const LoadConfig& load) {
-  const auto deadline =
-      Clock::now() + std::chrono::microseconds(from_seconds(load.seconds));
-  return run_threads("batch", load.threads, [&](std::size_t t, PerThread& tally) {
-    util::Rng rng(2000 + t);
-    std::vector<service::AcquireOp> ops(load.batch);
-    while (Clock::now() < deadline) {
-      for (service::AcquireOp& op : ops)
-        op = service::AcquireOp{sampler.next(rng), 1};
-      const auto t0 = Clock::now();
-      const auto results = table.acquire_batch(ops);
-      tally.lat_us.push_back(us_between(t0, Clock::now()));
-      for (const service::AcquireResult& r : results) tally.granted += r.granted;
-      tally.ops += ops.size();
-      ++tally.calls;
-    }
-  });
-}
-
-/// Open loop: arrivals on a fixed schedule; latency is measured from the
-/// *scheduled* arrival, so queueing delay when the generator falls behind is
-/// included (no coordinated omission).
-ModeResult run_table_open(service::AccountTable& table,
-                          const util::ZipfSampler& sampler,
-                          const LoadConfig& load) {
-  const double per_thread_rate = load.open_rate / load.threads;
-  const auto interval = std::chrono::nanoseconds(
-      std::max<std::int64_t>(static_cast<std::int64_t>(1e9 / per_thread_rate), 1));
-  const auto start = Clock::now();
-  const auto deadline = start + std::chrono::microseconds(from_seconds(load.seconds));
-  ModeResult res =
-      run_threads("open", load.threads, [&](std::size_t t, PerThread& tally) {
-        tighten_timer_slack();
-        util::Rng rng(3000 + t);
-        auto scheduled = start + interval * static_cast<std::int64_t>(t) /
-                                     static_cast<std::int64_t>(load.threads);
-        while (scheduled < deadline) {
-          wait_for_arrival(scheduled, tally);
-          const std::uint64_t key = sampler.next(rng);
-          tally.granted += table.acquire(key, 1).granted;
-          tally.lat_us.push_back(us_between(scheduled, Clock::now()));
-          ++tally.ops;
-          ++tally.calls;
-          scheduled += interval;
-        }
-      });
-  res.seconds = load.seconds;  // open loop is defined by its schedule
-  return res;
-}
-
 /// Closed loop straight into the shard engine: each submitter keeps a
 /// small ring of batches in flight, refilling a slot as soon as its
 /// completion (fired by whichever shard-owner worker finishes last) frees
-/// it. This is the vectorized settle path with no wire in between — the
-/// number the striped-lock "table" mode is compared against. Latency spans
-/// submit -> completion, so queue wait on the owner workers is included.
+/// it. This is the vectorized settle path with no wire in between. Latency
+/// spans submit -> completion, so queue wait on the owner workers is
+/// included.
 /// With `tracer` set ("shardedtr"), every batch is trace-stamped (sampled
 /// per the tracer's 1-in-N policy) so the run prices the flight recorder
 /// on this hottest path.
@@ -636,11 +597,11 @@ struct ReplicationOutcome {
 };
 
 /// The pipelined Zipf workload against a tokad cluster of `node_count`
-/// in-process nodes (each on its own dispatcher lane, so one node models
-/// one machine's serial capacity). With `churn`, the last node is killed
-/// at ~40% of the run and a fresh node joins at ~70% — the workers must
-/// absorb both through ClusterClient retries; `errors_out` reports what
-/// they could not. With `replicas` > 0 the map carries that replication
+/// in-process nodes (each on its own dispatcher lane over a one-worker
+/// engine, so one node models one machine's serial capacity). With
+/// `churn`, the last node is killed at ~40% of the run and a fresh node
+/// joins at ~70% — the workers must absorb both through ClusterClient
+/// retries; `errors_out` reports what they could not. With `replicas` > 0 the map carries that replication
 /// factor, the kill goes through the promote() failover path instead of an
 /// operator map push, and `repl_out` (if given) collects the failover
 /// time, forfeit and delta-stream accounting.
@@ -652,12 +613,21 @@ ModeResult run_cluster(const std::string& mode, const util::ZipfSampler& sampler
   struct ClusterNode {
     service::AccountTable table;
     service::ClockDriver driver;
+    service::ShardEngine engine;
     std::unique_ptr<cluster::ClusterServer> server;
+    static service::ShardEngineOptions one_worker() {
+      service::ShardEngineOptions opts;
+      opts.workers = 1;  // a node stays one serial unit
+      return opts;
+    }
     ClusterNode(const service::ServiceConfig& node_cfg,
                 runtime::Transport& transport, const cluster::ClusterMap& map)
-        : table(node_cfg), driver(table, 1000) {
+        : table(node_cfg), driver(table, 1000), engine(table, one_worker()) {
       driver.start();
-      server = std::make_unique<cluster::ClusterServer>(table, transport, map);
+      service::ServerOptions opts;
+      opts.engine = &engine;
+      server = std::make_unique<cluster::ClusterServer>(table, transport, map,
+                                                        opts);
     }
   };
 
@@ -864,9 +834,13 @@ void run_overload(std::vector<ModeResult>& runs,
   service::AccountTable table(cfg);
   service::ClockDriver driver(table, /*resolution_us=*/1000);
   driver.start();
+  service::ShardEngineOptions engine_opts;
+  engine_opts.workers = load.workers;
+  service::ShardEngine engine(table, engine_opts);
   runtime::InProcNetwork net(1 + load.threads);
   obs::Registry registry;
   service::ServerOptions opts;
+  opts.engine = &engine;
   opts.registry = &registry;
   opts.admission.enabled = true;
   opts.admission.interval_us = 10'000;
@@ -997,8 +971,8 @@ struct ScenarioOutcome {
 };
 
 /// Replays trace-shaped traffic against the full traced plane: async
-/// clients over the epoll mesh into an engine-mode, admission-controlled
-/// server with the flight recorder on both ends. Three phases:
+/// clients over the epoll mesh into an admission-controlled server with
+/// the flight recorder on both ends. Three phases:
 ///
 ///   diurnal — the arrival rate follows the synthetic availability trace's
 ///             online fraction (the paper's two-day diurnal curve,
@@ -1015,11 +989,10 @@ void run_scenario(std::vector<ModeResult>& runs,
                   const util::ZipfSampler& sampler, const LoadConfig& load,
                   const service::ServiceConfig& cfg, double base_rate,
                   ScenarioOutcome& out) {
-  // Engine-mode server on its own exclusive-shards table, with the flight
-  // recorder wired through every layer the tentpole names: client stamp,
-  // epoll decode, shard queue/execute, reply cork.
+  // A server on its own table, with the flight recorder wired through
+  // every layer: client stamp, epoll decode, shard queue/execute, reply
+  // cork.
   service::ServiceConfig sharded_cfg = cfg;
-  sharded_cfg.exclusive_shards = true;
   // Audit every key: the Byzantine phase's whole point is that replay and
   // refund abuse cannot move the watchdog's violation counter, so the
   // watchdog must actually be watching everything the abuse touches.
@@ -1246,7 +1219,8 @@ void run_scenario(std::vector<ModeResult>& runs,
 
   engine.drain();
   {
-    const service::TableStats tstats = table.stats();
+    const service::TableStats tstats =
+        engine.quiesced([&] { return table.stats(); });
     out.watchdog_checks = tstats.watchdog_checks;
     out.watchdog_violations = tstats.watchdog_violations;
   }
@@ -1326,11 +1300,29 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// Throughput of the last run of `mode` (0 when the mode did not run).
+double ops_of(const std::vector<ModeResult>& runs, const std::string& mode) {
+  double ops = 0;
+  for (const ModeResult& r : runs)
+    if (r.mode == mode) ops = r.ops_per_sec();
+  return ops;
+}
+
+/// One gate's outcome. Every gate a run enables is evaluated and reported,
+/// so one failure never hides another.
+struct GateOutcome {
+  std::string name;
+  double value = 0;
+  double bound = 0;
+  bool pass = false;
+};
+
 void write_json(const std::string& path, const std::vector<ModeResult>& runs,
                 const service::AccountTable& table, const LoadConfig& load,
                 bool quick, const OverloadOutcome& overload,
                 const ScenarioOutcome& scenario,
                 const ReplicationOutcome& replication,
+                const std::vector<GateOutcome>& gates,
                 std::size_t workers_used) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -1338,22 +1330,16 @@ void write_json(const std::string& path, const std::vector<ModeResult>& runs,
     return;
   }
   const service::TableStats stats = table.stats();
-  double table_ops_per_sec = 0, pipeline_ops_per_sec = 0, pipeline_p99 = 0;
-  double cluster_ops_per_sec = 0, cluster1_ops_per_sec = 0;
-  double sharded_ops_per_sec = 0, epoll_ops_per_sec = 0;
-  double shardedwd_ops_per_sec = 0;
-  for (const ModeResult& r : runs) {
-    if (r.mode == "table") table_ops_per_sec = r.ops_per_sec();
-    if (r.mode == "shardedwd") shardedwd_ops_per_sec = r.ops_per_sec();
-    if (r.mode == "pipeline") {
-      pipeline_ops_per_sec = r.ops_per_sec();
-      pipeline_p99 = r.latency.p99_us;
-    }
-    if (r.mode == "cluster") cluster_ops_per_sec = r.ops_per_sec();
-    if (r.mode == "cluster1") cluster1_ops_per_sec = r.ops_per_sec();
-    if (r.mode == "sharded") sharded_ops_per_sec = r.ops_per_sec();
-    if (r.mode == "epoll") epoll_ops_per_sec = r.ops_per_sec();
-  }
+  const double table_ops_per_sec = ops_of(runs, "table");
+  const double shardedwd_ops_per_sec = ops_of(runs, "shardedwd");
+  const double pipeline_ops_per_sec = ops_of(runs, "pipeline");
+  const double cluster_ops_per_sec = ops_of(runs, "cluster");
+  const double cluster1_ops_per_sec = ops_of(runs, "cluster1");
+  const double sharded_ops_per_sec = ops_of(runs, "sharded");
+  const double epoll_ops_per_sec = ops_of(runs, "epoll");
+  double pipeline_p99 = 0;
+  for (const ModeResult& r : runs)
+    if (r.mode == "pipeline") pipeline_p99 = r.latency.p99_us;
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"schema\": \"toka-bench-service-v2\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
@@ -1381,9 +1367,6 @@ void write_json(const std::string& path, const std::vector<ModeResult>& runs,
   std::fprintf(f, "  \"io_threads\": %zu,\n", load.io_threads);
   std::fprintf(f, "  \"acquire_ops_per_sec\": %.0f,\n", table_ops_per_sec);
   std::fprintf(f, "  \"sharded_ops_per_sec\": %.0f,\n", sharded_ops_per_sec);
-  std::fprintf(f, "  \"sharded_speedup\": %.2f,\n",
-               table_ops_per_sec > 0 ? sharded_ops_per_sec / table_ops_per_sec
-                                     : 0);
   std::fprintf(f, "  \"shardedwd_ops_per_sec\": %.0f,\n",
                shardedwd_ops_per_sec);
   std::fprintf(f, "  \"watchdog_overhead\": %.4f,\n",
@@ -1484,6 +1467,16 @@ void write_json(const std::string& path, const std::vector<ModeResult>& runs,
     std::fprintf(f, "    ]\n");
     std::fprintf(f, "  },\n");
   }
+  std::fprintf(f, "  \"gates\": [\n");
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    const GateOutcome& g = gates[i];
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"value\": %.6g, \"bound\": %.6g, "
+                 "\"pass\": %s}%s\n",
+                 json_escape(g.name).c_str(), g.value, g.bound,
+                 g.pass ? "true" : "false", i + 1 < gates.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"runs\": [\n");
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const ModeResult& r = runs[i];
@@ -1588,16 +1581,21 @@ int main(int argc, char** argv) {
       "modes",
       args.get_string(
           "mode",
-          "preload,table,batch,open,wire,sync,pipeline,sharded,shardedtr,"
-          "shardedwd,epoll,cluster,overload,scenario"));
+          "preload,table,wire,sync,pipeline,sharded,shardedtr,shardedwd,"
+          "epoll,cluster,overload,scenario"));
   std::vector<std::string> modes;
   std::stringstream modes_stream(modes_arg);
   for (std::string m; std::getline(modes_stream, m, ',');) modes.push_back(m);
 
+  // The shared table: "preload" and "table" call it directly from this
+  // thread; the wire modes each run an engine on it for their duration,
+  // after which it is single-owner again.
   service::AccountTable table(cfg);
   service::ClockDriver driver(table, /*resolution_us=*/1000);
   driver.start();
   const util::ZipfSampler sampler(load.keys, load.zipf);
+  service::ShardEngineOptions engine_opts;
+  engine_opts.workers = load.workers;
 
   std::printf("service_load: %s, %zu shards, Δ=%lldms | %llu keys zipf %.2f | "
               "%zu threads, %.1fs per mode\n\n",
@@ -1617,45 +1615,45 @@ int main(int argc, char** argv) {
       runs.push_back(run_preload(table, load));
     } else if (mode == "table") {
       runs.push_back(run_table_closed(table, sampler, load));
-    } else if (mode == "batch") {
-      runs.push_back(run_table_batched(table, sampler, load));
-    } else if (mode == "open") {
-      runs.push_back(run_table_open(table, sampler, load));
     } else if (mode == "wire") {
+      service::ShardEngine engine(table, engine_opts);
       runtime::InProcNetwork net(1 + load.threads);
-      service::Server server(table, net.endpoint(0));
+      service::Server server(table, net.endpoint(0), {.engine = &engine});
       net.start();
       runs.push_back(run_wire("wire", sampler, load, [&](std::size_t t) -> runtime::Transport& {
         return net.endpoint(static_cast<NodeId>(1 + t));
       }));
       net.stop();
     } else if (mode == "tcp") {
+      service::ShardEngine engine(table, engine_opts);
       runtime::TcpMesh mesh(1 + load.threads);
-      service::Server server(table, mesh.endpoint(0));
+      service::Server server(table, mesh.endpoint(0), {.engine = &engine});
       runs.push_back(run_wire("tcp", sampler, load, [&](std::size_t t) -> runtime::Transport& {
         return mesh.endpoint(static_cast<NodeId>(1 + t));
       }));
     } else if (mode == "sync") {
+      service::ShardEngine engine(table, engine_opts);
       runtime::TcpMesh mesh(2);
-      service::Server server(table, mesh.endpoint(0));
+      service::Server server(table, mesh.endpoint(0), {.engine = &engine});
       runs.push_back(run_sync("sync", sampler, load, [&](std::size_t t) -> runtime::Transport& {
         return mesh.endpoint(static_cast<NodeId>(1 + t));
       }));
     } else if (mode == "pipeline") {
       // Same single TCP connection as "sync", but --window acquires deep.
+      service::ShardEngine engine(table, engine_opts);
       runtime::TcpMesh mesh(2);
-      service::Server server(table, mesh.endpoint(0));
+      service::Server server(table, mesh.endpoint(0), {.engine = &engine});
       runs.push_back(run_pipeline("pipeline", sampler, load, /*connections=*/1,
                                   [&](std::size_t t) -> runtime::Transport& {
         return mesh.endpoint(static_cast<NodeId>(1 + t));
       }));
     } else if (mode == "sharded" || mode == "shardedtr" ||
                mode == "shardedwd") {
-      // The shard-per-thread plane on its own table (exclusive_shards: the
-      // per-shard mutex is a no-op, workers own their shards outright).
-      // "shardedtr" is the same run with the flight recorder attached and
-      // every batch trace-stamped: the sharded/shardedtr ratio prices the
-      // recorder on the hottest path (--max-trace-overhead gates it).
+      // The engine on its own table, fed batches straight from the
+      // submitters. "shardedtr" is the same run with the flight recorder
+      // attached and every batch trace-stamped: the sharded/shardedtr
+      // ratio prices the recorder on the hottest path
+      // (--max-trace-overhead gates it).
       // "shardedwd" is the same run with the §3.4 invariant watchdog at
       // its production sampling (--watchdog-sample, 1-in-64 keys by
       // default): the sharded/shardedwd ratio prices the online auditor
@@ -1663,34 +1661,20 @@ int main(int argc, char** argv) {
       // "sharded" baseline runs with both off so each ratio isolates one
       // feature.
       service::ServiceConfig sharded_cfg = cfg;
-      sharded_cfg.exclusive_shards = true;
       sharded_cfg.watchdog_sample =
           mode == "shardedwd" ? load.watchdog_sample : 0;
       service::AccountTable sharded_table(sharded_cfg);
       // Preload before the engine starts: until the workers exist the
       // table is single-owner, so direct (single-threaded) access is legal.
-      {
-        constexpr std::size_t kChunk = 4096;
-        std::vector<service::AcquireOp> ops;
-        ops.reserve(kChunk);
-        for (std::uint64_t key = 0; key < load.keys; key += kChunk) {
-          ops.clear();
-          const std::uint64_t end =
-              std::min<std::uint64_t>(key + kChunk, load.keys);
-          for (std::uint64_t k = key; k < end; ++k)
-            ops.push_back(service::AcquireOp{k, 0});
-          sharded_table.acquire_batch(ops);
-        }
-      }
+      preload_keys(sharded_table, load.keys);
       service::ClockDriver sharded_driver(sharded_table, 1000);
       sharded_driver.start();
       obs::TracerOptions trace_opts;
       trace_opts.sample_every = load.trace_sample;
       obs::Tracer tracer(trace_opts);
-      service::ShardEngineOptions engine_opts;
-      engine_opts.workers = load.workers;
-      if (mode == "shardedtr") engine_opts.tracer = &tracer;
-      service::ShardEngine engine(sharded_table, engine_opts);
+      service::ShardEngineOptions traced_opts = engine_opts;
+      if (mode == "shardedtr") traced_opts.tracer = &tracer;
+      service::ShardEngine engine(sharded_table, traced_opts);
       workers_used = engine.worker_count();
       QueueDepthSampler depth(engine);
       runs.push_back(run_sharded(mode, engine, sampler, load,
@@ -1701,15 +1685,11 @@ int main(int argc, char** argv) {
       sharded_driver.stop();
     } else if (mode == "epoll") {
       // The whole plane end to end: pipelined async clients over the
-      // nonblocking epoll mesh into an engine-mode server whose workers
-      // reply from their completions (the loop corks them per connection).
-      service::ServiceConfig sharded_cfg = cfg;
-      sharded_cfg.exclusive_shards = true;
-      service::AccountTable sharded_table(sharded_cfg);
+      // nonblocking epoll mesh into the server, whose workers reply from
+      // their completions (the loop corks them per connection).
+      service::AccountTable sharded_table(cfg);
       service::ClockDriver sharded_driver(sharded_table, 1000);
       sharded_driver.start();
-      service::ShardEngineOptions engine_opts;
-      engine_opts.workers = load.workers;
       service::ShardEngine engine(sharded_table, engine_opts);
       workers_used = engine.worker_count();
       runtime::EpollMesh mesh(1 + load.threads, load.io_threads);
@@ -1777,8 +1757,9 @@ int main(int argc, char** argv) {
                    args.get_double("scenario-rate", 20'000), scenario);
       continue;
     } else if (mode == "aopen") {
+      service::ShardEngine engine(table, engine_opts);
       runtime::TcpMesh mesh(1 + load.threads);
-      service::Server server(table, mesh.endpoint(0));
+      service::Server server(table, mesh.endpoint(0), {.engine = &engine});
       runs.push_back(run_open_async("aopen", sampler, load,
                                     [&](std::size_t t) -> runtime::Transport& {
         return mesh.endpoint(static_cast<NodeId>(1 + t));
@@ -1800,10 +1781,223 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.proactive_dropped),
               static_cast<unsigned long long>(stats.ticks_forfeited));
 
+  // ---- gates: every enabled gate is evaluated and reported ---------------
+  std::vector<GateOutcome> gates;
+  const auto gate = [&gates](const std::string& name, double value,
+                             double bound, bool pass,
+                             const std::string& reading) {
+    gates.push_back(GateOutcome{name, value, bound, pass});
+    std::fprintf(pass ? stdout : stderr, "%s gate %s: %s\n",
+                 pass ? "OK" : "FAIL:", name.c_str(), reading.c_str());
+  };
+  const auto fmt = [](const char* format, auto... values) {
+    char buf[256];
+    std::snprintf(buf, sizeof buf, format, values...);
+    return std::string(buf);
+  };
+
+  // The scenario suite's hard promises: every failure is a typed shed, and
+  // because sheds force-record, a flash crowd that shed must have left
+  // kShed spans in the flight recorder. The Byzantine phase must have
+  // bitten (every abuse class moved its typed counter) and must not have
+  // bent the invariant: the every-key watchdog audited real grants and
+  // found the §3.4 bound intact.
+  if (scenario.ran) {
+    gate("scenario_violations", static_cast<double>(scenario.violations), 0,
+         scenario.violations == 0,
+         fmt("%llu non-typed failures (timeouts/errors) alongside %llu "
+             "typed sheds",
+             static_cast<unsigned long long>(scenario.violations),
+             static_cast<unsigned long long>(scenario.shed)));
+    gate("scenario_shed_spans", static_cast<double>(scenario.shed_spans),
+         scenario.flash_shed > 0 ? 1 : 0,
+         scenario.flash_shed == 0 || scenario.shed_spans > 0,
+         fmt("flash crowd shed %llu requests, flight recorder holds %llu "
+             "kShed spans",
+             static_cast<unsigned long long>(scenario.flash_shed),
+             static_cast<unsigned long long>(scenario.shed_spans)));
+    gate("byzantine_malformed_rejected",
+         static_cast<double>(scenario.byz_malformed), 1,
+         scenario.byz_malformed > 0,
+         fmt("%llu typed kMalformedBody rejections",
+             static_cast<unsigned long long>(scenario.byz_malformed)));
+    gate("byzantine_refund_dropped",
+         static_cast<double>(scenario.byz_refund_dropped), 1,
+         scenario.byz_refund_dropped > 0,
+         fmt("%llu refund-abuse tokens refused",
+             static_cast<unsigned long long>(scenario.byz_refund_dropped)));
+    gate("watchdog_checks", static_cast<double>(scenario.watchdog_checks), 1,
+         scenario.watchdog_checks > 0,
+         fmt("the watchdog audited %llu grants",
+             static_cast<unsigned long long>(scenario.watchdog_checks)));
+    gate("watchdog_violations",
+         static_cast<double>(scenario.watchdog_violations), 0,
+         scenario.watchdog_violations == 0,
+         fmt("the watchdog flagged %llu §3.4 violations",
+             static_cast<unsigned long long>(scenario.watchdog_violations)));
+  }
+
+  // Overhead ceilings, in percent of the plain sharded run's throughput:
+  // release-bench CI passes --max-trace-overhead=2 (the flight recorder
+  // attached and stamping every batch) and --max-watchdog-overhead=2 (the
+  // §3.4 watchdog at its production sampling) on >= 4-core runners.
+  const auto overhead_gate = [&](const std::string& name,
+                                 const std::string& mode, double ceiling) {
+    const double base = ops_of(runs, "sharded");
+    const double with = ops_of(runs, mode);
+    if (base <= 0 || with <= 0) {
+      gate(name, 0, ceiling, false,
+           "needs both the sharded and the " + mode + " modes in --modes");
+      return;
+    }
+    const double overhead_pct = 100.0 * (1.0 - with / base);
+    gate(name, overhead_pct, ceiling, overhead_pct <= ceiling,
+         fmt("%s costs %.2f%% on the sharded plane (%.0f -> %.0f ops/s, "
+             "ceiling %.2f%%)",
+             mode.c_str(), overhead_pct, base, with, ceiling));
+  };
+  const double max_trace_overhead = args.get_double("max-trace-overhead", 0);
+  if (max_trace_overhead > 0)
+    overhead_gate("max_trace_overhead_pct", "shardedtr", max_trace_overhead);
+  const double max_watchdog_overhead =
+      args.get_double("max-watchdog-overhead", 0);
+  if (max_watchdog_overhead > 0) {
+    overhead_gate("max_watchdog_overhead_pct", "shardedwd",
+                  max_watchdog_overhead);
+  }
+
+  // The overload scenario's hard promise: excess load turns into typed
+  // kOverloaded sheds, never into timeouts or untyped failures.
+  if (overload.ran) {
+    gate("overload_violations", static_cast<double>(overload.violations), 0,
+         overload.violations == 0,
+         fmt("%llu non-typed failures (timeouts/errors) alongside %llu typed "
+             "sheds",
+             static_cast<unsigned long long>(overload.violations),
+             static_cast<unsigned long long>(overload.shed)));
+  }
+
+  // Absolute throughput floors: --min-table-ops=100000 for the raw store,
+  // and --min-sharded-ops on >= 4-core runners for the engine
+  // (bench_snapshot.sh gates the flag on the core count — with one or two
+  // cores the workers just time-slice against the submitters).
+  const auto floor_gate = [&](const std::string& name, const std::string& mode,
+                              double floor) {
+    const double ops = ops_of(runs, mode);
+    gate(name, ops, floor, ops >= floor,
+         fmt("%s mode %.0f ops/s (floor %.0f)", mode.c_str(), ops, floor));
+  };
+  const double min_table_ops = args.get_double("min-table-ops", 0);
+  if (min_table_ops > 0) floor_gate("min_table_ops", "table", min_table_ops);
+  const double min_sharded_ops = args.get_double("min-sharded-ops", 0);
+  if (min_sharded_ops > 0)
+    floor_gate("min_sharded_ops", "sharded", min_sharded_ops);
+
+  // Speedup floors: --min-pipeline-speedup=1 (the async pipelined client
+  // must never fall behind the sync closed loop on the same single TCP
+  // connection; locally the ratio is far higher, the floor only guards
+  // against the pipeline regressing into sync behaviour) and
+  // --min-cluster-speedup=1.5 (N tokad nodes, each one dispatcher lane and
+  // one worker ≈ one machine, must beat one node on the same pipelined
+  // Zipf workload).
+  const auto speedup_gate = [&](const std::string& name,
+                                const std::string& slow_mode,
+                                const std::string& fast_mode, double floor) {
+    const double slow = ops_of(runs, slow_mode);
+    const double fast = ops_of(runs, fast_mode);
+    if (slow <= 0 || fast <= 0) {
+      gate(name, 0, floor, false,
+           "needs both the " + slow_mode + " and the " + fast_mode +
+               " modes in --modes");
+      return;
+    }
+    const double speedup = fast / slow;
+    gate(name, speedup, floor, speedup >= floor,
+         fmt("%s %.0f ops/s is %.2fx %s %.0f ops/s (floor %.2fx)",
+             fast_mode.c_str(), fast, speedup, slow_mode.c_str(), slow,
+             floor));
+  };
+  const double min_speedup = args.get_double("min-pipeline-speedup", 0);
+  if (min_speedup > 0)
+    speedup_gate("min_pipeline_speedup", "sync", "pipeline", min_speedup);
+  const double min_cluster = args.get_double("min-cluster-speedup", 0);
+  if (min_cluster > 0) {
+    // Any client-visible error in a cluster run fails too.
+    gate("cluster_errors", static_cast<double>(cluster_errors), 0,
+         cluster_errors == 0,
+         fmt("cluster runs saw %llu client errors",
+             static_cast<unsigned long long>(cluster_errors)));
+    speedup_gate("min_cluster_speedup", "cluster1", "cluster", min_cluster);
+  }
+
+  // Release-bench CI passes --enforce-replication-churn with --replicas=1:
+  // the replicated churn run must actually fail over (a promotion that
+  // installed replicas), keep every client error-free, and forfeit at most
+  // a bounded number of tokens — one capacity's worth per account that
+  // could have been mid-stream at the kill (installed replicas, and one
+  // in-flight op per client chain; deltas flush at every worker drain
+  // boundary). A duplicate-grant bug shows up in the churn *tests*; what
+  // this smoke catches is the catastrophic regression where failover
+  // silently confiscates the keyspace.
+  if (args.get_flag("enforce-replication-churn")) {
+    if (!replication.ran) {
+      gate("replication_churn", 0, 1, false,
+           "--enforce-replication-churn needs the cluster mode with "
+           "--replicas");
+    } else {
+      gate("replication_errors", static_cast<double>(replication.errors), 0,
+           replication.errors == 0,
+           fmt("replicated churn run saw %llu client errors",
+               static_cast<unsigned long long>(replication.errors)));
+      gate("replication_installs",
+           static_cast<double>(replication.replica_installs), 1,
+           replication.promotions > 0 && replication.replica_installs > 0,
+           fmt("%llu promotions installed %llu replicas (failover %.1fms)",
+               static_cast<unsigned long long>(replication.promotions),
+               static_cast<unsigned long long>(replication.replica_installs),
+               replication.failover_ms));
+      const std::int64_t capacity = cfg.strategy.c_param + 1;
+      const std::int64_t forfeit_bound =
+          static_cast<std::int64_t>(replication.replica_installs +
+                                    load.threads * load.window) *
+          capacity;
+      gate("replication_forfeit",
+           static_cast<double>(replication.tokens_forfeited),
+           static_cast<double>(forfeit_bound),
+           replication.tokens_forfeited <= forfeit_bound,
+           fmt("replicated churn forfeited %lld tokens (lag bound %lld)",
+               static_cast<long long>(replication.tokens_forfeited),
+               static_cast<long long>(forfeit_bound)));
+    }
+  }
+
+  // Release-bench CI passes --max-replication-overhead=15 (percent) on
+  // >= 4-core runners: the delta stream may cost at most this much of the
+  // unreplicated churn run's throughput. Needs real parallelism for the
+  // same reason as the other ratios — on one or two cores the follower
+  // lanes time-share the primaries' cores and the delta measures the
+  // scheduler, not the stream.
+  const double max_repl_overhead = args.get_double("max-replication-overhead", 0);
+  if (max_repl_overhead > 0) {
+    if (!replication.ran || replication.baseline_ops_per_sec <= 0) {
+      gate("max_replication_overhead_pct", 0, max_repl_overhead, false,
+           "needs the cluster mode with --replicas");
+    } else {
+      const double overhead =
+          100.0 * (1.0 - replication.ops_per_sec /
+                             replication.baseline_ops_per_sec);
+      gate("max_replication_overhead_pct", overhead, max_repl_overhead,
+           overhead <= max_repl_overhead,
+           fmt("replication costs %.1f%% of unreplicated churn throughput "
+               "(ceiling %.1f%%)",
+               overhead, max_repl_overhead));
+    }
+  }
+
   const std::string json_path = args.get_string("json", "");
   if (!json_path.empty())
     write_json(json_path, runs, table, load, quick, overload, scenario,
-               replication, workers_used);
+               replication, gates, workers_used);
 
   // --scrape-out captures the overload server's Prometheus exposition (the
   // release-bench job uploads it as an artifact).
@@ -1831,317 +2025,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The scenario suite's hard promises: every failure is a typed shed, and
-  // because sheds force-record, a flash crowd that shed must have left
-  // kShed spans in the flight recorder.
-  if (scenario.ran) {
-    if (scenario.violations > 0) {
-      std::fprintf(stderr,
-                   "FAIL: scenario runs saw %llu non-typed failures "
-                   "(timeouts/errors) alongside %llu typed sheds\n",
-                   static_cast<unsigned long long>(scenario.violations),
-                   static_cast<unsigned long long>(scenario.shed));
-      return 1;
-    }
-    if (scenario.flash_shed > 0 && scenario.shed_spans == 0) {
-      std::fprintf(stderr,
-                   "FAIL: flash crowd shed %llu requests but the flight "
-                   "recorder holds no kShed spans\n",
-                   static_cast<unsigned long long>(scenario.flash_shed));
-      return 1;
-    }
-    // The Byzantine phase must have bitten (every abuse class moved its
-    // typed counter) and must not have bent the invariant: the every-key
-    // watchdog audited real grants and found the §3.4 bound intact.
-    if (scenario.byz_malformed == 0 || scenario.byz_refund_dropped == 0) {
-      std::fprintf(stderr,
-                   "FAIL: byzantine phase drew no typed rejections "
-                   "(%llu malformed, %llu refund drops)\n",
-                   static_cast<unsigned long long>(scenario.byz_malformed),
-                   static_cast<unsigned long long>(scenario.byz_refund_dropped));
-      return 1;
-    }
-    if (scenario.watchdog_checks == 0 || scenario.watchdog_violations > 0) {
-      std::fprintf(stderr,
-                   "FAIL: watchdog audited %llu grants and flagged %llu "
-                   "violations (want > 0 checks and exactly 0 violations)\n",
-                   static_cast<unsigned long long>(scenario.watchdog_checks),
-                   static_cast<unsigned long long>(scenario.watchdog_violations));
-      return 1;
-    }
+  std::size_t failed = 0;
+  for (const GateOutcome& g : gates) failed += g.pass ? 0 : 1;
+  if (!gates.empty()) {
+    std::printf("%zu gate(s) evaluated, %zu failed\n", gates.size(), failed);
   }
-
-  // Release-bench CI passes --max-trace-overhead=2 (percent): the flight
-  // recorder, attached and stamping every batch, may not cost the sharded
-  // plane more than this against the untraced run.
-  const double max_trace_overhead = args.get_double("max-trace-overhead", 0);
-  if (max_trace_overhead > 0) {
-    double sharded_ops = 0, traced_ops = 0;
-    for (const ModeResult& r : runs) {
-      if (r.mode == "sharded") sharded_ops = r.ops_per_sec();
-      if (r.mode == "shardedtr") traced_ops = r.ops_per_sec();
-    }
-    if (sharded_ops <= 0 || traced_ops <= 0) {
-      std::fprintf(stderr,
-                   "FAIL: --max-trace-overhead needs both the sharded and "
-                   "the shardedtr modes in --modes\n");
-      return 1;
-    }
-    const double overhead_pct = 100.0 * (1.0 - traced_ops / sharded_ops);
-    if (overhead_pct > max_trace_overhead) {
-      std::fprintf(stderr,
-                   "FAIL: tracing costs %.2f%% on the sharded plane "
-                   "(%.0f -> %.0f ops/s, ceiling %.2f%%)\n",
-                   overhead_pct, sharded_ops, traced_ops, max_trace_overhead);
-      return 1;
-    }
-    std::printf("tracing costs %.2f%% on the sharded plane "
-                "(ceiling %.2f%%): OK\n",
-                overhead_pct, max_trace_overhead);
-  }
-
-  // Release-bench CI passes --max-watchdog-overhead=2 (percent) on >= 4-core
-  // runners: the §3.4 invariant watchdog at its production sampling may not
-  // cost the sharded plane more than this against the unaudited run.
-  const double max_watchdog_overhead =
-      args.get_double("max-watchdog-overhead", 0);
-  if (max_watchdog_overhead > 0) {
-    double sharded_ops = 0, watchdog_ops = 0;
-    for (const ModeResult& r : runs) {
-      if (r.mode == "sharded") sharded_ops = r.ops_per_sec();
-      if (r.mode == "shardedwd") watchdog_ops = r.ops_per_sec();
-    }
-    if (sharded_ops <= 0 || watchdog_ops <= 0) {
-      std::fprintf(stderr,
-                   "FAIL: --max-watchdog-overhead needs both the sharded and "
-                   "the shardedwd modes in --modes\n");
-      return 1;
-    }
-    const double overhead_pct = 100.0 * (1.0 - watchdog_ops / sharded_ops);
-    if (overhead_pct > max_watchdog_overhead) {
-      std::fprintf(stderr,
-                   "FAIL: the watchdog costs %.2f%% on the sharded plane "
-                   "(%.0f -> %.0f ops/s, ceiling %.2f%%)\n",
-                   overhead_pct, sharded_ops, watchdog_ops,
-                   max_watchdog_overhead);
-      return 1;
-    }
-    std::printf("watchdog costs %.2f%% on the sharded plane "
-                "(ceiling %.2f%%): OK\n",
-                overhead_pct, max_watchdog_overhead);
-  }
-
-  // The overload scenario's hard promise: excess load turns into typed
-  // kOverloaded sheds, never into timeouts or untyped failures.
-  if (overload.ran && overload.violations > 0) {
-    std::fprintf(stderr,
-                 "FAIL: overload run saw %llu non-typed failures "
-                 "(timeouts/errors) alongside %llu typed sheds\n",
-                 static_cast<unsigned long long>(overload.violations),
-                 static_cast<unsigned long long>(overload.shed));
-    return 1;
-  }
-
-  // Release-bench CI passes --min-table-ops=100000: the acceptance floor
-  // for the raw store on CI hardware.
-  const double min_table_ops = args.get_double("min-table-ops", 0);
-  if (min_table_ops > 0) {
-    double table_ops = 0;
-    for (const ModeResult& r : runs)
-      if (r.mode == "table") table_ops = r.ops_per_sec();
-    if (table_ops < min_table_ops) {
-      std::fprintf(stderr, "FAIL: table mode %.0f ops/s below floor %.0f\n",
-                   table_ops, min_table_ops);
-      return 1;
-    }
-    std::printf("table mode sustains %.0f ops/s (floor %.0f): OK\n", table_ops,
-                min_table_ops);
-  }
-
-  // Release-bench CI passes --min-sharded-ops on >= 4-core runners: the
-  // absolute acceptance floor for the shard-per-thread plane
-  // (bench_snapshot.sh gates the flag on the core count — with one or two
-  // cores the workers just time-slice against the submitters).
-  const double min_sharded_ops = args.get_double("min-sharded-ops", 0);
-  if (min_sharded_ops > 0) {
-    double sharded_ops = 0;
-    for (const ModeResult& r : runs)
-      if (r.mode == "sharded") sharded_ops = r.ops_per_sec();
-    if (sharded_ops < min_sharded_ops) {
-      std::fprintf(stderr, "FAIL: sharded mode %.0f ops/s below floor %.0f\n",
-                   sharded_ops, min_sharded_ops);
-      return 1;
-    }
-    std::printf("sharded mode sustains %.0f ops/s (floor %.0f): OK\n",
-                sharded_ops, min_sharded_ops);
-  }
-
-  // Release-bench CI passes --min-sharded-speedup=1.0 on the same >= 4-core
-  // condition: shard-owner workers with no locks must never lose to the
-  // striped-lock table on the same workload.
-  const double min_sharded_speedup = args.get_double("min-sharded-speedup", 0);
-  if (min_sharded_speedup > 0) {
-    double table_ops = 0, sharded_ops = 0;
-    for (const ModeResult& r : runs) {
-      if (r.mode == "table") table_ops = r.ops_per_sec();
-      if (r.mode == "sharded") sharded_ops = r.ops_per_sec();
-    }
-    if (table_ops <= 0 || sharded_ops <= 0) {
-      std::fprintf(stderr,
-                   "FAIL: --min-sharded-speedup needs both the table and the "
-                   "sharded modes in --modes\n");
-      return 1;
-    }
-    const double speedup = sharded_ops / table_ops;
-    if (speedup < min_sharded_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: sharded %.0f ops/s is only %.2fx table %.0f ops/s "
-                   "(floor %.2fx)\n",
-                   sharded_ops, speedup, table_ops, min_sharded_speedup);
-      return 1;
-    }
-    std::printf("sharded sustains %.2fx table throughput (floor %.2fx): OK\n",
-                speedup, min_sharded_speedup);
-  }
-
-  // Release-bench CI passes --min-pipeline-speedup=1: the async pipelined
-  // client must never fall behind the sync closed loop on the same single
-  // TCP connection (locally the ratio is far higher; the CI floor only
-  // guards against the pipeline regressing into sync behaviour).
-  const double min_speedup = args.get_double("min-pipeline-speedup", 0);
-  if (min_speedup > 0) {
-    double sync_ops = 0, pipeline_ops = 0;
-    for (const ModeResult& r : runs) {
-      if (r.mode == "sync") sync_ops = r.ops_per_sec();
-      if (r.mode == "pipeline") pipeline_ops = r.ops_per_sec();
-    }
-    if (sync_ops <= 0 || pipeline_ops <= 0) {
-      std::fprintf(stderr,
-                   "FAIL: --min-pipeline-speedup needs both the sync and the "
-                   "pipeline modes in --modes\n");
-      return 1;
-    }
-    const double speedup = pipeline_ops / sync_ops;
-    if (speedup < min_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: pipeline %.0f ops/s is only %.2fx sync %.0f ops/s "
-                   "(floor %.2fx)\n",
-                   pipeline_ops, speedup, sync_ops, min_speedup);
-      return 1;
-    }
-    std::printf("pipeline sustains %.2fx sync throughput (floor %.2fx): OK\n",
-                speedup, min_speedup);
-  }
-
-  // Release-bench CI passes --min-cluster-speedup=1.5: N tokad nodes (each
-  // one dispatcher lane ≈ one machine) must beat one node by at least this
-  // factor on the same pipelined Zipf workload. Any client-visible error
-  // in a cluster run fails the bench outright.
-  const double min_cluster = args.get_double("min-cluster-speedup", 0);
-  if (min_cluster > 0) {
-    if (cluster_errors > 0) {
-      std::fprintf(stderr, "FAIL: cluster runs saw %llu client errors\n",
-                   static_cast<unsigned long long>(cluster_errors));
-      return 1;
-    }
-    double one_ops = 0, n_ops = 0;
-    for (const ModeResult& r : runs) {
-      if (r.mode == "cluster1") one_ops = r.ops_per_sec();
-      if (r.mode == "cluster") n_ops = r.ops_per_sec();
-    }
-    if (one_ops <= 0 || n_ops <= 0) {
-      std::fprintf(stderr,
-                   "FAIL: --min-cluster-speedup needs the cluster mode\n");
-      return 1;
-    }
-    const double speedup = n_ops / one_ops;
-    if (speedup < min_cluster) {
-      std::fprintf(stderr,
-                   "FAIL: %zu-node cluster %.0f ops/s is only %.2fx one node "
-                   "%.0f ops/s (floor %.2fx)\n",
-                   load.cluster_nodes, n_ops, speedup, one_ops, min_cluster);
-      return 1;
-    }
-    std::printf("%zu-node cluster sustains %.2fx one-node throughput "
-                "(floor %.2fx): OK\n",
-                load.cluster_nodes, speedup, min_cluster);
-  }
-
-  // Release-bench CI passes --enforce-replication-churn with --replicas=1:
-  // the replicated churn run must actually fail over (a promotion that
-  // installed replicas), keep every client error-free, and forfeit at most
-  // a bounded number of tokens — one capacity's worth per account that
-  // could have been mid-stream at the kill (installed replicas, the
-  // locked plane's coalescing window, and one in-flight op per client
-  // chain). A duplicate-grant bug shows up in the churn *tests*; what this
-  // smoke catches is the catastrophic regression where failover silently
-  // confiscates the keyspace.
-  if (args.get_flag("enforce-replication-churn")) {
-    if (!replication.ran) {
-      std::fprintf(stderr,
-                   "FAIL: --enforce-replication-churn needs the cluster mode "
-                   "with --replicas\n");
-      return 1;
-    }
-    if (replication.errors > 0 || replication.promotions == 0 ||
-        replication.replica_installs == 0) {
-      std::fprintf(stderr,
-                   "FAIL: replicated churn run: %llu errors, %llu promotions, "
-                   "%llu installs (want 0 errors and a failover that "
-                   "installed replicas)\n",
-                   static_cast<unsigned long long>(replication.errors),
-                   static_cast<unsigned long long>(replication.promotions),
-                   static_cast<unsigned long long>(replication.replica_installs));
-      return 1;
-    }
-    const std::int64_t capacity = cfg.strategy.c_param + 1;
-    const std::int64_t forfeit_bound =
-        static_cast<std::int64_t>(replication.replica_installs +
-                                  service::ServerOptions{}.replication_flush_ops +
-                                  load.threads * load.window) *
-        capacity;
-    if (replication.tokens_forfeited > forfeit_bound) {
-      std::fprintf(stderr,
-                   "FAIL: replicated churn forfeited %lld tokens, above the "
-                   "lag bound %lld\n",
-                   static_cast<long long>(replication.tokens_forfeited),
-                   static_cast<long long>(forfeit_bound));
-      return 1;
-    }
-    std::printf("replicated churn: %llu installs, %lld forfeited (bound "
-                "%lld), failover %.1fms: OK\n",
-                static_cast<unsigned long long>(replication.replica_installs),
-                static_cast<long long>(replication.tokens_forfeited),
-                static_cast<long long>(forfeit_bound), replication.failover_ms);
-  }
-
-  // Release-bench CI passes --max-replication-overhead=15 (percent) on
-  // >= 4-core runners: the delta stream may cost at most this much of the
-  // unreplicated churn run's throughput. Needs real parallelism for the
-  // same reason as the other ratios — on one or two cores the follower
-  // lanes time-share the primaries' cores and the delta measures the
-  // scheduler, not the stream.
-  const double max_repl_overhead = args.get_double("max-replication-overhead", 0);
-  if (max_repl_overhead > 0) {
-    if (!replication.ran || replication.baseline_ops_per_sec <= 0) {
-      std::fprintf(stderr,
-                   "FAIL: --max-replication-overhead needs the cluster mode "
-                   "with --replicas\n");
-      return 1;
-    }
-    const double overhead =
-        100.0 * (1.0 - replication.ops_per_sec /
-                           replication.baseline_ops_per_sec);
-    if (overhead > max_repl_overhead) {
-      std::fprintf(stderr,
-                   "FAIL: replication costs %.1f%% of unreplicated churn "
-                   "throughput (ceiling %.1f%%)\n",
-                   overhead, max_repl_overhead);
-      return 1;
-    }
-    std::printf("replication delta-stream overhead %.1f%% (ceiling %.1f%%): "
-                "OK\n",
-                overhead, max_repl_overhead);
-  }
-  return 0;
+  return failed > 0 ? 1 : 0;
 }

@@ -47,6 +47,7 @@
 #include "obs/trace.hpp"
 #include "runtime/inproc.hpp"
 #include "service/account_table.hpp"
+#include "service/shard_engine.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
@@ -245,6 +246,7 @@ int main(int argc, char** argv) {
     obs::Tracer tracer;
     service::AccountTable table;
     service::ClockDriver driver;
+    service::ShardEngine engine;
     std::unique_ptr<cluster::ClusterServer> server;
     static obs::TracerOptions tracer_opts(obs::Registry& registry) {
       obs::TracerOptions t;
@@ -252,12 +254,23 @@ int main(int argc, char** argv) {
       t.registry = &registry;
       return t;
     }
+    static service::ShardEngineOptions engine_opts(obs::Registry& registry,
+                                                   obs::Tracer& tracer) {
+      service::ShardEngineOptions e;
+      e.registry = &registry;
+      e.tracer = &tracer;
+      return e;
+    }
     DemoNode(const service::ServiceConfig& node_cfg,
              runtime::Transport& transport, const cluster::ClusterMap& map,
              NodeId node)
-        : tracer(tracer_opts(registry)), table(node_cfg), driver(table, 1000) {
+        : tracer(tracer_opts(registry)),
+          table(node_cfg),
+          driver(table, 1000),
+          engine(table, engine_opts(registry, tracer)) {
       driver.start();
       service::ServerOptions opts;
+      opts.engine = &engine;
       opts.registry = &registry;
       opts.tracer = &tracer;
       opts.node = node;

@@ -1,10 +1,11 @@
 // tokad: a tokend cluster under membership churn, end to end.
 //
-// Three ClusterServer nodes (each its own sharded AccountTable behind the
-// in-process fabric) serve Zipf-skewed acquire traffic from several
-// ClusterClient workers, routed by consistent hashing. Mid-run the demo
-// kills one node and then joins a fresh node (the survivors hand the
-// moved accounts off, carrying their balances). Workers absorb every
+// Three ClusterServer nodes (each its own sharded AccountTable and the
+// ShardEngine that owns it, behind the in-process fabric) serve
+// Zipf-skewed acquire traffic from several ClusterClient workers, routed
+// by consistent hashing. Mid-run the demo kills one node and then joins a
+// fresh node (the survivors hand the moved accounts off, carrying their
+// balances). Workers absorb every
 // redirect and dead-node timeout internally: the run must end with zero
 // client-visible errors.
 //
@@ -45,6 +46,7 @@
 #include "obs/telemetry.hpp"
 #include "runtime/inproc.hpp"
 #include "service/account_table.hpp"
+#include "service/shard_engine.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
@@ -73,12 +75,14 @@ int main(int argc, char** argv) {
   struct ClusterNode {
     service::AccountTable table;
     service::ClockDriver driver;
+    service::ShardEngine engine;
     std::unique_ptr<cluster::ClusterServer> server;
     ClusterNode(const service::ServiceConfig& node_cfg,
                 runtime::Transport& transport, const cluster::ClusterMap& map,
                 service::ServerOptions opts = {})
-        : table(node_cfg), driver(table, 1000) {
+        : table(node_cfg), driver(table, 1000), engine(table) {
       driver.start();
+      opts.engine = &engine;
       server = std::make_unique<cluster::ClusterServer>(table, transport, map,
                                                         opts);
     }
@@ -233,9 +237,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(tallies[w].io_retries));
   }
   for (std::size_t n = 0; n < nodes.size(); ++n) {
-    const auto& server = nodes[n]->server;
+    ClusterNode& node = *nodes[n];
+    const auto& server = node.server;
+    const std::size_t accounts =
+        node.engine.quiesced([&] { return node.table.account_count(); });
     std::printf("node %zu: %llu accounts, %s%s\n", n,
-                static_cast<unsigned long long>(nodes[n]->table.account_count()),
+                static_cast<unsigned long long>(accounts),
                 server ? "" : "KILLED, ",
                 server
                     ? ("served " + std::to_string(server->inner().requests_served()) +
@@ -261,7 +268,9 @@ int main(int argc, char** argv) {
                        static_cast<unsigned long long>(total_errors));
 
   for (std::size_t n = 0; n < nodes.size(); ++n) {
-    if (const auto violation = nodes[n]->table.audit_violation()) {
+    ClusterNode& node = *nodes[n];
+    if (const auto violation = node.engine.quiesced(
+            [&] { return node.table.audit_violation(); })) {
       std::printf("FAIL: node %zu table audit: %s\n", n, violation->c_str());
       ok = false;
     }

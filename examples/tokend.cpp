@@ -1,6 +1,8 @@
 // tokend: a token-account rate-limiting daemon over real TCP sockets.
 //
-// Endpoint 0 serves a sharded service::AccountTable through protocol v2;
+// Endpoint 0 serves a sharded service::AccountTable through protocol v2,
+// its data ops executed by a service::ShardEngine whose workers own the
+// table's shards;
 // the remaining endpoints run service::Client threads that hammer it with
 // Zipf-skewed acquire/refund/query traffic across *two namespaces* with
 // different policies: namespace 0 (the default, "interactive") runs the
@@ -29,6 +31,7 @@
 #include "service/account_table.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
+#include "service/shard_engine.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
@@ -52,18 +55,24 @@ int main(int argc, char** argv) {
   cfg.audit = true;  // demo-sized: prove the burst bound end-to-end
 
   service::AccountTable table(cfg);
-  runtime::TcpMesh mesh(1 + clients);
   obs::Registry registry;
+  service::ShardEngineOptions engine_opts;
+  engine_opts.registry = &registry;  // per-worker queue-depth gauges
+  service::ShardEngine engine(table, engine_opts);
+  runtime::TcpMesh mesh(1 + clients);
   service::ServerOptions server_opts;
+  server_opts.engine = &engine;
   server_opts.registry = &registry;
   service::Server server(table, mesh.endpoint(0), server_opts);
   obs::ScrapeServer scrape(
       registry, static_cast<std::uint16_t>(args.get_int("scrape-port", 0)));
   // /healthz: a standalone node is healthy while its table answers; the
   // probe reports the live account count as a cheap freshness signal.
-  scrape.set_health([&table] {
+  scrape.set_health([&table, &engine] {
+    const std::size_t accounts =
+        engine.quiesced([&table] { return table.account_count(); });
     return std::string("{\"ok\":true,\"accounts\":") +
-           std::to_string(table.account_count()) + "}";
+           std::to_string(accounts) + "}";
   });
   std::printf("scrape: curl http://127.0.0.1:%u/metrics (/healthz too)\n",
               scrape.port());
@@ -160,7 +169,8 @@ int main(int argc, char** argv) {
     }
   }
   for (const service::NamespaceId ns : {service::kDefaultNamespace, kBulk}) {
-    const service::TableStats stats = table.stats(ns);
+    const service::TableStats stats =
+        engine.quiesced([&] { return table.stats(ns); });
     std::printf("ns%u: %llu accounts, %llu/%llu tokens granted, "
                 "%llu proactive drops\n",
                 ns, static_cast<unsigned long long>(stats.accounts),
@@ -169,7 +179,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.proactive_dropped));
   }
 
-  const auto violation = table.audit_violation();
+  const auto violation =
+      engine.quiesced([&] { return table.audit_violation(); });
   std::printf("burst bound (<= ceil(t/Δ)+C per key, per namespace): %s\n",
               violation ? violation->c_str() : "HELD ON ALL KEYS");
   return violation ? 1 : 0;

@@ -10,17 +10,20 @@
 #    (cache-missing hits on 2M keys, and first-contact inserts).
 #  - BENCH_service.json: the tokend service load generator (service_load
 #    --quick): acquire throughput and latency percentiles over 1M+ Zipf-
-#    distributed keys, raw / batched / open-loop / wire-protocol, plus the
-#    paired single-TCP-connection sync and pipelined closed loops (v2 async
+#    distributed keys, raw (one thread on the table) / wire-protocol, plus
+#    the paired single-TCP-connection sync and pipelined closed loops (v2 async
 #    client, pipelined ops/s + p99 recorded) and the tokad cluster pair
 #    (1-node vs 3-node in-proc cluster, cluster micro numbers included via
 #    the HashRing micro-benchmarks), and the shard-per-thread plane pair
 #    (sharded: batches straight into the ShardEngine; epoll: pipelined
-#    clients over the nonblocking event-loop mesh into an engine-mode
-#    server), each with shard-queue depth percentiles. Also enforces the
-#    100k acquire-ops/s floor, the pipelined >= sync floor, the 3-node
-#    >= 1.5x 1-node cluster scale-out floor, and (on >= 4 cores) the
-#    sharded-plane absolute and vs-table floors.
+#    clients over the nonblocking event-loop mesh into the server), each
+#    with shard-queue depth percentiles. Also enforces the 100k
+#    acquire-ops/s floor, the pipelined >= sync floor, the 3-node >= 1.5x
+#    1-node cluster scale-out floor, and (on >= 4 cores) the sharded-plane
+#    absolute floor. service_load evaluates every gate and records each
+#    outcome in the JSON's "gates" array; when any gate fails, this script
+#    still writes the remaining snapshots (tokactl included) and then
+#    exits non-zero.
 #
 # Usage: bench_snapshot.sh [build-dir] [engine.json] [service.json] [scrape.txt] [traces.json] [tokactl.txt]
 # CI uploads the outputs as artifacts per commit.
@@ -106,11 +109,10 @@ echo "wrote $out (fig4_scale --quick: ${fig4_ms} ms)"
 # so below 4 cores the floor is dropped and a warning printed instead of
 # a hard failure. CI keeps the hard floor.
 #
-# The sharded floors follow the same rule: the shard-per-thread plane
-# (--min-sharded-ops absolute, --min-sharded-speedup vs the striped-lock
-# table mode) only shows its parallelism when the owner workers get their
-# own cores — on one or two cores the workers time-slice against the
-# submitters and the ratio measures the scheduler.
+# The sharded floor follows the same rule: the engine (--min-sharded-ops)
+# only shows its parallelism when the owner workers get their own cores —
+# on one or two cores the workers time-slice against the submitters and
+# the number measures the scheduler.
 #
 # The flight-recorder ceiling (--max-trace-overhead=2: the sharded run with
 # the tracer attached and every batch stamped may cost at most 2% against
@@ -128,7 +130,7 @@ echo "wrote $out (fig4_scale --quick: ${fig4_ms} ms)"
 cpus=$(nproc 2>/dev/null || echo 1)
 if [ "$cpus" -ge 4 ]; then
   cluster_floor="--min-cluster-speedup=1.5"
-  sharded_floor="--min-sharded-ops=250000 --min-sharded-speedup=1.0"
+  sharded_floor="--min-sharded-ops=250000"
   trace_ceiling="--max-trace-overhead=2"
   watchdog_ceiling="--max-watchdog-overhead=2"
   repl_floor="--enforce-replication-churn --max-replication-overhead=15"
@@ -140,7 +142,7 @@ else
   repl_floor=""
   echo "WARN: only ${cpus} core(s); skipping the cluster scale-out floor" \
        "(needs >= 4 cores to measure sharding, not scheduling)" >&2
-  echo "WARN: only ${cpus} core(s); skipping the sharded-plane floors" \
+  echo "WARN: only ${cpus} core(s); skipping the sharded-plane floor" \
        "(shard-owner workers need their own cores)" >&2
   echo "WARN: only ${cpus} core(s); skipping the trace-overhead ceiling" \
        "(the delta measures time-slicing, not the recorder)" >&2
@@ -149,6 +151,9 @@ else
   echo "WARN: only ${cpus} core(s); skipping the replication churn floors" \
        "(follower lanes need their own cores to price the delta stream)" >&2
 fi
+# A failed gate does not stop the script: its status is kept, every other
+# snapshot is still written, and the script exits with it at the end.
+service_status=0
 # shellcheck disable=SC2086  # the floor vars are intentionally unquoted
 "$build_dir/service_load" --quick --json="$service_out" \
     --scrape-out="$scrape_out" --trace-out="$trace_out" \
@@ -156,7 +161,7 @@ fi
     --git-sha="$git_sha" --timestamp="$run_stamp" \
     --min-table-ops=100000 --min-pipeline-speedup=1.0 \
     $cluster_floor $sharded_floor $trace_ceiling $watchdog_ceiling \
-    $repl_floor > /dev/null
+    $repl_floor > /dev/null || service_status=$?
 acquire_ops=$(sed -n 's/.*"acquire_ops_per_sec": \([0-9]*\).*/\1/p' "$service_out")
 sharded_ops=$(sed -n 's/.*"sharded_ops_per_sec": \([0-9]*\).*/\1/p' "$service_out")
 pipeline_ops=$(sed -n 's/.*"pipeline_ops_per_sec": \([0-9]*\).*/\1/p' "$service_out")
@@ -178,3 +183,9 @@ echo "wrote $trace_out (scenario-run flight-recorder spans)"
 # violation, no cross-node trace) fails the job.
 "$build_dir/tokactl" stats > "$tokactl_out"
 echo "wrote $tokactl_out (tokactl merged cluster stats)"
+
+if [ "$service_status" -ne 0 ]; then
+  echo "FAIL: service_load exited $service_status; the failed gates are" \
+       "marked \"pass\": false in $service_out" >&2
+  exit "$service_status"
+fi

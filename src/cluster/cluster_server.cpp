@@ -1,7 +1,6 @@
 #include "cluster/cluster_server.hpp"
 
 #include <algorithm>
-#include <array>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -25,22 +24,17 @@ ClusterServer::ClusterServer(service::AccountTable& table,
       registry_(options.registry),
       engine_(options.engine),
       repl_headroom_(options.replication_headroom),
-      repl_flush_ops_(std::max<std::uint32_t>(options.replication_flush_ops, 1)),
       map_(std::move(map)),
       ring_(map_) {
   repl_ = std::make_unique<ReplicationEngine>(table, transport, map_);
   repl_->set_tracer(tracer_);
   if (map_.replicas > 0) table_->enable_replication(repl_headroom_);
-  if (engine_ != nullptr) {
-    // Engine plane: deltas are captured at the workers' drain boundaries
-    // (the locked-plane per-request flush would run before the queued ops
-    // even execute). Precompute each worker's shard set once.
-    worker_shards_.resize(engine_->worker_count());
-    for (std::size_t s = 0; s < table_->shard_count(); ++s)
-      worker_shards_[s % engine_->worker_count()].push_back(s);
-    engine_->set_drain_hook(
-        [this](std::size_t w) { flush_worker_shards(w); });
-  }
+  // Deltas are captured at the workers' drain boundaries, each worker
+  // flushing its own shards. Precompute each worker's shard set once.
+  worker_shards_.resize(engine_->worker_count());
+  for (std::size_t s = 0; s < table_->shard_count(); ++s)
+    worker_shards_[s % engine_->worker_count()].push_back(s);
+  engine_->set_drain_hook([this](std::size_t w) { flush_worker_shards(w); });
   if (registry_) register_metrics();
   transport_->set_peer_down_handler(
       [this](NodeId peer) { on_peer_down(peer); });
@@ -55,7 +49,7 @@ ClusterServer::~ClusterServer() {
   // safe to pull the cluster gauges out of the registry. The engine's
   // drain hook goes first of all — workers keep draining until the engine
   // itself stops, and the hook calls back into this object.
-  if (engine_ != nullptr) engine_->set_drain_hook({});
+  engine_->set_drain_hook({});
   transport_->set_peer_down_handler({});
   transport_->set_handler({});
   // No handler can defer another promotion now; wait out the running ones.
@@ -154,7 +148,7 @@ ApplyOutcome ClusterServer::apply_map(
   // account's balance leaves exactly once. If any of these frames is lost
   // the tokens are forfeited — never resurrected here.
   const NodeId self_id = self();
-  const std::vector<service::AccountExport> moved = on_table([&] {
+  const std::vector<service::AccountExport> moved = engine_->quiesced([&] {
     return table_->extract_if([&](service::NamespaceId ns, std::uint64_t key) {
       return ring.owner(ns, key) != self_id;
     });
@@ -200,7 +194,7 @@ ApplyOutcome ClusterServer::apply_map(
   if (map.replicas > 0 && !table_->replication_enabled())
     table_->enable_replication(repl_headroom_);
   const ReplicaInstallResult installs =
-      on_table([&] { return repl_->on_map_applied(map, ring); });
+      engine_->quiesced([&] { return repl_->on_map_applied(map, ring); });
   outcome.replica_installed = installs.installed;
   outcome.replica_forfeited = installs.forfeited;
   if (installs.forfeited > 0)
@@ -277,7 +271,7 @@ void ClusterServer::on_peer_down(NodeId peer) {
     }
   }
   if (coordinator != self()) return;
-  if (engine_ != nullptr && engine_->on_worker_thread()) {
+  if (engine_->on_worker_thread()) {
     // A shard worker's failed send surfaced the death; the promotion must
     // quiesce that worker's engine, so it runs on a helper thread.
     std::lock_guard lock(deferred_mu_);
@@ -311,7 +305,7 @@ void ClusterServer::handle_handoff(
   // dropped (the sender already forfeited it). install_account refuses
   // duplicates and unknown namespaces on its own.
   if (owner_of(r.ns, r.key) == self()) {
-    accepted = on_table(
+    accepted = engine_->quiesced(
         [&] { return table_->install_account(r.ns, r.key, r.balance); });
   }
   if (accepted) {
@@ -372,22 +366,10 @@ void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {
     std::uint64_t foreign_key = 0;
     std::uint64_t epoch = 0;
     bool walked;
-    // Locked plane only: the ownership walk doubles as delta capture —
-    // the shards this frame touches get their dirty accounts flushed to
-    // followers right after the op executes. (Engine plane flushes at the
-    // workers' drain boundaries instead; at deliver time the ops are still
-    // queued, so a post-deliver flush here would capture nothing.) The
-    // inline buffer covers every single-key op without touching the heap;
-    // only a batch spanning more shards spills.
-    std::array<std::size_t, 8> touched_local;
-    std::size_t touched_n = 0;
-    std::vector<std::size_t> touched_spill;
     {
       std::shared_lock lock(map_mu_);
       epoch = map_.epoch;
       const NodeId self_id = transport_->self();
-      const bool capture = engine_ == nullptr && map_.replicas > 0 &&
-                           head->type != proto::MsgType::kQuery;
       walked = proto::for_each_data_op_key(
           payload, [&](service::NamespaceId ns, std::uint64_t key) {
             const NodeId owner = ring_.owner(ns, key);
@@ -397,21 +379,6 @@ void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {
               foreign_ns = ns;
               foreign_key = key;
               return false;
-            }
-            if (capture) {
-              const std::size_t shard = table_->shard_of(ns, key);
-              bool seen = false;
-              for (std::size_t i = 0; i < touched_n; ++i)
-                seen = seen || touched_local[i] == shard;
-              if (!seen && std::find(touched_spill.begin(),
-                                     touched_spill.end(),
-                                     shard) == touched_spill.end()) {
-                if (touched_n < touched_local.size()) {
-                  touched_local[touched_n++] = shard;
-                } else {
-                  touched_spill.push_back(shard);
-                }
-              }
             }
             return true;
           });
@@ -434,35 +401,6 @@ void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {
     // owns the taxonomy (typed error for a valid header, drop for
     // garbage).
     tap_.deliver(from, std::move(payload));
-    if (touched_n > 0) {
-      // Coalesce: one delta frame per request would double the per-lane
-      // frame load, so touched shards accumulate until replication_flush_ops
-      // data ops have passed. Everything deferred is replication lag a
-      // failover may forfeit — tests asserting the tight per-request bound
-      // pin the knob to 1 (which skips the pending set entirely).
-      std::vector<std::size_t> flush;
-      if (repl_flush_ops_ <= 1) {
-        flush.assign(touched_local.begin(),
-                     touched_local.begin() +
-                         static_cast<std::ptrdiff_t>(touched_n));
-        flush.insert(flush.end(), touched_spill.begin(), touched_spill.end());
-      } else {
-        std::lock_guard lock(repl_pending_mu_);
-        auto merge = [this](std::size_t shard) {
-          if (std::find(repl_pending_.begin(), repl_pending_.end(), shard) ==
-              repl_pending_.end()) {
-            repl_pending_.push_back(shard);
-          }
-        };
-        for (std::size_t i = 0; i < touched_n; ++i) merge(touched_local[i]);
-        for (const std::size_t shard : touched_spill) merge(shard);
-        if (++repl_pending_ops_ >= repl_flush_ops_) {
-          flush.swap(repl_pending_);
-          repl_pending_ops_ = 0;
-        }
-      }
-      if (!flush.empty()) repl_->flush_shards(flush);
-    }
     return;
   }
 

@@ -6,8 +6,8 @@
 //
 //   - data ops (acquire/refund/query/batch) whose keys its HashRing places
 //     here are forwarded — still as raw frames — to the wrapped
-//     service::Server, which executes them against the node's own
-//     AccountTable exactly as a standalone tokend would;
+//     service::Server, which executes them on the node's ShardEngine
+//     exactly as a standalone tokend would;
 //   - data ops for keys it does NOT own get a RedirectResponse carrying
 //     the node's map epoch and the key's current owner: redirect-and-retry
 //     instead of server-side proxying, so a stale client pays one extra
@@ -30,10 +30,11 @@
 //
 // With ClusterMap::replicas > 0 the node additionally runs a
 // ReplicationEngine (see replication.hpp): owned accounts stream deltas to
-// their ring successors at drain boundaries, kReplicate/kReplicaAck/
-// kPromote frames are routed to it, replica installs ride every map
-// adoption, and a peer-down notification auto-promotes through the dead
-// node's id-order successor. Every balance the cluster drops — refused
+// their ring successors at the engine workers' drain boundaries (each
+// worker flushes its own shards), kReplicate/kReplicaAck/kPromote frames
+// are routed to it, replica installs ride every map adoption, and a
+// peer-down notification auto-promotes through the dead node's id-order
+// successor. Every balance the cluster drops — refused
 // handoffs, unroutable extractions, conservative promotion installs — is
 // counted in tokens_forfeited (exported as tokad_tokens_forfeited), so the
 // crash-loss bound is observable, not just asserted in tests.
@@ -84,10 +85,11 @@ struct PromoteOutcome {
 class ClusterServer {
  public:
   /// Wraps `table` behind `transport` with `map` as the initial
-  /// membership. The table and transport must outlive the server. The
-  /// node's identity is transport.self(); it need not appear in `map`
-  /// (a drained node redirects everything). `options` is handed to the
-  /// wrapped service::Server (telemetry registry + admission valve); with
+  /// membership. The table, the transport and options.engine (required,
+  /// running on `table`) must outlive the server. The node's identity is
+  /// transport.self(); it need not appear in `map` (a drained node
+  /// redirects everything). `options` is handed to the wrapped
+  /// service::Server (engine, telemetry registry, admission valve); with
   /// a registry set, the cluster layer additionally exports the ring
   /// epoch, redirect and handoff counters as "tokad_*" metrics, and
   /// kStats frames answer with the full snapshot (they pass through the
@@ -201,17 +203,9 @@ class ClusterServer {
       NodeId failed, std::uint64_t expected_epoch,
       const std::optional<service::protocol::TraceContext>& trace);
   std::optional<service::protocol::TraceContext> mint_cluster_trace();
-  /// Runs a table mutation that spans shards (handoff extraction, installs):
-  /// with every engine worker parked when the shards have owners, directly
-  /// in the locked plane, whose shard mutexes already serialize it.
-  template <typename F>
-  decltype(auto) on_table(F&& fn) {
-    if (engine_ != nullptr) return engine_->quiesced(std::forward<F>(fn));
-    return std::forward<F>(fn)();
-  }
   /// Peer-down reaction: the dead node's id-order successor promotes.
   void on_peer_down(NodeId peer);
-  /// Engine-plane drain hook: streams worker `w`'s shards' dirty deltas.
+  /// Drain hook: streams worker `w`'s shards' dirty deltas.
   void flush_worker_shards(std::size_t w);
   void register_metrics();
 
@@ -229,17 +223,12 @@ class ClusterServer {
   service::Server server_;
   obs::Tracer* tracer_ = nullptr;  ///< the inner server's flight recorder
   obs::Registry* registry_;
-  service::ShardEngine* engine_ = nullptr;  ///< nullptr in the locked plane
+  /// Runs the node's data ops; handoff extraction and replica installs
+  /// touch the table with its workers parked (quiesced()).
+  service::ShardEngine* engine_;
   Tokens repl_headroom_ = 0;
-  std::uint32_t repl_flush_ops_ = 1;  ///< locked-plane flush coalescing
   std::unique_ptr<ReplicationEngine> repl_;
-  /// Locked-plane coalescing state: shards touched by owned data ops since
-  /// the last flush, and how many ops accumulated them.
-  std::mutex repl_pending_mu_;
-  std::vector<std::size_t> repl_pending_;
-  std::uint32_t repl_pending_ops_ = 0;
-  /// Shard indices per engine worker (w owns shard s iff s % workers == w);
-  /// empty without an engine.
+  /// Shard indices per engine worker (w owns shard s iff s % workers == w).
   std::vector<std::vector<std::size_t>> worker_shards_;
   std::vector<std::string> metric_names_;
 
@@ -258,8 +247,8 @@ class ClusterServer {
   std::atomic<Tokens> tokens_forfeited_{0};
   std::atomic<std::uint64_t> promotions_{0};
 
-  /// Engine plane: a shard worker that sees a peer go down (its delta send
-  /// failed) cannot quiesce its own engine, so it hands the promotion to a
+  /// A shard worker that sees a peer go down (its delta send failed)
+  /// cannot quiesce its own engine, so it hands the promotion to a
   /// helper thread — at most one in flight per dead peer. Joined on
   /// destruction; declared last, after everything a promotion touches.
   std::mutex deferred_mu_;

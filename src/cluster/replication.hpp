@@ -97,9 +97,9 @@ class ReplicationEngine {
   /// Drains the dirty accounts of `shards` and streams one kReplicate
   /// frame per follower that got deltas, stamped with the next emission
   /// round. Deltas whose key this node no longer owns are skipped (a map
-  /// transition already moved them). Serialized across callers; safe from
-  /// request threads and engine workers alike (the drain itself locks per
-  /// table mode — exclusive-shard callers must own the shards).
+  /// transition already moved them). Serialized across callers; each
+  /// caller must own the shards it drains (an engine worker flushes its
+  /// own shards from the drain hook).
   void flush_shards(const std::vector<std::size_t>& shards);
 
   /// A follower acked its stream: advances the lane watermark that lets

@@ -1,6 +1,7 @@
 #include "core/rate_limit.hpp"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -116,6 +117,39 @@ std::uint64_t RateLimitAuditor::max_in_window(TimeUs window) const {
     best = std::max(best, static_cast<std::uint64_t>(hi - lo + 1));
   }
   return best;
+}
+
+std::vector<std::string> keyed_burst_violations(std::vector<KeyedGrant> grants,
+                                                TimeUs delta, Tokens capacity,
+                                                TimeUs run_us,
+                                                std::size_t max_reported) {
+  std::stable_sort(grants.begin(), grants.end(),
+                   [](const KeyedGrant& a, const KeyedGrant& b) {
+                     return a.at_us < b.at_us;
+                   });
+  std::map<std::uint64_t, RateLimitAuditor> audits;
+  std::map<std::uint64_t, Tokens> totals;
+  for (const KeyedGrant& g : grants) {
+    auto it = audits.try_emplace(g.key, delta, capacity).first;
+    for (Tokens i = 0; i < g.tokens; ++i) it->second.record(g.at_us);
+    totals[g.key] += g.tokens;
+  }
+  const Tokens earnable = run_us / delta + 1 + capacity;
+  std::vector<std::string> out;
+  for (const auto& [key, audit] : audits) {
+    if (out.size() >= max_reported) break;
+    std::ostringstream os;
+    if (const auto violation = audit.first_violation()) {
+      os << "key " << key << ": " << violation->describe();
+    } else if (totals[key] > earnable) {
+      os << "key " << key << " was granted " << totals[key]
+         << " tokens, at most " << earnable << " were earnable";
+    } else {
+      continue;
+    }
+    out.push_back(os.str());
+  }
+  return out;
 }
 
 }  // namespace toka::core

@@ -12,6 +12,8 @@
 // at the same instant, giving C+1 sends at one timestamp).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -106,5 +108,27 @@ class BurstWatchdog {
   std::uint64_t checks_ = 0;
   std::uint64_t violations_ = 0;
 };
+
+/// One grant as a client observed it: `tokens` admitted for `key` at
+/// `at_us` (the completion time, on the caller's clock).
+struct KeyedGrant {
+  std::uint64_t key = 0;
+  TimeUs at_us = 0;
+  Tokens tokens = 0;
+};
+
+/// The cluster-wide §3.4 replay: sorts `grants` by time and checks each
+/// key's trace, wherever in a cluster the key was served, against the
+/// burst bound over every send-anchored window (a RateLimitAuditor) and
+/// against whole-run conservation: at most `run_us`/Δ + 1 + `capacity`
+/// tokens, the most a zero-initial account can earn in the run. Callers
+/// pass C plus their timestamp slack as `capacity` (completion times can
+/// compress a window by one scheduling delay, worth one tick); a duplicated
+/// handoff or promotion still injects up to C extra grants and is caught.
+/// Returns one description per offending key, at most `max_reported`.
+std::vector<std::string> keyed_burst_violations(std::vector<KeyedGrant> grants,
+                                                TimeUs delta, Tokens capacity,
+                                                TimeUs run_us,
+                                                std::size_t max_reported = 5);
 
 }  // namespace toka::core

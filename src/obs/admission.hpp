@@ -17,7 +17,7 @@
 // k slots of (item, count); a miss evicts the minimum slot and inherits
 // its count (so a true heavy hitter's count is never undercounted by more
 // than the evicted minimum). It is NOT thread-safe — each table shard owns
-// one and updates it under the shard lock.
+// one, updated only by the shard's one accessor.
 #pragma once
 
 #include <atomic>

@@ -122,21 +122,13 @@ bool AccountTable::configure_namespace(NamespaceId ns,
       it->second = std::move(fresh);
     }
   }
-  // Reset semantics on replace: retire the outgoing snapshot *before* the
-  // purge, then drop the namespace's accounts so every key restarts under
-  // the new policy from the initial balance (under-grants only). Requests
-  // racing the reset may briefly finish against an existing account under
-  // the old policy, but account *creation* re-resolves on a retired
-  // snapshot, so once the purge has swept a shard no old-policy account
-  // can reappear in it: either the insert happened before the retire flag
-  // (then the purge, serialized behind the same shard lock, removes it) or
-  // the inserter saw the flag and created under the new policy. `old`
+  // Reset semantics on replace: drop the namespace's accounts so every key
+  // restarts under the new policy from the initial balance (under-grants
+  // only). The caller owns the whole table, so no request can create an
+  // account under the outgoing policy once the purge has begun. `old`
   // keeps the snapshot alive across the purge, the last moment a slot can
   // point at it.
-  if (!created) {
-    old->retired.store(true, std::memory_order_release);
-    purge_namespace(ns);
-  }
+  if (!created) purge_namespace(ns);
   return created;
 }
 
@@ -154,7 +146,6 @@ std::size_t AccountTable::erase_accounts_if(Shard& shard, Pred&& pred) {
 
 void AccountTable::purge_namespace(NamespaceId ns) {
   for (auto& shard : shards_) {
-    ShardGuard lock(*this, *shard);
     const std::size_t removed = erase_accounts_if(
         *shard, [&](const Slot& s) { return s.ns->id == ns; });
     stats_for(*shard, ns).accounts_evicted += removed;
@@ -184,7 +175,6 @@ std::optional<NamespaceInfo> AccountTable::namespace_info(
   info.config = nsp->config;
   info.capacity = nsp->capacity;
   for (const auto& shard : shards_) {
-    ShardGuard lock(*this, *shard);
     shard->accounts.for_each([&](const Slot& s) {
       if (s.ns->id == ns) ++info.accounts;
     });
@@ -276,28 +266,21 @@ AccountTable::Slot& AccountTable::create_account(Shard& shard,
   return shard.accounts.insert(hash, slot);
 }
 
-AccountTable::Slot& AccountTable::find_or_create(
-    Shard& shard, const std::shared_ptr<const Namespace>& ns,
-    std::uint64_t hash, std::uint64_t key, std::int64_t tick, TimeUs now) {
-  if (Slot* slot = find_account(shard, hash, ns->id, key)) return *slot;
-  // Creation re-resolves a retired snapshot (taking ns_mu_ shared while
-  // holding the shard lock is safe: configure_namespace never holds shard
-  // locks under ns_mu_). See Namespace::retired for why this closes the
-  // reset/acquire resurrection race. The re-resolved snapshot has the same
-  // id, so `hash` still holds.
-  std::shared_ptr<const Namespace> current = ns;
-  while (current->retired.load(std::memory_order_acquire)) {
-    current = resolve(current->id);
-    tick = now / current->config.delta_us;
-  }
-  return create_account(shard, *current, hash, key,
-                        current->config.initial_tokens, tick, now);
+AccountTable::Slot& AccountTable::find_or_create(Shard& shard,
+                                                 const Namespace& ns,
+                                                 std::uint64_t hash,
+                                                 std::uint64_t key,
+                                                 std::int64_t tick,
+                                                 TimeUs now) {
+  if (Slot* slot = find_account(shard, hash, ns.id, key)) return *slot;
+  return create_account(shard, ns, hash, key, ns.config.initial_tokens, tick,
+                        now);
 }
 
 void AccountTable::settle(Shard& shard, Slot& slot, TimeUs now) {
   // The tick index comes from the *account's own* namespace snapshot: an
-  // account surviving a racing reconfigure has a last_tick recorded under
-  // the old Δ, and dividing `now` by the new Δ would fabricate (or eat)
+  // account created under an older policy has a last_tick recorded under
+  // its Δ, and dividing `now` by another Δ would fabricate (or eat)
   // elapsed ticks — a shrunk Δ would instantly refill the account past
   // what real time banked, breaking the "reset only under-grants" rule.
   const Namespace& ns = *slot.ns;
@@ -322,10 +305,10 @@ void AccountTable::settle(Shard& shard, Slot& slot, TimeUs now) {
   slot.last_access_us = now;
 }
 
-AcquireResult AccountTable::acquire_locked(
-    Shard& shard, const std::shared_ptr<const Namespace>& ns,
-    std::uint64_t hash, std::uint64_t key, Tokens n, std::int64_t tick,
-    TimeUs now) {
+AcquireResult AccountTable::acquire_in_shard(Shard& shard, const Namespace& ns,
+                                             std::uint64_t hash,
+                                             std::uint64_t key, Tokens n,
+                                             std::int64_t tick, TimeUs now) {
   TOKA_CHECK_MSG(n >= 0, "acquire requires n >= 0, got " << n);
   Slot& slot = find_or_create(shard, ns, hash, key, tick, now);
   // Balance before this call's settle: a grant within it was banked; a
@@ -346,18 +329,18 @@ AcquireResult AccountTable::acquire_locked(
                                              /*allow_overdraft=*/false);
   slot.balance = static_cast<std::int32_t>(balance);
   mark_repl_dirty(shard, slot);
-  TableStats& stats = stats_for(shard, ns->id);
+  TableStats& stats = stats_for(shard, ns.id);
   ++stats.acquires;
   stats.tokens_requested += static_cast<std::uint64_t>(n);
   stats.tokens_granted += static_cast<std::uint64_t>(granted);
-  shard.hot.record(fold_key(ns->id, key));
+  shard.hot.record(fold_key(ns.id, key));
   if ((slot.flags & kSlotAudited) != 0) {
     core::RateLimitAuditor& auditor =
-        shard.auditors.at(AccountKey{ns->id, key});
+        shard.auditors.at(AccountKey{ns.id, key});
     for (Tokens i = 0; i < granted; ++i) auditor.record(now);
   }
   if ((slot.flags & kSlotWatched) != 0 && granted > 0) {
-    core::BurstWatchdog& watchdog = shard.watchdogs.at(AccountKey{ns->id, key});
+    core::BurstWatchdog& watchdog = shard.watchdogs.at(AccountKey{ns.id, key});
     const std::uint64_t before = watchdog.checks();
     stats.watchdog_violations += watchdog.record(now, granted);
     stats.watchdog_checks += watchdog.checks() - before;
@@ -372,13 +355,12 @@ AcquireResult AccountTable::acquire(NamespaceId ns, std::uint64_t key,
   const std::shared_ptr<const Namespace> nsp = resolve(ns);
   const std::uint64_t hash = account_hash(ns, key);
   Shard& shard = shard_for(hash);
-  ShardGuard lock(*this, shard);
-  // Read the clock only while holding the shard lock: lock ordering plus
-  // atomic read coherence then guarantee non-decreasing times per account,
-  // which settle()'s bookkeeping and the auditor's record() rely on.
+  // The shard's one accessor reads a monotonic clock, so times per account
+  // never decrease — which settle()'s bookkeeping and the auditor's
+  // record() rely on.
   const TimeUs now = clock_.now_us();
   const std::int64_t tick = now / nsp->config.delta_us;
-  return acquire_locked(shard, nsp, hash, key, n, tick, now);
+  return acquire_in_shard(shard, *nsp, hash, key, n, tick, now);
 }
 
 RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
@@ -387,7 +369,6 @@ RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
   resolve(ns);  // reject unknown namespaces before touching the shard
   const std::uint64_t hash = account_hash(ns, key);
   Shard& shard = shard_for(hash);
-  ShardGuard lock(*this, shard);
   const TimeUs now = clock_.now_us();
   TableStats& stats = stats_for(shard, ns);
   ++stats.refunds;
@@ -434,7 +415,6 @@ QueryResult AccountTable::query(NamespaceId ns, std::uint64_t key) {
   resolve(ns);  // reject unknown namespaces before touching the shard
   const std::uint64_t hash = account_hash(ns, key);
   Shard& shard = shard_for(hash);
-  ShardGuard lock(*this, shard);
   const TimeUs now = clock_.now_us();
   ++stats_for(shard, ns).queries;
   Slot* slot = find_account(shard, hash, ns, key);
@@ -447,7 +427,7 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
     NamespaceId ns, std::span<const AcquireOp> ops) {
   const std::shared_ptr<const Namespace> nsp = resolve(ns);
   std::vector<AcquireResult> results(ops.size());
-  // Order ops by shard so each touched shard is locked exactly once per
+  // Order ops by shard so each touched shard is visited exactly once per
   // batch; within a shard the original op order is preserved (stable
   // sort). Each op's hash is computed here once and carried to the store.
   struct Pending {
@@ -472,14 +452,13 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
     std::size_t end = i;
     while (end < order.size() && order[end].shard == shard_idx) ++end;
     Shard& shard = *shards_[shard_idx];
-    ShardGuard lock(*this, shard);
-    // Clock read under the shard lock, as in acquire(): keeps per-account
-    // times non-decreasing across concurrent batches.
+    // One clock read per shard visit: the whole run settles against it.
     const TimeUs now = clock_.now_us();
     const std::int64_t tick = now / nsp->config.delta_us;
     // Home slots are prefetched kPrefetchDistance ops ahead, and only
-    // within this shard's run: another shard's store may be read only
-    // under its own lock (or by its owner worker).
+    // within this shard's run: a batch split across engine workers reaches
+    // this call once per worker, and another worker's shard may be read
+    // only by its owner.
     for (std::size_t j = i; j < std::min(i + kPrefetchDistance, end); ++j)
       shard.accounts.prefetch(order[j].hash);
     for (; i < end; ++i) {
@@ -488,7 +467,7 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
       const Pending& p = order[i];
       const AcquireOp& op = ops[p.op];
       results[p.op] =
-          acquire_locked(shard, nsp, p.hash, op.key, op.tokens, tick, now);
+          acquire_in_shard(shard, *nsp, p.hash, op.key, op.tokens, tick, now);
     }
   }
   return results;
@@ -507,7 +486,6 @@ std::size_t AccountTable::evict_idle_shard(std::size_t shard_idx) {
                  "shard index " << shard_idx << " out of range");
   Shard& shard = *shards_[shard_idx];
   const TimeUs now = clock_.now_us();
-  ShardGuard lock(*this, shard);
   return erase_accounts_if(shard, [&](const Slot& s) {
     const TimeUs ttl = s.ns->config.idle_ttl_us;
     const TimeUs idle = now - s.last_access_us;
@@ -527,7 +505,6 @@ std::vector<AccountExport> AccountTable::extract_if(
     const std::function<bool(NamespaceId, std::uint64_t)>& should_extract) {
   std::vector<AccountExport> out;
   for (auto& shard : shards_) {
-    ShardGuard lock(*this, *shard);
     erase_accounts_if(*shard, [&](const Slot& s) {
       const NamespaceId ns = s.ns->id;
       if (!should_extract(ns, s.key)) return false;
@@ -554,8 +531,6 @@ bool AccountTable::install_account(NamespaceId ns, std::uint64_t key,
   }
   const std::uint64_t hash = account_hash(ns, key);
   Shard& shard = shard_for(hash);
-  ShardGuard lock(*this, shard);
-  while (nsp->retired.load(std::memory_order_acquire)) nsp = resolve(ns);
   if (find_account(shard, hash, ns, key) != nullptr) return false;  // never duplicate
   const TimeUs now = clock_.now_us();
   const std::int64_t tick = now / nsp->config.delta_us;
@@ -591,7 +566,6 @@ std::size_t AccountTable::drain_replica_dirty(
   TOKA_CHECK_MSG(shard_idx < shards_.size(),
                  "shard index " << shard_idx << " out of range");
   Shard& shard = *shards_[shard_idx];
-  ShardGuard lock(*this, shard);
   std::size_t appended = 0;
   for (const AccountKey& k : shard.repl_dirty) {
     Slot* slot = find_account(shard, account_hash(k.ns, k.key), k.ns, k.key);
@@ -621,10 +595,7 @@ std::size_t AccountTable::drain_replica_dirty(
 
 std::size_t AccountTable::account_count() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    ShardGuard lock(*this, *shard);
-    total += shard->accounts.size();
-  }
+  for (const auto& shard : shards_) total += shard->accounts.size();
   return total;
 }
 
@@ -633,7 +604,6 @@ std::vector<AccountTable::HotKey> AccountTable::hot_keys(std::size_t n) const {
   // shard, so this is a concatenation, not a sum).
   std::vector<HotKey> all;
   for (const auto& shard : shards_) {
-    ShardGuard lock(*this, *shard);
     for (const obs::SpaceSaving::HeavyHitter& h : shard->hot.top())
       all.push_back(HotKey{h.item, h.count});
   }
@@ -666,7 +636,6 @@ void TableStats::merge(const TableStats& other) {
 TableStats AccountTable::stats() const {
   TableStats out;
   for (const auto& shard : shards_) {
-    ShardGuard lock(*this, *shard);
     for (const auto& [ns, stats] : shard->stats) out.merge(stats);
     out.accounts += shard->accounts.size();
   }
@@ -676,7 +645,6 @@ TableStats AccountTable::stats() const {
 TableStats AccountTable::stats(NamespaceId ns) const {
   TableStats out;
   for (const auto& shard : shards_) {
-    ShardGuard lock(*this, *shard);
     auto it = shard->stats.find(ns);
     if (it != shard->stats.end()) out.merge(it->second);
     shard->accounts.for_each([&](const Slot& s) {
@@ -688,7 +656,6 @@ TableStats AccountTable::stats(NamespaceId ns) const {
 
 std::optional<std::string> AccountTable::audit_violation() const {
   for (const auto& shard : shards_) {
-    ShardGuard lock(*this, *shard);
     for (const auto& [key, auditor] : shard->auditors) {
       if (auto v = auditor.first_violation()) {
         std::ostringstream os;
@@ -730,7 +697,6 @@ void ClockDriver::stop() {
 
 void ClockDriver::loop() {
   const auto epoch = std::chrono::steady_clock::now();
-  TimeUs next_evict = 0;
   std::unique_lock lock(mu_);
   while (!stop_requested_) {
     cv_.wait_for(lock, std::chrono::microseconds(resolution_us_),
@@ -740,19 +706,6 @@ void ClockDriver::loop() {
                                std::chrono::steady_clock::now() - epoch)
                                .count();
     table_->clock().advance_to(elapsed);
-    // The min TTL is re-read every tick: namespaces created at runtime with
-    // a TTL start getting sweeps without a driver restart. In
-    // exclusive_shards mode the sweep is the shard owners' job (the
-    // ShardEngine workers evict their own shards) — a driver sweep here
-    // would race them, so the driver only advances the clock.
-    if (table_->config().exclusive_shards) continue;
-    const TimeUs ttl = table_->min_idle_ttl_us();
-    if (ttl > 0 && elapsed >= next_evict) {
-      lock.unlock();  // sweeps take shard locks; don't hold ours across them
-      table_->evict_idle();
-      lock.lock();
-      next_evict = elapsed + std::max(ttl / 4, resolution_us_);
-    }
   }
 }
 

@@ -1,4 +1,5 @@
-// tokend's in-memory store: millions of token accounts behind striped locks.
+// tokend's in-memory store: millions of token accounts in hash-partitioned
+// shards, each with exactly one accessor at a time.
 //
 // The table maps (namespace, key) pairs to token accounts (paper Algorithm
 // 4, the balance arithmetic core::TokenAccount runs in the simulator).
@@ -12,17 +13,27 @@
 // accounts, which only under-grants (a re-created account restarts from the
 // initial balance), never over-grants.
 //
-// Keys are hash-partitioned over N shards (N rounded up to a power of two);
-// each shard owns its accounts behind its own mutex, so concurrent requests
-// for different shards never contend and a shard critical section is a
-// handful of arithmetic operations. A shard keeps its accounts in a flat
-// open-addressing store of one-cache-line slots (service/account_store.hpp);
-// the rare per-account extras — the §3.4 watchdog of sampled keys and the
-// debug auditor — live in per-shard side maps that a slot flag gates, so an
-// ordinary account costs its slot and nothing else. The namespace registry
-// is read-mostly (std::shared_mutex): a request resolves its namespace
+// Keys are hash-partitioned over N shards (N rounded up to a power of two).
+// The threading rule: every shard has exactly one accessor at a time —
+//   - its owner worker in a service::ShardEngine (shard s belongs to worker
+//     s mod workers), which is how every Server executes data ops;
+//   - a ShardEngine::quiesced() callback, which runs with every worker
+//     parked and so owns the whole table (stats sweeps, reconfiguration,
+//     handoff extraction, replica installs);
+//   - or the single thread that owns the table while no engine runs
+//     (preload, micro-benchmarks, unit tests).
+// No shard carries a lock, so concurrent direct calls are a data race.
+// Only the namespace registry (read-mostly, std::shared_mutex) and the
+// coarse clock (one atomic) are safe from any thread: an IO thread checks
+// has_namespace() while the workers run. A request resolves its namespace
 // exactly once — strategy, clock divisor Δ and capacity come out of that
-// one lookup — and then works lock-free against the resolved snapshot.
+// one lookup — and then works against the resolved snapshot.
+//
+// A shard keeps its accounts in a flat open-addressing store of
+// one-cache-line slots (service/account_store.hpp); the rare per-account
+// extras — the §3.4 watchdog of sampled keys and the debug auditor — live
+// in per-shard side maps that a slot flag gates, so an ordinary account
+// costs its slot and nothing else.
 //
 // Token granting is *lazy*, driven by a coarse shared clock instead of a
 // timer per account: every account remembers the tick index it last settled
@@ -35,7 +46,8 @@
 // the §3.4 burst bound intact (see DESIGN.md, "The tokend service layer").
 //
 // Accounts idle longer than their namespace's idle_ttl_us are evicted by
-// evict_idle() sweeps (the daemon's ClockDriver runs them periodically).
+// evict_idle_shard() sweeps, which each engine worker runs over its own
+// shards (evict_idle() sweeps them all, for a single-owner table).
 #pragma once
 
 #include <atomic>
@@ -70,7 +82,7 @@ inline constexpr NamespaceId kDefaultNamespace = 0;
 
 /// The service time source: microseconds since the table's epoch, advanced
 /// monotonically by one writer (the ClockDriver or a test) and read by
-/// every request thread. Deliberately coarse — accounts settle against the
+/// every shard accessor. Deliberately coarse — accounts settle against the
 /// tick index now_us()/Δ, so sub-period precision is never needed.
 class CoarseClock {
  public:
@@ -121,9 +133,10 @@ struct NamespaceConfig {
 /// knobs plus the default namespace's policy (kept as flat fields so
 /// pre-namespace call sites construct it unchanged).
 struct ServiceConfig {
-  /// Number of lock stripes; rounded up to a power of two. More shards
-  /// mean less contention but a bigger fixed footprint; 64-256 covers a
-  /// large multicore comfortably.
+  /// Number of shards; rounded up to a power of two. Shards are the unit
+  /// an engine worker owns, so more shards spread load more evenly over
+  /// the workers at a bigger fixed footprint; 64-256 covers a large
+  /// multicore comfortably.
   std::size_t shards = 64;
   /// Default namespace: token period Δ.
   TimeUs delta_us = 100'000;
@@ -139,13 +152,9 @@ struct ServiceConfig {
   Tokens max_catchup_ticks = 0;
   /// Default namespace: §3.4 audit switch (tests only).
   bool audit = false;
-  /// Shard-per-thread mode: every shard has exactly one accessor by
-  /// construction (its owner worker in a service::ShardEngine, or an admin
-  /// path running with all workers parked), so the per-shard mutex is
-  /// skipped entirely on the data path. The caller owns the discipline —
-  /// concurrent access to one shard in this mode is a data race. The
-  /// locked and exclusive modes execute the same code, so grant/audit
-  /// semantics are byte-identical.
+  /// Ignored: every table follows the one-accessor-per-shard rule (see
+  /// the file comment). Kept only so callers that still assign it keep
+  /// compiling.
   bool exclusive_shards = false;
 
   /// Online §3.4 invariant watchdog: audit 1-in-N keys with a bounded-ring
@@ -190,8 +199,8 @@ struct QueryResult {
   bool exists = false;  ///< false: no live account for the key (balance 0)
 };
 
-/// Service counters: kept per (shard, namespace) under the shard lock and
-/// summed into a snapshot by AccountTable::stats().
+/// Service counters: kept per (shard, namespace) by the shard's accessor
+/// and summed into a snapshot by AccountTable::stats().
 struct TableStats {
   std::uint64_t accounts = 0;           ///< live accounts right now
   std::uint64_t accounts_created = 0;
@@ -286,7 +295,7 @@ class AccountTable {
   std::optional<NamespaceInfo> namespace_info(NamespaceId ns) const;
 
   /// Smallest positive idle TTL over all namespaces (0 if eviction is
-  /// disabled everywhere). The ClockDriver derives its sweep cadence here.
+  /// disabled everywhere). Engine workers derive their sweep cadence here.
   TimeUs min_idle_ttl_us() const;
 
   // -------------------------------------------------------------- data ops
@@ -316,9 +325,9 @@ class AccountTable {
   QueryResult query(std::uint64_t key) { return query(kDefaultNamespace, key); }
   QueryResult query(NamespaceId ns, std::uint64_t key);
 
-  /// Executes `ops` (all against one namespace) with one lock acquisition
-  /// per touched shard instead of one per op; results are positionally
-  /// aligned with `ops`.
+  /// Executes `ops` (all against one namespace) grouped by shard, with one
+  /// clock read per touched shard instead of one per op; results are
+  /// positionally aligned with `ops`.
   std::vector<AcquireResult> acquire_batch(std::span<const AcquireOp> ops) {
     return acquire_batch(kDefaultNamespace, ops);
   }
@@ -329,17 +338,17 @@ class AccountTable {
   /// (namespaces with TTL 0 are skipped). An account still holding a
   /// nonzero banked balance gets a grace window: it is only evicted after
   /// 2x its TTL, so a refund for recently granted tokens is not silently
-  /// forfeited the instant the TTL elapses. Locks one shard at a time.
-  /// Returns the number evicted.
+  /// forfeited the instant the TTL elapses. Sweeps every shard, so the
+  /// caller must own the whole table. Returns the number evicted.
   std::size_t evict_idle();
 
   /// Sweeps exactly one shard (same TTL/grace rules as evict_idle). The
-  /// shard-per-thread engine's workers use this to evict their own shards
-  /// without touching anyone else's. Returns the number evicted.
+  /// engine's workers use this to evict their own shards without touching
+  /// anyone else's. Returns the number evicted.
   std::size_t evict_idle_shard(std::size_t shard_idx);
 
   /// The shard a (namespace, key) pair lives in — the routing function the
-  /// shard-per-thread engine uses to pick an owner worker. Stable for the
+  /// engine uses to pick an owner worker. Stable for the
   /// table's lifetime.
   std::size_t shard_of(NamespaceId ns, std::uint64_t key) const {
     return shard_index(ns, key);
@@ -352,7 +361,7 @@ class AccountTable {
   /// ships each export to the key's new owner). Once extracted the state
   /// exists only in the returned vector: if the transfer is lost the
   /// tokens are forfeited, never resurrected here — the rule that keeps
-  /// the §3.4 bound intact cluster-wide. Locks one shard at a time.
+  /// the §3.4 bound intact cluster-wide. Sweeps every shard.
   std::vector<AccountExport> extract_if(
       const std::function<bool(NamespaceId, std::uint64_t)>& should_extract);
 
@@ -385,9 +394,8 @@ class AccountTable {
   /// follower-acknowledged round watermark: an account whose previously
   /// sent floor is covered by it collapses its gate down to that floor
   /// before the new one is taken, which is what un-throttles bursts once
-  /// the stream catches up. Locking follows the table mode (no-op guard in
-  /// exclusive_shards — the calling worker must own the shard). Returns
-  /// the number of deltas appended.
+  /// the stream catches up. The caller must own the shard (an engine
+  /// worker drains its own shards). Returns the number of deltas appended.
   std::size_t drain_replica_dirty(std::size_t shard_idx, std::uint64_t seq,
                                   std::uint64_t acked_seq,
                                   std::vector<ReplicaDeltaExport>& out);
@@ -430,12 +438,9 @@ class AccountTable {
   /// under (Slot::ns, a raw pointer), so a reset cannot pull the strategy
   /// out from under an account of the previous policy. The registry owns
   /// the snapshot; configure_namespace keeps a replaced one alive until its
-  /// purge has swept every shard, and requests in flight hold their own
-  /// reference. `retired` is flipped when a reconfigure replaces this
-  /// snapshot: account *creation* re-resolves on seeing it, so a request
-  /// racing the reset can never insert a fresh account under the outgoing
-  /// policy after the purge swept its shard — which is also why no slot
-  /// can point at a snapshot once its purge is done.
+  /// purge has swept every shard, after which no slot points at it — the
+  /// caller owns the whole table, so no request can insert under the
+  /// outgoing policy in between.
   struct Namespace {
     NamespaceId id = 0;
     NamespaceConfig config;
@@ -443,7 +448,6 @@ class AccountTable {
     Tokens capacity = 0;       ///< effective balance cap
     Tokens bucket_cap = 0;     ///< tick_balance bucket cap (token bucket only)
     Tokens catchup_limit = 0;  ///< resolved max_catchup_ticks
-    mutable std::atomic<bool> retired{false};
   };
 
   struct AccountKey {
@@ -502,21 +506,19 @@ class AccountTable {
     }
   };
 
-  /// Padded to a cache line so neighbouring shards' mutexes don't false-
-  /// share under contention. Stats are broken out per namespace (with a
+  /// Padded to a cache line so neighbouring shards, owned by different
+  /// workers, don't false-share. Stats are broken out per namespace (with a
   /// one-slot cache so the hot path pays one hash lookup only on namespace
   /// switches); `stats.accounts` is unused per shard (the live count is
   /// accounts.size()).
   struct alignas(64) Shard {
-    mutable std::mutex mu;
     SlotStore<Slot, SlotTraits> accounts;
     util::Rng rng{0};
     std::unordered_map<NamespaceId, TableStats> stats;
     NamespaceId cached_ns = 0;
     TableStats* cached_stats = nullptr;
     /// Space-saving top-k over this shard's acquire traffic (folded
-    /// account ids), updated under the shard lock — a k-slot scan per
-    /// acquire.
+    /// account ids) — a k-slot scan per acquire.
     obs::SpaceSaving hot{8};
     /// Accounts touched since the last drain_replica_dirty() (replication
     /// only; each account appears at most once — kSlotReplDirty).
@@ -530,27 +532,6 @@ class AccountTable {
         watchdogs;
     std::unordered_map<AccountKey, core::RateLimitAuditor, AccountKeyHash>
         auditors;
-  };
-
-  /// Scoped shard access: takes the shard mutex in the default striped-
-  /// lock mode, and is a no-op in exclusive_shards mode (see
-  /// ServiceConfig::exclusive_shards — the caller guarantees single
-  /// accessor per shard there). Every shard touch goes through this guard,
-  /// so both modes run the exact same data-path code.
-  class ShardGuard {
-   public:
-    ShardGuard(const AccountTable& table, const Shard& shard)
-        : mu_(table.config_.exclusive_shards ? nullptr : &shard.mu) {
-      if (mu_ != nullptr) mu_->lock();
-    }
-    ~ShardGuard() {
-      if (mu_ != nullptr) mu_->unlock();
-    }
-    ShardGuard(const ShardGuard&) = delete;
-    ShardGuard& operator=(const ShardGuard&) = delete;
-
-   private:
-    std::mutex* mu_;
   };
 
   /// Builds and validates the runtime namespace object (throws
@@ -576,10 +557,8 @@ class AccountTable {
   Slot& create_account(Shard& shard, const Namespace& ns, std::uint64_t hash,
                        std::uint64_t key, Tokens balance, std::int64_t tick,
                        TimeUs now);
-  Slot& find_or_create(Shard& shard,
-                       const std::shared_ptr<const Namespace>& ns,
-                       std::uint64_t hash, std::uint64_t key,
-                       std::int64_t tick, TimeUs now);
+  Slot& find_or_create(Shard& shard, const Namespace& ns, std::uint64_t hash,
+                       std::uint64_t key, std::int64_t tick, TimeUs now);
   /// The table's one erase path: removes every account of `shard` for which
   /// `pred(slot)` holds, dropping its side-map entries with it, and returns
   /// how many went.
@@ -588,12 +567,11 @@ class AccountTable {
   /// Replays elapsed ticks up to the cap (tick index derived from the
   /// account's own namespace Δ); updates last_tick/last_access.
   static void settle(Shard& shard, Slot& slot, TimeUs now);
-  AcquireResult acquire_locked(Shard& shard,
-                               const std::shared_ptr<const Namespace>& ns,
-                               std::uint64_t hash, std::uint64_t key, Tokens n,
-                               std::int64_t tick, TimeUs now);
+  AcquireResult acquire_in_shard(Shard& shard, const Namespace& ns,
+                                 std::uint64_t hash, std::uint64_t key,
+                                 Tokens n, std::int64_t tick, TimeUs now);
   /// Queues the account for the next replica drain (no-op when replication
-  /// is off or it is already queued). Caller holds the shard.
+  /// is off or it is already queued).
   void mark_repl_dirty(Shard& shard, Slot& slot);
   /// Drops every account of `ns` (reset on reconfigure).
   void purge_namespace(NamespaceId ns);
@@ -610,9 +588,9 @@ class AccountTable {
 };
 
 /// Wall-clock driver for a live tokend: a background thread that advances
-/// the table's CoarseClock to the elapsed wall time every `resolution_us`
-/// and runs idle-account eviction sweeps every min-TTL/4 (re-checked every
-/// tick, so namespaces configured at runtime get their sweeps too).
+/// the table's CoarseClock to the elapsed wall time every `resolution_us`.
+/// It never touches a shard — idle-account eviction is the shard owners'
+/// job (each ShardEngine worker sweeps its own shards).
 class ClockDriver {
  public:
   explicit ClockDriver(AccountTable& table, TimeUs resolution_us = 1'000);

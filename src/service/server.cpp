@@ -60,10 +60,11 @@ Server::Server(AccountTable& table, runtime::Transport& transport,
       registry_(options.registry),
       admission_(options.admission),
       timed_(options.registry != nullptr || options.admission.enabled) {
-  if (engine_ != nullptr) {
-    TOKA_CHECK_MSG(&engine_->table() == table_,
-                   "ServerOptions::engine must run on the server's table");
-  }
+  TOKA_CHECK_MSG(options.engine != nullptr,
+                 "ServerOptions::engine is required: the server executes "
+                 "data ops on a ShardEngine");
+  TOKA_CHECK_MSG(&engine_->table() == table_,
+                 "ServerOptions::engine must run on the server's table");
   if (registry_) register_metrics();
   transport_->set_handler([this](NodeId from, std::vector<std::byte> payload) {
     on_frame(from, std::move(payload));
@@ -72,11 +73,11 @@ Server::Server(AccountTable& table, runtime::Transport& transport,
 
 Server::~Server() {
   // Quiesce first: once the handler is detached no request thread can
-  // still be recording into the histogram the unregistration frees. With
-  // an engine attached, also wait out queued ops — their completions send
-  // through transport_ and record into latency_.
+  // still be recording into the histogram the unregistration frees. Then
+  // wait out queued ops — their completions send through transport_ and
+  // record into latency_.
   transport_->set_handler({});
-  if (engine_ != nullptr) engine_->drain();
+  engine_->drain();
   if (registry_) {
     for (const std::string& name : metric_names_) registry_->remove(name);
   }
@@ -116,9 +117,8 @@ void Server::register_metrics() {
   });
   registry_->gauge(add("tokend_service_time_ewma_us"),
                    [this] { return admission_.ewma_service_us(); });
-  // Table counters come from one stats() sweep per metric read (quiesced
-  // when a shard engine owns the table); scrapes are rare enough that the
-  // simplicity wins.
+  // Table counters come from one quiesced stats() sweep per metric read;
+  // scrapes are rare enough that the simplicity wins.
   registry_->counter_fn(add("tokend_acquires"), [this] {
     return static_cast<double>(swept_stats().acquires);
   });
@@ -153,22 +153,16 @@ void Server::register_metrics() {
 }
 
 TableStats Server::swept_stats() const {
-  if (engine_ != nullptr)
-    return engine_->quiesced([this] { return table_->stats(); });
-  return table_->stats();
+  return engine_->quiesced([this] { return table_->stats(); });
 }
 
 std::size_t Server::swept_account_count() const {
-  if (engine_ != nullptr)
-    return engine_->quiesced([this] { return table_->account_count(); });
-  return table_->account_count();
+  return engine_->quiesced([this] { return table_->account_count(); });
 }
 
 std::vector<AccountTable::HotKey> Server::swept_hot_keys(
     std::size_t n) const {
-  if (engine_ != nullptr)
-    return engine_->quiesced([this, n] { return table_->hot_keys(n); });
-  return table_->hot_keys(n);
+  return engine_->quiesced([this, n] { return table_->hot_keys(n); });
 }
 
 std::int64_t Server::batch_hint() const {
@@ -265,57 +259,23 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
     return;
   }
 
-  // Shard-per-thread plane: hand the decoded op to its owner worker and
-  // return — the reply is sent from the worker's completion. Admin,
-  // cluster and stats requests stay on this thread (they quiesce the
-  // engine where they sweep the table).
-  if (engine_ != nullptr && is_data_op) {
+  // Data ops go to their shard's owner worker; the reply is sent from the
+  // worker's completion. Admin, cluster and stats requests stay on this
+  // thread (they quiesce the engine where they touch the table).
+  if (is_data_op) {
     dispatch_engine(from, std::move(request), version, t0, trace);
     return;
   }
 
-  // Inline (striped-lock) execution: the trace's execute span covers the
-  // table call on this thread; there is no queue-wait or cork stage here.
-  obs::Decision inline_decision = obs::Decision::kNone;
-  const std::int64_t t_exec = tracer_ != nullptr && trace.traced
-                                  ? obs::Tracer::now_us()
-                                  : 0;
   proto::Response response = std::visit(
       Overloaded{
-          [&](const proto::AcquireRequest& r) -> proto::Response {
-            const AcquireResult res = table_->acquire(r.ns, r.key, r.tokens);
-            inline_decision = res.granted == 0 && r.tokens > 0
-                                  ? obs::Decision::kDenied
-                                  : (res.fresh ? obs::Decision::kFresh
-                                               : obs::Decision::kBank);
-            return proto::AcquireResponse{r.id, res.granted, res.balance};
-          },
-          [&](const proto::RefundRequest& r) -> proto::Response {
-            const RefundResult res = table_->refund(r.ns, r.key, r.tokens);
-            inline_decision = obs::Decision::kRefund;
-            return proto::RefundResponse{r.id, res.accepted, res.balance};
-          },
-          [&](const proto::QueryRequest& r) -> proto::Response {
-            const QueryResult res = table_->query(r.ns, r.key);
-            return proto::QueryResponse{r.id, res.balance, res.exists};
-          },
-          [&](const proto::BatchAcquireRequest& r) -> proto::Response {
-            proto::BatchAcquireResponse resp;
-            resp.id = r.id;
-            resp.results = table_->acquire_batch(r.ns, r.ops);
-            return resp;
-          },
           [&](const proto::ConfigureNamespaceRequest& r) -> proto::Response {
             try {
               // Reconfiguring can purge the namespace's accounts — a
-              // whole-table sweep, so it quiesces the engine when one owns
-              // the shards.
-              const bool created =
-                  engine_ != nullptr
-                      ? engine_->quiesced([&] {
-                          return table_->configure_namespace(r.ns, r.config);
-                        })
-                      : table_->configure_namespace(r.ns, r.config);
+              // whole-table sweep, so it runs with the workers parked.
+              const bool created = engine_->quiesced([&] {
+                return table_->configure_namespace(r.ns, r.config);
+              });
               return proto::ConfigureNamespaceResponse{
                   r.id, created, table_->capacity_bound(r.ns)};
             } catch (const util::InvariantError&) {
@@ -326,11 +286,8 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
           [&](const proto::NamespaceInfoRequest& r) -> proto::Response {
             proto::NamespaceInfoResponse resp;
             resp.id = r.id;
-            const auto info =
-                engine_ != nullptr
-                    ? engine_->quiesced(
-                          [&] { return table_->namespace_info(r.ns); })
-                    : table_->namespace_info(r.ns);
+            const auto info = engine_->quiesced(
+                [&] { return table_->namespace_info(r.ns); });
             if (info) {
               resp.exists = true;
               resp.config = info->config;
@@ -342,23 +299,9 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
           // Cluster vocabulary on a standalone server: answered with a
           // typed error so a misconfigured cluster client fails fast
           // instead of timing out (the ClusterServer wrapper intercepts
-          // these before they ever reach this table server).
-          [&](const proto::ClusterMapRequest& r) -> proto::Response {
-            return proto::ErrorResponse{r.id, proto::ErrorCode::kUnsupported};
-          },
-          [&](const proto::ApplyMapRequest& r) -> proto::Response {
-            return proto::ErrorResponse{r.id, proto::ErrorCode::kUnsupported};
-          },
-          [&](const proto::HandoffRequest& r) -> proto::Response {
-            return proto::ErrorResponse{r.id, proto::ErrorCode::kUnsupported};
-          },
-          [&](const proto::ReplicateRequest& r) -> proto::Response {
-            return proto::ErrorResponse{r.id, proto::ErrorCode::kUnsupported};
-          },
-          [&](const proto::ReplicaAckRequest& r) -> proto::Response {
-            return proto::ErrorResponse{r.id, proto::ErrorCode::kUnsupported};
-          },
-          [&](const proto::PromoteRequest& r) -> proto::Response {
+          // these before they ever reach this table server). Data ops
+          // never get here: they went to the engine above.
+          [&](const auto& r) -> proto::Response {
             return proto::ErrorResponse{r.id, proto::ErrorCode::kUnsupported};
           },
           [&](const proto::StatsRequest& r) -> proto::Response {
@@ -434,26 +377,6 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
   transport_->send(from, proto::encode(response, is_error
                                                      ? proto::kProtocolVersion
                                                      : version));
-  if (tracer_ != nullptr && trace.traced && is_data_op) {
-    const std::uint64_t key = std::visit(
-        [](const auto& r) -> std::uint64_t {
-          if constexpr (requires { r.key; }) return r.key;
-          return 0;  // batch acquires span many keys
-        },
-        request);
-    tracer_->record(obs::Stage::kDecode, obs::Decision::kNone, trace.trace_id,
-                    key, proto::namespace_of(request), tracer_us(t0),
-                    t_exec - tracer_us(t0), trace.sampled);
-    tracer_->record(obs::Stage::kExecute,
-                    is_error ? obs::Decision::kError : inline_decision,
-                    trace.trace_id, key, proto::namespace_of(request), t_exec,
-                    obs::Tracer::now_us() - t_exec, trace.sampled);
-  }
-  if (timed_ && is_data_op) {
-    const double us = elapsed_us(t0);
-    if (latency_) latency_->observe(us);
-    if (admission_.enabled()) admission_.record_service_time_us(us);
-  }
 }
 
 void Server::dispatch_engine(NodeId from, protocol::Request&& request,

@@ -1,13 +1,15 @@
 // tokend's request loop: an AccountTable exposed over a runtime::Transport.
 //
 // The server installs itself as the transport's receive handler; each
-// incoming frame is decoded, executed against the table and answered to
-// the sender — in the protocol version the request used, so v1 clients
-// interoperate with the v2 server unchanged. Handlers run on transport-
-// owned threads (one per TCP connection, the dispatcher for the in-process
-// fabric) — the table's shard locks make concurrent execution safe, so the
-// same server runs in-process for tests and as the real tokend daemon over
-// runtime::Tcp.
+// incoming frame is decoded on the transport-owned thread that read it (an
+// event loop, a TCP connection thread, the in-process dispatcher). Data ops
+// are posted to the ShardEngine worker that owns their shard, which
+// executes them and sends the reply from its completion — in the protocol
+// version the request used, so v1 clients interoperate with the v2 server
+// unchanged. Admin, stats and trace requests are answered on the receiving
+// thread, quiescing the engine where they touch the table. The same server
+// runs in-process for tests and as the real tokend daemon over a socket
+// mesh.
 //
 // Failure taxonomy (protocol v2):
 //   - requests_served: executed and answered with a success response;
@@ -56,19 +58,18 @@ struct ServerOptions {
   obs::Registry* registry = nullptr;
   /// Overload valve; disabled by default (never sheds).
   obs::AdmissionConfig admission{};
-  /// Shard-per-thread dispatch: when set (the engine must run on the same
-  /// table, built with exclusive_shards), data ops are posted to the
-  /// owning shard worker instead of executed under the striped lock; the
-  /// reply is encoded and sent from the worker's completion, where the
-  /// event loop's cork batches it. A full owner queue sheds the op with a
-  /// typed kOverloaded. Admin requests and table-sweeping gauges run under
-  /// the engine's quiesce. Must outlive the server.
+  /// Required: the engine that executes the server's data ops. It must run
+  /// on the server's table and outlive the server. Data ops are posted to
+  /// the owning shard worker; the reply is encoded and sent from the
+  /// worker's completion, where the event loop's cork batches it. A full
+  /// owner queue sheds the op with a typed kOverloaded. Admin requests and
+  /// table-sweeping gauges run under the engine's quiesce.
   ShardEngine* engine = nullptr;
   /// Flight recorder: requests carrying a trace context get decode, shed
-  /// and reply-cork spans recorded here (and, with `engine` also set, the
-  /// engine's queue-wait/execute spans — give both the same tracer). The
-  /// server answers protocol kTraces requests from it. Must outlive the
-  /// server.
+  /// and reply-cork spans recorded here (the engine records queue-wait and
+  /// execute spans into its own ShardEngineOptions::tracer — give both the
+  /// same tracer). The server answers protocol kTraces requests from it.
+  /// Must outlive the server.
   obs::Tracer* tracer = nullptr;
   /// Stamped into exported trace spans so a cluster-wide trace shows which
   /// node recorded each one (kNoNode = standalone).
@@ -78,19 +79,13 @@ struct ServerOptions {
   /// wait for follower acks. 0 = auto, half the namespace capacity. Smaller
   /// = tighter crash-forfeit bound, earlier burst throttling.
   Tokens replication_headroom = 0;
-  /// Cluster replication only, locked plane only: flush replica deltas to
-  /// followers every N owned data ops instead of after every request (the
-  /// engine plane always flushes at worker drain boundaries). Coalescing
-  /// keeps the delta stream off the per-request frame path; everything
-  /// deferred is replication lag a failover may forfeit. 1 = flush per
-  /// request (the tight-bound setting the churn tests pin).
-  std::uint32_t replication_flush_ops = 32;
 };
 
 class Server {
  public:
-  /// Installs the request handler on `transport`. The table and the
-  /// transport (and options.registry, if set) must outlive the server.
+  /// Installs the request handler on `transport`. The table, the transport
+  /// and options.engine (and options.registry, if set) must outlive the
+  /// server. Throws util::InvariantError without an engine on `table`.
   explicit Server(AccountTable& table, runtime::Transport& transport,
                   ServerOptions options = {});
 
@@ -120,8 +115,8 @@ class Server {
     return malformed_.load(std::memory_order_relaxed);
   }
 
-  /// Data ops answered kOverloaded: shed by the admission bucket, or (in
-  /// engine mode) bounced off a full shard-owner queue.
+  /// Data ops answered kOverloaded: shed by the admission bucket, or
+  /// bounced off a full shard-owner queue.
   std::uint64_t requests_shed() const {
     return shed_.load(std::memory_order_relaxed);
   }
@@ -130,7 +125,7 @@ class Server {
 
   /// Server-side batching hint derived from the hot-key sketch: when one
   /// account dominates the acquire traffic, clients gain by batching ops
-  /// per frame (one decode + one shard lock amortized over the batch).
+  /// per frame (one decode + one queue hand-off amortized over the batch).
   /// 1 = no skew worth batching for; grows toward 64 with the top
   /// account's traffic share. Exported as the tokend_batch_hint gauge.
   std::int64_t batch_hint() const;
@@ -160,15 +155,15 @@ class Server {
   void register_metrics();
 
   // Table sweeps (stats, account counts, the hot-key sketch) iterate every
-  // shard; with an engine attached they run under its quiesce so the sweep
-  // never races a shard owner.
+  // shard, so they run under the engine's quiesce and never race a shard
+  // owner.
   TableStats swept_stats() const;
   std::size_t swept_account_count() const;
   std::vector<AccountTable::HotKey> swept_hot_keys(std::size_t n) const;
 
   AccountTable* table_;
   runtime::Transport* transport_;
-  ShardEngine* engine_ = nullptr;
+  ShardEngine* engine_;
   obs::Tracer* tracer_ = nullptr;
   NodeId node_ = kNoNode;
   obs::Registry* registry_;

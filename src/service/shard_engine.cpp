@@ -22,10 +22,6 @@ ShardEngine::ShardEngine(AccountTable& table, ShardEngineOptions options)
       registry_(options.registry),
       tracer_(options.tracer),
       on_drain_(std::move(options.on_drain)) {
-  TOKA_CHECK_MSG(table.config().exclusive_shards,
-                 "ShardEngine requires a table built with "
-                 "ServiceConfig::exclusive_shards (the engine owns the "
-                 "shards; striped locks would be dead weight)");
   std::size_t workers = options.workers;
   if (workers == 0) {
     workers = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);

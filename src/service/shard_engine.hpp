@@ -1,21 +1,20 @@
-// The shard-per-thread data plane: worker threads that own AccountTable
-// shards outright, fed decoded ops through bounded MPSC queues.
+// The data plane: worker threads that own AccountTable shards outright, fed
+// decoded ops through bounded MPSC queues. Every Server and ClusterServer
+// executes its data ops here.
 //
-// In the striped-lock plane every request thread locks its way into the
-// table; here the relationship is inverted: shard s belongs to worker
-// (s mod workers), nobody else touches it, and the table runs in
-// exclusive_shards mode (ServiceConfig::exclusive_shards — the per-shard
-// mutex compiles down to a no-op guard). IO threads decode a request into a
-// ShardOp, post it to the owner's queue and move on; the worker drains its
-// queue in batches, coalesces consecutive acquires into one vectorized
-// acquire_batch call (the coarse clock is read once per shard visit and the
-// whole run settles against that read), executes, and fires each op's
-// completion callback — which, on the server, encodes and sends the reply
-// from the worker thread, where the event loop's reply corking batches it.
+// Shard s belongs to worker (s mod workers) and nobody else touches it —
+// the table's one-accessor-per-shard rule (see account_table.hpp), so no
+// shard needs a lock. IO threads decode a request into a ShardOp, post it
+// to the owner's queue and move on; the worker drains its queue in batches,
+// coalesces consecutive acquires into one vectorized acquire_batch call
+// (the coarse clock is read once per shard visit and the whole run settles
+// against that read), executes, and fires each op's completion callback —
+// which, on the server, encodes and sends the reply from the worker thread,
+// where the event loop's reply corking batches it.
 //
-// Because the worker replays exactly the code the locked table runs (the
-// ShardGuard is the only difference), grant decisions, RNG draws, stats and
-// §3.4 audit traces are byte-identical between the two planes.
+// A worker runs the same table calls a single-threaded caller makes, so
+// grant decisions, RNG draws, stats and §3.4 audit traces equal those of
+// the same op order replayed directly on a table.
 //
 // Admin operations (stats sweeps, namespace reconfiguration, handoff
 // extraction...) need the whole table at once. They run under quiesced():
@@ -133,8 +132,7 @@ struct ShardEngineOptions {
 
 class ShardEngine {
  public:
-  /// The table must be built with ServiceConfig::exclusive_shards = true
-  /// and must not be touched directly while the engine runs (use
+  /// The table must not be touched directly while the engine runs (use
   /// quiesced() for admin sweeps). Starts the workers immediately.
   explicit ShardEngine(AccountTable& table, ShardEngineOptions options = {});
 
@@ -180,9 +178,9 @@ class ShardEngine {
 
   /// Runs `fn` with every worker parked at a drain boundary: the table is
   /// exclusively owned for the duration, so whole-table admin sweeps
-  /// (stats, configure_namespace, extract_if, audits...) are safe in
-  /// exclusive_shards mode. Serialized across callers; returns fn's
-  /// result. Must not be called from a worker completion (checked).
+  /// (stats, configure_namespace, extract_if, audits...) are safe.
+  /// Serialized across callers; returns fn's result. Must not be called
+  /// from a worker completion (checked).
   template <typename F>
   decltype(auto) quiesced(F&& fn) {
     QuiesceScope scope(*this);

@@ -1,8 +1,8 @@
 // Bounded multi-producer / single-consumer op queue: the hand-off primitive
-// of the shard-per-thread data plane (see DESIGN.md, "Shard-per-thread data
-// plane"). IO threads decode requests and push ops; exactly one shard worker
-// pops them — in FIFO order per producer — and executes them against the
-// shards it owns, so account state needs no lock at all.
+// of the data plane (see DESIGN.md, "The data plane"). IO threads decode
+// requests and push ops; exactly one shard worker pops them — in FIFO order
+// per producer — and executes them against the shards it owns, so account
+// state needs no lock at all.
 //
 // The ring is the classic bounded MPMC design (per-cell sequence numbers,
 // a CAS on the tail per push) restricted to one consumer, which lets the

@@ -20,6 +20,7 @@
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "service/shard_engine.hpp"
 #include "util/error.hpp"
 
 namespace toka::cluster {
@@ -305,10 +306,13 @@ TEST(TableHandoff, InstallCreatesSettledAndNeverDuplicates) {
 
 struct Node {
   service::AccountTable table;
+  service::ShardEngine engine;
   ClusterServer server;
   Node(const service::ServiceConfig& cfg, runtime::Transport& transport,
        const ClusterMap& map)
-      : table(cfg), server(table, transport, map) {}
+      : table(cfg),
+        engine(table),
+        server(table, transport, map, {.engine = &engine}) {}
 };
 
 TEST(ClusterServer, ServesOwnedKeysAndRedirectsForeignOnes) {
@@ -346,8 +350,9 @@ TEST(ClusterServer, ServesOwnedKeysAndRedirectsForeignOnes) {
 
 TEST(ClusterServer, PlainServerAnswersClusterOpsUnsupported) {
   service::AccountTable table(node_config(2, 8, 1000));
+  service::ShardEngine engine(table);
   runtime::InProcNetwork net(2);
-  service::Server server(table, net.endpoint(0));
+  service::Server server(table, net.endpoint(0), {.engine = &engine});
   service::Client client(net.endpoint(1), 0);
   net.start();
   try {
@@ -370,14 +375,17 @@ TEST(ClusterServer, ApplyMapHandsAccountsOffWithoutDuplication) {
 
   // Bank tokens on node 0 for a spread of keys (it owns everything).
   std::map<std::uint64_t, Tokens> banked;
-  for (std::uint64_t key = 0; key < 64; ++key) node0.table.acquire(key, 0);
-  node0.table.clock().advance(50'000);
   Tokens total_banked = 0;
-  for (std::uint64_t key = 0; key < 64; ++key) {
-    banked[key] = node0.table.query(key).balance;  // query settles the ticks
-    total_banked += banked[key];
-  }
-  ASSERT_EQ(node0.table.account_count(), 64u);
+  node0.engine.quiesced([&] {
+    for (std::uint64_t key = 0; key < 64; ++key) node0.table.acquire(key, 0);
+    node0.table.clock().advance(50'000);
+    for (std::uint64_t key = 0; key < 64; ++key) {
+      banked[key] = node0.table.query(key).balance;  // query settles ticks
+      total_banked += banked[key];
+    }
+  });
+  ASSERT_EQ(node0.engine.quiesced([&] { return node0.table.account_count(); }),
+            64u);
   ASSERT_GT(total_banked, 0);
 
   // Stale map is refused.
@@ -394,14 +402,17 @@ TEST(ClusterServer, ApplyMapHandsAccountsOffWithoutDuplication) {
   ASSERT_TRUE(eventually([&] {
     return node1.server.handoffs_installed() == outcome.handoffs;
   }));
+  // A key's balance on `node`, or -1 where it has no live account.
+  const auto balance_on = [](Node& node, std::uint64_t key) {
+    return node.engine.quiesced([&] {
+      const service::QueryResult q = node.table.query(key);
+      return q.exists ? q.balance : Tokens{-1};
+    });
+  };
   for (const auto& [key, balance] : banked) {
     const NodeId owner = ring.owner(service::kDefaultNamespace, key);
-    const Tokens on0 = node0.table.query(key).exists
-                           ? node0.table.query(key).balance
-                           : -1;
-    const Tokens on1 = node1.table.query(key).exists
-                           ? node1.table.query(key).balance
-                           : -1;
+    const Tokens on0 = balance_on(node0, key);
+    const Tokens on1 = balance_on(node1, key);
     if (owner == 0) {
       EXPECT_GE(on0, balance) << "key " << key;  // stayed (and may earn)
       EXPECT_EQ(on1, -1) << "key " << key;
@@ -429,8 +440,12 @@ TEST(ClusterServer, HandoffIntoLiveAccountIsDropped) {
 
   const std::uint64_t key = key_owned_by(ring, 1);
   node1.table.clock().advance(3000);
-  node1.table.acquire(key, 0);
-  const Tokens before = node1.table.query(key).balance;
+  const auto balance = [&](std::uint64_t k) {
+    return node1.engine.quiesced(
+        [&] { return node1.table.query(k).balance; });
+  };
+  node1.engine.quiesced([&] { node1.table.acquire(key, 0); });
+  const Tokens before = balance(key);
 
   // A duplicate handoff arrives (e.g. replayed): it must not add tokens.
   runtime::Transport& rogue = net.endpoint(2);
@@ -438,7 +453,7 @@ TEST(ClusterServer, HandoffIntoLiveAccountIsDropped) {
   ASSERT_TRUE(
       eventually([&] { return node1.server.handoffs_received() == 1; }));
   EXPECT_EQ(node1.server.handoffs_installed(), 0u);
-  EXPECT_EQ(node1.table.query(key).balance, before);
+  EXPECT_EQ(balance(key), before);
 
   // And a handoff for a key this node does not own is dropped too.
   const std::uint64_t foreign = key_owned_by(ring, 0);
@@ -446,7 +461,8 @@ TEST(ClusterServer, HandoffIntoLiveAccountIsDropped) {
   ASSERT_TRUE(
       eventually([&] { return node1.server.handoffs_received() == 2; }));
   EXPECT_EQ(node1.server.handoffs_installed(), 0u);
-  EXPECT_FALSE(node1.table.query(foreign).exists);
+  EXPECT_FALSE(
+      node1.engine.quiesced([&] { return node1.table.query(foreign).exists; }));
   net.stop();
 }
 
@@ -457,11 +473,14 @@ TEST(ClusterServer, ReplicatesDeltasAndPromotesAtTheFloor) {
   runtime::InProcNetwork net(4);
   service::AccountTable table0(node_config(2, 8, 1000));
   service::AccountTable table1(node_config(2, 8, 1000));
+  service::ShardEngine engine0(table0);
+  service::ShardEngine engine1(table1);
   service::ServerOptions opts;
   opts.replication_headroom = 2;
-  opts.replication_flush_ops = 1;  // flush after every request
+  opts.engine = &engine0;
   auto node0 = std::make_unique<ClusterServer>(table0, net.endpoint(0), map,
                                                opts);
+  opts.engine = &engine1;
   ClusterServer node1(table1, net.endpoint(1), map, opts);
   service::Client to_node0(net.endpoint(2), 0);
   net.start();
@@ -471,9 +490,11 @@ TEST(ClusterServer, ReplicatesDeltasAndPromotesAtTheFloor) {
   table0.clock().advance(50'000);  // bank tokens
   EXPECT_EQ(to_node0.acquire(key, 1).granted, 1);
 
-  // The request flush streamed the account to its follower, which acked.
+  // Each request's drain-boundary flush streamed the account to its
+  // follower (one frame per request), which acked both.
   ASSERT_TRUE(eventually([&] {
     return node1.replication().replica_accounts() == 1 &&
+           node0->replication().deltas_sent() >= 2 &&
            node0->replication().lag_rounds() == 0;
   }));
   EXPECT_GT(node0->replication().deltas_sent(), 0u);
@@ -482,7 +503,8 @@ TEST(ClusterServer, ReplicatesDeltasAndPromotesAtTheFloor) {
 
   // Kill the primary (its transport handler detaches — frames to it are
   // dropped from here on), then fail over.
-  const Tokens balance = table0.query(key).balance;
+  const Tokens balance =
+      engine0.quiesced([&] { return table0.query(key).balance; });
   ASSERT_GT(balance, 2);
   node0.reset();
 
@@ -496,8 +518,10 @@ TEST(ClusterServer, ReplicatesDeltasAndPromotesAtTheFloor) {
   EXPECT_EQ(out.forfeited, balance - floor);
   EXPECT_EQ(node1.tokens_forfeited(), balance - floor);
   EXPECT_EQ(node1.promotions(), 1u);
-  ASSERT_TRUE(table1.query(key).exists);
-  EXPECT_EQ(table1.query(key).balance, floor);
+  const service::QueryResult installed =
+      engine1.quiesced([&] { return table1.query(key); });
+  ASSERT_TRUE(installed.exists);
+  EXPECT_EQ(installed.balance, floor);
   EXPECT_FALSE(node1.map().contains(0));
   EXPECT_EQ(node1.map_epoch(), 2u);
   EXPECT_EQ(node1.replication().replica_accounts(), 0u);  // consumed
@@ -572,9 +596,10 @@ TEST(ClusterClient, RoutesAcrossNodesAndFansBatchesOut) {
   const HashRing ring(map);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const NodeId owner = ring.owner(service::kDefaultNamespace, ops[i].key);
-    EXPECT_EQ(results[i].balance,
-              nodes[owner]->table.query(ops[i].key).balance)
-        << "op " << i;
+    Node& node = *nodes[owner];
+    const Tokens held = node.engine.quiesced(
+        [&] { return node.table.query(ops[i].key).balance; });
+    EXPECT_EQ(results[i].balance, held) << "op " << i;
   }
   net.stop();
 }

@@ -17,9 +17,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <memory>
+#include <optional>
 #include <semaphore>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,6 +33,7 @@
 #include "runtime/inproc.hpp"
 #include "runtime/tcp.hpp"
 #include "service/account_table.hpp"
+#include "service/shard_engine.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
 
@@ -55,27 +57,38 @@ service::ServiceConfig churn_config() {
   return cfg;
 }
 
-/// One cluster node: table + wall clock + (killable) server.
+/// One cluster node: table + wall clock + shard engine + (killable)
+/// server.
 struct ChurnNode {
   service::AccountTable table;
   service::ClockDriver driver;
+  service::ShardEngine engine;
   std::unique_ptr<ClusterServer> server;
 
   ChurnNode(runtime::Transport& transport, const ClusterMap& map,
-            const service::ServerOptions& options = {})
-      : table(churn_config()), driver(table, 1000) {
+            service::ServerOptions options = {})
+      : table(churn_config()), driver(table, 1000), engine(table) {
     driver.start();
+    options.engine = &engine;
     server = std::make_unique<ClusterServer>(table, transport, map, options);
   }
   void kill() { server.reset(); }  // table survives for the post-mortem
+
+  /// The node's own table-side §3.4 audit, read with the workers parked.
+  std::optional<std::string> audit_violation() {
+    return engine.quiesced([&] { return table.audit_violation(); });
+  }
 };
 
-/// (key, completion time, tokens granted) — the client-side grant trace.
-struct GrantEvent {
-  std::uint64_t key;
-  TimeUs at_us;
-  Tokens granted;
-};
+/// Every granted acquire the clients completed, merged: the input of the
+/// cluster-wide per-key §3.4 replay.
+std::vector<core::KeyedGrant> merged(
+    const std::vector<std::vector<core::KeyedGrant>>& traces) {
+  std::vector<core::KeyedGrant> all;
+  for (const auto& trace : traces)
+    all.insert(all.end(), trace.begin(), trace.end());
+  return all;
+}
 
 TEST(ClusterChurn, KillAndJoinUnderZipfLoadHoldsTheBurstBound) {
   constexpr std::size_t kWorkers = 4;
@@ -110,7 +123,7 @@ TEST(ClusterChurn, KillAndJoinUnderZipfLoadHoldsTheBurstBound) {
         .count();
   };
 
-  std::vector<std::vector<GrantEvent>> traces(kWorkers);
+  std::vector<std::vector<core::KeyedGrant>> traces(kWorkers);
   std::vector<std::uint64_t> errors(kWorkers, 0);
   std::atomic<std::uint64_t> redirects{0}, io_retries{0};
   std::vector<std::thread> workers;
@@ -125,7 +138,7 @@ TEST(ClusterChurn, KillAndJoinUnderZipfLoadHoldsTheBurstBound) {
           const service::AcquireResult res =
               client.acquire(service::kDefaultNamespace, key, 1);
           if (res.granted > 0)
-            traces[w].push_back(GrantEvent{key, now_us(), res.granted});
+            traces[w].push_back(core::KeyedGrant{key, now_us(), res.granted});
         } catch (const std::exception&) {
           ++errors[w];
         }
@@ -170,37 +183,20 @@ TEST(ClusterChurn, KillAndJoinUnderZipfLoadHoldsTheBurstBound) {
 
   // 3. Per-node §3.4 audits — the killed node's table included.
   for (std::size_t n = 0; n < nodes.size(); ++n)
-    EXPECT_EQ(nodes[n]->table.audit_violation(), std::nullopt) << "node " << n;
+    EXPECT_EQ(nodes[n]->audit_violation(), std::nullopt) << "node " << n;
 
-  // 4. The cluster-wide per-key burst bound, over the client-side trace of
+  // 4. The cluster-wide per-key burst bound and whole-run conservation
+  //    (initial_tokens = 0: every granted token was earned by a tick inside
+  //    the run, wherever the account lived), over the client-side trace of
   //    every completed acquire. Capacity gets +1 slack: completion
   //    timestamps can compress a window by a scheduling delay, which is
   //    worth at most one tick — while a duplicated handoff would inject up
   //    to C=8 extra grants into a hot key's trace and still be caught.
-  std::vector<GrantEvent> all;
-  for (const auto& trace : traces)
-    all.insert(all.end(), trace.begin(), trace.end());
+  const std::vector<core::KeyedGrant> all = merged(traces);
   ASSERT_FALSE(all.empty());
-  std::sort(all.begin(), all.end(),
-            [](const GrantEvent& a, const GrantEvent& b) {
-              return a.at_us < b.at_us;
-            });
-  std::map<std::uint64_t, core::RateLimitAuditor> audits;
-  std::map<std::uint64_t, Tokens> totals;
-  for (const GrantEvent& event : all) {
-    auto [it, created] =
-        audits.try_emplace(event.key, kDelta, kC + 1);
-    for (Tokens i = 0; i < event.granted; ++i) it->second.record(event.at_us);
-    totals[event.key] += event.granted;
-  }
-  for (auto& [key, audit] : audits) {
-    const auto violation = audit.first_violation();
-    ASSERT_FALSE(violation.has_value())
-        << "key " << key << ": " << violation->describe();
-    // Whole-run conservation: with initial_tokens = 0 every granted token
-    // was earned by a tick inside the run, wherever the account lived.
-    EXPECT_LE(totals[key], run_us / kDelta + 1 + kC + 1) << "key " << key;
-  }
+  const std::vector<std::string> violations =
+      core::keyed_burst_violations(all, kDelta, kC + 1, run_us);
+  EXPECT_TRUE(violations.empty()) << violations.front();
 }
 
 TEST(ClusterChurn, ReplicatedPrimaryKillForfeitsAtMostTheLag) {
@@ -231,7 +227,6 @@ TEST(ClusterChurn, ReplicatedPrimaryKillForfeitsAtMostTheLag) {
 
   service::ServerOptions options;
   options.replication_headroom = kHeadroom;
-  options.replication_flush_ops = 1;  // per-request flush: the tight bound
   std::vector<std::unique_ptr<ChurnNode>> nodes;
   for (NodeId n = 0; n < 3; ++n)
     nodes.push_back(
@@ -250,7 +245,7 @@ TEST(ClusterChurn, ReplicatedPrimaryKillForfeitsAtMostTheLag) {
         .count();
   };
 
-  std::vector<std::vector<GrantEvent>> traces(kWorkers);
+  std::vector<std::vector<core::KeyedGrant>> traces(kWorkers);
   std::vector<std::uint64_t> errors(kWorkers, 0);
   std::vector<std::thread> workers;
   for (std::size_t w = 0; w < kWorkers; ++w) {
@@ -264,7 +259,7 @@ TEST(ClusterChurn, ReplicatedPrimaryKillForfeitsAtMostTheLag) {
           const service::AcquireResult res =
               client.acquire(service::kDefaultNamespace, key, 1);
           if (res.granted > 0)
-            traces[w].push_back(GrantEvent{key, now_us(), res.granted});
+            traces[w].push_back(core::KeyedGrant{key, now_us(), res.granted});
         } catch (const std::exception&) {
           ++errors[w];
         }
@@ -306,31 +301,16 @@ TEST(ClusterChurn, ReplicatedPrimaryKillForfeitsAtMostTheLag) {
 
   // Per-node §3.4 audits — the killed node's table included.
   for (std::size_t n = 0; n < nodes.size(); ++n)
-    EXPECT_EQ(nodes[n]->table.audit_violation(), std::nullopt) << "node " << n;
+    EXPECT_EQ(nodes[n]->audit_violation(), std::nullopt) << "node " << n;
 
-  // (a) Duplicate never: the cluster-wide per-key burst bound over the
-  // client-side grant trace, through the kill and the floor installs.
-  std::vector<GrantEvent> all;
-  for (const auto& trace : traces)
-    all.insert(all.end(), trace.begin(), trace.end());
+  // (a) Duplicate never: the cluster-wide per-key burst bound and
+  // conservation over the client-side grant trace, through the kill and
+  // the floor installs.
+  const std::vector<core::KeyedGrant> all = merged(traces);
   ASSERT_FALSE(all.empty());
-  std::sort(all.begin(), all.end(),
-            [](const GrantEvent& a, const GrantEvent& b) {
-              return a.at_us < b.at_us;
-            });
-  std::map<std::uint64_t, core::RateLimitAuditor> audits;
-  std::map<std::uint64_t, Tokens> totals;
-  for (const GrantEvent& event : all) {
-    auto [it, created] = audits.try_emplace(event.key, kDelta, kC + 1);
-    for (Tokens i = 0; i < event.granted; ++i) it->second.record(event.at_us);
-    totals[event.key] += event.granted;
-  }
-  for (auto& [key, audit] : audits) {
-    const auto violation = audit.first_violation();
-    ASSERT_FALSE(violation.has_value())
-        << "key " << key << ": " << violation->describe();
-    EXPECT_LE(totals[key], run_us / kDelta + 1 + kC + 1) << "key " << key;
-  }
+  const std::vector<std::string> violations =
+      core::keyed_burst_violations(all, kDelta, kC + 1, run_us);
+  EXPECT_TRUE(violations.empty()) << violations.front();
 
   // (b) Forfeit <= lag: every install was acked up to the headroom, so the
   // total loss is bounded by headroom per installed account, plus at most
@@ -390,7 +370,7 @@ TEST(ClusterChurn, TcpNodeKillIsAbsorbedByRerouting) {
   }
   EXPECT_EQ(errors, 0u);
   EXPECT_EQ(client.map().epoch, 2u);
-  EXPECT_EQ(nodes[0]->table.audit_violation(), std::nullopt);
+  EXPECT_EQ(nodes[0]->audit_violation(), std::nullopt);
   for (auto& node : nodes) node->driver.stop();
 }
 
@@ -440,7 +420,7 @@ TEST(ClusterChurn, EpollNodeKillIsAbsorbedByRerouting) {
   EXPECT_EQ(errors, 0u);
   EXPECT_EQ(client.map().epoch, 2u);
   for (NodeId n = 0; n < 2; ++n)
-    EXPECT_EQ(nodes[n]->table.audit_violation(), std::nullopt) << "node " << n;
+    EXPECT_EQ(nodes[n]->audit_violation(), std::nullopt) << "node " << n;
   for (auto& node : nodes) node->driver.stop();
 }
 
@@ -455,7 +435,6 @@ TEST(ClusterChurn, TcpPeerDownAutoPromotesTheReplica) {
   runtime::TcpMesh mesh(2 + 2 + 2);
   service::ServerOptions options;
   options.replication_headroom = 2;
-  options.replication_flush_ops = 1;  // per-request flush: the tight bound
   std::vector<std::unique_ptr<ChurnNode>> nodes;
   for (NodeId n = 0; n < 2; ++n)
     nodes.push_back(
@@ -496,7 +475,7 @@ TEST(ClusterChurn, TcpPeerDownAutoPromotesTheReplica) {
   EXPECT_EQ(nodes[0]->server->promotions(), 1u);
   EXPECT_GT(nodes[0]->server->replication().replica_installs(), 0u);
   EXPECT_EQ(client.map().epoch, 2u);
-  EXPECT_EQ(nodes[0]->table.audit_violation(), std::nullopt);
+  EXPECT_EQ(nodes[0]->audit_violation(), std::nullopt);
   // The forfeit stayed inside the lag bound: headroom per install, plus
   // at most one in-flight update (single-threaded client here).
   EXPECT_LE(nodes[0]->server->tokens_forfeited(),

@@ -85,7 +85,6 @@ TEST(ClusterEngine, KillAndPromoteRunBesideLiveShardWorkers) {
   // Idle workers sweep their shards every TTL/4: worker-side table work
   // that does not wait for requests, so it overlaps a promotion install.
   cfg.idle_ttl_us = 20'000;
-  cfg.exclusive_shards = true;
   const ClusterMap map{1, kDefaultVnodes, {0, 1, 2}, /*replicas=*/1};
   const HashRing ring(map);
 

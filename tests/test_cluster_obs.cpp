@@ -29,6 +29,7 @@
 #include "service/account_table.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "service/shard_engine.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
 
@@ -51,12 +52,14 @@ double metric_value(const std::vector<obs::Metric>& metrics,
 }
 
 /// One cluster member with its own telemetry registry, flight recorder,
-/// table and clock driver — the per-node stack a real deployment runs.
+/// table, clock driver and shard engine — the per-node stack a real
+/// deployment runs.
 struct ObservedNode {
   obs::Registry registry;
   obs::Tracer tracer;
   service::AccountTable table;
   service::ClockDriver driver;
+  service::ShardEngine engine;
   std::unique_ptr<ClusterServer> server;
 
   static obs::TracerOptions tracer_opts(obs::Registry& registry) {
@@ -65,12 +68,23 @@ struct ObservedNode {
     t.registry = &registry;
     return t;
   }
+  static service::ShardEngineOptions engine_opts(obs::Registry& registry,
+                                                 obs::Tracer& tracer) {
+    service::ShardEngineOptions e;
+    e.registry = &registry;
+    e.tracer = &tracer;
+    return e;
+  }
   ObservedNode(const service::ServiceConfig& cfg,
                runtime::Transport& transport, const ClusterMap& map,
                NodeId node)
-      : tracer(tracer_opts(registry)), table(cfg), driver(table, 500) {
+      : tracer(tracer_opts(registry)),
+        table(cfg),
+        driver(table, 500),
+        engine(table, engine_opts(registry, tracer)) {
     driver.start();
     service::ServerOptions opts;
+    opts.engine = &engine;
     opts.registry = &registry;
     opts.tracer = &tracer;
     opts.node = node;

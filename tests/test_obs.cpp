@@ -34,6 +34,7 @@
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "service/shard_engine.hpp"
 
 namespace toka::obs {
 namespace {
@@ -281,9 +282,11 @@ service::ServiceConfig simple_config(Tokens c, TimeUs delta = 1000) {
   return cfg;
 }
 
-service::ServerOptions observed_options(Registry& registry,
+service::ServerOptions observed_options(service::ShardEngine& engine,
+                                        Registry& registry,
                                         std::int64_t budget = 0) {
   service::ServerOptions opts;
+  opts.engine = &engine;
   opts.registry = &registry;
   if (budget > 0) {
     opts.admission.enabled = true;
@@ -296,10 +299,11 @@ service::ServerOptions observed_options(Registry& registry,
 
 TEST(ObsOverload, ServerShedsAtBudgetWithTypedErrorAndClientBacksOff) {
   service::AccountTable table(simple_config(100));
+  service::ShardEngine engine(table);
   runtime::InProcNetwork net(2);
   Registry registry;
   service::Server server(table, net.endpoint(0),
-                         observed_options(registry, /*budget=*/4));
+                         observed_options(engine, registry, /*budget=*/4));
   service::Client client(net.endpoint(1), 0);
   net.start();
 
@@ -312,7 +316,10 @@ TEST(ObsOverload, ServerShedsAtBudgetWithTypedErrorAndClientBacksOff) {
 
   // The over-budget request is shed with the typed error and a hint; it
   // never touched the table.
-  const std::uint64_t accounts_before = table.stats().accounts_created;
+  const auto accounts_created = [&] {
+    return engine.quiesced([&] { return table.stats().accounts_created; });
+  };
+  const std::uint64_t accounts_before = accounts_created();
   try {
     client.acquire(service::kDefaultNamespace, 99, 0);
     FAIL() << "expected OverloadedError";
@@ -323,7 +330,7 @@ TEST(ObsOverload, ServerShedsAtBudgetWithTypedErrorAndClientBacksOff) {
   }
   EXPECT_EQ(server.requests_shed(), 1u);
   EXPECT_EQ(client.overloads(), 1u);
-  EXPECT_EQ(table.stats().accounts_created, accounts_before);
+  EXPECT_EQ(accounts_created(), accounts_before);
 
   // Inside the backoff window, data ops fail locally — the server's
   // counters don't move because nothing reached the wire.
@@ -348,10 +355,11 @@ TEST(ObsOverload, ServerShedsAtBudgetWithTypedErrorAndClientBacksOff) {
 
 TEST(ObsOverload, ZeroShedBelowBudget) {
   service::AccountTable table(simple_config(100));
+  service::ShardEngine engine(table);
   runtime::InProcNetwork net(2);
   Registry registry;
   service::Server server(table, net.endpoint(0),
-                         observed_options(registry, /*budget=*/64));
+                         observed_options(engine, registry, /*budget=*/64));
   service::Client client(net.endpoint(1), 0);
   net.start();
 
@@ -365,14 +373,18 @@ TEST(ObsOverload, ZeroShedBelowBudget) {
 
 TEST(ObsOverload, StatsRegistryAndRenderAgree) {
   service::AccountTable table(simple_config(100));
+  service::ShardEngine engine(table);
   runtime::InProcNetwork net(2);
   Registry registry;
-  service::Server server(table, net.endpoint(0), observed_options(registry));
+  service::Server server(table, net.endpoint(0),
+                         observed_options(engine, registry));
   service::Client client(net.endpoint(1), 0);
   net.start();
 
   for (int i = 0; i < 10; ++i) client.acquire(service::kDefaultNamespace, i, 0);
-  table.refund(service::kDefaultNamespace, 999'999, 1);  // dropped: unknown key
+  engine.quiesced([&] {  // dropped: unknown key
+    table.refund(service::kDefaultNamespace, 999'999, 1);
+  });
 
   // The kStats wire snapshot, the in-process registry and the Prometheus
   // exposition all report the same served/dropped-refund counts.
@@ -409,9 +421,11 @@ TEST(ObsOverload, StatsRegistryAndRenderAgree) {
 
 TEST(ObsOverload, BatchHintRisesWhenOneKeyDominates) {
   service::AccountTable table(simple_config(100));
+  service::ShardEngine engine(table);
   runtime::InProcNetwork net(2);
   Registry registry;
-  service::Server server(table, net.endpoint(0), observed_options(registry));
+  service::Server server(table, net.endpoint(0),
+                         observed_options(engine, registry));
   service::Client client(net.endpoint(1), 0);
   net.start();
 
@@ -572,9 +586,11 @@ TEST(ObsScrape, ScrapeWhileServingIsRaceFree) {
   // (bumping counters, the latency histogram and the hot-key sketch) while
   // this thread collects and renders the registry concurrently.
   service::AccountTable table(simple_config(100));
+  service::ShardEngine engine(table);
   runtime::InProcNetwork net(3);
   Registry registry;
-  service::Server server(table, net.endpoint(0), observed_options(registry));
+  service::Server server(table, net.endpoint(0),
+                         observed_options(engine, registry));
   net.start();
 
   std::atomic<bool> stop{false};

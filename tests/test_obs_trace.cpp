@@ -26,6 +26,7 @@
 #include "service/account_table.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
+#include "service/shard_engine.hpp"
 
 namespace toka::obs {
 namespace {
@@ -283,7 +284,11 @@ TEST(ScrapeServer, TracesScrapeWhileServing) {
   topts.sample_every = 1;  // record every stage of every request
   topts.registry = &registry;
   Tracer tracer(topts);
+  service::ShardEngineOptions eopts;
+  eopts.tracer = &tracer;
+  service::ShardEngine engine(table, eopts);
   service::ServerOptions sopts;
+  sopts.engine = &engine;
   sopts.registry = &registry;
   sopts.tracer = &tracer;
   service::Server server(table, net.endpoint(0), sopts);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/account.hpp"
@@ -280,6 +281,43 @@ TEST(BurstWatchdog, NonMonotoneTimestampsClampForward) {
 TEST(BurstWatchdog, RejectsBadConstruction) {
   EXPECT_THROW(BurstWatchdog(0, 1), util::InvariantError);
   EXPECT_THROW(BurstWatchdog(kDelta, -1), util::InvariantError);
+}
+
+// ------------------------------------------------- cluster-wide replay
+
+TEST(KeyedBurstViolations, DuplicatedGrantRunIsCaught) {
+  constexpr TimeUs kDelta = 1000;
+  constexpr Tokens kC = 8;
+  // Key 7 spends a full C-token bank at 10Δ, then one grant per tick up to
+  // 20Δ — exactly at the bound; key 9 trickles one grant every other tick.
+  std::vector<KeyedGrant> grants{KeyedGrant{7, 10 * kDelta, kC}};
+  for (TimeUs t = 11; t <= 20; ++t)
+    grants.push_back(KeyedGrant{7, t * kDelta, 1});
+  for (TimeUs t = 0; t <= 30; t += 2)
+    grants.push_back(KeyedGrant{9, t * kDelta, 1});
+  EXPECT_TRUE(keyed_burst_violations(grants, kDelta, kC + 1, 30 * kDelta)
+                  .empty());
+  // A handoff or promotion that duplicated the account lets a second node
+  // spend the same bank again: C extra grants on key 7, out of time order
+  // (the replay sorts).
+  grants.insert(grants.begin(), KeyedGrant{7, 20 * kDelta, kC});
+  const std::vector<std::string> violations =
+      keyed_burst_violations(grants, kDelta, kC + 1, 30 * kDelta);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("key 7"), std::string::npos) << violations[0];
+}
+
+TEST(KeyedBurstViolations, ConservationCatchesSpreadOutOvergrants) {
+  // One grant per tick never breaks a window, but 31 grants are more than
+  // a 10-tick run can have earned (10 + 1 + 9).
+  constexpr TimeUs kDelta = 1000;
+  std::vector<KeyedGrant> grants;
+  for (TimeUs t = 0; t <= 30; ++t)
+    grants.push_back(KeyedGrant{3, t * kDelta, 1});
+  const std::vector<std::string> violations =
+      keyed_burst_violations(grants, kDelta, /*capacity=*/9, 10 * kDelta);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("earnable"), std::string::npos) << violations[0];
 }
 
 }  // namespace

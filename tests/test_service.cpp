@@ -1,6 +1,7 @@
-// End-to-end tokend: AccountTable behind Server/Client over the in-process
-// fabric and over real TCP sockets, including the §3.4 burst-bound audit
-// under concurrent clients (the service-path RateLimitAuditor satellite).
+// End-to-end tokend: an AccountTable and its ShardEngine behind
+// Server/Client over the in-process fabric and over real TCP sockets,
+// including the §3.4 burst-bound audit under concurrent clients (the
+// service-path RateLimitAuditor satellite).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include "service/account_table.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
+#include "service/shard_engine.hpp"
 #include "util/error.hpp"
 
 namespace toka::service {
@@ -29,11 +31,20 @@ ServiceConfig generalized_config(Tokens a, Tokens c, TimeUs delta) {
   return cfg;
 }
 
+/// Engine sized for concurrent clients: at least two workers, so submitters
+/// on different shards really do run in parallel.
+ShardEngineOptions two_workers() {
+  ShardEngineOptions opts;
+  opts.workers = 2;
+  return opts;
+}
+
 TEST(ServiceEndToEnd, InprocAcquireRefundQuery) {
   ServiceConfig cfg = generalized_config(2, 10, 1000);
   AccountTable table(cfg);
+  ShardEngine engine(table);
   runtime::InProcNetwork net(2);
-  Server server(table, net.endpoint(0));
+  Server server(table, net.endpoint(0), {.engine = &engine});
   Client client(net.endpoint(1), 0);
   net.start();
 
@@ -51,8 +62,9 @@ TEST(ServiceEndToEnd, InprocAcquireRefundQuery) {
 
 TEST(ServiceEndToEnd, InprocBatchAcquire) {
   AccountTable table(generalized_config(1, 8, 1000));
+  ShardEngine engine(table);
   runtime::InProcNetwork net(2);
-  Server server(table, net.endpoint(0));
+  Server server(table, net.endpoint(0), {.engine = &engine});
   Client client(net.endpoint(1), 0);
   net.start();
 
@@ -65,14 +77,16 @@ TEST(ServiceEndToEnd, InprocBatchAcquire) {
   const std::vector<AcquireResult> res = client.acquire_batch(ops);
   ASSERT_EQ(res.size(), ops.size());
   for (const AcquireResult& r : res) EXPECT_EQ(r.granted, 2);
-  EXPECT_EQ(table.stats().tokens_granted, 32u);
+  EXPECT_EQ(engine.quiesced([&] { return table.stats().tokens_granted; }),
+            32u);
   net.stop();
 }
 
 TEST(ServiceEndToEnd, MalformedFramesAreCountedAndSkipped) {
   AccountTable table(generalized_config(1, 8, 1000));
+  ShardEngine engine(table);
   runtime::InProcNetwork net(2);
-  Server server(table, net.endpoint(0));
+  Server server(table, net.endpoint(0), {.engine = &engine});
   Client client(net.endpoint(1), 0);
   net.start();
 
@@ -95,8 +109,9 @@ TEST(ServiceEndToEnd, MalformedFramesAreCountedAndSkipped) {
 
 TEST(ServiceEndToEnd, BadBodyWithValidHeaderGetsTypedErrorResponse) {
   AccountTable table(generalized_config(1, 8, 1000));
+  ShardEngine engine(table);
   runtime::InProcNetwork net(3);
-  Server server(table, net.endpoint(0));
+  Server server(table, net.endpoint(0), {.engine = &engine});
 
   // Endpoint 2 is a raw observer: it crafts a frame whose header decodes
   // (v2, acquire, id 77) but whose body is garbage, and captures the reply.
@@ -124,8 +139,9 @@ TEST(ServiceEndToEnd, BadBodyWithValidHeaderGetsTypedErrorResponse) {
 
 TEST(ServiceEndToEnd, NamespacesConfiguredAndServedOverTheWire) {
   AccountTable table(generalized_config(2, 10, 1000));
+  ShardEngine engine(table);
   runtime::InProcNetwork net(2);
-  Server server(table, net.endpoint(0));
+  Server server(table, net.endpoint(0), {.engine = &engine});
   Client client(net.endpoint(1), 0);
   net.start();
 
@@ -163,6 +179,18 @@ TEST(ServiceEndToEnd, NamespacesConfiguredAndServedOverTheWire) {
   net.stop();
 }
 
+TEST(ServiceEndToEnd, ServerRequiresAnEngineOnItsTable) {
+  AccountTable table(generalized_config(1, 8, 1000));
+  AccountTable other(generalized_config(1, 8, 1000));
+  ShardEngine engine(other);
+  runtime::InProcNetwork net(1);
+  EXPECT_THROW({ Server server(table, net.endpoint(0)); },
+               util::InvariantError);
+  EXPECT_THROW(
+      { Server server(table, net.endpoint(0), {.engine = &engine}); },
+      util::InvariantError);
+}
+
 TEST(ServiceEndToEnd, CallWithoutServerTimesOut) {
   runtime::InProcNetwork net(2);  // nobody listens on endpoint 0
   Client client(net.endpoint(1), 0, /*timeout_us=*/20'000);
@@ -174,12 +202,13 @@ TEST(ServiceEndToEnd, CallWithoutServerTimesOut) {
 
 TEST(ServiceEndToEnd, TcpRoundTrip) {
   AccountTable table(generalized_config(2, 6, 1000));
+  table.acquire(3, 0);  // create before the engine owns the shards
+  table.clock().advance(4000);  // then let tokens accrue
+  ShardEngine engine(table);
   runtime::TcpMesh mesh(2);
-  Server server(table, mesh.endpoint(0));
+  Server server(table, mesh.endpoint(0), {.engine = &engine});
   Client client(mesh.endpoint(1), 0);
 
-  table.acquire(3, 0);  // create, then let tokens accrue
-  table.clock().advance(4000);
   EXPECT_EQ(client.acquire(3, 2).granted, 2);
   EXPECT_EQ(client.query(3).balance, 2);
   EXPECT_EQ(client.refund(3, 1).accepted, 1);
@@ -194,8 +223,9 @@ TEST(ServiceEndToEnd, ConcurrentClientsManyKeys) {
   constexpr Tokens kCap = 8;
   ServiceConfig cfg = generalized_config(1, kCap, 500);
   AccountTable table(cfg);
+  ShardEngine engine(table, two_workers());
   runtime::InProcNetwork net(1 + kClients);
-  Server server(table, net.endpoint(0));
+  Server server(table, net.endpoint(0), {.engine = &engine});
   std::vector<std::unique_ptr<Client>> clients;
   for (int c = 0; c < kClients; ++c)
     clients.push_back(std::make_unique<Client>(net.endpoint(1 + c), 0));
@@ -216,7 +246,7 @@ TEST(ServiceEndToEnd, ConcurrentClientsManyKeys) {
   driver.stop();
   net.stop();
 
-  const TableStats stats = table.stats();
+  const TableStats stats = engine.quiesced([&] { return table.stats(); });
   EXPECT_EQ(stats.acquires, static_cast<std::uint64_t>(kClients) * 200);
   EXPECT_EQ(stats.tokens_granted, static_cast<std::uint64_t>(granted.load()));
   // Conservation: every granted token was banked by some elapsed tick.
@@ -243,8 +273,9 @@ TEST(ServiceEndToEnd, AuditedAccountsHoldTheBurstBoundUnderConcurrency) {
   bulk.delta_us = 1000;
   bulk.audit = true;
   ASSERT_TRUE(table.configure_namespace(1, bulk));
+  ShardEngine engine(table, two_workers());
   runtime::InProcNetwork net(1 + kClients);
-  Server server(table, net.endpoint(0));
+  Server server(table, net.endpoint(0), {.engine = &engine});
   std::vector<std::unique_ptr<Client>> clients;
   for (int c = 0; c < kClients; ++c)
     clients.push_back(std::make_unique<Client>(net.endpoint(1 + c), 0));
@@ -272,10 +303,12 @@ TEST(ServiceEndToEnd, AuditedAccountsHoldTheBurstBoundUnderConcurrency) {
   driver.stop();
   net.stop();
 
-  EXPECT_GT(table.stats(0).tokens_granted, 0u);
-  EXPECT_GT(table.stats(1).tokens_granted, 0u);
-  const std::optional<std::string> violation = table.audit_violation();
-  EXPECT_FALSE(violation.has_value()) << *violation;
+  engine.quiesced([&] {
+    EXPECT_GT(table.stats(0).tokens_granted, 0u);
+    EXPECT_GT(table.stats(1).tokens_granted, 0u);
+    const std::optional<std::string> violation = table.audit_violation();
+    EXPECT_FALSE(violation.has_value()) << *violation;
+  });
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "service/account_table.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
+#include "service/shard_engine.hpp"
 #include "util/error.hpp"
 
 namespace toka::service {
@@ -34,13 +35,13 @@ ServiceConfig simple_config(Tokens c, TimeUs delta = 1000) {
 
 TEST(ClientAsync, ManyFuturesInFlightAllComplete) {
   AccountTable table(simple_config(10));
+  table.acquire(7, 0);  // before the engine owns the shards
+  table.clock().advance(5000);  // key 7 banks 5 tokens
+  ShardEngine engine(table);
   runtime::InProcNetwork net(2);
-  Server server(table, net.endpoint(0));
+  Server server(table, net.endpoint(0), {.engine = &engine});
   Client client(net.endpoint(1), 0);
   net.start();
-
-  table.acquire(7, 0);
-  table.clock().advance(5000);  // key 7 banks 5 tokens
 
   // Pipelining: issue every call before harvesting any result.
   std::vector<std::future<AcquireResult>> futures;
@@ -56,8 +57,9 @@ TEST(ClientAsync, ManyFuturesInFlightAllComplete) {
 
 TEST(ClientAsync, CallbackRunsWithResult) {
   AccountTable table(simple_config(4));
+  ShardEngine engine(table);
   runtime::InProcNetwork net(2);
-  Server server(table, net.endpoint(0));
+  Server server(table, net.endpoint(0), {.engine = &engine});
   Client client(net.endpoint(1), 0);
   net.start();
 
@@ -100,8 +102,9 @@ TEST(ClientAsync, StragglerReplyAfterTimeoutIsDropped) {
   // forced through expire_overdue() after the deadline has passed, so the
   // test cannot flake on sweeper-thread scheduling under TSan.
   AccountTable table(simple_config(4));
+  ShardEngine engine(table);
   runtime::InProcNetwork net(2, /*latency_us=*/500'000);
-  Server server(table, net.endpoint(0));
+  Server server(table, net.endpoint(0), {.engine = &engine});
   Client client(net.endpoint(1), 0, /*timeout_us=*/20'000);
   net.start();
 
@@ -174,8 +177,9 @@ TEST(ClientAsync, DestructionRejectsOutstandingCalls) {
 
 TEST(ClientAsync, TypedErrorsSurfaceAsRpcError) {
   AccountTable table(simple_config(4));
+  ShardEngine engine(table);
   runtime::InProcNetwork net(2);
-  Server server(table, net.endpoint(0));
+  Server server(table, net.endpoint(0), {.engine = &engine});
   Client client(net.endpoint(1), 0);
   net.start();
 
@@ -195,8 +199,9 @@ TEST(ClientAsync, ConcurrentMixedSyncAndAsyncCallers) {
   // and callbacks interleaved, all over one endpoint. Counters must add
   // up and nothing may deadlock (TSan covers the rest).
   AccountTable table(simple_config(8, /*delta=*/500));
+  ShardEngine engine(table);
   runtime::InProcNetwork net(2);
-  Server server(table, net.endpoint(0));
+  Server server(table, net.endpoint(0), {.engine = &engine});
   Client client(net.endpoint(1), 0);
   net.start();
   ClockDriver driver(table, /*resolution_us=*/500);
@@ -253,7 +258,9 @@ TEST(ClientAsync, ServerDeathRejectsInFlightCallsImmediately) {
   // (here deliberately huge) timeout.
   runtime::TcpMesh mesh(2);
   AccountTable table(simple_config(10));
-  auto server = std::make_unique<Server>(table, mesh.endpoint(0));
+  ShardEngine engine(table);
+  auto server = std::make_unique<Server>(
+      table, mesh.endpoint(0), ServerOptions{.engine = &engine});
   Client client(mesh.endpoint(1), 0, /*timeout_us=*/60 * duration::kSecond);
 
   // One round trip establishes both directions of the conversation.
@@ -305,12 +312,13 @@ TEST(ClientAsync, CallsToANeverUpServerFailFastOverTcp) {
 
 TEST(ClientAsync, PipelinedFuturesOverTcp) {
   AccountTable table(simple_config(10));
+  table.acquire(1, 0);  // before the engine owns the shards
+  table.clock().advance(10'000);
+  ShardEngine engine(table);
   runtime::TcpMesh mesh(2);
-  Server server(table, mesh.endpoint(0));
+  Server server(table, mesh.endpoint(0), {.engine = &engine});
   Client client(mesh.endpoint(1), 0);
 
-  table.acquire(1, 0);
-  table.clock().advance(10'000);
   std::vector<std::future<AcquireResult>> futures;
   for (int i = 0; i < 64; ++i)
     futures.push_back(client.acquire_async(kDefaultNamespace, 1, 1));

@@ -1,7 +1,7 @@
-// The shard-per-thread data plane: ShardEngine equivalence against the
-// striped-lock table (byte-identical grants, stats and §3.4 audit traces),
-// the quiesce protocol under load, and the full Server+engine stack over
-// the in-process fabric and the epoll mesh.
+// The data plane: ShardEngine equivalence against the same ops replayed
+// directly on a single-owner table (byte-identical grants, stats and §3.4
+// audit traces), the quiesce protocol under load, and the full
+// Server+engine stack over the in-process fabric and the epoll mesh.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,14 +20,13 @@
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/shard_engine.hpp"
-#include "util/error.hpp"
 
 namespace toka::service {
 namespace {
 
 using namespace std::chrono_literals;
 
-ServiceConfig base_config(bool exclusive) {
+ServiceConfig base_config() {
   ServiceConfig cfg;
   cfg.shards = 8;
   cfg.delta_us = 1000;
@@ -36,7 +35,6 @@ ServiceConfig base_config(bool exclusive) {
   cfg.strategy.c_param = 10;
   cfg.seed = 42;
   cfg.audit = true;
-  cfg.exclusive_shards = exclusive;
   return cfg;
 }
 
@@ -76,8 +74,8 @@ struct OpResult {
   friend bool operator==(const OpResult&, const OpResult&) = default;
 };
 
-/// Runs the script sequentially against a plain striped-lock table.
-std::vector<OpResult> run_locked(AccountTable& table,
+/// Runs the script single-threaded against a directly called table.
+std::vector<OpResult> run_direct(AccountTable& table,
                                  const std::vector<std::vector<ScriptOp>>& s) {
   std::vector<OpResult> out;
   for (const auto& round : s) {
@@ -140,19 +138,20 @@ std::vector<OpResult> run_sharded(AccountTable& table, std::size_t workers,
   return out;
 }
 
-// The tentpole's correctness core: the engine replays exactly the code the
-// locked table runs, so results, stats, RNG draws and the §3.4 audit trace
-// are byte-identical — for one worker and for many.
-TEST(ShardEngine, ByteIdenticalWithLockedTable) {
+// The plane's equivalence reference: a worker runs exactly the table calls
+// a single-threaded caller makes, so results, stats, RNG draws and the §3.4
+// audit trace match the same script replayed directly on a table — for one
+// worker and for many.
+TEST(ShardEngine, ByteIdenticalWithDirectTableReplay) {
   const auto script = make_script();
 
-  AccountTable locked(base_config(false));
-  const std::vector<OpResult> want = run_locked(locked, script);
-  const TableStats want_stats = locked.stats();
-  EXPECT_EQ(locked.audit_violation(), std::nullopt);
+  AccountTable direct(base_config());
+  const std::vector<OpResult> want = run_direct(direct, script);
+  const TableStats want_stats = direct.stats();
+  EXPECT_EQ(direct.audit_violation(), std::nullopt);
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
-    AccountTable sharded(base_config(true));
+    AccountTable sharded(base_config());
     const std::vector<OpResult> got = run_sharded(sharded, workers, script);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i)
@@ -162,17 +161,13 @@ TEST(ShardEngine, ByteIdenticalWithLockedTable) {
     EXPECT_EQ(got_stats.tokens_granted, want_stats.tokens_granted);
     EXPECT_EQ(got_stats.refunds, want_stats.refunds);
     EXPECT_EQ(got_stats.refunds_dropped, want_stats.refunds_dropped);
+    EXPECT_TRUE(got_stats == want_stats) << "workers=" << workers;
     EXPECT_EQ(sharded.audit_violation(), std::nullopt);
   }
 }
 
-TEST(ShardEngine, RequiresExclusiveTable) {
-  AccountTable locked(base_config(false));
-  EXPECT_THROW({ ShardEngine engine(locked); }, util::InvariantError);
-}
-
 TEST(ShardEngine, BatchResultsArePositionallyAligned) {
-  AccountTable table(base_config(true));
+  AccountTable table(base_config());
   table.clock().advance(6000);  // all accounts start with grantable tokens
   ShardEngineOptions opts;
   opts.workers = 3;
@@ -195,9 +190,9 @@ TEST(ShardEngine, BatchResultsArePositionallyAligned) {
   const std::vector<AcquireResult> results = fut.get();
   ASSERT_EQ(results.size(), ops.size());
 
-  // Same batch against a locked twin gives the reference, position by
-  // position.
-  AccountTable twin(base_config(false));
+  // Same batch against a directly called twin gives the reference,
+  // position by position.
+  AccountTable twin(base_config());
   twin.clock().advance(6000);
   const std::vector<AcquireResult> want = twin.acquire_batch(ops);
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -209,7 +204,7 @@ TEST(ShardEngine, BatchResultsArePositionallyAligned) {
 // Concurrent producers + quiesced sweeps + §3.4 audit: the plane's whole
 // point is that this is safe without a single shard lock.
 TEST(ShardEngine, ConcurrentSubmittersStayAuditClean) {
-  AccountTable table(base_config(true));
+  AccountTable table(base_config());
   ShardEngineOptions opts;
   opts.workers = 2;
   ShardEngine engine(table, opts);
@@ -270,7 +265,7 @@ TEST(ShardEngine, ConcurrentSubmittersStayAuditClean) {
 }
 
 TEST(ShardEngine, WorkerOwnedTtlEviction) {
-  ServiceConfig cfg = base_config(true);
+  ServiceConfig cfg = base_config();
   cfg.idle_ttl_us = 10'000;
   AccountTable table(cfg);
   ShardEngineOptions opts;
@@ -310,7 +305,7 @@ TEST(ShardEngine, WorkerOwnedTtlEviction) {
 // ---------------------------------------------------------------- Server
 
 TEST(ShardedServer, InprocAcquireRefundQueryBatch) {
-  AccountTable table(base_config(true));
+  AccountTable table(base_config());
   ShardEngineOptions eopts;
   eopts.workers = 2;
   ShardEngine engine(table, eopts);
@@ -344,7 +339,7 @@ TEST(ShardedServer, InprocAcquireRefundQueryBatch) {
 }
 
 TEST(ShardedServer, UnknownNamespaceAndConfigureUnderLoad) {
-  AccountTable table(base_config(true));
+  AccountTable table(base_config());
   ShardEngine engine(table);
   runtime::InProcNetwork net(3);
   ServerOptions sopts;
@@ -385,7 +380,7 @@ TEST(ShardedServer, UnknownNamespaceAndConfigureUnderLoad) {
 }
 
 TEST(ShardedServer, FullQueueShedsWithTypedOverload) {
-  AccountTable table(base_config(true));
+  AccountTable table(base_config());
   ShardEngineOptions eopts;
   eopts.workers = 1;
   eopts.queue_capacity = 2;  // absurdly small: force queue-full sheds
@@ -448,7 +443,7 @@ TEST(ShardedServer, FullQueueShedsWithTypedOverload) {
 }
 
 TEST(ShardedServer, OverEpollMeshEndToEnd) {
-  AccountTable table(base_config(true));
+  AccountTable table(base_config());
   ShardEngineOptions eopts;
   eopts.workers = 2;
   ShardEngine engine(table, eopts);

@@ -4,9 +4,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "service/shard_engine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -349,13 +352,60 @@ TEST(AccountTable, WatchdogSampleZeroDisablesAuditing) {
   EXPECT_EQ(table.stats().watchdog_checks, 0u);
 }
 
+// ------------------------------------------- concurrent submitters
+// A table is touched by one accessor per shard; concurrency comes from
+// submitter threads feeding a ShardEngine, as every server does.
+
+/// Runs one op on `engine` and waits for it: the submitter's synchronous
+/// view of the data plane.
+ShardOp run_op(ShardEngine& engine, ShardOp::Kind kind, NamespaceId ns,
+               std::uint64_t key, Tokens tokens) {
+  std::promise<ShardOp> done;
+  ShardOp op;
+  op.kind = kind;
+  op.ns = ns;
+  op.key = key;
+  op.tokens = tokens;
+  op.done = [](ShardOp& finished, void* ctx) {
+    static_cast<std::promise<ShardOp>*>(ctx)->set_value(finished);
+  };
+  op.ctx = &done;
+  engine.submit(op);
+  return done.get_future().get();
+}
+
+Tokens engine_acquire(ShardEngine& engine, std::uint64_t key, Tokens n,
+                      NamespaceId ns = kDefaultNamespace) {
+  return run_op(engine, ShardOp::Kind::kAcquire, ns, key, n).out_a;
+}
+
+/// Posts `ops` as one batch and waits until every worker group ran.
+void engine_acquire_batch(ShardEngine& engine, std::vector<AcquireOp> ops) {
+  std::promise<void> done;
+  ASSERT_TRUE(engine.submit_batch(
+      kDefaultNamespace, std::move(ops),
+      [](EngineBatch&, void* ctx) {
+        static_cast<std::promise<void>*>(ctx)->set_value();
+      },
+      &done));
+  done.get_future().wait();
+}
+
+ShardEngineOptions two_workers() {
+  ShardEngineOptions opts;
+  opts.workers = 2;
+  return opts;
+}
+
 TEST(AccountTable, WatchdogStaysCleanUnderConcurrentLoad) {
   // TSan-relevant: racing acquires/refunds on audited keys while the
-  // clock advances. The watchdog rides under the shard lock, so checks
-  // must account every sampled grant and the bound must hold throughout.
+  // clock advances. The watchdog rides with its account's shard owner, so
+  // checks must account every sampled grant and the bound must hold
+  // throughout.
   ServiceConfig cfg = simple_config(8, 1000);
   cfg.watchdog_sample = 1;
   AccountTable table(cfg);
+  ShardEngine engine(table, two_workers());
   constexpr int kThreads = 4;
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
@@ -363,8 +413,8 @@ TEST(AccountTable, WatchdogStaysCleanUnderConcurrentLoad) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < 4000; ++i) {
         const std::uint64_t key = static_cast<std::uint64_t>(i) % 32;
-        if (table.acquire(key, 1 + t % 2).granted > 0 && i % 7 == 0)
-          table.refund(key, 1);
+        if (engine_acquire(engine, key, 1 + t % 2) > 0 && i % 7 == 0)
+          run_op(engine, ShardOp::Kind::kRefund, kDefaultNamespace, key, 1);
       }
     });
   }
@@ -380,23 +430,27 @@ TEST(AccountTable, WatchdogStaysCleanUnderConcurrentLoad) {
 
   // Top up deterministically if the racing phase was scheduled too thin
   // to bank many tokens: every granted acquire adds at least one check.
-  for (int i = 0; i < 2000 && table.stats().watchdog_checks < 1000; ++i) {
+  const auto checks = [&] {
+    return engine.quiesced([&] { return table.stats().watchdog_checks; });
+  };
+  for (int i = 0; i < 2000 && checks() < 1000; ++i) {
     table.clock().advance(1000);
-    table.acquire(static_cast<std::uint64_t>(i) % 32, 1);
+    engine_acquire(engine, static_cast<std::uint64_t>(i) % 32, 1);
   }
 
-  const TableStats stats = table.stats();
+  const TableStats stats = engine.quiesced([&] { return table.stats(); });
   EXPECT_GE(stats.watchdog_checks, 1000u);
   EXPECT_EQ(stats.watchdog_violations, 0u);
 }
 
 TEST(AccountTable, ConcurrentAcquiresNeverOvergrant) {
-  // 8 threads race on 4 keys with a frozen clock: the total granted per key
-  // can never exceed the tokens actually banked (C each).
+  // 8 submitters race on 4 keys with a frozen clock: the total granted per
+  // key can never exceed the tokens actually banked (C each).
   constexpr Tokens kCap = 16;
   AccountTable table(simple_config(kCap, 1000));
   for (std::uint64_t key = 0; key < 4; ++key) table.acquire(key, 0);
   table.clock().advance(1'000'000);  // every key saturates at C
+  ShardEngine engine(table, two_workers());
 
   constexpr int kThreads = 8;
   std::vector<std::int64_t> granted(kThreads, 0);
@@ -404,7 +458,7 @@ TEST(AccountTable, ConcurrentAcquiresNeverOvergrant) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < 2000; ++i) {
-        granted[t] += table.acquire(i % 4, 1).granted;
+        granted[t] += engine_acquire(engine, i % 4, 1);
       }
     });
   }
@@ -412,16 +466,18 @@ TEST(AccountTable, ConcurrentAcquiresNeverOvergrant) {
   std::int64_t total = 0;
   for (std::int64_t g : granted) total += g;
   EXPECT_EQ(total, 4 * kCap);
-  EXPECT_EQ(table.stats().tokens_granted, static_cast<std::uint64_t>(total));
+  EXPECT_EQ(engine.quiesced([&] { return table.stats().tokens_granted; }),
+            static_cast<std::uint64_t>(total));
 }
 
 TEST(AccountTable, ConcurrentMixedTrafficKeepsCountersConsistent) {
-  // Acquire/refund/query/batch from many threads while the clock advances;
-  // afterwards the global conservation law must hold:
+  // Acquire/refund/query/batch from many submitters while the clock
+  // advances; afterwards the global conservation law must hold:
   // granted == refunded + outstanding-spends, and balances stay in [0, C].
   ServiceConfig cfg = simple_config(8, 100);
   cfg.shards = 4;
   AccountTable table(cfg);
+  ShardEngine engine(table, two_workers());
   std::atomic<bool> go{true};
   std::thread ticker([&] {
     while (go.load()) {
@@ -433,22 +489,21 @@ TEST(AccountTable, ConcurrentMixedTrafficKeepsCountersConsistent) {
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      std::vector<AcquireOp> batch;
       for (int i = 0; i < 3000; ++i) {
         const std::uint64_t key = (t + i) % 32;
         switch (i % 4) {
           case 0:
-            table.acquire(key, 2);
+            engine_acquire(engine, key, 2);
             break;
           case 1:
-            table.refund(key, 1);
+            run_op(engine, ShardOp::Kind::kRefund, kDefaultNamespace, key, 1);
             break;
           case 2:
-            table.query(key);
+            run_op(engine, ShardOp::Kind::kQuery, kDefaultNamespace, key, 0);
             break;
           default:
-            batch.assign({AcquireOp{key, 1}, AcquireOp{key + 1, 1}});
-            table.acquire_batch(batch);
+            engine_acquire_batch(engine,
+                                 {AcquireOp{key, 1}, AcquireOp{key + 1, 1}});
             break;
         }
       }
@@ -458,14 +513,16 @@ TEST(AccountTable, ConcurrentMixedTrafficKeepsCountersConsistent) {
   go.store(false);
   ticker.join();
 
-  const TableStats stats = table.stats();
-  EXPECT_GE(stats.tokens_granted, stats.tokens_refunded);
-  for (std::uint64_t key = 0; key < 33; ++key) {
-    const QueryResult q = table.query(key);
-    if (!q.exists) continue;
-    EXPECT_GE(q.balance, 0);
-    EXPECT_LE(q.balance, 8);
-  }
+  engine.quiesced([&] {
+    const TableStats stats = table.stats();
+    EXPECT_GE(stats.tokens_granted, stats.tokens_refunded);
+    for (std::uint64_t key = 0; key < 33; ++key) {
+      const QueryResult q = table.query(key);
+      if (!q.exists) continue;
+      EXPECT_GE(q.balance, 0);
+      EXPECT_LE(q.balance, 8);
+    }
+  });
 }
 
 // -------------------------------------------------------------- namespaces
@@ -555,12 +612,11 @@ TEST(AccountTableNamespaces, ReconfigureResetsAccounts) {
 }
 
 TEST(AccountTableNamespaces, ReconfigureRacingTrafficNeverResurrectsOldPolicy) {
-  // Regression for the configure_namespace reset race: an acquire that
-  // resolved the outgoing policy and reached its shard *after* the purge
-  // swept it used to insert a fresh account under the old policy — a
-  // "resurrected" account the reset missed. Creation now re-resolves on a
-  // retired snapshot, so after the final reconfigure no account of the
-  // namespace can carry the old policy's state. Runs under TSan in CI.
+  // A reset storm against live traffic: submitters keep creating and
+  // settling accounts of the namespace through the engine while it is
+  // reconfigured over and over, each reset running quiesced (as the
+  // server's admin path does). After the final reset no account of the
+  // namespace may carry the old policy's state. Runs under TSan in CI.
   AccountTable table(simple_config(4, 1000));
 
   // Old policy: generous, with a full initial balance so a resurrected
@@ -571,7 +627,7 @@ TEST(AccountTableNamespaces, ReconfigureRacingTrafficNeverResurrectsOldPolicy) {
   generous.strategy.c_param = 64;
   generous.delta_us = 1000;
   generous.initial_tokens = 64;
-  generous.idle_ttl_us = 2000;  // eviction sweeps race the resets too
+  generous.idle_ttl_us = 2000;  // the workers' eviction sweeps race too
   NamespaceConfig tight;
   tight.strategy.kind = core::StrategyKind::kTokenBucket;
   tight.strategy.c_param = 4;
@@ -582,6 +638,10 @@ TEST(AccountTableNamespaces, ReconfigureRacingTrafficNeverResurrectsOldPolicy) {
   constexpr NamespaceId kNs = 7;
   constexpr std::uint64_t kKeys = 256;
   ASSERT_TRUE(table.configure_namespace(kNs, generous));
+  ShardEngine engine(table, two_workers());
+  const auto reconfigure = [&](const NamespaceConfig& config) {
+    engine.quiesced([&] { table.configure_namespace(kNs, config); });
+  };
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> ops{0};
@@ -591,8 +651,8 @@ TEST(AccountTableNamespaces, ReconfigureRacingTrafficNeverResurrectsOldPolicy) {
       std::uint64_t key = static_cast<std::uint64_t>(t);
       while (!stop.load(std::memory_order_relaxed)) {
         // 0-token acquires create/settle accounts without draining them.
-        table.acquire(kNs, key % kKeys, 0);
-        table.acquire((key * 7) % kKeys, 0);  // default-ns bystanders
+        engine_acquire(engine, key % kKeys, 0, kNs);
+        engine_acquire(engine, (key * 7) % kKeys, 0);  // default-ns bystanders
         ++key;
         ops.fetch_add(1, std::memory_order_relaxed);
       }
@@ -601,13 +661,13 @@ TEST(AccountTableNamespaces, ReconfigureRacingTrafficNeverResurrectsOldPolicy) {
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       table.clock().advance(500);
-      table.evict_idle();
+      std::this_thread::yield();
     }
   });
 
-  // Pace the reset storm against actual worker progress, so every
-  // reconfigure genuinely races live acquires instead of finishing before
-  // the threads have spun up.
+  // Pace the reset storm against actual submitter progress, so every
+  // reconfigure genuinely lands between live acquires instead of finishing
+  // before the threads have spun up.
   auto await_ops = [&](std::uint64_t more) {
     const std::uint64_t target = ops.load() + more;
     const auto deadline =
@@ -619,34 +679,38 @@ TEST(AccountTableNamespaces, ReconfigureRacingTrafficNeverResurrectsOldPolicy) {
   };
   await_ops(500);
   for (int round = 0; round < 60; ++round) {
-    table.configure_namespace(kNs, round % 2 == 0 ? tight : generous);
+    reconfigure(round % 2 == 0 ? tight : generous);
     await_ops(100);
   }
   // The final reset happens while traffic is still running, then the
-  // writers stop: whatever accounts remain were created by racing
-  // acquires against that reset.
-  table.configure_namespace(kNs, tight);
+  // submitters stop: whatever accounts remain were created by acquires
+  // racing that reset.
+  reconfigure(tight);
   stop.store(true);
   for (auto& thread : threads) thread.join();
 
-  // No resurrected accounts: everything left in the namespace carries the
-  // new policy — balance within the tight capacity (an old-policy insert
-  // would sit at >= 64 since nothing ever drained it).
-  std::size_t live = 0;
-  for (std::uint64_t key = 0; key < kKeys; ++key) {
-    const QueryResult res = table.query(kNs, key);
-    if (!res.exists) continue;
-    ++live;
-    EXPECT_LE(res.balance, 4) << "key " << key
-                              << " resurrected under the old policy";
+  engine.quiesced([&] {
+    // No resurrected accounts: everything left in the namespace carries
+    // the new policy — balance within the tight capacity (an old-policy
+    // insert would sit at >= 64 since nothing ever drained it).
+    for (std::uint64_t key = 0; key < kKeys; ++key) {
+      const QueryResult res = table.query(kNs, key);
+      if (!res.exists) continue;
+      EXPECT_LE(res.balance, 4) << "key " << key
+                                << " resurrected under the old policy";
+    }
+    // Default-namespace bystanders were never dropped by the resets.
+    EXPECT_GT(table.stats(kDefaultNamespace).accounts, 0u);
+  });
+  // And the namespace still works after the storm: a live account fills
+  // to the tight capacity. Ticks advance one at a time, each followed by a
+  // settling query, so the workers' TTL sweeps never find it idle.
+  engine_acquire(engine, 1, 0, kNs);  // ensure the account exists first
+  for (int tick = 0; tick < 8; ++tick) {
+    table.clock().advance(1000);
+    run_op(engine, ShardOp::Kind::kQuery, kNs, 1, 0);
   }
-  // Default-namespace bystanders were never dropped by the resets.
-  EXPECT_GT(table.stats(kDefaultNamespace).accounts, 0u);
-  // And the namespace still works after the storm.
-  table.acquire(kNs, 1, 0);  // ensure the account exists before the ticks
-  table.clock().advance(100'000);
-  EXPECT_EQ(table.acquire(kNs, 1, 100).granted, 4);
-  (void)live;
+  EXPECT_EQ(engine_acquire(engine, 1, 100, kNs), 4);
 }
 
 TEST(AccountTableNamespaces, StatsBreakOutPerNamespace) {
@@ -752,42 +816,44 @@ TEST(AccountTable, RandomizedBatchesMatchScalarAcquires) {
 }
 
 TEST(AccountTable, ConcurrentGrowingBatchesOnSharedShards) {
-  // Striped-lock mode: several threads run long batches whose keys spread
-  // over the same shards, each batch inserting enough fresh accounts to
-  // grow those shards' stores while the other threads probe them. A batch
-  // may touch a shard's store only under that shard's lock; any read of
-  // another shard's store (a prefetch reaching past the current shard's
-  // run, say) races a concurrent rehash, which TSan reports.
+  // Several submitters post long batches whose keys spread over every
+  // shard, so each batch fans out to both workers; each batch inserts
+  // enough fresh accounts to grow its shards' stores while the other
+  // worker runs its own slices. A worker may touch only the shards it
+  // owns: any read of another worker's store (a prefetch reaching past its
+  // own shards, say) races a concurrent rehash, which TSan reports.
   ServiceConfig cfg = simple_config(4, 1000);
   cfg.shards = 4;
   AccountTable table(cfg);
+  ShardEngine engine(table, two_workers());
   constexpr int kThreads = 4;
   constexpr std::uint64_t kBatches = 24;
   constexpr std::uint64_t kBatchOps = 512;
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&table, t] {
-      std::vector<AcquireOp> ops;
+    workers.emplace_back([&engine, t] {
       const std::uint64_t first = static_cast<std::uint64_t>(t) << 32;
       for (std::uint64_t b = 0; b < kBatches; ++b) {
-        ops.clear();
+        std::vector<AcquireOp> ops;
         for (std::uint64_t i = 0; i < kBatchOps; ++i)
           ops.push_back(AcquireOp{first + b * kBatchOps + i, 1});
         ops.push_back(AcquireOp{first, 1});  // and one old key
-        table.acquire_batch(ops);
+        engine_acquire_batch(engine, std::move(ops));
       }
     });
   }
   for (auto& w : workers) w.join();
-  const TableStats stats = table.stats();
-  EXPECT_EQ(stats.accounts, kThreads * kBatches * kBatchOps);
-  EXPECT_EQ(stats.accounts_created, stats.accounts);
-  EXPECT_EQ(stats.acquires, kThreads * kBatches * (kBatchOps + 1));
-  for (int t = 0; t < kThreads; ++t) {
-    const std::uint64_t first = static_cast<std::uint64_t>(t) << 32;
-    EXPECT_TRUE(table.query(first).exists);
-    EXPECT_TRUE(table.query(first + kBatches * kBatchOps - 1).exists);
-  }
+  engine.quiesced([&] {
+    const TableStats stats = table.stats();
+    EXPECT_EQ(stats.accounts, kThreads * kBatches * kBatchOps);
+    EXPECT_EQ(stats.accounts_created, stats.accounts);
+    EXPECT_EQ(stats.acquires, kThreads * kBatches * (kBatchOps + 1));
+    for (int t = 0; t < kThreads; ++t) {
+      const std::uint64_t first = static_cast<std::uint64_t>(t) << 32;
+      EXPECT_TRUE(table.query(first).exists);
+      EXPECT_TRUE(table.query(first + kBatches * kBatchOps - 1).exists);
+    }
+  });
 }
 
 }  // namespace

@@ -191,7 +191,6 @@ ServiceConfig traced_config() {
   cfg.strategy.a_param = 2;
   cfg.strategy.c_param = 10;
   cfg.seed = 42;
-  cfg.exclusive_shards = true;
   return cfg;
 }
 
@@ -288,11 +287,17 @@ TEST(TraceEndToEnd, ForcedSlowSpanSumExplainsObservedLatency) {
   table.clock().advance(6000);
 
   // Park the workers: the acquire below sits in the shard queue for the
-  // whole sleep, so queue-wait dominates and transport noise is < 10%.
+  // whole sleep, so queue-wait dominates and transport noise is < 10%. The
+  // sleep starts only once the acquire is queued, so however late this
+  // thread issues it, the request waits the full 80 ms.
   std::atomic<bool> parked{false};
   std::thread admin([&] {
     engine.quiesced([&] {
       parked.store(true);
+      const auto deadline = std::chrono::steady_clock::now() + 5s;
+      while (engine.queue_depth_max() == 0 &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
       std::this_thread::sleep_for(80ms);
     });
   });
@@ -327,8 +332,10 @@ TEST(TraceEndToEnd, ForcedSlowSpanSumExplainsObservedLatency) {
 TEST(TraceEndToEnd, ShedRequestsCarryTracedShedDecisions) {
   AccountTable table(traced_config());
   obs::Tracer tracer({.sample_every = 0});  // unsampled: sheds force through
+  ShardEngine engine(table);
   runtime::InProcNetwork net(2);
   ServerOptions sopts;
+  sopts.engine = &engine;
   sopts.tracer = &tracer;
   sopts.admission.enabled = true;
   sopts.admission.interval_us = 1'000'000;
