@@ -1365,6 +1365,9 @@ void write_json(const std::string& path, const std::vector<ModeResult>& runs,
   std::fprintf(f, "  \"window\": %zu,\n", load.window);
   std::fprintf(f, "  \"workers\": %zu,\n", workers_used);
   std::fprintf(f, "  \"io_threads\": %zu,\n", load.io_threads);
+  // The raw-store figure comes from one thread, the table's sole owner,
+  // whatever --threads says.
+  std::fprintf(f, "  \"table_threads\": 1,\n");
   std::fprintf(f, "  \"acquire_ops_per_sec\": %.0f,\n", table_ops_per_sec);
   std::fprintf(f, "  \"sharded_ops_per_sec\": %.0f,\n", sharded_ops_per_sec);
   std::fprintf(f, "  \"shardedwd_ops_per_sec\": %.0f,\n",

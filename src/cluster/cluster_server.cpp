@@ -52,8 +52,11 @@ ClusterServer::~ClusterServer() {
   engine_->set_drain_hook({});
   transport_->set_peer_down_handler({});
   transport_->set_handler({});
-  // No handler can defer another promotion now; wait out the running ones.
+  // No handler can defer another promotion now; wait out the running ones,
+  // then the handoff installs still queued (their completions reply
+  // through this object).
   for (std::thread& t : deferred_) t.join();
+  engine_->drain();
   if (registry_) {
     for (const std::string& name : metric_names_) registry_->remove(name);
   }
@@ -298,33 +301,50 @@ void ClusterServer::handle_handoff(
     NodeId from, const proto::HandoffRequest& r,
     const std::optional<proto::TraceContext>& trace) {
   handoffs_received_.fetch_add(1, std::memory_order_relaxed);
-  const std::int64_t t0 =
-      tracer_ != nullptr && trace ? obs::Tracer::now_us() : 0;
-  bool accepted = false;
   // Install only what the current ring places here; anything else is
-  // dropped (the sender already forfeited it). install_account refuses
-  // duplicates and unknown namespaces on its own.
+  // dropped (the sender already forfeited it). The install runs on the
+  // key's shard worker like a data op, so a join's stream of handoffs
+  // never parks the engine; install_account refuses duplicates and unknown
+  // namespaces on its own.
+  service::ShardOp op;
+  op.kind = service::ShardOp::Kind::kInstall;
+  op.ns = r.ns;
+  op.key = r.key;
+  op.tokens = r.balance;
+  op.done = &ClusterServer::complete_handoff;
+  op.ctx = new PendingHandoff{
+      this, from, r.id, trace,
+      tracer_ != nullptr && trace ? obs::Tracer::now_us() : 0};
   if (owner_of(r.ns, r.key) == self()) {
-    accepted = engine_->quiesced(
-        [&] { return table_->install_account(r.ns, r.key, r.balance); });
+    engine_->submit(op);  // waits for queue room: a handoff is never shed
+  } else {
+    complete_handoff(op, op.ctx);  // out_a = 0: refused
   }
+}
+
+void ClusterServer::complete_handoff(service::ShardOp& op, void* ctx) {
+  const std::unique_ptr<PendingHandoff> p(static_cast<PendingHandoff*>(ctx));
+  ClusterServer& server = *p->server;
+  const bool accepted = op.ok && op.out_a != 0;
   if (accepted) {
-    handoffs_installed_.fetch_add(1, std::memory_order_relaxed);
+    server.handoffs_installed_.fetch_add(1, std::memory_order_relaxed);
   } else {
     // Refused install: the sender already extracted, so this balance just
     // ceased to exist anywhere. The receiver counts it — it is the one
     // node that knows the refusal happened.
-    tokens_forfeited_.fetch_add(r.balance, std::memory_order_relaxed);
+    server.tokens_forfeited_.fetch_add(op.tokens, std::memory_order_relaxed);
   }
-  if (tracer_ != nullptr && trace) {
+  if (server.tracer_ != nullptr && p->trace) {
     // Receiver leg of the handoff, under the sender's trace id: kError
     // marks a refused install (a forfeit the timeline should show).
-    tracer_->record(obs::Stage::kHandoff,
-                    accepted ? obs::Decision::kNone : obs::Decision::kError,
-                    trace->trace_id, r.key, r.ns, t0,
-                    obs::Tracer::now_us() - t0, /*sampled=*/true);
+    server.tracer_->record(
+        obs::Stage::kHandoff,
+        accepted ? obs::Decision::kNone : obs::Decision::kError,
+        p->trace->trace_id, op.key, op.ns, p->t0_us,
+        obs::Tracer::now_us() - p->t0_us, /*sampled=*/true);
   }
-  transport_->send(from, proto::encode(proto::HandoffResponse{r.id, accepted}));
+  server.transport_->send(
+      p->from, proto::encode(proto::HandoffResponse{p->id, accepted}));
 }
 
 void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {

@@ -16,8 +16,9 @@
 //   - ClusterMap answers the node's current membership map; ApplyMap
 //     installs a strictly newer one and starts the handoff of every
 //     account the new ring moves elsewhere;
-//   - Handoff installs a moved account (only if this node owns the key
-//     and has no live account for it — otherwise the state is dropped);
+//   - Handoff installs a moved account on its shard's engine worker
+//     (only if this node owns the key and has no live account for it —
+//     otherwise the state is dropped);
 //     handoff *responses* arriving back just settle the sent/lost
 //     counters.
 //
@@ -191,6 +192,16 @@ class ClusterServer {
   void handle_handoff(NodeId from, const service::protocol::HandoffRequest& r,
                       const std::optional<service::protocol::TraceContext>&
                           trace);
+  /// A handoff install in flight on its shard's worker.
+  struct PendingHandoff {
+    ClusterServer* server = nullptr;
+    NodeId from = kNoNode;
+    std::uint64_t id = 0;
+    std::optional<service::protocol::TraceContext> trace;
+    std::int64_t t0_us = 0;  ///< receipt, when traced
+  };
+  /// Engine completion: counts the install or forfeit and replies.
+  static void complete_handoff(service::ShardOp& op, void* ctx);
   /// Trace-threaded internals behind the public apply_map/promote: the
   /// same context is stamped onto every frame a membership change fans out
   /// (handoffs, the ApplyMap broadcast), so one trace id survives the
@@ -223,8 +234,9 @@ class ClusterServer {
   service::Server server_;
   obs::Tracer* tracer_ = nullptr;  ///< the inner server's flight recorder
   obs::Registry* registry_;
-  /// Runs the node's data ops; handoff extraction and replica installs
-  /// touch the table with its workers parked (quiesced()).
+  /// Runs the node's data ops and handoff installs; handoff extraction
+  /// and replica installs touch the table with its workers parked
+  /// (quiesced()).
   service::ShardEngine* engine_;
   Tokens repl_headroom_ = 0;
   std::unique_ptr<ReplicationEngine> repl_;

@@ -121,8 +121,7 @@ std::uint64_t RateLimitAuditor::max_in_window(TimeUs window) const {
 
 std::vector<std::string> keyed_burst_violations(std::vector<KeyedGrant> grants,
                                                 TimeUs delta, Tokens capacity,
-                                                TimeUs run_us,
-                                                std::size_t max_reported) {
+                                                TimeUs run_us) {
   std::stable_sort(grants.begin(), grants.end(),
                    [](const KeyedGrant& a, const KeyedGrant& b) {
                      return a.at_us < b.at_us;
@@ -137,7 +136,6 @@ std::vector<std::string> keyed_burst_violations(std::vector<KeyedGrant> grants,
   const Tokens earnable = run_us / delta + 1 + capacity;
   std::vector<std::string> out;
   for (const auto& [key, audit] : audits) {
-    if (out.size() >= max_reported) break;
     std::ostringstream os;
     if (const auto violation = audit.first_violation()) {
       os << "key " << key << ": " << violation->describe();

@@ -125,10 +125,9 @@ struct KeyedGrant {
 /// pass C plus their timestamp slack as `capacity` (completion times can
 /// compress a window by one scheduling delay, worth one tick); a duplicated
 /// handoff or promotion still injects up to C extra grants and is caught.
-/// Returns one description per offending key, at most `max_reported`.
+/// Returns one description per offending key, in key order.
 std::vector<std::string> keyed_burst_violations(std::vector<KeyedGrant> grants,
                                                 TimeUs delta, Tokens capacity,
-                                                TimeUs run_us,
-                                                std::size_t max_reported = 5);
+                                                TimeUs run_us);
 
 }  // namespace toka::core

@@ -467,7 +467,9 @@ void Server::complete_engine_op(ShardOp& op, void* ctx) {
         response = proto::QueryResponse{p->id, op.out_a, op.out_b != 0};
         break;
       case ShardOp::Kind::kBatchGroup:
-        return;  // unreachable: batches complete via complete_engine_batch
+      case ShardOp::Kind::kInstall:
+        return;  // unreachable: batches complete via complete_engine_batch,
+                 // installs are the cluster layer's
     }
   }
   p->server->finish_engine_reply(p->from, response, *p);

@@ -328,6 +328,16 @@ void ShardEngine::execute(std::vector<ShardOp>& ops,
         ++i;
         break;
       }
+      case ShardOp::Kind::kInstall: {
+        try {
+          op.out_a = table_->install_account(op.ns, op.key, op.tokens) ? 1 : 0;
+        } catch (const util::InvariantError&) {
+          op.ok = false;
+        }
+        complete(op, t_pop_us);
+        ++i;
+        break;
+      }
       case ShardOp::Kind::kBatchGroup: {
         run_batch_group(op, t_pop_us);
         ++i;

@@ -54,6 +54,7 @@ struct ShardOp {
     kRefund = 1,
     kQuery = 2,
     kBatchGroup = 3,  ///< internal: one worker's slice of an EngineBatch
+    kInstall = 4,     ///< a handed-off account, `tokens` = its balance
   };
 
   Kind kind = Kind::kAcquire;
@@ -65,6 +66,7 @@ struct ShardOp {
   //   kAcquire: out_a = granted,  out_b = balance
   //   kRefund:  out_a = accepted, out_b = balance
   //   kQuery:   out_a = balance,  out_b = exists (0/1)
+  //   kInstall: out_a = installed (0/1)
   Tokens out_a = 0;
   Tokens out_b = 0;
   /// false: the op was rejected before touching an account (unknown
@@ -158,9 +160,10 @@ class ShardEngine {
     return workers_[worker_of(op.ns, op.key)]->queue.try_push(std::move(op));
   }
 
-  /// Blocking submit: spins/yields until the owner's queue has room.
-  /// Bootstrap and closed-loop benchmark use only — never call from a
-  /// worker completion (two full queues pushing at each other deadlock).
+  /// Blocking submit: spins/yields until the owner's queue has room. For
+  /// ops that must not be shed (bootstrap, handoff installs, closed-loop
+  /// benchmarks) — never call from a worker completion (two full queues
+  /// pushing at each other deadlock).
   void submit(ShardOp op) {
     workers_[worker_of(op.ns, op.key)]->queue.push(std::move(op));
   }

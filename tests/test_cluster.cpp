@@ -449,9 +449,11 @@ TEST(ClusterServer, HandoffIntoLiveAccountIsDropped) {
 
   // A duplicate handoff arrives (e.g. replayed): it must not add tokens.
   runtime::Transport& rogue = net.endpoint(2);
+  // The install runs on the key's shard worker; the refusal is counted as
+  // a forfeit before the reply goes out.
   rogue.send(1, proto::encode(proto::HandoffRequest{1, 1, 0, key, 8}));
-  ASSERT_TRUE(
-      eventually([&] { return node1.server.handoffs_received() == 1; }));
+  ASSERT_TRUE(eventually([&] { return node1.server.tokens_forfeited() == 8; }));
+  EXPECT_EQ(node1.server.handoffs_received(), 1u);
   EXPECT_EQ(node1.server.handoffs_installed(), 0u);
   EXPECT_EQ(balance(key), before);
 
@@ -459,7 +461,8 @@ TEST(ClusterServer, HandoffIntoLiveAccountIsDropped) {
   const std::uint64_t foreign = key_owned_by(ring, 0);
   rogue.send(1, proto::encode(proto::HandoffRequest{2, 1, 0, foreign, 8}));
   ASSERT_TRUE(
-      eventually([&] { return node1.server.handoffs_received() == 2; }));
+      eventually([&] { return node1.server.tokens_forfeited() == 16; }));
+  EXPECT_EQ(node1.server.handoffs_received(), 2u);
   EXPECT_EQ(node1.server.handoffs_installed(), 0u);
   EXPECT_FALSE(
       node1.engine.quiesced([&] { return node1.table.query(foreign).exists; }));
