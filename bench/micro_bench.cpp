@@ -551,30 +551,56 @@ BENCHMARK(BM_AccountTableAcquire)->Arg(0);
 BENCHMARK(BM_AccountTableAcquire)->Arg(1)->Iterations(1 << 20);
 BENCHMARK(BM_AccountTableAcquire)->Arg(2);
 
+/// Keys [0, kCachedTableKeys) preloaded once: 256 accounts per shard, about
+/// 2 MiB of slots in all, so hits stay in cache.
+constexpr std::uint64_t kCachedTableKeys = 16'384;
+
+service::AccountTable& cached_table() {
+  static service::AccountTable* table = [] {
+    auto* t = new service::AccountTable(table_bench_config());
+    std::vector<service::AcquireOp> ops;
+    for (std::uint64_t k = 0; k < kCachedTableKeys; ++k)
+      ops.push_back(service::AcquireOp{k, 0});
+    t->acquire_batch(ops);
+    return t;
+  }();
+  return *table;
+}
+
 /// One AccountTable::acquire_batch, the path that prefetches home slots.
 /// range(0) = 0: 64-op batches of random hits on the 2M preloaded keys,
 /// the wire_batch frame shape (about one op per shard). range(0) = 1:
 /// 4096-op chunks of first-contact inserts, the tokabench preload shape
-/// (capped at 256 chunks, 1M accounts). Items are ops.
+/// (capped at 256 chunks, 1M accounts). range(0) = 2: 4096-op chunks of
+/// random hits on the 16k-key cached table, which price the grouping and
+/// the settle arithmetic without the DRAM misses of the other two. Items
+/// are ops.
 void BM_AccountTableAcquireBatch(benchmark::State& state) {
-  const bool inserts = state.range(0) == 1;
-  const std::size_t batch = inserts ? 4096 : 64;
+  const std::int64_t shape = state.range(0);
+  const bool inserts = shape == 1;
+  const std::size_t batch = shape == 0 ? 64 : 4096;
+  const std::uint64_t keys = shape == 2 ? kCachedTableKeys : kTableBenchKeys;
   std::unique_ptr<service::AccountTable> fresh;
   if (inserts) fresh = std::make_unique<service::AccountTable>(table_bench_config());
-  service::AccountTable& table = inserts ? *fresh : preloaded_table();
+  service::AccountTable& table = inserts      ? *fresh
+                                 : shape == 0 ? preloaded_table()
+                                              : cached_table();
   util::Rng rng(7);
   std::uint64_t next = 0;
   std::vector<service::AcquireOp> ops(batch);
   for (auto _ : state) {
     for (service::AcquireOp& op : ops)
-      op = service::AcquireOp{inserts ? next++ : rng.below(kTableBenchKeys), 1};
+      op = service::AcquireOp{inserts ? next++ : rng.below(keys), 1};
     benchmark::DoNotOptimize(table.acquire_batch(ops));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * batch));
-  state.SetLabel(inserts ? "insert chunks" : "hit frames");
+  state.SetLabel(inserts      ? "insert chunks"
+                 : shape == 0 ? "hit frames"
+                              : "cached hit chunks");
 }
 BENCHMARK(BM_AccountTableAcquireBatch)->Arg(0);
 BENCHMARK(BM_AccountTableAcquireBatch)->Arg(1)->Iterations(256);
+BENCHMARK(BM_AccountTableAcquireBatch)->Arg(2);
 
 std::vector<NodeId> ring_nodes(std::int64_t count) {
   std::vector<NodeId> nodes(static_cast<std::size_t>(count));

@@ -25,6 +25,16 @@ void MappedArray::populate(std::size_t offset, std::size_t bytes) {
 #endif
 }
 
+void MappedArray::advise_huge(std::size_t offset, std::size_t bytes) {
+#ifdef MADV_HUGEPAGE
+  // EINVAL without CONFIG_TRANSPARENT_HUGEPAGE: the range keeps 4 KiB pages.
+  (void)::madvise(static_cast<char*>(data_) + offset, bytes, MADV_HUGEPAGE);
+#else
+  (void)offset;
+  (void)bytes;
+#endif
+}
+
 void MappedArray::release() {
   if (data_ != nullptr) ::munmap(data_, bytes_);
   data_ = nullptr;

@@ -12,7 +12,8 @@
 // interior heap chunks resident and its dynamic mmap threshold sends later
 // large allocations back to the heap, so every array a growing shard left
 // behind could stay in RSS. A mapping is returned to the kernel the moment
-// it is dropped, and its zero pages double as empty slots.
+// it is dropped, its zero pages double as empty slots, and a rehash can
+// prefault it and ask for huge pages chunk by chunk (see prefault_homes).
 #pragma once
 
 #include <algorithm>
@@ -26,7 +27,8 @@
 namespace toka::service {
 
 /// An anonymous, private, zero-filled memory mapping; unmapped when
-/// destroyed or moved over.
+/// destroyed or moved over. Its pages are 4 KiB and fault in on first
+/// touch unless populate() or advise_huge() says otherwise.
 class MappedArray {
  public:
   MappedArray() = default;
@@ -55,6 +57,12 @@ class MappedArray {
   /// `offset` is page-aligned. Only a hint: where the kernel lacks it, the
   /// pages fault on first touch as before.
   void populate(std::size_t offset, std::size_t bytes);
+
+  /// Asks for transparent huge pages over [offset, offset + bytes)
+  /// (MADV_HUGEPAGE), a range of whole 2 MiB-aligned chunks. Only a hint:
+  /// a kernel without THP answers EINVAL, and with THP set to `never` the
+  /// range keeps 4 KiB pages, as without the call.
+  void advise_huge(std::size_t offset, std::size_t bytes);
 
  private:
   void release();
@@ -218,15 +226,32 @@ class SlotStore {
   /// hold no home stay unpopulated, because homes need not cover the
   /// array: on a cluster node the home bits are the hash ring's position
   /// bits, so the node's keys leave whole stretches of it untouched.
+  ///
+  /// First, each 2 MiB-aligned chunk of the array whose 512 pages all hold
+  /// a home is advised for a huge page, so populating it takes one fault
+  /// instead of 512 and its slots need one TLB entry. Such a chunk is
+  /// populated in full either way, so a huge page adds nothing to RSS. A
+  /// chunk with any page left out keeps 4 KiB pages, and the pages it
+  /// leaves out stay out of RSS.
   void prefault_homes(MappedArray& array, const Slot* old_slots,
                       std::size_t old_capacity) const {
     constexpr std::size_t kPageBytes = 4096;
+    constexpr std::size_t kChunkPages = (std::size_t{2} << 20) / kPageBytes;
     const std::size_t pages = (array.bytes() + kPageBytes - 1) / kPageBytes;
     std::vector<bool> marked(pages);
     for (std::size_t i = 0; i < old_capacity; ++i) {
       if (Traits::live(old_slots[i]))
         marked[home(Traits::hash(old_slots[i])) * sizeof(Slot) / kPageBytes] =
             true;
+    }
+    const auto base_page =
+        reinterpret_cast<std::uintptr_t>(array.data()) / kPageBytes;
+    for (std::size_t first = (kChunkPages - base_page % kChunkPages) %
+                             kChunkPages;
+         first + kChunkPages <= pages; first += kChunkPages) {
+      const auto chunk = marked.begin() + static_cast<std::ptrdiff_t>(first);
+      if (std::find(chunk, chunk + kChunkPages, false) == chunk + kChunkPages)
+        array.advise_huge(first * kPageBytes, kChunkPages * kPageBytes);
     }
     for (std::size_t first = 0; first < pages;) {
       if (!marked[first]) {

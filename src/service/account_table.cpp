@@ -309,7 +309,6 @@ AcquireResult AccountTable::acquire_in_shard(Shard& shard, const Namespace& ns,
                                              std::uint64_t hash,
                                              std::uint64_t key, Tokens n,
                                              std::int64_t tick, TimeUs now) {
-  TOKA_CHECK_MSG(n >= 0, "acquire requires n >= 0, got " << n);
   Slot& slot = find_or_create(shard, ns, hash, key, tick, now);
   // Balance before this call's settle: a grant within it was banked; a
   // grant beyond it spent tokens the settle just minted ("fresh").
@@ -350,6 +349,7 @@ AcquireResult AccountTable::acquire_in_shard(Shard& shard, const Namespace& ns,
 
 AcquireResult AccountTable::acquire(NamespaceId ns, std::uint64_t key,
                                     Tokens n) {
+  TOKA_CHECK_MSG(n >= 0, "acquire requires n >= 0, got " << n);
   // Resolve the namespace once: strategy, Δ (the clock divisor) and
   // capacity all come out of this one registry lookup.
   const std::shared_ptr<const Namespace> nsp = resolve(ns);
@@ -426,31 +426,39 @@ QueryResult AccountTable::query(NamespaceId ns, std::uint64_t key) {
 std::vector<AcquireResult> AccountTable::acquire_batch(
     NamespaceId ns, std::span<const AcquireOp> ops) {
   const std::shared_ptr<const Namespace> nsp = resolve(ns);
-  std::vector<AcquireResult> results(ops.size());
-  // Order ops by shard so each touched shard is visited exactly once per
-  // batch; within a shard the original op order is preserved (stable
-  // sort). Each op's hash is computed here once and carried to the store.
-  struct Pending {
-    std::uint64_t hash;
-    std::uint32_t shard;
-    std::uint32_t op;
-  };
-  std::vector<Pending> order;
-  order.reserve(ops.size());
+  // Group ops by shard with a stable counting sort, so each touched shard
+  // is visited exactly once per batch with its ops in their original
+  // order. The counting pass checks every op and hashes it once (the hash
+  // travels to the store); since it runs before any shard is touched, a
+  // bad op fails the whole call with nothing applied. The scatter places
+  // the runs in the order their shards first appear, with the prefix sum
+  // folded in, so apart from zeroing the counts the cost grows with the
+  // batch, not the shard count (the engine's coalesced runs can be two
+  // ops long). bound[s] first counts shard s's ops. At the shard's first
+  // op the scatter places its run at `begin` and marks the entry
+  // kPlaced; from then on it is where the shard's next op goes, and it
+  // ends as the end of the run.
+  constexpr std::uint32_t kPlaced = std::uint32_t{1} << 31;
+  std::vector<std::uint64_t> hashes(ops.size());
+  std::vector<std::uint32_t> bound(shards_.size(), 0);
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    const std::uint64_t hash = account_hash(ns, ops[i].key);
-    order.push_back(Pending{hash, static_cast<std::uint32_t>(hash & shard_mask_),
-                            static_cast<std::uint32_t>(i)});
+    TOKA_CHECK_MSG(ops[i].tokens >= 0,
+                   "acquire requires n >= 0, got " << ops[i].tokens);
+    hashes[i] = account_hash(ns, ops[i].key);
+    ++bound[hashes[i] & shard_mask_];
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const Pending& a, const Pending& b) {
-                     return a.shard < b.shard;
-                   });
-  std::size_t i = 0;
-  while (i < order.size()) {
-    const std::uint32_t shard_idx = order[i].shard;
-    std::size_t end = i;
-    while (end < order.size() && order[end].shard == shard_idx) ++end;
+  std::vector<std::uint32_t> order(ops.size());
+  std::uint32_t begin = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    std::uint32_t& next = bound[hashes[i] & shard_mask_];
+    if ((next & kPlaced) == 0) begin += std::exchange(next, begin | kPlaced);
+    order[next++ & ~kPlaced] = static_cast<std::uint32_t>(i);
+  }
+
+  std::vector<AcquireResult> results(ops.size());
+  for (std::size_t i = 0; i < order.size();) {
+    const std::size_t shard_idx = hashes[order[i]] & shard_mask_;
+    const std::size_t end = bound[shard_idx] & ~kPlaced;
     Shard& shard = *shards_[shard_idx];
     // One clock read per shard visit: the whole run settles against it.
     const TimeUs now = clock_.now_us();
@@ -460,14 +468,13 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
     // this call once per worker, and another worker's shard may be read
     // only by its owner.
     for (std::size_t j = i; j < std::min(i + kPrefetchDistance, end); ++j)
-      shard.accounts.prefetch(order[j].hash);
+      shard.accounts.prefetch(hashes[order[j]]);
     for (; i < end; ++i) {
       if (i + kPrefetchDistance < end)
-        shard.accounts.prefetch(order[i + kPrefetchDistance].hash);
-      const Pending& p = order[i];
-      const AcquireOp& op = ops[p.op];
-      results[p.op] =
-          acquire_in_shard(shard, *nsp, p.hash, op.key, op.tokens, tick, now);
+        shard.accounts.prefetch(hashes[order[i + kPrefetchDistance]]);
+      const std::uint32_t op = order[i];
+      results[op] = acquire_in_shard(shard, *nsp, hashes[op], ops[op].key,
+                                     ops[op].tokens, tick, now);
     }
   }
   return results;

@@ -327,7 +327,10 @@ class AccountTable {
 
   /// Executes `ops` (all against one namespace) grouped by shard, with one
   /// clock read per touched shard instead of one per op; results are
-  /// positionally aligned with `ops`.
+  /// positionally aligned with `ops`. Ops of one shard run in batch order,
+  /// so results match the same acquires made one by one. Every op is
+  /// checked before any shard is touched: a negative `tokens` throws
+  /// util::InvariantError with no op applied.
   std::vector<AcquireResult> acquire_batch(std::span<const AcquireOp> ops) {
     return acquire_batch(kDefaultNamespace, ops);
   }
@@ -567,6 +570,8 @@ class AccountTable {
   /// Replays elapsed ticks up to the cap (tick index derived from the
   /// account's own namespace Δ); updates last_tick/last_access.
   static void settle(Shard& shard, Slot& slot, TimeUs now);
+  /// The acquire itself, on an account of `shard`; the caller has checked
+  /// n >= 0.
   AcquireResult acquire_in_shard(Shard& shard, const Namespace& ns,
                                  std::uint64_t hash, std::uint64_t key,
                                  Tokens n, std::int64_t tick, TimeUs now);

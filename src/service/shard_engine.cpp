@@ -284,9 +284,9 @@ void ShardEngine::execute(std::vector<ShardOp>& ops,
               ops[k].out_fresh = res[k - i].fresh;
             }
           } catch (const util::InvariantError&) {
-            // One bad op (negative tokens, vanished namespace) poisons the
-            // whole vectorized call: redo the run one op at a time so only
-            // the offender fails.
+            // One bad op (negative tokens, vanished namespace) fails the
+            // whole vectorized call before it applies any op: redo the run
+            // one op at a time so only the offender fails.
             for (std::size_t k = i; k < j; ++k) {
               try {
                 const AcquireResult res =

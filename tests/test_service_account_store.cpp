@@ -2,7 +2,7 @@
 // model: inserts, lookups, single erases and the erase-while-sweeping paths
 // the table builds its evict, extract and purge sweeps on, across several
 // power-of-two grow and shrink boundaries; plus which pages of its array a
-// rehash makes resident.
+// rehash makes resident, and which 2 MiB chunks it asks huge pages for.
 #include "service/account_store.hpp"
 
 #include <sys/mman.h>
@@ -12,8 +12,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -301,6 +306,124 @@ TEST(AccountStore, RehashPrefaultsOnlyPagesThatHoldHomes) {
   unsigned char first = 0;
   ASSERT_EQ(::mincore(reinterpret_cast<void*>(base), page, &first), 0);
   EXPECT_EQ(first & 1, 1) << "mincore does not see the store's own pages";
+}
+
+constexpr std::uintptr_t kChunkBytes = std::uintptr_t{2} << 20;
+
+/// False where the kernel has no transparent huge pages or they are off.
+bool huge_pages_enabled() {
+  std::ifstream mode("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  return std::getline(mode, line) && line.find("[never]") == std::string::npos;
+}
+
+/// Whether the mapping that holds `addr` carries the `hg` VmFlag in
+/// /proc/self/smaps, i.e. was advised MADV_HUGEPAGE.
+bool advised_huge(std::uintptr_t addr) {
+  std::ifstream smaps("/proc/self/smaps");
+  bool in_entry = false;
+  for (std::string line; std::getline(smaps, line);) {
+    std::uintptr_t lo = 0;
+    std::uintptr_t hi = 0;
+    if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR, &lo, &hi) == 2) {
+      in_entry = lo <= addr && addr < hi;
+    } else if (in_entry && line.rfind("VmFlags:", 0) == 0) {
+      std::istringstream flags(line.substr(8));
+      for (std::string flag; flags >> flag;) {
+        if (flag == "hg") return true;
+      }
+      return false;
+    }
+  }
+  ADD_FAILURE() << "no smaps entry maps " << std::hex << addr;
+  return false;
+}
+
+/// The 2 MiB-aligned chunks that lie wholly inside [lo, hi).
+std::vector<std::uintptr_t> whole_chunks(std::uintptr_t lo, std::uintptr_t hi) {
+  std::vector<std::uintptr_t> chunks;
+  for (std::uintptr_t c = (lo + kChunkBytes - 1) / kChunkBytes * kChunkBytes;
+       c + kChunkBytes <= hi; c += kChunkBytes)
+    chunks.push_back(c);
+  return chunks;
+}
+
+/// Inserts hash 0 into the empty `store`, then random hashes until it
+/// holds `size` slots, and returns the address of its array, where hash 0
+/// stays (see the test above).
+std::uintptr_t fill_key_is_hash(SlotStore<TestSlot, KeyIsHashTraits>& store,
+                                std::size_t size) {
+  const auto find = [&](std::uint64_t hash) {
+    return store.find(hash, [&](const TestSlot& t) { return t.key == hash; });
+  };
+  store.insert(0, TestSlot{0, 0, 0, 1});
+  util::Rng rng(11);
+  while (store.size() < size) {
+    const std::uint64_t hash = rng.next_u64();
+    if (find(hash) == nullptr) store.insert(hash, TestSlot{hash, 0, 0, 1});
+  }
+  return reinterpret_cast<std::uintptr_t>(find(0));
+}
+
+TEST(AccountStore, DenseStoreAsksForHugePages) {
+  // Homes spread over the whole array, so after the last rehash every page
+  // holds one and every whole 2 MiB chunk is advised.
+  if (!huge_pages_enabled()) GTEST_SKIP() << "transparent huge pages off";
+  SlotStore<TestSlot, KeyIsHashTraits> store;
+  const std::uintptr_t base = fill_key_is_hash(store, 100'000);
+  ASSERT_EQ(store.capacity(), 262'144u);  // 6 MiB
+  const std::uintptr_t end = base + store.capacity() * sizeof(TestSlot);
+  const std::vector<std::uintptr_t> chunks = whole_chunks(base, end);
+  ASSERT_GE(chunks.size(), 2u);
+  for (const std::uintptr_t chunk : chunks)
+    EXPECT_TRUE(advised_huge(chunk)) << "chunk at +" << (chunk - base);
+}
+
+TEST(AccountStore, ChunksWithoutHomesKeepSmallPages) {
+  // A store whose homes all lie in the lower half. It is filled to 24 MiB
+  // with homes anywhere; a sweep then drops every key homed in the upper
+  // half and half the others. That leaves it under 1/8 load, so it
+  // shrinks, and the shrink's rehash sees lower-half homes only.
+  // (Inserting lower-half keys alone would pile them into one probe run
+  // half the array long before every doubling, and each insert would walk
+  // it.)
+  if (!huge_pages_enabled()) GTEST_SKIP() << "transparent huge pages off";
+  SlotStore<TestSlot, KeyIsHashTraits> store;
+  fill_key_is_hash(store, 400'000);
+  ASSERT_EQ(store.capacity(), 1u << 20);
+  store.erase_if([](const TestSlot& t) {
+    return (t.key >> 63) != 0 || t.key % 2 == 1;
+  });
+  ASSERT_EQ(store.capacity(), 262'144u);  // 6 MiB
+  const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(
+      store.find(0, [](const TestSlot& t) { return t.key == 0; }));
+
+  // The lower half's chunks are advised; no chunk of the upper half is,
+  // and its top quarter, which not even the probe runs spilling past the
+  // middle reach, stays out of RSS. A huge page there would have made
+  // 2 MiB of it resident at once.
+  const std::uintptr_t middle = base + store.capacity() / 2 * sizeof(TestSlot);
+  const std::uintptr_t end = base + store.capacity() * sizeof(TestSlot);
+  const std::vector<std::uintptr_t> lower = whole_chunks(base, middle);
+  const std::vector<std::uintptr_t> upper = whole_chunks(middle, end);
+  ASSERT_FALSE(lower.empty());
+  ASSERT_FALSE(upper.empty());
+  for (const std::uintptr_t chunk : lower)
+    EXPECT_TRUE(advised_huge(chunk)) << "chunk at +" << (chunk - base);
+  for (const std::uintptr_t chunk : upper)
+    EXPECT_FALSE(advised_huge(chunk)) << "chunk at +" << (chunk - base);
+
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const std::uintptr_t top = base + store.capacity() * 3 / 4 * sizeof(TestSlot);
+  ASSERT_EQ(top % page, 0u);
+  std::vector<unsigned char> resident((end - top) / page);
+  ASSERT_EQ(::mincore(reinterpret_cast<void*>(top), end - top,
+                      resident.data()),
+            0);
+  EXPECT_EQ(std::count_if(resident.begin(), resident.end(),
+                          [](unsigned char r) { return (r & 1) != 0; }),
+            0)
+      << "of " << resident.size() << " top-quarter pages";
 }
 
 TEST(MappedArray, ZeroFilledAndMovable) {

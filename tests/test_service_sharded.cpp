@@ -201,6 +201,64 @@ TEST(ShardEngine, BatchResultsArePositionallyAligned) {
   }
 }
 
+// A run of coalesced acquires holding one negative op: acquire_batch
+// rejects the run before applying anything, and the worker's op-by-op redo
+// applies each valid op exactly once and fails only the offender. The
+// offender sits on the highest shard of the run, so a batch that applied
+// shards in order until it met the bad op would have charged the others
+// twice.
+TEST(ShardEngine, BadOpInACoalescedRunFailsAloneAndOthersApplyOnce) {
+  AccountTable table(base_config());
+  AccountTable twin(base_config());
+  table.clock().advance(6000);
+  twin.clock().advance(6000);
+  std::uint64_t bad_key = 100;
+  while (table.shard_of(kDefaultNamespace, bad_key) + 1 < table.shard_count())
+    ++bad_key;
+  std::vector<AcquireOp> ops;
+  for (std::uint64_t key = 0; key < 12; ++key) ops.push_back({key % 8, 2});
+  ops.insert(ops.begin() + 6, AcquireOp{bad_key, -1});
+
+  std::vector<OpResult> got(ops.size());
+  {
+    ShardEngineOptions opts;
+    opts.workers = 1;
+    ShardEngine engine(table, opts);
+    // Queued while the worker is parked, so it pops the whole run in one
+    // drain and coalesces it into one acquire_batch call.
+    engine.quiesced([&] {
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        ShardOp op;
+        op.kind = ShardOp::Kind::kAcquire;
+        op.key = ops[i].key;
+        op.tokens = ops[i].tokens;
+        op.done = [](ShardOp& done_op, void* ctx) {
+          *static_cast<OpResult*>(ctx) = {done_op.out_a, done_op.out_b,
+                                          done_op.ok};
+        };
+        op.ctx = &got[i];
+        engine.submit(op);
+      }
+    });
+    engine.drain();
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].tokens < 0) {
+      EXPECT_FALSE(got[i].ok) << "op " << i;
+      continue;
+    }
+    const AcquireResult want = twin.acquire(ops[i].key, ops[i].tokens);
+    EXPECT_TRUE(got[i].ok) << "op " << i;
+    EXPECT_EQ(got[i].a, want.granted) << "op " << i;
+    EXPECT_EQ(got[i].b, want.balance) << "op " << i;
+  }
+  EXPECT_EQ(table.stats().acquires, ops.size() - 1);
+  EXPECT_TRUE(table.stats() == twin.stats());
+  for (std::uint64_t key = 0; key < 8; ++key)
+    EXPECT_EQ(table.query(key).balance, twin.query(key).balance) << key;
+  EXPECT_FALSE(table.query(bad_key).exists);
+}
+
 // Concurrent producers + quiesced sweeps + §3.4 audit: the plane's whole
 // point is that this is safe without a single shard lock.
 TEST(ShardEngine, ConcurrentSubmittersStayAuditClean) {

@@ -217,6 +217,19 @@ TEST(AccountTable, BatchAlignsWithOpsAndMatchesScalarSemantics) {
   EXPECT_EQ(table.stats().acquires, 6u);
 }
 
+TEST(AccountTable, BatchWithANegativeOpAppliesNothing) {
+  // Every op is checked before any shard is touched: the valid ops around
+  // the offender are not applied either, wherever their shards sort.
+  AccountTable table(simple_config(10, 1000));
+  table.clock().advance(5000);
+  std::vector<AcquireOp> ops;
+  for (std::uint64_t key = 0; key < 32; ++key) ops.push_back({key, 2});
+  ops.insert(ops.begin() + 16, AcquireOp{99, -1});
+  EXPECT_THROW(table.acquire_batch(ops), util::InvariantError);
+  EXPECT_EQ(table.account_count(), 0u);
+  EXPECT_TRUE(table.stats() == TableStats{});
+}
+
 TEST(AccountTable, TokenBucketBackendHonoursBucketSize) {
   ServiceConfig cfg;
   cfg.shards = 4;
@@ -765,54 +778,74 @@ TEST(AccountTableNamespaces, BatchRunsAgainstItsNamespace) {
 TEST(AccountTable, RandomizedBatchesMatchScalarAcquires) {
   // Twin tables, one fed acquire_batch and the other the same ops one by
   // one: per-op results and the counters must agree exactly. Batches of 1
-  // to 600 ops over 8 shards give shard runs both shorter and longer than
-  // the batch prefetch distance; keys repeat within a batch and span two
+  // to 600 ops give shard runs both shorter and longer than the batch
+  // prefetch distance; keys repeat within a batch and span two
   // namespaces; and ~24k fresh keys grow every shard's store through
-  // several doublings, many of them in the middle of a batch.
-  ServiceConfig cfg = simple_config(6, 1000);
-  cfg.strategy.kind = core::StrategyKind::kGeneralized;  // draws the RNG
-  cfg.strategy.a_param = 3;
-  cfg.watchdog_sample = 4;
-  AccountTable batched(cfg);
-  AccountTable scalar(cfg);
-  for (AccountTable* t : {&batched, &scalar}) {
-    ASSERT_TRUE(t->configure_namespace(1, bucket_namespace(4, 700)));
-  }
-  util::Rng rng(29);
-  std::uint64_t next_fresh = 0;
-  std::vector<AcquireOp> ops;
-  for (int round = 0; round < 320; ++round) {
-    const auto ns = static_cast<NamespaceId>(rng.below(2));
-    const std::uint64_t size =
-        round % 4 == 0 ? 1 + rng.below(8) : 1 + rng.below(600);
-    ops.clear();
-    for (std::uint64_t i = 0; i < size; ++i) {
-      std::uint64_t key = 0;
-      if (rng.below(3) == 0 && !ops.empty()) {
-        key = ops[rng.below(ops.size())].key;  // repeat within the batch
-      } else if (rng.below(2) == 0 || next_fresh == 0) {
-        key = next_fresh++;
-      } else {
-        key = rng.below(next_fresh);
+  // several doublings, many of them in the middle of a batch. The shard
+  // counts cover the grouping's edge cases: one shard takes a whole batch
+  // as one run, and at 1024 most shards get no op.
+  for (const std::size_t shards : {1, 8, 1024}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    ServiceConfig cfg = simple_config(6, 1000);
+    cfg.shards = shards;
+    cfg.strategy.kind = core::StrategyKind::kGeneralized;  // draws the RNG
+    cfg.strategy.a_param = 3;
+    cfg.watchdog_sample = 4;
+    AccountTable batched(cfg);
+    AccountTable scalar(cfg);
+    for (AccountTable* t : {&batched, &scalar}) {
+      ASSERT_TRUE(t->configure_namespace(1, bucket_namespace(4, 700)));
+    }
+    util::Rng rng(29);
+    std::uint64_t next_fresh = 0;
+    std::vector<AcquireOp> ops;
+    for (int round = 0; round < 320; ++round) {
+      const auto ns = static_cast<NamespaceId>(rng.below(2));
+      const std::uint64_t size =
+          round % 4 == 0 ? 1 + rng.below(8) : 1 + rng.below(600);
+      ops.clear();
+      for (std::uint64_t i = 0; i < size; ++i) {
+        std::uint64_t key = 0;
+        if (rng.below(3) == 0 && !ops.empty()) {
+          key = ops[rng.below(ops.size())].key;  // repeat within the batch
+        } else if (rng.below(2) == 0 || next_fresh == 0) {
+          key = next_fresh++;
+        } else {
+          key = rng.below(next_fresh);
+        }
+        ops.push_back(AcquireOp{key, static_cast<Tokens>(rng.below(4))});
       }
-      ops.push_back(AcquireOp{key, static_cast<Tokens>(rng.below(4))});
+      const std::vector<AcquireResult> got = batched.acquire_batch(ns, ops);
+      ASSERT_EQ(got.size(), ops.size());
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        const AcquireResult want =
+            scalar.acquire(ns, ops[i].key, ops[i].tokens);
+        ASSERT_EQ(got[i].granted, want.granted)
+            << "round " << round << " op " << i;
+        ASSERT_EQ(got[i].balance, want.balance)
+            << "round " << round << " op " << i;
+        ASSERT_EQ(got[i].fresh, want.fresh) << "round " << round << " op " << i;
+      }
+      const TimeUs step = static_cast<TimeUs>(rng.below(3000));
+      batched.clock().advance(step);
+      scalar.clock().advance(step);
     }
-    const std::vector<AcquireResult> got = batched.acquire_batch(ns, ops);
-    ASSERT_EQ(got.size(), ops.size());
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const AcquireResult want = scalar.acquire(ns, ops[i].key, ops[i].tokens);
-      ASSERT_EQ(got[i].granted, want.granted) << "round " << round << " op " << i;
-      ASSERT_EQ(got[i].balance, want.balance) << "round " << round << " op " << i;
-      ASSERT_EQ(got[i].fresh, want.fresh) << "round " << round << " op " << i;
-    }
-    const TimeUs step = static_cast<TimeUs>(rng.below(3000));
-    batched.clock().advance(step);
-    scalar.clock().advance(step);
+    EXPECT_EQ(batched.shard_count(), shards);
+    EXPECT_GT(next_fresh, 20'000u);
+    EXPECT_TRUE(batched.stats() == scalar.stats());
+    EXPECT_TRUE(batched.stats(1) == scalar.stats(1));
+    EXPECT_GT(batched.stats().watchdog_checks, 0u);
   }
-  EXPECT_GT(next_fresh, 20'000u);
-  EXPECT_TRUE(batched.stats() == scalar.stats());
-  EXPECT_TRUE(batched.stats(1) == scalar.stats(1));
-  EXPECT_GT(batched.stats().watchdog_checks, 0u);
+}
+
+TEST(AccountTable, EmptyBatchReturnsNothingAndCountsNothing) {
+  AccountTable table(simple_config(10, 1000));
+  ASSERT_TRUE(table.configure_namespace(1, bucket_namespace(4, 700)));
+  EXPECT_TRUE(table.acquire_batch({}).empty());
+  EXPECT_TRUE(table.acquire_batch(1, {}).empty());
+  EXPECT_EQ(table.account_count(), 0u);
+  EXPECT_TRUE(table.stats() == TableStats{});
+  EXPECT_TRUE(table.stats(1) == TableStats{});
 }
 
 TEST(AccountTable, ConcurrentGrowingBatchesOnSharedShards) {
