@@ -5,8 +5,10 @@
 // round trips through the in-process fabric), and the tokad cluster layer
 // (HashRing owner lookups and ring rebuilds).
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <memory>
@@ -552,8 +554,18 @@ BENCHMARK(BM_AccountTableAcquire)->Arg(1)->Iterations(1 << 20);
 BENCHMARK(BM_AccountTableAcquire)->Arg(2);
 
 /// Keys [0, kCachedTableKeys) preloaded once: 256 accounts per shard, about
-/// 2 MiB of slots in all, so hits stay in cache.
+/// 1 MiB of slots in all, so hits stay in cache.
 constexpr std::uint64_t kCachedTableKeys = 16'384;
+
+/// The process's resident set size in bytes (/proc/self/statm; 0 where
+/// it cannot be read).
+std::int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t pages = 0;
+  std::int64_t resident = 0;
+  if (!(statm >> pages >> resident)) return 0;
+  return resident * ::sysconf(_SC_PAGESIZE);
+}
 
 service::AccountTable& cached_table() {
   static service::AccountTable* table = [] {
@@ -574,12 +586,14 @@ service::AccountTable& cached_table() {
 /// (capped at 256 chunks, 1M accounts). range(0) = 2: 4096-op chunks of
 /// random hits on the 16k-key cached table, which price the grouping and
 /// the settle arithmetic without the DRAM misses of the other two. Items
-/// are ops.
+/// are ops. The insert shape also reports `bytes_per_account`: the
+/// process's RSS growth over the run divided by the accounts it created.
 void BM_AccountTableAcquireBatch(benchmark::State& state) {
   const std::int64_t shape = state.range(0);
   const bool inserts = shape == 1;
   const std::size_t batch = shape == 0 ? 64 : 4096;
   const std::uint64_t keys = shape == 2 ? kCachedTableKeys : kTableBenchKeys;
+  const std::int64_t rss_before = resident_bytes();
   std::unique_ptr<service::AccountTable> fresh;
   if (inserts) fresh = std::make_unique<service::AccountTable>(table_bench_config());
   service::AccountTable& table = inserts      ? *fresh
@@ -594,6 +608,11 @@ void BM_AccountTableAcquireBatch(benchmark::State& state) {
     benchmark::DoNotOptimize(table.acquire_batch(ops));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * batch));
+  if (inserts) {
+    state.counters["bytes_per_account"] =
+        static_cast<double>(resident_bytes() - rss_before) /
+        static_cast<double>(table.account_count());
+  }
   state.SetLabel(inserts      ? "insert chunks"
                  : shape == 0 ? "hit frames"
                               : "cached hit chunks");

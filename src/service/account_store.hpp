@@ -2,11 +2,14 @@
 // fixed-size slots (linear probing, backward-shift deletion) kept in an
 // anonymous memory mapping.
 //
-// A slot holds an account's whole hot state inline — at most one cache
-// line — so a lookup is one probe run over contiguous memory instead of a
-// bucket load plus a node chase, and an account costs its slot and no
-// allocation. The store knows nothing about accounts: the slot type and a
-// traits class (liveness + hash) come from the table.
+// A slot holds an account's whole hot state inline, so a lookup is one
+// probe run over contiguous memory instead of a bucket load plus a node
+// chase, and an account costs its slot and no allocation. State that only
+// some tables need can live in an optional cold column: a second array,
+// index-aligned with the slots, that the store maps only when asked to
+// and moves in step with them. The store knows nothing about accounts:
+// the slot type, the cold type and a traits class (liveness + hash) come
+// from the table.
 //
 // The slot arrays come from mmap/munmap, not the heap. glibc keeps freed
 // interior heap chunks resident and its dynamic mmap threshold sends later
@@ -79,11 +82,19 @@ class MappedArray {
 /// halves back after a sweep leaves it under 1/8 (an empty store unmaps
 /// its array). Any insert or erase may move slots: a Slot& or Slot* stays
 /// valid only until the next one.
-template <typename Slot, typename Traits>
+///
+/// Once enable_cold() has run, every slot also has a `Cold` value at the
+/// same index of a second array. It is zero for an empty slot and for a
+/// slot just inserted, travels with its slot through every move, and is
+/// zeroed when its slot is erased.
+template <typename Slot, typename Traits, typename Cold>
 class SlotStore {
   static_assert(std::is_trivially_copyable_v<Slot> &&
                     std::is_trivially_destructible_v<Slot>,
                 "slots are moved with plain copies and dropped by zeroing");
+  static_assert(std::is_trivially_copyable_v<Cold> &&
+                    std::is_trivially_destructible_v<Cold>,
+                "cold values are moved and dropped like their slots");
 
  public:
   /// Smallest non-empty capacity, in slots.
@@ -91,6 +102,27 @@ class SlotStore {
 
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
+
+  /// Whether enable_cold() has run.
+  bool cold_enabled() const { return cold_enabled_; }
+
+  /// Gives every slot a zero cold value, mapping the column now if the
+  /// store holds an array. From then on the column stays on: an emptied
+  /// store unmaps it with the slots, and the next insert maps both again.
+  void enable_cold() {
+    if (cold_enabled_) return;
+    cold_enabled_ = true;
+    if (capacity_ != 0) {
+      cold_array_ = MappedArray(capacity_ * sizeof(Cold));
+      colds_ = static_cast<Cold*>(cold_array_.data());
+    }
+  }
+
+  /// The cold value of `slot`, a live slot of this store, which must have
+  /// its column enabled. Valid as long as the slot reference is.
+  Cold& cold(const Slot& slot) {
+    return colds_[static_cast<std::size_t>(&slot - slots_)];
+  }
 
   /// The live slot for which `eq(slot)` holds among those inserted under
   /// `hash`, or nullptr.
@@ -186,10 +218,12 @@ class SlotStore {
       const std::size_t from_home = (j - home(Traits::hash(slot))) & mask_;
       if (from_home >= ((j - hole) & mask_)) {
         slots_[hole] = slot;
+        if (colds_ != nullptr) colds_[hole] = colds_[j];
         hole = j;
       }
     }
     slots_[hole] = Slot{};
+    if (colds_ != nullptr) colds_[hole] = Cold{};
     --size_;
   }
 
@@ -197,6 +231,8 @@ class SlotStore {
     if (size_ == 0) {
       array_ = MappedArray();
       slots_ = nullptr;
+      cold_array_ = MappedArray();
+      colds_ = nullptr;
       capacity_ = mask_ = 0;
       return;
     }
@@ -205,18 +241,25 @@ class SlotStore {
 
   void rehash(std::size_t capacity) {
     MappedArray fresh(capacity * sizeof(Slot));
+    MappedArray fresh_cold =
+        cold_enabled_ ? MappedArray(capacity * sizeof(Cold)) : MappedArray();
     Slot* const old_slots = slots_;
+    Cold* const old_colds = colds_;
     const std::size_t old_capacity = capacity_;
     slots_ = static_cast<Slot*>(fresh.data());
+    colds_ = static_cast<Cold*>(fresh_cold.data());
     capacity_ = capacity;
     mask_ = capacity - 1;
     shift_ = 64 - std::countr_zero(capacity);
     prefault_homes(fresh, old_slots, old_capacity);
     for (std::size_t i = 0; i < old_capacity; ++i) {
-      if (Traits::live(old_slots[i]))
-        slots_[free_index(Traits::hash(old_slots[i]))] = old_slots[i];
+      if (!Traits::live(old_slots[i])) continue;
+      const std::size_t to = free_index(Traits::hash(old_slots[i]));
+      slots_[to] = old_slots[i];
+      if (old_colds != nullptr) colds_[to] = old_colds[i];
     }
-    array_ = std::move(fresh);  // unmaps the old array
+    array_ = std::move(fresh);  // unmaps the old arrays
+    cold_array_ = std::move(fresh_cold);
   }
 
   /// Populates, ready for writing, each run of pages of the new array
@@ -269,6 +312,11 @@ class SlotStore {
 
   MappedArray array_;
   Slot* slots_ = nullptr;
+  /// The cold column: unmapped until enable_cold(), and then mapped
+  /// exactly when the slot array is.
+  MappedArray cold_array_;
+  Cold* colds_ = nullptr;
+  bool cold_enabled_ = false;
   std::size_t capacity_ = 0;
   std::size_t mask_ = 0;
   int shift_ = 64;

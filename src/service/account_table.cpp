@@ -35,6 +35,8 @@ bool watchdog_samples(std::uint64_t sample_every, NamespaceId ns,
 }  // namespace
 
 void CoarseClock::advance_to(TimeUs t) {
+  TOKA_CHECK_MSG(t < kLimitUs, "clock time " << t << " us reaches the limit "
+                                             << kLimitUs << " us");
   TimeUs cur = now_.load(std::memory_order_relaxed);
   while (t > cur &&
          !now_.compare_exchange_weak(cur, t, std::memory_order_relaxed)) {
@@ -44,7 +46,12 @@ void CoarseClock::advance_to(TimeUs t) {
 
 void CoarseClock::advance(TimeUs dt) {
   TOKA_CHECK_MSG(dt >= 0, "clock cannot retreat, got dt=" << dt);
-  advance_to(now_.load(std::memory_order_relaxed) + dt);
+  const TimeUs cur = now_.load(std::memory_order_relaxed);
+  // Checked before the sum, which could overflow.
+  TOKA_CHECK_MSG(dt < kLimitUs - cur, "clock time " << cur << " + " << dt
+                                          << " us reaches the limit "
+                                          << kLimitUs << " us");
+  advance_to(cur + dt);
 }
 
 std::shared_ptr<const AccountTable::Namespace> AccountTable::make_namespace(
@@ -112,22 +119,17 @@ bool AccountTable::configure_namespace(NamespaceId ns,
                                        const NamespaceConfig& config) {
   auto fresh = make_namespace(ns, config);  // validates before any mutation
   bool created;
-  std::shared_ptr<const Namespace> old;
   {
     std::unique_lock lock(ns_mu_);
     auto [it, inserted] = namespaces_.try_emplace(ns, fresh);
     created = inserted;
-    if (!inserted) {
-      old = std::move(it->second);
-      it->second = std::move(fresh);
-    }
+    if (!inserted) it->second = std::move(fresh);
   }
   // Reset semantics on replace: drop the namespace's accounts so every key
   // restarts under the new policy from the initial balance (under-grants
   // only). The caller owns the whole table, so no request can create an
-  // account under the outgoing policy once the purge has begun. `old`
-  // keeps the snapshot alive across the purge, the last moment a slot can
-  // point at it.
+  // account under the outgoing policy once the purge has begun, and every
+  // account of `ns` left afterwards is one of the new snapshot's.
   if (!created) purge_namespace(ns);
   return created;
 }
@@ -137,9 +139,9 @@ std::size_t AccountTable::erase_accounts_if(Shard& shard, Pred&& pred) {
   return shard.accounts.erase_if([&](const Slot& s) {
     if (!pred(s)) return false;
     // A re-created key must start a fresh watchdog ring and audit trace.
-    const AccountKey account_key{s.ns->id, s.key};
-    if ((s.flags & kSlotWatched) != 0) shard.watchdogs.erase(account_key);
-    if ((s.flags & kSlotAudited) != 0) shard.auditors.erase(account_key);
+    const AccountKey account_key{s.ns, s.key};
+    if ((s.meta & kSlotWatched) != 0) shard.watchdogs.erase(account_key);
+    if ((s.meta & kSlotAudited) != 0) shard.auditors.erase(account_key);
     return true;
   });
 }
@@ -147,7 +149,7 @@ std::size_t AccountTable::erase_accounts_if(Shard& shard, Pred&& pred) {
 void AccountTable::purge_namespace(NamespaceId ns) {
   for (auto& shard : shards_) {
     const std::size_t removed = erase_accounts_if(
-        *shard, [&](const Slot& s) { return s.ns->id == ns; });
+        *shard, [&](const Slot& s) { return s.ns == ns; });
     stats_for(*shard, ns).accounts_evicted += removed;
   }
 }
@@ -176,7 +178,7 @@ std::optional<NamespaceInfo> AccountTable::namespace_info(
   info.capacity = nsp->capacity;
   for (const auto& shard : shards_) {
     shard->accounts.for_each([&](const Slot& s) {
-      if (s.ns->id == ns) ++info.accounts;
+      if (s.ns == ns) ++info.accounts;
     });
   }
   return info;
@@ -229,11 +231,8 @@ AccountTable::Slot* AccountTable::find_account(Shard& shard,
                                                std::uint64_t hash,
                                                NamespaceId ns,
                                                std::uint64_t key) {
-  // The key compares first: the namespace is read through the slot's
-  // snapshot pointer only on a key match.
-  return shard.accounts.find(hash, [&](const Slot& s) {
-    return s.key == key && s.ns->id == ns;
-  });
+  return shard.accounts.find(
+      hash, [&](const Slot& s) { return s.key == key && s.ns == ns; });
 }
 
 AccountTable::Slot& AccountTable::create_account(Shard& shard,
@@ -241,26 +240,24 @@ AccountTable::Slot& AccountTable::create_account(Shard& shard,
                                                  std::uint64_t hash,
                                                  std::uint64_t key,
                                                  Tokens balance,
-                                                 std::int64_t tick,
                                                  TimeUs now) {
   Slot slot;
   slot.key = key;
-  slot.ns = &ns;
-  slot.last_tick = tick;
-  slot.last_access_us = now;
+  slot.ns = ns.id;
+  slot.meta = kSlotLive;
+  slot.set_last_access_us(now);
   slot.balance = static_cast<std::int32_t>(balance);  // in [0, C]
-  slot.flags = kSlotLive;
   const AccountKey account_key{ns.id, key};
   if (ns.config.audit) {
     shard.auditors.insert_or_assign(
         account_key,
         core::RateLimitAuditor(ns.config.delta_us, ns.capacity));
-    slot.flags |= kSlotAudited;
+    slot.meta |= kSlotAudited;
   }
   if (watchdog_samples(config_.watchdog_sample, ns.id, key)) {
     shard.watchdogs.insert_or_assign(
         account_key, core::BurstWatchdog(ns.config.delta_us, ns.capacity));
-    slot.flags |= kSlotWatched;
+    slot.meta |= kSlotWatched;
   }
   ++stats_for(shard, ns.id).accounts_created;
   return shard.accounts.insert(hash, slot);
@@ -270,22 +267,21 @@ AccountTable::Slot& AccountTable::find_or_create(Shard& shard,
                                                  const Namespace& ns,
                                                  std::uint64_t hash,
                                                  std::uint64_t key,
-                                                 std::int64_t tick,
                                                  TimeUs now) {
   if (Slot* slot = find_account(shard, hash, ns.id, key)) return *slot;
-  return create_account(shard, ns, hash, key, ns.config.initial_tokens, tick,
-                        now);
+  return create_account(shard, ns, hash, key, ns.config.initial_tokens, now);
 }
 
-void AccountTable::settle(Shard& shard, Slot& slot, TimeUs now) {
-  // The tick index comes from the *account's own* namespace snapshot: an
-  // account created under an older policy has a last_tick recorded under
-  // its Δ, and dividing `now` by another Δ would fabricate (or eat)
-  // elapsed ticks — a shrunk Δ would instantly refill the account past
-  // what real time banked, breaking the "reset only under-grants" rule.
-  const Namespace& ns = *slot.ns;
-  const std::int64_t tick = now / ns.config.delta_us;
-  const std::int64_t due = tick - slot.last_tick;
+void AccountTable::settle(Shard& shard, Slot& slot, const Namespace& ns,
+                          TimeUs now) {
+  // Both tick indices divide by the Δ the account was created under: `ns`
+  // is the current snapshot of its namespace, and a reconfigure purges the
+  // accounts of the snapshot it replaces. Dividing the last access by
+  // another Δ would fabricate (or eat) elapsed ticks. The shard's one
+  // accessor reads a monotonic clock, so `now` never precedes the last
+  // access.
+  const TimeUs delta = ns.config.delta_us;
+  const std::int64_t due = now / delta - slot.last_access_us() / delta;
   if (due > 0) {
     const std::int64_t apply = std::min<std::int64_t>(due, ns.catchup_limit);
     TableStats& stats = stats_for(shard, ns.id);
@@ -300,20 +296,19 @@ void AccountTable::settle(Shard& shard, Slot& slot, TimeUs now) {
         ++stats.proactive_dropped;
     }
     slot.balance = static_cast<std::int32_t>(balance);
-    slot.last_tick = tick;
   }
-  slot.last_access_us = now;
+  slot.set_last_access_us(now);
 }
 
 AcquireResult AccountTable::acquire_in_shard(Shard& shard, const Namespace& ns,
                                              std::uint64_t hash,
                                              std::uint64_t key, Tokens n,
-                                             std::int64_t tick, TimeUs now) {
-  Slot& slot = find_or_create(shard, ns, hash, key, tick, now);
+                                             TimeUs now) {
+  Slot& slot = find_or_create(shard, ns, hash, key, now);
   // Balance before this call's settle: a grant within it was banked; a
   // grant beyond it spent tokens the settle just minted ("fresh").
   const Tokens banked = slot.balance;
-  settle(shard, slot, now);
+  settle(shard, slot, ns, now);
   Tokens balance = slot.balance;
   Tokens want = n;
   if (repl_enabled_.load(std::memory_order_relaxed)) {
@@ -321,8 +316,12 @@ AcquireResult AccountTable::acquire_in_shard(Shard& shard, const Namespace& ns,
     // follower might still install. Grants above the gated headroom wait
     // for the stream to catch up (the gate collapses on ack in
     // drain_replica_dirty) — the availability price of the never-duplicate
-    // guarantee under failover.
-    want = std::min(want, std::max<Tokens>(balance - slot.repl_gate, 0));
+    // guarantee under failover. A shard that has not drained a delta yet
+    // has sent no floor, so its gates are all 0.
+    const Tokens gate = shard.accounts.cold_enabled()
+                            ? shard.accounts.cold(slot).gate
+                            : 0;
+    want = std::min(want, std::max<Tokens>(balance - gate, 0));
   }
   const Tokens granted = core::spend_balance(balance, slot.spent, want,
                                              /*allow_overdraft=*/false);
@@ -333,12 +332,12 @@ AcquireResult AccountTable::acquire_in_shard(Shard& shard, const Namespace& ns,
   stats.tokens_requested += static_cast<std::uint64_t>(n);
   stats.tokens_granted += static_cast<std::uint64_t>(granted);
   shard.hot.record(fold_key(ns.id, key));
-  if ((slot.flags & kSlotAudited) != 0) {
+  if ((slot.meta & kSlotAudited) != 0) {
     core::RateLimitAuditor& auditor =
         shard.auditors.at(AccountKey{ns.id, key});
     for (Tokens i = 0; i < granted; ++i) auditor.record(now);
   }
-  if ((slot.flags & kSlotWatched) != 0 && granted > 0) {
+  if ((slot.meta & kSlotWatched) != 0 && granted > 0) {
     core::BurstWatchdog& watchdog = shard.watchdogs.at(AccountKey{ns.id, key});
     const std::uint64_t before = watchdog.checks();
     stats.watchdog_violations += watchdog.record(now, granted);
@@ -358,15 +357,14 @@ AcquireResult AccountTable::acquire(NamespaceId ns, std::uint64_t key,
   // The shard's one accessor reads a monotonic clock, so times per account
   // never decrease — which settle()'s bookkeeping and the auditor's
   // record() rely on.
-  const TimeUs now = clock_.now_us();
-  const std::int64_t tick = now / nsp->config.delta_us;
-  return acquire_in_shard(shard, *nsp, hash, key, n, tick, now);
+  return acquire_in_shard(shard, *nsp, hash, key, n, clock_.now_us());
 }
 
 RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
                                   Tokens n) {
   TOKA_CHECK_MSG(n >= 0, "refund requires n >= 0, got " << n);
-  resolve(ns);  // reject unknown namespaces before touching the shard
+  // Throws on an unknown namespace before the shard is touched.
+  const std::shared_ptr<const Namespace> nsp = resolve(ns);
   const std::uint64_t hash = account_hash(ns, key);
   Shard& shard = shard_for(hash);
   const TimeUs now = clock_.now_us();
@@ -384,27 +382,25 @@ RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
     stats.tokens_refund_dropped += static_cast<std::uint64_t>(n);
     return RefundResult{0, 0};
   }
-  settle(shard, *slot, now);
+  settle(shard, *slot, *nsp, now);
   // Cap at the capacity headroom: ticks banked since the acquire may have
   // refilled the balance, and a late refund must not push it past C (that
   // would mint burst allowance past the §3.4 bound). refund_balance
-  // further caps at the spends still outstanding. The caps come from the
-  // account's own namespace snapshot, so accounts racing a reconfigure
-  // stay within the policy they were created under.
+  // further caps at the spends still outstanding.
   Tokens balance = slot->balance;
-  const Tokens headroom = std::max<Tokens>(slot->ns->capacity - balance, 0);
+  const Tokens headroom = std::max<Tokens>(nsp->capacity - balance, 0);
   const Tokens accepted =
       core::refund_balance(balance, slot->spent, std::min(n, headroom));
   slot->balance = static_cast<std::int32_t>(balance);
   mark_repl_dirty(shard, *slot);
-  if ((slot->flags & kSlotAudited) != 0) {
+  if ((slot->meta & kSlotAudited) != 0) {
     // The returned tokens' admissions never happened: strike them from the
     // audit trace so first_violation() checks *net* admissions. accepted
     // <= outstanding spends == recorded sends, so retract cannot underflow.
     shard.auditors.at(AccountKey{ns, key})
         .retract(static_cast<std::size_t>(accepted));
   }
-  if ((slot->flags & kSlotWatched) != 0)
+  if ((slot->meta & kSlotWatched) != 0)
     shard.watchdogs.at(AccountKey{ns, key}).retract(accepted);
   stats.tokens_refunded += static_cast<std::uint64_t>(accepted);
   stats.tokens_refund_dropped += static_cast<std::uint64_t>(n - accepted);
@@ -412,14 +408,15 @@ RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
 }
 
 QueryResult AccountTable::query(NamespaceId ns, std::uint64_t key) {
-  resolve(ns);  // reject unknown namespaces before touching the shard
+  // Throws on an unknown namespace before the shard is touched.
+  const std::shared_ptr<const Namespace> nsp = resolve(ns);
   const std::uint64_t hash = account_hash(ns, key);
   Shard& shard = shard_for(hash);
   const TimeUs now = clock_.now_us();
   ++stats_for(shard, ns).queries;
   Slot* slot = find_account(shard, hash, ns, key);
   if (slot == nullptr) return QueryResult{0, false};
-  settle(shard, *slot, now);
+  settle(shard, *slot, *nsp, now);
   return QueryResult{slot->balance, true};
 }
 
@@ -462,7 +459,6 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
     Shard& shard = *shards_[shard_idx];
     // One clock read per shard visit: the whole run settles against it.
     const TimeUs now = clock_.now_us();
-    const std::int64_t tick = now / nsp->config.delta_us;
     // Home slots are prefetched kPrefetchDistance ops ahead, and only
     // within this shard's run: a batch split across engine workers reaches
     // this call once per worker, and another worker's shard may be read
@@ -474,7 +470,7 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
         shard.accounts.prefetch(hashes[order[i + kPrefetchDistance]]);
       const std::uint32_t op = order[i];
       results[op] = acquire_in_shard(shard, *nsp, hashes[op], ops[op].key,
-                                     ops[op].tokens, tick, now);
+                                     ops[op].tokens, now);
     }
   }
   return results;
@@ -493,9 +489,10 @@ std::size_t AccountTable::evict_idle_shard(std::size_t shard_idx) {
                  "shard index " << shard_idx << " out of range");
   Shard& shard = *shards_[shard_idx];
   const TimeUs now = clock_.now_us();
+  NamespaceCache namespaces(*this);
   return erase_accounts_if(shard, [&](const Slot& s) {
-    const TimeUs ttl = s.ns->config.idle_ttl_us;
-    const TimeUs idle = now - s.last_access_us;
+    const TimeUs ttl = namespaces.get(s.ns).config.idle_ttl_us;
+    const TimeUs idle = now - s.last_access_us();
     // A nonzero banked balance earns a grace window up to 2x the TTL:
     // evicting at the TTL would drop the account — and with it any
     // refund still in flight for its outstanding grants — the moment it
@@ -503,7 +500,7 @@ std::size_t AccountTable::evict_idle_shard(std::size_t shard_idx) {
     // only errs on the side of keeping the account.
     const bool expired =
         ttl > 0 && idle >= ttl && (s.balance == 0 || idle >= 2 * ttl);
-    if (expired) ++stats_for(shard, s.ns->id).accounts_evicted;
+    if (expired) ++stats_for(shard, s.ns).accounts_evicted;
     return expired;
   });
 }
@@ -513,7 +510,7 @@ std::vector<AccountExport> AccountTable::extract_if(
   std::vector<AccountExport> out;
   for (auto& shard : shards_) {
     erase_accounts_if(*shard, [&](const Slot& s) {
-      const NamespaceId ns = s.ns->id;
+      const NamespaceId ns = s.ns;
       if (!should_extract(ns, s.key)) return false;
       // Only the banked balance travels; unsettled elapsed ticks are
       // forfeited (the receiver settles at its own clock). The balance
@@ -539,14 +536,12 @@ bool AccountTable::install_account(NamespaceId ns, std::uint64_t key,
   const std::uint64_t hash = account_hash(ns, key);
   Shard& shard = shard_for(hash);
   if (find_account(shard, hash, ns, key) != nullptr) return false;  // never duplicate
-  const TimeUs now = clock_.now_us();
-  const std::int64_t tick = now / nsp->config.delta_us;
   // The audit trace and the watchdog ring restart empty: the installed
   // balance is at most C, so spending it all at once still fits a fresh
   // window's 1 + C slack.
   Slot& slot = create_account(shard, *nsp, hash, key,
                               std::clamp<Tokens>(balance, 0, nsp->capacity),
-                              tick, now);
+                              clock_.now_us());
   mark_repl_dirty(shard, slot);
   ++stats_for(shard, ns).accounts_installed;
   return true;
@@ -561,10 +556,10 @@ void AccountTable::enable_replication(Tokens headroom) {
 
 void AccountTable::mark_repl_dirty(Shard& shard, Slot& slot) {
   if (!repl_enabled_.load(std::memory_order_relaxed) ||
-      (slot.flags & kSlotReplDirty) != 0)
+      (slot.meta & kSlotReplDirty) != 0)
     return;
-  slot.flags |= kSlotReplDirty;
-  shard.repl_dirty.push_back(AccountKey{slot.ns->id, slot.key});
+  slot.meta |= kSlotReplDirty;
+  shard.repl_dirty.push_back(AccountKey{slot.ns, slot.key});
 }
 
 std::size_t AccountTable::drain_replica_dirty(
@@ -573,26 +568,32 @@ std::size_t AccountTable::drain_replica_dirty(
   TOKA_CHECK_MSG(shard_idx < shards_.size(),
                  "shard index " << shard_idx << " out of range");
   Shard& shard = *shards_[shard_idx];
+  const Tokens configured = repl_headroom_.load(std::memory_order_relaxed);
+  NamespaceCache namespaces(*this);
   std::size_t appended = 0;
   for (const AccountKey& k : shard.repl_dirty) {
     Slot* slot = find_account(shard, account_hash(k.ns, k.key), k.ns, k.key);
     if (slot == nullptr) continue;  // evicted or extracted since
-    slot->flags &= static_cast<std::uint8_t>(~kSlotReplDirty);
+    slot->meta &= ~kSlotReplDirty;
+    // The shard's first delta maps its cold column; the owner drains, so
+    // the column is only ever touched by the shard's one accessor.
+    shard.accounts.enable_cold();
+    ReplState& repl = shard.accounts.cold(*slot);
     // Gate collapse: once the last sent floor is acked, the follower's
     // installable floor is exactly that value — every older (possibly
     // higher) floor has been superseded on an ordered stream — so the
     // gate drops to it and the headroom above it becomes spendable again.
-    if (slot->repl_floor_seq != 0 && slot->repl_floor_seq <= acked_seq)
-      slot->repl_gate = slot->repl_sent_floor;
+    if (repl.floor_seq != 0 && repl.floor_seq <= acked_seq)
+      repl.gate = repl.sent_floor;
     const Tokens balance = slot->balance;
-    const Tokens configured = repl_headroom_.load(std::memory_order_relaxed);
-    const Tokens h =
-        configured > 0 ? configured : (slot->ns->capacity + 1) / 2;
-    // In [0, balance], so it fits the slot's 32 bits like the balance.
+    const Tokens h = configured > 0
+                         ? configured
+                         : (namespaces.get(k.ns).capacity + 1) / 2;
+    // In [0, balance], so it fits 32 bits like the balance.
     const Tokens floor = std::max<Tokens>(balance - h, 0);
-    slot->repl_sent_floor = static_cast<std::int32_t>(floor);
-    slot->repl_floor_seq = seq;
-    slot->repl_gate = std::max(slot->repl_gate, slot->repl_sent_floor);
+    repl.sent_floor = static_cast<std::int32_t>(floor);
+    repl.floor_seq = seq;
+    repl.gate = std::max(repl.gate, repl.sent_floor);
     out.push_back(ReplicaDeltaExport{k.ns, k.key, balance, floor});
     ++appended;
   }
@@ -655,7 +656,7 @@ TableStats AccountTable::stats(NamespaceId ns) const {
     auto it = shard->stats.find(ns);
     if (it != shard->stats.end()) out.merge(it->second);
     shard->accounts.for_each([&](const Slot& s) {
-      if (s.ns->id == ns) ++out.accounts;
+      if (s.ns == ns) ++out.accounts;
     });
   }
   return out;

@@ -29,15 +29,16 @@
 // exactly once — strategy, clock divisor Δ and capacity come out of that
 // one lookup — and then works against the resolved snapshot.
 //
-// A shard keeps its accounts in a flat open-addressing store of
-// one-cache-line slots (service/account_store.hpp); the rare per-account
-// extras — the §3.4 watchdog of sampled keys and the debug auditor — live
-// in per-shard side maps that a slot flag gates, so an ordinary account
-// costs its slot and nothing else.
+// A shard keeps its accounts in a flat open-addressing store of 32-byte
+// slots (service/account_store.hpp). The replication state lives in the
+// store's cold column, which only a shard of a replicated table maps; the
+// rare per-account extras — the §3.4 watchdog of sampled keys and the
+// debug auditor — live in per-shard side maps that a slot flag gates, so
+// an ordinary account costs its slot and nothing else.
 //
 // Token granting is *lazy*, driven by a coarse shared clock instead of a
-// timer per account: every account remembers the tick index it last settled
-// at, and any access first replays the elapsed ticks through
+// timer per account: every account remembers when it was last settled,
+// and any access first replays the ticks elapsed since then through
 // core::tick_balance, the simulator's Algorithm 4 arithmetic (capped — see
 // NamespaceConfig::max_catchup_ticks).
 // A proactive decision during replay has no message to pay for in an
@@ -86,13 +87,18 @@ inline constexpr NamespaceId kDefaultNamespace = 0;
 /// tick index now_us()/Δ, so sub-period precision is never needed.
 class CoarseClock {
  public:
+  /// Times stay below this (about 1142 years), so an account slot can
+  /// pack its last access time into 56 bits.
+  static constexpr TimeUs kLimitUs = TimeUs{1} << 55;
+
   TimeUs now_us() const { return now_.load(std::memory_order_relaxed); }
 
   /// Moves the clock forward to `t`; calls that would move it backwards
-  /// are ignored (the clock never retreats).
+  /// are ignored (the clock never retreats). Throws util::InvariantError,
+  /// leaving the clock as it was, if `t` >= kLimitUs.
   void advance_to(TimeUs t);
 
-  /// Moves the clock forward by `dt` >= 0.
+  /// Moves the clock forward by `dt` >= 0, with advance_to's limit.
   void advance(TimeUs dt);
 
  private:
@@ -437,13 +443,11 @@ class AccountTable {
 
  private:
   /// Immutable runtime form of a namespace: the resolved strategy object
-  /// plus the derived caps. Every account pins the snapshot it was created
-  /// under (Slot::ns, a raw pointer), so a reset cannot pull the strategy
-  /// out from under an account of the previous policy. The registry owns
-  /// the snapshot; configure_namespace keeps a replaced one alive until its
-  /// purge has swept every shard, after which no slot points at it — the
-  /// caller owns the whole table, so no request can insert under the
-  /// outgoing policy in between.
+  /// plus the derived caps. An account records only its namespace's id,
+  /// and the registry's current snapshot for that id is always the one it
+  /// was created under: configure_namespace runs with the whole table
+  /// owned and purges a replaced namespace's accounts before it returns,
+  /// so no account outlives the policy it was created under.
   struct Namespace {
     NamespaceId id = 0;
     NamespaceConfig config;
@@ -472,40 +476,54 @@ class AccountTable {
     }
   };
 
-  // Slot::flags bits.
-  static constexpr std::uint8_t kSlotLive = 1;      ///< occupied
-  static constexpr std::uint8_t kSlotWatched = 2;   ///< Shard::watchdogs entry
-  static constexpr std::uint8_t kSlotAudited = 4;   ///< Shard::auditors entry
-  static constexpr std::uint8_t kSlotReplDirty = 8; ///< queued in repl_dirty
+  // Slot::meta holds the last access time in its low 56 bits (CoarseClock
+  // keeps times below 2^55) and these flag bits in its top 8.
+  static constexpr std::uint64_t kSlotAccessMask = (1ULL << 56) - 1;
+  static constexpr std::uint64_t kSlotLive = 1ULL << 56;       ///< occupied
+  static constexpr std::uint64_t kSlotWatched = 1ULL << 57;    ///< watchdogs
+  static constexpr std::uint64_t kSlotAudited = 1ULL << 58;    ///< auditors
+  static constexpr std::uint64_t kSlotReplDirty = 1ULL << 59;  ///< repl_dirty
 
-  /// One account: everything the data path reads, in one cache line.
-  /// Balances fit 32 bits because make_namespace bounds every capacity by
-  /// INT32_MAX and balance, gate and sent floor all stay within [0, C];
-  /// everything unbounded (ticks, times, the spend count, rounds) keeps
-  /// 64 bits. The all-zero slot is empty.
+  /// One account: everything the data path reads. The tick index it last
+  /// settled at is last_access_us() / Δ, since every settle stamps the
+  /// access time from the same clock read. The balance fits 32 bits
+  /// because make_namespace bounds every capacity by INT32_MAX; the spend
+  /// count keeps 64. The all-zero slot is empty.
   struct Slot {
     std::uint64_t key = 0;
-    const Namespace* ns = nullptr;  ///< the policy it was created under
-    std::int64_t last_tick = 0;     ///< tick index last settled at
-    TimeUs last_access_us = 0;      ///< for TTL eviction
     /// Tokens granted and not refunded — exact, since the refund cap
     /// reads it (core::refund_balance).
     std::uint64_t spent = 0;
-    std::uint64_t repl_floor_seq = 0;  ///< round the sent floor travelled in
+    std::uint64_t meta = 0;  ///< last access time and kSlot* flags
     std::int32_t balance = 0;
+    NamespaceId ns = 0;
+
+    TimeUs last_access_us() const {
+      return static_cast<TimeUs>(meta & kSlotAccessMask);
+    }
+    void set_last_access_us(TimeUs t) {
+      meta = (meta & ~kSlotAccessMask) | static_cast<std::uint64_t>(t);
+    }
+  };
+  static_assert(sizeof(Slot) == 32, "an account slot is 32 bytes");
+
+  /// An account's replication state, in its shard store's cold column:
+  /// zero until the account's first replica delta, and never mapped by a
+  /// table without replication. Gate and sent floor stay within [0, C].
+  struct ReplState {
+    std::uint64_t floor_seq = 0;  ///< round the sent floor travelled in
     /// The replication spend gate: the highest floor that a promoted
     /// follower might still install — acquire never grants below it,
     /// which is what makes a conservative replica install under-grant-only.
-    std::int32_t repl_gate = 0;
-    std::int32_t repl_sent_floor = 0;  ///< floor of the last emitted delta
-    std::uint8_t flags = 0;            ///< kSlot* bits
+    std::int32_t gate = 0;
+    std::int32_t sent_floor = 0;  ///< floor of the last emitted delta
   };
-  static_assert(sizeof(Slot) <= 64, "an account slot is one cache line");
+  static_assert(sizeof(ReplState) == 16);
 
   struct SlotTraits {
-    static bool live(const Slot& s) { return (s.flags & kSlotLive) != 0; }
+    static bool live(const Slot& s) { return (s.meta & kSlotLive) != 0; }
     static std::uint64_t hash(const Slot& s) {
-      return account_hash(s.ns->id, s.key);
+      return account_hash(s.ns, s.key);
     }
   };
 
@@ -515,7 +533,7 @@ class AccountTable {
   /// switches); `stats.accounts` is unused per shard (the live count is
   /// accounts.size()).
   struct alignas(64) Shard {
-    SlotStore<Slot, SlotTraits> accounts;
+    SlotStore<Slot, SlotTraits, ReplState> accounts;
     util::Rng rng{0};
     std::unordered_map<NamespaceId, TableStats> stats;
     NamespaceId cached_ns = 0;
@@ -546,6 +564,21 @@ class AccountTable {
   /// unknown namespace.
   std::shared_ptr<const Namespace> resolve(NamespaceId ns) const;
 
+  /// resolve() behind a one-entry cache, for the sweeps that meet accounts
+  /// of any namespace rather than the one a request names.
+  class NamespaceCache {
+   public:
+    explicit NamespaceCache(const AccountTable& table) : table_(&table) {}
+    const Namespace& get(NamespaceId id) {
+      if (ns_ == nullptr || ns_->id != id) ns_ = table_->resolve(id);
+      return *ns_;
+    }
+
+   private:
+    const AccountTable* table_;
+    std::shared_ptr<const Namespace> ns_;
+  };
+
   static TableStats& stats_for(Shard& shard, NamespaceId ns);
   std::size_t shard_index(NamespaceId ns, std::uint64_t key) const;
   /// The shard of the account whose account_hash() is `hash`.
@@ -556,25 +589,25 @@ class AccountTable {
   static Slot* find_account(Shard& shard, std::uint64_t hash, NamespaceId ns,
                             std::uint64_t key);
   /// Creates the account with the given starting balance, settled at
-  /// `tick`, with its side state; the caller checked it is absent.
+  /// `now`, with its side state; the caller checked it is absent.
   Slot& create_account(Shard& shard, const Namespace& ns, std::uint64_t hash,
-                       std::uint64_t key, Tokens balance, std::int64_t tick,
-                       TimeUs now);
+                       std::uint64_t key, Tokens balance, TimeUs now);
   Slot& find_or_create(Shard& shard, const Namespace& ns, std::uint64_t hash,
-                       std::uint64_t key, std::int64_t tick, TimeUs now);
+                       std::uint64_t key, TimeUs now);
   /// The table's one erase path: removes every account of `shard` for which
   /// `pred(slot)` holds, dropping its side-map entries with it, and returns
   /// how many went.
   template <typename Pred>
   static std::size_t erase_accounts_if(Shard& shard, Pred&& pred);
-  /// Replays elapsed ticks up to the cap (tick index derived from the
-  /// account's own namespace Δ); updates last_tick/last_access.
-  static void settle(Shard& shard, Slot& slot, TimeUs now);
+  /// Replays the ticks of `ns`, the account's namespace, elapsed since its
+  /// last access, up to the cap, and stamps `now` as its last access.
+  static void settle(Shard& shard, Slot& slot, const Namespace& ns,
+                     TimeUs now);
   /// The acquire itself, on an account of `shard`; the caller has checked
   /// n >= 0.
   AcquireResult acquire_in_shard(Shard& shard, const Namespace& ns,
                                  std::uint64_t hash, std::uint64_t key,
-                                 Tokens n, std::int64_t tick, TimeUs now);
+                                 Tokens n, TimeUs now);
   /// Queues the account for the next replica drain (no-op when replication
   /// is off or it is already queued).
   void mark_repl_dirty(Shard& shard, Slot& slot);

@@ -1,7 +1,8 @@
 // The account table's flat slot store, checked against a std::unordered_map
 // model: inserts, lookups, single erases and the erase-while-sweeping paths
 // the table builds its evict, extract and purge sweeps on, across several
-// power-of-two grow and shrink boundaries; plus which pages of its array a
+// power-of-two grow and shrink boundaries, with the cold column's values
+// following their slots once it is enabled; plus which pages of its array a
 // rehash makes resident, and which 2 MiB chunks it asks huge pages for.
 #include "service/account_store.hpp"
 
@@ -64,22 +65,56 @@ struct KeyIsHashTraits {
   static std::uint64_t hash(const TestSlot& s) { return s.key; }
 };
 
+/// A stand-in for the table's replication state.
+struct TestCold {
+  std::uint64_t value = 0;
+};
+
+using KeyIsHashStore = SlotStore<TestSlot, KeyIsHashTraits, TestCold>;
+
 /// Model key: (group, key) packed.
 std::uint64_t model_key(std::uint32_t group, std::uint64_t key) {
   return (static_cast<std::uint64_t>(group) << 48) | key;
 }
 
+/// What the model holds per key: the slot's value and, once the store's
+/// cold column is enabled, its cold value.
+struct ModelEntry {
+  std::uint32_t value = 0;
+  std::uint64_t cold = 0;
+};
+
 template <typename Traits>
 class Harness {
  public:
-  using Store = SlotStore<TestSlot, Traits>;
+  using Store = SlotStore<TestSlot, Traits, TestCold>;
 
   void insert(std::uint32_t group, std::uint64_t key, std::uint32_t value) {
     TestSlot s{key, group, value, 1};
     if (find(group, key) != nullptr) return;  // the store requires absence
-    const TestSlot& placed = store_.insert(Traits::hash(s), s);
+    TestSlot& placed = store_.insert(Traits::hash(s), s);
     ASSERT_EQ(placed.key, key);
-    model_[model_key(group, key)] = value;
+    ModelEntry entry{value, 0};
+    if (store_.cold_enabled()) {
+      ASSERT_EQ(store_.cold(placed).value, 0u) << "a new slot's cold value";
+      entry.cold = next_cold();
+      store_.cold(placed).value = entry.cold;
+    }
+    model_[model_key(group, key)] = entry;
+  }
+
+  /// Enables the cold column and gives every live slot a distinct value.
+  void enable_cold() {
+    store_.enable_cold();
+    ASSERT_TRUE(store_.cold_enabled());
+    for (auto& [mk, entry] : model_) {
+      TestSlot* s = find(static_cast<std::uint32_t>(mk >> 48),
+                         mk & ((std::uint64_t{1} << 48) - 1));
+      ASSERT_NE(s, nullptr);
+      ASSERT_EQ(store_.cold(*s).value, 0u) << "a fresh column reads zero";
+      entry.cold = next_cold();
+      store_.cold(*s).value = entry.cold;
+    }
   }
 
   TestSlot* find(std::uint32_t group, std::uint64_t key) {
@@ -95,7 +130,13 @@ class Harness {
     auto it = model_.find(model_key(group, key));
     ASSERT_EQ(s != nullptr, it != model_.end()) << "key " << key;
     if (s != nullptr) {
-      EXPECT_EQ(s->value, it->second);
+      EXPECT_EQ(s->value, it->second.value);
+      if (store_.cold_enabled()) {
+        EXPECT_EQ(store_.cold(*s).value, it->second.cold);
+        // Rewrite it, so values keep changing between moves.
+        it->second.cold = next_cold();
+        store_.cold(*s).value = it->second.cold;
+      }
     }
   }
 
@@ -116,6 +157,12 @@ class Harness {
     const std::size_t n = store_.erase_if([&](TestSlot& s) {
       EXPECT_TRUE(seen.insert(model_key(s.group, s.key)).second)
           << "slot " << s.key << " offered twice";
+      // Slots shifted back by earlier erases of this sweep still carry
+      // their own cold values.
+      if (store_.cold_enabled()) {
+        EXPECT_EQ(store_.cold(s).value,
+                  model_.at(model_key(s.group, s.key)).cold);
+      }
       if (!pred(s)) return false;
       erased.push_back(s);
       return true;
@@ -133,14 +180,17 @@ class Harness {
       ++visited;
       auto it = model_.find(model_key(s.group, s.key));
       ASSERT_NE(it, model_.end()) << "store holds a key the model lost";
-      EXPECT_EQ(s.value, it->second);
+      EXPECT_EQ(s.value, it->second.value);
     });
     EXPECT_EQ(visited, model_.size());
-    for (const auto& [mk, value] : model_) {
-      const TestSlot* s = find(static_cast<std::uint32_t>(mk >> 48),
-                               mk & ((std::uint64_t{1} << 48) - 1));
+    for (const auto& [mk, entry] : model_) {
+      TestSlot* s = find(static_cast<std::uint32_t>(mk >> 48),
+                         mk & ((std::uint64_t{1} << 48) - 1));
       ASSERT_NE(s, nullptr) << "model key " << mk << " unreachable";
-      EXPECT_EQ(s->value, value);
+      EXPECT_EQ(s->value, entry.value);
+      if (store_.cold_enabled()) {
+        EXPECT_EQ(store_.cold(*s).value, entry.cold) << "model key " << mk;
+      }
     }
     if (store_.capacity() > 0) {
       EXPECT_TRUE(std::has_single_bit(store_.capacity()));
@@ -152,8 +202,11 @@ class Harness {
   std::size_t model_size() const { return model_.size(); }
 
  private:
+  std::uint64_t next_cold() { return ++cold_stamp_; }
+
   Store store_;
-  std::unordered_map<std::uint64_t, std::uint32_t> model_;
+  std::unordered_map<std::uint64_t, ModelEntry> model_;
+  std::uint64_t cold_stamp_ = 0;
 };
 
 template <typename Traits>
@@ -163,10 +216,20 @@ void randomized_against_model(std::uint64_t seed, std::uint64_t key_space,
   util::Rng rng(seed);
   std::uint32_t stamp = 0;
   std::size_t peak_capacity = 0;
+  std::size_t capacity_at_enable = 0;
   for (int round = 0; round < rounds; ++round) {
     // Grow phase: mostly inserts, with lookups and single erases mixed in.
     const std::uint64_t ops = 500 + rng.below(6000);
     for (std::uint64_t i = 0; i < ops; ++i) {
+      if (round == 0 && i == ops / 2) {
+        // Part-way, on a populated store: from here on every cold value
+        // must follow its slot through growth, erases, sweeps and shrinks.
+        ASSERT_GT(h.store().size(), 0u);
+        ASSERT_FALSE(h.store().cold_enabled());
+        capacity_at_enable = h.store().capacity();
+        h.enable_cold();
+        h.check();
+      }
       const auto group = static_cast<std::uint32_t>(rng.below(3));
       const std::uint64_t key = rng.below(key_space);
       switch (rng.below(10)) {
@@ -205,13 +268,25 @@ void randomized_against_model(std::uint64_t seed, std::uint64_t key_space,
     }
     h.check();
   }
-  // Several doublings happened on the way (64 -> 128 -> ... slots).
+  // Several doublings happened on the way (64 -> 128 -> ... slots), some
+  // of them with the cold column on.
   EXPECT_GE(peak_capacity, 1024u);
-  // A final purge of everything releases the array.
+  EXPECT_GT(peak_capacity, capacity_at_enable);
+  // A final purge of everything releases the array and the column.
   h.sweep([](const TestSlot&) { return true; });
   h.check();
   EXPECT_EQ(h.store().size(), 0u);
   EXPECT_EQ(h.store().capacity(), 0u);
+  EXPECT_TRUE(h.store().cold_enabled());
+  // Regrown, the column comes back with the array, zero for every new
+  // slot, and carries values through the doublings again.
+  for (std::uint64_t key = 0; key < 3000; ++key) {
+    h.insert(static_cast<std::uint32_t>(key % 3), key, ++stamp);
+    if (key % 5 == 0) h.lookup(static_cast<std::uint32_t>(key % 3), key / 2);
+    if (key % 7 == 0) h.erase(static_cast<std::uint32_t>((key / 7) % 3), key / 3);
+  }
+  h.check();
+  EXPECT_GE(h.store().capacity(), 1024u);
 }
 
 TEST(AccountStore, RandomizedAgainstUnorderedMap) {
@@ -250,6 +325,8 @@ TEST(AccountStore, GrowsThroughPowerOfTwoBoundariesAndShrinksBack) {
   h.check();
   EXPECT_EQ(h.store().size(), 625u);
   EXPECT_EQ(h.store().capacity(), 2048u);
+  // Nothing asked for the cold column, so it was never mapped.
+  EXPECT_FALSE(h.store().cold_enabled());
 }
 
 TEST(AccountStore, ErasedSlotsReadAsZeroAndEmptyStoreFindsNothing) {
@@ -273,8 +350,7 @@ TEST(AccountStore, RehashPrefaultsOnlyPagesThatHoldHomes) {
   // that prefaults only the pages holding homes leaves it alone, whether
   // or not the kernel supports the prefault. The array stays under 2 MiB,
   // so no transparent huge page can back it either.
-  using Store = SlotStore<TestSlot, KeyIsHashTraits>;
-  Store store;
+  KeyIsHashStore store;
   const auto find = [&](std::uint64_t hash) {
     return store.find(hash, [&](const TestSlot& t) { return t.key == hash; });
   };
@@ -351,8 +427,7 @@ std::vector<std::uintptr_t> whole_chunks(std::uintptr_t lo, std::uintptr_t hi) {
 /// Inserts hash 0 into the empty `store`, then random hashes until it
 /// holds `size` slots, and returns the address of its array, where hash 0
 /// stays (see the test above).
-std::uintptr_t fill_key_is_hash(SlotStore<TestSlot, KeyIsHashTraits>& store,
-                                std::size_t size) {
+std::uintptr_t fill_key_is_hash(KeyIsHashStore& store, std::size_t size) {
   const auto find = [&](std::uint64_t hash) {
     return store.find(hash, [&](const TestSlot& t) { return t.key == hash; });
   };
@@ -369,7 +444,7 @@ TEST(AccountStore, DenseStoreAsksForHugePages) {
   // Homes spread over the whole array, so after the last rehash every page
   // holds one and every whole 2 MiB chunk is advised.
   if (!huge_pages_enabled()) GTEST_SKIP() << "transparent huge pages off";
-  SlotStore<TestSlot, KeyIsHashTraits> store;
+  KeyIsHashStore store;
   const std::uintptr_t base = fill_key_is_hash(store, 100'000);
   ASSERT_EQ(store.capacity(), 262'144u);  // 6 MiB
   const std::uintptr_t end = base + store.capacity() * sizeof(TestSlot);
@@ -388,7 +463,7 @@ TEST(AccountStore, ChunksWithoutHomesKeepSmallPages) {
   // half the array long before every doubling, and each insert would walk
   // it.)
   if (!huge_pages_enabled()) GTEST_SKIP() << "transparent huge pages off";
-  SlotStore<TestSlot, KeyIsHashTraits> store;
+  KeyIsHashStore store;
   fill_key_is_hash(store, 400'000);
   ASSERT_EQ(store.capacity(), 1u << 20);
   store.erase_if([](const TestSlot& t) {

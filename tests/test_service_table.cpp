@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -34,6 +35,21 @@ TEST(CoarseClock, MonotoneAdvance) {
   EXPECT_EQ(clock.now_us(), 50);
   clock.advance(10);
   EXPECT_EQ(clock.now_us(), 60);
+}
+
+TEST(CoarseClock, RejectsTimesPastTheSlotField) {
+  // An account slot packs its last access time into 56 bits; the clock
+  // refuses to reach 2^55 us rather than let that field wrap.
+  CoarseClock clock;
+  clock.advance_to(CoarseClock::kLimitUs - 1);
+  EXPECT_EQ(clock.now_us(), CoarseClock::kLimitUs - 1);
+  EXPECT_THROW(clock.advance_to(CoarseClock::kLimitUs), util::InvariantError);
+  EXPECT_THROW(clock.advance(1), util::InvariantError);
+  EXPECT_THROW(clock.advance(std::numeric_limits<TimeUs>::max()),
+               util::InvariantError);
+  EXPECT_EQ(clock.now_us(), CoarseClock::kLimitUs - 1);
+  clock.advance(0);
+  EXPECT_EQ(clock.now_us(), CoarseClock::kLimitUs - 1);
 }
 
 TEST(AccountTable, RejectsUnboundedAndBadConfigs) {
@@ -887,6 +903,168 @@ TEST(AccountTable, ConcurrentGrowingBatchesOnSharedShards) {
       EXPECT_TRUE(table.query(first + kBatches * kBatchOps - 1).exists);
     }
   });
+}
+
+// ------------------------------------------------ decision-identity digest
+
+/// Folds one value into a running digest.
+void fold(std::uint64_t& digest, std::uint64_t value) {
+  std::uint64_t state = digest ^ value;
+  digest = util::splitmix64(state);
+}
+
+void fold(std::uint64_t& digest, const TableStats& s) {
+  for (const std::uint64_t v :
+       {s.accounts, s.accounts_created, s.accounts_evicted, s.acquires,
+        s.tokens_requested, s.tokens_granted, s.refunds, s.tokens_refunded,
+        s.tokens_refund_dropped, s.refunds_dropped, s.queries,
+        s.proactive_dropped, s.ticks_forfeited, s.accounts_extracted,
+        s.accounts_installed, s.watchdog_checks, s.watchdog_violations})
+    fold(digest, v);
+}
+
+TEST(AccountTable, SeededScriptKeepsItsDecisionDigest) {
+  // One seeded script over every path that reads or writes account state:
+  // two namespaces with their own Δ and TTL (the second a token bucket),
+  // batches, scalar acquires, refunds and queries, clock jumps past the
+  // catch-up cap, TTL evictions, a namespace reset, a handoff extraction
+  // with re-installs, and replication switched on part-way with drains at
+  // two acknowledgement watermarks. Every result, every replica delta and
+  // the final counters go into one digest. The pinned value is what this
+  // same source gives on the 64-byte-slot table the 32-byte layout
+  // replaced, so it holds the layout to the very same decisions.
+  ServiceConfig cfg;
+  cfg.shards = 8;
+  cfg.delta_us = 1000;
+  cfg.strategy.kind = core::StrategyKind::kGeneralized;  // draws the RNG
+  cfg.strategy.a_param = 3;
+  cfg.strategy.c_param = 6;
+  cfg.initial_tokens = 2;
+  cfg.idle_ttl_us = 40'000;
+  cfg.watchdog_sample = 4;
+  cfg.seed = 7;
+  AccountTable table(cfg);
+  NamespaceConfig bucket = bucket_namespace(4, 700);
+  bucket.initial_tokens = 1;
+  bucket.idle_ttl_us = 15'000;
+  ASSERT_TRUE(table.configure_namespace(1, bucket));
+
+  util::Rng rng(41);
+  std::uint64_t digest = 0;
+  std::uint64_t key_space = 64;
+  std::uint64_t seq = 0;
+  std::vector<AcquireOp> ops;
+  std::vector<ReplicaDeltaExport> deltas;
+  std::size_t delta_count = 0;
+  const auto draw_key = [&] {
+    // Mostly recent keys, sometimes fresh ones, so stores keep growing.
+    if (rng.below(8) == 0) return key_space++;
+    return rng.below(key_space);
+  };
+  for (int step = 0; step < 6000; ++step) {
+    const auto ns = static_cast<NamespaceId>(rng.below(2));
+    switch (rng.below(8)) {
+      case 0:
+      case 1: {
+        ops.clear();
+        const std::uint64_t size = 1 + rng.below(80);
+        for (std::uint64_t i = 0; i < size; ++i)
+          ops.push_back(AcquireOp{draw_key(), static_cast<Tokens>(rng.below(4))});
+        for (const AcquireResult& r : table.acquire_batch(ns, ops)) {
+          fold(digest, static_cast<std::uint64_t>(r.granted));
+          fold(digest, static_cast<std::uint64_t>(r.balance));
+          fold(digest, r.fresh ? 1 : 0);
+        }
+        break;
+      }
+      case 2:
+      case 3: {
+        const AcquireResult r = table.acquire(
+            ns, draw_key(), static_cast<Tokens>(rng.below(5)));
+        fold(digest, static_cast<std::uint64_t>(r.granted));
+        fold(digest, static_cast<std::uint64_t>(r.balance));
+        fold(digest, r.fresh ? 1 : 0);
+        break;
+      }
+      case 4: {
+        const RefundResult r = table.refund(
+            ns, draw_key(), static_cast<Tokens>(rng.below(4)));
+        fold(digest, static_cast<std::uint64_t>(r.accepted));
+        fold(digest, static_cast<std::uint64_t>(r.balance));
+        break;
+      }
+      case 5: {
+        const QueryResult r = table.query(ns, draw_key());
+        fold(digest, static_cast<std::uint64_t>(r.balance));
+        fold(digest, r.exists ? 1 : 0);
+        break;
+      }
+      default:
+        table.clock().advance(static_cast<TimeUs>(rng.below(1500)));
+        break;
+    }
+    if (step % 500 == 250) {
+      // Past the default namespace's auto catch-up cap of 2C = 12 ticks.
+      table.clock().advance(30'000 + static_cast<TimeUs>(rng.below(5000)));
+    }
+    if (step % 300 == 299) fold(digest, table.evict_idle());
+    if (step == 2000) {
+      // Reset: every account of namespace 1 goes; it comes back as a
+      // bucket of another size and Δ.
+      NamespaceConfig reset = bucket_namespace(5, 900);
+      reset.idle_ttl_us = 12'000;
+      ASSERT_FALSE(table.configure_namespace(1, reset));
+    }
+    if (step == 2500) {
+      const std::vector<AccountExport> moved = table.extract_if(
+          [](NamespaceId, std::uint64_t key) { return key % 7 == 3; });
+      EXPECT_FALSE(moved.empty());
+      for (const AccountExport& e : moved) {
+        fold(digest, e.ns);
+        fold(digest, e.key);
+        fold(digest, static_cast<std::uint64_t>(e.balance));
+      }
+      // Half come back; a key re-created meanwhile refuses its install.
+      for (std::size_t i = 0; i < moved.size(); i += 2) {
+        if (i % 4 == 0) table.acquire(moved[i].ns, moved[i].key, 1);
+        fold(digest, table.install_account(moved[i].ns, moved[i].key,
+                                           moved[i].balance)
+                         ? 1
+                         : 0);
+      }
+    }
+    if (step == 3000) table.enable_replication(0);
+    if (step > 3000 && step % 40 == 0) {
+      ++seq;
+      // Alternate a stream that has acked the previous round with one
+      // whose acknowledgements lag three rounds behind.
+      const std::uint64_t acked = seq % 2 == 0 ? seq - 1 : (seq > 3 ? seq - 3 : 0);
+      for (std::size_t s = 0; s < table.shard_count(); ++s) {
+        deltas.clear();
+        delta_count += table.drain_replica_dirty(s, seq, acked, deltas);
+        fold(digest, deltas.size());
+        for (const ReplicaDeltaExport& d : deltas) {
+          fold(digest, d.ns);
+          fold(digest, d.key);
+          fold(digest, static_cast<std::uint64_t>(d.balance));
+          fold(digest, static_cast<std::uint64_t>(d.floor));
+        }
+      }
+    }
+  }
+  const TableStats stats = table.stats();
+  fold(digest, stats);
+  fold(digest, table.stats(1));
+  EXPECT_GT(delta_count, 0u);
+  EXPECT_GT(stats.tokens_refunded, 0u);
+  EXPECT_GT(stats.proactive_dropped, 0u);
+  EXPECT_GT(stats.accounts_evicted, 0u);
+  EXPECT_GT(stats.ticks_forfeited, 0u);
+  EXPECT_GT(stats.accounts_installed, 0u);
+  EXPECT_GT(stats.watchdog_checks, 0u);
+  EXPECT_EQ(stats.watchdog_violations, 0u);
+  EXPECT_EQ(digest, 0x097364642649199aULL)
+      << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace
