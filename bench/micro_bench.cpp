@@ -328,8 +328,8 @@ service::ServiceConfig service_bench_config() {
 }
 
 /// One blocking acquire per iteration through Server/Client (and the
-/// server's shard engine) over the in-process fabric: the v1-style round
-/// trip the sync wrappers pay.
+/// server's shard engine) over the in-process fabric: one blocking round
+/// trip per op, what the sync wrappers pay.
 void BM_ServiceRoundTripSync(benchmark::State& state) {
   service::AccountTable table(service_bench_config());
   service::ShardEngine engine(table);

@@ -2,21 +2,22 @@
 // service layer: 1M+ distinct keys with Zipf popularity against the sharded
 // AccountTable, measured raw (direct calls from the one thread that owns
 // the table while no engine runs), straight into the ShardEngine, and
-// through the wire protocol (engine-backed Server/Client over the
-// in-process fabric, TCP loopback or the epoll mesh) — synchronously,
-// pipelined through the v2 async client core, and open-loop at a target
-// arrival rate.
+// through the wire protocol (engine-backed Server/Client over the epoll
+// mesh or, for the cluster modes, the in-process fabric) — synchronously
+// and pipelined through the async client core.
 //
 //   $ ./service_load --quick   # CI: preload,table,...,pipeline,cluster
-//   $ ./service_load --modes=preload,tcp --threads=16 --keys=4194304
-//   $ ./service_load --mode=pipeline --window=32 --seconds=5
-//   $ ./service_load --mode=cluster --cluster-nodes=3 --churn
+//   $ ./service_load --modes=preload,epoll --threads=16 --keys=4194304
+//   $ ./service_load --modes=sync,pipeline --window=32 --seconds=5
+//   $ ./service_load --modes=cluster --cluster-nodes=3 --churn
 //
-// The paired "sync" and "pipeline" modes answer the v2 API's headline
-// question: both run single-connection closed loops over real TCP, sync
-// one blocking acquire per round trip, pipeline keeping --window async
-// acquires in flight through the completion registry. --min-pipeline-speedup
-// turns the ratio into a CI floor.
+// --modes takes a comma-separated list; an unknown mode is a usage error.
+//
+// The paired "sync" and "pipeline" modes answer the async API's headline
+// question: both run single-connection closed loops over the epoll mesh,
+// sync one blocking acquire per round trip, pipeline keeping --window
+// async acquires in flight through the completion registry.
+// --min-pipeline-speedup turns the ratio into a CI floor.
 //
 // The "cluster" mode answers the scale-OUT question: the same pipelined
 // Zipf workload against one tokad node ("cluster1") and against
@@ -101,7 +102,6 @@
 #include "obs/trace.hpp"
 #include "runtime/epoll.hpp"
 #include "runtime/inproc.hpp"
-#include "runtime/tcp.hpp"
 #include "service/account_table.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -261,7 +261,6 @@ struct LoadConfig {
   double zipf = 0;
   double seconds = 0;
   std::size_t batch = 0;
-  double open_rate = 0;   ///< total target ops/s for open-loop modes
   std::size_t window = 0; ///< in-flight cap per connection (pipeline mode)
   std::size_t cluster_nodes = 0;  ///< tokad members for the cluster mode
   bool churn = false;             ///< kill+join mid-run in the cluster mode
@@ -431,30 +430,6 @@ ModeResult run_sharded(const std::string& mode, service::ShardEngine& engine,
   });
 }
 
-/// Closed loop through the wire protocol. `make_transport(i)` yields the
-/// client endpoint for thread i; the server is already listening on node 0.
-ModeResult run_wire(const std::string& mode, const util::ZipfSampler& sampler,
-                    const LoadConfig& load,
-                    const std::function<runtime::Transport&(std::size_t)>& endpoint_of) {
-  const auto deadline =
-      Clock::now() + std::chrono::microseconds(from_seconds(load.seconds));
-  return run_threads(mode, load.threads, [&](std::size_t t, PerThread& tally) {
-    service::Client client(endpoint_of(t), 0);
-    util::Rng rng(4000 + t);
-    std::vector<service::AcquireOp> ops(load.batch);
-    while (Clock::now() < deadline) {
-      for (service::AcquireOp& op : ops)
-        op = service::AcquireOp{sampler.next(rng), 1};
-      const auto t0 = Clock::now();
-      const auto results = client.acquire_batch(ops);
-      tally.lat_us.push_back(us_between(t0, Clock::now()));
-      for (const service::AcquireResult& r : results) tally.granted += r.granted;
-      tally.ops += ops.size();
-      ++tally.calls;
-    }
-  });
-}
-
 /// Single-connection sync closed loop (one blocking acquire per round
 /// trip): the baseline the pipeline mode's speedup — and the CI floor —
 /// is measured against.
@@ -530,53 +505,6 @@ ModeResult run_pipeline(const std::string& mode,
     // callback has run before the client is destroyed.
     for (std::size_t s = 0; s < window; ++s) finished.acquire();
   });
-}
-
-/// Open loop through the async client: arrivals on a fixed schedule, each
-/// issued without blocking; latency runs from the *scheduled* arrival to
-/// the completion callback, so generator lag and in-flight queueing are
-/// both included (no coordinated omission).
-ModeResult run_open_async(const std::string& mode,
-                          const util::ZipfSampler& sampler,
-                          const LoadConfig& load,
-                          const std::function<runtime::Transport&(std::size_t)>& endpoint_of) {
-  const double per_thread_rate = load.open_rate / load.threads;
-  const auto interval = std::chrono::nanoseconds(
-      std::max<std::int64_t>(static_cast<std::int64_t>(1e9 / per_thread_rate), 1));
-  const auto start = Clock::now();
-  const auto deadline = start + std::chrono::microseconds(from_seconds(load.seconds));
-  ModeResult res = run_threads(mode, load.threads, [&](std::size_t t,
-                                                       PerThread& tally) {
-    tighten_timer_slack();
-    service::Client client(endpoint_of(t), 0);
-    util::Rng rng(6000 + t);
-    std::counting_semaphore<> outstanding(0);
-    std::uint64_t issued = 0;
-    auto scheduled = start + interval * static_cast<std::int64_t>(t) /
-                                 static_cast<std::int64_t>(load.threads);
-    while (scheduled < deadline) {
-      wait_for_arrival(scheduled, tally);
-      const std::uint64_t key = sampler.next(rng);
-      const auto t_sched = scheduled;
-      client.acquire_async(
-          service::kDefaultNamespace, key, 1,
-          [&tally, &outstanding, t_sched](service::AcquireResult r,
-                                          std::exception_ptr err) {
-            if (!err) {
-              tally.granted += r.granted;
-              tally.lat_us.push_back(us_between(t_sched, Clock::now()));
-              tally.ops.fetch_add(1, std::memory_order_relaxed);
-            }
-            outstanding.release();
-          });
-      ++issued;
-      ++tally.calls;
-      scheduled += interval;
-    }
-    for (std::uint64_t i = 0; i < issued; ++i) outstanding.acquire();
-  });
-  res.seconds = load.seconds;  // open loop is defined by its schedule
-  return res;
 }
 
 /// What the replicated churn run measured — the "replication" block of
@@ -1552,7 +1480,6 @@ int main(int argc, char** argv) {
   load.zipf = args.get_double("zipf", 0.99);
   load.seconds = args.get_double("seconds", quick ? 1.0 : 4.0);
   load.batch = static_cast<std::size_t>(args.get_int("batch", 16));
-  load.open_rate = args.get_double("rate", 200'000);
   load.window = static_cast<std::size_t>(args.get_int("window", 64));
   load.cluster_nodes =
       static_cast<std::size_t>(args.get_int("cluster-nodes", 3));
@@ -1579,16 +1506,38 @@ int main(int argc, char** argv) {
   cfg.idle_ttl_us = args.get_int("ttl-ms", 0) * 1000;
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
-  // --mode is an alias for --modes (reads naturally for a single mode).
-  const std::string modes_arg = args.get_string(
-      "modes",
-      args.get_string(
-          "mode",
-          "preload,table,wire,sync,pipeline,sharded,shardedtr,shardedwd,"
-          "epoll,cluster,overload,scenario"));
-  std::vector<std::string> modes;
-  std::stringstream modes_stream(modes_arg);
-  for (std::string m; std::getline(modes_stream, m, ',');) modes.push_back(m);
+  // A stale --mode (the old alias) would otherwise be ignored silently and
+  // run the default mode set.
+  if (args.has("mode")) {
+    std::fprintf(stderr, "service_load: --mode is not an option; use "
+                         "--modes=a,b\n");
+    return 2;
+  }
+  // Every mode, in run order; --modes picks a subset (default: all).
+  const std::vector<std::string> all_modes = {
+      "preload",   "table", "sync",    "pipeline", "sharded", "shardedtr",
+      "shardedwd", "epoll", "cluster", "overload", "scenario"};
+  std::vector<std::string> modes = all_modes;
+  if (args.has("modes")) {
+    modes.clear();
+    std::stringstream modes_stream(args.get_string("modes", ""));
+    for (std::string m; std::getline(modes_stream, m, ',');) {
+      if (std::find(all_modes.begin(), all_modes.end(), m) ==
+          all_modes.end()) {
+        std::fprintf(stderr, "service_load: unknown mode '%s'; modes are",
+                     m.c_str());
+        for (const std::string& known : all_modes)
+          std::fprintf(stderr, " %s", known.c_str());
+        std::fprintf(stderr, "\n");
+        return 2;
+      }
+      modes.push_back(m);
+    }
+    if (modes.empty()) {
+      std::fprintf(stderr, "service_load: --modes names no mode\n");
+      return 2;
+    }
+  }
 
   // The shared table: "preload" and "table" call it directly from this
   // thread; the wire modes each run an engine on it for their duration,
@@ -1618,33 +1567,17 @@ int main(int argc, char** argv) {
       runs.push_back(run_preload(table, load));
     } else if (mode == "table") {
       runs.push_back(run_table_closed(table, sampler, load));
-    } else if (mode == "wire") {
-      service::ShardEngine engine(table, engine_opts);
-      runtime::InProcNetwork net(1 + load.threads);
-      service::Server server(table, net.endpoint(0), {.engine = &engine});
-      net.start();
-      runs.push_back(run_wire("wire", sampler, load, [&](std::size_t t) -> runtime::Transport& {
-        return net.endpoint(static_cast<NodeId>(1 + t));
-      }));
-      net.stop();
-    } else if (mode == "tcp") {
-      service::ShardEngine engine(table, engine_opts);
-      runtime::TcpMesh mesh(1 + load.threads);
-      service::Server server(table, mesh.endpoint(0), {.engine = &engine});
-      runs.push_back(run_wire("tcp", sampler, load, [&](std::size_t t) -> runtime::Transport& {
-        return mesh.endpoint(static_cast<NodeId>(1 + t));
-      }));
     } else if (mode == "sync") {
       service::ShardEngine engine(table, engine_opts);
-      runtime::TcpMesh mesh(2);
+      runtime::EpollMesh mesh(2);
       service::Server server(table, mesh.endpoint(0), {.engine = &engine});
       runs.push_back(run_sync("sync", sampler, load, [&](std::size_t t) -> runtime::Transport& {
         return mesh.endpoint(static_cast<NodeId>(1 + t));
       }));
     } else if (mode == "pipeline") {
-      // Same single TCP connection as "sync", but --window acquires deep.
+      // Same single connection as "sync", but --window acquires deep.
       service::ShardEngine engine(table, engine_opts);
-      runtime::TcpMesh mesh(2);
+      runtime::EpollMesh mesh(2);
       service::Server server(table, mesh.endpoint(0), {.engine = &engine});
       runs.push_back(run_pipeline("pipeline", sampler, load, /*connections=*/1,
                                   [&](std::size_t t) -> runtime::Transport& {
@@ -1758,17 +1691,6 @@ int main(int argc, char** argv) {
       // prints and lands in `runs` on its own.
       run_scenario(runs, sampler, load, cfg,
                    args.get_double("scenario-rate", 20'000), scenario);
-      continue;
-    } else if (mode == "aopen") {
-      service::ShardEngine engine(table, engine_opts);
-      runtime::TcpMesh mesh(1 + load.threads);
-      service::Server server(table, mesh.endpoint(0), {.engine = &engine});
-      runs.push_back(run_open_async("aopen", sampler, load,
-                                    [&](std::size_t t) -> runtime::Transport& {
-        return mesh.endpoint(static_cast<NodeId>(1 + t));
-      }));
-    } else {
-      std::fprintf(stderr, "unknown mode '%s' (skipped)\n", mode.c_str());
       continue;
     }
     print_result(runs.back());
@@ -1897,7 +1819,7 @@ int main(int argc, char** argv) {
     floor_gate("min_sharded_ops", "sharded", min_sharded_ops);
 
   // Speedup floors: --min-pipeline-speedup=1 (the async pipelined client
-  // must never fall behind the sync closed loop on the same single TCP
+  // must never fall behind the sync closed loop on the same single
   // connection; locally the ratio is far higher, the floor only guards
   // against the pipeline regressing into sync behaviour) and
   // --min-cluster-speedup=1.5 (N tokad nodes, each one dispatcher lane and

@@ -1,4 +1,4 @@
-// A live token-account cluster over real TCP sockets.
+// A live token-account cluster over real TCP sockets (the epoll mesh).
 //
 // Spins up a handful of nodes on 127.0.0.1, each running Algorithm 4 over
 // wall-clock time with a push-gossip-style application, injects fresh
@@ -12,8 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/epoll.hpp"
 #include "runtime/node.hpp"
-#include "runtime/tcp.hpp"
 #include "util/cli.hpp"
 #include "util/serde.hpp"
 
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   const auto run_ms = args.get_int("ms", 2000);
   const auto delta_ms = args.get_int("delta-ms", 50);
 
-  runtime::TcpMesh mesh(node_count);
+  runtime::EpollMesh mesh(node_count);
   std::vector<FreshestValueApp> apps(node_count);
   std::vector<std::unique_ptr<runtime::Node>> nodes;
   for (NodeId v = 0; v < node_count; ++v) {

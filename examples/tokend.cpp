@@ -1,8 +1,9 @@
-// tokend: a token-account rate-limiting daemon over real TCP sockets.
+// tokend: a token-account rate-limiting daemon over real TCP sockets (the
+// epoll mesh).
 //
-// Endpoint 0 serves a sharded service::AccountTable through protocol v2,
-// its data ops executed by a service::ShardEngine whose workers own the
-// table's shards;
+// Endpoint 0 serves a sharded service::AccountTable through the wire
+// protocol, its data ops executed by a service::ShardEngine whose workers
+// own the table's shards;
 // the remaining endpoints run service::Client threads that hammer it with
 // Zipf-skewed acquire/refund/query traffic across *two namespaces* with
 // different policies: namespace 0 (the default, "interactive") runs the
@@ -27,7 +28,7 @@
 
 #include "obs/scrape.hpp"
 #include "obs/telemetry.hpp"
-#include "runtime/tcp.hpp"
+#include "runtime/epoll.hpp"
 #include "service/account_table.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
   service::ShardEngineOptions engine_opts;
   engine_opts.registry = &registry;  // per-worker queue-depth gauges
   service::ShardEngine engine(table, engine_opts);
-  runtime::TcpMesh mesh(1 + clients);
+  runtime::EpollMesh mesh(1 + clients);
   service::ServerOptions server_opts;
   server_opts.engine = &engine;
   server_opts.registry = &registry;

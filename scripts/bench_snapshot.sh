@@ -10,9 +10,9 @@
 #    (cache-missing hits on 2M keys, and first-contact inserts).
 #  - BENCH_service.json: the tokend service load generator (service_load
 #    --quick): acquire throughput and latency percentiles over 1M+ Zipf-
-#    distributed keys, raw (one thread on the table) / wire-protocol, plus
-#    the paired single-TCP-connection sync and pipelined closed loops (v2 async
-#    client, pipelined ops/s + p99 recorded) and the tokad cluster pair
+#    distributed keys, raw (one thread on the table), plus the paired
+#    single-connection sync and pipelined closed loops over the epoll mesh
+#    (async client, pipelined ops/s + p99 recorded) and the tokad cluster pair
 #    (1-node vs 3-node in-proc cluster, cluster micro numbers included via
 #    the HashRing micro-benchmarks), and the shard-per-thread plane pair
 #    (sharded: batches straight into the ShardEngine; epoll: pipelined
@@ -96,8 +96,8 @@ echo "wrote $out (fig4_scale --quick: ${fig4_ms} ms)"
 
 # Service-layer snapshot: the load generator writes the JSON itself (it has
 # the latency samples). --min-table-ops is the CI acceptance floor for raw
-# acquire throughput; --min-pipeline-speedup demands the v2 pipelined
-# client at least matches the sync closed loop on one TCP connection
+# acquire throughput; --min-pipeline-speedup demands the pipelined async
+# client at least matches the sync closed loop on one epoll-mesh connection
 # (locally it is many times faster; CI hardware is noisy, so the floor
 # only catches the pipeline regressing into sync behaviour);
 # --min-cluster-speedup is the tokad scale-out floor: 3 in-proc cluster

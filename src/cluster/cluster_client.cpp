@@ -572,7 +572,7 @@ ClusterClient::ClusterStats ClusterClient::cluster_stats() {
       snapshots.push_back(metrics);
       out.per_node.emplace_back(node, std::move(metrics));
     } catch (const service::protocol::RpcError&) {
-      // v1 or registry-less node: nothing to merge from it
+      // typed refusal: nothing to merge from this node
     } catch (const util::IoError&) {
       // dead node: the sweep reports the survivors
     }
@@ -601,7 +601,7 @@ std::vector<service::protocol::TraceSpan> ClusterClient::fetch_cluster_traces(
         out.push_back(s);
       }
     } catch (const service::protocol::RpcError&) {
-      // tracerless or v1 node: it contributes no spans
+      // typed refusal: this node contributes no spans
     } catch (const util::IoError&) {
       // dead node: its ring died with it; the survivors' spans remain
     }

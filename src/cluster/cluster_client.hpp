@@ -24,7 +24,7 @@
 // Transport model: one endpoint per (this client, server node), provided
 // by the EndpointFactory — service::Client owns its endpoint's receive
 // handler, so endpoints cannot be shared between per-node clients. Works
-// identically over InProc and TCP fabrics.
+// identically over the in-process fabric and the epoll socket mesh.
 //
 // Per-node clients are cached for the ClusterClient's lifetime and never
 // pruned (safe retirement of a possibly-in-use client would need
@@ -157,9 +157,10 @@ class ClusterClient {
     std::vector<std::pair<NodeId, std::vector<obs::Metric>>> per_node;
   };
 
-  /// Fans kStats over every member of the current map; dead or v1 nodes
-  /// are skipped (a cluster sweep must not fail because one node is
-  /// mid-crash). Throws util::IoError only if NO node answered.
+  /// Fans kStats over every member of the current map; dead nodes and
+  /// nodes answering with a typed error are skipped (a cluster sweep must
+  /// not fail because one node is mid-crash). Throws util::IoError only if
+  /// NO node answered.
   ClusterStats cluster_stats();
 
   /// Fans kTraces over every member and stitches the spans into one

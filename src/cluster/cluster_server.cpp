@@ -425,10 +425,9 @@ void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {
   }
 
   proto::Request request;
-  std::uint8_t version = proto::kProtocolVersion;
   std::optional<proto::TraceContext> trace;
   try {
-    request = proto::decode_request(payload, version, trace);
+    request = proto::decode_request(payload, trace);
   } catch (const util::IoError&) {
     // Undecodable admin/cluster frame or garbage: the inner server
     // classifies it.

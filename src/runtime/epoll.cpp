@@ -30,7 +30,7 @@ namespace toka::runtime {
 
 namespace {
 
-/// RAII file descriptor (same shape as TcpMesh's internal helper).
+/// RAII file descriptor.
 class Fd {
  public:
   Fd() = default;
@@ -569,10 +569,9 @@ class EpollMesh::Endpoint final : public Transport {
     return conn;
   }
 
-  /// Re-entrancy guard stack for peer-down notifications, same shape and
-  /// rationale as TcpMesh's (a handler may send, that send may fail on the
-  /// same endpoint, and a recursive shared_lock is UB under a queued
-  /// writer).
+  /// Re-entrancy guard stack for peer-down notifications: a handler may
+  /// send, that send may fail on the same endpoint, and a recursive
+  /// shared_lock is UB under a queued writer.
   struct NotifyFrame {
     const void* endpoint;
     NotifyFrame* prev;

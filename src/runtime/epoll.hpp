@@ -1,9 +1,11 @@
-// Nonblocking epoll mesh transport: the event-loop replacement for
-// TcpMesh's thread-per-connection reader model, speaking the identical
-// wire format (u32 payload length LE, u32 sender id LE, payload) on the
-// identical mesh topology (every node listens on loopback; sends go over
-// your own outgoing connection to the peer's listener, replies arrive on
-// the peer's outgoing connection to yours).
+// The TCP mesh transport: every node listens on a loopback port, and
+// nonblocking epoll event loops carry the mesh wire format (u32 payload
+// length LE, u32 sender id LE, payload; see framing.hpp). Sends go over
+// your own outgoing connection to the peer's listener, opened lazily on
+// first send and kept for reuse; replies arrive on the peer's outgoing
+// connection to yours. The token account node (node.hpp), the tokend
+// server and the tokad cluster run unchanged over this transport or the
+// in-process one.
 //
 // Each endpoint runs `io_threads` event loops (default 1). A loop owns a
 // set of connections: edge-triggered nonblocking reads drain the socket
@@ -19,9 +21,10 @@
 // instead of killing it — the listener is level-triggered, so retry is
 // free.
 //
-// One loop multiplexing every peer replaces 2x peers reader threads, which
-// is what lets a tokend node pair one IO thread with shard-owner workers
-// (service::ShardEngine) instead of drowning in thread context switches.
+// One loop multiplexes every peer instead of a reader thread per
+// connection, which is what lets a tokend node pair one IO thread with
+// shard-owner workers (service::ShardEngine) instead of drowning in thread
+// context switches.
 #pragma once
 
 #include <cstddef>
@@ -59,8 +62,8 @@ class EpollMesh {
 
   /// Kills one node: closes its listener and every connection, joins its
   /// loops. Peers observe the close and fire their peer-down handlers;
-  /// later sends to it fail fast and fire them too. Idempotent — the same
-  /// fault-injection hook TcpMesh gives the cluster churn tests.
+  /// later sends to it fail fast and fire them too. Idempotent — this is
+  /// the fault-injection hook cluster churn tests are built on.
   void shutdown_endpoint(NodeId id);
 
   /// Connections dropped by `id`'s loops because the frame decoder

@@ -1,7 +1,7 @@
-// Incremental frame codec for the mesh wire format, shared by the blocking
-// TcpMesh reader threads and the EpollMesh event loops.
+// Incremental frame codec for the mesh wire format, used by the EpollMesh
+// event loops.
 //
-// Wire format (unchanged since the first TCP transport):
+// Wire format:
 //   u32 payload length (LE) | u32 sender node id (LE) | payload bytes
 //
 // The decoder is a byte-stream reassembler: the transport recv()s into
@@ -33,7 +33,7 @@ inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 
 /// Appends one framed message (header + payload) to `out`. The encode-side
-/// twin of FrameDecoder, used by both meshes' send/cork paths.
+/// twin of FrameDecoder, used by the mesh's send/cork paths.
 inline void append_frame(std::vector<std::uint8_t>& out, NodeId from,
                          std::span<const std::byte> payload) {
   const auto len = static_cast<std::uint32_t>(payload.size());

@@ -78,7 +78,7 @@ namespace toka::service {
 /// an opaque 32-bit handle chosen by the operator.
 using NamespaceId = std::uint32_t;
 
-/// The namespace every v1 frame (and every namespace-less call) targets.
+/// The namespace every namespace-less call targets.
 inline constexpr NamespaceId kDefaultNamespace = 0;
 
 /// The service time source: microseconds since the table's epoch, advanced

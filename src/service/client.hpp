@@ -204,8 +204,7 @@ class Client {
 
   /// The server's flight-recorder snapshot, oldest span first (empty if
   /// the server has no tracer). `max_spans` caps the reply; 0 means the
-  /// server-side limit. Never suppressed by the backoff window. Throws
-  /// protocol::RpcError{kUnsupported} from a v1-only server.
+  /// server-side limit. Never suppressed by the backoff window.
   std::vector<protocol::TraceSpan> fetch_traces(std::uint32_t max_spans = 0);
   void fetch_traces_async(std::uint32_t max_spans,
                           Callback<std::vector<protocol::TraceSpan>> done,

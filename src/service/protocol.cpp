@@ -9,15 +9,14 @@ namespace toka::service::protocol {
 
 namespace {
 
-/// Is `type` a defined message type under `version`? (Response-ness is
-/// checked separately: kError exists only with the response bit.)
-bool known_type(std::uint8_t version, MsgType type, bool is_response) {
+/// Is `type` a defined message type? (Response-ness is checked
+/// separately: kError exists only with the response bit.)
+bool known_type(MsgType type, bool is_response) {
   switch (type) {
     case MsgType::kAcquire:
     case MsgType::kRefund:
     case MsgType::kQuery:
     case MsgType::kBatchAcquire:
-      return true;
     case MsgType::kConfigureNamespace:
     case MsgType::kNamespaceInfo:
     case MsgType::kClusterMap:
@@ -26,39 +25,25 @@ bool known_type(std::uint8_t version, MsgType type, bool is_response) {
     case MsgType::kStats:
     case MsgType::kTraces:
     case MsgType::kPromote:
-      return version >= kProtocolVersion;
+      return true;
     case MsgType::kReplicate:
     case MsgType::kReplicaAck:
       // One-way stream frames: acked by kReplicaAck requests, so a frame
       // with the response bit set is malformed.
-      return version >= kProtocolVersion && !is_response;
+      return !is_response;
     case MsgType::kRedirect:
     case MsgType::kError:
-      return version >= kProtocolVersion && is_response;
+      return is_response;
   }
   return false;
 }
 
-util::BinaryWriter header(std::uint8_t version, MsgType type, bool response,
-                          std::uint64_t id) {
+util::BinaryWriter header(MsgType type, bool response, std::uint64_t id) {
   util::BinaryWriter w;
-  w.u8(version);
+  w.u8(kProtocolVersion);
   w.u8(static_cast<std::uint8_t>(type) | (response ? kResponseBit : 0));
   w.u64(id);
   return w;
-}
-
-void check_version(std::uint8_t version) {
-  TOKA_CHECK_MSG(version == kProtocolVersionV1 || version == kProtocolVersion,
-                 "cannot encode protocol version "
-                     << static_cast<int>(version));
-}
-
-void check_v1_encodable(std::uint8_t version, NamespaceId ns,
-                        const char* what) {
-  TOKA_CHECK_MSG(version >= kProtocolVersion || ns == kDefaultNamespace,
-                 "protocol v1 cannot carry " << what << " for namespace "
-                                             << ns);
 }
 
 Tokens read_tokens(util::BinaryReader& r) {
@@ -81,29 +66,19 @@ bool read_bool(util::BinaryReader& r) {
   return b != 0;
 }
 
-/// Consumes the common header and returns (version, raw type byte).
-std::pair<std::uint8_t, std::uint8_t> read_header(util::BinaryReader& r) {
+/// Consumes the common header and returns the raw type byte.
+std::uint8_t read_header(util::BinaryReader& r) {
   const std::uint8_t version = r.u8();
-  if (version != kProtocolVersionV1 && version != kProtocolVersion)
+  if (version != kProtocolVersion)
     throw util::IoError("tokend frame: unsupported protocol version " +
                         std::to_string(version));
-  return {version, r.u8()};
+  return r.u8();
 }
 
 void expect_done(const util::BinaryReader& r) {
   if (!r.done())
     throw util::IoError("tokend frame: " + std::to_string(r.remaining()) +
                         " trailing bytes");
-}
-
-/// Data-op requests carry the namespace only from v2 on; a v1 frame is a
-/// v2 frame about the default namespace.
-NamespaceId read_ns(util::BinaryReader& r, std::uint8_t version) {
-  return version >= kProtocolVersion ? r.u32() : kDefaultNamespace;
-}
-
-void write_ns(util::BinaryWriter& w, std::uint8_t version, NamespaceId ns) {
-  if (version >= kProtocolVersion) w.u32(ns);
 }
 
 void write_namespace_config(util::BinaryWriter& w, const NamespaceConfig& c) {
@@ -176,70 +151,62 @@ NamespaceConfig read_namespace_config(util::BinaryReader& r) {
   return c;
 }
 
-// ------------------------------------------------------- version-aware encode
+}  // namespace
 
-std::vector<std::byte> encode_at(const AcquireRequest& m,
-                                 std::uint8_t version) {
-  check_v1_encodable(version, m.ns, "an acquire");
-  util::BinaryWriter w = header(version, MsgType::kAcquire, false, m.id);
-  write_ns(w, version, m.ns);
+// ---------------------------------------------------------------- encode
+
+std::vector<std::byte> encode(const AcquireRequest& m) {
+  util::BinaryWriter w = header(MsgType::kAcquire, false, m.id);
+  w.u32(m.ns);
   w.u64(m.key);
   w.i64(m.tokens);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const AcquireResponse& m,
-                                 std::uint8_t version) {
-  util::BinaryWriter w = header(version, MsgType::kAcquire, true, m.id);
+std::vector<std::byte> encode(const AcquireResponse& m) {
+  util::BinaryWriter w = header(MsgType::kAcquire, true, m.id);
   w.i64(m.granted);
   w.i64(m.balance);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const RefundRequest& m,
-                                 std::uint8_t version) {
-  check_v1_encodable(version, m.ns, "a refund");
-  util::BinaryWriter w = header(version, MsgType::kRefund, false, m.id);
-  write_ns(w, version, m.ns);
+std::vector<std::byte> encode(const RefundRequest& m) {
+  util::BinaryWriter w = header(MsgType::kRefund, false, m.id);
+  w.u32(m.ns);
   w.u64(m.key);
   w.i64(m.tokens);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const RefundResponse& m,
-                                 std::uint8_t version) {
-  util::BinaryWriter w = header(version, MsgType::kRefund, true, m.id);
+std::vector<std::byte> encode(const RefundResponse& m) {
+  util::BinaryWriter w = header(MsgType::kRefund, true, m.id);
   w.i64(m.accepted);
   w.i64(m.balance);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const QueryRequest& m, std::uint8_t version) {
-  check_v1_encodable(version, m.ns, "a query");
-  util::BinaryWriter w = header(version, MsgType::kQuery, false, m.id);
-  write_ns(w, version, m.ns);
+std::vector<std::byte> encode(const QueryRequest& m) {
+  util::BinaryWriter w = header(MsgType::kQuery, false, m.id);
+  w.u32(m.ns);
   w.u64(m.key);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const QueryResponse& m,
-                                 std::uint8_t version) {
-  util::BinaryWriter w = header(version, MsgType::kQuery, true, m.id);
+std::vector<std::byte> encode(const QueryResponse& m) {
+  util::BinaryWriter w = header(MsgType::kQuery, true, m.id);
   w.i64(m.balance);
   w.u8(m.exists ? 1 : 0);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const BatchAcquireRequest& m,
-                                 std::uint8_t version) {
-  check_v1_encodable(version, m.ns, "a batch acquire");
+std::vector<std::byte> encode(const BatchAcquireRequest& m) {
   // Fail fast on the sender: a frame above the batch limit would only be
   // dropped as malformed by the receiver, surfacing as a timeout.
   TOKA_CHECK_MSG(m.ops.size() <= kMaxBatchOps,
                  "batch of " << m.ops.size() << " ops exceeds the limit of "
                              << kMaxBatchOps);
-  util::BinaryWriter w = header(version, MsgType::kBatchAcquire, false, m.id);
-  write_ns(w, version, m.ns);
+  util::BinaryWriter w = header(MsgType::kBatchAcquire, false, m.id);
+  w.u32(m.ns);
   w.u32(static_cast<std::uint32_t>(m.ops.size()));
   for (const AcquireOp& op : m.ops) {
     w.u64(op.key);
@@ -248,13 +215,12 @@ std::vector<std::byte> encode_at(const BatchAcquireRequest& m,
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const BatchAcquireResponse& m,
-                                 std::uint8_t version) {
+std::vector<std::byte> encode(const BatchAcquireResponse& m) {
   TOKA_CHECK_MSG(m.results.size() <= kMaxBatchOps,
                  "batch of " << m.results.size()
                              << " results exceeds the limit of "
                              << kMaxBatchOps);
-  util::BinaryWriter w = header(version, MsgType::kBatchAcquire, true, m.id);
+  util::BinaryWriter w = header(MsgType::kBatchAcquire, true, m.id);
   w.u32(static_cast<std::uint32_t>(m.results.size()));
   for (const AcquireResult& res : m.results) {
     w.i64(res.granted);
@@ -263,42 +229,30 @@ std::vector<std::byte> encode_at(const BatchAcquireResponse& m,
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const ConfigureNamespaceRequest& m,
-                                 std::uint8_t version) {
-  TOKA_CHECK_MSG(version >= kProtocolVersion,
-                 "protocol v1 cannot carry admin messages");
+std::vector<std::byte> encode(const ConfigureNamespaceRequest& m) {
   util::BinaryWriter w =
-      header(version, MsgType::kConfigureNamespace, false, m.id);
+      header(MsgType::kConfigureNamespace, false, m.id);
   w.u32(m.ns);
   write_namespace_config(w, m.config);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const ConfigureNamespaceResponse& m,
-                                 std::uint8_t version) {
-  TOKA_CHECK_MSG(version >= kProtocolVersion,
-                 "protocol v1 cannot carry admin messages");
+std::vector<std::byte> encode(const ConfigureNamespaceResponse& m) {
   util::BinaryWriter w =
-      header(version, MsgType::kConfigureNamespace, true, m.id);
+      header(MsgType::kConfigureNamespace, true, m.id);
   w.u8(m.created ? 1 : 0);
   w.i64(m.capacity);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const NamespaceInfoRequest& m,
-                                 std::uint8_t version) {
-  TOKA_CHECK_MSG(version >= kProtocolVersion,
-                 "protocol v1 cannot carry admin messages");
-  util::BinaryWriter w = header(version, MsgType::kNamespaceInfo, false, m.id);
+std::vector<std::byte> encode(const NamespaceInfoRequest& m) {
+  util::BinaryWriter w = header(MsgType::kNamespaceInfo, false, m.id);
   w.u32(m.ns);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const NamespaceInfoResponse& m,
-                                 std::uint8_t version) {
-  TOKA_CHECK_MSG(version >= kProtocolVersion,
-                 "protocol v1 cannot carry admin messages");
-  util::BinaryWriter w = header(version, MsgType::kNamespaceInfo, true, m.id);
+std::vector<std::byte> encode(const NamespaceInfoResponse& m) {
+  util::BinaryWriter w = header(MsgType::kNamespaceInfo, true, m.id);
   w.u8(m.exists ? 1 : 0);
   if (m.exists) {
     write_namespace_config(w, m.config);
@@ -308,11 +262,8 @@ std::vector<std::byte> encode_at(const NamespaceInfoResponse& m,
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const ErrorResponse& m,
-                                 std::uint8_t version) {
-  TOKA_CHECK_MSG(version >= kProtocolVersion,
-                 "protocol v1 cannot carry error responses");
-  util::BinaryWriter w = header(version, MsgType::kError, true, m.id);
+std::vector<std::byte> encode(const ErrorResponse& m) {
+  util::BinaryWriter w = header(MsgType::kError, true, m.id);
   w.u8(static_cast<std::uint8_t>(m.code));
   // Only overload errors carry the retry hint; the other codes keep their
   // pre-existing byte-identical layout.
@@ -320,47 +271,32 @@ std::vector<std::byte> encode_at(const ErrorResponse& m,
   return w.take();
 }
 
-void check_v2_cluster(std::uint8_t version) {
-  TOKA_CHECK_MSG(version >= kProtocolVersion,
-                 "protocol v1 cannot carry cluster messages");
+std::vector<std::byte> encode(const ClusterMapRequest& m) {
+  return header(MsgType::kClusterMap, false, m.id).take();
 }
 
-std::vector<std::byte> encode_at(const ClusterMapRequest& m,
-                                 std::uint8_t version) {
-  check_v2_cluster(version);
-  return header(version, MsgType::kClusterMap, false, m.id).take();
-}
-
-std::vector<std::byte> encode_at(const ClusterMapResponse& m,
-                                 std::uint8_t version) {
-  check_v2_cluster(version);
-  util::BinaryWriter w = header(version, MsgType::kClusterMap, true, m.id);
+std::vector<std::byte> encode(const ClusterMapResponse& m) {
+  util::BinaryWriter w = header(MsgType::kClusterMap, true, m.id);
   write_cluster_map(w, m.map);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const ApplyMapRequest& m,
-                                 std::uint8_t version) {
-  check_v2_cluster(version);
-  util::BinaryWriter w = header(version, MsgType::kApplyMap, false, m.id);
+std::vector<std::byte> encode(const ApplyMapRequest& m) {
+  util::BinaryWriter w = header(MsgType::kApplyMap, false, m.id);
   write_cluster_map(w, m.map);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const ApplyMapResponse& m,
-                                 std::uint8_t version) {
-  check_v2_cluster(version);
-  util::BinaryWriter w = header(version, MsgType::kApplyMap, true, m.id);
+std::vector<std::byte> encode(const ApplyMapResponse& m) {
+  util::BinaryWriter w = header(MsgType::kApplyMap, true, m.id);
   w.u8(m.accepted ? 1 : 0);
   w.u64(m.epoch);
   w.u64(m.handoffs);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const HandoffRequest& m,
-                                 std::uint8_t version) {
-  check_v2_cluster(version);
-  util::BinaryWriter w = header(version, MsgType::kHandoff, false, m.id);
+std::vector<std::byte> encode(const HandoffRequest& m) {
+  util::BinaryWriter w = header(MsgType::kHandoff, false, m.id);
   w.u64(m.epoch);
   w.u32(m.ns);
   w.u64(m.key);
@@ -368,29 +304,22 @@ std::vector<std::byte> encode_at(const HandoffRequest& m,
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const HandoffResponse& m,
-                                 std::uint8_t version) {
-  check_v2_cluster(version);
-  util::BinaryWriter w = header(version, MsgType::kHandoff, true, m.id);
+std::vector<std::byte> encode(const HandoffResponse& m) {
+  util::BinaryWriter w = header(MsgType::kHandoff, true, m.id);
   w.u8(m.accepted ? 1 : 0);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const StatsRequest& m, std::uint8_t version) {
-  TOKA_CHECK_MSG(version >= kProtocolVersion,
-                 "protocol v1 cannot carry stats messages");
-  return header(version, MsgType::kStats, false, m.id).take();
+std::vector<std::byte> encode(const StatsRequest& m) {
+  return header(MsgType::kStats, false, m.id).take();
 }
 
-std::vector<std::byte> encode_at(const StatsResponse& m,
-                                 std::uint8_t version) {
-  TOKA_CHECK_MSG(version >= kProtocolVersion,
-                 "protocol v1 cannot carry stats messages");
+std::vector<std::byte> encode(const StatsResponse& m) {
   TOKA_CHECK_MSG(m.entries.size() <= kMaxStatsEntries,
                  "stats snapshot of " << m.entries.size()
                                       << " entries exceeds the limit of "
                                       << kMaxStatsEntries);
-  util::BinaryWriter w = header(version, MsgType::kStats, true, m.id);
+  util::BinaryWriter w = header(MsgType::kStats, true, m.id);
   w.u32(static_cast<std::uint32_t>(m.entries.size()));
   for (const StatsEntry& e : m.entries) {
     TOKA_CHECK_MSG(e.name.size() <= kMaxStatsNameLen,
@@ -418,24 +347,18 @@ std::vector<std::byte> encode_at(const StatsResponse& m,
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const TracesRequest& m,
-                                 std::uint8_t version) {
-  TOKA_CHECK_MSG(version >= kProtocolVersion,
-                 "protocol v1 cannot carry trace messages");
-  util::BinaryWriter w = header(version, MsgType::kTraces, false, m.id);
+std::vector<std::byte> encode(const TracesRequest& m) {
+  util::BinaryWriter w = header(MsgType::kTraces, false, m.id);
   w.u32(m.max_spans);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const TracesResponse& m,
-                                 std::uint8_t version) {
-  TOKA_CHECK_MSG(version >= kProtocolVersion,
-                 "protocol v1 cannot carry trace messages");
+std::vector<std::byte> encode(const TracesResponse& m) {
   TOKA_CHECK_MSG(m.spans.size() <= kMaxTraceSpans,
                  "trace snapshot of " << m.spans.size()
                                       << " spans exceeds the limit of "
                                       << kMaxTraceSpans);
-  util::BinaryWriter w = header(version, MsgType::kTraces, true, m.id);
+  util::BinaryWriter w = header(MsgType::kTraces, true, m.id);
   w.u32(static_cast<std::uint32_t>(m.spans.size()));
   for (const TraceSpan& s : m.spans) {
     w.u64(s.trace_id);
@@ -451,14 +374,12 @@ std::vector<std::byte> encode_at(const TracesResponse& m,
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const ReplicateRequest& m,
-                                 std::uint8_t version) {
-  check_v2_cluster(version);
+std::vector<std::byte> encode(const ReplicateRequest& m) {
   TOKA_CHECK_MSG(m.deltas.size() <= kMaxReplicaDeltas,
                  "replica frame of " << m.deltas.size()
                                      << " deltas exceeds the limit of "
                                      << kMaxReplicaDeltas);
-  util::BinaryWriter w = header(version, MsgType::kReplicate, false, m.id);
+  util::BinaryWriter w = header(MsgType::kReplicate, false, m.id);
   w.u64(m.epoch);
   w.u64(m.seq);
   w.u32(static_cast<std::uint32_t>(m.deltas.size()));
@@ -471,27 +392,21 @@ std::vector<std::byte> encode_at(const ReplicateRequest& m,
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const ReplicaAckRequest& m,
-                                 std::uint8_t version) {
-  check_v2_cluster(version);
-  util::BinaryWriter w = header(version, MsgType::kReplicaAck, false, m.id);
+std::vector<std::byte> encode(const ReplicaAckRequest& m) {
+  util::BinaryWriter w = header(MsgType::kReplicaAck, false, m.id);
   w.u64(m.seq);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const PromoteRequest& m,
-                                 std::uint8_t version) {
-  check_v2_cluster(version);
-  util::BinaryWriter w = header(version, MsgType::kPromote, false, m.id);
+std::vector<std::byte> encode(const PromoteRequest& m) {
+  util::BinaryWriter w = header(MsgType::kPromote, false, m.id);
   w.u32(m.failed);
   w.u64(m.epoch);
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const PromoteResponse& m,
-                                 std::uint8_t version) {
-  check_v2_cluster(version);
-  util::BinaryWriter w = header(version, MsgType::kPromote, true, m.id);
+std::vector<std::byte> encode(const PromoteResponse& m) {
+  util::BinaryWriter w = header(MsgType::kPromote, true, m.id);
   w.u8(m.accepted ? 1 : 0);
   w.u64(m.epoch);
   w.u64(m.installed);
@@ -499,16 +414,12 @@ std::vector<std::byte> encode_at(const PromoteResponse& m,
   return w.take();
 }
 
-std::vector<std::byte> encode_at(const RedirectResponse& m,
-                                 std::uint8_t version) {
-  check_v2_cluster(version);
-  util::BinaryWriter w = header(version, MsgType::kRedirect, true, m.id);
+std::vector<std::byte> encode(const RedirectResponse& m) {
+  util::BinaryWriter w = header(MsgType::kRedirect, true, m.id);
   w.u64(m.epoch);
   w.u32(m.owner);
   return w.take();
 }
-
-}  // namespace
 
 const char* to_string(ErrorCode code) {
   switch (code) {
@@ -521,133 +432,32 @@ const char* to_string(ErrorCode code) {
   return "unknown-error";
 }
 
-std::vector<std::byte> encode(const AcquireRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const AcquireResponse& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const RefundRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const RefundResponse& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const QueryRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const QueryResponse& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const BatchAcquireRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const BatchAcquireResponse& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const ConfigureNamespaceRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const ConfigureNamespaceResponse& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const NamespaceInfoRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const NamespaceInfoResponse& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const ClusterMapRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const ClusterMapResponse& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const ApplyMapRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const ApplyMapResponse& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const HandoffRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const HandoffResponse& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const StatsRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const StatsResponse& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const TracesRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const TracesResponse& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const ReplicateRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const ReplicaAckRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const PromoteRequest& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const PromoteResponse& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const RedirectResponse& m) {
-  return encode_at(m, kProtocolVersion);
-}
-std::vector<std::byte> encode(const ErrorResponse& m) {
-  return encode_at(m, kProtocolVersion);
+std::vector<std::byte> encode(const Request& m) {
+  return std::visit([](const auto& msg) { return encode(msg); }, m);
 }
 
-std::vector<std::byte> encode(const Request& m, std::uint8_t version) {
-  check_version(version);
-  return std::visit(
-      [version](const auto& msg) { return encode_at(msg, version); }, m);
-}
-
-std::vector<std::byte> encode(const Response& m, std::uint8_t version) {
-  check_version(version);
-  return std::visit(
-      [version](const auto& msg) { return encode_at(msg, version); }, m);
+std::vector<std::byte> encode(const Response& m) {
+  return std::visit([](const auto& msg) { return encode(msg); }, m);
 }
 
 Request decode_request(std::span<const std::byte> payload) {
-  std::uint8_t version;
-  return decode_request(payload, version);
-}
-
-Request decode_request(std::span<const std::byte> payload,
-                       std::uint8_t& version_out) {
   std::optional<TraceContext> trace;
-  return decode_request(payload, version_out, trace);
+  return decode_request(payload, trace);
 }
 
 Request decode_request(std::span<const std::byte> payload,
-                       std::uint8_t& version_out,
                        std::optional<TraceContext>& trace_out) {
   trace_out.reset();
   util::BinaryReader r(payload);
-  const auto [version, type] = read_header(r);
-  version_out = version;
+  const std::uint8_t type = read_header(r);
   const std::uint64_t id = r.u64();
-  // Only a v2 request can carry a trace context; a v1 type byte with the
-  // bit set stays an unknown type (v1 has no trace vocabulary).
-  const bool traced = (type & kTraceBit) != 0 && (type & kResponseBit) == 0 &&
-                      version >= kProtocolVersion;
+  const bool traced = (type & kTraceBit) != 0 && (type & kResponseBit) == 0;
   const MsgType msg_type =
       static_cast<MsgType>(traced ? (type & ~kTraceBit) : type);
-  if (!known_type(version, msg_type, /*is_response=*/false) ||
+  if (!known_type(msg_type, /*is_response=*/false) ||
       (type & kResponseBit) != 0)
     throw util::IoError("tokend frame: unknown request type " +
-                        std::to_string(type) + " for version " +
-                        std::to_string(version));
+                        std::to_string(type));
   if (traced) {
     TraceContext ctx;
     ctx.trace_id = r.u64();
@@ -661,24 +471,24 @@ Request decode_request(std::span<const std::byte> payload,
   Request out;
   switch (msg_type) {
     case MsgType::kAcquire: {
-      const NamespaceId ns = read_ns(r, version);
+      const NamespaceId ns = r.u32();
       out = AcquireRequest{id, r.u64(), read_tokens(r), ns};
       break;
     }
     case MsgType::kRefund: {
-      const NamespaceId ns = read_ns(r, version);
+      const NamespaceId ns = r.u32();
       out = RefundRequest{id, r.u64(), read_tokens(r), ns};
       break;
     }
     case MsgType::kQuery: {
-      const NamespaceId ns = read_ns(r, version);
+      const NamespaceId ns = r.u32();
       out = QueryRequest{id, r.u64(), ns};
       break;
     }
     case MsgType::kBatchAcquire: {
       BatchAcquireRequest m;
       m.id = id;
-      m.ns = read_ns(r, version);
+      m.ns = r.u32();
       const std::uint32_t count = read_batch_count(r);
       m.ops.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
@@ -777,15 +587,14 @@ Request decode_request(std::span<const std::byte> payload,
 
 Response decode_response(std::span<const std::byte> payload) {
   util::BinaryReader r(payload);
-  const auto [version, type] = read_header(r);
+  const std::uint8_t type = read_header(r);
   if ((type & kResponseBit) == 0)
     throw util::IoError("tokend frame: request type " + std::to_string(type) +
                         " where a response was expected");
   const MsgType msg_type = static_cast<MsgType>(type & ~kResponseBit);
-  if (!known_type(version, msg_type, /*is_response=*/true))
+  if (!known_type(msg_type, /*is_response=*/true))
     throw util::IoError("tokend frame: unknown response type " +
-                        std::to_string(type) + " for version " +
-                        std::to_string(version));
+                        std::to_string(type));
   const std::uint64_t id = r.u64();
   Response out;
   switch (msg_type) {
@@ -975,21 +784,17 @@ std::optional<FrameHeader> try_parse_header(
   constexpr std::size_t kTraceContextBytes = 8 + 1;
   if (payload.size() < kHeaderBytes) return std::nullopt;
   util::BinaryReader r(payload);
-  const std::uint8_t version = r.u8();
-  if (version != kProtocolVersionV1 && version != kProtocolVersion)
-    return std::nullopt;
+  if (r.u8() != kProtocolVersion) return std::nullopt;
   const std::uint8_t type_byte = r.u8();
   const bool is_response = (type_byte & kResponseBit) != 0;
   // Responses keep kTraceBit as part of their type value (kRedirect and
-  // kError live above 0x40); only a v2 request's bit announces context.
-  const bool traced = !is_response && (type_byte & kTraceBit) != 0 &&
-                      version >= kProtocolVersion;
+  // kError live above 0x40); only a request's bit announces context.
+  const bool traced = !is_response && (type_byte & kTraceBit) != 0;
   std::uint8_t masked = type_byte & ~kResponseBit;
   if (traced) masked &= ~kTraceBit;
   const MsgType type = static_cast<MsgType>(masked);
-  if (!known_type(version, type, is_response)) return std::nullopt;
+  if (!known_type(type, is_response)) return std::nullopt;
   FrameHeader out;
-  out.version = version;
   out.type = type;
   out.is_response = is_response;
   out.id = r.u64();
@@ -1013,7 +818,8 @@ void attach_trace_context(std::vector<std::byte>& frame,
                  "cannot attach a trace context to a " << frame.size()
                                                        << "-byte frame");
   TOKA_CHECK_MSG(std::to_integer<std::uint8_t>(frame[0]) == kProtocolVersion,
-                 "trace contexts require protocol v2");
+                 "cannot attach a trace context to a frame of another "
+                 "protocol version");
   const std::uint8_t type_byte = std::to_integer<std::uint8_t>(frame[1]);
   TOKA_CHECK_MSG((type_byte & (kResponseBit | kTraceBit)) == 0,
                  "trace contexts attach to untraced request frames only");

@@ -1,42 +1,43 @@
-// tokend's compact binary wire protocol (v2, with v1 interop).
+// tokend's compact binary wire protocol (version 2).
 //
 // One request or response per transport payload, serialized with
 // util::BinaryWriter/BinaryReader (fixed little-endian layout):
 //
-//   u8  version (1 or 2; encoders emit kProtocolVersion unless told v1)
-//   u8  message type (requests 1..6; responses are request | 0x80;
-//       0xFF is the typed ErrorResponse, response-only)
+//   u8  version (always kProtocolVersion; any other byte is rejected)
+//   u8  message type (requests 1..14; responses are request | 0x80;
+//       0x7E redirect and 0x7F error are response-only)
 //   u64 request id (echoed verbatim in the response for correlation)
 //   ... type-specific body
 //
-// v2 adds, relative to v1:
-//   - a u32 namespace id on acquire/refund/query/batch-acquire requests,
-//     placed right after the request id (v1 frames implicitly target
-//     namespace 0, so a v1 frame is exactly a v2 frame about the default
-//     namespace — the compat rule the tests pin down);
+// Data ops (acquire/refund/query/batch-acquire) carry a u32 namespace id
+// right after the request id. Beside them the protocol has:
 //   - admin messages: ConfigureNamespace creates or resets a namespace
 //     with its own core::StrategyConfig, Δ, initial balance and TTL at
 //     runtime; NamespaceInfo describes one;
 //   - a typed ErrorResponse (code + echoed id), so the server can answer
 //     decodable-header/bad-body frames, unknown namespaces and invalid
-//     configs instead of silently dropping them.
+//     configs instead of silently dropping them;
+//   - telemetry snapshots: Stats (the metrics registry) and Traces (the
+//     flight recorder).
 //
-// v2 also carries the tokad *cluster* vocabulary (all of it v2-only):
+// It also carries the tokad *cluster* vocabulary:
 //   - ClusterMap fetches a node's current cluster::ClusterMap, and ApplyMap
 //     installs a newer one (membership change: the receiving node re-routes
 //     and hands moved accounts off to their new owners);
 //   - Handoff transfers one account's banked state (balance; the receiver
 //     settles it at its own clock) node-to-node on ring change — forfeited
 //     on any loss, never duplicated;
+//   - Replicate/ReplicaAck stream account deltas to followers, and Promote
+//     installs them when a primary dies;
 //   - a Redirect response (the kNotOwner outcome): the node does not own
 //     the requested key under its current map; it carries the node's map
 //     epoch and the owner it routes the key to, so a stale client can
 //     refresh and retry instead of timing out.
 //
-// Decoding is strict: unknown version, unknown type (for that version),
-// negative token counts, oversized batches, out-of-range enum/bool bytes,
-// truncated bodies and trailing bytes all throw util::IoError — a
-// malformed frame can never partially apply.
+// Decoding is strict: unknown version, unknown type, negative token
+// counts, oversized batches, out-of-range enum/bool bytes, truncated
+// bodies and trailing bytes all throw util::IoError — a malformed frame
+// can never partially apply.
 #pragma once
 
 #include <cstddef>
@@ -55,10 +56,9 @@
 
 namespace toka::service::protocol {
 
-/// The version encoders emit by default.
+/// The version byte every frame starts with: encoders emit it, decoders
+/// reject any other.
 inline constexpr std::uint8_t kProtocolVersion = 2;
-/// The oldest version decoders still accept.
-inline constexpr std::uint8_t kProtocolVersionV1 = 1;
 
 /// Upper bound on ops per batch frame; a decoded count above this is
 /// rejected before any allocation happens.
@@ -69,18 +69,18 @@ enum class MsgType : std::uint8_t {
   kRefund = 2,
   kQuery = 3,
   kBatchAcquire = 4,
-  kConfigureNamespace = 5,  ///< v2-only (admin)
-  kNamespaceInfo = 6,       ///< v2-only (admin)
-  kClusterMap = 7,          ///< v2-only (cluster: fetch the membership map)
-  kApplyMap = 8,            ///< v2-only (cluster: install a newer map)
-  kHandoff = 9,             ///< v2-only (cluster: node-to-node account move)
-  kStats = 10,              ///< v2-only (telemetry snapshot)
-  kTraces = 11,             ///< v2-only (flight-recorder span snapshot)
-  kReplicate = 12,          ///< v2-only (cluster: one-way account delta frame)
-  kReplicaAck = 13,         ///< v2-only (cluster: one-way delta-stream ack)
-  kPromote = 14,            ///< v2-only (cluster: install replicas, bump epoch)
-  kRedirect = 0x7E,         ///< v2-only; exists only as a response
-  kError = 0x7F,            ///< v2-only; exists only as a response
+  kConfigureNamespace = 5,  ///< admin
+  kNamespaceInfo = 6,       ///< admin
+  kClusterMap = 7,          ///< cluster: fetch the membership map
+  kApplyMap = 8,            ///< cluster: install a newer map
+  kHandoff = 9,             ///< cluster: node-to-node account move
+  kStats = 10,              ///< telemetry snapshot
+  kTraces = 11,             ///< flight-recorder span snapshot
+  kReplicate = 12,          ///< cluster: one-way account delta frame
+  kReplicaAck = 13,         ///< cluster: one-way delta-stream ack
+  kPromote = 14,            ///< cluster: install replicas, bump epoch
+  kRedirect = 0x7E,         ///< exists only as a response
+  kError = 0x7F,            ///< exists only as a response
 };
 
 /// Bit set on a request's type byte to form its response's type byte.
@@ -88,17 +88,15 @@ inline constexpr std::uint8_t kResponseBit = 0x80;
 
 // ------------------------------------------------------- trace context
 //
-// A v2 *request* frame may carry a 9-byte trace context — u64 trace id +
+// A *request* frame may carry a 9-byte trace context — u64 trace id +
 // u8 flags — inserted right after the request id, announced by kTraceBit
 // on the type byte. Every defined request type is <= kPromote (14), so the
 // bit never collides with a request's type value (kRedirect/kError have
 // bit 6 set but exist only as responses, and responses never carry
 // context: the client correlates a reply to its trace by request id).
-// A frame without the bit is byte-identical to its pre-trace encoding,
-// and v1 has no trace vocabulary at all — a v1 type byte with kTraceBit
-// set is an unknown type.
+// A frame without the bit is byte-identical to its pre-trace encoding.
 
-/// Bit set on a v2 request's type byte when a trace context follows the id.
+/// Bit set on a request's type byte when a trace context follows the id.
 inline constexpr std::uint8_t kTraceBit = 0x40;
 /// The only defined trace flag: this request is in the sampled 1-in-N set.
 inline constexpr std::uint8_t kTraceFlagSampled = 0x01;
@@ -110,9 +108,9 @@ struct TraceContext {
   friend bool operator==(const TraceContext&, const TraceContext&) = default;
 };
 
-/// Stamps `ctx` onto an already-encoded v2 request frame: sets kTraceBit
-/// and splices the 9 context bytes in after the request id. The frame must
-/// be a v2 request that does not already carry a context (checked).
+/// Stamps `ctx` onto an already-encoded request frame: sets kTraceBit and
+/// splices the 9 context bytes in after the request id. The frame must be
+/// a request that does not already carry a context (checked).
 void attach_trace_context(std::vector<std::byte>& frame,
                           const TraceContext& ctx);
 
@@ -132,7 +130,7 @@ struct AcquireRequest {
   std::uint64_t id = 0;
   std::uint64_t key = 0;
   Tokens tokens = 0;
-  NamespaceId ns = kDefaultNamespace;  ///< appended so v1 positional inits hold
+  NamespaceId ns = kDefaultNamespace;  ///< last: {id, key, tokens} means ns 0
   friend bool operator==(const AcquireRequest&, const AcquireRequest&) = default;
 };
 
@@ -264,7 +262,7 @@ struct StatsEntry {
 };
 
 /// Asks the server for a compact binary snapshot of its telemetry
-/// registry (v2-only). A server with no registry answers with an empty
+/// registry. A server with no registry answers with an empty
 /// entry list.
 struct StatsRequest {
   std::uint64_t id = 0;
@@ -297,7 +295,7 @@ struct TraceSpan {
   friend bool operator==(const TraceSpan&, const TraceSpan&) = default;
 };
 
-/// Asks the server for a snapshot of its flight-recorder rings (v2-only).
+/// Asks the server for a snapshot of its flight-recorder rings.
 /// `max_spans` caps the reply; 0 means the server-side limit.
 struct TracesRequest {
   std::uint64_t id = 0;
@@ -430,11 +428,7 @@ struct PromoteResponse {
 /// The kNotOwner outcome: the serving node does not own the requested key
 /// under its current map. Carries enough for a stale client to recover —
 /// the node's map epoch (fetch a newer map if ours is older) and where the
-/// node's ring puts the key right now. Like ErrorResponse, this is a
-/// v2-only construct and always encodes as v2, even answering a v1
-/// request: a genuine v1 sender drops the unknown frame and times out —
-/// its pre-v2 behaviour for any failed call (v1 has no redirect
-/// vocabulary, and clustered deployments require v2 clients).
+/// node's ring puts the key right now.
 struct RedirectResponse {
   std::uint64_t id = 0;
   std::uint64_t epoch = 0;
@@ -456,7 +450,7 @@ using Response =
                  HandoffResponse, StatsResponse, TracesResponse,
                  PromoteResponse, RedirectResponse, ErrorResponse>;
 
-// Per-type encoders emit the current version (v2).
+// Encoders; every frame carries kProtocolVersion.
 std::vector<std::byte> encode(const AcquireRequest& m);
 std::vector<std::byte> encode(const AcquireResponse& m);
 std::vector<std::byte> encode(const RefundRequest& m);
@@ -486,44 +480,32 @@ std::vector<std::byte> encode(const PromoteResponse& m);
 std::vector<std::byte> encode(const RedirectResponse& m);
 std::vector<std::byte> encode(const ErrorResponse& m);
 
-/// Version-explicit encoders (the server answers a request with the
-/// request's own version so v1 clients keep decoding). Version 1 rejects
-/// v2-only messages and non-default namespaces with util::InvariantError.
-std::vector<std::byte> encode(const Request& m,
-                              std::uint8_t version = kProtocolVersion);
-std::vector<std::byte> encode(const Response& m,
-                              std::uint8_t version = kProtocolVersion);
+std::vector<std::byte> encode(const Request& m);
+std::vector<std::byte> encode(const Response& m);
 
-/// Parses a request frame (v1 or v2); throws util::IoError on any
-/// malformation. The overload with `version_out` also reports which
-/// protocol version the frame used, so the server can answer in kind;
-/// the overload with `trace_out` additionally surfaces the frame's trace
-/// context (nullopt when the frame carries none).
+/// Parses a request frame; throws util::IoError on any malformation. The
+/// overload with `trace_out` also surfaces the frame's trace context
+/// (nullopt when the frame carries none).
 Request decode_request(std::span<const std::byte> payload);
 Request decode_request(std::span<const std::byte> payload,
-                       std::uint8_t& version_out);
-Request decode_request(std::span<const std::byte> payload,
-                       std::uint8_t& version_out,
                        std::optional<TraceContext>& trace_out);
 
-/// Parses a response frame (v1 or v2); throws util::IoError on any
-/// malformation.
+/// Parses a response frame; throws util::IoError on any malformation.
 Response decode_response(std::span<const std::byte> payload);
 
-/// The leading (version, type, id) triple of a frame, plus the trace
-/// context when the request carries one.
+/// The leading (type, id) pair of a frame, plus the trace context when
+/// the request carries one.
 struct FrameHeader {
-  std::uint8_t version = 0;
   MsgType type = MsgType::kAcquire;
   bool is_response = false;
   std::uint64_t id = 0;
-  bool traced = false;  ///< kTraceBit was set (v2 requests only)
+  bool traced = false;  ///< kTraceBit was set (requests only)
   std::uint64_t trace_id = 0;
   bool sampled = false;
 };
 
 /// Parses just the header: nullopt unless the frame is long enough, the
-/// version is supported and the type byte is defined for that version.
+/// version byte is kProtocolVersion and the type byte is defined.
 /// The server uses this to split undecodable frames into "valid header,
 /// bad body" (answered with ErrorResponse{kMalformedBody}) and garbage
 /// (dropped and counted as malformed).
@@ -535,7 +517,7 @@ std::uint64_t request_id(const Request& m);
 std::uint64_t request_id(const Response& m);
 
 /// Streaming routing view of a data-op request frame (acquire / refund /
-/// query / batch-acquire, v1 or v2): invokes `fn(ns, key)` for every key
+/// query / batch-acquire): invokes `fn(ns, key)` for every key
 /// the frame addresses, walking a batch's ops in place — no request is
 /// materialized and nothing allocates. This is the cluster layer's
 /// ownership check, which would otherwise pay a full decode on every
@@ -544,7 +526,7 @@ std::uint64_t request_id(const Response& m);
 ///
 /// Returns true if the frame was a data-op request walked to the caller's
 /// satisfaction (`fn` may return false to stop early); false for any
-/// other frame — responses, admin/cluster types, unknown versions, or a
+/// other frame — responses, admin/cluster types, a wrong version, or a
 /// body too short to carry its keys — in which case the caller falls back
 /// to the full strict decoder for classification. Only routing fields are
 /// validated here; full strictness (token signs, trailing bytes) stays
@@ -554,15 +536,11 @@ template <typename KeyFn>
 bool for_each_data_op_key(std::span<const std::byte> payload, KeyFn&& fn) {
   util::BinaryReader r(payload);
   try {
-    const std::uint8_t version = r.u8();
-    if (version != kProtocolVersionV1 && version != kProtocolVersion)
-      return false;
+    if (r.u8() != kProtocolVersion) return false;
     const std::uint8_t type_byte = r.u8();
     if ((type_byte & kResponseBit) != 0) return false;
-    // A traced frame carries 9 context bytes after the id; only v2 can —
-    // a v1 type byte with kTraceBit set is garbage for the strict decoder.
+    // A traced frame carries 9 context bytes after the id.
     const bool traced = (type_byte & kTraceBit) != 0;
-    if (traced && version < kProtocolVersion) return false;
     const MsgType type =
         static_cast<MsgType>(traced ? (type_byte & ~kTraceBit) : type_byte);
     r.u64();  // request id
@@ -574,14 +552,12 @@ bool for_each_data_op_key(std::span<const std::byte> payload, KeyFn&& fn) {
       case MsgType::kAcquire:
       case MsgType::kRefund:
       case MsgType::kQuery: {
-        const NamespaceId ns =
-            version >= kProtocolVersion ? r.u32() : kDefaultNamespace;
+        const NamespaceId ns = r.u32();
         fn(ns, r.u64());
         return true;
       }
       case MsgType::kBatchAcquire: {
-        const NamespaceId ns =
-            version >= kProtocolVersion ? r.u32() : kDefaultNamespace;
+        const NamespaceId ns = r.u32();
         const std::uint32_t count = r.u32();
         if (count > kMaxBatchOps) return false;
         for (std::uint32_t i = 0; i < count; ++i) {
@@ -604,8 +580,8 @@ bool for_each_data_op_key(std::span<const std::byte> payload, KeyFn&& fn) {
 NamespaceId namespace_of(const Request& m);
 
 /// Thrown by the client when the server answers with a typed
-/// ErrorResponse. Derives from util::IoError so pre-v2 handlers that
-/// caught IoError keep working; `code()` carries the taxonomy.
+/// ErrorResponse. Derives from util::IoError, so a caller that catches
+/// IoError sees every failed call; `code()` carries the taxonomy.
 class RpcError : public util::IoError {
  public:
   RpcError(ErrorCode code, const std::string& what)

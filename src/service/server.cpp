@@ -43,7 +43,6 @@ struct Server::Pending {
   Server* server = nullptr;
   NodeId from = 0;
   std::uint64_t id = 0;
-  std::uint8_t version = protocol::kProtocolVersion;
   std::chrono::steady_clock::time_point t0{};
   TraceInfo trace{};
   NamespaceId ns = kDefaultNamespace;  ///< for the cork span's identity
@@ -218,10 +217,9 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
     }
   }
 
-  std::uint8_t version = proto::kProtocolVersion;
   proto::Request request;
   try {
-    request = proto::decode_request(payload, version);
+    request = proto::decode_request(payload);
   } catch (const util::IoError&) {
     // The header decoded but the body did not: the sender gets a typed
     // error it can correlate.
@@ -263,7 +261,7 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
   // worker's completion. Admin, cluster and stats requests stay on this
   // thread (they quiesce the engine where they touch the table).
   if (is_data_op) {
-    dispatch_engine(from, std::move(request), version, t0, trace);
+    dispatch_engine(from, std::move(request), t0, trace);
     return;
   }
 
@@ -363,24 +361,15 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
       },
       request);
 
-  // Success replies speak the request's version so v1 clients keep
-  // decoding; typed errors are v2-only constructs and always encode as v2
-  // (a genuine v1 sender ignores the unknown frame and times out, exactly
-  // the pre-v2 behaviour).
-  const bool is_error =
-      std::holds_alternative<proto::ErrorResponse>(response);
-  if (is_error) {
+  if (std::holds_alternative<proto::ErrorResponse>(response)) {
     errored_.fetch_add(1, std::memory_order_relaxed);
   } else {
     served_.fetch_add(1, std::memory_order_relaxed);
   }
-  transport_->send(from, proto::encode(response, is_error
-                                                     ? proto::kProtocolVersion
-                                                     : version));
+  transport_->send(from, proto::encode(response));
 }
 
 void Server::dispatch_engine(NodeId from, protocol::Request&& request,
-                             std::uint8_t version,
                              std::chrono::steady_clock::time_point t0,
                              const TraceInfo& trace) {
   namespace proto = protocol;
@@ -388,7 +377,7 @@ void Server::dispatch_engine(NodeId from, protocol::Request&& request,
 
   if (auto* batch = std::get_if<proto::BatchAcquireRequest>(&request)) {
     auto pending = std::make_unique<Pending>();
-    *pending = Pending{this, from, id, version, t0, trace, batch->ns, 0};
+    *pending = Pending{this, from, id, t0, trace, batch->ns, 0};
     if (!engine_->submit_batch(batch->ns, std::move(batch->ops),
                                &Server::complete_engine_batch, pending.get(),
                                trace.traced ? trace.trace_id : 0,
@@ -423,7 +412,7 @@ void Server::dispatch_engine(NodeId from, protocol::Request&& request,
              },
              request);
   auto pending = std::make_unique<Pending>();
-  *pending = Pending{this, from, id, version, t0, trace, op.ns, op.key};
+  *pending = Pending{this, from, id, t0, trace, op.ns, op.key};
   if (tracer_ != nullptr && trace.traced) {
     // The decode span closes here: frame arrival -> op submitted. The
     // submit timestamp seeds the worker's queue-wait span.
@@ -497,9 +486,7 @@ void Server::finish_engine_reply(NodeId from,
   const std::int64_t t_cork = tracer_ != nullptr && p.trace.traced
                                   ? obs::Tracer::now_us()
                                   : 0;
-  transport_->send(from, proto::encode(response, is_error
-                                                     ? proto::kProtocolVersion
-                                                     : p.version));
+  transport_->send(from, proto::encode(response));
   if (tracer_ != nullptr && p.trace.traced) {
     // Cork span: completion -> reply handed to the transport (on the epoll
     // mesh this is the append into the loop's cork buffer; the flush rides

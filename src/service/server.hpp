@@ -2,16 +2,14 @@
 //
 // The server installs itself as the transport's receive handler; each
 // incoming frame is decoded on the transport-owned thread that read it (an
-// event loop, a TCP connection thread, the in-process dispatcher). Data ops
-// are posted to the ShardEngine worker that owns their shard, which
-// executes them and sends the reply from its completion — in the protocol
-// version the request used, so v1 clients interoperate with the v2 server
-// unchanged. Admin, stats and trace requests are answered on the receiving
-// thread, quiescing the engine where they touch the table. The same server
-// runs in-process for tests and as the real tokend daemon over a socket
-// mesh.
+// epoll event loop or the in-process dispatcher). Data ops are posted to
+// the ShardEngine worker that owns their shard, which executes them and
+// sends the reply from its completion. Admin, stats and trace requests are
+// answered on the receiving thread, quiescing the engine where they touch
+// the table. The same server runs in-process for tests and as the real
+// tokend daemon over the epoll socket mesh.
 //
-// Failure taxonomy (protocol v2):
+// Failure taxonomy:
 //   - requests_served: executed and answered with a success response;
 //   - requests_errored: answered with a typed ErrorResponse — the header
 //     decoded but the body did not (kMalformedBody), the namespace does
@@ -143,7 +141,6 @@ class Server {
 
   void on_frame(NodeId from, std::vector<std::byte> payload);
   void dispatch_engine(NodeId from, protocol::Request&& request,
-                       std::uint8_t version,
                        std::chrono::steady_clock::time_point t0,
                        const TraceInfo& trace);
   void finish_engine_reply(NodeId from, const protocol::Response& response,

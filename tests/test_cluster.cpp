@@ -252,15 +252,6 @@ TEST(ClusterProtocol, StrictDecode) {
   }
 }
 
-TEST(ClusterProtocol, V1CannotCarryClusterMessages) {
-  EXPECT_THROW(proto::encode(proto::Request{proto::ClusterMapRequest{1}},
-                             proto::kProtocolVersionV1),
-               util::InvariantError);
-  EXPECT_THROW(proto::encode(proto::Response{proto::RedirectResponse{1, 1, 0}},
-                             proto::kProtocolVersionV1),
-               util::InvariantError);
-}
-
 // --------------------------------------------------- table handoff helpers
 
 TEST(TableHandoff, ExtractRemovesAndExports) {

@@ -10,7 +10,7 @@
 //   - each node's own table-side §3.4 audit stays clean, the killed
 //     node's included.
 //
-// A TCP variant runs the same machinery over real sockets with a node
+// Socket variants run the same machinery over the epoll mesh with a node
 // killed mid-flight, exercising the fail-fast disconnect path.
 #include <gtest/gtest.h>
 
@@ -31,7 +31,6 @@
 #include "core/rate_limit.hpp"
 #include "runtime/epoll.hpp"
 #include "runtime/inproc.hpp"
-#include "runtime/tcp.hpp"
 #include "service/account_table.hpp"
 #include "service/shard_engine.hpp"
 #include "util/rng.hpp"
@@ -270,7 +269,7 @@ TEST(ClusterChurn, ReplicatedPrimaryKillForfeitsAtMostTheLag) {
   // Let the stream warm up, then kill the primary. The in-process fabric
   // has no disconnect signal, so the dead node's id-order successor
   // (node 0 here, by the wrap rule) runs the promotion explicitly — the
-  // same call the TCP/epoll peer-down path makes automatically.
+  // same call the epoll mesh's peer-down path makes automatically.
   std::this_thread::sleep_for(std::chrono::milliseconds(900));
   nodes[2]->kill();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -327,56 +326,9 @@ TEST(ClusterChurn, ReplicatedPrimaryKillForfeitsAtMostTheLag) {
                 nodes[1]->server->replication().replica_install_forfeited());
 }
 
-TEST(ClusterChurn, TcpNodeKillIsAbsorbedByRerouting) {
-  const ClusterMap both{1, kDefaultVnodes, {0, 1}};
-  // Endpoints: 2 servers + 2 for the worker + 2 for the coordinator.
-  runtime::TcpMesh mesh(2 + 2 + 2);
-  std::vector<std::unique_ptr<ChurnNode>> nodes;
-  for (NodeId n = 0; n < 2; ++n)
-    nodes.push_back(std::make_unique<ChurnNode>(mesh.endpoint(n), both));
-
-  ClusterClientConfig client_config;
-  client_config.call_timeout_us = 200 * 1'000;
-  client_config.max_attempts = 12;
-  ClusterClient client(
-      [&](NodeId server) -> runtime::Transport& {
-        return mesh.endpoint(2 + server);
-      },
-      both, client_config);
-  ClusterClient admin(
-      [&](NodeId server) -> runtime::Transport& {
-        return mesh.endpoint(4 + server);
-      },
-      both, client_config);
-
-  // Warm both nodes up over real sockets.
-  std::int64_t granted = 0;
-  for (std::uint64_t key = 0; key < 64; ++key)
-    granted += client.acquire(service::kDefaultNamespace, key, 0).granted;
-
-  // Kill node 1's endpoint mid-run (sockets close under the client), push
-  // the shrunk map, and keep going: every key must be served by node 0.
-  nodes[1]->kill();
-  mesh.shutdown_endpoint(1);
-  admin.push_map(both.without_node(1));
-
-  std::uint64_t errors = 0;
-  for (std::uint64_t key = 0; key < 64; ++key) {
-    try {
-      client.acquire(service::kDefaultNamespace, key, 0);
-    } catch (const std::exception&) {
-      ++errors;
-    }
-  }
-  EXPECT_EQ(errors, 0u);
-  EXPECT_EQ(client.map().epoch, 2u);
-  EXPECT_EQ(nodes[0]->audit_violation(), std::nullopt);
-  for (auto& node : nodes) node->driver.stop();
-}
-
-// The same churn machinery over the epoll event-loop transport: the
-// cluster layer must not care which mesh carries its frames. Three real
-// epoll nodes, one killed mid-run, every key re-served by the survivors.
+// The same churn machinery over real sockets: the cluster layer must not
+// care which transport carries its frames. Three epoll nodes, one killed
+// mid-run, every key re-served by the survivors.
 TEST(ClusterChurn, EpollNodeKillIsAbsorbedByRerouting) {
   const ClusterMap all3{1, kDefaultVnodes, {0, 1, 2}};
   // Endpoints: 3 servers + 3 for the worker + 3 for the coordinator.
@@ -424,7 +376,7 @@ TEST(ClusterChurn, EpollNodeKillIsAbsorbedByRerouting) {
   for (auto& node : nodes) node->driver.stop();
 }
 
-TEST(ClusterChurn, TcpPeerDownAutoPromotesTheReplica) {
+TEST(ClusterChurn, PeerDownAutoPromotesTheReplica) {
   // Replication over real sockets: a 2-node cluster with k=1 streams
   // deltas both ways, then node 1's endpoint dies. The closing sockets
   // fire the transport's peer-down signal on node 0, which — as the dead
@@ -432,7 +384,7 @@ TEST(ClusterChurn, TcpPeerDownAutoPromotesTheReplica) {
   // epoch bumps to 2 and the dead node's accounts reappear at their
   // replica floor. No operator in the loop.
   const ClusterMap both{1, kDefaultVnodes, {0, 1}, /*replicas=*/1};
-  runtime::TcpMesh mesh(2 + 2 + 2);
+  runtime::EpollMesh mesh(2 + 2 + 2);
   service::ServerOptions options;
   options.replication_headroom = 2;
   std::vector<std::unique_ptr<ChurnNode>> nodes;
@@ -493,7 +445,7 @@ TEST(ClusterChurn, NodeKillRefreshStampedeIsCoalesced) {
   // absorbing the dead node's load. Concurrent refreshes now coalesce
   // behind a single in-flight fetch, so the kill costs O(1) fetches.
   const ClusterMap both{1, kDefaultVnodes, {0, 1}};
-  runtime::TcpMesh mesh(2 + 2 + 2);
+  runtime::EpollMesh mesh(2 + 2 + 2);
   std::vector<std::unique_ptr<ChurnNode>> nodes;
   for (NodeId n = 0; n < 2; ++n)
     nodes.push_back(std::make_unique<ChurnNode>(mesh.endpoint(n), both));

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -326,6 +328,96 @@ TEST(EpollMesh, RejectedFramesAreCountedAndExported) {
   EXPECT_DOUBLE_EQ(exported, 1.0);
   ::close(fd);
 }
+
+#ifdef __linux__
+/// RAII fd-exhaustion: clamps RLIMIT_NOFILE and burns every remaining slot
+/// on /dev/null, so the next accept() fails with EMFILE. Restores on exit.
+class FdExhaustion {
+ public:
+  FdExhaustion() {
+    getrlimit(RLIMIT_NOFILE, &saved_);
+    // Clamp just above the highest fd currently open so nothing already
+    // running breaks, then fill the couple of free slots that remain.
+    int max_fd = 0;
+    for (int fd = 0; fd < static_cast<int>(saved_.rlim_cur); ++fd)
+      if (fcntl(fd, F_GETFD) != -1) max_fd = fd;
+    rlimit clamped = saved_;
+    clamped.rlim_cur = static_cast<rlim_t>(max_fd + 3);
+    setrlimit(RLIMIT_NOFILE, &clamped);
+    for (;;) {
+      const int fd = ::open("/dev/null", O_RDONLY);
+      if (fd < 0) break;  // EMFILE: the table is full now
+      fillers_.push_back(fd);
+    }
+  }
+
+  ~FdExhaustion() {
+    for (int fd : fillers_) ::close(fd);
+    setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+
+ private:
+  rlimit saved_{};
+  std::vector<int> fillers_;
+};
+
+/// CPU time consumed so far by every thread of this process.
+std::chrono::microseconds process_cpu_time() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return std::chrono::seconds(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         std::chrono::microseconds(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
+// Regression: accept() failing with EMFILE must neither kill the acceptor
+// (every later connection would hang in the backlog forever) nor spin it
+// (the listener is level-triggered, so an acceptor that just returns gets
+// the same readiness back at once and burns a core for as long as the fd
+// table stays full). The acceptor backs off and retries: a connection made
+// while the table is full completes once descriptors free up, and the
+// wait costs next to no CPU.
+TEST(EpollMesh, AcceptSurvivesFdExhaustion) {
+  EpollMesh mesh(1);
+  std::atomic<std::uint64_t> got{0};
+  mesh.endpoint(0).set_handler([&](NodeId, std::vector<std::byte> p) {
+    util::BinaryReader r(p);
+    got = r.u64();
+  });
+
+  // The client socket is created BEFORE exhausting fds (connect() itself
+  // needs no new descriptor); the handshake then completes via the
+  // listener's backlog while the server's accept() is failing.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  {
+    FdExhaustion exhausted;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(mesh.port_of(0));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0)
+        << strerror(errno);
+    // The acceptor hits EMFILE now. Backing off, its loop wakes about ten
+    // times in this window; spinning, it would burn the whole window.
+    const auto cpu0 = process_cpu_time();
+    const auto wall0 = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(300ms);
+    const auto cpu = process_cpu_time() - cpu0;
+    const auto wall = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - wall0);
+    EXPECT_LT(cpu, wall / 3) << "acceptor spun on EMFILE: " << cpu.count()
+                             << "us of CPU in " << wall.count() << "us";
+  }  // fds released, rlimit restored: the retry must now succeed
+
+  std::vector<std::uint8_t> wire;
+  append_frame(wire, 42, payload_of(777));
+  write_all(fd, wire.data(), wire.size());
+  EXPECT_TRUE(wait_for([&] { return got.load() == 777; }, 5000ms))
+      << "acceptor never recovered from EMFILE";
+  ::close(fd);
+}
+#endif  // __linux__
 
 }  // namespace
 }  // namespace toka::runtime

@@ -1,5 +1,6 @@
 // End-to-end runtime test: token account nodes gossiping over real TCP
-// sockets (the live_cluster example, in miniature and asserted).
+// sockets on the epoll mesh (the live_cluster example, in miniature and
+// asserted).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,8 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/epoll.hpp"
 #include "runtime/node.hpp"
-#include "runtime/tcp.hpp"
 #include "util/serde.hpp"
 
 namespace toka::runtime {
@@ -18,7 +19,7 @@ namespace {
 using namespace std::chrono_literals;
 
 /// State is atomic: the test seeds values from the main thread while the
-/// node's timer/receive threads run the callbacks.
+/// node's timer thread and the mesh's event loops run the callbacks.
 class FreshestValueApp final : public NodeApp {
  public:
   std::vector<std::byte> create_message() override {
@@ -36,9 +37,9 @@ class FreshestValueApp final : public NodeApp {
   std::atomic<std::int64_t> value{0};
 };
 
-TEST(RuntimeTcpNode, ClusterConvergesAndObeysBurstBound) {
+TEST(RuntimeEpollNode, ClusterConvergesAndObeysBurstBound) {
   constexpr std::size_t kNodes = 5;
-  TcpMesh mesh(kNodes);
+  EpollMesh mesh(kNodes);
   std::vector<FreshestValueApp> apps(kNodes);
   std::vector<std::unique_ptr<Node>> nodes;
   for (NodeId v = 0; v < kNodes; ++v) {
@@ -75,9 +76,9 @@ TEST(RuntimeTcpNode, ClusterConvergesAndObeysBurstBound) {
   }
 }
 
-TEST(RuntimeTcpNode, MixedStrategiesInteroperate) {
+TEST(RuntimeEpollNode, MixedStrategiesInteroperate) {
   // A proactive node and a token-account node speak the same protocol.
-  TcpMesh mesh(2);
+  EpollMesh mesh(2);
   FreshestValueApp app0, app1;
   NodeConfig cfg0;
   cfg0.delta_us = 10'000;

@@ -1,8 +1,13 @@
 // End-to-end tokend: an AccountTable and its ShardEngine behind
-// Server/Client over the in-process fabric and over real TCP sockets,
-// including the §3.4 burst-bound audit under concurrent clients (the
-// service-path RateLimitAuditor satellite).
+// Server/Client over the in-process fabric and over real TCP sockets (the
+// epoll mesh), including the §3.4 burst-bound audit under concurrent
+// clients (the service-path RateLimitAuditor satellite).
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -10,13 +15,15 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/epoll.hpp"
+#include "runtime/framing.hpp"
 #include "runtime/inproc.hpp"
-#include "runtime/tcp.hpp"
 #include "service/account_table.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "service/shard_engine.hpp"
 #include "util/error.hpp"
+#include "util/serde.hpp"
 
 namespace toka::service {
 namespace {
@@ -205,7 +212,7 @@ TEST(ServiceEndToEnd, TcpRoundTrip) {
   table.acquire(3, 0);  // create before the engine owns the shards
   table.clock().advance(4000);  // then let tokens accrue
   ShardEngine engine(table);
-  runtime::TcpMesh mesh(2);
+  runtime::EpollMesh mesh(2);
   Server server(table, mesh.endpoint(0), {.engine = &engine});
   Client client(mesh.endpoint(1), 0);
 
@@ -213,6 +220,64 @@ TEST(ServiceEndToEnd, TcpRoundTrip) {
   EXPECT_EQ(client.query(3).balance, 2);
   EXPECT_EQ(client.refund(3, 1).accepted, 1);
   EXPECT_EQ(server.requests_served(), 3u);
+}
+
+TEST(ServiceEndToEnd, Version1FrameOverTheSocketIsDroppedAsMalformed) {
+  // Protocol version 1 is retired: a live server must treat a frame laid
+  // out the old way (no namespace field) as garbage — no reply, one
+  // malformed count, no table effect.
+  constexpr std::uint64_t kKey = 3;
+  AccountTable table(generalized_config(2, 6, 1000));
+  table.acquire(kKey, 0);  // create before the engine owns the shards
+  table.clock().advance(4000);
+  ShardEngine engine(table);
+  // Endpoint 1 is the identity the raw frame claims: it only counts what
+  // the server sends it. Endpoint 2 is an ordinary client.
+  runtime::EpollMesh mesh(3);
+  Server server(table, mesh.endpoint(0), {.engine = &engine});
+  std::atomic<int> replies{0};
+  mesh.endpoint(1).set_handler(
+      [&](NodeId, std::vector<std::byte>) { replies.fetch_add(1); });
+  Client client(mesh.endpoint(2), 0);
+  const Tokens balance = client.query(kKey).balance;
+  ASSERT_GT(balance, 0);
+
+  util::BinaryWriter v1;
+  v1.u8(1);  // version byte 1
+  v1.u8(static_cast<std::uint8_t>(protocol::MsgType::kAcquire));
+  v1.u64(77);    // request id
+  v1.u64(kKey);  // key, where version 2 puts the namespace
+  v1.i64(1);     // tokens
+  std::vector<std::uint8_t> wire;
+  runtime::append_frame(wire, /*from=*/1, v1.data());
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(mesh.port_of(0));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::write(fd, wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.requests_malformed() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.requests_malformed(), 1u);
+  // Any answer would have gone out on this loop iteration; give it time
+  // to arrive anyway.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(replies.load(), 0);
+  char byte;
+  EXPECT_LT(::recv(fd, &byte, 1, MSG_DONTWAIT), 0);  // nothing on the socket
+  EXPECT_EQ(server.requests_errored(), 0u);  // not even a typed error
+  EXPECT_EQ(client.query(kKey).balance, balance);
+  EXPECT_EQ(server.requests_served(), 2u);  // the two queries
+  ::close(fd);
 }
 
 TEST(ServiceEndToEnd, ConcurrentClientsManyKeys) {

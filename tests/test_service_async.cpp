@@ -13,8 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/epoll.hpp"
 #include "runtime/inproc.hpp"
-#include "runtime/tcp.hpp"
 #include "service/account_table.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -256,7 +256,7 @@ TEST(ClientAsync, ServerDeathRejectsInFlightCallsImmediately) {
   // answering must fail the moment the fabric reports the connection
   // closed — as typed IoErrors — instead of each ripening into its own
   // (here deliberately huge) timeout.
-  runtime::TcpMesh mesh(2);
+  runtime::EpollMesh mesh(2);
   AccountTable table(simple_config(10));
   ShardEngine engine(table);
   auto server = std::make_unique<Server>(
@@ -300,7 +300,7 @@ TEST(ClientAsync, CallsToANeverUpServerFailFastOverTcp) {
   // The connect-refused flavour: the server's endpoint is already gone
   // before the first call, so the failed connect itself reports the peer
   // down and the just-registered call rejects without waiting.
-  runtime::TcpMesh mesh(2);
+  runtime::EpollMesh mesh(2);
   mesh.shutdown_endpoint(0);
   Client client(mesh.endpoint(1), 0, /*timeout_us=*/60 * duration::kSecond);
   const auto started = std::chrono::steady_clock::now();
@@ -315,7 +315,7 @@ TEST(ClientAsync, PipelinedFuturesOverTcp) {
   table.acquire(1, 0);  // before the engine owns the shards
   table.clock().advance(10'000);
   ShardEngine engine(table);
-  runtime::TcpMesh mesh(2);
+  runtime::EpollMesh mesh(2);
   Server server(table, mesh.endpoint(0), {.engine = &engine});
   Client client(mesh.endpoint(1), 0);
 

@@ -57,9 +57,8 @@ TEST(Protocol, BatchRoundTripIncludingEmpty) {
             resp);
 }
 
-NamespaceId random_ns(Rng& rng, bool v1) {
-  return v1 ? kDefaultNamespace
-            : static_cast<NamespaceId>(rng.below(1u << 16));
+NamespaceId random_ns(Rng& rng) {
+  return static_cast<NamespaceId>(rng.below(1u << 16));
 }
 
 NamespaceConfig random_namespace_config(Rng& rng) {
@@ -91,26 +90,23 @@ cluster::ClusterMap random_cluster_map(Rng& rng) {
   return m;
 }
 
-/// With v1=true, only messages protocol v1 can carry (namespace 0, no
-/// admin or cluster frames) are generated, so the same fuzz drives both
-/// versions.
-Request random_request(Rng& rng, bool v1 = false) {
-  switch (rng.below(v1 ? 4 : 13)) {
+Request random_request(Rng& rng) {
+  switch (rng.below(13)) {
     case 0:
       return AcquireRequest{rng.next_u64(), rng.next_u64(),
                             static_cast<Tokens>(rng.below(1 << 20)),
-                            random_ns(rng, v1)};
+                            random_ns(rng)};
     case 1:
       return RefundRequest{rng.next_u64(), rng.next_u64(),
                            static_cast<Tokens>(rng.below(1 << 20)),
-                           random_ns(rng, v1)};
+                           random_ns(rng)};
     case 2:
       return QueryRequest{rng.next_u64(), rng.next_u64(),
-                          random_ns(rng, v1)};
+                          random_ns(rng)};
     case 3: {
       BatchAcquireRequest m;
       m.id = rng.next_u64();
-      m.ns = random_ns(rng, v1);
+      m.ns = random_ns(rng);
       const std::size_t ops = rng.below(20);
       for (std::size_t i = 0; i < ops; ++i)
         m.ops.push_back(
@@ -119,11 +115,11 @@ Request random_request(Rng& rng, bool v1 = false) {
     }
     case 4:
       return ConfigureNamespaceRequest{rng.next_u64(),
-                                       random_ns(rng, /*v1=*/false),
+                                       random_ns(rng),
                                        random_namespace_config(rng)};
     case 5:
       return NamespaceInfoRequest{rng.next_u64(),
-                                  random_ns(rng, /*v1=*/false)};
+                                  random_ns(rng)};
     case 6:
       return ClusterMapRequest{rng.next_u64()};
     case 7:
@@ -132,7 +128,7 @@ Request random_request(Rng& rng, bool v1 = false) {
       return StatsRequest{rng.next_u64()};
     case 9:
       return HandoffRequest{rng.next_u64(), rng.next_u64(),
-                            random_ns(rng, /*v1=*/false), rng.next_u64(),
+                            random_ns(rng), rng.next_u64(),
                             static_cast<Tokens>(rng.below(1 << 20))};
     case 10: {
       ReplicateRequest m;
@@ -142,7 +138,7 @@ Request random_request(Rng& rng, bool v1 = false) {
       const std::size_t deltas = rng.below(20);
       for (std::size_t i = 0; i < deltas; ++i) {
         ReplicaDelta d;
-        d.ns = random_ns(rng, /*v1=*/false);
+        d.ns = random_ns(rng);
         d.key = rng.next_u64();
         d.balance = static_cast<Tokens>(rng.below(1 << 20));
         d.floor = static_cast<Tokens>(
@@ -160,8 +156,8 @@ Request random_request(Rng& rng, bool v1 = false) {
   }
 }
 
-Response random_response(Rng& rng, bool v1 = false) {
-  switch (rng.below(v1 ? 4 : 14)) {
+Response random_response(Rng& rng) {
+  switch (rng.below(14)) {
     case 0:
       return AcquireResponse{rng.next_u64(),
                              static_cast<Tokens>(rng.below(1000)),
@@ -276,10 +272,8 @@ TEST(Protocol, RoutingWalkMatchesFullDecode) {
   Rng rng(7777);
   using KeyList = std::vector<std::pair<NamespaceId, std::uint64_t>>;
   for (int i = 0; i < 400; ++i) {
-    const bool v1 = rng.bernoulli(0.3);
-    const Request msg = random_request(rng, v1);
-    const std::vector<std::byte> wire =
-        encode(msg, v1 ? kProtocolVersionV1 : kProtocolVersion);
+    const Request msg = random_request(rng);
+    const std::vector<std::byte> wire = encode(msg);
     KeyList walked;
     const bool ok = for_each_data_op_key(
         wire, [&](NamespaceId ns, std::uint64_t key) {
@@ -343,9 +337,37 @@ TEST(Protocol, TrailingBytesRejected) {
 }
 
 TEST(Protocol, WrongVersionRejected) {
-  std::vector<std::byte> wire = encode(AcquireRequest{1, 2, 3});
-  wire[0] = std::byte{kProtocolVersion + 1};
-  EXPECT_THROW(decode_request(wire), IoError);
+  // The version byte validates outside input: every entry point refuses
+  // any byte but kProtocolVersion — version 1 (the retired namespace-less
+  // layout) included.
+  const auto walks = [](std::span<const std::byte> frame) {
+    return for_each_data_op_key(
+        frame, [](NamespaceId, std::uint64_t) { return true; });
+  };
+  for (const int version : {0, 1, kProtocolVersion + 1, 0xFF}) {
+    std::vector<std::byte> request = encode(AcquireRequest{1, 2, 3});
+    request[0] = static_cast<std::byte>(version);
+    EXPECT_THROW(decode_request(request), IoError) << version;
+    EXPECT_FALSE(try_parse_header(request).has_value()) << version;
+    EXPECT_FALSE(walks(request)) << version;
+
+    std::vector<std::byte> response = encode(AcquireResponse{1, 2, 3});
+    response[0] = static_cast<std::byte>(version);
+    EXPECT_THROW(decode_response(response), IoError) << version;
+    EXPECT_FALSE(try_parse_header(response).has_value()) << version;
+  }
+
+  // A well-formed version-1 acquire as its senders laid it out: no
+  // namespace field between the id and the key.
+  util::BinaryWriter w;
+  w.u8(1);
+  w.u8(static_cast<std::uint8_t>(MsgType::kAcquire));
+  w.u64(1);   // request id
+  w.u64(42);  // key
+  w.i64(1);   // tokens
+  EXPECT_THROW(decode_request(w.data()), IoError);
+  EXPECT_FALSE(try_parse_header(w.data()).has_value());
+  EXPECT_FALSE(walks(w.data()));
 }
 
 TEST(Protocol, UnknownTypeRejected) {
@@ -365,7 +387,7 @@ TEST(Protocol, NegativeTokenCountRejected) {
   w.u8(kProtocolVersion);
   w.u8(static_cast<std::uint8_t>(MsgType::kAcquire));
   w.u64(1);
-  w.u32(0);  // namespace id (v2)
+  w.u32(0);  // namespace id
   w.u64(42);
   w.i64(-5);
   EXPECT_THROW(decode_request(w.data()), IoError);
@@ -385,70 +407,12 @@ TEST(Protocol, OversizedBatchCountRejectedBeforeAllocation) {
   w.u8(kProtocolVersion);
   w.u8(static_cast<std::uint8_t>(MsgType::kBatchAcquire));
   w.u64(1);
-  w.u32(5);  // namespace id (v2)
+  w.u32(5);  // namespace id
   w.u32(0xFFFFFFFF);  // promises 4 billion ops
   EXPECT_THROW(decode_request(w.data()), IoError);
 }
 
-// ------------------------------------------------------------ v1 interop
-
-TEST(ProtocolV1, V1FramesRoundTripUnchanged) {
-  // A v1 frame is a v2 frame about the default namespace: encoding at
-  // version 1 and decoding yields the same message (ns == 0), and
-  // re-encoding at version 1 reproduces the bytes exactly.
-  Rng rng(7);
-  for (int i = 0; i < 300; ++i) {
-    const Request msg = random_request(rng, /*v1=*/true);
-    const std::vector<std::byte> wire = encode(msg, kProtocolVersionV1);
-    EXPECT_EQ(static_cast<std::uint8_t>(wire[0]), kProtocolVersionV1);
-    std::uint8_t version = 0;
-    const Request decoded = decode_request(wire, version);
-    EXPECT_EQ(version, kProtocolVersionV1);
-    EXPECT_EQ(decoded, msg);
-    EXPECT_EQ(namespace_of(decoded), kDefaultNamespace);
-    EXPECT_EQ(encode(decoded, kProtocolVersionV1), wire)
-        << "v1 re-encode diverged, iteration " << i;
-
-    const Response resp = random_response(rng, /*v1=*/true);
-    const std::vector<std::byte> resp_wire = encode(resp, kProtocolVersionV1);
-    EXPECT_EQ(decode_response(resp_wire), resp);
-    EXPECT_EQ(encode(decode_response(resp_wire), kProtocolVersionV1),
-              resp_wire);
-  }
-}
-
-TEST(ProtocolV1, V1AndV2EncodingsOfTheSameOpDecodeIdentically) {
-  const AcquireRequest req{9, 1234, 5};  // ns defaults to 0
-  const Request v1 = decode_request(encode(Request{req}, kProtocolVersionV1));
-  const Request v2 = decode_request(encode(Request{req}, kProtocolVersion));
-  EXPECT_EQ(v1, v2);
-}
-
-TEST(ProtocolV1, V1CannotCarryNamespacesOrAdminOrErrors) {
-  EXPECT_THROW(encode(Request{AcquireRequest{1, 2, 3, /*ns=*/7}},
-                      kProtocolVersionV1),
-               util::InvariantError);
-  EXPECT_THROW(encode(Request{ConfigureNamespaceRequest{1, 0, {}}},
-                      kProtocolVersionV1),
-               util::InvariantError);
-  EXPECT_THROW(encode(Response{ErrorResponse{1, ErrorCode::kMalformedBody}},
-                      kProtocolVersionV1),
-               util::InvariantError);
-  // ...and a v1 frame claiming an admin type is rejected by the decoder.
-  std::vector<std::byte> admin = encode(NamespaceInfoRequest{1, 0});
-  admin[0] = std::byte{kProtocolVersionV1};
-  EXPECT_THROW(decode_request(admin), IoError);
-}
-
-TEST(ProtocolV1, UnknownVersionRejected) {
-  std::vector<std::byte> wire = encode(AcquireRequest{1, 2, 3});
-  wire[0] = std::byte{kProtocolVersion + 1};
-  EXPECT_THROW(decode_request(wire), IoError);
-  wire[0] = std::byte{0};
-  EXPECT_THROW(decode_request(wire), IoError);
-}
-
-// --------------------------------------------------------- v2 additions
+// ------------------------------- admin, error and telemetry messages
 
 TEST(ProtocolV2, AdminAndErrorRoundTrips) {
   NamespaceConfig config;
@@ -517,7 +481,6 @@ TEST(ProtocolV2, TryParseHeaderSplitsGarbageFromBadBodies) {
   EXPECT_THROW(decode_request(bad_body), IoError);
   const auto head = try_parse_header(bad_body);
   ASSERT_TRUE(head.has_value());
-  EXPECT_EQ(head->version, kProtocolVersion);
   EXPECT_EQ(head->type, MsgType::kAcquire);
   EXPECT_FALSE(head->is_response);
   EXPECT_EQ(head->id, 42u);
@@ -530,10 +493,10 @@ TEST(ProtocolV2, TryParseHeaderSplitsGarbageFromBadBodies) {
   std::vector<std::byte> bad_version = good;
   bad_version[0] = std::byte{9};
   EXPECT_FALSE(try_parse_header(bad_version).has_value());
-  // Type undefined for the claimed version (admin under v1).
-  std::vector<std::byte> v1_admin = encode(NamespaceInfoRequest{1, 0});
-  v1_admin[0] = std::byte{kProtocolVersionV1};
-  EXPECT_FALSE(try_parse_header(v1_admin).has_value());
+  // Undefined type byte.
+  std::vector<std::byte> bad_type = good;
+  bad_type[1] = std::byte{0x3F};
+  EXPECT_FALSE(try_parse_header(bad_type).has_value());
 }
 
 TEST(ProtocolV2, StatsRoundTripIncludingHistogramEntries) {
@@ -639,7 +602,7 @@ TEST(ProtocolV2, OverloadedErrorCarriesRetryAfter) {
   EXPECT_EQ(std::get<ErrorResponse>(decoded), err);
 
   // Only kOverloaded carries the hint: the other codes keep their
-  // pre-existing 11-byte layout (header + code), so v2 frames from before
+  // pre-existing 11-byte layout (header + code), so frames from before
   // the overload valve decode unchanged.
   EXPECT_EQ(encode(ErrorResponse{13, ErrorCode::kMalformedBody}).size(), 11u);
   EXPECT_EQ(encode(err).size(), 19u);
@@ -650,20 +613,9 @@ TEST(ProtocolV2, OverloadedErrorCarriesRetryAfter) {
                IoError);
 }
 
-TEST(ProtocolV2, V1CannotCarryStatsOrOverload) {
-  EXPECT_THROW(encode(Request{StatsRequest{1}}, kProtocolVersionV1),
-               util::InvariantError);
-  EXPECT_THROW(encode(Response{StatsResponse{1, {}}}, kProtocolVersionV1),
-               util::InvariantError);
-  EXPECT_THROW(
-      encode(Response{ErrorResponse{1, ErrorCode::kOverloaded, 10}},
-             kProtocolVersionV1),
-      util::InvariantError);
-}
-
 TEST(ProtocolV2, RandomizedV2FuzzCoversNewMessages) {
-  // Mirror of the v1 byte-identity fuzz over the full v2 message set
-  // (admin + error frames included), plus every-truncation rejection.
+  // Byte-identity fuzz over the full message set (admin, error and
+  // cluster frames included), plus every-truncation rejection.
   Rng rng(31337);
   for (int i = 0; i < 300; ++i) {
     const Request msg = random_request(rng);
@@ -686,7 +638,7 @@ TEST(ProtocolV2, RandomizedV2FuzzCoversNewMessages) {
 }
 
 TEST(ProtocolV2, TracedFramesFuzzRoundTripAndRejectTruncation) {
-  // The cross-node trace plumbing rides every v2 request type — the
+  // The cross-node trace plumbing rides every request type — the
   // cluster frames (kHandoff/kReplicate/kPromote) included, since those
   // are how a failover's spans get stitched across nodes. A traced frame
   // must round-trip its context exactly, and no truncation of the spliced
@@ -699,10 +651,8 @@ TEST(ProtocolV2, TracedFramesFuzzRoundTripAndRejectTruncation) {
     std::vector<std::byte> wire = encode(msg);
     attach_trace_context(wire, ctx);
 
-    std::uint8_t version = 0;
     std::optional<TraceContext> seen;
-    EXPECT_EQ(decode_request(wire, version, seen), msg);
-    EXPECT_EQ(version, kProtocolVersion);
+    EXPECT_EQ(decode_request(wire, seen), msg);
     ASSERT_TRUE(seen.has_value());
     EXPECT_EQ(*seen, ctx);
 
@@ -782,13 +732,6 @@ TEST(ProtocolV2, OversizedReplicaDeltaCountRejectedBeforeAllocation) {
   w.u64(1);           // seq
   w.u32(0xFFFFFFFF);  // promises 4 billion deltas
   EXPECT_THROW(decode_request(w.data()), IoError);
-}
-
-TEST(ProtocolV2, V1CannotCarryReplication) {
-  EXPECT_THROW(encode(Request{ReplicaAckRequest{1, 2}}, kProtocolVersionV1),
-               util::InvariantError);
-  EXPECT_THROW(encode(Request{PromoteRequest{1, 2, 3}}, kProtocolVersionV1),
-               util::InvariantError);
 }
 
 TEST(ProtocolV2, ClusterMapCarriesReplicationFactor) {

@@ -1,7 +1,6 @@
 // The trace-context wire extension and end-to-end span propagation:
-// attach/decode round trips, the v1-cannot-carry-context and
-// context-free-v2-byte-identity pins, truncation fuzz over context-carrying
-// frames, the kTraces snapshot messages, and the full client → server →
+// attach/decode round trips, the context-free byte-identity pin,
+// truncation fuzz over context-carrying frames, the kTraces snapshot messages, and the full client → server →
 // shard engine pipeline recording decode / queue-wait / execute / cork
 // spans that a client can fetch back — including the acceptance check that
 // a forced-slow request's span sum explains its observed latency.
@@ -40,10 +39,8 @@ TEST(TraceWire, AttachedContextRoundTrips) {
   std::vector<std::byte> wire = proto::encode(req);
   proto::attach_trace_context(wire, {0xABCDEF0123456789ULL, true});
 
-  std::uint8_t version = 0;
   std::optional<proto::TraceContext> trace;
-  const proto::Request decoded = proto::decode_request(wire, version, trace);
-  EXPECT_EQ(version, proto::kProtocolVersion);
+  const proto::Request decoded = proto::decode_request(wire, trace);
   ASSERT_TRUE(trace.has_value());
   EXPECT_EQ(trace->trace_id, 0xABCDEF0123456789ULL);
   EXPECT_TRUE(trace->sampled);
@@ -61,23 +58,21 @@ TEST(TraceWire, AttachedContextRoundTrips) {
 TEST(TraceWire, UnsampledContextRoundTrips) {
   std::vector<std::byte> wire = proto::encode(proto::QueryRequest{9, 42});
   proto::attach_trace_context(wire, {7, false});
-  std::uint8_t version = 0;
   std::optional<proto::TraceContext> trace;
-  proto::decode_request(wire, version, trace);
+  proto::decode_request(wire, trace);
   ASSERT_TRUE(trace.has_value());
   EXPECT_EQ(trace->trace_id, 7u);
   EXPECT_FALSE(trace->sampled);
 }
 
-TEST(TraceWire, ContextFreeV2FramesAreByteIdentical) {
+TEST(TraceWire, ContextFreeFramesAreByteIdentical) {
   // The feature costs nothing on frames that don't use it: encoding is
   // unchanged, the trace bit is clear, and the decoder reports no context.
   const std::vector<std::byte> wire = proto::encode(proto::AcquireRequest{1, 2, 3});
   EXPECT_EQ(std::to_integer<std::uint8_t>(wire[1]) & proto::kTraceBit, 0);
 
-  std::uint8_t version = 0;
   std::optional<proto::TraceContext> trace;
-  proto::decode_request(wire, version, trace);
+  proto::decode_request(wire, trace);
   EXPECT_FALSE(trace.has_value());
 
   // Attaching is a pure 9-byte splice after the (version, type, id) header:
@@ -91,24 +86,6 @@ TEST(TraceWire, ContextFreeV2FramesAreByteIdentical) {
   for (std::size_t i = 2; i < 10; ++i) EXPECT_EQ(traced[i], wire[i]);
   for (std::size_t i = 10; i < wire.size(); ++i)
     EXPECT_EQ(traced[i + 9], wire[i]);
-}
-
-TEST(TraceWire, V1CannotCarryContext) {
-  // v1 has no trace vocabulary: a v1 type byte with kTraceBit set is an
-  // unknown type, not a context announcement.
-  std::vector<std::byte> wire =
-      proto::encode(proto::Request{proto::AcquireRequest{1, 2, 3}},
-                    proto::kProtocolVersionV1);
-  wire[1] = static_cast<std::byte>(std::to_integer<std::uint8_t>(wire[1]) |
-                                   proto::kTraceBit);
-  EXPECT_FALSE(proto::try_parse_header(wire).has_value());
-  EXPECT_THROW(proto::decode_request(wire), IoError);
-
-  // And the attach helper refuses a v1 frame outright.
-  std::vector<std::byte> v1 =
-      proto::encode(proto::Request{proto::AcquireRequest{1, 2, 3}},
-                    proto::kProtocolVersionV1);
-  EXPECT_THROW(proto::attach_trace_context(v1, {5, true}), InvariantError);
 }
 
 TEST(TraceWire, DoubleAttachIsRejected) {
@@ -150,9 +127,8 @@ TEST(TraceWire, UnknownTraceFlagBitsAreRejected) {
   for (bool sampled : {false, true}) {
     std::vector<std::byte> wire = proto::encode(proto::AcquireRequest{1, 2, 3});
     proto::attach_trace_context(wire, {11, sampled});
-    std::uint8_t version = 0;
     std::optional<proto::TraceContext> trace;
-    EXPECT_NO_THROW(proto::decode_request(wire, version, trace));
+    EXPECT_NO_THROW(proto::decode_request(wire, trace));
     ASSERT_TRUE(trace.has_value());
     EXPECT_EQ(trace->sampled, sampled);
   }
@@ -175,10 +151,6 @@ TEST(TraceWire, TracesMessagesRoundTrip) {
                         obs::kSpanForced});
   const proto::Response rt = proto::decode_response(proto::encode(resp));
   EXPECT_EQ(std::get<proto::TracesResponse>(rt), resp);
-
-  // kTraces is v2-only vocabulary; v1 encoders refuse it.
-  EXPECT_THROW(proto::encode(proto::Request{req}, proto::kProtocolVersionV1),
-               InvariantError);
 }
 
 // ------------------------------------------------------------ end to end
