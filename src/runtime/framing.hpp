@@ -88,8 +88,11 @@ class FrameDecoder {
         break;
       }
       std::vector<std::byte> payload(len);
-      std::memcpy(payload.data(), buf_.data() + begin_ + kFrameHeaderBytes,
-                  len);
+      // An empty payload's data() may be null, and memcpy from or to null
+      // is undefined even for zero bytes.
+      if (len > 0)
+        std::memcpy(payload.data(), buf_.data() + begin_ + kFrameHeaderBytes,
+                    len);
       begin_ += kFrameHeaderBytes + len;
       sink(static_cast<NodeId>(from), std::move(payload));
     }
