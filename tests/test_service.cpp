@@ -272,7 +272,7 @@ TEST(ServiceEndToEnd, Version1FrameOverTheSocketIsDroppedAsMalformed) {
   // to arrive anyway.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(replies.load(), 0);
-  char byte;
+  char byte = 0;
   EXPECT_LT(::recv(fd, &byte, 1, MSG_DONTWAIT), 0);  // nothing on the socket
   EXPECT_EQ(server.requests_errored(), 0u);  // not even a typed error
   EXPECT_EQ(client.query(kKey).balance, balance);
