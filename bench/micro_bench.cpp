@@ -459,7 +459,7 @@ void BM_ShardOpRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_ShardOpRoundTrip)->MinTime(0.2);
 
 service::ServiceConfig table_bench_config() {
-  service::ServiceConfig cfg;  // 64 shards, locked plane
+  service::ServiceConfig cfg;  // 64 shards
   cfg.delta_us = 10'000;
   cfg.strategy.kind = core::StrategyKind::kGeneralized;
   cfg.strategy.a_param = 4;

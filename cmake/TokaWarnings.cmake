@@ -14,4 +14,10 @@ set(TOKA_SANITIZE "" CACHE STRING
 if(TOKA_SANITIZE)
   add_compile_options(-fsanitize=${TOKA_SANITIZE} -fno-omit-frame-pointer)
   add_link_options(-fsanitize=${TOKA_SANITIZE})
+  # UBSan's reports are fatal: the process that hits one aborts, so its
+  # test fails instead of printing the report and passing.
+  if(",${TOKA_SANITIZE}," MATCHES ",undefined,")
+    add_compile_options(-fno-sanitize-recover=undefined)
+    add_link_options(-fno-sanitize-recover=undefined)
+  endif()
 endif()

@@ -124,12 +124,22 @@ void ReplicationEngine::on_ack(NodeId from,
 
 void ReplicationEngine::on_replicate(NodeId from,
                                      const proto::ReplicateRequest& r) {
+  TOKA_CHECK_MSG(from != kNoNode, "a replica frame without a sender");
   std::uint64_t ack_seq;
   {
     std::lock_guard lock(store_mu_);
     for (const proto::ReplicaDelta& d : r.deltas) {
       // Absolute deltas, ordered per-pair transport: last write wins.
-      store_[ReplicaKey{d.ns, d.key}] = ReplicaState{d.balance, d.floor, from};
+      const Replica latest{d.key, d.balance, d.floor, d.ns, from + 1};
+      const std::uint64_t hash = ReplicaTraits::hash(d.ns, d.key);
+      Replica* held = store_.find(hash, [&](const Replica& e) {
+        return e.key == d.key && e.ns == d.ns;
+      });
+      if (held != nullptr) {
+        *held = latest;
+      } else {
+        store_.insert(hash, latest);
+      }
     }
     std::uint64_t& high = source_rounds_[from];
     high = std::max(high, r.seq);
@@ -145,46 +155,37 @@ ReplicaInstallResult ReplicationEngine::on_map_applied(const ClusterMap& map,
   const NodeId self = transport_->self();
   {
     std::lock_guard lock(store_mu_);
-    for (auto it = store_.begin(); it != store_.end();) {
-      const ReplicaKey& key = it->first;
-      const ReplicaState& state = it->second;
-      if (!map.contains(state.source)) {
+    store_.erase_if([&](const Replica& r) {
+      if (!map.contains(r.source())) {
         // The primary fell out of membership. If the new ring puts the key
         // here, this node is its promoted owner: install at the floor —
         // the dead primary never granted below it, so this can only
         // under-grant. The balance-floor gap (or the whole balance, if a
         // live account or missing namespace refuses the install) is the
         // failover's forfeit.
-        if (!ring.empty() && ring.owner(key.ns, key.key) == self) {
-          if (table_->install_account(key.ns, key.key, state.floor)) {
+        if (!ring.empty() && ring.owner(r.ns, r.key) == self) {
+          if (table_->install_account(r.ns, r.key, r.floor)) {
             ++result.installed;
-            result.forfeited += state.balance - state.floor;
+            result.forfeited += r.balance - r.floor;
           } else {
-            result.forfeited += state.balance;
+            result.forfeited += r.balance;
           }
         }
         // Not the new owner: drop silently — the owning successor counts
         // the forfeit (or installs), counting it here too would double it.
-        it = store_.erase(it);
-        continue;
+        return true;
       }
       // Source still alive: keep only what this node still follows under
       // the new topology (dropping a redundant copy forfeits nothing —
       // the primary holds the live balance).
-      bool follows = false;
-      if (map.replicas > 0) {
-        const std::vector<NodeId> group =
-            ring.successors(key.ns, key.key, map.replicas);
-        follows = !group.empty() && group.front() == state.source &&
-                  std::find(group.begin() + 1, group.end(), self) !=
-                      group.end();
-      }
-      if (follows) {
-        ++it;
-      } else {
-        it = store_.erase(it);
-      }
-    }
+      if (map.replicas == 0) return true;
+      const std::vector<NodeId> group =
+          ring.successors(r.ns, r.key, map.replicas);
+      const bool follows =
+          !group.empty() && group.front() == r.source() &&
+          std::find(group.begin() + 1, group.end(), self) != group.end();
+      return !follows;
+    });
     // Sources that left can never stream again; forget their rounds.
     for (auto it = source_rounds_.begin(); it != source_rounds_.end();) {
       if (map.contains(it->first)) {

@@ -53,6 +53,7 @@
 #include "cluster/cluster_map.hpp"
 #include "cluster/hash_ring.hpp"
 #include "runtime/transport.hpp"
+#include "service/account_store.hpp"
 #include "service/account_table.hpp"
 #include "service/protocol.hpp"
 #include "util/rng.hpp"
@@ -154,25 +155,35 @@ class ReplicationEngine {
   std::uint64_t lag_rounds() const;
 
  private:
-  struct ReplicaKey {
-    service::NamespaceId ns = service::kDefaultNamespace;
-    std::uint64_t key = 0;
-    friend bool operator==(const ReplicaKey&, const ReplicaKey&) = default;
-  };
-  struct ReplicaKeyHash {
-    std::size_t operator()(const ReplicaKey& k) const {
-      std::uint64_t state = service::AccountTable::fold_key(k.ns, k.key);
-      return static_cast<std::size_t>(util::splitmix64(state));
-    }
-  };
-  /// Latest replicated state of one foreign account. `source` is the
+  /// Latest replicated state of one foreign account. The source is the
   /// primary that streamed it: only replicas of a *departed* source are
   /// ever installed, so a live primary's stream can never be double-
-  /// counted against it.
-  struct ReplicaState {
+  /// counted against it. Balance and floor keep the wire's 64 bits.
+  struct Replica {
+    std::uint64_t key = 0;
     Tokens balance = 0;
     Tokens floor = 0;
-    NodeId source = kNoNode;
+    service::NamespaceId ns = service::kDefaultNamespace;
+    /// The source's id plus one, so that the all-zero entry is empty (no
+    /// frame comes from kNoNode).
+    std::uint32_t source_plus_one = 0;
+
+    NodeId source() const { return source_plus_one - 1; }
+  };
+  static_assert(sizeof(Replica) == 32);
+
+  struct ReplicaTraits {
+    static bool live(const Replica& r) { return r.source_plus_one != 0; }
+    /// Salted away from the account hash: that hash is also the key's
+    /// ring position, and a follower's replicas cover only the ring arcs
+    /// it follows, which would crowd them into a few stretches of the
+    /// store's home index.
+    static std::uint64_t hash(service::NamespaceId ns, std::uint64_t key) {
+      std::uint64_t state =
+          service::AccountTable::fold_key(ns, key) ^ 0x5851F42D4C957F2DULL;
+      return util::splitmix64(state);
+    }
+    static std::uint64_t hash(const Replica& r) { return hash(r.ns, r.key); }
   };
   /// Primary-side per-follower stream state. Lanes die only with
   /// membership (pruned in on_map_applied) — an unresponsive follower
@@ -205,7 +216,7 @@ class ReplicationEngine {
   HashRing ring_;
 
   mutable std::mutex store_mu_;
-  std::unordered_map<ReplicaKey, ReplicaState, ReplicaKeyHash> store_;
+  service::SlotStore<Replica, ReplicaTraits> store_;
   /// Highest round received per source (the value acked back).
   std::unordered_map<NodeId, std::uint64_t> source_rounds_;
 

@@ -51,61 +51,68 @@ std::optional<RateLimitViolation> RateLimitAuditor::first_violation() const {
   return std::nullopt;
 }
 
-BurstWatchdog::BurstWatchdog(TimeUs delta, Tokens capacity,
-                             std::size_t window)
-    : delta_(delta), capacity_(capacity), ring_(std::max<std::size_t>(window, 2)) {
-  TOKA_CHECK_MSG(delta > 0, "period must be positive, got " << delta);
-  TOKA_CHECK_MSG(capacity >= 0,
-                 "capacity must be non-negative, got " << capacity);
-}
-
-std::uint64_t BurstWatchdog::record(TimeUs t, Tokens n) {
-  if (n <= 0) return 0;
+BurstWatchdog::Sweep BurstWatchdog::record(const Bound& bound, TimeUs t,
+                                           Tokens n) {
+  TOKA_CHECK_MSG(bound.delta > 0,
+                 "period must be positive, got " << bound.delta);
+  TOKA_CHECK_MSG(bound.capacity >= 0,
+                 "capacity must be non-negative, got " << bound.capacity);
+  TOKA_CHECK_MSG(bound.window >= 1 && bound.window <= Bound::kMaxWindow,
+                 "window must lie in [1, " << Bound::kMaxWindow
+                                           << "], got " << bound.window);
+  if (n <= 0) return {};
   // Coalesce same-instant grants into one record: the window sweep then
   // scales with distinct timestamps, and a burst at one instant (legal up
   // to C+1) costs one slot, not C.
-  if (size_ > 0) {
-    Grant& newest = ring_[(head_ + size_ - 1) % ring_.size()];
-    if (t < newest.t) t = newest.t;  // monotonic clamp, like settle()
-    if (t == newest.t) {
-      newest.count += n;
-    } else if (size_ == ring_.size()) {
-      ring_[head_] = Grant{t, n};
-      head_ = (head_ + 1) % ring_.size();
-    } else {
-      ring_[(head_ + size_) % ring_.size()] = Grant{t, n};
-      ++size_;
-    }
-  } else {
+  if (size_ > 0 && t <= at(size_ - 1).t) {
+    at(size_ - 1).count += n;  // an earlier t clamps forward, like settle()
+  } else if (size_ == bound.window) {
     ring_[head_] = Grant{t, n};
-    size_ = 1;
+    head_ = static_cast<std::uint8_t>((head_ + 1) % capacity_);
+  } else {
+    if (size_ == capacity_)
+      grow(std::min<std::size_t>(std::max(2 * capacity_, 1), bound.window));
+    at(size_) = Grant{t, n};
+    ++size_;
   }
   // Sweep every retained window ending now: walking newest → oldest, the
   // running sum is count(i..newest) and the anchor t_i widens the bound.
-  const auto cap = static_cast<std::uint64_t>(capacity_);
-  const TimeUs end = ring_[(head_ + size_ - 1) % ring_.size()].t;
+  const auto cap = static_cast<std::uint64_t>(bound.capacity);
+  const TimeUs end = at(size_ - 1).t;
   std::uint64_t sum = 0;
-  std::uint64_t bad = 0;
+  Sweep sweep;
   for (std::size_t back = 0; back < size_; ++back) {
-    const Grant& g = ring_[(head_ + size_ - 1 - back) % ring_.size()];
+    const Grant& g = at(size_ - 1 - back);
     sum += static_cast<std::uint64_t>(g.count);
-    const std::uint64_t bound =
-        static_cast<std::uint64_t>((end - g.t) / delta_) + 1 + cap;
-    ++checks_;
-    if (sum > bound) ++bad;
+    const std::uint64_t limit =
+        static_cast<std::uint64_t>((end - g.t) / bound.delta) + 1 + cap;
+    ++sweep.checks;
+    if (sum > limit) ++sweep.violations;
   }
-  violations_ += bad;
-  return bad;
+  return sweep;
+}
+
+void BurstWatchdog::grow(std::size_t capacity) {
+  Grant* const fresh = new Grant[capacity];
+  std::copy(ring_, ring_ + size_, fresh);
+  delete[] ring_;
+  ring_ = fresh;
+  capacity_ = static_cast<std::uint8_t>(capacity);
 }
 
 void BurstWatchdog::retract(Tokens n) {
   while (n > 0 && size_ > 0) {
-    Grant& newest = ring_[(head_ + size_ - 1) % ring_.size()];
+    Grant& newest = at(size_ - 1);
     const Tokens take = std::min(newest.count, n);
     newest.count -= take;
     n -= take;
     if (newest.count == 0) --size_;
   }
+}
+
+void BurstWatchdog::release() {
+  delete[] ring_;
+  *this = BurstWatchdog{};
 }
 
 std::uint64_t RateLimitAuditor::max_in_window(TimeUs window) const {

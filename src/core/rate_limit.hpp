@@ -67,32 +67,60 @@ class RateLimitAuditor {
 };
 
 /// Bounded-memory online variant of RateLimitAuditor, cheap enough to run
-/// inside the data plane on sampled keys: a fixed ring of the most recent
-/// grant records (coalesced per timestamp) re-checked on every grant.
+/// inside the data plane on sampled keys: a ring of the most recent grant
+/// records (coalesced per timestamp) re-checked on every grant.
 ///
 /// Sound but windowed — any violation it flags is a real §3.4 violation
 /// (a retained window genuinely exceeded its bound); history that rotated
 /// out of the ring is no longer checked, so absence of violations bounds
 /// only the retained horizon. Refunds must be retracted (newest-first,
 /// like RateLimitAuditor) so the audited trace holds net admissions.
+///
+/// The ring follows its use: a watchdog starts with no storage and
+/// doubles its ring as distinct grant timestamps arrive, up to the window;
+/// only a full window rotates. The watchdog itself is a 16-byte handle,
+/// trivially copyable so that flat stores can hold it, and the all-zero
+/// value is the empty watchdog. Its ring storage is owned by whoever holds
+/// the handle: call release() exactly once before dropping it (copies
+/// alias the same ring).
 class BurstWatchdog {
  public:
-  /// Δ and C of the strategy under audit; `window` is the ring capacity
-  /// in distinct grant timestamps.
-  BurstWatchdog(TimeUs delta, Tokens capacity, std::size_t window = 32);
+  /// The §3.4 bound under audit: Δ and C of the strategy, and the window —
+  /// how many distinct grant timestamps the ring retains. Passed to every
+  /// record() rather than stored per watchdog; a watchdog must always be
+  /// given the same bound.
+  struct Bound {
+    /// The largest window the ring's one-byte counters can hold.
+    static constexpr std::size_t kMaxWindow = 255;
+
+    TimeUs delta = 0;
+    Tokens capacity = 0;
+    std::size_t window = 32;
+  };
+
+  /// What one record() checked: windows swept, and those over the bound.
+  struct Sweep {
+    std::uint64_t checks = 0;
+    std::uint64_t violations = 0;
+  };
 
   /// Records `n` grants at non-decreasing time t, then checks every
-  /// retained send-anchored window ending at t. Returns how many windows
-  /// violated the bound (0 for a clean grant).
-  std::uint64_t record(TimeUs t, Tokens n);
+  /// retained send-anchored window ending at t against `bound`. A clean
+  /// grant reports 0 violations; n <= 0 records and checks nothing.
+  /// Throws util::InvariantError, recording nothing, on a bound with
+  /// Δ <= 0, C < 0 or a window outside [1, Bound::kMaxWindow].
+  Sweep record(const Bound& bound, TimeUs t, Tokens n);
 
   /// Strikes the `n` newest grants (the refund path). Clamps at what the
   /// ring still holds — rotated-out history cannot be retracted.
   void retract(Tokens n);
 
-  /// Windows checked / windows in violation since construction.
-  std::uint64_t checks() const { return checks_; }
-  std::uint64_t violations() const { return violations_; }
+  /// Frees the ring, leaving the empty watchdog.
+  void release();
+
+  /// Records the ring has room for: 0 before the first grant, at most
+  /// the window.
+  std::size_t ring_capacity() const { return capacity_; }
 
  private:
   struct Grant {
@@ -100,14 +128,17 @@ class BurstWatchdog {
     Tokens count = 0;
   };
 
-  TimeUs delta_;
-  Tokens capacity_;
-  std::vector<Grant> ring_;  ///< fixed capacity; head_ is the oldest slot
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  std::uint64_t checks_ = 0;
-  std::uint64_t violations_ = 0;
+  Grant& at(std::size_t i) { return ring_[(head_ + i) % capacity_]; }
+  /// Moves the records into a ring of `capacity`; head_ is 0 before and
+  /// after, because a ring that has not reached its window never rotates.
+  void grow(std::size_t capacity);
+
+  Grant* ring_ = nullptr;
+  std::uint8_t capacity_ = 0;
+  std::uint8_t head_ = 0;  ///< the oldest record
+  std::uint8_t size_ = 0;
 };
+static_assert(sizeof(BurstWatchdog) == 16);
 
 /// One grant as a client observed it: `tokens` admitted for `key` at
 /// `at_us` (the completion time, on the caller's clock).

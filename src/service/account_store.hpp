@@ -74,6 +74,9 @@ class MappedArray {
   std::size_t bytes_ = 0;
 };
 
+/// The cold type of a store that never enables its cold column.
+struct NoCold {};
+
 /// Open-addressing table of `Slot`s. `Traits` supplies
 ///   static bool live(const Slot&)          — false for the all-zero slot;
 ///   static std::uint64_t hash(const Slot&) — the hash it was inserted under.
@@ -87,7 +90,7 @@ class MappedArray {
 /// same index of a second array. It is zero for an empty slot and for a
 /// slot just inserted, travels with its slot through every move, and is
 /// zeroed when its slot is erased.
-template <typename Slot, typename Traits, typename Cold>
+template <typename Slot, typename Traits, typename Cold = NoCold>
 class SlotStore {
   static_assert(std::is_trivially_copyable_v<Slot> &&
                     std::is_trivially_destructible_v<Slot>,

@@ -19,9 +19,9 @@ namespace {
 // independent bit stream, so sampled keys land on every shard.
 constexpr std::uint64_t kWatchdogSalt = 0xA24BAED4963EE407ULL;
 
-// How many ops of a shard's run acquire_batch prefetches ahead of the one
-// it executes: a cache-missing op costs a DRAM round trip, so about this
-// many loads must be in flight to hide it behind the ops before it.
+// How many ops acquire_batch prefetches ahead of the one it executes: a
+// cache-missing op costs a DRAM round trip, so about this many loads must
+// be in flight to hide it behind the ops before it.
 constexpr std::size_t kPrefetchDistance = 8;
 
 bool watchdog_samples(std::uint64_t sample_every, NamespaceId ns,
@@ -134,14 +134,26 @@ bool AccountTable::configure_namespace(NamespaceId ns,
   return created;
 }
 
+AccountTable::Shard::~Shard() {
+  watchdogs.erase_if([](WatchSlot& w) {
+    w.watchdog.release();
+    return true;
+  });
+}
+
 template <typename Pred>
 std::size_t AccountTable::erase_accounts_if(Shard& shard, Pred&& pred) {
   return shard.accounts.erase_if([&](const Slot& s) {
     if (!pred(s)) return false;
     // A re-created key must start a fresh watchdog ring and audit trace.
-    const AccountKey account_key{s.ns, s.key};
-    if ((s.meta & kSlotWatched) != 0) shard.watchdogs.erase(account_key);
-    if ((s.meta & kSlotAudited) != 0) shard.auditors.erase(account_key);
+    if ((s.meta & kSlotWatched) != 0) {
+      WatchSlot& w =
+          watch_slot(shard, account_hash(s.ns, s.key), s.ns, s.key);
+      w.watchdog.release();
+      shard.watchdogs.erase(w);
+    }
+    if ((s.meta & kSlotAudited) != 0)
+      shard.auditors.erase(AccountKey{s.ns, s.key});
     return true;
   });
 }
@@ -235,6 +247,18 @@ AccountTable::Slot* AccountTable::find_account(Shard& shard,
       hash, [&](const Slot& s) { return s.key == key && s.ns == ns; });
 }
 
+AccountTable::WatchSlot& AccountTable::watch_slot(Shard& shard,
+                                                  std::uint64_t hash,
+                                                  NamespaceId ns,
+                                                  std::uint64_t key) {
+  WatchSlot* w = shard.watchdogs.find(hash, [&](const WatchSlot& e) {
+    return e.key == key && e.ns == ns;
+  });
+  TOKA_CHECK_MSG(w != nullptr, "watched account ns=" << ns << " key=" << key
+                                                     << " has no watchdog");
+  return *w;
+}
+
 AccountTable::Slot& AccountTable::create_account(Shard& shard,
                                                  const Namespace& ns,
                                                  std::uint64_t hash,
@@ -247,16 +271,16 @@ AccountTable::Slot& AccountTable::create_account(Shard& shard,
   slot.meta = kSlotLive;
   slot.set_last_access_us(now);
   slot.balance = static_cast<std::int32_t>(balance);  // in [0, C]
-  const AccountKey account_key{ns.id, key};
   if (ns.config.audit) {
     shard.auditors.insert_or_assign(
-        account_key,
+        AccountKey{ns.id, key},
         core::RateLimitAuditor(ns.config.delta_us, ns.capacity));
     slot.meta |= kSlotAudited;
   }
   if (watchdog_samples(config_.watchdog_sample, ns.id, key)) {
-    shard.watchdogs.insert_or_assign(
-        account_key, core::BurstWatchdog(ns.config.delta_us, ns.capacity));
+    // Every erase path drops the entry with its account, so the key has
+    // none yet; its ring is allocated by the first grant.
+    shard.watchdogs.insert(hash, WatchSlot{key, ns.id, true, {}});
     slot.meta |= kSlotWatched;
   }
   ++stats_for(shard, ns.id).accounts_created;
@@ -338,10 +362,14 @@ AcquireResult AccountTable::acquire_in_shard(Shard& shard, const Namespace& ns,
     for (Tokens i = 0; i < granted; ++i) auditor.record(now);
   }
   if ((slot.meta & kSlotWatched) != 0 && granted > 0) {
-    core::BurstWatchdog& watchdog = shard.watchdogs.at(AccountKey{ns.id, key});
-    const std::uint64_t before = watchdog.checks();
-    stats.watchdog_violations += watchdog.record(now, granted);
-    stats.watchdog_checks += watchdog.checks() - before;
+    // The account lives exactly as long as its namespace snapshot (see
+    // Namespace), so `ns` is the policy the watchdog has audited all along.
+    core::BurstWatchdog& watchdog = watch_slot(shard, hash, ns.id, key).watchdog;
+    const core::BurstWatchdog::Sweep sweep = watchdog.record(
+        core::BurstWatchdog::Bound{ns.config.delta_us, ns.capacity}, now,
+        granted);
+    stats.watchdog_checks += sweep.checks;
+    stats.watchdog_violations += sweep.violations;
   }
   return AcquireResult{granted, balance, granted > banked};
 }
@@ -401,7 +429,7 @@ RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
         .retract(static_cast<std::size_t>(accepted));
   }
   if ((slot->meta & kSlotWatched) != 0)
-    shard.watchdogs.at(AccountKey{ns, key}).retract(accepted);
+    watch_slot(shard, hash, ns, key).watchdog.retract(accepted);
   stats.tokens_refunded += static_cast<std::uint64_t>(accepted);
   stats.tokens_refund_dropped += static_cast<std::uint64_t>(n - accepted);
   return RefundResult{accepted, balance};
@@ -452,6 +480,15 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
     order[next++ & ~kPlaced] = static_cast<std::uint32_t>(i);
   }
 
+  // Home slots are prefetched kPrefetchDistance ops ahead in execution
+  // order, across shard runs: a frame spread over many shards makes runs
+  // of about one op. That reads no shard this call does not execute — a
+  // batch split across engine workers reaches this call once per worker
+  // with only the ops of that worker's shards.
+  for (std::size_t j = 0; j < std::min(kPrefetchDistance, order.size()); ++j) {
+    const std::uint64_t hash = hashes[order[j]];
+    shards_[hash & shard_mask_]->accounts.prefetch(hash);
+  }
   std::vector<AcquireResult> results(ops.size());
   for (std::size_t i = 0; i < order.size();) {
     const std::size_t shard_idx = hashes[order[i]] & shard_mask_;
@@ -459,15 +496,11 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
     Shard& shard = *shards_[shard_idx];
     // One clock read per shard visit: the whole run settles against it.
     const TimeUs now = clock_.now_us();
-    // Home slots are prefetched kPrefetchDistance ops ahead, and only
-    // within this shard's run: a batch split across engine workers reaches
-    // this call once per worker, and another worker's shard may be read
-    // only by its owner.
-    for (std::size_t j = i; j < std::min(i + kPrefetchDistance, end); ++j)
-      shard.accounts.prefetch(hashes[order[j]]);
     for (; i < end; ++i) {
-      if (i + kPrefetchDistance < end)
-        shard.accounts.prefetch(hashes[order[i + kPrefetchDistance]]);
+      if (i + kPrefetchDistance < order.size()) {
+        const std::uint64_t hash = hashes[order[i + kPrefetchDistance]];
+        shards_[hash & shard_mask_]->accounts.prefetch(hash);
+      }
       const std::uint32_t op = order[i];
       results[op] = acquire_in_shard(shard, *nsp, hashes[op], ops[op].key,
                                      ops[op].tokens, now);

@@ -32,9 +32,10 @@
 // A shard keeps its accounts in a flat open-addressing store of 32-byte
 // slots (service/account_store.hpp). The replication state lives in the
 // store's cold column, which only a shard of a replicated table maps; the
-// rare per-account extras — the §3.4 watchdog of sampled keys and the
-// debug auditor — live in per-shard side maps that a slot flag gates, so
-// an ordinary account costs its slot and nothing else.
+// rare per-account extras live beside the slots, gated by a slot flag, so
+// an ordinary account costs its slot and nothing else: the §3.4 watchdogs
+// of sampled keys in a second flat store under the same account hash, and
+// the debug auditors of test namespaces in a map.
 //
 // Token granting is *lazy*, driven by a coarse shared clock instead of a
 // timer per account: every account remembers when it was last settled,
@@ -464,7 +465,8 @@ class AccountTable {
   };
 
   /// The one hash of an account: shard_index() takes its bottom bits, the
-  /// shard's slot store its top bits, the side maps all of it.
+  /// shard's slot and watchdog stores its top bits, the auditor map all of
+  /// it.
   static std::uint64_t account_hash(NamespaceId ns, std::uint64_t key) {
     std::uint64_t state = fold_key(ns, key);
     return util::splitmix64(state);
@@ -527,6 +529,24 @@ class AccountTable {
     }
   };
 
+  /// The §3.4 watchdog of one sampled account, stored under the account's
+  /// hash. The entry owns the watchdog's ring: whoever erases the entry
+  /// releases it first.
+  struct WatchSlot {
+    std::uint64_t key = 0;
+    NamespaceId ns = 0;
+    bool live = false;
+    core::BurstWatchdog watchdog;
+  };
+  static_assert(sizeof(WatchSlot) == 32);
+
+  struct WatchTraits {
+    static bool live(const WatchSlot& w) { return w.live; }
+    static std::uint64_t hash(const WatchSlot& w) {
+      return account_hash(w.ns, w.key);
+    }
+  };
+
   /// Padded to a cache line so neighbouring shards, owned by different
   /// workers, don't false-share. Stats are broken out per namespace (with a
   /// one-slot cache so the hot path pays one hash lookup only on namespace
@@ -544,15 +564,17 @@ class AccountTable {
     /// Accounts touched since the last drain_replica_dirty() (replication
     /// only; each account appears at most once — kSlotReplDirty).
     std::vector<AccountKey> repl_dirty;
-    /// Online §3.4 auditors of watchdog-sampled keys (see
+    /// Online §3.4 watchdogs of sampled keys (see
     /// ServiceConfig::watchdog_sample) and the debug audit traces of
     /// NamespaceConfig::audit namespaces. Only flagged slots ever probe
     /// them, and every erase path drops the account's entries, so a
     /// re-created key starts from an empty trace.
-    std::unordered_map<AccountKey, core::BurstWatchdog, AccountKeyHash>
-        watchdogs;
+    SlotStore<WatchSlot, WatchTraits> watchdogs;
     std::unordered_map<AccountKey, core::RateLimitAuditor, AccountKeyHash>
         auditors;
+
+    /// Releases the rings of the watchdogs still held.
+    ~Shard();
   };
 
   /// Builds and validates the runtime namespace object (throws
@@ -594,8 +616,12 @@ class AccountTable {
                        std::uint64_t key, Tokens balance, TimeUs now);
   Slot& find_or_create(Shard& shard, const Namespace& ns, std::uint64_t hash,
                        std::uint64_t key, TimeUs now);
+  /// The watchdog entry of (ns, key), an account of `shard` flagged
+  /// kSlotWatched.
+  static WatchSlot& watch_slot(Shard& shard, std::uint64_t hash,
+                               NamespaceId ns, std::uint64_t key);
   /// The table's one erase path: removes every account of `shard` for which
-  /// `pred(slot)` holds, dropping its side-map entries with it, and returns
+  /// `pred(slot)` holds, dropping its side entries with it, and returns
   /// how many went.
   template <typename Pred>
   static std::size_t erase_accounts_if(Shard& shard, Pred&& pred);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -210,8 +213,40 @@ TEST(RateLimitAuditor, SimulatorRunObeysBurstBoundPerNode) {
 
 // ------------------------------------------------- online burst watchdog
 
+/// A watchdog bound to one §3.4 bound, with running totals of what its
+/// records checked. It releases the ring at scope exit, as a store of
+/// watchdogs does when it drops one.
+class AuditedWatchdog {
+ public:
+  explicit AuditedWatchdog(TimeUs delta, Tokens capacity,
+                           std::size_t window = 32)
+      : bound_{delta, capacity, window} {}
+  ~AuditedWatchdog() { wd_.release(); }
+  AuditedWatchdog(const AuditedWatchdog&) = delete;
+  AuditedWatchdog& operator=(const AuditedWatchdog&) = delete;
+
+  /// Records `n` grants at t; returns how many windows violated.
+  std::uint64_t record(TimeUs t, Tokens n) {
+    const BurstWatchdog::Sweep sweep = wd_.record(bound_, t, n);
+    checks_ += sweep.checks;
+    violations_ += sweep.violations;
+    return sweep.violations;
+  }
+  void retract(Tokens n) { wd_.retract(n); }
+
+  std::uint64_t checks() const { return checks_; }
+  std::uint64_t violations() const { return violations_; }
+  std::size_t ring_capacity() const { return wd_.ring_capacity(); }
+
+ private:
+  BurstWatchdog::Bound bound_;
+  BurstWatchdog wd_;
+  std::uint64_t checks_ = 0;
+  std::uint64_t violations_ = 0;
+};
+
 TEST(BurstWatchdog, PeriodicGrantsCheckCleanly) {
-  BurstWatchdog wd(kDelta, 3);
+  AuditedWatchdog wd(kDelta, 3);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(wd.record(i * kDelta, 1), 0u);
   EXPECT_GT(wd.checks(), 0u);
   EXPECT_EQ(wd.violations(), 0u);
@@ -220,11 +255,11 @@ TEST(BurstWatchdog, PeriodicGrantsCheckCleanly) {
 TEST(BurstWatchdog, InstantBurstLegalUpToCapacityPlusOne) {
   // A single-instant window [t, t] bounds grants at 0/Δ + 1 + C.
   constexpr Tokens kCap = 5;
-  BurstWatchdog ok(kDelta, kCap);
+  AuditedWatchdog ok(kDelta, kCap);
   EXPECT_EQ(ok.record(1000, kCap + 1), 0u);
   EXPECT_EQ(ok.violations(), 0u);
 
-  BurstWatchdog bad(kDelta, kCap);
+  AuditedWatchdog bad(kDelta, kCap);
   EXPECT_EQ(bad.record(1000, kCap + 2), 1u);
   EXPECT_EQ(bad.violations(), 1u);
 }
@@ -232,7 +267,7 @@ TEST(BurstWatchdog, InstantBurstLegalUpToCapacityPlusOne) {
 TEST(BurstWatchdog, SustainedOverRateViolatesWideWindows) {
   // 2 grants per period against capacity 3: short windows pass, but once
   // the window is long enough the (t_j-t_i)/Δ + 1 + C bound must break.
-  BurstWatchdog wd(kDelta, 3);
+  AuditedWatchdog wd(kDelta, 3);
   for (int i = 0; i < 20; ++i) wd.record(i * kDelta / 2, 1);
   EXPECT_GT(wd.violations(), 0u);
 }
@@ -240,7 +275,7 @@ TEST(BurstWatchdog, SustainedOverRateViolatesWideWindows) {
 TEST(BurstWatchdog, ChecksScaleWithRetainedTimestamps) {
   // Every record() sweeps all retained send-anchored windows, so the
   // check counter grows ~quadratically until the ring caps retention.
-  BurstWatchdog wd(kDelta, 0, /*window=*/4);
+  AuditedWatchdog wd(kDelta, 0, /*window=*/4);
   for (int i = 0; i < 10; ++i) wd.record(i * kDelta, 1);
   // First 4 records check 1+2+3+4 windows; the remaining 6 check 4 each.
   EXPECT_EQ(wd.checks(), 1u + 2u + 3u + 4u + 6u * 4u);
@@ -249,14 +284,14 @@ TEST(BurstWatchdog, ChecksScaleWithRetainedTimestamps) {
 
 TEST(BurstWatchdog, RetractForgivesTheRefundedGrants) {
   constexpr Tokens kCap = 2;
-  BurstWatchdog wd(kDelta, kCap);
+  AuditedWatchdog wd(kDelta, kCap);
   EXPECT_EQ(wd.record(1000, kCap + 1), 0u);  // at the single-instant bound
   wd.retract(2);  // refund: those grants never counted
   // Re-granting what was refunded stays within the same window's bound.
   EXPECT_EQ(wd.record(1000, 2), 0u);
   EXPECT_EQ(wd.violations(), 0u);
   // Without the retract the identical extra grant violates.
-  BurstWatchdog unforgiven(kDelta, kCap);
+  AuditedWatchdog unforgiven(kDelta, kCap);
   unforgiven.record(1000, kCap + 1);
   EXPECT_EQ(unforgiven.record(1000, 2), 1u);
 }
@@ -264,23 +299,175 @@ TEST(BurstWatchdog, RetractForgivesTheRefundedGrants) {
 TEST(BurstWatchdog, SameInstantGrantsCoalesceIntoOneSlot) {
   // C grants at one instant must cost one ring slot, not C: a tiny ring
   // still audits the whole burst window.
-  BurstWatchdog wd(kDelta, 4, /*window=*/2);
+  AuditedWatchdog wd(kDelta, 4, /*window=*/2);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(wd.record(1000, 1), 0u);
   EXPECT_EQ(wd.record(1000, 1), 1u);  // 6th grant at [t,t]: over 1 + C
+  EXPECT_EQ(wd.ring_capacity(), 1u);
 }
 
 TEST(BurstWatchdog, NonMonotoneTimestampsClampForward) {
   // Like settle(), the watchdog clamps a backwards clock to the newest
   // retained timestamp instead of corrupting window arithmetic.
-  BurstWatchdog wd(kDelta, 1);
+  AuditedWatchdog wd(kDelta, 1);
   wd.record(5 * kDelta, 1);
   EXPECT_EQ(wd.record(3 * kDelta, 1), 0u);  // coalesces at t = 5Δ
   EXPECT_EQ(wd.record(3 * kDelta, 1), 1u);  // third same-instant grant
 }
 
-TEST(BurstWatchdog, RejectsBadConstruction) {
-  EXPECT_THROW(BurstWatchdog(0, 1), util::InvariantError);
-  EXPECT_THROW(BurstWatchdog(kDelta, -1), util::InvariantError);
+TEST(BurstWatchdog, RingGrowsByDoublingUpToTheWindow) {
+  // No storage before the first grant; after it the ring doubles only when
+  // a new distinct timestamp finds it full, and stops at the window.
+  AuditedWatchdog wd(kDelta, 20, /*window=*/32);
+  EXPECT_EQ(wd.ring_capacity(), 0u);
+  EXPECT_EQ(wd.record(0, 0), 0u);  // no grant, no ring
+  EXPECT_EQ(wd.ring_capacity(), 0u);
+  const std::size_t expected[] = {1, 2, 4, 4, 8, 8, 8, 8, 16};
+  for (std::size_t i = 0; i < std::size(expected); ++i) {
+    wd.record(static_cast<TimeUs>(i) * kDelta, 1);
+    wd.record(static_cast<TimeUs>(i) * kDelta, 1);  // same instant
+    EXPECT_EQ(wd.ring_capacity(), expected[i]) << "after " << i + 1;
+  }
+  for (TimeUs i = 9; i < 100; ++i) wd.record(i * kDelta, 1);
+  EXPECT_EQ(wd.ring_capacity(), 32u);
+  EXPECT_EQ(wd.violations(), 0u);
+}
+
+TEST(BurstWatchdog, ReleaseLeavesTheEmptyWatchdog) {
+  BurstWatchdog wd;
+  const BurstWatchdog::Bound bound{kDelta, 1};
+  for (TimeUs i = 0; i < 5; ++i) wd.record(bound, i * kDelta, 1);
+  EXPECT_EQ(wd.ring_capacity(), 8u);
+  wd.release();
+  EXPECT_EQ(wd.ring_capacity(), 0u);
+  // Empty again: the next grant starts a one-record ring and one window.
+  EXPECT_EQ(wd.record(bound, 10 * kDelta, 2).checks, 1u);
+  EXPECT_EQ(wd.ring_capacity(), 1u);
+  wd.release();
+}
+
+TEST(BurstWatchdog, RejectsBadBoundsWithoutRecording) {
+  BurstWatchdog wd;
+  EXPECT_THROW(wd.record(BurstWatchdog::Bound{0, 1}, 0, 1), util::InvariantError);
+  EXPECT_THROW(wd.record(BurstWatchdog::Bound{kDelta, -1}, 0, 1), util::InvariantError);
+  EXPECT_THROW(wd.record(BurstWatchdog::Bound{kDelta, 1, 0}, 0, 1),
+               util::InvariantError);
+  EXPECT_THROW(wd.record(BurstWatchdog::Bound{kDelta, 1, BurstWatchdog::Bound::kMaxWindow + 1},
+                         0, 1),
+               util::InvariantError);
+  EXPECT_EQ(wd.ring_capacity(), 0u);
+}
+
+/// The watchdog as it was before its ring grew on demand: Δ, C and a ring
+/// of `window` records allocated up front, with running totals. Kept as
+/// the reference the on-demand ring must match record for record.
+class FixedRingWatchdog {
+ public:
+  FixedRingWatchdog(TimeUs delta, Tokens capacity, std::size_t window)
+      : delta_(delta), capacity_(capacity), ring_(window) {}
+
+  std::uint64_t record(TimeUs t, Tokens n) {
+    if (n <= 0) return 0;
+    if (size_ > 0) {
+      Grant& newest = ring_[(head_ + size_ - 1) % ring_.size()];
+      if (t < newest.t) t = newest.t;
+      if (t == newest.t) {
+        newest.count += n;
+      } else if (size_ == ring_.size()) {
+        ring_[head_] = Grant{t, n};
+        head_ = (head_ + 1) % ring_.size();
+      } else {
+        ring_[(head_ + size_) % ring_.size()] = Grant{t, n};
+        ++size_;
+      }
+    } else {
+      ring_[head_] = Grant{t, n};
+      size_ = 1;
+    }
+    const auto cap = static_cast<std::uint64_t>(capacity_);
+    const TimeUs end = ring_[(head_ + size_ - 1) % ring_.size()].t;
+    std::uint64_t sum = 0;
+    std::uint64_t bad = 0;
+    for (std::size_t back = 0; back < size_; ++back) {
+      const Grant& g = ring_[(head_ + size_ - 1 - back) % ring_.size()];
+      sum += static_cast<std::uint64_t>(g.count);
+      const std::uint64_t bound =
+          static_cast<std::uint64_t>((end - g.t) / delta_) + 1 + cap;
+      ++checks_;
+      if (sum > bound) ++bad;
+    }
+    return bad;
+  }
+
+  void retract(Tokens n) {
+    while (n > 0 && size_ > 0) {
+      Grant& newest = ring_[(head_ + size_ - 1) % ring_.size()];
+      const Tokens take = std::min(newest.count, n);
+      newest.count -= take;
+      n -= take;
+      if (newest.count == 0) --size_;
+    }
+  }
+
+  std::uint64_t checks() const { return checks_; }
+
+ private:
+  struct Grant {
+    TimeUs t = 0;
+    Tokens count = 0;
+  };
+
+  TimeUs delta_;
+  Tokens capacity_;
+  std::vector<Grant> ring_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  std::uint64_t checks_ = 0;
+};
+
+TEST(BurstWatchdog, MatchesTheFixedRingOnRandomStreams) {
+  // Seeded streams mixing same-instant grants, clocks that step back, and
+  // retracts larger than the newest record (or the whole ring), against
+  // small Δ so that bursts do break the bound.
+  constexpr TimeUs kStreamDelta = 10;
+  std::uint64_t violations = 0;
+  for (const std::size_t window : {std::size_t{2}, std::size_t{4},
+                                   std::size_t{32}}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      util::Rng rng(seed * 1000 + window);
+      const Tokens cap = rng.range(0, 4);
+      FixedRingWatchdog reference(kStreamDelta, cap, window);
+      AuditedWatchdog wd(kStreamDelta, cap, window);
+      std::set<TimeUs> distinct;
+      TimeUs t = 0;
+      for (int step = 0; step < 400; ++step) {
+        const std::int64_t roll = rng.range(0, 99);
+        if (roll < 25) {
+          const Tokens n = rng.range(0, 3 * cap + 6);
+          reference.retract(n);
+          wd.retract(n);
+          continue;
+        }
+        if (roll < 45) {
+          // same instant
+        } else if (roll < 55) {
+          t = std::max<TimeUs>(t - rng.range(1, 3 * kStreamDelta), 0);
+        } else {
+          t += rng.range(1, 2 * kStreamDelta);
+        }
+        const Tokens n = rng.range(0, cap + 2);
+        if (n > 0) distinct.insert(t);
+        const std::uint64_t expected = reference.record(t, n);
+        ASSERT_EQ(wd.record(t, n), expected)
+            << "window " << window << " seed " << seed << " step " << step;
+        violations += expected;
+        ASSERT_EQ(wd.checks(), reference.checks())
+            << "window " << window << " seed " << seed << " step " << step;
+        ASSERT_LE(wd.ring_capacity(), window);
+        ASSERT_LE(wd.ring_capacity(), 2 * distinct.size());
+      }
+    }
+  }
+  EXPECT_GT(violations, 0u);  // the streams reach the violating branches
 }
 
 // ------------------------------------------------- cluster-wide replay

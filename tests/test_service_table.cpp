@@ -358,6 +358,64 @@ TEST(AccountTable, EvictedWatchdogKeyRestartsWithAnEmptyRing) {
   EXPECT_EQ(table.stats().watchdog_violations, 0u);
 }
 
+/// Grants key 7 one token per period for six periods, so that its watchdog
+/// retains six grant instants, and returns the checks the last grant swept.
+std::uint64_t grow_watchdog_ring(AccountTable& table) {
+  table.acquire(7, 0);
+  std::uint64_t before = 0;
+  for (int i = 0; i < 6; ++i) {
+    table.clock().advance(1000);
+    before = table.stats().watchdog_checks;
+    EXPECT_EQ(table.acquire(7, 1).granted, 1);
+  }
+  return table.stats().watchdog_checks - before;
+}
+
+/// The checks swept by one grant to key 7, a period from now.
+std::uint64_t checks_of_next_grant(AccountTable& table) {
+  table.clock().advance(1000);
+  const std::uint64_t before = table.stats().watchdog_checks;
+  EXPECT_EQ(table.acquire(7, 1).granted, 1);
+  return table.stats().watchdog_checks - before;
+}
+
+TEST(AccountTable, ExtractedWatchdogKeyRestartsWithAnEmptyRing) {
+  // Extraction is an erase path too: a key handed off and later installed
+  // (or re-created) here again must not inherit the ring it left with.
+  ServiceConfig cfg = simple_config(10, 1000);
+  cfg.watchdog_sample = 1;
+  AccountTable table(cfg);
+  ASSERT_EQ(grow_watchdog_ring(table), 6u);
+  const std::vector<AccountExport> out =
+      table.extract_if([](NamespaceId, std::uint64_t key) { return key == 7; });
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_TRUE(table.install_account(kDefaultNamespace, 7, out[0].balance));
+  EXPECT_EQ(checks_of_next_grant(table), 1u);
+
+  // Extracted and re-created by a plain acquire: a fresh ring as well.
+  ASSERT_EQ(table.extract_if([](NamespaceId, std::uint64_t) { return true; })
+                .size(),
+            1u);
+  table.acquire(7, 0);
+  EXPECT_EQ(checks_of_next_grant(table), 1u);
+  EXPECT_EQ(table.stats().watchdog_violations, 0u);
+}
+
+TEST(AccountTable, ResetNamespaceRestartsItsWatchdogRings) {
+  // Reconfiguring a namespace purges its accounts; their watchdogs go with
+  // them, so the keys audit from scratch under the new policy.
+  ServiceConfig cfg = simple_config(10, 1000);
+  cfg.watchdog_sample = 1;
+  AccountTable table(cfg);
+  ASSERT_EQ(grow_watchdog_ring(table), 6u);
+  EXPECT_FALSE(table.configure_namespace(kDefaultNamespace,
+                                         cfg.default_namespace()));
+  EXPECT_EQ(table.account_count(), 0u);
+  table.acquire(7, 0);
+  EXPECT_EQ(checks_of_next_grant(table), 1u);
+  EXPECT_EQ(table.stats().watchdog_violations, 0u);
+}
+
 TEST(AccountTable, RejectsCapacitiesBeyondTheSlotBalance) {
   // Account slots keep balances in 32 bits; a namespace whose capacity
   // could not fit is refused up front rather than wrapped later.
