@@ -124,7 +124,14 @@ void ReplicationEngine::on_ack(NodeId from,
 
 void ReplicationEngine::on_replicate(NodeId from,
                                      const proto::ReplicateRequest& r) {
-  TOKA_CHECK_MSG(from != kNoNode, "a replica frame without a sender");
+  // The sender id is the frame header's, written by whoever holds the
+  // connection. kNoNode would wrap the stored source_plus_one to 0 and
+  // leave an empty entry in the store, so such a frame is malformed input:
+  // drop it unacked, like any other frame no node could have sent.
+  if (from == kNoNode) {
+    replica_frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   std::uint64_t ack_seq;
   {
     std::lock_guard lock(store_mu_);

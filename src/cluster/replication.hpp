@@ -111,7 +111,8 @@ class ReplicationEngine {
 
   /// Applies a primary's delta frame to the replica store (absolute
   /// deltas: last write per account wins) and acks the highest round
-  /// received from that source.
+  /// received from that source. A frame whose header names kNoNode as
+  /// its sender is dropped unacked and counted in replica_frames_dropped().
   void on_replicate(NodeId from,
                     const service::protocol::ReplicateRequest& r);
 
@@ -137,6 +138,10 @@ class ReplicationEngine {
   /// kReplicaAck frames received back.
   std::uint64_t acks_received() const {
     return acks_received_.load(std::memory_order_relaxed);
+  }
+  /// kReplicate frames dropped because their sender id was kNoNode.
+  std::uint64_t replica_frames_dropped() const {
+    return replica_frames_dropped_.load(std::memory_order_relaxed);
   }
   /// Replica accounts currently held for other primaries.
   std::size_t replica_accounts() const;
@@ -164,8 +169,9 @@ class ReplicationEngine {
     Tokens balance = 0;
     Tokens floor = 0;
     service::NamespaceId ns = service::kDefaultNamespace;
-    /// The source's id plus one, so that the all-zero entry is empty (no
-    /// frame comes from kNoNode).
+    /// The source's id plus one, so that the all-zero entry is empty.
+    /// on_replicate drops frames whose sender id is kNoNode, which would
+    /// wrap to 0.
     std::uint32_t source_plus_one = 0;
 
     NodeId source() const { return source_plus_one - 1; }
@@ -223,6 +229,7 @@ class ReplicationEngine {
   std::atomic<std::uint64_t> deltas_sent_{0};
   std::atomic<std::uint64_t> delta_accounts_sent_{0};
   std::atomic<std::uint64_t> acks_received_{0};
+  std::atomic<std::uint64_t> replica_frames_dropped_{0};
   std::atomic<std::uint64_t> installs_{0};
   std::atomic<Tokens> install_forfeited_{0};
 };

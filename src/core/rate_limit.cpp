@@ -51,15 +51,20 @@ std::optional<RateLimitViolation> RateLimitAuditor::first_violation() const {
   return std::nullopt;
 }
 
+BurstWatchdog::Bound BurstWatchdog::Bound::checked(TimeUs delta,
+                                                   Tokens capacity,
+                                                   std::size_t window) {
+  TOKA_CHECK_MSG(delta > 0, "period must be positive, got " << delta);
+  TOKA_CHECK_MSG(capacity >= 0,
+                 "capacity must be non-negative, got " << capacity);
+  TOKA_CHECK_MSG(window >= 1 && window <= kMaxWindow,
+                 "window must lie in [1, " << kMaxWindow << "], got "
+                                           << window);
+  return Bound{delta, capacity, window};
+}
+
 BurstWatchdog::Sweep BurstWatchdog::record(const Bound& bound, TimeUs t,
                                            Tokens n) {
-  TOKA_CHECK_MSG(bound.delta > 0,
-                 "period must be positive, got " << bound.delta);
-  TOKA_CHECK_MSG(bound.capacity >= 0,
-                 "capacity must be non-negative, got " << bound.capacity);
-  TOKA_CHECK_MSG(bound.window >= 1 && bound.window <= Bound::kMaxWindow,
-                 "window must lie in [1, " << Bound::kMaxWindow
-                                           << "], got " << bound.window);
   if (n <= 0) return {};
   // Coalesce same-instant grants into one record: the window sweep then
   // scales with distinct timestamps, and a burst at one instant (legal up

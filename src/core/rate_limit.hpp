@@ -88,10 +88,17 @@ class BurstWatchdog {
   /// The §3.4 bound under audit: Δ and C of the strategy, and the window —
   /// how many distinct grant timestamps the ring retains. Passed to every
   /// record() rather than stored per watchdog; a watchdog must always be
-  /// given the same bound.
+  /// given the same bound, so a holder of many watchdogs builds one Bound
+  /// per policy (AccountTable keeps it in the namespace).
   struct Bound {
     /// The largest window the ring's one-byte counters can hold.
     static constexpr std::size_t kMaxWindow = 255;
+
+    /// The bound for period Δ and capacity C over `window` timestamps.
+    /// Throws util::InvariantError on Δ <= 0, C < 0 or a window outside
+    /// [1, kMaxWindow].
+    static Bound checked(TimeUs delta, Tokens capacity,
+                         std::size_t window = 32);
 
     TimeUs delta = 0;
     Tokens capacity = 0;
@@ -105,10 +112,9 @@ class BurstWatchdog {
   };
 
   /// Records `n` grants at non-decreasing time t, then checks every
-  /// retained send-anchored window ending at t against `bound`. A clean
-  /// grant reports 0 violations; n <= 0 records and checks nothing.
-  /// Throws util::InvariantError, recording nothing, on a bound with
-  /// Δ <= 0, C < 0 or a window outside [1, Bound::kMaxWindow].
+  /// retained send-anchored window ending at t against `bound`, which must
+  /// come from Bound::checked(). A clean grant reports 0 violations;
+  /// n <= 0 records and checks nothing.
   Sweep record(const Bound& bound, TimeUs t, Tokens n);
 
   /// Strikes the `n` newest grants (the refund path). Clamps at what the

@@ -96,6 +96,8 @@ std::shared_ptr<const AccountTable::Namespace> AccountTable::make_namespace(
   out->catchup_limit = config.max_catchup_ticks > 0
                            ? config.max_catchup_ticks
                            : std::max<Tokens>(2 * out->capacity, 16);
+  out->watchdog_bound =
+      core::BurstWatchdog::Bound::checked(config.delta_us, out->capacity);
   return out;
 }
 
@@ -365,9 +367,8 @@ AcquireResult AccountTable::acquire_in_shard(Shard& shard, const Namespace& ns,
     // The account lives exactly as long as its namespace snapshot (see
     // Namespace), so `ns` is the policy the watchdog has audited all along.
     core::BurstWatchdog& watchdog = watch_slot(shard, hash, ns.id, key).watchdog;
-    const core::BurstWatchdog::Sweep sweep = watchdog.record(
-        core::BurstWatchdog::Bound{ns.config.delta_us, ns.capacity}, now,
-        granted);
+    const core::BurstWatchdog::Sweep sweep =
+        watchdog.record(ns.watchdog_bound, now, granted);
     stats.watchdog_checks += sweep.checks;
     stats.watchdog_violations += sweep.violations;
   }

@@ -456,6 +456,8 @@ class AccountTable {
     Tokens capacity = 0;       ///< effective balance cap
     Tokens bucket_cap = 0;     ///< tick_balance bucket cap (token bucket only)
     Tokens catchup_limit = 0;  ///< resolved max_catchup_ticks
+    /// Δ and C as every watchdog of the namespace audits them.
+    core::BurstWatchdog::Bound watchdog_bound;
   };
 
   struct AccountKey {

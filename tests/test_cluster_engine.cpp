@@ -7,8 +7,14 @@
 // and sweeping idle accounts. Promotion installs and handoff extraction
 // must run with the workers parked (quiesced), never beside them: under
 // TSan (the ^test_cluster regex in CI) a table access racing an owner
-// worker is a reported race.
+// worker is a reported race. A second test writes a malformed replica
+// frame to a live node over a raw socket.
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -24,7 +30,9 @@
 #include "cluster/cluster_server.hpp"
 #include "cluster/hash_ring.hpp"
 #include "runtime/epoll.hpp"
+#include "runtime/framing.hpp"
 #include "service/account_table.hpp"
+#include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/shard_engine.hpp"
 #include "util/rng.hpp"
@@ -182,6 +190,61 @@ TEST(ClusterEngine, KillAndPromoteRunBesideLiveShardWorkers) {
     });
   }
   nodes.clear();  // servers first: the mesh outlives every transport user
+}
+
+TEST(ClusterEngine, ReplicaFrameWithoutASenderIsDroppedNotFatal) {
+  // The sender id of a frame is whatever the connection writes into its
+  // header, so a client can send a kReplicate naming kNoNode. The node
+  // must drop it (its source would wrap to the store's empty entry) and
+  // keep serving.
+  service::ServiceConfig cfg;
+  cfg.shards = 4;
+  cfg.delta_us = 1000;
+  const ClusterMap map{1, kDefaultVnodes, {0}};
+  // Endpoint 0 is the node, 1 a client's link to it, 2 the address the
+  // raw connection claims for its acks.
+  runtime::EpollMesh mesh(3, /*io_threads=*/1);
+  EngineNode node(cfg, mesh.endpoint(0), map);
+  std::atomic<std::uint64_t> acks{0};
+  mesh.endpoint(2).set_handler(
+      [&acks](NodeId, std::vector<std::byte>) { acks.fetch_add(1); });
+
+  const auto replicate = [](std::uint64_t seq, std::uint64_t key) {
+    service::protocol::ReplicateRequest r;
+    r.id = seq;
+    r.epoch = 1;
+    r.seq = seq;
+    r.deltas.push_back({service::kDefaultNamespace, key, 5, 2});
+    return service::protocol::encode(r);
+  };
+  std::vector<std::uint8_t> wire;
+  runtime::append_frame(wire, 2, replicate(1, 10));        // stored, acked
+  runtime::append_frame(wire, kNoNode, replicate(2, 11));  // dropped
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(mesh.port_of(0));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  ASSERT_EQ(::write(fd, wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+
+  const ReplicationEngine& repl = node.server->replication();
+  ASSERT_TRUE(eventually(
+      [&] { return acks.load() == 1 && repl.replica_frames_dropped() == 1; }));
+  EXPECT_EQ(repl.replica_accounts(), 1u);
+
+  ClusterClientConfig client_cfg;
+  client_cfg.call_timeout_us = 250'000;
+  ClusterClient client(
+      [&mesh](NodeId) -> runtime::Transport& { return mesh.endpoint(1); }, map,
+      client_cfg);
+  EXPECT_NO_THROW(client.acquire(service::kDefaultNamespace, 7, 0));
+  EXPECT_EQ(repl.replica_accounts(), 1u);
+  ::close(fd);
 }
 
 }  // namespace

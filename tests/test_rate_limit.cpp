@@ -220,7 +220,7 @@ class AuditedWatchdog {
  public:
   explicit AuditedWatchdog(TimeUs delta, Tokens capacity,
                            std::size_t window = 32)
-      : bound_{delta, capacity, window} {}
+      : bound_(BurstWatchdog::Bound::checked(delta, capacity, window)) {}
   ~AuditedWatchdog() { wd_.release(); }
   AuditedWatchdog(const AuditedWatchdog&) = delete;
   AuditedWatchdog& operator=(const AuditedWatchdog&) = delete;
@@ -334,7 +334,7 @@ TEST(BurstWatchdog, RingGrowsByDoublingUpToTheWindow) {
 
 TEST(BurstWatchdog, ReleaseLeavesTheEmptyWatchdog) {
   BurstWatchdog wd;
-  const BurstWatchdog::Bound bound{kDelta, 1};
+  const BurstWatchdog::Bound bound = BurstWatchdog::Bound::checked(kDelta, 1);
   for (TimeUs i = 0; i < 5; ++i) wd.record(bound, i * kDelta, 1);
   EXPECT_EQ(wd.ring_capacity(), 8u);
   wd.release();
@@ -345,16 +345,15 @@ TEST(BurstWatchdog, ReleaseLeavesTheEmptyWatchdog) {
   wd.release();
 }
 
-TEST(BurstWatchdog, RejectsBadBoundsWithoutRecording) {
-  BurstWatchdog wd;
-  EXPECT_THROW(wd.record(BurstWatchdog::Bound{0, 1}, 0, 1), util::InvariantError);
-  EXPECT_THROW(wd.record(BurstWatchdog::Bound{kDelta, -1}, 0, 1), util::InvariantError);
-  EXPECT_THROW(wd.record(BurstWatchdog::Bound{kDelta, 1, 0}, 0, 1),
+TEST(BurstWatchdog, BoundRejectsBadValues) {
+  using Bound = BurstWatchdog::Bound;
+  EXPECT_THROW(Bound::checked(0, 1), util::InvariantError);
+  EXPECT_THROW(Bound::checked(kDelta, -1), util::InvariantError);
+  EXPECT_THROW(Bound::checked(kDelta, 1, 0), util::InvariantError);
+  EXPECT_THROW(Bound::checked(kDelta, 1, Bound::kMaxWindow + 1),
                util::InvariantError);
-  EXPECT_THROW(wd.record(BurstWatchdog::Bound{kDelta, 1, BurstWatchdog::Bound::kMaxWindow + 1},
-                         0, 1),
-               util::InvariantError);
-  EXPECT_EQ(wd.ring_capacity(), 0u);
+  const Bound ok = Bound::checked(kDelta, 1, Bound::kMaxWindow);
+  EXPECT_EQ(ok.window, Bound::kMaxWindow);
 }
 
 /// The watchdog as it was before its ring grew on demand: Δ, C and a ring
