@@ -459,7 +459,7 @@ void BM_ShardOpRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_ShardOpRoundTrip)->MinTime(0.2);
 
 service::ServiceConfig table_bench_config() {
-  service::ServiceConfig cfg;  // 64 shards
+  service::ServiceConfig cfg;  // 16 shards
   cfg.delta_us = 10'000;
   cfg.strategy.kind = core::StrategyKind::kGeneralized;
   cfg.strategy.a_param = 4;
@@ -500,9 +500,10 @@ service::AccountTable& preloaded_table() {
 }
 
 /// As preloaded_table(), but holding only keys that node 0 of a 3-node
-/// HashRing owns — what one tokad node's table holds. The ring position
-/// and the slot store's home index are the same hash bits, so these keys'
-/// homes bunch into the ring arcs node 0 owns.
+/// HashRing owns — what one tokad node's table holds. The ring position is
+/// the account hash's top bits, and the stores take their homes from other
+/// bits (AccountTable::store_hash), so these keys' homes spread over each
+/// array as uniform keys' do instead of bunching into node 0's arcs.
 std::pair<service::AccountTable*, const std::vector<std::uint64_t>*>
 ring_node_table() {
   static const std::vector<NodeId> nodes{0, 1, 2};
@@ -519,8 +520,8 @@ ring_node_table() {
 /// the cache, so the probe's memory touches dominate. range(0) = 1:
 /// first-contact inserts of fresh keys (capped at 1M iterations so the
 /// table stays small). range(0) = 2: hits on 2M keys one node of a 3-node
-/// ring owns; next to range(0) = 0 it prices the longer probe runs that
-/// the bunched homes cause.
+/// ring owns; next to range(0) = 0 it prices any longer probe runs a
+/// node's keys get, which homes taken from the ring bits would cause.
 void BM_AccountTableAcquire(benchmark::State& state) {
   const std::int64_t variant = state.range(0);
   std::unique_ptr<service::AccountTable> fresh;
@@ -553,7 +554,7 @@ BENCHMARK(BM_AccountTableAcquire)->Arg(0);
 BENCHMARK(BM_AccountTableAcquire)->Arg(1)->Iterations(1 << 20);
 BENCHMARK(BM_AccountTableAcquire)->Arg(2);
 
-/// Keys [0, kCachedTableKeys) preloaded once: 256 accounts per shard, about
+/// Keys [0, kCachedTableKeys) preloaded once: 1024 accounts per shard, about
 /// 1 MiB of slots in all, so hits stay in cache.
 constexpr std::uint64_t kCachedTableKeys = 16'384;
 
@@ -581,7 +582,7 @@ service::AccountTable& cached_table() {
 
 /// One AccountTable::acquire_batch, the path that prefetches home slots.
 /// range(0) = 0: 64-op batches of random hits on the 2M preloaded keys,
-/// the wire_batch frame shape (about one op per shard). range(0) = 1:
+/// the wire_batch frame shape (about four ops per shard). range(0) = 1:
 /// 4096-op chunks of first-contact inserts, the tokabench preload shape
 /// (capped at 256 chunks, 1M accounts). range(0) = 2: 4096-op chunks of
 /// random hits on the 16k-key cached table, which price the grouping and

@@ -12,8 +12,11 @@
 // the splitmix64 finalizer), so the ring and the table agree on what a key
 // is: two keys that collide into one table shard still spread over the
 // ring, and — more importantly — the ring is deterministic across nodes
-// and clients. The ring is a pure function of a ClusterMap: equal maps
-// route identically everywhere, with no further coordination.
+// and clients. Ownership follows the hash's top bits; the table's stores
+// take their homes from other bits (AccountTable::store_hash), so a node's
+// keys spread over its arrays. The ring is a pure function of a
+// ClusterMap: equal maps route identically everywhere, with no further
+// coordination.
 #pragma once
 
 #include <cstdint>

@@ -80,11 +80,18 @@ struct NoCold {};
 /// Open-addressing table of `Slot`s. `Traits` supplies
 ///   static bool live(const Slot&)          — false for the all-zero slot;
 ///   static std::uint64_t hash(const Slot&) — the hash it was inserted under.
-/// The home index is the hash's top bits (the table's shard index uses the
-/// bottom ones). Capacity is a power of two that doubles above 3/4 load and
-/// halves back after a sweep leaves it under 1/8 (an empty store unmaps
-/// its array). Any insert or erase may move slots: a Slot& or Slot* stays
-/// valid only until the next one.
+/// The home index is `hash * capacity / 2^64`, which reads the hash's top
+/// bits, so the caller must keep those free of any bits its keys share
+/// (the table's shard index, a cluster node's ring arcs). Probe runs wrap
+/// at the end of the array.
+///
+/// The capacity grows above 3/4 load along a ladder: it doubles while the
+/// array is under kLadderBytes, and from there on it alternates 2^k and
+/// 3·2^(k−1) (each step 3/2 or 4/3 of the last), so a large store sits at
+/// a load of 0.5–0.75 instead of 0.375–0.75. A sweep that leaves it under
+/// 1/8 load shrinks it to the smallest rung at or above twice its size (an
+/// empty store unmaps its array). Any insert or erase may move slots: a
+/// Slot& or Slot* stays valid only until the next one.
 ///
 /// Once enable_cold() has run, every slot also has a `Cold` value at the
 /// same index of a second array. It is zero for an empty slot and for a
@@ -102,6 +109,10 @@ class SlotStore {
  public:
   /// Smallest non-empty capacity, in slots.
   static constexpr std::size_t kMinCapacity = 64;
+  /// Arrays under this size double; from it up they step by 3/2 and 4/3.
+  /// Below it the finer steps save little memory for more rehashes: with
+  /// them at every size, a table preload ran 13–20% slower.
+  static constexpr std::size_t kLadderBytes = std::size_t{2} << 20;
 
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
@@ -132,7 +143,7 @@ class SlotStore {
   template <typename Eq>
   Slot* find(std::uint64_t hash, Eq&& eq) {
     if (size_ == 0) return nullptr;
-    for (std::size_t i = home(hash);; i = (i + 1) & mask_) {
+    for (std::size_t i = home(hash);; i = next(i)) {
       Slot& slot = slots_[i];
       if (!Traits::live(slot)) return nullptr;
       if (eq(static_cast<const Slot&>(slot))) return &slot;
@@ -150,8 +161,7 @@ class SlotStore {
   /// Inserts `value` — live, with Traits::hash(value) == `hash`, and not
   /// already present — and returns its slot.
   Slot& insert(std::uint64_t hash, const Slot& value) {
-    if ((size_ + 1) * 4 > capacity_ * 3)
-      rehash(std::max(kMinCapacity, capacity_ * 2));
+    if ((size_ + 1) * 4 > capacity_ * 3) rehash(next_capacity(capacity_));
     Slot& slot = slots_[free_index(hash)];
     slot = value;
     ++size_;
@@ -178,13 +188,13 @@ class SlotStore {
     std::size_t start = 0;
     while (Traits::live(slots_[start])) ++start;  // load <= 3/4: one exists
     std::size_t erased = 0;
-    for (std::size_t step = 0; step < capacity_;) {
-      const std::size_t i = (start + step) & mask_;
+    for (std::size_t step = 0, i = start; step < capacity_;) {
       if (Traits::live(slots_[i]) && pred(slots_[i])) {
         erase_at(i);
         ++erased;
       } else {
         ++step;
+        i = next(i);
       }
     }
     if (capacity_ > kMinCapacity && size_ * 8 < capacity_) shrink();
@@ -200,13 +210,36 @@ class SlotStore {
   }
 
  private:
+  /// The rung after `capacity` on the capacity ladder (kMinCapacity after
+  /// 0).
+  static constexpr std::size_t next_capacity(std::size_t capacity) {
+    if (capacity == 0) return kMinCapacity;
+    if (capacity * sizeof(Slot) < kLadderBytes) return capacity * 2;
+    // Every rung below kLadderBytes is a power of two, so the first rung
+    // at or above it is one too: 2^k -> 3·2^(k−1) -> 2^(k+1) -> ...
+    return std::has_single_bit(capacity) ? capacity / 2 * 3
+                                         : capacity / 3 * 4;
+  }
+
+  /// The hash scaled to [0, capacity): its top bits at a power of two.
   std::size_t home(std::uint64_t hash) const {
-    return static_cast<std::size_t>(hash >> shift_);
+    using Wide = unsigned __int128;
+    return static_cast<std::size_t>((Wide{hash} * capacity_) >> 64);
+  }
+
+  /// The slot after `i`, wrapping at the end of the array.
+  std::size_t next(std::size_t i) const {
+    return i + 1 == capacity_ ? 0 : i + 1;
+  }
+
+  /// How many steps forward, wrapping, slot `to` lies from slot `from`.
+  std::size_t distance(std::size_t from, std::size_t to) const {
+    return to >= from ? to - from : to + capacity_ - from;
   }
 
   std::size_t free_index(std::uint64_t hash) const {
     std::size_t i = home(hash);
-    while (Traits::live(slots_[i])) i = (i + 1) & mask_;
+    while (Traits::live(slots_[i])) i = next(i);
     return i;
   }
 
@@ -215,11 +248,10 @@ class SlotStore {
   /// every remaining slot stays reachable from its home without
   /// tombstones.
   void erase_at(std::size_t hole) {
-    for (std::size_t j = (hole + 1) & mask_;; j = (j + 1) & mask_) {
+    for (std::size_t j = next(hole);; j = next(j)) {
       const Slot& slot = slots_[j];
       if (!Traits::live(slot)) break;
-      const std::size_t from_home = (j - home(Traits::hash(slot))) & mask_;
-      if (from_home >= ((j - hole) & mask_)) {
+      if (distance(home(Traits::hash(slot)), j) >= distance(hole, j)) {
         slots_[hole] = slot;
         if (colds_ != nullptr) colds_[hole] = colds_[j];
         hole = j;
@@ -236,10 +268,12 @@ class SlotStore {
       slots_ = nullptr;
       cold_array_ = MappedArray();
       colds_ = nullptr;
-      capacity_ = mask_ = 0;
+      capacity_ = 0;
       return;
     }
-    rehash(std::max(kMinCapacity, std::bit_ceil(size_ * 2)));
+    std::size_t capacity = kMinCapacity;
+    while (capacity < size_ * 2) capacity = next_capacity(capacity);
+    rehash(capacity);
   }
 
   void rehash(std::size_t capacity) {
@@ -252,8 +286,6 @@ class SlotStore {
     slots_ = static_cast<Slot*>(fresh.data());
     colds_ = static_cast<Cold*>(fresh_cold.data());
     capacity_ = capacity;
-    mask_ = capacity - 1;
-    shift_ = 64 - std::countr_zero(capacity);
     prefault_homes(fresh, old_slots, old_capacity);
     for (std::size_t i = 0; i < old_capacity; ++i) {
       if (!Traits::live(old_slots[i])) continue;
@@ -270,8 +302,8 @@ class SlotStore {
   /// in is otherwise faulted twice: free_index's read maps the shared zero
   /// page, then the slot's write takes a copy-on-write fault. Pages that
   /// hold no home stay unpopulated, because homes need not cover the
-  /// array: on a cluster node the home bits are the hash ring's position
-  /// bits, so the node's keys leave whole stretches of it untouched.
+  /// array: the store takes its hashes as given, and hashes whose top bits
+  /// are skewed leave whole stretches of it untouched.
   ///
   /// First, each 2 MiB-aligned chunk of the array whose 512 pages all hold
   /// a home is advised for a huge page, so populating it takes one fault
@@ -321,8 +353,6 @@ class SlotStore {
   Cold* colds_ = nullptr;
   bool cold_enabled_ = false;
   std::size_t capacity_ = 0;
-  std::size_t mask_ = 0;
-  int shift_ = 64;
   std::size_t size_ = 0;
 };
 

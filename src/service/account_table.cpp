@@ -245,17 +245,19 @@ AccountTable::Slot* AccountTable::find_account(Shard& shard,
                                                std::uint64_t hash,
                                                NamespaceId ns,
                                                std::uint64_t key) {
-  return shard.accounts.find(
-      hash, [&](const Slot& s) { return s.key == key && s.ns == ns; });
+  return shard.accounts.find(store_hash(hash), [&](const Slot& s) {
+    return s.key == key && s.ns == ns;
+  });
 }
 
 AccountTable::WatchSlot& AccountTable::watch_slot(Shard& shard,
                                                   std::uint64_t hash,
                                                   NamespaceId ns,
                                                   std::uint64_t key) {
-  WatchSlot* w = shard.watchdogs.find(hash, [&](const WatchSlot& e) {
-    return e.key == key && e.ns == ns;
-  });
+  WatchSlot* w =
+      shard.watchdogs.find(store_hash(hash), [&](const WatchSlot& e) {
+        return e.key == key && e.ns == ns;
+      });
   TOKA_CHECK_MSG(w != nullptr, "watched account ns=" << ns << " key=" << key
                                                      << " has no watchdog");
   return *w;
@@ -282,11 +284,11 @@ AccountTable::Slot& AccountTable::create_account(Shard& shard,
   if (watchdog_samples(config_.watchdog_sample, ns.id, key)) {
     // Every erase path drops the entry with its account, so the key has
     // none yet; its ring is allocated by the first grant.
-    shard.watchdogs.insert(hash, WatchSlot{key, ns.id, true, {}});
+    shard.watchdogs.insert(store_hash(hash), WatchSlot{key, ns.id, true, {}});
     slot.meta |= kSlotWatched;
   }
   ++stats_for(shard, ns.id).accounts_created;
-  return shard.accounts.insert(hash, slot);
+  return shard.accounts.insert(store_hash(hash), slot);
 }
 
 AccountTable::Slot& AccountTable::find_or_create(Shard& shard,
@@ -488,7 +490,7 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
   // with only the ops of that worker's shards.
   for (std::size_t j = 0; j < std::min(kPrefetchDistance, order.size()); ++j) {
     const std::uint64_t hash = hashes[order[j]];
-    shards_[hash & shard_mask_]->accounts.prefetch(hash);
+    shards_[hash & shard_mask_]->accounts.prefetch(store_hash(hash));
   }
   std::vector<AcquireResult> results(ops.size());
   for (std::size_t i = 0; i < order.size();) {
@@ -500,7 +502,7 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
     for (; i < end; ++i) {
       if (i + kPrefetchDistance < order.size()) {
         const std::uint64_t hash = hashes[order[i + kPrefetchDistance]];
-        shards_[hash & shard_mask_]->accounts.prefetch(hash);
+        shards_[hash & shard_mask_]->accounts.prefetch(store_hash(hash));
       }
       const std::uint32_t op = order[i];
       results[op] = acquire_in_shard(shard, *nsp, hashes[op], ops[op].key,

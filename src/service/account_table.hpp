@@ -34,7 +34,7 @@
 // store's cold column, which only a shard of a replicated table maps; the
 // rare per-account extras live beside the slots, gated by a slot flag, so
 // an ordinary account costs its slot and nothing else: the §3.4 watchdogs
-// of sampled keys in a second flat store under the same account hash, and
+// of sampled keys in a second flat store under the same store hash, and
 // the debug auditors of test namespaces in a map.
 //
 // Token granting is *lazy*, driven by a coarse shared clock instead of a
@@ -53,6 +53,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -140,11 +141,15 @@ struct NamespaceConfig {
 /// knobs plus the default namespace's policy (kept as flat fields so
 /// pre-namespace call sites construct it unchanged).
 struct ServiceConfig {
-  /// Number of shards; rounded up to a power of two. Shards are the unit
-  /// an engine worker owns, so more shards spread load more evenly over
-  /// the workers at a bigger fixed footprint; 64-256 covers a large
-  /// multicore comfortably.
-  std::size_t shards = 64;
+  /// Number of shards; rounded up to a power of two. A shard is the unit
+  /// an engine worker owns (shard s runs on worker s mod workers), so the
+  /// count should be a small multiple of the worker count: 16 divides
+  /// evenly over 1, 2, 4, 8 or 16 workers. Each shard sizes its slot array
+  /// on its own, so fewer shards hold more accounts each: an array past
+  /// 2 MiB grows in 3/2 and 4/3 steps that track its accounts (see
+  /// SlotStore), and it spans whole 2 MiB chunks that can get huge pages.
+  /// The price is a longer pause when one shard rehashes.
+  std::size_t shards = 16;
   /// Default namespace: token period Δ.
   TimeUs delta_us = 100'000;
   /// Default namespace: strategy backing every account.
@@ -442,6 +447,13 @@ class AccountTable {
     return key + 0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(ns) + 1);
   }
 
+  /// The hash the shard stores place (ns, key) under: its homes read
+  /// neither the shard bits nor the HashRing position bits, so the keys a
+  /// cluster node owns spread over each shard's array.
+  static std::uint64_t store_hash(NamespaceId ns, std::uint64_t key) {
+    return store_hash(account_hash(ns, key));
+  }
+
  private:
   /// Immutable runtime form of a namespace: the resolved strategy object
   /// plus the derived caps. An account records only its namespace's id,
@@ -467,11 +479,25 @@ class AccountTable {
   };
 
   /// The one hash of an account: shard_index() takes its bottom bits, the
-  /// shard's slot and watchdog stores its top bits, the auditor map all of
-  /// it.
+  /// cluster HashRing its top bits (HashRing::key_point is this hash), the
+  /// shard's slot and watchdog stores its middle bits through store_hash(),
+  /// the auditor map all of it.
   static std::uint64_t account_hash(NamespaceId ns, std::uint64_t key) {
     std::uint64_t state = fold_key(ns, key);
     return util::splitmix64(state);
+  }
+
+  /// The hash the shard stores get for the account whose account_hash()
+  /// is `hash`. A store's home index reads the top bits of what it gets,
+  /// and neither the shard bits (all of a shard's keys share them) nor the
+  /// ring bits (a node holds only the keys of its ring arcs, which would
+  /// crowd the same stretches of every array and spill long probe runs
+  /// past them) may be those. Rotating by 32 puts bits 31..0 on top. Ring
+  /// ownership follows the top bits, and the index of 2^k shards reads the
+  /// bottom k, which the home of an array under 2^(32−k) slots never
+  /// reaches.
+  static std::uint64_t store_hash(std::uint64_t hash) {
+    return std::rotl(hash, 32);
   }
 
   struct AccountKeyHash {
@@ -527,13 +553,13 @@ class AccountTable {
   struct SlotTraits {
     static bool live(const Slot& s) { return (s.meta & kSlotLive) != 0; }
     static std::uint64_t hash(const Slot& s) {
-      return account_hash(s.ns, s.key);
+      return store_hash(s.ns, s.key);
     }
   };
 
   /// The §3.4 watchdog of one sampled account, stored under the account's
-  /// hash. The entry owns the watchdog's ring: whoever erases the entry
-  /// releases it first.
+  /// store hash. The entry owns the watchdog's ring: whoever erases the
+  /// entry releases it first.
   struct WatchSlot {
     std::uint64_t key = 0;
     NamespaceId ns = 0;
@@ -545,7 +571,7 @@ class AccountTable {
   struct WatchTraits {
     static bool live(const WatchSlot& w) { return w.live; }
     static std::uint64_t hash(const WatchSlot& w) {
-      return account_hash(w.ns, w.key);
+      return store_hash(w.ns, w.key);
     }
   };
 
@@ -608,7 +634,8 @@ class AccountTable {
   /// The shard of the account whose account_hash() is `hash`.
   Shard& shard_for(std::uint64_t hash) { return *shards_[hash & shard_mask_]; }
   // The account helpers below take the account's `hash` — account_hash(ns,
-  // key), computed once per request by the caller.
+  // key), computed once per request by the caller — and hand the stores
+  // store_hash(hash).
   /// The live account (ns, key) in `shard`, or nullptr.
   static Slot* find_account(Shard& shard, std::uint64_t hash, NamespaceId ns,
                             std::uint64_t key);

@@ -1,9 +1,10 @@
 // The account table's flat slot store, checked against a std::unordered_map
 // model: inserts, lookups, single erases and the erase-while-sweeping paths
-// the table builds its evict, extract and purge sweeps on, across several
-// power-of-two grow and shrink boundaries, with the cold column's values
-// following their slots once it is enabled; plus which pages of its array a
-// rehash makes resident, and which 2 MiB chunks it asks huge pages for.
+// the table builds its evict, extract and purge sweeps on, across the grow
+// and shrink steps of its capacity ladder (doublings, then 3/2 and 4/3
+// steps), with the cold column's values following their slots once it is
+// enabled; plus which pages of its array a rehash makes resident, and which
+// 2 MiB chunks it asks huge pages for.
 #include "service/account_store.hpp"
 
 #include <sys/mman.h>
@@ -48,9 +49,9 @@ struct MixedTraits {
 };
 
 /// Every key homes at one of four slots near the end of the array (the
-/// home index is the hash's top bits), so the probe runs are long and wrap
-/// around the end — the hard case for backward shifts and for sweeps that
-/// erase while they walk.
+/// home index scales the hash's top bits to the capacity), so the probe
+/// runs are long and wrap around the end — the hard case for backward
+/// shifts and for sweeps that erase while they walk.
 struct WrappingTraits {
   static bool live(const TestSlot& s) { return s.live != 0; }
   static std::uint64_t hash(const TestSlot& s) {
@@ -64,6 +65,25 @@ struct KeyIsHashTraits {
   static bool live(const TestSlot& s) { return s.live != 0; }
   static std::uint64_t hash(const TestSlot& s) { return s.key; }
 };
+
+/// A TestSlot padded to `Bytes`, so that a store of a few thousand slots
+/// already reaches SlotStore::kLadderBytes and steps through 3·2^(k−1)
+/// capacities, whose probe runs wrap at an end that is no power of two.
+template <std::size_t Bytes>
+struct PaddedSlot : TestSlot {
+  PaddedSlot() = default;
+  // Implicit: the harness builds its slots from TestSlots.
+  PaddedSlot(const TestSlot& s) : TestSlot(s) {}
+  unsigned char pad[Bytes - sizeof(TestSlot)] = {};
+};
+
+/// Whether `capacity` lies on the ladder of a store of `slot_bytes` slots:
+/// a power of two, or 3·2^(k−1) at or above 2 MiB.
+bool on_ladder(std::size_t capacity, std::size_t slot_bytes) {
+  if (std::has_single_bit(capacity)) return true;
+  return capacity % 3 == 0 && std::has_single_bit(capacity / 3) &&
+         capacity / 3 * 2 * slot_bytes >= (std::size_t{2} << 20);
+}
 
 /// A stand-in for the table's replication state.
 struct TestCold {
@@ -84,15 +104,15 @@ struct ModelEntry {
   std::uint64_t cold = 0;
 };
 
-template <typename Traits>
+template <typename Traits, typename Slot = TestSlot>
 class Harness {
  public:
-  using Store = SlotStore<TestSlot, Traits, TestCold>;
+  using Store = SlotStore<Slot, Traits, TestCold>;
 
   void insert(std::uint32_t group, std::uint64_t key, std::uint32_t value) {
-    TestSlot s{key, group, value, 1};
+    const Slot s = TestSlot{key, group, value, 1};
     if (find(group, key) != nullptr) return;  // the store requires absence
-    TestSlot& placed = store_.insert(Traits::hash(s), s);
+    Slot& placed = store_.insert(Traits::hash(s), s);
     ASSERT_EQ(placed.key, key);
     ModelEntry entry{value, 0};
     if (store_.cold_enabled()) {
@@ -108,8 +128,8 @@ class Harness {
     store_.enable_cold();
     ASSERT_TRUE(store_.cold_enabled());
     for (auto& [mk, entry] : model_) {
-      TestSlot* s = find(static_cast<std::uint32_t>(mk >> 48),
-                         mk & ((std::uint64_t{1} << 48) - 1));
+      Slot* s = find(static_cast<std::uint32_t>(mk >> 48),
+                     mk & ((std::uint64_t{1} << 48) - 1));
       ASSERT_NE(s, nullptr);
       ASSERT_EQ(store_.cold(*s).value, 0u) << "a fresh column reads zero";
       entry.cold = next_cold();
@@ -117,7 +137,7 @@ class Harness {
     }
   }
 
-  TestSlot* find(std::uint32_t group, std::uint64_t key) {
+  Slot* find(std::uint32_t group, std::uint64_t key) {
     const TestSlot probe{key, group, 0, 1};
     return store_.find(Traits::hash(probe), [&](const TestSlot& s) {
       return s.key == key && s.group == group;
@@ -126,7 +146,7 @@ class Harness {
 
   /// The store and the model agree on (group, key).
   void lookup(std::uint32_t group, std::uint64_t key) {
-    const TestSlot* s = find(group, key);
+    const Slot* s = find(group, key);
     auto it = model_.find(model_key(group, key));
     ASSERT_EQ(s != nullptr, it != model_.end()) << "key " << key;
     if (s != nullptr) {
@@ -141,7 +161,7 @@ class Harness {
   }
 
   void erase(std::uint32_t group, std::uint64_t key) {
-    if (TestSlot* s = find(group, key)) {
+    if (Slot* s = find(group, key)) {
       store_.erase(*s);
       model_.erase(model_key(group, key));
     }
@@ -154,7 +174,7 @@ class Harness {
     std::unordered_set<std::uint64_t> seen;
     std::vector<TestSlot> erased;
     const std::size_t before = store_.size();
-    const std::size_t n = store_.erase_if([&](TestSlot& s) {
+    const std::size_t n = store_.erase_if([&](Slot& s) {
       EXPECT_TRUE(seen.insert(model_key(s.group, s.key)).second)
           << "slot " << s.key << " offered twice";
       // Slots shifted back by earlier erases of this sweep still carry
@@ -184,8 +204,8 @@ class Harness {
     });
     EXPECT_EQ(visited, model_.size());
     for (const auto& [mk, entry] : model_) {
-      TestSlot* s = find(static_cast<std::uint32_t>(mk >> 48),
-                         mk & ((std::uint64_t{1} << 48) - 1));
+      Slot* s = find(static_cast<std::uint32_t>(mk >> 48),
+                     mk & ((std::uint64_t{1} << 48) - 1));
       ASSERT_NE(s, nullptr) << "model key " << mk << " unreachable";
       EXPECT_EQ(s->value, entry.value);
       if (store_.cold_enabled()) {
@@ -193,7 +213,8 @@ class Harness {
       }
     }
     if (store_.capacity() > 0) {
-      EXPECT_TRUE(std::has_single_bit(store_.capacity()));
+      EXPECT_TRUE(on_ladder(store_.capacity(), sizeof(Slot)))
+          << store_.capacity() << " slots";
       EXPECT_LE(store_.size() * 4, store_.capacity() * 3);
     }
   }
@@ -209,14 +230,16 @@ class Harness {
   std::uint64_t cold_stamp_ = 0;
 };
 
-template <typename Traits>
+template <typename Traits, typename Slot>
 void randomized_against_model(std::uint64_t seed, std::uint64_t key_space,
                               int rounds) {
-  Harness<Traits> h;
+  Harness<Traits, Slot> h;
   util::Rng rng(seed);
   std::uint32_t stamp = 0;
   std::size_t peak_capacity = 0;
   std::size_t capacity_at_enable = 0;
+  // Sweeps run on a 3·2^(k−1) capacity, whose end is no power of two.
+  int three_step_sweeps = 0;
   for (int round = 0; round < rounds; ++round) {
     // Grow phase: mostly inserts, with lookups and single erases mixed in.
     const std::uint64_t ops = 500 + rng.below(6000);
@@ -247,6 +270,7 @@ void randomized_against_model(std::uint64_t seed, std::uint64_t key_space,
     }
     h.check();
     peak_capacity = std::max(peak_capacity, h.store().capacity());
+    if (!std::has_single_bit(h.store().capacity())) ++three_step_sweeps;
     // One of the table's three sweeps.
     switch (round % 3) {
       case 0: {  // evict: drop "idle" slots, here the older stamps
@@ -268,10 +292,11 @@ void randomized_against_model(std::uint64_t seed, std::uint64_t key_space,
     }
     h.check();
   }
-  // Several doublings happened on the way (64 -> 128 -> ... slots), some
-  // of them with the cold column on.
+  // Several steps up the ladder happened on the way, some of them with the
+  // cold column on, and the probe runs wrapped at a 3·2^(k−1) end.
   EXPECT_GE(peak_capacity, 1024u);
   EXPECT_GT(peak_capacity, capacity_at_enable);
+  EXPECT_GT(three_step_sweeps, 0);
   // A final purge of everything releases the array and the column.
   h.sweep([](const TestSlot&) { return true; });
   h.check();
@@ -290,40 +315,53 @@ void randomized_against_model(std::uint64_t seed, std::uint64_t key_space,
 }
 
 TEST(AccountStore, RandomizedAgainstUnorderedMap) {
-  randomized_against_model<MixedTraits>(/*seed=*/17, /*key_space=*/20'000,
-                                        /*rounds=*/24);
+  // 256-byte slots reach the 2 MiB ladder threshold at 8192 slots.
+  randomized_against_model<MixedTraits, PaddedSlot<256>>(
+      /*seed=*/17, /*key_space=*/20'000, /*rounds=*/24);
 }
 
 TEST(AccountStore, RandomizedWithWrappingProbeRuns) {
   // Long runs that wrap the array end; small enough that the quadratic
-  // probe cost stays cheap.
-  randomized_against_model<WrappingTraits>(/*seed=*/5, /*key_space=*/1'500,
-                                           /*rounds=*/12);
+  // probe cost stays cheap. 1 KiB slots reach the 2 MiB ladder threshold
+  // at 2048 slots.
+  randomized_against_model<WrappingTraits, PaddedSlot<1024>>(
+      /*seed=*/5, /*key_space=*/900, /*rounds=*/12);
 }
 
-TEST(AccountStore, GrowsThroughPowerOfTwoBoundariesAndShrinksBack) {
-  Harness<MixedTraits> h;
-  std::size_t capacity = 0;
+TEST(AccountStore, GrowsUpTheCapacityLadderAndShrinksBack) {
+  // 256-byte slots: the array reaches 2 MiB at 8192 slots.
+  Harness<MixedTraits, PaddedSlot<256>> h;
   std::vector<std::size_t> seen_capacities;
-  for (std::uint64_t key = 0; key < 10'000; ++key) {
+  std::vector<std::size_t> sizes_at_growth;
+  for (std::uint64_t key = 0; key < 35'000; ++key) {
+    const std::size_t capacity = h.store().capacity();
     h.insert(0, key, static_cast<std::uint32_t>(key));
     if (h.store().capacity() != capacity) {
-      capacity = h.store().capacity();
-      seen_capacities.push_back(capacity);
+      seen_capacities.push_back(h.store().capacity());
+      sizes_at_growth.push_back(h.store().size());
     }
   }
   h.check();
-  // 64, 128, ..., 16384: every doubling, each at just over 3/4 load.
-  ASSERT_EQ(seen_capacities.front(), 64u);
+  // Doublings up to 2 MiB; from there 3·2^(k−1) rungs between the powers
+  // of two, 3/2 and then 4/3 of the rung before.
+  const std::vector<std::size_t> expected{
+      64,     128,    256,    512,    1024,   2048,  4096,
+      8192,   12'288, 16'384, 24'576, 32'768, 49'152};
+  EXPECT_EQ(seen_capacities, expected);
+  // Each step comes with the insert that takes the last rung past 3/4.
   for (std::size_t i = 1; i < seen_capacities.size(); ++i)
-    EXPECT_EQ(seen_capacities[i], 2 * seen_capacities[i - 1]);
-  EXPECT_EQ(h.store().capacity(), 16'384u);
+    EXPECT_EQ(sizes_at_growth[i], seen_capacities[i - 1] * 3 / 4 + 1);
 
-  // Keep 1 in 16: the sweep leaves the store under 1/8 load, so it
-  // shrinks to the smallest power of two at or below half load.
-  h.sweep([](const TestSlot& s) { return s.key % 16 != 0; });
+  // Keep 1 in 8: the sweep leaves the store under 1/8 load, so it shrinks
+  // to the smallest rung at or above twice its size, here a 3·2^(k−1) one.
+  h.sweep([](const TestSlot& s) { return s.key % 8 != 0; });
   h.check();
-  EXPECT_EQ(h.store().size(), 625u);
+  EXPECT_EQ(h.store().size(), 4375u);
+  EXPECT_EQ(h.store().capacity(), 12'288u);
+  // Below 2 MiB a shrink lands on a power of two again.
+  h.sweep([](const TestSlot& s) { return s.key % 64 != 0; });
+  h.check();
+  EXPECT_EQ(h.store().size(), 547u);
   EXPECT_EQ(h.store().capacity(), 2048u);
   // Nothing asked for the cold column, so it was never mapped.
   EXPECT_FALSE(h.store().cold_enabled());
@@ -445,8 +483,8 @@ TEST(AccountStore, DenseStoreAsksForHugePages) {
   // holds one and every whole 2 MiB chunk is advised.
   if (!huge_pages_enabled()) GTEST_SKIP() << "transparent huge pages off";
   KeyIsHashStore store;
-  const std::uintptr_t base = fill_key_is_hash(store, 100'000);
-  ASSERT_EQ(store.capacity(), 262'144u);  // 6 MiB
+  const std::uintptr_t base = fill_key_is_hash(store, 200'000);
+  ASSERT_EQ(store.capacity(), 393'216u);  // 9 MiB, a 3·2^(k−1) rung
   const std::uintptr_t end = base + store.capacity() * sizeof(TestSlot);
   const std::vector<std::uintptr_t> chunks = whole_chunks(base, end);
   ASSERT_GE(chunks.size(), 2u);
@@ -457,17 +495,17 @@ TEST(AccountStore, DenseStoreAsksForHugePages) {
 TEST(AccountStore, ChunksWithoutHomesKeepSmallPages) {
   // A store whose homes all lie in the lower half. It is filled to 24 MiB
   // with homes anywhere; a sweep then drops every key homed in the upper
-  // half and half the others. That leaves it under 1/8 load, so it
-  // shrinks, and the shrink's rehash sees lower-half homes only.
+  // half and two thirds of the others. That leaves it under 1/8 load, so
+  // it shrinks, and the shrink's rehash sees lower-half homes only.
   // (Inserting lower-half keys alone would pile them into one probe run
   // half the array long before every doubling, and each insert would walk
   // it.)
   if (!huge_pages_enabled()) GTEST_SKIP() << "transparent huge pages off";
   KeyIsHashStore store;
-  fill_key_is_hash(store, 400'000);
+  fill_key_is_hash(store, 700'000);
   ASSERT_EQ(store.capacity(), 1u << 20);
   store.erase_if([](const TestSlot& t) {
-    return (t.key >> 63) != 0 || t.key % 2 == 1;
+    return (t.key >> 63) != 0 || t.key % 3 != 0;
   });
   ASSERT_EQ(store.capacity(), 262'144u);  // 6 MiB
   const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(

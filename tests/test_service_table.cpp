@@ -2,14 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <limits>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "cluster/hash_ring.hpp"
 #include "service/shard_engine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -303,6 +307,34 @@ TEST(AccountTable, StatsAggregateAcrossShards) {
   EXPECT_EQ(stats.accounts_created, 100u);
   EXPECT_EQ(stats.acquires, 100u);
   EXPECT_EQ(stats.tokens_requested, 100u);
+}
+
+TEST(AccountTable, RingNodeKeysSpreadEvenlyOverStoreHomes) {
+  // A cluster node holds only the keys of the HashRing arcs it owns, and a
+  // key's ring point is its account hash. Were the store homes the top
+  // bits of that hash too, a node's keys would crowd the same arcs of
+  // every shard's array and spill long probe runs past them. A store hash's
+  // top 4 bits place its home in one of 16 equal stretches of any array;
+  // the keys node 0 of a 3-node ring owns must fill each stretch to within
+  // 25% of an even share.
+  const std::vector<NodeId> nodes{0, 1, 2};
+  const cluster::HashRing ring(std::span<const NodeId>(nodes),
+                               cluster::kDefaultVnodes);
+  AccountTable table(simple_config(4));
+  std::vector<AcquireOp> ops;
+  std::array<std::size_t, 16> stretches{};
+  for (std::uint64_t key = 0; ops.size() < 32'768; ++key) {
+    if (ring.owner(kDefaultNamespace, key) != 0) continue;
+    ops.push_back(AcquireOp{key, 0});
+    ++stretches[AccountTable::store_hash(kDefaultNamespace, key) >> 60];
+  }
+  table.acquire_batch(ops);
+  ASSERT_EQ(table.account_count(), ops.size());
+  const double even = static_cast<double>(ops.size()) / 16;
+  for (std::size_t i = 0; i < stretches.size(); ++i) {
+    EXPECT_NEAR(static_cast<double>(stretches[i]), even, even / 4)
+        << "stretch " << i;
+  }
 }
 
 TEST(AccountTable, WatchdogAuditsGrantsAndRefundsCleanly) {
@@ -989,8 +1021,9 @@ TEST(AccountTable, SeededScriptKeepsItsDecisionDigest) {
   // with re-installs, and replication switched on part-way with drains at
   // two acknowledgement watermarks. Every result, every replica delta and
   // the final counters go into one digest. The pinned value is what this
-  // same source gives on the 64-byte-slot table the 32-byte layout
-  // replaced, so it holds the layout to the very same decisions.
+  // same source gives on the table whose store homes were the account
+  // hash's top bits (the ring position bits), in power-of-two arrays, so
+  // it holds the store layout to the very same decisions.
   ServiceConfig cfg;
   cfg.shards = 8;
   cfg.delta_us = 1000;
@@ -1074,9 +1107,16 @@ TEST(AccountTable, SeededScriptKeepsItsDecisionDigest) {
       ASSERT_FALSE(table.configure_namespace(1, reset));
     }
     if (step == 2500) {
-      const std::vector<AccountExport> moved = table.extract_if(
+      std::vector<AccountExport> moved = table.extract_if(
           [](NamespaceId, std::uint64_t key) { return key % 7 == 3; });
       EXPECT_FALSE(moved.empty());
+      // extract_if returns a shard's accounts in slot order, which follows
+      // the store's layout, not the decisions; sorted, the digest sees
+      // only the decisions.
+      std::sort(moved.begin(), moved.end(),
+                [](const AccountExport& a, const AccountExport& b) {
+                  return std::pair(a.ns, a.key) < std::pair(b.ns, b.key);
+                });
       for (const AccountExport& e : moved) {
         fold(digest, e.ns);
         fold(digest, e.key);
@@ -1121,7 +1161,7 @@ TEST(AccountTable, SeededScriptKeepsItsDecisionDigest) {
   EXPECT_GT(stats.accounts_installed, 0u);
   EXPECT_GT(stats.watchdog_checks, 0u);
   EXPECT_EQ(stats.watchdog_violations, 0u);
-  EXPECT_EQ(digest, 0x097364642649199aULL)
+  EXPECT_EQ(digest, 0x3df7901b61c0fad6ULL)
       << std::hex << "digest 0x" << digest;
 }
 
