@@ -67,7 +67,7 @@
 // --max-trace-overhead turns it into a CI ceiling. "shardedwd" is
 // "sharded" with the §3.4 invariant watchdog at its production sampling
 // (1 in --watchdog-sample keys); --max-watchdog-overhead is the matching
-// ceiling for the online auditor.
+// ceiling for the online check.
 //
 // Reports per-mode throughput and latency percentiles, then evaluates every
 // gate the flags enable (the --min-*/--max-* floors and ceilings plus the

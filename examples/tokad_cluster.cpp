@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   cfg.strategy.a_param = args.get_int("a", 2);
   cfg.strategy.c_param = capacity_c;
   cfg.initial_tokens = 0;  // every granted token is earned inside the run
-  cfg.audit = true;        // per-node §3.4 auditor on every account
+  cfg.audit = true;        // per-node §3.4 check of every account
 
   struct ClusterNode {
     service::AccountTable table;

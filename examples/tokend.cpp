@@ -9,7 +9,7 @@
 // different policies: namespace 0 (the default, "interactive") runs the
 // paper's generalized strategy, and namespace 1 ("bulk") is created at
 // runtime through the admin API with a tighter classic token bucket and a
-// slower period. Both namespaces run with the §3.4 auditor wired in, so
+// slower period. Both namespaces check every key against §3.4, so
 // the run ends by proving that no served key in either namespace ever
 // exceeded its own ceil(t/Δ)+C burst bound.
 //

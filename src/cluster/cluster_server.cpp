@@ -97,6 +97,9 @@ void ClusterServer::register_metrics() {
   registry_->counter_fn(add("tokad_replica_acks"),
                         [this] { return static_cast<double>(
                                      repl_->acks_received()); });
+  registry_->counter_fn(add("tokad_replica_frames_dropped"), [this] {
+    return static_cast<double>(repl_->replica_frames_dropped());
+  });
   registry_->counter_fn(add("tokad_replica_promotions"), [this] {
     return static_cast<double>(promotions_.load(std::memory_order_relaxed));
   });

@@ -1,4 +1,4 @@
-// Auditor for the burst bound of paper §3.4.
+// Checks of the burst bound of paper §3.4.
 //
 // A token-capacity-C strategy guarantees that a node sends at most
 // ceil(t/Δ) + C messages within any time window of length t. For closed
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/types.hpp"
@@ -33,8 +34,8 @@ struct RateLimitViolation {
 };
 
 /// Records send timestamps and checks every send-anchored window against
-/// the §3.4 bound. Intended for tests and the runtime demo; the O(n^2)
-/// exhaustive check is fine at those scales.
+/// the §3.4 bound. The exhaustive O(n^2) reference that tests compare
+/// BurstCheck against; fine at test scales.
 class RateLimitAuditor {
  public:
   /// Δ is the token period, C the token capacity of the strategy under
@@ -57,94 +58,45 @@ class RateLimitAuditor {
   /// violation found, or nullopt if the trace satisfies the bound.
   std::optional<RateLimitViolation> first_violation() const;
 
-  /// Largest number of sends observed in any window of length `window`.
-  std::uint64_t max_in_window(TimeUs window) const;
-
  private:
   TimeUs delta_;
   Tokens capacity_;
   std::vector<TimeUs> sends_;
 };
 
-/// Bounded-memory online variant of RateLimitAuditor, cheap enough to run
-/// inside the data plane on sampled keys: a ring of the most recent grant
-/// records (coalesced per timestamp) re-checked on every grant.
+/// The exact online check of the §3.4 bound, cheap enough to run on every
+/// grant in the data plane: the Generic Cell Rate Algorithm's theoretical
+/// arrival time. The bound's left side is an integer, so the floor drops
+/// out, and for sends t_1 <= ... <= t_j it reads u_i - u_j <= CΔ for every
+/// i <= j, where u_k = t_k - kΔ. The check keeps tat = max_{i<=j} u_i +
+/// (j+1)Δ — one timestamp instead of the trace — and flags the newest send
+/// iff tat - t_j > (C+1)Δ: exactly when some window ending at it breaks
+/// the bound, however old its start (DESIGN.md has the proof).
 ///
-/// Sound but windowed — any violation it flags is a real §3.4 violation
-/// (a retained window genuinely exceeded its bound); history that rotated
-/// out of the ring is no longer checked, so absence of violations bounds
-/// only the retained horizon. Refunds must be retracted (newest-first,
-/// like RateLimitAuditor) so the audited trace holds net admissions.
-///
-/// The ring follows its use: a watchdog starts with no storage and
-/// doubles its ring as distinct grant timestamps arrive, up to the window;
-/// only a full window rotates. The watchdog itself is a 16-byte handle,
-/// trivially copyable so that flat stores can hold it, and the all-zero
-/// value is the empty watchdog. Its ring storage is owned by whoever holds
-/// the handle: call release() exactly once before dropping it (copies
-/// alias the same ring).
-class BurstWatchdog {
+/// A 16-byte trivially copyable value whose all-zero state is the empty
+/// check, so flat stores hold it and dropping it frees nothing. Δ and C
+/// are passed to every call rather than stored; a check must always be
+/// given the same pair. Times must be non-negative.
+class BurstCheck {
  public:
-  /// The §3.4 bound under audit: Δ and C of the strategy, and the window —
-  /// how many distinct grant timestamps the ring retains. Passed to every
-  /// record() rather than stored per watchdog; a watchdog must always be
-  /// given the same bound, so a holder of many watchdogs builds one Bound
-  /// per policy (AccountTable keeps it in the namespace).
-  struct Bound {
-    /// The largest window the ring's one-byte counters can hold.
-    static constexpr std::size_t kMaxWindow = 255;
+  /// Records `n` grants at time t under period `delta` > 0 and capacity
+  /// `capacity` >= 0 and returns whether a window ending at them breaks
+  /// the bound. An earlier t clamps forward to the newest grant time, like
+  /// the table's settle(); n <= 0 records nothing and returns false.
+  bool record(TimeUs delta, Tokens capacity, TimeUs t, Tokens n);
 
-    /// The bound for period Δ and capacity C over `window` timestamps.
-    /// Throws util::InvariantError on Δ <= 0, C < 0 or a window outside
-    /// [1, kMaxWindow].
-    static Bound checked(TimeUs delta, Tokens capacity,
-                         std::size_t window = 32);
-
-    TimeUs delta = 0;
-    Tokens capacity = 0;
-    std::size_t window = 32;
-  };
-
-  /// What one record() checked: windows swept, and those over the bound.
-  struct Sweep {
-    std::uint64_t checks = 0;
-    std::uint64_t violations = 0;
-  };
-
-  /// Records `n` grants at non-decreasing time t, then checks every
-  /// retained send-anchored window ending at t against `bound`, which must
-  /// come from Bound::checked(). A clean grant reports 0 violations;
-  /// n <= 0 records and checks nothing.
-  Sweep record(const Bound& bound, TimeUs t, Tokens n);
-
-  /// Strikes the `n` newest grants (the refund path). Clamps at what the
-  /// ring still holds — rotated-out history cannot be retracted.
-  void retract(Tokens n);
-
-  /// Frees the ring, leaving the empty watchdog.
-  void release();
-
-  /// Records the ring has room for: 0 before the first grant, at most
-  /// the window.
-  std::size_t ring_capacity() const { return capacity_; }
+  /// Strikes the `n` newest grants (the refund path), newest-first like
+  /// RateLimitAuditor::retract. Every struck grant is later than every
+  /// kept one and no later than the next grant, which record() clamps to
+  /// the newest grant time, so the next verdict is exact.
+  void retract(TimeUs delta, Tokens n);
 
  private:
-  struct Grant {
-    TimeUs t = 0;
-    Tokens count = 0;
-  };
-
-  Grant& at(std::size_t i) { return ring_[(head_ + i) % capacity_]; }
-  /// Moves the records into a ring of `capacity`; head_ is 0 before and
-  /// after, because a ring that has not reached its window never rotates.
-  void grow(std::size_t capacity);
-
-  Grant* ring_ = nullptr;
-  std::uint8_t capacity_ = 0;
-  std::uint8_t head_ = 0;  ///< the oldest record
-  std::uint8_t size_ = 0;
+  TimeUs tat_ = 0;   ///< theoretical arrival time of the next grant
+  TimeUs last_ = 0;  ///< the newest grant time
 };
-static_assert(sizeof(BurstWatchdog) == 16);
+static_assert(sizeof(BurstCheck) == 16);
+static_assert(std::is_trivially_copyable_v<BurstCheck>);
 
 /// One grant as a client observed it: `tokens` admitted for `key` at
 /// `at_us` (the completion time, on the caller's clock).
@@ -154,14 +106,14 @@ struct KeyedGrant {
   Tokens tokens = 0;
 };
 
-/// The cluster-wide §3.4 replay: sorts `grants` by time and checks each
-/// key's trace, wherever in a cluster the key was served, against the
-/// burst bound over every send-anchored window (a RateLimitAuditor) and
-/// against whole-run conservation: at most `run_us`/Δ + 1 + `capacity`
-/// tokens, the most a zero-initial account can earn in the run. Callers
-/// pass C plus their timestamp slack as `capacity` (completion times can
-/// compress a window by one scheduling delay, worth one tick); a duplicated
-/// handoff or promotion still injects up to C extra grants and is caught.
+/// The cluster-wide §3.4 replay: sorts `grants` by key and time and runs
+/// each key's trace, wherever in a cluster the key was served, through a
+/// BurstCheck and against whole-run conservation: at most
+/// `run_us`/Δ + 1 + `capacity` tokens, the most a zero-initial account can
+/// earn in the run. Callers pass C plus their timestamp slack as
+/// `capacity` (completion times can compress a window by one scheduling
+/// delay, worth one tick); a duplicated handoff or promotion still injects
+/// up to C extra grants and is caught.
 /// Returns one description per offending key, in key order.
 std::vector<std::string> keyed_burst_violations(std::vector<KeyedGrant> grants,
                                                 TimeUs delta, Tokens capacity,

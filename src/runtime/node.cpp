@@ -1,6 +1,7 @@
 #include "runtime/node.hpp"
 
 #include <chrono>
+#include <sstream>
 
 #include "util/error.hpp"
 
@@ -16,10 +17,8 @@ Node::Node(Transport& transport, NodeApp& app, NodeConfig config)
       rng_(config_.seed),
       epoch_(std::chrono::steady_clock::now()) {
   TOKA_CHECK_MSG(config_.delta_us > 0, "delta must be positive");
-  if (config_.audit && strategy_->capacity() != core::kUnboundedCapacity) {
-    auditor_ = std::make_unique<core::RateLimitAuditor>(
-        config_.delta_us, strategy_->capacity());
-  }
+  audited_ =
+      config_.audit && strategy_->capacity() != core::kUnboundedCapacity;
 }
 
 Node::~Node() { stop(); }
@@ -64,7 +63,10 @@ void Node::send_one(TimeUs now) {
       config_.neighbors[rng_.index(config_.neighbors.size())];
   std::vector<std::byte> payload = app_->create_message();
   ++sent_;
-  if (auditor_) auditor_->record(now);
+  if (audited_ &&
+      burst_.record(config_.delta_us, strategy_->capacity(), now, 1) &&
+      !violation_at_)
+    violation_at_ = now;
   transport_->send(peer, std::move(payload));
 }
 
@@ -110,9 +112,11 @@ std::uint64_t Node::messages_sent() const {
 
 std::string Node::audit_violation() const {
   std::lock_guard lock(mutex_);
-  if (!auditor_) return {};
-  const auto violation = auditor_->first_violation();
-  return violation ? violation->describe() : std::string{};
+  if (!violation_at_) return {};
+  std::ostringstream os;
+  os << "rate limit violated: the send at " << to_seconds(*violation_at_)
+     << "s ended a window over the §3.4 bound";
+  return os.str();
 }
 
 }  // namespace toka::runtime

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -45,7 +46,7 @@ struct NodeConfig {
   /// Out-neighbors used by SELECTPEER().
   std::vector<NodeId> neighbors;
   std::uint64_t seed = 1;
-  /// Record every send in a RateLimitAuditor (§3.4 verification).
+  /// Check every send against the §3.4 burst bound (a core::BurstCheck).
   bool audit = true;
 };
 
@@ -71,9 +72,9 @@ class Node {
   core::AccountCounters counters() const;
   std::uint64_t messages_sent() const;
 
-  /// Checks the recorded sends against the §3.4 burst bound (only
-  /// meaningful when config.audit is true and the strategy has bounded
-  /// capacity). Returns the first violation's description, or empty.
+  /// The first send that broke the §3.4 burst bound, described, or empty
+  /// (only meaningful when config.audit is true and the strategy has
+  /// bounded capacity).
   std::string audit_violation() const;
 
  private:
@@ -90,7 +91,9 @@ class Node {
   mutable std::mutex mutex_;
   core::TokenAccount account_;
   util::Rng rng_;
-  std::unique_ptr<core::RateLimitAuditor> auditor_;
+  bool audited_ = false;  ///< config.audit with a bounded capacity
+  core::BurstCheck burst_;
+  std::optional<TimeUs> violation_at_;  ///< the first send over the bound
   std::uint64_t sent_ = 0;
 
   std::atomic<bool> running_{false};

@@ -96,8 +96,6 @@ std::shared_ptr<const AccountTable::Namespace> AccountTable::make_namespace(
   out->catchup_limit = config.max_catchup_ticks > 0
                            ? config.max_catchup_ticks
                            : std::max<Tokens>(2 * out->capacity, 16);
-  out->watchdog_bound =
-      core::BurstWatchdog::Bound::checked(config.delta_us, out->capacity);
   return out;
 }
 
@@ -136,26 +134,14 @@ bool AccountTable::configure_namespace(NamespaceId ns,
   return created;
 }
 
-AccountTable::Shard::~Shard() {
-  watchdogs.erase_if([](WatchSlot& w) {
-    w.watchdog.release();
-    return true;
-  });
-}
-
 template <typename Pred>
 std::size_t AccountTable::erase_accounts_if(Shard& shard, Pred&& pred) {
   return shard.accounts.erase_if([&](const Slot& s) {
     if (!pred(s)) return false;
-    // A re-created key must start a fresh watchdog ring and audit trace.
-    if ((s.meta & kSlotWatched) != 0) {
-      WatchSlot& w =
-          watch_slot(shard, account_hash(s.ns, s.key), s.ns, s.key);
-      w.watchdog.release();
-      shard.watchdogs.erase(w);
-    }
-    if ((s.meta & kSlotAudited) != 0)
-      shard.auditors.erase(AccountKey{s.ns, s.key});
+    // A re-created key must start from the empty check.
+    if ((s.meta & kSlotWatched) != 0)
+      shard.watchdogs.erase(
+          watch_slot(shard, account_hash(s.ns, s.key), s.ns, s.key));
     return true;
   });
 }
@@ -275,16 +261,12 @@ AccountTable::Slot& AccountTable::create_account(Shard& shard,
   slot.meta = kSlotLive;
   slot.set_last_access_us(now);
   slot.balance = static_cast<std::int32_t>(balance);  // in [0, C]
-  if (ns.config.audit) {
-    shard.auditors.insert_or_assign(
-        AccountKey{ns.id, key},
-        core::RateLimitAuditor(ns.config.delta_us, ns.capacity));
-    slot.meta |= kSlotAudited;
-  }
-  if (watchdog_samples(config_.watchdog_sample, ns.id, key)) {
+  if (ns.config.audit ||
+      watchdog_samples(config_.watchdog_sample, ns.id, key)) {
     // Every erase path drops the entry with its account, so the key has
-    // none yet; its ring is allocated by the first grant.
-    shard.watchdogs.insert(store_hash(hash), WatchSlot{key, ns.id, true, {}});
+    // none yet.
+    shard.watchdogs.insert(store_hash(hash),
+                           WatchSlot{key, ns.id, true, false, {}});
     slot.meta |= kSlotWatched;
   }
   ++stats_for(shard, ns.id).accounts_created;
@@ -360,19 +342,15 @@ AcquireResult AccountTable::acquire_in_shard(Shard& shard, const Namespace& ns,
   stats.tokens_requested += static_cast<std::uint64_t>(n);
   stats.tokens_granted += static_cast<std::uint64_t>(granted);
   shard.hot.record(fold_key(ns.id, key));
-  if ((slot.meta & kSlotAudited) != 0) {
-    core::RateLimitAuditor& auditor =
-        shard.auditors.at(AccountKey{ns.id, key});
-    for (Tokens i = 0; i < granted; ++i) auditor.record(now);
-  }
   if ((slot.meta & kSlotWatched) != 0 && granted > 0) {
     // The account lives exactly as long as its namespace snapshot (see
-    // Namespace), so `ns` is the policy the watchdog has audited all along.
-    core::BurstWatchdog& watchdog = watch_slot(shard, hash, ns.id, key).watchdog;
-    const core::BurstWatchdog::Sweep sweep =
-        watchdog.record(ns.watchdog_bound, now, granted);
-    stats.watchdog_checks += sweep.checks;
-    stats.watchdog_violations += sweep.violations;
+    // Namespace), so `ns` is the policy the check has applied all along.
+    WatchSlot& w = watch_slot(shard, hash, ns.id, key);
+    const bool over =
+        w.check.record(ns.config.delta_us, ns.capacity, now, granted);
+    w.violated = w.violated || over;
+    ++stats.watchdog_checks;
+    stats.watchdog_violations += over ? 1 : 0;
   }
   return AcquireResult{granted, balance, granted > banked};
 }
@@ -386,8 +364,7 @@ AcquireResult AccountTable::acquire(NamespaceId ns, std::uint64_t key,
   const std::uint64_t hash = account_hash(ns, key);
   Shard& shard = shard_for(hash);
   // The shard's one accessor reads a monotonic clock, so times per account
-  // never decrease — which settle()'s bookkeeping and the auditor's
-  // record() rely on.
+  // never decrease — which settle()'s bookkeeping relies on.
   return acquire_in_shard(shard, *nsp, hash, key, n, clock_.now_us());
 }
 
@@ -424,15 +401,13 @@ RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
       core::refund_balance(balance, slot->spent, std::min(n, headroom));
   slot->balance = static_cast<std::int32_t>(balance);
   mark_repl_dirty(shard, *slot);
-  if ((slot->meta & kSlotAudited) != 0) {
-    // The returned tokens' admissions never happened: strike them from the
-    // audit trace so first_violation() checks *net* admissions. accepted
-    // <= outstanding spends == recorded sends, so retract cannot underflow.
-    shard.auditors.at(AccountKey{ns, key})
-        .retract(static_cast<std::size_t>(accepted));
+  if ((slot->meta & kSlotWatched) != 0) {
+    // The returned tokens' admissions never happened: strike them so the
+    // check sees *net* admissions. accepted <= outstanding spends, which
+    // are the newest grants the check recorded.
+    watch_slot(shard, hash, ns, key)
+        .check.retract(nsp->config.delta_us, accepted);
   }
-  if ((slot->meta & kSlotWatched) != 0)
-    watch_slot(shard, hash, ns, key).watchdog.retract(accepted);
   stats.tokens_refunded += static_cast<std::uint64_t>(accepted);
   stats.tokens_refund_dropped += static_cast<std::uint64_t>(n - accepted);
   return RefundResult{accepted, balance};
@@ -572,9 +547,8 @@ bool AccountTable::install_account(NamespaceId ns, std::uint64_t key,
   const std::uint64_t hash = account_hash(ns, key);
   Shard& shard = shard_for(hash);
   if (find_account(shard, hash, ns, key) != nullptr) return false;  // never duplicate
-  // The audit trace and the watchdog ring restart empty: the installed
-  // balance is at most C, so spending it all at once still fits a fresh
-  // window's 1 + C slack.
+  // The check restarts empty: the installed balance is at most C, so
+  // spending it all at once still fits a fresh window's 1 + C slack.
   Slot& slot = create_account(shard, *nsp, hash, key,
                               std::clamp<Tokens>(balance, 0, nsp->capacity),
                               clock_.now_us());
@@ -700,13 +674,16 @@ TableStats AccountTable::stats(NamespaceId ns) const {
 
 std::optional<std::string> AccountTable::audit_violation() const {
   for (const auto& shard : shards_) {
-    for (const auto& [key, auditor] : shard->auditors) {
-      if (auto v = auditor.first_violation()) {
-        std::ostringstream os;
-        os << "ns=" << key.ns << " key=" << key.key << ": " << v->describe();
-        return os.str();
-      }
-    }
+    std::optional<std::string> found;
+    shard->watchdogs.for_each([&](const WatchSlot& w) {
+      if (!w.violated || found) return;
+      std::ostringstream os;
+      os << "ns=" << w.ns << " key=" << w.key
+         << ": rate limit violated: a grant ended a window over the §3.4 "
+            "bound";
+      found = os.str();
+    });
+    if (found) return found;
   }
   return std::nullopt;
 }

@@ -32,10 +32,10 @@
 // A shard keeps its accounts in a flat open-addressing store of 32-byte
 // slots (service/account_store.hpp). The replication state lives in the
 // store's cold column, which only a shard of a replicated table maps; the
-// rare per-account extras live beside the slots, gated by a slot flag, so
-// an ordinary account costs its slot and nothing else: the §3.4 watchdogs
-// of sampled keys in a second flat store under the same store hash, and
-// the debug auditors of test namespaces in a map.
+// §3.4 checks of sampled keys, and of every key of an audit namespace,
+// live beside the slots in a second flat store under the same store hash,
+// gated by a slot flag, so an unchecked account costs its slot and nothing
+// else.
 //
 // Token granting is *lazy*, driven by a coarse shared clock instead of a
 // timer per account: every account remembers when it was last settled,
@@ -128,9 +128,10 @@ struct NamespaceConfig {
   /// cap are forfeited — conservative, an idle account's balance has
   /// converged to the capacity region long before the cap anyway.
   Tokens max_catchup_ticks = 0;
-  /// Debug: attach a core::RateLimitAuditor to every account and record
-  /// each granted token, so audit_violation() can verify the §3.4 burst
-  /// bound end-to-end. O(sends²) memory/time per account — tests only.
+  /// Check every account of the namespace against the §3.4 burst bound,
+  /// not only the sampled ones (ServiceConfig::watchdog_sample), so that
+  /// audit_violation() verifies the bound end-to-end. Costs each account a
+  /// 32-byte watchdog entry.
   bool audit = false;
 
   friend bool operator==(const NamespaceConfig&,
@@ -162,19 +163,19 @@ struct ServiceConfig {
   std::uint64_t seed = 1;
   /// Default namespace: replay cap for lazy granting (0 = auto).
   Tokens max_catchup_ticks = 0;
-  /// Default namespace: §3.4 audit switch (tests only).
+  /// Default namespace: §3.4 check of every key (NamespaceConfig::audit).
   bool audit = false;
   /// Ignored: every table follows the one-accessor-per-shard rule (see
   /// the file comment). Kept only so callers that still assign it keep
   /// compiling.
   bool exclusive_shards = false;
 
-  /// Online §3.4 invariant watchdog: audit 1-in-N keys with a bounded-ring
-  /// BurstWatchdog re-checked on every grant (0 disables). Sampling is by
-  /// key identity (a distinct hash salt from shard placement, so sampled
-  /// keys spread across shards), which keeps a key's audit trace intact
-  /// for its whole life instead of sampling individual grants. The
-  /// watchdog observes and counts; it never gates a grant.
+  /// Online §3.4 invariant watchdog: check every grant of 1-in-N keys with
+  /// an exact core::BurstCheck (0 disables). Sampling is by key identity (a
+  /// distinct hash salt from shard placement, so sampled keys spread
+  /// across shards), which keeps a key's whole history in its check
+  /// instead of sampling individual grants. The watchdog observes and
+  /// counts; it never gates a grant.
   std::uint64_t watchdog_sample = 64;
 
   /// The default namespace's policy as a NamespaceConfig.
@@ -229,8 +230,8 @@ struct TableStats {
   std::uint64_t ticks_forfeited = 0;    ///< elapsed ticks past the replay cap
   std::uint64_t accounts_extracted = 0; ///< removed by extract_if (handoff)
   std::uint64_t accounts_installed = 0; ///< created by install_account
-  std::uint64_t watchdog_checks = 0;     ///< §3.4 windows audited online
-  std::uint64_t watchdog_violations = 0; ///< windows over the §3.4 bound
+  std::uint64_t watchdog_checks = 0;     ///< grants checked against §3.4
+  std::uint64_t watchdog_violations = 0; ///< checked grants over the bound
 
   /// Adds every counter of `other` into this snapshot.
   void merge(const TableStats& other);
@@ -434,10 +435,10 @@ class AccountTable {
   /// share denominator.
   std::vector<HotKey> hot_keys(std::size_t n) const;
 
-  /// When a namespace's audit switch is on: checks every live account's
-  /// grant trace against the §3.4 bound; returns the first violation
-  /// description ("ns=... key=... : ...") or nullopt. Exhaustive —
-  /// test-sized tables only.
+  /// The first live checked account (every account of an audit namespace,
+  /// and the sampled keys) that a grant ever took over the §3.4 bound, as
+  /// "ns=... key=...: ...", or nullopt. A refund does not clear it.
+  /// Sweeps every shard, so the caller must own the whole table.
   std::optional<std::string> audit_violation() const;
 
   /// Folds the namespace into the key — the one mixing rule behind the
@@ -468,8 +469,6 @@ class AccountTable {
     Tokens capacity = 0;       ///< effective balance cap
     Tokens bucket_cap = 0;     ///< tick_balance bucket cap (token bucket only)
     Tokens catchup_limit = 0;  ///< resolved max_catchup_ticks
-    /// Δ and C as every watchdog of the namespace audits them.
-    core::BurstWatchdog::Bound watchdog_bound;
   };
 
   struct AccountKey {
@@ -480,8 +479,7 @@ class AccountTable {
 
   /// The one hash of an account: shard_index() takes its bottom bits, the
   /// cluster HashRing its top bits (HashRing::key_point is this hash), the
-  /// shard's slot and watchdog stores its middle bits through store_hash(),
-  /// the auditor map all of it.
+  /// shard's slot and watchdog stores its middle bits through store_hash().
   static std::uint64_t account_hash(NamespaceId ns, std::uint64_t key) {
     std::uint64_t state = fold_key(ns, key);
     return util::splitmix64(state);
@@ -500,19 +498,12 @@ class AccountTable {
     return std::rotl(hash, 32);
   }
 
-  struct AccountKeyHash {
-    std::size_t operator()(const AccountKey& k) const {
-      return static_cast<std::size_t>(account_hash(k.ns, k.key));
-    }
-  };
-
   // Slot::meta holds the last access time in its low 56 bits (CoarseClock
   // keeps times below 2^55) and these flag bits in its top 8.
   static constexpr std::uint64_t kSlotAccessMask = (1ULL << 56) - 1;
   static constexpr std::uint64_t kSlotLive = 1ULL << 56;       ///< occupied
   static constexpr std::uint64_t kSlotWatched = 1ULL << 57;    ///< watchdogs
-  static constexpr std::uint64_t kSlotAudited = 1ULL << 58;    ///< auditors
-  static constexpr std::uint64_t kSlotReplDirty = 1ULL << 59;  ///< repl_dirty
+  static constexpr std::uint64_t kSlotReplDirty = 1ULL << 58;  ///< repl_dirty
 
   /// One account: everything the data path reads. The tick index it last
   /// settled at is last_access_us() / Δ, since every settle stamps the
@@ -557,14 +548,14 @@ class AccountTable {
     }
   };
 
-  /// The §3.4 watchdog of one sampled account, stored under the account's
-  /// store hash. The entry owns the watchdog's ring: whoever erases the
-  /// entry releases it first.
+  /// The §3.4 check of one checked account, stored under the account's
+  /// store hash.
   struct WatchSlot {
     std::uint64_t key = 0;
     NamespaceId ns = 0;
     bool live = false;
-    core::BurstWatchdog watchdog;
+    bool violated = false;  ///< a grant has broken the bound
+    core::BurstCheck check;
   };
   static_assert(sizeof(WatchSlot) == 32);
 
@@ -592,17 +583,12 @@ class AccountTable {
     /// Accounts touched since the last drain_replica_dirty() (replication
     /// only; each account appears at most once — kSlotReplDirty).
     std::vector<AccountKey> repl_dirty;
-    /// Online §3.4 watchdogs of sampled keys (see
-    /// ServiceConfig::watchdog_sample) and the debug audit traces of
-    /// NamespaceConfig::audit namespaces. Only flagged slots ever probe
-    /// them, and every erase path drops the account's entries, so a
-    /// re-created key starts from an empty trace.
+    /// Online §3.4 checks of sampled keys (see
+    /// ServiceConfig::watchdog_sample) and of every key of an audit
+    /// namespace (NamespaceConfig::audit). Only kSlotWatched slots ever
+    /// probe it, and every erase path drops the account's entry, so a
+    /// re-created key starts from the empty check.
     SlotStore<WatchSlot, WatchTraits> watchdogs;
-    std::unordered_map<AccountKey, core::RateLimitAuditor, AccountKeyHash>
-        auditors;
-
-    /// Releases the rings of the watchdogs still held.
-    ~Shard();
   };
 
   /// Builds and validates the runtime namespace object (throws

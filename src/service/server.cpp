@@ -130,9 +130,10 @@ void Server::register_metrics() {
   registry_->counter_fn(add("tokend_accounts_evicted"), [this] {
     return static_cast<double>(swept_stats().accounts_evicted);
   });
-  // The online §3.4 watchdog (ServiceConfig::watchdog_sample): checks is
-  // how many send-anchored windows the sampled keys re-verified; any
-  // nonzero violations means a *real* burst-bound breach reached a client.
+  // The online §3.4 check (ServiceConfig::watchdog_sample and audit
+  // namespaces): checks is how many grants of the checked keys it
+  // verified; any nonzero violations means a *real* burst-bound breach
+  // reached a client.
   registry_->counter_fn(add("tokend_invariant_checks"), [this] {
     return static_cast<double>(swept_stats().watchdog_checks);
   });

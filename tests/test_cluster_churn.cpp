@@ -52,7 +52,7 @@ service::ServiceConfig churn_config() {
   cfg.strategy.a_param = kA;
   cfg.strategy.c_param = kC;
   cfg.initial_tokens = 0;  // every granted token was banked inside the run
-  cfg.audit = true;        // per-node §3.4 auditor on every account
+  cfg.audit = true;        // per-node §3.4 check of every account
   return cfg;
 }
 

@@ -22,6 +22,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "cluster/cluster_map.hpp"
 #include "cluster/cluster_server.hpp"
 #include "cluster/hash_ring.hpp"
+#include "obs/telemetry.hpp"
 #include "runtime/epoll.hpp"
 #include "runtime/framing.hpp"
 #include "service/account_table.hpp"
@@ -59,7 +61,7 @@ bool eventually(const std::function<bool()>& pred) {
 /// and the cluster server in front.
 struct EngineNode {
   EngineNode(const service::ServiceConfig& cfg, runtime::Transport& transport,
-             const ClusterMap& map)
+             const ClusterMap& map, obs::Registry* registry = nullptr)
       : table(cfg), driver(table, 500) {
     driver.start();
     service::ShardEngineOptions engine_opts;
@@ -67,6 +69,7 @@ struct EngineNode {
     engine = std::make_unique<service::ShardEngine>(table, engine_opts);
     service::ServerOptions server_opts;
     server_opts.engine = engine.get();
+    server_opts.registry = registry;
     server = std::make_unique<ClusterServer>(table, transport, map, server_opts);
   }
   ~EngineNode() {
@@ -196,7 +199,7 @@ TEST(ClusterEngine, ReplicaFrameWithoutASenderIsDroppedNotFatal) {
   // The sender id of a frame is whatever the connection writes into its
   // header, so a client can send a kReplicate naming kNoNode. The node
   // must drop it (its source would wrap to the store's empty entry) and
-  // keep serving.
+  // keep serving, and its telemetry counts the drop.
   service::ServiceConfig cfg;
   cfg.shards = 4;
   cfg.delta_us = 1000;
@@ -204,7 +207,8 @@ TEST(ClusterEngine, ReplicaFrameWithoutASenderIsDroppedNotFatal) {
   // Endpoint 0 is the node, 1 a client's link to it, 2 the address the
   // raw connection claims for its acks.
   runtime::EpollMesh mesh(3, /*io_threads=*/1);
-  EngineNode node(cfg, mesh.endpoint(0), map);
+  obs::Registry registry;
+  EngineNode node(cfg, mesh.endpoint(0), map, &registry);
   std::atomic<std::uint64_t> acks{0};
   mesh.endpoint(2).set_handler(
       [&acks](NodeId, std::vector<std::byte>) { acks.fetch_add(1); });
@@ -236,6 +240,9 @@ TEST(ClusterEngine, ReplicaFrameWithoutASenderIsDroppedNotFatal) {
   ASSERT_TRUE(eventually(
       [&] { return acks.load() == 1 && repl.replica_frames_dropped() == 1; }));
   EXPECT_EQ(repl.replica_accounts(), 1u);
+  EXPECT_NE(registry.render_prometheus().find(
+                "tokad_replica_frames_dropped 1\n"),
+            std::string::npos);
 
   ClusterClientConfig client_cfg;
   client_cfg.call_timeout_us = 250'000;

@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iterator>
-#include <set>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -86,14 +85,6 @@ TEST(RateLimitAuditor, RequiresMonotoneTimestamps) {
 TEST(RateLimitAuditor, RejectsBadConstruction) {
   EXPECT_THROW(RateLimitAuditor(0, 1), util::InvariantError);
   EXPECT_THROW(RateLimitAuditor(kDelta, -1), util::InvariantError);
-}
-
-TEST(RateLimitAuditor, MaxInWindow) {
-  RateLimitAuditor auditor(kDelta, 10);
-  for (TimeUs t : {0, 100, 200, 5000, 5100}) auditor.record(t);
-  EXPECT_EQ(auditor.max_in_window(250), 3u);
-  EXPECT_EQ(auditor.max_in_window(10'000), 5u);
-  EXPECT_EQ(auditor.max_in_window(0), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,262 +202,166 @@ TEST(RateLimitAuditor, SimulatorRunObeysBurstBoundPerNode) {
   EXPECT_EQ(audited_sends, sim.counters().data_messages_sent);
 }
 
-// ------------------------------------------------- online burst watchdog
+// ------------------------------------------------------ online burst check
 
-/// A watchdog bound to one §3.4 bound, with running totals of what its
-/// records checked. It releases the ring at scope exit, as a store of
-/// watchdogs does when it drops one.
-class AuditedWatchdog {
+/// A check bound to one §3.4 bound, counting the violations its records
+/// reported.
+class CountedCheck {
  public:
-  explicit AuditedWatchdog(TimeUs delta, Tokens capacity,
-                           std::size_t window = 32)
-      : bound_(BurstWatchdog::Bound::checked(delta, capacity, window)) {}
-  ~AuditedWatchdog() { wd_.release(); }
-  AuditedWatchdog(const AuditedWatchdog&) = delete;
-  AuditedWatchdog& operator=(const AuditedWatchdog&) = delete;
+  CountedCheck(TimeUs delta, Tokens capacity)
+      : delta_(delta), capacity_(capacity) {}
 
-  /// Records `n` grants at t; returns how many windows violated.
-  std::uint64_t record(TimeUs t, Tokens n) {
-    const BurstWatchdog::Sweep sweep = wd_.record(bound_, t, n);
-    checks_ += sweep.checks;
-    violations_ += sweep.violations;
-    return sweep.violations;
+  /// Records `n` grants at t; returns whether they broke the bound.
+  bool record(TimeUs t, Tokens n) {
+    const bool over = check_.record(delta_, capacity_, t, n);
+    violations_ += over ? 1 : 0;
+    return over;
   }
-  void retract(Tokens n) { wd_.retract(n); }
+  void retract(Tokens n) { check_.retract(delta_, n); }
 
-  std::uint64_t checks() const { return checks_; }
   std::uint64_t violations() const { return violations_; }
-  std::size_t ring_capacity() const { return wd_.ring_capacity(); }
 
  private:
-  BurstWatchdog::Bound bound_;
-  BurstWatchdog wd_;
-  std::uint64_t checks_ = 0;
+  TimeUs delta_;
+  Tokens capacity_;
+  BurstCheck check_;
   std::uint64_t violations_ = 0;
 };
 
-TEST(BurstWatchdog, PeriodicGrantsCheckCleanly) {
-  AuditedWatchdog wd(kDelta, 3);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(wd.record(i * kDelta, 1), 0u);
-  EXPECT_GT(wd.checks(), 0u);
-  EXPECT_EQ(wd.violations(), 0u);
+TEST(BurstCheck, PeriodicGrantsCheckCleanly) {
+  CountedCheck check(kDelta, 3);
+  for (int i = 0; i < 50; ++i) EXPECT_FALSE(check.record(i * kDelta, 1));
+  EXPECT_EQ(check.violations(), 0u);
 }
 
-TEST(BurstWatchdog, InstantBurstLegalUpToCapacityPlusOne) {
+TEST(BurstCheck, InstantBurstLegalUpToCapacityPlusOne) {
   // A single-instant window [t, t] bounds grants at 0/Δ + 1 + C.
   constexpr Tokens kCap = 5;
-  AuditedWatchdog ok(kDelta, kCap);
-  EXPECT_EQ(ok.record(1000, kCap + 1), 0u);
-  EXPECT_EQ(ok.violations(), 0u);
+  CountedCheck ok(kDelta, kCap);
+  EXPECT_FALSE(ok.record(1000, kCap + 1));
 
-  AuditedWatchdog bad(kDelta, kCap);
-  EXPECT_EQ(bad.record(1000, kCap + 2), 1u);
+  CountedCheck bad(kDelta, kCap);
+  EXPECT_TRUE(bad.record(1000, kCap + 2));
   EXPECT_EQ(bad.violations(), 1u);
 }
 
-TEST(BurstWatchdog, SustainedOverRateViolatesWideWindows) {
+TEST(BurstCheck, SustainedOverRateViolatesWideWindows) {
   // 2 grants per period against capacity 3: short windows pass, but once
   // the window is long enough the (t_j-t_i)/Δ + 1 + C bound must break.
-  AuditedWatchdog wd(kDelta, 3);
-  for (int i = 0; i < 20; ++i) wd.record(i * kDelta / 2, 1);
-  EXPECT_GT(wd.violations(), 0u);
+  CountedCheck check(kDelta, 3);
+  for (int i = 0; i < 20; ++i) check.record(i * kDelta / 2, 1);
+  EXPECT_GT(check.violations(), 0u);
 }
 
-TEST(BurstWatchdog, ChecksScaleWithRetainedTimestamps) {
-  // Every record() sweeps all retained send-anchored windows, so the
-  // check counter grows ~quadratically until the ring caps retention.
-  AuditedWatchdog wd(kDelta, 0, /*window=*/4);
-  for (int i = 0; i < 10; ++i) wd.record(i * kDelta, 1);
-  // First 4 records check 1+2+3+4 windows; the remaining 6 check 4 each.
-  EXPECT_EQ(wd.checks(), 1u + 2u + 3u + 4u + 6u * 4u);
-  EXPECT_EQ(wd.violations(), 0u);
+TEST(BurstCheck, ChecksWindowsOfAnyLength) {
+  // One grant every Δ - 1 with C = 1 gains a period's worth of sends only
+  // after Δ grants: the first window over the bound spans 102 sends, more
+  // than any bounded history of grant instants would hold.
+  constexpr TimeUs kPeriod = 100;
+  CountedCheck check(kPeriod, 1);
+  RateLimitAuditor exhaustive(kPeriod, 1);
+  for (TimeUs k = 0; k <= 100; ++k) {
+    EXPECT_FALSE(check.record(k * (kPeriod - 1), 1)) << "send " << k;
+    exhaustive.record(k * (kPeriod - 1));
+  }
+  EXPECT_FALSE(exhaustive.first_violation().has_value());
+  EXPECT_TRUE(check.record(101 * (kPeriod - 1), 1));
+  exhaustive.record(101 * (kPeriod - 1));
+  const auto violation = exhaustive.first_violation();
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_EQ(violation->sends, 102u);
 }
 
-TEST(BurstWatchdog, RetractForgivesTheRefundedGrants) {
+TEST(BurstCheck, RetractForgivesTheRefundedGrants) {
   constexpr Tokens kCap = 2;
-  AuditedWatchdog wd(kDelta, kCap);
-  EXPECT_EQ(wd.record(1000, kCap + 1), 0u);  // at the single-instant bound
-  wd.retract(2);  // refund: those grants never counted
+  CountedCheck check(kDelta, kCap);
+  EXPECT_FALSE(check.record(1000, kCap + 1));  // at the single-instant bound
+  check.retract(2);  // refund: those grants never counted
   // Re-granting what was refunded stays within the same window's bound.
-  EXPECT_EQ(wd.record(1000, 2), 0u);
-  EXPECT_EQ(wd.violations(), 0u);
+  EXPECT_FALSE(check.record(1000, 2));
+  EXPECT_EQ(check.violations(), 0u);
   // Without the retract the identical extra grant violates.
-  AuditedWatchdog unforgiven(kDelta, kCap);
+  CountedCheck unforgiven(kDelta, kCap);
   unforgiven.record(1000, kCap + 1);
-  EXPECT_EQ(unforgiven.record(1000, 2), 1u);
+  EXPECT_TRUE(unforgiven.record(1000, 2));
 }
 
-TEST(BurstWatchdog, SameInstantGrantsCoalesceIntoOneSlot) {
-  // C grants at one instant must cost one ring slot, not C: a tiny ring
-  // still audits the whole burst window.
-  AuditedWatchdog wd(kDelta, 4, /*window=*/2);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(wd.record(1000, 1), 0u);
-  EXPECT_EQ(wd.record(1000, 1), 1u);  // 6th grant at [t,t]: over 1 + C
-  EXPECT_EQ(wd.ring_capacity(), 1u);
+TEST(BurstCheck, SameInstantGrantsAddUp) {
+  // C + 1 one-token grants at one instant are legal, one more is not,
+  // whether they arrive as one record or as many.
+  CountedCheck check(kDelta, 4);
+  for (int i = 0; i < 5; ++i) EXPECT_FALSE(check.record(1000, 1));
+  EXPECT_TRUE(check.record(1000, 1));  // 6th grant at [t,t]: over 1 + C
 }
 
-TEST(BurstWatchdog, NonMonotoneTimestampsClampForward) {
-  // Like settle(), the watchdog clamps a backwards clock to the newest
-  // retained timestamp instead of corrupting window arithmetic.
-  AuditedWatchdog wd(kDelta, 1);
-  wd.record(5 * kDelta, 1);
-  EXPECT_EQ(wd.record(3 * kDelta, 1), 0u);  // coalesces at t = 5Δ
-  EXPECT_EQ(wd.record(3 * kDelta, 1), 1u);  // third same-instant grant
+TEST(BurstCheck, NonMonotoneTimestampsClampForward) {
+  // Like settle(), the check clamps a backwards clock to the newest grant
+  // time instead of corrupting window arithmetic.
+  CountedCheck check(kDelta, 1);
+  check.record(5 * kDelta, 1);
+  EXPECT_FALSE(check.record(3 * kDelta, 1));  // counts at t = 5Δ
+  EXPECT_TRUE(check.record(3 * kDelta, 1));   // third same-instant grant
 }
 
-TEST(BurstWatchdog, RingGrowsByDoublingUpToTheWindow) {
-  // No storage before the first grant; after it the ring doubles only when
-  // a new distinct timestamp finds it full, and stops at the window.
-  AuditedWatchdog wd(kDelta, 20, /*window=*/32);
-  EXPECT_EQ(wd.ring_capacity(), 0u);
-  EXPECT_EQ(wd.record(0, 0), 0u);  // no grant, no ring
-  EXPECT_EQ(wd.ring_capacity(), 0u);
-  const std::size_t expected[] = {1, 2, 4, 4, 8, 8, 8, 8, 16};
-  for (std::size_t i = 0; i < std::size(expected); ++i) {
-    wd.record(static_cast<TimeUs>(i) * kDelta, 1);
-    wd.record(static_cast<TimeUs>(i) * kDelta, 1);  // same instant
-    EXPECT_EQ(wd.ring_capacity(), expected[i]) << "after " << i + 1;
-  }
-  for (TimeUs i = 9; i < 100; ++i) wd.record(i * kDelta, 1);
-  EXPECT_EQ(wd.ring_capacity(), 32u);
-  EXPECT_EQ(wd.violations(), 0u);
+TEST(BurstCheck, SaturatesInsteadOfOverflowing) {
+  // Δ and C come from outside the program: a period so long that nΔ
+  // overflows must still flag the burst rather than wrap around.
+  constexpr TimeUs kHuge = std::numeric_limits<TimeUs>::max() / 4;
+  CountedCheck check(kHuge, 2);
+  EXPECT_FALSE(check.record(0, 3));
+  EXPECT_TRUE(check.record(0, 1'000));
+  EXPECT_TRUE(check.record(1, 1));
 }
 
-TEST(BurstWatchdog, ReleaseLeavesTheEmptyWatchdog) {
-  BurstWatchdog wd;
-  const BurstWatchdog::Bound bound = BurstWatchdog::Bound::checked(kDelta, 1);
-  for (TimeUs i = 0; i < 5; ++i) wd.record(bound, i * kDelta, 1);
-  EXPECT_EQ(wd.ring_capacity(), 8u);
-  wd.release();
-  EXPECT_EQ(wd.ring_capacity(), 0u);
-  // Empty again: the next grant starts a one-record ring and one window.
-  EXPECT_EQ(wd.record(bound, 10 * kDelta, 2).checks, 1u);
-  EXPECT_EQ(wd.ring_capacity(), 1u);
-  wd.release();
-}
-
-TEST(BurstWatchdog, BoundRejectsBadValues) {
-  using Bound = BurstWatchdog::Bound;
-  EXPECT_THROW(Bound::checked(0, 1), util::InvariantError);
-  EXPECT_THROW(Bound::checked(kDelta, -1), util::InvariantError);
-  EXPECT_THROW(Bound::checked(kDelta, 1, 0), util::InvariantError);
-  EXPECT_THROW(Bound::checked(kDelta, 1, Bound::kMaxWindow + 1),
-               util::InvariantError);
-  const Bound ok = Bound::checked(kDelta, 1, Bound::kMaxWindow);
-  EXPECT_EQ(ok.window, Bound::kMaxWindow);
-}
-
-/// The watchdog as it was before its ring grew on demand: Δ, C and a ring
-/// of `window` records allocated up front, with running totals. Kept as
-/// the reference the on-demand ring must match record for record.
-class FixedRingWatchdog {
- public:
-  FixedRingWatchdog(TimeUs delta, Tokens capacity, std::size_t window)
-      : delta_(delta), capacity_(capacity), ring_(window) {}
-
-  std::uint64_t record(TimeUs t, Tokens n) {
-    if (n <= 0) return 0;
-    if (size_ > 0) {
-      Grant& newest = ring_[(head_ + size_ - 1) % ring_.size()];
-      if (t < newest.t) t = newest.t;
-      if (t == newest.t) {
-        newest.count += n;
-      } else if (size_ == ring_.size()) {
-        ring_[head_] = Grant{t, n};
-        head_ = (head_ + 1) % ring_.size();
-      } else {
-        ring_[(head_ + size_) % ring_.size()] = Grant{t, n};
-        ++size_;
-      }
-    } else {
-      ring_[head_] = Grant{t, n};
-      size_ = 1;
-    }
-    const auto cap = static_cast<std::uint64_t>(capacity_);
-    const TimeUs end = ring_[(head_ + size_ - 1) % ring_.size()].t;
-    std::uint64_t sum = 0;
-    std::uint64_t bad = 0;
-    for (std::size_t back = 0; back < size_; ++back) {
-      const Grant& g = ring_[(head_ + size_ - 1 - back) % ring_.size()];
-      sum += static_cast<std::uint64_t>(g.count);
-      const std::uint64_t bound =
-          static_cast<std::uint64_t>((end - g.t) / delta_) + 1 + cap;
-      ++checks_;
-      if (sum > bound) ++bad;
-    }
-    return bad;
-  }
-
-  void retract(Tokens n) {
-    while (n > 0 && size_ > 0) {
-      Grant& newest = ring_[(head_ + size_ - 1) % ring_.size()];
-      const Tokens take = std::min(newest.count, n);
-      newest.count -= take;
-      n -= take;
-      if (newest.count == 0) --size_;
-    }
-  }
-
-  std::uint64_t checks() const { return checks_; }
-
- private:
-  struct Grant {
+TEST(BurstCheck, MatchesTheExhaustiveScanOnRandomStreams) {
+  // Seeded streams over Δ 1-50 and C 0-5, mixing same-instant bursts and
+  // newest-first retracts, in a mostly conforming regime (a grant per 4Δ/3
+  // on average) and a mostly violating one (twelve per Δ). Every record's
+  // verdict must be the exhaustive scan's: is there a window ending at the
+  // newest send over the bound? A record the check flags is then retracted
+  // from both, as a limiter would refuse it, so the trace before each
+  // record holds no violation and the scan can only find one ending at it.
+  std::uint64_t verdicts[2][2] = {};  // [violating regime][flagged]
+  for (std::uint64_t stream = 0; stream < 10000; ++stream) {
+    util::Rng rng(stream + 1);
+    const TimeUs delta = rng.range(1, 50);
+    const Tokens cap = rng.range(0, 5);
+    const bool violating = stream % 2 == 1;
+    BurstCheck check;
+    RateLimitAuditor exhaustive(delta, cap);
     TimeUs t = 0;
-    Tokens count = 0;
-  };
-
-  TimeUs delta_;
-  Tokens capacity_;
-  std::vector<Grant> ring_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  std::uint64_t checks_ = 0;
-};
-
-TEST(BurstWatchdog, MatchesTheFixedRingOnRandomStreams) {
-  // Seeded streams mixing same-instant grants, clocks that step back, and
-  // retracts larger than the newest record (or the whole ring), against
-  // small Δ so that bursts do break the bound.
-  constexpr TimeUs kStreamDelta = 10;
-  std::uint64_t violations = 0;
-  for (const std::size_t window : {std::size_t{2}, std::size_t{4},
-                                   std::size_t{32}}) {
-    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-      util::Rng rng(seed * 1000 + window);
-      const Tokens cap = rng.range(0, 4);
-      FixedRingWatchdog reference(kStreamDelta, cap, window);
-      AuditedWatchdog wd(kStreamDelta, cap, window);
-      std::set<TimeUs> distinct;
-      TimeUs t = 0;
-      for (int step = 0; step < 400; ++step) {
-        const std::int64_t roll = rng.range(0, 99);
-        if (roll < 25) {
-          const Tokens n = rng.range(0, 3 * cap + 6);
-          reference.retract(n);
-          wd.retract(n);
-          continue;
-        }
-        if (roll < 45) {
-          // same instant
-        } else if (roll < 55) {
-          t = std::max<TimeUs>(t - rng.range(1, 3 * kStreamDelta), 0);
-        } else {
-          t += rng.range(1, 2 * kStreamDelta);
-        }
-        const Tokens n = rng.range(0, cap + 2);
-        if (n > 0) distinct.insert(t);
-        const std::uint64_t expected = reference.record(t, n);
-        ASSERT_EQ(wd.record(t, n), expected)
-            << "window " << window << " seed " << seed << " step " << step;
-        violations += expected;
-        ASSERT_EQ(wd.checks(), reference.checks())
-            << "window " << window << " seed " << seed << " step " << step;
-        ASSERT_LE(wd.ring_capacity(), window);
-        ASSERT_LE(wd.ring_capacity(), 2 * distinct.size());
+    for (int step = 0; step < 60; ++step) {
+      const auto held = static_cast<std::int64_t>(exhaustive.send_count());
+      if (held > 0 && rng.below(5) == 0) {
+        const Tokens n = rng.range(1, held);
+        exhaustive.retract(static_cast<std::size_t>(n));
+        check.retract(delta, n);
+        continue;
+      }
+      const Tokens n =
+          violating ? rng.range(1, cap + 2) : rng.range(0, cap + 1);
+      if (rng.below(3) != 0) {  // otherwise the same instant
+        const TimeUs spread = std::max<Tokens>(n, 1) * delta;
+        t += violating ? rng.range(0, spread / 4) : rng.range(0, 4 * spread);
+      }
+      for (Tokens i = 0; i < n; ++i) exhaustive.record(t);
+      const bool flagged = check.record(delta, cap, t, n);
+      ASSERT_EQ(flagged, exhaustive.first_violation().has_value())
+          << "stream " << stream << " step " << step << " (Δ=" << delta
+          << ", C=" << cap << ", t=" << t << ", n=" << n << ")";
+      ++verdicts[violating][flagged];
+      if (flagged) {
+        exhaustive.retract(static_cast<std::size_t>(n));
+        check.retract(delta, n);
       }
     }
   }
-  EXPECT_GT(violations, 0u);  // the streams reach the violating branches
+  for (const bool violating : {false, true}) {
+    EXPECT_GT(verdicts[violating][false], 0u);
+    EXPECT_GT(verdicts[violating][true], 0u);
+  }
+  EXPECT_GT(verdicts[0][false], 4 * verdicts[0][true]);
+  EXPECT_GT(verdicts[1][true], verdicts[1][false]);
 }
 
 // ------------------------------------------------- cluster-wide replay

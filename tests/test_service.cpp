@@ -1,7 +1,7 @@
 // End-to-end tokend: an AccountTable and its ShardEngine behind
 // Server/Client over the in-process fabric and over real TCP sockets (the
-// epoll mesh), including the §3.4 burst-bound audit under concurrent
-// clients (the service-path RateLimitAuditor satellite).
+// epoll mesh), including the §3.4 burst-bound audit of every key under
+// concurrent refunding clients.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -321,7 +321,7 @@ TEST(ServiceEndToEnd, ConcurrentClientsManyKeys) {
 }
 
 TEST(ServiceEndToEnd, AuditedAccountsHoldTheBurstBoundUnderConcurrency) {
-  // The §3.4 satellite: with the auditor wired into the service path, a
+  // The §3.4 satellite: with every key checked in the service path, a
   // served account must never exceed ceil(t/Δ)+C sends in any window even
   // with concurrent clients hammering it through the wire protocol while
   // the coarse clock advances — now per namespace: the default namespace
@@ -353,8 +353,8 @@ TEST(ServiceEndToEnd, AuditedAccountsHoldTheBurstBoundUnderConcurrency) {
     threads.emplace_back([&, c] {
       // All clients fight over 4 keys in two namespaces with oversized
       // requests — the worst case for over-granting — and refund part of
-      // what they got (a refunded admission is struck from the audit
-      // trace, so re-granting it later must not read as a violation).
+      // what they got (a refunded admission is struck from the key's
+      // check, so re-granting it later must not read as a violation).
       for (int i = 0; i < 150; ++i) {
         const NamespaceId ns = i % 2;
         const AcquireResult res = clients[c]->acquire(ns, i % 4, 3);

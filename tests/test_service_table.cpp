@@ -348,8 +348,7 @@ TEST(AccountTable, WatchdogAuditsGrantsAndRefundsCleanly) {
     table.clock().advance(1000);
     EXPECT_EQ(table.acquire(7, 1).granted, 1);
   }
-  const std::uint64_t after_grants = table.stats().watchdog_checks;
-  EXPECT_GT(after_grants, 100u);  // window sweeps: > 1 check per grant
+  EXPECT_EQ(table.stats().watchdog_checks, 100u);  // one check per grant
   EXPECT_EQ(table.stats().watchdog_violations, 0u);
 
   // A refund retracts the newest audited grants; re-granting the refunded
@@ -357,95 +356,100 @@ TEST(AccountTable, WatchdogAuditsGrantsAndRefundsCleanly) {
   table.refund(7, 1);
   table.clock().advance(1000);
   table.acquire(7, 2);
-  EXPECT_GT(table.stats().watchdog_checks, after_grants);
+  EXPECT_EQ(table.stats().watchdog_checks, 101u);
   EXPECT_EQ(table.stats().watchdog_violations, 0u);
+  EXPECT_EQ(table.audit_violation(), std::nullopt);
 }
 
-TEST(AccountTable, EvictedWatchdogKeyRestartsWithAnEmptyRing) {
-  // The watchdog lives beside the account, not in it: evicting a sampled
-  // key must drop its ring too, so a re-created key audits from scratch.
-  // A grant sweeps one window per retained grant instant, which makes the
-  // ring's length visible in the check count.
-  ServiceConfig cfg = simple_config(10, 1000);
-  cfg.watchdog_sample = 1;
-  cfg.idle_ttl_us = 50'000;
-  AccountTable table(cfg);
-  table.acquire(7, 0);
-  for (int i = 0; i < 5; ++i) {
-    table.clock().advance(1000);
-    ASSERT_EQ(table.acquire(7, 1).granted, 1);
-  }
-  table.clock().advance(1000);
-  std::uint64_t before = table.stats().watchdog_checks;
-  ASSERT_EQ(table.acquire(7, 1).granted, 1);
-  EXPECT_EQ(table.stats().watchdog_checks - before, 6u);  // 5 retained + 1
+// The restart tests below spend a full bank of C tokens at one instant,
+// drop the account, and spend C again at the same instant from a fresh
+// account. That is legal for the new account, but a check that kept the
+// dropped account's history would see 2C grants at one instant, over the
+// bound of 1 + C.
+constexpr Tokens kBank = 10;
 
-  table.clock().advance(200'000);  // idle past 2x the TTL
+/// Every key checked, and a fresh account starts with a full bank.
+ServiceConfig banked_config() {
+  ServiceConfig cfg = simple_config(kBank, 1000);
+  cfg.initial_tokens = kBank;
+  cfg.watchdog_sample = 1;
+  return cfg;
+}
+
+/// Spends key 7's whole bank now and expects the grant checked cleanly.
+void spend_bank(AccountTable& table) {
+  const TableStats before = table.stats();
+  ASSERT_EQ(table.acquire(7, kBank).granted, kBank);
+  EXPECT_EQ(table.stats().watchdog_checks, before.watchdog_checks + 1);
+  EXPECT_EQ(table.stats().watchdog_violations, 0u);
+  EXPECT_EQ(table.audit_violation(), std::nullopt);
+}
+
+TEST(AccountTable, EvictedWatchdogKeyRestartsWithAnEmptyCheck) {
+  // The check lives beside the account, not in it: evicting a sampled key
+  // must drop its check too, so a re-created key is checked from scratch.
+  ServiceConfig cfg = banked_config();
+  cfg.idle_ttl_us = 2000;  // a broke account goes after 2Δ
+  AccountTable table(cfg);
+  table.clock().advance(1000);
+  spend_bank(table);
+  table.clock().advance(2000);
   ASSERT_EQ(table.evict_idle(), 1u);
-  table.acquire(7, 0);  // re-created, broke
-  table.clock().advance(1000);
-  before = table.stats().watchdog_checks;
-  ASSERT_EQ(table.acquire(7, 1).granted, 1);
-  EXPECT_EQ(table.stats().watchdog_checks - before, 1u);  // a fresh ring
-  EXPECT_EQ(table.stats().watchdog_violations, 0u);
+  // A kept check would still hold the old bank 8Δ ahead of now, and C
+  // more grants would end 18Δ ahead, over (C+1)Δ.
+  spend_bank(table);
 }
 
-/// Grants key 7 one token per period for six periods, so that its watchdog
-/// retains six grant instants, and returns the checks the last grant swept.
-std::uint64_t grow_watchdog_ring(AccountTable& table) {
-  table.acquire(7, 0);
-  std::uint64_t before = 0;
-  for (int i = 0; i < 6; ++i) {
-    table.clock().advance(1000);
-    before = table.stats().watchdog_checks;
-    EXPECT_EQ(table.acquire(7, 1).granted, 1);
-  }
-  return table.stats().watchdog_checks - before;
-}
-
-/// The checks swept by one grant to key 7, a period from now.
-std::uint64_t checks_of_next_grant(AccountTable& table) {
-  table.clock().advance(1000);
-  const std::uint64_t before = table.stats().watchdog_checks;
-  EXPECT_EQ(table.acquire(7, 1).granted, 1);
-  return table.stats().watchdog_checks - before;
-}
-
-TEST(AccountTable, ExtractedWatchdogKeyRestartsWithAnEmptyRing) {
+TEST(AccountTable, ExtractedWatchdogKeyRestartsWithAnEmptyCheck) {
   // Extraction is an erase path too: a key handed off and later installed
-  // (or re-created) here again must not inherit the ring it left with.
-  ServiceConfig cfg = simple_config(10, 1000);
-  cfg.watchdog_sample = 1;
-  AccountTable table(cfg);
-  ASSERT_EQ(grow_watchdog_ring(table), 6u);
-  const std::vector<AccountExport> out =
-      table.extract_if([](NamespaceId, std::uint64_t key) { return key == 7; });
-  ASSERT_EQ(out.size(), 1u);
-  ASSERT_TRUE(table.install_account(kDefaultNamespace, 7, out[0].balance));
-  EXPECT_EQ(checks_of_next_grant(table), 1u);
-
-  // Extracted and re-created by a plain acquire: a fresh ring as well.
+  // (or re-created) here again must not inherit the check it left with.
+  AccountTable table(banked_config());
+  table.clock().advance(1000);
+  spend_bank(table);
   ASSERT_EQ(table.extract_if([](NamespaceId, std::uint64_t) { return true; })
                 .size(),
             1u);
-  table.acquire(7, 0);
-  EXPECT_EQ(checks_of_next_grant(table), 1u);
-  EXPECT_EQ(table.stats().watchdog_violations, 0u);
+  ASSERT_TRUE(table.install_account(kDefaultNamespace, 7, kBank));
+  spend_bank(table);
+
+  // Extracted and re-created by a plain acquire: an empty check as well.
+  ASSERT_EQ(table.extract_if([](NamespaceId, std::uint64_t) { return true; })
+                .size(),
+            1u);
+  spend_bank(table);
 }
 
-TEST(AccountTable, ResetNamespaceRestartsItsWatchdogRings) {
-  // Reconfiguring a namespace purges its accounts; their watchdogs go with
-  // them, so the keys audit from scratch under the new policy.
-  ServiceConfig cfg = simple_config(10, 1000);
-  cfg.watchdog_sample = 1;
+TEST(AccountTable, ResetNamespaceRestartsItsWatchdogChecks) {
+  // Reconfiguring a namespace purges its accounts; their checks go with
+  // them, so the keys are checked from scratch under the new policy.
+  const ServiceConfig cfg = banked_config();
   AccountTable table(cfg);
-  ASSERT_EQ(grow_watchdog_ring(table), 6u);
+  table.clock().advance(1000);
+  spend_bank(table);
   EXPECT_FALSE(table.configure_namespace(kDefaultNamespace,
                                          cfg.default_namespace()));
   EXPECT_EQ(table.account_count(), 0u);
-  table.acquire(7, 0);
-  EXPECT_EQ(checks_of_next_grant(table), 1u);
+  spend_bank(table);
+}
+
+TEST(AccountTable, AuditNamespaceChecksEveryKey) {
+  // An audit namespace checks every key, sampled or not, in the one
+  // watchdog store: a grant per key, and none of the keys breaks the bound.
+  ServiceConfig cfg = simple_config(4, 1000);
+  cfg.initial_tokens = 2;
+  cfg.watchdog_sample = 0;
+  AccountTable table(cfg);
+  NamespaceConfig audited = cfg.default_namespace();
+  audited.audit = true;
+  ASSERT_TRUE(table.configure_namespace(1, audited));
+  for (std::uint64_t key = 0; key < 50; ++key) {
+    ASSERT_EQ(table.acquire(0, key, 2).granted, 2);
+    ASSERT_EQ(table.acquire(1, key, 2).granted, 2);
+  }
+  EXPECT_EQ(table.stats(0).watchdog_checks, 0u);
+  EXPECT_EQ(table.stats(1).watchdog_checks, 50u);
   EXPECT_EQ(table.stats().watchdog_violations, 0u);
+  EXPECT_EQ(table.audit_violation(), std::nullopt);
 }
 
 TEST(AccountTable, RejectsCapacitiesBeyondTheSlotBalance) {
@@ -1003,13 +1007,15 @@ void fold(std::uint64_t& digest, std::uint64_t value) {
   digest = util::splitmix64(state);
 }
 
+/// Folds every counter but watchdog_checks, whose unit (checks per grant)
+/// is the watchdog's choice, not a decision of the table.
 void fold(std::uint64_t& digest, const TableStats& s) {
   for (const std::uint64_t v :
        {s.accounts, s.accounts_created, s.accounts_evicted, s.acquires,
         s.tokens_requested, s.tokens_granted, s.refunds, s.tokens_refunded,
         s.tokens_refund_dropped, s.refunds_dropped, s.queries,
         s.proactive_dropped, s.ticks_forfeited, s.accounts_extracted,
-        s.accounts_installed, s.watchdog_checks, s.watchdog_violations})
+        s.accounts_installed, s.watchdog_violations})
     fold(digest, v);
 }
 
@@ -1021,9 +1027,9 @@ TEST(AccountTable, SeededScriptKeepsItsDecisionDigest) {
   // with re-installs, and replication switched on part-way with drains at
   // two acknowledgement watermarks. Every result, every replica delta and
   // the final counters go into one digest. The pinned value is what this
-  // same source gives on the table whose store homes were the account
-  // hash's top bits (the ring position bits), in power-of-two arrays, so
-  // it holds the store layout to the very same decisions.
+  // same source gives on the table whose §3.4 watchdog was a ring of the
+  // newest grant instants, so it holds the exact check to the very same
+  // decisions.
   ServiceConfig cfg;
   cfg.shards = 8;
   cfg.delta_us = 1000;
@@ -1161,7 +1167,7 @@ TEST(AccountTable, SeededScriptKeepsItsDecisionDigest) {
   EXPECT_GT(stats.accounts_installed, 0u);
   EXPECT_GT(stats.watchdog_checks, 0u);
   EXPECT_EQ(stats.watchdog_violations, 0u);
-  EXPECT_EQ(digest, 0x3df7901b61c0fad6ULL)
+  EXPECT_EQ(digest, 0x7e7cd475dc096931ULL)
       << std::hex << "digest 0x" << digest;
 }
 
