@@ -37,6 +37,13 @@ Args::Args(int argc, const char* const* argv) {
 
 bool Args::has(const std::string& name) const { return named_.count(name) > 0; }
 
+std::vector<std::string> Args::names() const {
+  std::vector<std::string> out;
+  out.reserve(named_.size());
+  for (const auto& [name, value] : named_) out.push_back(name);
+  return out;
+}
+
 bool Args::get_flag(const std::string& name) const {
   const auto it = named_.find(name);
   if (it == named_.end()) return false;

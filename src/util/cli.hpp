@@ -33,6 +33,8 @@ class Args {
   std::vector<std::int64_t> get_int_list(
       const std::string& name, const std::vector<std::int64_t>& fallback) const;
 
+  /// Every --name given, in sorted order (for rejecting unknown flags).
+  std::vector<std::string> names() const;
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 

@@ -51,6 +51,13 @@ TEST(Cli, Positionals) {
   EXPECT_EQ(args.positional()[1], "two");
 }
 
+TEST(Cli, NamesListsEveryNamedArgumentOnce) {
+  const auto args = make_args(
+      {"prog", "--zeta=1", "pos", "--alpha", "2", "--flag", "--zeta=3"});
+  EXPECT_EQ(args.names(), (std::vector<std::string>{"alpha", "flag", "zeta"}));
+  EXPECT_TRUE(make_args({"prog", "pos"}).names().empty());
+}
+
 TEST(Cli, IntList) {
   const auto args = make_args({"prog", "--a=1,2,5,10"});
   const auto list = args.get_int_list("a", {});
