@@ -1125,6 +1125,9 @@ constexpr const char* kUsage =
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Line-buffered, so piped stdout interleaves with the FAIL lines on
+  // stderr in the order they happened.
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);
   const util::Args args(argc, argv);
   // A stale flag (say --max-trace-overhead=2 from an old script) must not
   // be ignored without a word.
