@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -91,7 +92,7 @@ cluster::ClusterMap random_cluster_map(Rng& rng) {
 }
 
 Request random_request(Rng& rng) {
-  switch (rng.below(13)) {
+  switch (rng.below(14)) {
     case 0:
       return AcquireRequest{rng.next_u64(), rng.next_u64(),
                             static_cast<Tokens>(rng.below(1 << 20)),
@@ -149,6 +150,9 @@ Request random_request(Rng& rng) {
     }
     case 11:
       return ReplicaAckRequest{rng.next_u64(), rng.next_u64()};
+    case 12:
+      return TracesRequest{rng.next_u64(),
+                           static_cast<std::uint32_t>(rng.next_u64())};
     default:
       return PromoteRequest{rng.next_u64(),
                             1 + static_cast<NodeId>(rng.below(1 << 16)),
@@ -157,7 +161,7 @@ Request random_request(Rng& rng) {
 }
 
 Response random_response(Rng& rng) {
-  switch (rng.below(14)) {
+  switch (rng.below(15)) {
     case 0:
       return AcquireResponse{rng.next_u64(),
                              static_cast<Tokens>(rng.below(1000)),
@@ -238,10 +242,80 @@ Response random_response(Rng& rng) {
       return PromoteResponse{rng.next_u64(), rng.bernoulli(0.5),
                              rng.next_u64(), rng.below(100),
                              static_cast<Tokens>(rng.below(1 << 20))};
+    case 13: {
+      TracesResponse m;
+      m.id = rng.next_u64();
+      const std::size_t spans = rng.below(6);
+      for (std::size_t i = 0; i < spans; ++i) {
+        m.spans.push_back(TraceSpan{
+            rng.next_u64(), rng.next_u64(),
+            static_cast<std::int64_t>(rng.next_u64()),
+            static_cast<std::int64_t>(rng.below(1 << 20)),
+            static_cast<std::uint32_t>(rng.next_u64()),
+            static_cast<std::uint32_t>(rng.next_u64()),
+            static_cast<std::uint8_t>(rng.below(256)),
+            static_cast<std::uint8_t>(rng.below(256)),
+            static_cast<std::uint8_t>(rng.below(256))});
+      }
+      return m;
+    }
     default:
       return ErrorResponse{rng.next_u64(),
                            static_cast<ErrorCode>(1 + rng.below(4))};
   }
+}
+
+// ---------------------------------------------------------- golden frames
+
+#include "protocol_golden_frames.inc"
+
+std::string to_hex(std::span<const std::byte> bytes) {
+  std::string out;
+  char buf[3];
+  for (const std::byte b : bytes) {
+    std::snprintf(buf, sizeof buf, "%02x", std::to_integer<unsigned>(b));
+    out += buf;
+  }
+  return out;
+}
+
+std::vector<std::byte> from_hex(const std::string& hex) {
+  std::vector<std::byte> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    out.push_back(
+        static_cast<std::byte>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  return out;
+}
+
+TEST(ProtocolGolden, RequestFramesAreByteIdentical) {
+  std::vector<bool> covered(16, false);
+  for (const GoldenRequest& g : golden_requests()) {
+    SCOPED_TRACE(g.name);
+    std::vector<std::byte> wire = encode(g.msg);
+    EXPECT_EQ(to_hex(wire), g.hex);
+    EXPECT_EQ(decode_request(from_hex(g.hex)), g.msg);
+
+    attach_trace_context(wire, g.trace);
+    EXPECT_EQ(to_hex(wire), g.traced_hex);
+    std::optional<TraceContext> seen;
+    EXPECT_EQ(decode_request(from_hex(g.traced_hex), seen), g.msg);
+    EXPECT_EQ(seen, g.trace);
+    covered[g.msg.index()] = true;
+  }
+  for (std::size_t i = 0; i < std::variant_size_v<Request>; ++i)
+    EXPECT_TRUE(covered[i]) << "no golden frame for request alternative " << i;
+}
+
+TEST(ProtocolGolden, ResponseFramesAreByteIdentical) {
+  std::vector<bool> covered(16, false);
+  for (const GoldenResponse& g : golden_responses()) {
+    SCOPED_TRACE(g.name);
+    EXPECT_EQ(to_hex(encode(g.msg)), g.hex);
+    EXPECT_EQ(decode_response(from_hex(g.hex)), g.msg);
+    covered[g.msg.index()] = true;
+  }
+  for (std::size_t i = 0; i < std::variant_size_v<Response>; ++i)
+    EXPECT_TRUE(covered[i]) << "no golden frame for response alternative " << i;
 }
 
 TEST(Protocol, RandomizedRequestReencodeByteIdentity) {
