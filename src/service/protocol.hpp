@@ -1,16 +1,21 @@
 // tokend's compact binary wire protocol (version 2).
 //
-// One request or response per transport payload, serialized with
-// util::BinaryWriter/BinaryReader (fixed little-endian layout):
+// One request or response per transport payload, in util::BinaryWriter's
+// fixed little-endian layout. Every frame starts with the same header:
 //
 //   u8  version (always kProtocolVersion; any other byte is rejected)
 //   u8  message type (requests 1..14; responses are request | 0x80;
 //       0x7E redirect and 0x7F error are response-only)
 //   u64 request id (echoed verbatim in the response for correlation)
-//   ... type-specific body
+//   ... a traced request's 9-byte context (see kTraceBit), then the body
 //
-// Data ops (acquire/refund/query/batch-acquire) carry a u32 namespace id
-// right after the request id. Beside them the protocol has:
+// Each body is described once, by its message's field list in
+// wire::kSchema below: the fields in wire order, each a member, a wire
+// kind and, where one exists, a bound. encode, decode_request,
+// decode_response and the routing walk for_each_data_op_key all walk
+// those lists; wire::read_header is the one header reader.
+//
+// Beside the data ops (acquire/refund/query/batch-acquire) the protocol has:
 //   - admin messages: ConfigureNamespace creates or resets a namespace
 //     with its own core::StrategyConfig, Δ, initial balance and TTL at
 //     runtime; NamespaceInfo describes one;
@@ -45,6 +50,8 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -450,35 +457,423 @@ using Response =
                  HandoffResponse, StatsResponse, TracesResponse,
                  PromoteResponse, RedirectResponse, ErrorResponse>;
 
-// Encoders; every frame carries kProtocolVersion.
-std::vector<std::byte> encode(const AcquireRequest& m);
-std::vector<std::byte> encode(const AcquireResponse& m);
-std::vector<std::byte> encode(const RefundRequest& m);
-std::vector<std::byte> encode(const RefundResponse& m);
-std::vector<std::byte> encode(const QueryRequest& m);
-std::vector<std::byte> encode(const QueryResponse& m);
-std::vector<std::byte> encode(const BatchAcquireRequest& m);
-std::vector<std::byte> encode(const BatchAcquireResponse& m);
-std::vector<std::byte> encode(const ConfigureNamespaceRequest& m);
-std::vector<std::byte> encode(const ConfigureNamespaceResponse& m);
-std::vector<std::byte> encode(const NamespaceInfoRequest& m);
-std::vector<std::byte> encode(const NamespaceInfoResponse& m);
-std::vector<std::byte> encode(const ClusterMapRequest& m);
-std::vector<std::byte> encode(const ClusterMapResponse& m);
-std::vector<std::byte> encode(const ApplyMapRequest& m);
-std::vector<std::byte> encode(const ApplyMapResponse& m);
-std::vector<std::byte> encode(const HandoffRequest& m);
-std::vector<std::byte> encode(const HandoffResponse& m);
-std::vector<std::byte> encode(const StatsRequest& m);
-std::vector<std::byte> encode(const StatsResponse& m);
-std::vector<std::byte> encode(const TracesRequest& m);
-std::vector<std::byte> encode(const TracesResponse& m);
-std::vector<std::byte> encode(const ReplicateRequest& m);
-std::vector<std::byte> encode(const ReplicaAckRequest& m);
-std::vector<std::byte> encode(const PromoteRequest& m);
-std::vector<std::byte> encode(const PromoteResponse& m);
-std::vector<std::byte> encode(const RedirectResponse& m);
-std::vector<std::byte> encode(const ErrorResponse& m);
+/// The leading (type, id) pair of a frame, plus the trace context when
+/// the request carries one.
+struct FrameHeader {
+  MsgType type = MsgType::kAcquire;
+  bool is_response = false;
+  std::uint64_t id = 0;
+  bool traced = false;  ///< kTraceBit was set (requests only)
+  std::uint64_t trace_id = 0;
+  bool sampled = false;
+};
+
+// ---------------------------------------------------------- frame schema
+//
+// Each wire struct's layout is one constexpr field list, kSchema<T>: its
+// fields in wire order (which need not be the struct's order), after the
+// header for a message. The generic writer and reader below walk these
+// lists; nothing else knows a body's layout.
+
+namespace wire {
+
+/// How one field's bytes are written and read back.
+enum class Kind : std::uint8_t {
+  kU8,
+  kU32,     ///< rejected above its bound, when it has one
+  kU64,
+  kI64,     ///< any value
+  kTokens,  ///< an i64 that must not be negative
+  kBool,    ///< a u8 that must be 0 or 1
+  kEnum,    ///< a u8 no greater than its bound, the highest enumerator
+  kF64,
+  kStr,     ///< u32 length, at most the bound, then the bytes
+  kVec,     ///< u32 count, at most the bound, then the elements
+  kNested,  ///< a struct with a field list of its own
+};
+
+/// One entry of a field list: the member, its wire kind, its bound.
+template <auto Member, Kind K, std::uint64_t Bound = ~std::uint64_t{0}>
+struct Field {};
+
+/// Fields that are on the wire only when `Member` equals `Value`.
+template <auto Member, auto Value, typename... Fs>
+struct When {};
+
+/// A field list, and for a message the type byte it travels under.
+template <typename... Fs>
+struct Schema {
+  MsgType type{};
+};
+
+template <MsgType Type, typename... Fs>
+constexpr Schema<Fs...> message(Fs...) { return {Type}; }
+template <typename... Fs>
+constexpr Schema<Fs...> fields(Fs...) { return {}; }
+template <auto Member, auto Value, typename... Fs>
+constexpr When<Member, Value, Fs...> when(Fs...) { return {}; }
+
+template <auto M> inline constexpr Field<M, Kind::kU8> u8{};
+template <auto M, std::uint64_t Max = ~std::uint64_t{0}>
+inline constexpr Field<M, Kind::kU32, Max> u32{};
+template <auto M> inline constexpr Field<M, Kind::kU64> u64{};
+template <auto M> inline constexpr Field<M, Kind::kI64> i64{};
+template <auto M> inline constexpr Field<M, Kind::kTokens> tokens{};
+template <auto M> inline constexpr Field<M, Kind::kBool> boolean{};
+template <auto M, auto Max>
+inline constexpr Field<M, Kind::kEnum, static_cast<std::uint64_t>(Max)>
+    enumeration{};
+template <auto M> inline constexpr Field<M, Kind::kF64> f64{};
+template <auto M, std::uint64_t Max>
+inline constexpr Field<M, Kind::kStr, Max> str{};
+template <auto M, std::uint64_t Max>
+inline constexpr Field<M, Kind::kVec, Max> vec{};
+template <auto M> inline constexpr Field<M, Kind::kNested> nested{};
+
+/// The field list of every wire struct; nullptr for any other type.
+template <typename T>
+inline constexpr auto kSchema = nullptr;
+
+// Nested lists.
+template <>
+inline constexpr auto kSchema<AcquireOp> =
+    fields(u64<&AcquireOp::key>, tokens<&AcquireOp::tokens>);
+template <>
+inline constexpr auto kSchema<AcquireResult> =
+    fields(i64<&AcquireResult::granted>, i64<&AcquireResult::balance>);
+template <>
+inline constexpr auto kSchema<core::StrategyConfig> = fields(
+    enumeration<&core::StrategyConfig::kind, core::StrategyKind::kTokenBucket>,
+    i64<&core::StrategyConfig::a_param>, i64<&core::StrategyConfig::c_param>,
+    i64<&core::StrategyConfig::reactive_k>,
+    boolean<&core::StrategyConfig::reactive_useful_only>);
+template <>
+inline constexpr auto kSchema<NamespaceConfig> = fields(
+    nested<&NamespaceConfig::strategy>, i64<&NamespaceConfig::delta_us>,
+    i64<&NamespaceConfig::initial_tokens>, i64<&NamespaceConfig::idle_ttl_us>,
+    i64<&NamespaceConfig::max_catchup_ticks>,
+    boolean<&NamespaceConfig::audit>);
+template <>
+inline constexpr auto kSchema<cluster::ClusterMap> = fields(
+    u64<&cluster::ClusterMap::epoch>, u32<&cluster::ClusterMap::vnodes>,
+    vec<&cluster::ClusterMap::nodes, cluster::kMaxClusterNodes>,
+    u32<&cluster::ClusterMap::replicas, cluster::kMaxClusterNodes>);
+template <>
+inline constexpr auto kSchema<StatsBucket> = fields(
+    u32<&StatsBucket::index, kMaxStatsBuckets - 1>, u64<&StatsBucket::count>);
+template <>
+inline constexpr auto kSchema<StatsEntry> = fields(
+    str<&StatsEntry::name, kMaxStatsNameLen>, enumeration<&StatsEntry::kind, 2>,
+    f64<&StatsEntry::value>,
+    when<&StatsEntry::kind, 2>(
+        f64<&StatsEntry::p50>, f64<&StatsEntry::p90>, f64<&StatsEntry::p99>,
+        f64<&StatsEntry::max>, f64<&StatsEntry::sum>,
+        vec<&StatsEntry::buckets, kMaxStatsBuckets>));
+template <>
+inline constexpr auto kSchema<TraceSpan> = fields(
+    u64<&TraceSpan::trace_id>, u64<&TraceSpan::key>, i64<&TraceSpan::start_us>,
+    i64<&TraceSpan::dur_us>, u32<&TraceSpan::ns>, u32<&TraceSpan::node>,
+    u8<&TraceSpan::stage>, u8<&TraceSpan::decision>, u8<&TraceSpan::flags>);
+template <>
+inline constexpr auto kSchema<ReplicaDelta> = fields(
+    u32<&ReplicaDelta::ns>, u64<&ReplicaDelta::key>,
+    tokens<&ReplicaDelta::balance>, tokens<&ReplicaDelta::floor>);
+
+// Data ops.
+template <>
+inline constexpr auto kSchema<AcquireRequest> = message<MsgType::kAcquire>(
+    u32<&AcquireRequest::ns>, u64<&AcquireRequest::key>,
+    tokens<&AcquireRequest::tokens>);
+template <>
+inline constexpr auto kSchema<AcquireResponse> = message<MsgType::kAcquire>(
+    i64<&AcquireResponse::granted>, i64<&AcquireResponse::balance>);
+template <>
+inline constexpr auto kSchema<RefundRequest> = message<MsgType::kRefund>(
+    u32<&RefundRequest::ns>, u64<&RefundRequest::key>,
+    tokens<&RefundRequest::tokens>);
+template <>
+inline constexpr auto kSchema<RefundResponse> = message<MsgType::kRefund>(
+    i64<&RefundResponse::accepted>, i64<&RefundResponse::balance>);
+template <>
+inline constexpr auto kSchema<QueryRequest> = message<MsgType::kQuery>(
+    u32<&QueryRequest::ns>, u64<&QueryRequest::key>);
+template <>
+inline constexpr auto kSchema<QueryResponse> = message<MsgType::kQuery>(
+    i64<&QueryResponse::balance>, boolean<&QueryResponse::exists>);
+template <>
+inline constexpr auto kSchema<BatchAcquireRequest> =
+    message<MsgType::kBatchAcquire>(
+        u32<&BatchAcquireRequest::ns>,
+        vec<&BatchAcquireRequest::ops, kMaxBatchOps>);
+template <>
+inline constexpr auto kSchema<BatchAcquireResponse> =
+    message<MsgType::kBatchAcquire>(
+        vec<&BatchAcquireResponse::results, kMaxBatchOps>);
+
+// Admin, error and telemetry messages.
+template <>
+inline constexpr auto kSchema<ConfigureNamespaceRequest> =
+    message<MsgType::kConfigureNamespace>(
+        u32<&ConfigureNamespaceRequest::ns>,
+        nested<&ConfigureNamespaceRequest::config>);
+template <>
+inline constexpr auto kSchema<ConfigureNamespaceResponse> =
+    message<MsgType::kConfigureNamespace>(
+        boolean<&ConfigureNamespaceResponse::created>,
+        i64<&ConfigureNamespaceResponse::capacity>);
+template <>
+inline constexpr auto kSchema<NamespaceInfoRequest> =
+    message<MsgType::kNamespaceInfo>(u32<&NamespaceInfoRequest::ns>);
+template <>
+inline constexpr auto kSchema<NamespaceInfoResponse> =
+    message<MsgType::kNamespaceInfo>(
+        boolean<&NamespaceInfoResponse::exists>,
+        when<&NamespaceInfoResponse::exists, true>(
+            nested<&NamespaceInfoResponse::config>,
+            i64<&NamespaceInfoResponse::capacity>,
+            u64<&NamespaceInfoResponse::accounts>));
+template <>
+inline constexpr auto kSchema<ErrorResponse> = message<MsgType::kError>(
+    enumeration<&ErrorResponse::code, ErrorCode::kOverloaded>,
+    when<&ErrorResponse::code, ErrorCode::kOverloaded>(
+        tokens<&ErrorResponse::retry_after_us>));
+template <>
+inline constexpr auto kSchema<StatsRequest> = message<MsgType::kStats>();
+template <>
+inline constexpr auto kSchema<StatsResponse> = message<MsgType::kStats>(
+    vec<&StatsResponse::entries, kMaxStatsEntries>);
+template <>
+inline constexpr auto kSchema<TracesRequest> =
+    message<MsgType::kTraces>(u32<&TracesRequest::max_spans>);
+template <>
+inline constexpr auto kSchema<TracesResponse> =
+    message<MsgType::kTraces>(vec<&TracesResponse::spans, kMaxTraceSpans>);
+
+// Cluster messages.
+template <>
+inline constexpr auto kSchema<ClusterMapRequest> =
+    message<MsgType::kClusterMap>();
+template <>
+inline constexpr auto kSchema<ClusterMapResponse> =
+    message<MsgType::kClusterMap>(nested<&ClusterMapResponse::map>);
+template <>
+inline constexpr auto kSchema<ApplyMapRequest> =
+    message<MsgType::kApplyMap>(nested<&ApplyMapRequest::map>);
+template <>
+inline constexpr auto kSchema<ApplyMapResponse> = message<MsgType::kApplyMap>(
+    boolean<&ApplyMapResponse::accepted>, u64<&ApplyMapResponse::epoch>,
+    u64<&ApplyMapResponse::handoffs>);
+template <>
+inline constexpr auto kSchema<HandoffRequest> = message<MsgType::kHandoff>(
+    u64<&HandoffRequest::epoch>, u32<&HandoffRequest::ns>,
+    u64<&HandoffRequest::key>, tokens<&HandoffRequest::balance>);
+template <>
+inline constexpr auto kSchema<HandoffResponse> =
+    message<MsgType::kHandoff>(boolean<&HandoffResponse::accepted>);
+template <>
+inline constexpr auto kSchema<ReplicateRequest> = message<MsgType::kReplicate>(
+    u64<&ReplicateRequest::epoch>, u64<&ReplicateRequest::seq>,
+    vec<&ReplicateRequest::deltas, kMaxReplicaDeltas>);
+template <>
+inline constexpr auto kSchema<ReplicaAckRequest> =
+    message<MsgType::kReplicaAck>(u64<&ReplicaAckRequest::seq>);
+template <>
+inline constexpr auto kSchema<PromoteRequest> = message<MsgType::kPromote>(
+    u32<&PromoteRequest::failed>, u64<&PromoteRequest::epoch>);
+template <>
+inline constexpr auto kSchema<PromoteResponse> = message<MsgType::kPromote>(
+    boolean<&PromoteResponse::accepted>, u64<&PromoteResponse::epoch>,
+    u64<&PromoteResponse::installed>, tokens<&PromoteResponse::forfeited>);
+template <>
+inline constexpr auto kSchema<RedirectResponse> = message<MsgType::kRedirect>(
+    u64<&RedirectResponse::epoch>, u32<&RedirectResponse::owner>);
+
+/// The Request and Response variants decide which types exist as
+/// requests and which as responses.
+template <typename T>
+inline constexpr bool kIsRequest =
+    std::is_constructible_v<Request, std::in_place_type_t<T>>;
+template <typename T>
+inline constexpr bool kIsResponse =
+    std::is_constructible_v<Response, std::in_place_type_t<T>>;
+
+[[noreturn]] void reject(const char* what);
+[[noreturn]] void reject_bound(const char* what, std::uint64_t value,
+                               std::uint64_t bound);
+
+/// Cross-field rules, checked once all of a struct's fields are read.
+void validate(const ReplicaDelta& d);         // floor <= balance
+void validate(const StatsEntry& e);           // ascending buckets
+void validate(const cluster::ClusterMap& m);  // canonical members
+void validate(const PromoteRequest& m);       // names a node
+void validate(const ErrorResponse& m);        // a defined code
+
+// ---------------------------------------------------------------- writer
+
+template <typename T>
+void write(util::BinaryWriter& w, const T& m);
+
+template <typename T, auto M, Kind K, std::uint64_t B>
+void put(util::BinaryWriter& w, const T& m, Field<M, K, B>) {
+  const auto& v = m.*M;
+  if constexpr (K == Kind::kU8 || K == Kind::kBool || K == Kind::kEnum) {
+    w.u8(static_cast<std::uint8_t>(v));
+  } else if constexpr (K == Kind::kU32) {
+    w.u32(v);
+  } else if constexpr (K == Kind::kU64) {
+    w.u64(v);
+  } else if constexpr (K == Kind::kI64 || K == Kind::kTokens) {
+    w.i64(v);
+  } else if constexpr (K == Kind::kF64) {
+    w.f64(v);
+  } else if constexpr (K == Kind::kNested) {
+    write(w, v);
+  } else {
+    // Fail fast on the sender: the receiver would drop an oversized frame
+    // as malformed, which surfaces as an opaque client timeout.
+    TOKA_CHECK_MSG(v.size() <= B, "wire field of " << v.size()
+                                      << " elements exceeds its bound of "
+                                      << B);
+    if constexpr (K == Kind::kStr) {
+      w.str(v);
+    } else {
+      w.u32(static_cast<std::uint32_t>(v.size()));
+      for (const auto& e : v) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(e)>, NodeId>) {
+          w.u32(e);
+        } else {
+          write(w, e);
+        }
+      }
+    }
+  }
+}
+
+template <typename T, auto M, auto V, typename... Fs>
+void put(util::BinaryWriter& w, const T& m, When<M, V, Fs...>) {
+  if (m.*M == V) (put(w, m, Fs{}), ...);
+}
+
+template <typename T>
+void write(util::BinaryWriter& w, const T& m) {
+  [&]<typename... Fs>(Schema<Fs...>) { (put(w, m, Fs{}), ...); }(kSchema<T>);
+}
+
+inline void write_header(util::BinaryWriter& w, const FrameHeader& h) {
+  w.u8(kProtocolVersion);
+  w.u8(static_cast<std::uint8_t>(h.type) | (h.is_response ? kResponseBit : 0) |
+       (h.traced ? kTraceBit : 0));
+  w.u64(h.id);
+  if (h.traced) {
+    w.u64(h.trace_id);
+    w.u8(h.sampled ? kTraceFlagSampled : 0);
+  }
+}
+
+// ---------------------------------------------------------------- reader
+
+/// The default sink of read(): vector elements are stored in the vector.
+struct Store {};
+
+/// Reads `m`'s fields in wire order, then its cross-field rules. Every
+/// bound is checked before anything is allocated. A `sink` callable with
+/// a vector's element receives the elements instead (the routing walk
+/// streams a batch's ops this way, storing nothing) and stops the read by
+/// returning false; read() then returns false too.
+template <typename T, typename Sink = Store>
+bool read(util::BinaryReader& r, T& m, Sink&& sink = {});
+
+template <std::uint64_t Bound, typename V>
+V bounded(V v, const char* what) {
+  if (static_cast<std::uint64_t>(v) > Bound) reject_bound(what, v, Bound);
+  return v;
+}
+
+template <typename E>
+void read_element(util::BinaryReader& r, E& e) {
+  if constexpr (std::is_same_v<E, NodeId>) {
+    e = r.u32();
+  } else {
+    read(r, e);
+  }
+}
+
+template <typename T, auto M, Kind K, std::uint64_t B, typename Sink>
+bool get(util::BinaryReader& r, T& m, Field<M, K, B>, Sink& sink) {
+  auto& v = m.*M;
+  using V = std::remove_reference_t<decltype(v)>;
+  if constexpr (K == Kind::kU8) {
+    v = r.u8();
+  } else if constexpr (K == Kind::kBool) {
+    v = bounded<1>(r.u8(), "boolean byte") != 0;
+  } else if constexpr (K == Kind::kEnum) {
+    v = static_cast<V>(bounded<B>(r.u8(), "enum byte"));
+  } else if constexpr (K == Kind::kU32) {
+    v = bounded<B>(r.u32(), "field value");
+  } else if constexpr (K == Kind::kU64) {
+    v = r.u64();
+  } else if constexpr (K == Kind::kI64) {
+    v = r.i64();
+  } else if constexpr (K == Kind::kTokens) {
+    v = r.i64();
+    if (v < 0) reject("negative token count");
+  } else if constexpr (K == Kind::kF64) {
+    v = r.f64();
+  } else if constexpr (K == Kind::kNested) {
+    read(r, v);
+  } else if constexpr (K == Kind::kStr) {
+    v.resize(bounded<B>(r.u32(), "string length"));
+    for (char& c : v) c = static_cast<char>(r.u8());
+  } else {
+    using E = typename V::value_type;
+    const std::uint32_t n = bounded<B>(r.u32(), "element count");
+    if constexpr (std::is_invocable_r_v<bool, Sink&, const E&>) {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        E e;
+        read_element(r, e);
+        if (!sink(std::as_const(e))) return false;
+      }
+    } else {
+      v.resize(n);
+      for (E& e : v) read_element(r, e);
+    }
+  }
+  return true;
+}
+
+template <typename T, auto M, auto V, typename... Fs, typename Sink>
+bool get(util::BinaryReader& r, T& m, When<M, V, Fs...>, Sink& sink) {
+  return !(m.*M == V) || (get(r, m, Fs{}, sink) && ...);
+}
+
+template <typename T, typename Sink>
+bool read(util::BinaryReader& r, T& m, Sink&& sink) {
+  const bool more = [&]<typename... Fs>(Schema<Fs...>) {
+    return (get(r, m, Fs{}, sink) && ...);
+  }(kSchema<T>);
+  if constexpr (requires { wire::validate(m); }) {
+    if (more) wire::validate(m);
+  }
+  return more;
+}
+
+/// The one header reader: version, type byte, id and a request's trace
+/// context. Throws util::IoError on a wrong version, a type byte that no
+/// Request (or, with kResponseBit, no Response) alternative carries,
+/// unknown trace flags or a truncated header.
+FrameHeader read_header(util::BinaryReader& r);
+
+}  // namespace wire
+
+/// Encodes any request or response; every frame carries kProtocolVersion.
+template <typename T>
+  requires wire::kIsRequest<T> || wire::kIsResponse<T>
+std::vector<std::byte> encode(const T& m) {
+  util::BinaryWriter w;
+  wire::write_header(w, {wire::kSchema<T>.type, wire::kIsResponse<T>, m.id});
+  wire::write(w, m);
+  return w.take();
+}
 
 std::vector<std::byte> encode(const Request& m);
 std::vector<std::byte> encode(const Response& m);
@@ -492,17 +887,6 @@ Request decode_request(std::span<const std::byte> payload,
 
 /// Parses a response frame; throws util::IoError on any malformation.
 Response decode_response(std::span<const std::byte> payload);
-
-/// The leading (type, id) pair of a frame, plus the trace context when
-/// the request carries one.
-struct FrameHeader {
-  MsgType type = MsgType::kAcquire;
-  bool is_response = false;
-  std::uint64_t id = 0;
-  bool traced = false;  ///< kTraceBit was set (requests only)
-  std::uint64_t trace_id = 0;
-  bool sampled = false;
-};
 
 /// Parses just the header: nullopt unless the frame is long enough, the
 /// version byte is kProtocolVersion and the type byte is defined.
@@ -527,51 +911,37 @@ std::uint64_t request_id(const Response& m);
 /// Returns true if the frame was a data-op request walked to the caller's
 /// satisfaction (`fn` may return false to stop early); false for any
 /// other frame — responses, admin/cluster types, a wrong version, or a
-/// body too short to carry its keys — in which case the caller falls back
-/// to the full strict decoder for classification. Only routing fields are
-/// validated here; full strictness (token signs, trailing bytes) stays
-/// with decode_request, whose layout this walk mirrors — the protocol
-/// fuzz pins the two together.
+/// body the field reader rejects up to the last key — in which case the
+/// caller falls back to the full strict decoder for classification. The
+/// walk reads the same field lists as decode_request, with the same
+/// per-field checks; only trailing bytes, and the ops after an early
+/// stop, go unchecked.
 template <typename KeyFn>
 bool for_each_data_op_key(std::span<const std::byte> payload, KeyFn&& fn) {
   util::BinaryReader r(payload);
+  const auto single = [&](auto m) {
+    wire::read(r, m);
+    fn(m.ns, m.key);
+    return true;
+  };
   try {
-    if (r.u8() != kProtocolVersion) return false;
-    const std::uint8_t type_byte = r.u8();
-    if ((type_byte & kResponseBit) != 0) return false;
-    // A traced frame carries 9 context bytes after the id.
-    const bool traced = (type_byte & kTraceBit) != 0;
-    const MsgType type =
-        static_cast<MsgType>(traced ? (type_byte & ~kTraceBit) : type_byte);
-    r.u64();  // request id
-    if (traced) {
-      r.u64();  // trace id
-      r.u8();   // trace flags (validated by the strict decoder, not here)
-    }
-    switch (type) {
-      case MsgType::kAcquire:
-      case MsgType::kRefund:
-      case MsgType::kQuery: {
-        const NamespaceId ns = r.u32();
-        fn(ns, r.u64());
-        return true;
-      }
+    const FrameHeader h = wire::read_header(r);
+    if (h.is_response) return false;
+    switch (h.type) {
+      case MsgType::kAcquire: return single(AcquireRequest{});
+      case MsgType::kRefund: return single(RefundRequest{});
+      case MsgType::kQuery: return single(QueryRequest{});
       case MsgType::kBatchAcquire: {
-        const NamespaceId ns = r.u32();
-        const std::uint32_t count = r.u32();
-        if (count > kMaxBatchOps) return false;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const std::uint64_t key = r.u64();
-          r.i64();  // the op's token count plays no part in routing
-          if (!fn(ns, key)) return true;
-        }
+        BatchAcquireRequest m;  // stays empty: the ops stream to `fn`
+        wire::read(r, m,
+                   [&](const AcquireOp& op) { return fn(m.ns, op.key); });
         return true;
       }
       default:
         return false;
     }
   } catch (const util::IoError&) {
-    return false;  // truncated: let the strict decoder classify the frame
+    return false;  // malformed: let the strict decoder classify the frame
   }
 }
 

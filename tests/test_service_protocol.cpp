@@ -288,7 +288,7 @@ std::vector<std::byte> from_hex(const std::string& hex) {
 }
 
 TEST(ProtocolGolden, RequestFramesAreByteIdentical) {
-  std::vector<bool> covered(16, false);
+  std::vector<bool> covered(std::variant_size_v<Request>, false);
   for (const GoldenRequest& g : golden_requests()) {
     SCOPED_TRACE(g.name);
     std::vector<std::byte> wire = encode(g.msg);
@@ -307,7 +307,7 @@ TEST(ProtocolGolden, RequestFramesAreByteIdentical) {
 }
 
 TEST(ProtocolGolden, ResponseFramesAreByteIdentical) {
-  std::vector<bool> covered(16, false);
+  std::vector<bool> covered(std::variant_size_v<Response>, false);
   for (const GoldenResponse& g : golden_responses()) {
     SCOPED_TRACE(g.name);
     EXPECT_EQ(to_hex(encode(g.msg)), g.hex);
