@@ -118,8 +118,8 @@ struct ShardEngineOptions {
   /// a closed-loop client fleet fits: completions must never block pushing
   /// into a sibling worker's full queue.
   std::size_t queue_capacity = 16 * 1024;
-  /// When set, per-worker queue-depth gauges are exported (the signal the
-  /// adaptive admission valve wants; see ROADMAP item 5).
+  /// When set, per-worker queue-depth gauges are exported (the signal an
+  /// adaptive admission valve would want).
   obs::Registry* registry = nullptr;
   /// When set, traced ops get queue-wait and execute spans recorded on the
   /// worker (with the §3.4 decision: bank / fresh / denied / refund).
