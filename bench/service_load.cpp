@@ -61,6 +61,7 @@
 #include "service/shard_engine.hpp"
 #include "trace/synthetic.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -1145,14 +1146,14 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // Args binds the token after a bare flag as its value, so "--quick foo"
-  // would read as quick=false; the two switches take no value.
-  for (const char* name : {"quick", "gates"}) {
-    if (!args.get_string(name, "").empty()) {
-      std::fprintf(stderr, "service_load: --%s takes no value\n%s", name,
-                   kUsage);
-      return 2;
-    }
+  bool quick = false;
+  bool gates_on = false;
+  try {
+    quick = args.get_flag("quick");
+    gates_on = args.get_flag("gates");
+  } catch (const util::IoError& e) {
+    std::fprintf(stderr, "service_load: %s\n%s", e.what(), kUsage);
+    return 2;
   }
   if (!args.positional().empty()) {
     std::fprintf(stderr, "service_load: unexpected argument '%s'\n%s",
@@ -1184,7 +1185,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  Bench b(args.get_flag("quick") ? 1.0 : 4.0);
+  Bench b(quick ? 1.0 : 4.0);
   std::printf("service_load: %s, %zu shards, Δ=%lldms | %llu keys zipf %.2f | "
               "%zu threads, %.1fs per mode\n\n",
               b.cfg.strategy.label().c_str(), b.table.shard_count(),
@@ -1203,7 +1204,6 @@ int main(int argc, char** argv) {
   // gate must be evaluated then, so CI cannot lose one unnoticed; a --modes
   // subset evaluates the gates it can. Without --gates only the checks
   // run, each whenever its modes ran.
-  const bool gates_on = args.get_flag("gates");
   std::vector<GateOutcome> gates;
   std::size_t failed = 0;
   const unsigned cpus = host_cpus();

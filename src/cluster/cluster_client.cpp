@@ -1,8 +1,9 @@
 #include "cluster/cluster_client.hpp"
 
 #include <algorithm>
-#include <future>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -19,39 +20,65 @@ std::exception_ptr closed_error() {
       util::IoError("tokad cluster client is shut down"));
 }
 
+/// Sends one owner group's ops as one RPC: a BatchAcquire frame for
+/// acquire_batch, a single-key frame for the one-op calls.
+template <typename Result>
+void issue(service::Client& client, service::NamespaceId ns,
+           std::span<const service::AcquireOp> ops, bool batch,
+           const service::protocol::TraceContext* trace,
+           ClusterClient::Callback<std::vector<Result>> done) {
+  constexpr bool kAcquire = std::is_same_v<Result, service::AcquireResult>;
+  if constexpr (kAcquire) {
+    if (batch) {
+      client.acquire_batch_async(ns, ops, std::move(done), /*timeout_us=*/0,
+                                 trace);
+      return;
+    }
+  }
+  auto one = [done = std::move(done)](Result result, std::exception_ptr error) {
+    done(error ? std::vector<Result>{} : std::vector<Result>{result},
+         std::move(error));
+  };
+  const service::AcquireOp& op = ops.front();
+  if constexpr (kAcquire) {
+    client.acquire_async(ns, op.key, op.tokens, std::move(one), 0, trace);
+  } else if constexpr (std::is_same_v<Result, service::RefundResult>) {
+    client.refund_async(ns, op.key, op.tokens, std::move(one), 0, trace);
+  } else {
+    client.query_async(ns, op.key, std::move(one), 0, trace);
+  }
+}
+
 }  // namespace
 
-/// Shared completion state of one fanned-out batch acquire. `results` is
-/// scattered into by index — every index is written by exactly one group's
-/// completion, so no lock is needed for the data itself; `outstanding`
-/// counts live groups and the last one to finish publishes.
-struct BatchState {
-  std::vector<service::AcquireResult> results;
-  std::atomic<std::size_t> outstanding{0};
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-  ClusterClient::Callback<std::vector<service::AcquireResult>> done;
-  /// One trace context for the whole logical batch: every subgroup frame
-  /// (and every reissue after a redirect/refresh) carries the same id.
+/// One logical data op: its (key, tokens) ops — one for a single-key
+/// call, n for a batch — and their results by position. Each owner group
+/// in flight holds one `outstanding` slot and writes only its own indices;
+/// the last group to settle publishes the results or the first error.
+template <typename Result>
+struct ClusterClient::Call {
+  service::NamespaceId ns = 0;
+  std::vector<service::AcquireOp> ops;
+  bool batch = false;  ///< acquire_batch: one BatchAcquire frame per group
+  /// One trace context for the whole logical op: every group frame (and
+  /// every reissue after a redirect/refresh) carries the same id.
   std::optional<service::protocol::TraceContext> trace;
+  Callback<std::vector<Result>> done;
+  std::vector<Result> results;
+  std::mutex mu;
+  std::size_t outstanding = 1;  ///< guarded by mu
+  std::exception_ptr first_error;  ///< guarded by mu
 
-  void fail(std::exception_ptr error) {
+  /// Ends one group, failed when `error` is set.
+  void settle(std::exception_ptr error) {
     {
-      std::lock_guard lock(error_mu);
-      if (!first_error) first_error = std::move(error);
+      std::lock_guard lock(mu);
+      if (error && !first_error) first_error = std::move(error);
+      if (--outstanding != 0) return;
     }
-    finish_one();
-  }
-
-  void finish_one() {
-    if (outstanding.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    std::exception_ptr error;
-    {
-      std::lock_guard lock(error_mu);
-      error = first_error;
-    }
-    if (error) {
-      done({}, std::move(error));
+    // The last group out: every other settle happened before this point.
+    if (first_error) {
+      done({}, first_error);
     } else {
       done(std::move(results), nullptr);
     }
@@ -75,11 +102,6 @@ ClusterClient::ClusterClient(EndpointFactory factory, ClusterMap initial_map,
 
 ClusterClient::~ClusterClient() {
   closed_.store(true, std::memory_order_release);
-  // Unregister before any member teardown: a scrape between here and the
-  // end of destruction must not call back into a dying client.
-  if (registry_) {
-    for (const std::string& name : metric_names_) registry_->remove(name);
-  }
   // Destroying a per-node client rejects its in-flight calls; those
   // completions run here, see closed_, and surface their errors instead of
   // reissuing. A racing op may still insert a fresh slot behind the swap,
@@ -153,12 +175,6 @@ service::Client* ClusterClient::client_for(NodeId node) {
   return slot->client.get();
 }
 
-std::optional<service::protocol::TraceContext> ClusterClient::mint_trace() {
-  if (tracer_ == nullptr) return std::nullopt;
-  return service::protocol::TraceContext{tracer_->next_trace_id(),
-                                         tracer_->sample_next()};
-}
-
 NodeId ClusterClient::refresh_target() {
   const std::shared_ptr<const Routing> route = routing();
   const std::vector<NodeId>& candidates =
@@ -170,9 +186,9 @@ NodeId ClusterClient::refresh_target() {
 }
 
 void ClusterClient::refresh_map_async(NodeId preferred,
-                                      std::function<void()> resume) {
+                                      std::function<void(bool)> resume) {
   if (closed_.load(std::memory_order_acquire)) {
-    resume();
+    resume(false);
     return;
   }
   // Coalesce: when a node dies with N ops in flight, every one of them
@@ -194,8 +210,8 @@ void ClusterClient::refresh_map_async(NodeId preferred,
   service::Client* client = target != kNoNode ? client_for(target) : nullptr;
   if (client == nullptr) {
     // No target, or mid-teardown: the next attempt surfaces it.
-    resume();
-    finish_refresh();
+    resume(false);
+    finish_refresh(false);
     return;
   }
   map_refreshes_.fetch_add(1, std::memory_order_relaxed);
@@ -205,14 +221,14 @@ void ClusterClient::refresh_map_async(NodeId preferred,
         if (!error) adopt(std::move(m));
         // A failed fetch still resumes: the op's next attempt rotates to
         // another member.
-        resume();
-        finish_refresh();
+        resume(!error);
+        finish_refresh(!error);
       },
       config_.call_timeout_us);
 }
 
-void ClusterClient::finish_refresh() {
-  std::vector<std::function<void()>> waiters;
+void ClusterClient::finish_refresh(bool fetched) {
+  std::vector<std::function<void(bool)>> waiters;
   {
     std::lock_guard lock(mu_);
     refresh_inflight_ = false;
@@ -221,7 +237,176 @@ void ClusterClient::finish_refresh() {
   // Outside mu_: a waiter's reissue takes mu_ for routing, and may start
   // its own refresh (the flag is already clear, so it won't deadlock on
   // this drain).
-  for (std::function<void()>& waiter : waiters) waiter();
+  for (std::function<void(bool)>& waiter : waiters) waiter(fetched);
+}
+
+// --------------------------------------------------------------- data ops
+
+template <typename Result>
+void ClusterClient::route(std::shared_ptr<Call<Result>> call,
+                          std::vector<std::size_t> indices, int attempt) {
+  if (closed_.load(std::memory_order_acquire)) {
+    call->settle(closed_error());
+    return;
+  }
+  // Split by owner under the cached map (on a reissue after a refresh,
+  // ownership may have fragmented into several nodes).
+  const std::shared_ptr<const Routing> current = routing();
+  std::unordered_map<NodeId, std::vector<std::size_t>> groups;
+  for (const std::size_t i : indices)
+    groups[current->ring.owner(call->ns, call->ops[i].key)].push_back(i);
+  // This call holds one outstanding slot; each extra group takes its own.
+  if (groups.size() > 1) {
+    std::lock_guard lock(call->mu);
+    call->outstanding += groups.size() - 1;
+  }
+  // The next round of one group: after a map refresh from `from` (kNoNode:
+  // a rotating member), re-split and reissue it.
+  const auto retry = [this](std::shared_ptr<Call<Result>> call,
+                            std::vector<std::size_t> group, int attempt,
+                            NodeId from) {
+    refresh_map_async(from, [this, call = std::move(call),
+                             group = std::move(group), attempt](bool) mutable {
+      route(std::move(call), std::move(group), attempt + 1);
+    });
+  };
+  for (auto& [owner, group] : groups) {
+    if (owner == kNoNode) {
+      // No members in the cached map: refresh and retry, or give up.
+      if (attempt >= config_.max_attempts) {
+        call->settle(std::make_exception_ptr(util::IoError(
+            "tokad: no owner for the key (empty cluster map)")));
+      } else {
+        retry(call, std::move(group), attempt, kNoNode);
+      }
+      continue;
+    }
+    service::Client* client = client_for(owner);
+    if (client == nullptr) {
+      call->settle(closed_error());
+      continue;
+    }
+    std::vector<service::AcquireOp> ops;
+    ops.reserve(group.size());
+    for (const std::size_t i : group) ops.push_back(call->ops[i]);
+    auto completion = [this, call, group = std::move(group), attempt, owner,
+                       retry](std::vector<Result> results,
+                              std::exception_ptr error) mutable {
+      if (!error) {
+        for (std::size_t i = 0; i < group.size(); ++i)
+          call->results[group[i]] = std::move(results[i]);
+        call->settle(nullptr);
+        return;
+      }
+      if (closed_.load(std::memory_order_acquire) ||
+          attempt >= config_.max_attempts) {
+        call->settle(std::move(error));
+        return;
+      }
+      try {
+        std::rethrow_exception(error);
+      } catch (const service::protocol::RedirectError&) {
+        // Our map may be behind: refresh from the redirecting node.
+        redirects_.fetch_add(1, std::memory_order_relaxed);
+        retry(std::move(call), std::move(group), attempt, owner);
+      } catch (const service::protocol::RpcError&) {
+        // The cluster answered; the answer is no. Not retryable.
+        call->settle(std::move(error));
+      } catch (const util::IoError&) {
+        // Timeout or connection closed: the owner may be gone — learn the
+        // new membership from whoever is left, then reroute.
+        io_retries_.fetch_add(1, std::memory_order_relaxed);
+        retry(std::move(call), std::move(group), attempt, kNoNode);
+      } catch (...) {
+        call->settle(std::move(error));
+      }
+    };
+    issue<Result>(*client, call->ns, ops, call->batch,
+                  call->trace ? &*call->trace : nullptr,
+                  std::move(completion));
+  }
+}
+
+template <typename Result>
+void ClusterClient::start(service::NamespaceId ns,
+                          std::vector<service::AcquireOp> ops, bool batch,
+                          Callback<std::vector<Result>> done) {
+  auto call = std::make_shared<Call<Result>>();
+  call->ns = ns;
+  call->ops = std::move(ops);
+  call->batch = batch;
+  if (tracer_ != nullptr)
+    call->trace = {tracer_->next_trace_id(), tracer_->sample_next()};
+  call->done = std::move(done);
+  call->results.resize(call->ops.size());
+  std::vector<std::size_t> indices(call->ops.size());
+  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  route(std::move(call), std::move(indices), 1);
+}
+
+template <typename Result>
+std::vector<Result> ClusterClient::run(service::NamespaceId ns,
+                                       std::vector<service::AcquireOp> ops,
+                                       bool batch) {
+  auto [future, done] = util::promise_pair<std::vector<Result>>();
+  start<Result>(ns, std::move(ops), batch, std::move(done));
+  return future.get();
+}
+
+void ClusterClient::acquire_async(service::NamespaceId ns, std::uint64_t key,
+                                  Tokens n,
+                                  Callback<service::AcquireResult> done) {
+  start<service::AcquireResult>(
+      ns, {{key, n}}, /*batch=*/false,
+      [done = std::move(done)](std::vector<service::AcquireResult> results,
+                               std::exception_ptr error) {
+        done(error ? service::AcquireResult{} : results.front(),
+             std::move(error));
+      });
+}
+
+service::AcquireResult ClusterClient::acquire(service::NamespaceId ns,
+                                              std::uint64_t key, Tokens n) {
+  return run<service::AcquireResult>(ns, {{key, n}}, /*batch=*/false).front();
+}
+
+service::RefundResult ClusterClient::refund(service::NamespaceId ns,
+                                            std::uint64_t key, Tokens n) {
+  return run<service::RefundResult>(ns, {{key, n}}, /*batch=*/false).front();
+}
+
+service::QueryResult ClusterClient::query(service::NamespaceId ns,
+                                          std::uint64_t key) {
+  return run<service::QueryResult>(ns, {{key, 0}}, /*batch=*/false).front();
+}
+
+std::vector<service::AcquireResult> ClusterClient::acquire_batch(
+    service::NamespaceId ns, std::span<const service::AcquireOp> ops) {
+  if (ops.empty()) return {};
+  return run<service::AcquireResult>(ns, {ops.begin(), ops.end()},
+                                     /*batch=*/true);
+}
+
+// ------------------------------------------------------------------- admin
+
+std::size_t ClusterClient::sweep(
+    const std::vector<NodeId>& nodes, bool typed_errors_throw,
+    const std::function<bool(NodeId, service::Client&)>& visit) {
+  std::size_t answered = 0;
+  for (const NodeId node : nodes) {
+    service::Client* client = client_for(node);
+    if (client == nullptr) break;  // mid-teardown
+    try {
+      const bool stop = visit(node, *client);
+      ++answered;
+      if (stop) break;
+    } catch (const service::protocol::RpcError&) {
+      if (typed_errors_throw) throw;
+    } catch (const util::IoError&) {
+      // dead or unreachable: the sweep reports the survivors
+    }
+  }
+  return answered;
 }
 
 bool ClusterClient::refresh_map() {
@@ -231,306 +416,28 @@ bool ClusterClient::refresh_map() {
         candidates.end())
       candidates.push_back(seed);
   }
-  for (const NodeId node : candidates) {
-    service::Client* client = client_for(node);
-    if (client == nullptr) return false;  // mid-teardown
-    try {
-      map_refreshes_.fetch_add(1, std::memory_order_relaxed);
-      adopt(client->fetch_cluster_map());
-      return true;
-    } catch (const util::IoError&) {
-      // dead or non-cluster node: try the next one
-    }
-  }
-  return false;
-}
-
-void ClusterClient::register_metrics(obs::Registry& registry) {
-  registry_ = &registry;
-  const auto add = [&](const std::string& name) {
-    metric_names_.push_back(name);
-    return name;
-  };
-  registry.counter_fn(add("tokad_client_redirects_followed"), [this] {
-    return static_cast<double>(redirects_.load(std::memory_order_relaxed));
-  });
-  registry.counter_fn(add("tokad_client_io_retries"), [this] {
-    return static_cast<double>(io_retries_.load(std::memory_order_relaxed));
-  });
-  registry.counter_fn(add("tokad_client_maps_adopted"), [this] {
-    return static_cast<double>(maps_adopted_.load(std::memory_order_relaxed));
-  });
-  registry.counter_fn(add("tokad_client_map_refreshes"), [this] {
-    return static_cast<double>(
-        map_refreshes_.load(std::memory_order_relaxed));
-  });
-}
-
-// --------------------------------------------------------------- data ops
-
-template <typename Result>
-void ClusterClient::run_op(
-    service::NamespaceId ns, std::uint64_t key,
-    std::function<void(service::Client&, Callback<Result>)> issue,
-    Callback<Result> done, int attempt) {
-  if (closed_.load(std::memory_order_acquire)) {
-    done(Result{}, closed_error());
-    return;
-  }
-  const std::shared_ptr<const Routing> route = routing();
-  const NodeId owner = route->ring.owner(ns, key);
-  if (owner == kNoNode) {
-    // No members in the cached map: refresh and retry, or give up.
-    if (attempt >= config_.max_attempts) {
-      done(Result{}, std::make_exception_ptr(util::IoError(
-                         "tokad: no owner for the key (empty cluster map)")));
-      return;
-    }
-    refresh_map_async(kNoNode, [this, ns, key, issue = std::move(issue),
-                                done = std::move(done), attempt]() mutable {
-      run_op<Result>(ns, key, std::move(issue), std::move(done), attempt + 1);
-    });
-    return;
-  }
-  service::Client* client = client_for(owner);
-  if (client == nullptr) {
-    done(Result{}, closed_error());
-    return;
-  }
-  auto completion = [this, ns, key, issue, done, attempt, owner](
-                        Result result, std::exception_ptr error) mutable {
-    if (!error) {
-      done(std::move(result), nullptr);
-      return;
-    }
-    if (closed_.load(std::memory_order_acquire) ||
-        attempt >= config_.max_attempts) {
-      done(Result{}, std::move(error));
-      return;
-    }
-    // Built only on the retry paths: it consumes `issue` and `done`, which
-    // the non-retry paths still need intact.
-    auto make_resume = [&]() {
-      return [this, ns, key, issue = std::move(issue),
-              done = std::move(done), attempt]() mutable {
-        run_op<Result>(ns, key, std::move(issue), std::move(done),
-                       attempt + 1);
-      };
-    };
-    try {
-      std::rethrow_exception(error);
-    } catch (const service::protocol::RedirectError&) {
-      // Our map is behind; the redirecting node has the newer one.
-      redirects_.fetch_add(1, std::memory_order_relaxed);
-      refresh_map_async(owner, make_resume());
-    } catch (const service::protocol::RpcError&) {
-      // The cluster answered; the answer is no. Not retryable.
-      done(Result{}, std::move(error));
-    } catch (const util::IoError&) {
-      // Timeout or connection closed: the owner may be gone — learn the
-      // new membership from whoever is left, then reroute.
-      io_retries_.fetch_add(1, std::memory_order_relaxed);
-      refresh_map_async(kNoNode, make_resume());
-    } catch (...) {
-      done(Result{}, std::move(error));
-    }
-  };
-  issue(*client, std::move(completion));
-}
-
-template <typename Result>
-Result ClusterClient::run_sync(
-    service::NamespaceId ns, std::uint64_t key,
-    std::function<void(service::Client&, Callback<Result>)> issue) {
-  auto [future, done] = util::promise_pair<Result>();
-  run_op<Result>(ns, key, std::move(issue), std::move(done), 1);
-  return future.get();
-}
-
-// Each wrapper mints the logical op's trace context ONCE, outside the
-// issue closure — the closure (and its context copy) is what run_op
-// replays on every redirect/refresh retry, so all attempts share one id.
-
-void ClusterClient::acquire_async(service::NamespaceId ns, std::uint64_t key,
-                                  Tokens n,
-                                  Callback<service::AcquireResult> done) {
-  run_op<service::AcquireResult>(
-      ns, key,
-      [ns, key, n, trace = mint_trace()](
-          service::Client& client,
-          Callback<service::AcquireResult> completion) {
-        client.acquire_async(ns, key, n, std::move(completion),
-                             /*timeout_us=*/0, trace ? &*trace : nullptr);
-      },
-      std::move(done), 1);
-}
-
-service::AcquireResult ClusterClient::acquire(service::NamespaceId ns,
-                                              std::uint64_t key, Tokens n) {
-  return run_sync<service::AcquireResult>(
-      ns, key,
-      [ns, key, n, trace = mint_trace()](
-          service::Client& client,
-          Callback<service::AcquireResult> completion) {
-        client.acquire_async(ns, key, n, std::move(completion),
-                             /*timeout_us=*/0, trace ? &*trace : nullptr);
-      });
-}
-
-service::RefundResult ClusterClient::refund(service::NamespaceId ns,
-                                            std::uint64_t key, Tokens n) {
-  return run_sync<service::RefundResult>(
-      ns, key,
-      [ns, key, n, trace = mint_trace()](
-          service::Client& client,
-          Callback<service::RefundResult> completion) {
-        client.refund_async(ns, key, n, std::move(completion),
-                            /*timeout_us=*/0, trace ? &*trace : nullptr);
-      });
-}
-
-service::QueryResult ClusterClient::query(service::NamespaceId ns,
-                                          std::uint64_t key) {
-  return run_sync<service::QueryResult>(
-      ns, key,
-      [ns, key, trace = mint_trace()](
-          service::Client& client,
-          Callback<service::QueryResult> completion) {
-        client.query_async(ns, key, std::move(completion),
-                           /*timeout_us=*/0, trace ? &*trace : nullptr);
-      });
-}
-
-// ------------------------------------------------------------ batch fan-out
-
-void ClusterClient::batch_group_async(service::NamespaceId ns,
-                                      std::vector<service::AcquireOp> ops,
-                                      std::vector<std::size_t> indices,
-                                      std::shared_ptr<BatchState> state,
-                                      int attempt) {
-  if (closed_.load(std::memory_order_acquire)) {
-    state->fail(closed_error());
-    return;
-  }
-  if (attempt > config_.max_attempts) {
-    state->fail(std::make_exception_ptr(
-        util::IoError("tokad: batch acquire ran out of attempts")));
-    return;
-  }
-  const std::shared_ptr<const Routing> route = routing();
-  // Split this group by owner under the current map (on a reissue after a
-  // refresh, ownership may have fragmented into several nodes).
-  struct Group {
-    std::vector<service::AcquireOp> ops;
-    std::vector<std::size_t> indices;
-  };
-  std::unordered_map<NodeId, Group> groups;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    Group& group = groups[route->ring.owner(ns, ops[i].key)];
-    group.ops.push_back(ops[i]);
-    group.indices.push_back(indices[i]);
-  }
-  // This call holds one outstanding slot; each extra subgroup takes its own.
-  if (groups.size() > 1)
-    state->outstanding.fetch_add(groups.size() - 1,
-                                 std::memory_order_acq_rel);
-  for (auto& [owner, group] : groups) {
-    if (owner == kNoNode) {
-      // No route for these keys: refresh the map and re-run the subgroup.
-      refresh_map_async(
-          kNoNode, [this, ns, group_ops = std::move(group.ops),
-                    group_indices = std::move(group.indices), state,
-                    attempt]() mutable {
-            batch_group_async(ns, std::move(group_ops),
-                              std::move(group_indices), state, attempt + 1);
+  bool fetched = false;
+  sweep(candidates, /*typed_errors_throw=*/false,
+        [&](NodeId node, service::Client&) {
+          auto [future, done] = util::promise_pair<bool>();
+          refresh_map_async(node, [done = std::move(done)](bool ok) {
+            done(ok, nullptr);
           });
-      continue;
-    }
-    service::Client* client = client_for(owner);
-    if (client == nullptr) {
-      state->fail(closed_error());
-      continue;
-    }
-    auto completion = [this, ns, owner, group_ops = group.ops,
-                       group_indices = group.indices, state, attempt](
-                          std::vector<service::AcquireResult> results,
-                          std::exception_ptr error) mutable {
-      if (!error) {
-        for (std::size_t i = 0; i < group_indices.size(); ++i)
-          state->results[group_indices[i]] = results[i];
-        state->finish_one();
-        return;
-      }
-      if (closed_.load(std::memory_order_acquire) ||
-          attempt >= config_.max_attempts) {
-        state->fail(std::move(error));
-        return;
-      }
-      auto make_resume = [&]() {
-        return [this, ns, group_ops = std::move(group_ops),
-                group_indices = std::move(group_indices), state,
-                attempt]() mutable {
-          batch_group_async(ns, std::move(group_ops),
-                            std::move(group_indices), state, attempt + 1);
-        };
-      };
-      try {
-        std::rethrow_exception(error);
-      } catch (const service::protocol::RedirectError&) {
-        redirects_.fetch_add(1, std::memory_order_relaxed);
-        refresh_map_async(owner, make_resume());
-      } catch (const service::protocol::RpcError&) {
-        state->fail(std::move(error));
-      } catch (const util::IoError&) {
-        io_retries_.fetch_add(1, std::memory_order_relaxed);
-        refresh_map_async(kNoNode, make_resume());
-      } catch (...) {
-        state->fail(std::move(error));
-      }
-    };
-    client->acquire_batch_async(ns, group.ops, std::move(completion),
-                                /*timeout_us=*/0,
-                                state->trace ? &*state->trace : nullptr);
-  }
+          fetched = future.get();
+          return fetched;
+        });
+  return fetched;
 }
-
-std::vector<service::AcquireResult> ClusterClient::acquire_batch(
-    service::NamespaceId ns, std::span<const service::AcquireOp> ops) {
-  if (ops.empty()) return {};
-  auto [future, done] =
-      util::promise_pair<std::vector<service::AcquireResult>>();
-  auto state = std::make_shared<BatchState>();
-  state->results.resize(ops.size());
-  state->outstanding.store(1, std::memory_order_relaxed);
-  state->done = std::move(done);
-  state->trace = mint_trace();
-  std::vector<service::AcquireOp> all(ops.begin(), ops.end());
-  std::vector<std::size_t> indices(ops.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  batch_group_async(ns, std::move(all), std::move(indices), std::move(state),
-                    1);
-  return future.get();
-}
-
-// ------------------------------------------------------------------- admin
 
 std::size_t ClusterClient::configure_namespace_all(
     service::NamespaceId ns, const service::NamespaceConfig& config) {
-  const std::vector<NodeId> nodes = routing()->map.nodes;
-  std::size_t acks = 0;
-  for (const NodeId node : nodes) {
-    service::Client* client = client_for(node);
-    if (client == nullptr) break;  // mid-teardown
-    try {
-      client->configure_namespace(ns, config);
-      ++acks;
-    } catch (const service::protocol::RpcError&) {
-      throw;  // invalid config: a caller bug, same on every node
-    } catch (const util::IoError&) {
-      // dead node: it will be reconfigured when it rejoins
-    }
-  }
-  return acks;
+  // An invalid config is a caller bug, the same on every node: it throws.
+  // A dead node is reconfigured when it rejoins.
+  return sweep(routing()->map.nodes, /*typed_errors_throw=*/true,
+               [&](NodeId, service::Client& client) {
+                 client.configure_namespace(ns, config);
+                 return false;
+               });
 }
 
 namespace {
@@ -556,27 +463,17 @@ obs::Metric to_metric(const service::protocol::StatsEntry& e) {
 }  // namespace
 
 ClusterClient::ClusterStats ClusterClient::cluster_stats() {
-  const std::vector<NodeId> nodes = routing()->map.nodes;
   ClusterStats out;
   std::vector<std::vector<obs::Metric>> snapshots;
-  for (const NodeId node : nodes) {
-    service::Client* client = client_for(node);
-    if (client == nullptr) break;  // mid-teardown
-    try {
-      const std::vector<service::protocol::StatsEntry> entries =
-          client->stats();
-      std::vector<obs::Metric> metrics;
-      metrics.reserve(entries.size());
-      for (const service::protocol::StatsEntry& e : entries)
-        metrics.push_back(to_metric(e));
-      snapshots.push_back(metrics);
-      out.per_node.emplace_back(node, std::move(metrics));
-    } catch (const service::protocol::RpcError&) {
-      // typed refusal: nothing to merge from this node
-    } catch (const util::IoError&) {
-      // dead node: the sweep reports the survivors
-    }
-  }
+  sweep(routing()->map.nodes, /*typed_errors_throw=*/false,
+        [&](NodeId node, service::Client& client) {
+          std::vector<obs::Metric> metrics;
+          for (const service::protocol::StatsEntry& e : client.stats())
+            metrics.push_back(to_metric(e));
+          snapshots.push_back(metrics);
+          out.per_node.emplace_back(node, std::move(metrics));
+          return false;
+        });
   if (out.per_node.empty()) {
     throw util::IoError("cluster stats sweep: no node answered");
   }
@@ -586,26 +483,16 @@ ClusterClient::ClusterStats ClusterClient::cluster_stats() {
 
 std::vector<service::protocol::TraceSpan> ClusterClient::fetch_cluster_traces(
     std::uint64_t trace_id, std::uint32_t max_spans_per_node) {
-  const std::vector<NodeId> nodes = routing()->map.nodes;
   std::vector<service::protocol::TraceSpan> out;
-  std::size_t answered = 0;
-  for (const NodeId node : nodes) {
-    service::Client* client = client_for(node);
-    if (client == nullptr) break;  // mid-teardown
-    try {
-      std::vector<service::protocol::TraceSpan> spans =
-          client->fetch_traces(max_spans_per_node);
-      ++answered;
-      for (service::protocol::TraceSpan& s : spans) {
-        if (trace_id != 0 && s.trace_id != trace_id) continue;
-        out.push_back(s);
-      }
-    } catch (const service::protocol::RpcError&) {
-      // typed refusal: this node contributes no spans
-    } catch (const util::IoError&) {
-      // dead node: its ring died with it; the survivors' spans remain
-    }
-  }
+  const std::size_t answered = sweep(
+      routing()->map.nodes, /*typed_errors_throw=*/false,
+      [&](NodeId, service::Client& client) {
+        for (service::protocol::TraceSpan& s :
+             client.fetch_traces(max_spans_per_node)) {
+          if (trace_id == 0 || s.trace_id == trace_id) out.push_back(s);
+        }
+        return false;
+      });
   if (answered == 0) {
     throw util::IoError("cluster trace sweep: no node answered");
   }
@@ -634,17 +521,13 @@ std::size_t ClusterClient::push_map(const ClusterMap& map) {
   for (const NodeId node : current.nodes)
     if (!map.contains(node)) targets.push_back(node);
 
-  std::size_t acks = 0;
-  for (const NodeId node : targets) {
-    service::Client* client = client_for(node);
-    if (client == nullptr) break;  // mid-teardown
-    try {
-      client->apply_cluster_map(map);
-      ++acks;
-    } catch (const util::IoError&) {
-      // dead or unreachable: the survivors' maps still converge
-    }
-  }
+  // A dead node is skipped: the survivors' maps still converge.
+  const std::size_t acks =
+      sweep(targets, /*typed_errors_throw=*/false,
+            [&](NodeId, service::Client& client) {
+              client.apply_cluster_map(map);
+              return false;
+            });
   adopt(map);
   return acks;
 }

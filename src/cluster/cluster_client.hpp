@@ -4,22 +4,24 @@
 // The client caches a ClusterMap and the HashRing it implies, routes every
 // (namespace, key) op to its owner through a per-node service::Client (the
 // existing pipelined async core — any number of ops in flight per node),
-// and recovers from staleness by itself:
+// and recovers from staleness by itself. Every data op takes one path: a
+// list of (key, tokens) ops — one for acquire, acquire_async, refund and
+// query, n for acquire_batch — is split by owner under the cached ring,
+// one RPC goes to each owner group, and a failed group is triaged:
 //
-//   - a RedirectResponse (protocol::RedirectError) means our map is
-//     behind: refresh the map from the redirecting node and reissue;
-//   - a timeout or connection-closed IoError means the node may be dead:
-//     refresh the map from the other members (rotating) and reissue;
+//   - a RedirectResponse (protocol::RedirectError): our map may be behind.
+//     Refresh it from the redirecting node, then re-split and reissue;
+//   - a timeout or connection-closed IoError: the node may be dead.
+//     Refresh from the other members (rotating), then re-split and reissue;
 //   - typed server rejections (protocol::RpcError — unknown namespace,
 //     invalid config) are NOT retried: the cluster answered, the answer is
-//     no.
+//     no;
+//   - no owner (an empty cached map): refresh and re-split.
 //
-// Every op gets `max_attempts` tries in total; what surfaces to the caller
-// is either the result or the last error — so through a kill/join churn a
-// well-configured caller sees only internal redirect/refresh retries, not
-// failures. Batch acquires fan out per owner node concurrently and stitch
-// results back positionally; a redirected sub-batch is re-split under the
-// refreshed map (ownership may have fragmented further) and reissued.
+// Each group gets `max_attempts` rounds (one issue or one empty-map
+// refresh each). The caller gets the results, aligned with the ops, or the
+// first error a group gave up on — so through a kill/join churn a
+// well-configured caller sees only internal retries, not failures.
 //
 // Transport model: one endpoint per (this client, server node), provided
 // by the EndpointFactory — service::Client owns its endpoint's receive
@@ -39,9 +41,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -184,17 +184,11 @@ class ClusterClient {
   std::uint64_t io_retries() const { return io_retries_.load(); }
   /// Map refreshes that adopted a newer epoch.
   std::uint64_t maps_adopted() const { return maps_adopted_.load(); }
-  /// Map fetches actually put on the wire. Concurrent async refresh wants
+  /// Map fetches actually put on the wire. Concurrent refresh wants
   /// coalesce behind one in-flight fetch, so a node kill with N ops in
   /// flight costs O(1) fetches, not O(N) — this counter is what the churn
   /// regression test asserts on.
   std::uint64_t map_refreshes() const { return map_refreshes_.load(); }
-
-  /// Exports the client's counters into `registry` under "tokad_client_*"
-  /// names (redirects_followed, io_retries, maps_adopted, map_refreshes).
-  /// Call at most once; the registry must outlive the client (the
-  /// destructor unregisters).
-  void register_metrics(obs::Registry& registry);
 
  private:
   struct Routing {
@@ -216,6 +210,10 @@ class ClusterClient {
     std::unique_ptr<service::Client> client;
   };
 
+  /// One logical data op in flight (defined in the .cpp).
+  template <typename Result>
+  struct Call;
+
   std::shared_ptr<const Routing> routing() const;
   /// Adopts `map` if strictly newer than the cached one.
   void adopt(ClusterMap map);
@@ -225,35 +223,37 @@ class ClusterClient {
   service::Client* client_for(NodeId node);
   /// The next node to ask for a map (members first, seeds as fallback).
   NodeId refresh_target();
-  /// Async map refresh; `resume` runs whether or not the fetch succeeded.
-  /// Concurrent calls coalesce: while one fetch is in flight, later
-  /// resumes queue behind it and all run off that one fetch's completion
-  /// (a node kill with many ops in flight triggers one fetch, not one per
-  /// op — the refresh stampede bugfix).
-  void refresh_map_async(NodeId preferred, std::function<void()> resume);
+  /// Async map refresh; `resume` runs whether or not the fetch succeeded,
+  /// and is told which. Concurrent calls coalesce: while one fetch is in
+  /// flight, later resumes queue behind it and all run off that one fetch's
+  /// completion (a node kill with many ops in flight triggers one fetch,
+  /// not one per op — the refresh stampede bugfix).
+  void refresh_map_async(NodeId preferred, std::function<void(bool)> resume);
   /// Clears the in-flight flag and runs every queued waiter (outside mu_).
-  void finish_refresh();
+  void finish_refresh(bool fetched);
 
-  /// One retrying op: `issue(client, done)` sends the real RPC; Retrier
-  /// owns the routing, failure triage and reissue loop.
+  /// Starts one logical data op over `ops`, minting its trace context;
+  /// `batch` sends each owner group as one BatchAcquire frame.
   template <typename Result>
-  void run_op(service::NamespaceId ns, std::uint64_t key,
-              std::function<void(service::Client&,
-                                 Callback<Result>)> issue,
-              Callback<Result> done, int attempt);
-
+  void start(service::NamespaceId ns, std::vector<service::AcquireOp> ops,
+             bool batch, Callback<std::vector<Result>> done);
+  /// start(), awaited: the sync data ops.
   template <typename Result>
-  Result run_sync(service::NamespaceId ns, std::uint64_t key,
-                  std::function<void(service::Client&, Callback<Result>)>
-                      issue);
+  std::vector<Result> run(service::NamespaceId ns,
+                          std::vector<service::AcquireOp> ops, bool batch);
+  /// The one routing-and-retry path (see the top of this file) for the
+  /// ops of `call` at `indices`; `attempt` counts rounds from 1.
+  template <typename Result>
+  void route(std::shared_ptr<Call<Result>> call,
+             std::vector<std::size_t> indices, int attempt);
 
-  void batch_group_async(
-      service::NamespaceId ns, std::vector<service::AcquireOp> ops,
-      std::vector<std::size_t> indices,
-      std::shared_ptr<struct BatchState> state, int attempt);
-
-  /// A fresh per-logical-op trace context, or nullopt when untraced.
-  std::optional<service::protocol::TraceContext> mint_trace();
+  /// The member sweep: `visit`s each of `nodes` in order until a visit
+  /// returns true or teardown begins. A visit that throws util::IoError
+  /// (a dead node, or a typed refusal unless `typed_errors_throw`) skips
+  /// its node. Returns how many visits returned.
+  std::size_t sweep(
+      const std::vector<NodeId>& nodes, bool typed_errors_throw,
+      const std::function<bool(NodeId, service::Client&)>& visit);
 
   EndpointFactory factory_;
   ClusterClientConfig config_;
@@ -265,16 +265,13 @@ class ClusterClient {
   std::unordered_map<NodeId, std::shared_ptr<NodeSlot>> clients_;
   std::atomic<bool> closed_{false};
   std::atomic<std::size_t> refresh_cursor_{0};
-  bool refresh_inflight_ = false;  ///< guarded by mu_
-  std::vector<std::function<void()>> refresh_waiters_;  ///< guarded by mu_
+  bool refresh_inflight_ = false;  ///< guarded by mu_, as are the waiters
+  std::vector<std::function<void(bool)>> refresh_waiters_;
 
   std::atomic<std::uint64_t> redirects_{0};
   std::atomic<std::uint64_t> io_retries_{0};
   std::atomic<std::uint64_t> maps_adopted_{0};
   std::atomic<std::uint64_t> map_refreshes_{0};
-
-  obs::Registry* registry_ = nullptr;
-  std::vector<std::string> metric_names_;
 };
 
 }  // namespace toka::cluster

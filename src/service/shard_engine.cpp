@@ -20,8 +20,7 @@ thread_local ShardEngine* tls_worker_engine = nullptr;
 ShardEngine::ShardEngine(AccountTable& table, ShardEngineOptions options)
     : table_(&table),
       registry_(options.registry),
-      tracer_(options.tracer),
-      on_drain_(std::move(options.on_drain)) {
+      tracer_(options.tracer) {
   std::size_t workers = options.workers;
   if (workers == 0) {
     workers = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);

@@ -124,12 +124,6 @@ struct ShardEngineOptions {
   /// When set, traced ops get queue-wait and execute spans recorded on the
   /// worker (with the §3.4 decision: bank / fresh / denied / refund).
   obs::Tracer* tracer = nullptr;
-  /// Drain-boundary hook: runs on worker `w` after each non-empty drain
-  /// batch has executed (and its completions have fired). The cluster
-  /// replication layer hangs its delta capture here — one flush per batch,
-  /// not one per op. The callback runs on the worker thread and may touch
-  /// exactly that worker's shards.
-  std::function<void(std::size_t w)> on_drain;
 };
 
 class ShardEngine {
@@ -198,10 +192,14 @@ class ShardEngine {
   /// completed. Producers must have stopped submitting first.
   void drain();
 
-  /// Installs (or clears) the drain-boundary hook after construction —
-  /// the cluster layer is built around a running engine. Safe while the
-  /// workers run: the swap happens under quiesced(), so no worker can be
-  /// mid-drain when the callback changes.
+  /// Installs (or clears) the drain-boundary hook: it runs on worker `w`
+  /// after each non-empty drain batch has executed (and its completions
+  /// have fired), on the worker thread, and may touch exactly that
+  /// worker's shards. The cluster replication layer hangs its delta
+  /// capture here — one flush per batch, not one per op. Installed after
+  /// construction, since the cluster layer is built around a running
+  /// engine. Safe while the workers run: the swap happens under
+  /// quiesced(), so no worker can be mid-drain when the callback changes.
   void set_drain_hook(std::function<void(std::size_t w)> hook) {
     quiesced([&] { on_drain_ = std::move(hook); });
   }

@@ -47,9 +47,12 @@ std::vector<std::string> Args::names() const {
 bool Args::get_flag(const std::string& name) const {
   const auto it = named_.find(name);
   if (it == named_.end()) return false;
-  if (it->second.empty()) return true;
   const std::string v = lower(it->second);
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (v.empty() || v == "1" || v == "true" || v == "yes" || v == "on")
+    return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  throw IoError("flag --" + name + " takes no value or one of 1/0, " +
+                "true/false, yes/no, on/off; got '" + it->second + "'");
 }
 
 std::string Args::get_string(const std::string& name,

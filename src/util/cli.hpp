@@ -22,8 +22,11 @@ class Args {
 
   /// True if --name was present (with or without a value).
   bool has(const std::string& name) const;
-  /// Boolean flag: present without value, or with value in
-  /// {1,true,yes,on} (case-insensitive).
+  /// Boolean flag: true when present without value or with a value in
+  /// {1,true,yes,on}, false when absent or with a value in
+  /// {0,false,no,off} (case-insensitive). Any other value throws IoError
+  /// naming the flag: since `--name value` binds the next token, a stray
+  /// argument after a bare flag (`--quick foo`) must not read as false.
   bool get_flag(const std::string& name) const;
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;

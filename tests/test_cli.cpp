@@ -35,6 +35,31 @@ TEST(Cli, FlagWithValue) {
   EXPECT_TRUE(make_args({"p", "--x=1"}).get_flag("x"));
   EXPECT_FALSE(make_args({"p", "--x=0"}).get_flag("x"));
   EXPECT_FALSE(make_args({"p", "--x=no"}).get_flag("x"));
+  EXPECT_FALSE(make_args({"p", "--x=OFF"}).get_flag("x"));
+  EXPECT_FALSE(make_args({"p", "--x=false"}).get_flag("x"));
+}
+
+TEST(Cli, FlagWithSpacedZeroOrOneReadsIt) {
+  // tokabench's form: --trace 0|1 binds the next token as the value.
+  const auto off = make_args({"p", "--trace", "0", "--child"});
+  EXPECT_FALSE(off.get_flag("trace"));
+  EXPECT_TRUE(off.get_flag("child"));
+  EXPECT_TRUE(make_args({"p", "--trace", "1"}).get_flag("trace"));
+}
+
+TEST(Cli, FlagWithAStrayValueThrowsNamingIt) {
+  // "--quick foo" binds foo as the value; reading it as false would
+  // silently run a full-size workload.
+  const auto args = make_args({"p", "--quick", "foo"});
+  try {
+    args.get_flag("quick");
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("--quick"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("foo"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Cli, Defaults) {

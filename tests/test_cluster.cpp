@@ -661,5 +661,133 @@ TEST(ClusterClient, ConfiguresNamespacesClusterWide) {
   net.stop();
 }
 
+TEST(ClusterClient, QueryAndRefundRouteToTheOwner) {
+  const ClusterMap map{1, kDefaultVnodes, {0, 1, 2}};
+  runtime::InProcNetwork net(3 + 3);
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (NodeId n = 0; n < 3; ++n)
+    nodes.push_back(
+        std::make_unique<Node>(node_config(2, 8, 1000), net.endpoint(n), map));
+  net.start();
+
+  ClusterClient client(
+      [&](NodeId server) -> runtime::Transport& {
+        return net.endpoint(3 + server);
+      },
+      map);
+
+  const HashRing ring(map);
+  EXPECT_FALSE(client.query(service::kDefaultNamespace, 5).exists);
+  for (std::uint64_t key = 0; key < 24; ++key)
+    client.acquire(service::kDefaultNamespace, key, 0);
+  for (auto& node : nodes) node->table.clock().advance(50'000);
+  for (std::uint64_t key = 0; key < 24; ++key) {
+    ASSERT_EQ(client.acquire(service::kDefaultNamespace, key, 2).granted, 2);
+    const service::RefundResult refunded =
+        client.refund(service::kDefaultNamespace, key, 1);
+    EXPECT_EQ(refunded.accepted, 1) << "key " << key;
+    const service::QueryResult seen =
+        client.query(service::kDefaultNamespace, key);
+    EXPECT_TRUE(seen.exists) << "key " << key;
+    EXPECT_EQ(seen.balance, refunded.balance) << "key " << key;
+    Node& owner = *nodes[ring.owner(service::kDefaultNamespace, key)];
+    EXPECT_EQ(seen.balance, owner.engine.quiesced([&] {
+      return owner.table.query(key).balance;
+    })) << "key " << key;
+  }
+  EXPECT_EQ(client.redirects_followed(), 0u);
+  EXPECT_EQ(client.io_retries(), 0u);
+  net.stop();
+}
+
+// The give-up branches: a dead owner, an empty map and a typed refusal.
+
+TEST(ClusterClient, GivesUpAfterMaxAttemptsOnADeadOwner) {
+  // Node 0 has no server on its endpoint: every call and every map fetch
+  // times out. Three rounds: two timeouts retried, the third given up.
+  const ClusterMap map{1, kDefaultVnodes, {0}};
+  runtime::InProcNetwork net(1 + 1);
+  net.start();
+  const ClusterClientConfig config{.call_timeout_us = 20'000,
+                                   .max_attempts = 3};
+  const auto endpoint = [&](NodeId) -> runtime::Transport& {
+    return net.endpoint(1);
+  };
+  {
+    ClusterClient client(endpoint, map, config);
+    EXPECT_THROW(client.acquire(service::kDefaultNamespace, 7, 1),
+                 util::IoError);
+    EXPECT_EQ(client.io_retries(), 2u);
+    EXPECT_EQ(client.map_refreshes(), 2u);
+    EXPECT_EQ(client.redirects_followed(), 0u);
+  }
+  {
+    ClusterClient client(endpoint, map, config);
+    const std::vector<service::AcquireOp> ops{{1, 1}, {2, 1}, {3, 1}};
+    EXPECT_THROW(client.acquire_batch(service::kDefaultNamespace, ops),
+                 util::IoError);
+    EXPECT_EQ(client.io_retries(), 2u);
+    EXPECT_EQ(client.map_refreshes(), 2u);
+  }
+  net.stop();
+}
+
+TEST(ClusterClient, EmptyMapWithoutSeedsFailsWithNoOwner) {
+  runtime::InProcNetwork net(1);
+  net.start();
+  ClusterClient client(
+      [&](NodeId) -> runtime::Transport& { return net.endpoint(0); },
+      ClusterMap{1, kDefaultVnodes, {}}, {.max_attempts = 3});
+  const auto expect_no_owner = [](const std::function<void()>& op) {
+    try {
+      op();
+      ADD_FAILURE() << "expected the no-owner IoError";
+    } catch (const util::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("no owner"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_no_owner([&] { client.acquire(service::kDefaultNamespace, 7, 1); });
+  const std::vector<service::AcquireOp> ops{{1, 1}, {2, 1}};
+  expect_no_owner(
+      [&] { client.acquire_batch(service::kDefaultNamespace, ops); });
+  // Nothing to ask: no refresh ever reached the wire.
+  EXPECT_EQ(client.map_refreshes(), 0u);
+  EXPECT_FALSE(client.refresh_map());
+  EXPECT_EQ(client.map_refreshes(), 0u);
+  net.stop();
+}
+
+TEST(ClusterClient, TypedErrorsAreNotRetried) {
+  const ClusterMap map{1, kDefaultVnodes, {0, 1}};
+  runtime::InProcNetwork net(2 + 2);
+  Node node0(node_config(2, 8, 1000), net.endpoint(0), map);
+  Node node1(node_config(2, 8, 1000), net.endpoint(1), map);
+  net.start();
+
+  ClusterClient client(
+      [&](NodeId server) -> runtime::Transport& {
+        return net.endpoint(2 + server);
+      },
+      map);
+  constexpr service::NamespaceId kMissing = 9;  // no node has it
+  const auto expect_unknown = [](const std::function<void()>& op) {
+    try {
+      op();
+      ADD_FAILURE() << "expected RpcError kUnknownNamespace";
+    } catch (const proto::RpcError& e) {
+      EXPECT_EQ(e.code(), proto::ErrorCode::kUnknownNamespace) << e.what();
+    }
+  };
+  expect_unknown([&] { client.acquire(kMissing, 3, 1); });
+  // The batch spans both nodes: both groups are refused.
+  std::vector<service::AcquireOp> ops;
+  for (std::uint64_t key = 0; key < 16; ++key) ops.push_back({key, 1});
+  expect_unknown([&] { client.acquire_batch(kMissing, ops); });
+  EXPECT_EQ(client.redirects_followed(), 0u);
+  EXPECT_EQ(client.io_retries(), 0u);
+  net.stop();
+}
+
 }  // namespace
 }  // namespace toka::cluster
