@@ -8,6 +8,7 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -548,6 +549,160 @@ TEST(ClusterServer, ReplicationIdleWithoutReplicas) {
   EXPECT_EQ(node0.server.replication().deltas_sent(), 0u);
   EXPECT_EQ(node1.server.replication().replica_accounts(), 0u);
   EXPECT_FALSE(node0.table.replication_enabled());
+  net.stop();
+}
+
+/// Every counter a tokad node's frame triage moves.
+struct TriageCounters {
+  std::uint64_t served = 0, errored = 0, malformed = 0, shed = 0;
+  std::uint64_t redirects = 0, acked = 0, rejected = 0;
+  friend bool operator==(const TriageCounters&,
+                         const TriageCounters&) = default;
+};
+
+TriageCounters triage_counters(const ClusterServer& s) {
+  return {s.inner().requests_served(), s.inner().requests_errored(),
+          s.inner().requests_malformed(), s.inner().requests_shed(),
+          s.redirects_sent(), s.handoffs_accepted(), s.handoffs_rejected()};
+}
+
+template <typename T>
+bool is_a(const proto::Response& r) {
+  return std::holds_alternative<T>(r);
+}
+
+TEST(ClusterServer, TriageAnswersAndCountsEveryFrameKind) {
+  const ClusterMap map{1, kDefaultVnodes, {0, 1}};
+  const HashRing ring(map);
+  runtime::InProcNetwork net(3);
+  service::ServerOptions opts;
+  // One admission per table-clock interval: each row below opens a fresh
+  // interval unless it is marked to share the previous row's.
+  opts.admission = {.enabled = true, .interval_us = 10'000, .min_budget = 1,
+                    .max_budget = 1};
+  service::AccountTable table0(node_config(2, 8, 1000));
+  service::ShardEngine engine0(table0);
+  opts.engine = &engine0;
+  ClusterServer node0(table0, net.endpoint(0), map, opts);
+  Node node1(node_config(2, 8, 1000), net.endpoint(1), map);
+
+  runtime::Transport& raw = net.endpoint(2);
+  std::mutex mu;
+  std::vector<proto::Response> replies;
+  raw.set_handler([&](NodeId, std::vector<std::byte> payload) {
+    std::lock_guard lock(mu);
+    replies.push_back(proto::decode_response(payload));
+  });
+  net.start();
+
+  const std::uint64_t mine = key_owned_by(ring, 0);
+  const std::uint64_t theirs = key_owned_by(ring, 1);
+  constexpr service::NamespaceId kMissingNs = 7;
+  std::uint64_t missing_mine = 0;
+  while (ring.owner(kMissingNs, missing_mine) != 0) ++missing_mine;
+
+  const auto with_trailing_byte = [](std::vector<std::byte> frame) {
+    frame.push_back(std::byte{0});
+    return frame;
+  };
+  const auto without_last_byte = [](std::vector<std::byte> frame) {
+    frame.pop_back();
+    return frame;
+  };
+  const auto is_error = [](proto::ErrorCode code) {
+    return [code](const proto::Response& r) {
+      const auto* e = std::get_if<proto::ErrorResponse>(&r);
+      return e != nullptr && e->code == code;
+    };
+  };
+  const auto is_redirect_to_1 = [](const proto::Response& r) {
+    const auto* d = std::get_if<proto::RedirectResponse>(&r);
+    return d != nullptr && d->epoch == 1 && d->owner == 1;
+  };
+
+  service::NamespaceConfig bulk;
+  bulk.strategy.kind = core::StrategyKind::kTokenBucket;
+  bulk.strategy.c_param = 4;
+
+  struct Row {
+    const char* name;
+    std::vector<std::byte> frame;
+    /// Checks the one reply; empty = the frame must go unanswered.
+    std::function<bool(const proto::Response&)> reply;
+    TriageCounters delta;
+    bool same_interval = false;  ///< no clock advance before this row
+  };
+  const std::vector<Row> rows{
+      {"garbage", {std::byte{0xFF}, std::byte{0x00}}, {}, {.malformed = 1}},
+      {"owned acquire, bad body",
+       with_trailing_byte(proto::encode(proto::AcquireRequest{1, mine, 1})),
+       is_error(proto::ErrorCode::kMalformedBody), {.errored = 1}},
+      {"owned key, unknown namespace",
+       proto::encode(proto::AcquireRequest{2, missing_mine, 1, kMissingNs}),
+       is_error(proto::ErrorCode::kUnknownNamespace), {.errored = 1}},
+      {"foreign acquire", proto::encode(proto::AcquireRequest{3, theirs, 1}),
+       is_redirect_to_1, {.redirects = 1}},
+      {"batch with a foreign second key",
+       proto::encode(proto::BatchAcquireRequest{4, {{mine, 1}, {theirs, 1}}}),
+       is_redirect_to_1, {.redirects = 1}},
+      {"configure namespace",
+       proto::encode(proto::ConfigureNamespaceRequest{5, 3, bulk}),
+       &is_a<proto::ConfigureNamespaceResponse>, {.served = 1}},
+      {"namespace info", proto::encode(proto::NamespaceInfoRequest{6, 3}),
+       &is_a<proto::NamespaceInfoResponse>, {.served = 1}},
+      {"stats", proto::encode(proto::StatsRequest{7}),
+       &is_a<proto::StatsResponse>, {.served = 1}},
+      {"stray apply-map response",
+       proto::encode(proto::ApplyMapResponse{8, true, 2, 0}), {}, {}},
+      {"undecodable handoff ack",
+       without_last_byte(proto::encode(proto::HandoffResponse{9, true})), {},
+       {.rejected = 1}},
+      {"owned acquire spends the interval's budget",
+       proto::encode(proto::AcquireRequest{10, mine, 0}),
+       &is_a<proto::AcquireResponse>, {.served = 1}},
+      {"owned acquire over the budget",
+       proto::encode(proto::AcquireRequest{11, mine, 0}),
+       is_error(proto::ErrorCode::kOverloaded), {.shed = 1}, true},
+      {"foreign acquire over the budget",
+       proto::encode(proto::AcquireRequest{12, theirs, 0}), is_redirect_to_1,
+       {.redirects = 1}, true},
+  };
+
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    if (!row.same_interval) table0.clock().advance(10'000);
+    const TriageCounters before = triage_counters(node0);
+    raw.send(0, row.frame);
+    if (row.reply) {
+      ASSERT_TRUE(eventually([&] {
+        std::lock_guard lock(mu);
+        return !replies.empty();
+      }));
+    } else {
+      net.drain();
+      engine0.drain();
+      net.drain();
+    }
+    {
+      std::lock_guard lock(mu);
+      ASSERT_EQ(replies.size(), row.reply ? 1u : 0u);
+      if (row.reply) {
+        EXPECT_TRUE(row.reply(replies.front()));
+      }
+      replies.clear();
+    }
+    const TriageCounters after = triage_counters(node0);
+    const TriageCounters delta{
+        after.served - before.served,       after.errored - before.errored,
+        after.malformed - before.malformed, after.shed - before.shed,
+        after.redirects - before.redirects, after.acked - before.acked,
+        after.rejected - before.rejected};
+    EXPECT_EQ(delta, row.delta)
+        << "served " << delta.served << " errored " << delta.errored
+        << " malformed " << delta.malformed << " shed " << delta.shed
+        << " redirects " << delta.redirects << " acked " << delta.acked
+        << " rejected " << delta.rejected;
+  }
   net.stop();
 }
 
