@@ -18,8 +18,7 @@ ClusterServer::ClusterServer(service::AccountTable& table,
                              service::ServerOptions options)
     : table_(&table),
       transport_(&transport),
-      tap_(transport),
-      server_(table, tap_, with_node(options, transport)),
+      server_(table, transport, options, false),
       tracer_(options.tracer),
       registry_(options.registry),
       engine_(options.engine),
@@ -44,9 +43,9 @@ ClusterServer::ClusterServer(service::AccountTable& table,
 }
 
 ClusterServer::~ClusterServer() {
-  // Quiesce the real transport first; the inner server then detaches from
-  // the tap, which nothing can deliver through anymore. Only then is it
-  // safe to pull the cluster gauges out of the registry. The engine's
+  // Quiesce the transport first: once the handler is detached nothing
+  // reaches the inner server either. Only then is it safe to pull the
+  // cluster gauges out of the registry. The engine's
   // drain hook goes first of all — workers keep draining until the engine
   // itself stops, and the hook calls back into this object.
   engine_->set_drain_hook({});
@@ -300,31 +299,6 @@ void ClusterServer::on_peer_down(NodeId peer) {
   promote(peer, cur.epoch);
 }
 
-void ClusterServer::handle_handoff(
-    NodeId from, const proto::HandoffRequest& r,
-    const std::optional<proto::TraceContext>& trace) {
-  handoffs_received_.fetch_add(1, std::memory_order_relaxed);
-  // Install only what the current ring places here; anything else is
-  // dropped (the sender already forfeited it). The install runs on the
-  // key's shard worker like a data op, so a join's stream of handoffs
-  // never parks the engine; install_account refuses duplicates and unknown
-  // namespaces on its own.
-  service::ShardOp op;
-  op.kind = service::ShardOp::Kind::kInstall;
-  op.ns = r.ns;
-  op.key = r.key;
-  op.tokens = r.balance;
-  op.done = &ClusterServer::complete_handoff;
-  op.ctx = new PendingHandoff{
-      this, from, r.id, trace,
-      tracer_ != nullptr && trace ? obs::Tracer::now_us() : 0};
-  if (owner_of(r.ns, r.key) == self()) {
-    engine_->submit(op);  // waits for queue room: a handoff is never shed
-  } else {
-    complete_handoff(op, op.ctx);  // out_a = 0: refused
-  }
-}
-
 void ClusterServer::complete_handoff(service::ShardOp& op, void* ctx) {
   const std::unique_ptr<PendingHandoff> p(static_cast<PendingHandoff*>(ctx));
   ClusterServer& server = *p->server;
@@ -351,43 +325,36 @@ void ClusterServer::complete_handoff(service::ShardOp& op, void* ctx) {
 }
 
 void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {
-  // Handoff acks flow back to this handler too (the node is the client of
-  // its own handoffs); settle the counters and drop other stray responses.
   const std::optional<proto::FrameHeader> head =
       proto::try_parse_header(payload);
   if (head.has_value() && head->is_response) {
-    if (head->type == proto::MsgType::kHandoff) {
-      try {
-        const proto::Response response = proto::decode_response(payload);
-        if (const auto* ack = std::get_if<proto::HandoffResponse>(&response);
-            ack != nullptr && ack->accepted) {
-          handoffs_accepted_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          handoffs_rejected_.fetch_add(1, std::memory_order_relaxed);
-        }
-      } catch (const util::IoError&) {
-        handoffs_rejected_.fetch_add(1, std::memory_order_relaxed);
-      }
+    // Handoff acks flow back to this handler too (the node is the client of
+    // its own handoffs); settle the counters and drop other stray
+    // responses (ApplyMap acks from a promotion broadcast, say).
+    if (head->type != proto::MsgType::kHandoff) return;
+    bool accepted = false;
+    try {
+      const proto::Response response = proto::decode_response(payload);
+      const auto* ack = std::get_if<proto::HandoffResponse>(&response);
+      accepted = ack != nullptr && ack->accepted;
+    } catch (const util::IoError&) {
     }
+    (accepted ? handoffs_accepted_ : handoffs_rejected_)
+        .fetch_add(1, std::memory_order_relaxed);
     return;
   }
 
-  // Data ops — the hot path — are ownership-checked by streaming the
-  // frame's routing keys against one map snapshot, with no decode and no
-  // allocation; a batch with any foreign key redirects whole (the client
-  // re-splits under the map it refreshes anyway). Owned frames pass
-  // through raw and are decoded exactly once, by the inner table server.
-  const bool is_data_op =
-      head.has_value() && (head->type == proto::MsgType::kAcquire ||
-                           head->type == proto::MsgType::kRefund ||
-                           head->type == proto::MsgType::kQuery ||
-                           head->type == proto::MsgType::kBatchAcquire);
-  if (is_data_op) {
-    bool owned = true;
+  if (head.has_value() && proto::is_data_op(head->type)) {
+    // Data ops — the hot path — are ownership-checked by streaming the
+    // frame's routing keys against one map snapshot, before admission and
+    // with no decode and no allocation; a batch with any foreign key
+    // redirects whole (the client re-splits under the map it refreshes
+    // anyway).
     NodeId foreign_owner = kNoNode;
     service::NamespaceId foreign_ns = service::kDefaultNamespace;
     std::uint64_t foreign_key = 0;
     std::uint64_t epoch = 0;
+    bool owned = true;
     bool walked;
     {
       std::shared_lock lock(map_mu_);
@@ -395,15 +362,11 @@ void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {
       const NodeId self_id = transport_->self();
       walked = proto::for_each_data_op_key(
           payload, [&](service::NamespaceId ns, std::uint64_t key) {
-            const NodeId owner = ring_.owner(ns, key);
-            if (owner != self_id) {
-              owned = false;
-              foreign_owner = owner;
-              foreign_ns = ns;
-              foreign_key = key;
-              return false;
-            }
-            return true;
+            foreign_owner = ring_.owner(ns, key);
+            foreign_ns = ns;
+            foreign_key = key;
+            owned = foreign_owner == self_id;
+            return owned;
           });
     }
     if (walked && !owned) {
@@ -420,39 +383,57 @@ void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {
                                  head->id, epoch, foreign_owner}));
       return;
     }
-    // Owned — or too malformed to route, in which case the inner server
-    // owns the taxonomy (typed error for a valid header, drop for
-    // garbage).
-    tap_.deliver(from, std::move(payload));
+  } else if (head.has_value()) {
+    // Every other request is decoded once, here.
+    proto::Request request;
+    try {
+      request = proto::decode_request(*head, payload);
+    } catch (const util::IoError&) {
+      // Undecodable: the table server answers it kMalformedBody.
+      server_.on_frame(from, head, payload);
+      return;
+    }
+    on_request(from, *head, request);
     return;
   }
 
-  proto::Request request;
-  std::optional<proto::TraceContext> trace;
-  try {
-    request = proto::decode_request(payload, trace);
-  } catch (const util::IoError&) {
-    // Undecodable admin/cluster frame or garbage: the inner server
-    // classifies it.
-    tap_.deliver(from, std::move(payload));
-    return;
-  }
+  // Owned data ops (or ones too malformed to route) and garbage: the table
+  // server classifies, admits, answers and counts them, reading the header
+  // parsed above.
+  server_.on_frame(from, head, payload);
+}
 
+void ClusterServer::on_request(NodeId from, const proto::FrameHeader& head,
+                               const proto::Request& request) {
+  const std::optional<proto::TraceContext> trace = head.trace();
+  const std::int64_t t0 =
+      tracer_ != nullptr && trace ? obs::Tracer::now_us() : 0;
   if (const auto* r = std::get_if<proto::HandoffRequest>(&request)) {
-    handle_handoff(from, *r, trace);
-    return;
-  }
-  if (const auto* r = std::get_if<proto::ClusterMapRequest>(&request)) {
-    transport_->send(from, proto::encode(proto::ClusterMapResponse{r->id,
-                                                                   map()}));
-    return;
-  }
-  if (const auto* r = std::get_if<proto::ApplyMapRequest>(&request)) {
+    handoffs_received_.fetch_add(1, std::memory_order_relaxed);
+    // Install only what the current ring places here; anything else is
+    // dropped (the sender already forfeited it). The install runs on the
+    // key's shard worker like a data op, so a join's stream of handoffs
+    // never parks the engine; install_account refuses duplicates and
+    // unknown namespaces on its own.
+    service::ShardOp op;
+    op.kind = service::ShardOp::Kind::kInstall;
+    op.ns = r->ns;
+    op.key = r->key;
+    op.tokens = r->balance;
+    op.done = &ClusterServer::complete_handoff;
+    op.ctx = new PendingHandoff{this, from, r->id, trace, t0};
+    if (owner_of(r->ns, r->key) == self()) {
+      engine_->submit(op);  // waits for queue room: a handoff is never shed
+    } else {
+      complete_handoff(op, op.ctx);  // out_a = 0: refused
+    }
+  } else if (const auto* r = std::get_if<proto::ClusterMapRequest>(&request)) {
+    transport_->send(from,
+                     proto::encode(proto::ClusterMapResponse{r->id, map()}));
+  } else if (const auto* r = std::get_if<proto::ApplyMapRequest>(&request)) {
     // A traced broadcast (the promotion path) keeps the coordinator's
     // trace id end to end; an untraced one gets its own adoption trace so
     // its handoffs still stitch.
-    const std::int64_t t0 =
-        tracer_ != nullptr && trace ? obs::Tracer::now_us() : 0;
     const ApplyOutcome outcome =
         apply_map(r->map, trace ? trace : mint_cluster_trace());
     if (tracer_ != nullptr && trace) {
@@ -467,11 +448,7 @@ void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {
     transport_->send(from, proto::encode(proto::ApplyMapResponse{
                                r->id, outcome.accepted, outcome.epoch,
                                outcome.handoffs}));
-    return;
-  }
-  if (const auto* r = std::get_if<proto::ReplicateRequest>(&request)) {
-    const std::int64_t t0 =
-        tracer_ != nullptr && trace ? obs::Tracer::now_us() : 0;
+  } else if (const auto* r = std::get_if<proto::ReplicateRequest>(&request)) {
     repl_->on_replicate(from, *r);
     if (tracer_ != nullptr && trace) {
       // Follower leg of a sampled delta flush (`key` = deltas applied).
@@ -480,24 +457,19 @@ void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {
                       service::kDefaultNamespace, t0,
                       obs::Tracer::now_us() - t0, /*sampled=*/true);
     }
-    return;
-  }
-  if (const auto* r = std::get_if<proto::ReplicaAckRequest>(&request)) {
+  } else if (const auto* r = std::get_if<proto::ReplicaAckRequest>(&request)) {
     repl_->on_ack(from, *r);
-    return;
-  }
-  if (const auto* r = std::get_if<proto::PromoteRequest>(&request)) {
+  } else if (const auto* r = std::get_if<proto::PromoteRequest>(&request)) {
     const PromoteOutcome out =
         promote(r->failed, r->epoch, trace ? trace : mint_cluster_trace());
     transport_->send(from, proto::encode(proto::PromoteResponse{
                                r->id, out.accepted, out.epoch, out.installed,
                                out.forfeited}));
-    return;
+  } else {
+    // Admin ops (configure/info), stats and traces address this node, not
+    // a key.
+    server_.reply(from, server_.answer(request));
   }
-
-  // Admin ops (configure/info) pass through: they address this node, not
-  // a key.
-  tap_.deliver(from, std::move(payload));
 }
 
 }  // namespace toka::cluster

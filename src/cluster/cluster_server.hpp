@@ -1,26 +1,26 @@
 // One tokad cluster node: a service::Server that only answers for the keys
 // it owns.
 //
-// The wrapper installs itself as the transport's receive handler and
-// triages every frame:
+// The node installs itself as the transport's receive handler and is the
+// one triage every frame passes: it reads the header once and
 //
-//   - data ops (acquire/refund/query/batch) whose keys its HashRing places
-//     here are forwarded — still as raw frames — to the wrapped
-//     service::Server, which executes them on the node's ShardEngine
-//     exactly as a standalone tokend would;
-//   - data ops for keys it does NOT own get a RedirectResponse carrying
-//     the node's map epoch and the key's current owner: redirect-and-retry
-//     instead of server-side proxying, so a stale client pays one extra
-//     round trip once and then routes correctly, and no node ever holds a
-//     request hostage to another node's latency;
-//   - ClusterMap answers the node's current membership map; ApplyMap
-//     installs a strictly newer one and starts the handoff of every
-//     account the new ring moves elsewhere;
-//   - Handoff installs a moved account on its shard's engine worker
-//     (only if this node owns the key and has no live account for it —
-//     otherwise the state is dropped);
-//     handoff *responses* arriving back just settle the sent/lost
-//     counters.
+//   - settles the sent-handoff counters from handoff acks, and drops every
+//     other response;
+//   - walks a data op's (acquire/refund/query/batch) keys against its
+//     HashRing before admission and before any decode: a frame with any key
+//     owned elsewhere gets a RedirectResponse carrying the node's map epoch
+//     and that key's owner — redirect-and-retry instead of server-side
+//     proxying, so a stale client pays one extra round trip once and no
+//     node holds a request hostage to another node's latency;
+//   - answers the cluster vocabulary itself: ClusterMap, ApplyMap (install
+//     a strictly newer map and hand off every account the new ring moves
+//     elsewhere), Handoff (install a moved account on its shard's engine
+//     worker, only if this node owns the key and has no live account for
+//     it), and the replication frames below;
+//   - hands everything else to its own service::Server together with that
+//     header: owned data ops run on the node's ShardEngine exactly as on a
+//     standalone tokend, and admin, stats and traces requests are answered
+//     (decoded once, here). That server installs no handler of its own.
 //
 // Handoff is forfeit-on-loss, never-duplicate: the sender extracts the
 // account (it stops existing there) before the frame leaves, and the
@@ -93,8 +93,8 @@ class ClusterServer {
   /// service::Server (engine, telemetry registry, admission valve); with
   /// a registry set, the cluster layer additionally exports the ring
   /// epoch, redirect and handoff counters as "tokad_*" metrics, and
-  /// kStats frames answer with the full snapshot (they pass through the
-  /// tap like any admin frame — never redirected, never shed).
+  /// kStats frames answer with the full snapshot (like any admin frame
+  /// they are never redirected, never shed).
   ClusterServer(service::AccountTable& table, runtime::Transport& transport,
                 ClusterMap map, service::ServerOptions options = {});
 
@@ -161,37 +161,16 @@ class ClusterServer {
   const ReplicationEngine& replication() const { return *repl_; }
 
  private:
-  /// The inner service::Server believes this is its transport: sends pass
-  /// through to the real one; deliveries happen only when the cluster
-  /// layer decides a frame is an owned data op (or an admin frame).
-  class Tap final : public runtime::Transport {
-   public:
-    explicit Tap(runtime::Transport& inner) : inner_(&inner) {}
-    NodeId self() const override { return inner_->self(); }
-    void send(NodeId to, std::vector<std::byte> payload) override {
-      inner_->send(to, std::move(payload));
-    }
-    void set_handler(Handler handler) override {
-      std::unique_lock lock(mu_);
-      handler_ = std::move(handler);
-    }
-    void deliver(NodeId from, std::vector<std::byte> payload) {
-      std::shared_lock lock(mu_);
-      if (handler_) handler_(from, std::move(payload));
-    }
-
-   private:
-    runtime::Transport* inner_;
-    std::shared_mutex mu_;
-    Handler handler_;
-  };
-
+  /// The node's one frame triage: reads the header once, answers handoff
+  /// acks, redirects foreign data ops and runs cluster requests, and hands
+  /// everything else to server_ with that header.
   void on_frame(NodeId from, std::vector<std::byte> payload);
+  /// A decoded request that is not a data op: the cluster vocabulary is
+  /// answered here, the rest by server_.
+  void on_request(NodeId from, const service::protocol::FrameHeader& head,
+                  const service::protocol::Request& request);
   /// Ring placement under the current map; kNoNode on an empty ring.
   NodeId owner_of(service::NamespaceId ns, std::uint64_t key) const;
-  void handle_handoff(NodeId from, const service::protocol::HandoffRequest& r,
-                      const std::optional<service::protocol::TraceContext>&
-                          trace);
   /// A handoff install in flight on its shard's worker.
   struct PendingHandoff {
     ClusterServer* server = nullptr;
@@ -220,17 +199,9 @@ class ClusterServer {
   void flush_worker_shards(std::size_t w);
   void register_metrics();
 
-  /// Fills in ServerOptions::node with transport.self() when unset, so
-  /// both layers stamp exported spans with this node's identity.
-  static service::ServerOptions with_node(service::ServerOptions options,
-                                          runtime::Transport& transport) {
-    if (options.node == kNoNode) options.node = transport.self();
-    return options;
-  }
-
   service::AccountTable* table_;
   runtime::Transport* transport_;
-  Tap tap_;
+  /// Installs no handler of its own: it sees only what on_frame hands it.
   service::Server server_;
   obs::Tracer* tracer_ = nullptr;  ///< the inner server's flight recorder
   obs::Registry* registry_;

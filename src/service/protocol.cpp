@@ -149,8 +149,16 @@ Request decode_request(std::span<const std::byte> payload,
   const FrameHeader h = wire::read_header(r);
   if (h.is_response)
     throw util::IoError("tokend frame: response where a request was expected");
-  if (h.traced) trace_out = TraceContext{h.trace_id, h.sampled};
+  trace_out = h.trace();
   return read_body<Request>(h, r);
+}
+
+Request decode_request(const FrameHeader& head,
+                       std::span<const std::byte> payload) {
+  TOKA_CHECK_MSG(!head.is_response, "decode_request takes a request header");
+  // The header is 10 bytes, plus the 9-byte context of a traced request.
+  util::BinaryReader r(payload.subspan(head.traced ? 19 : 10));
+  return read_body<Request>(head, r);
 }
 
 Response decode_response(std::span<const std::byte> payload) {

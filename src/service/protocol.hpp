@@ -93,6 +93,13 @@ enum class MsgType : std::uint8_t {
 /// Bit set on a request's type byte to form its response's type byte.
 inline constexpr std::uint8_t kResponseBit = 0x80;
 
+/// The data ops (acquire/refund/query/batch-acquire): the requests a
+/// cluster node routes by key and a server admits and runs on its engine.
+constexpr bool is_data_op(MsgType type) {
+  return type == MsgType::kAcquire || type == MsgType::kRefund ||
+         type == MsgType::kQuery || type == MsgType::kBatchAcquire;
+}
+
 // ------------------------------------------------------- trace context
 //
 // A *request* frame may carry a 9-byte trace context — u64 trace id +
@@ -466,6 +473,11 @@ struct FrameHeader {
   bool traced = false;  ///< kTraceBit was set (requests only)
   std::uint64_t trace_id = 0;
   bool sampled = false;
+  /// The context a traced request carries; nullopt otherwise.
+  std::optional<TraceContext> trace() const {
+    if (!traced) return std::nullopt;
+    return TraceContext{trace_id, sampled};
+  }
 };
 
 // ---------------------------------------------------------- frame schema
@@ -884,6 +896,11 @@ std::vector<std::byte> encode(const Response& m);
 Request decode_request(std::span<const std::byte> payload);
 Request decode_request(std::span<const std::byte> payload,
                        std::optional<TraceContext>& trace_out);
+/// Parses the body of the request frame `payload` whose header `head`
+/// try_parse_header already read (a request header: checked); throws
+/// util::IoError on a malformed body.
+Request decode_request(const FrameHeader& head,
+                       std::span<const std::byte> payload);
 
 /// Parses a response frame; throws util::IoError on any malformation.
 Response decode_response(std::span<const std::byte> payload);

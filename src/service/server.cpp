@@ -42,40 +42,48 @@ constexpr TimeUs kQueueFullRetryUs = 100;
 struct Server::Pending {
   Server* server = nullptr;
   NodeId from = 0;
-  std::uint64_t id = 0;
   std::chrono::steady_clock::time_point t0{};
-  TraceInfo trace{};
+  protocol::FrameHeader head{};  ///< the request's id and trace context
   NamespaceId ns = kDefaultNamespace;  ///< for the cork span's identity
   std::uint64_t key = 0;
 };
 
 Server::Server(AccountTable& table, runtime::Transport& transport,
                ServerOptions options)
+    : Server(table, transport, std::move(options), true) {}
+
+Server::Server(AccountTable& table, runtime::Transport& transport,
+               ServerOptions options, bool attach)
     : table_(&table),
       transport_(&transport),
       engine_(options.engine),
       tracer_(options.tracer),
-      node_(options.node),
+      node_(attach || options.node != kNoNode ? options.node
+                                              : transport.self()),
       registry_(options.registry),
       admission_(options.admission),
-      timed_(options.registry != nullptr || options.admission.enabled) {
+      attached_(attach) {
   TOKA_CHECK_MSG(options.engine != nullptr,
                  "ServerOptions::engine is required: the server executes "
                  "data ops on a ShardEngine");
   TOKA_CHECK_MSG(&engine_->table() == table_,
                  "ServerOptions::engine must run on the server's table");
   if (registry_) register_metrics();
-  transport_->set_handler([this](NodeId from, std::vector<std::byte> payload) {
-    on_frame(from, std::move(payload));
-  });
+  if (attached_) {
+    transport_->set_handler(
+        [this](NodeId from, std::vector<std::byte> payload) {
+          on_frame(from, protocol::try_parse_header(payload), payload);
+        });
+  }
 }
 
 Server::~Server() {
-  // Quiesce first: once the handler is detached no request thread can
+  // Quiesce first: once the handler is detached (by the owning
+  // ClusterServer, for a server that installed none) no request thread can
   // still be recording into the histogram the unregistration frees. Then
   // wait out queued ops — their completions send through transport_ and
   // record into latency_.
-  transport_->set_handler({});
+  if (attached_) transport_->set_handler({});
   engine_->drain();
   if (registry_) {
     for (const std::string& name : metric_names_) registry_->remove(name);
@@ -88,18 +96,15 @@ void Server::register_metrics() {
     return name;
   };
   latency_ = &registry_->histogram(add("tokend_request_latency_us"));
-  registry_->counter_fn(add("tokend_requests_served"), [this] {
-    return static_cast<double>(served_.load(std::memory_order_relaxed));
-  });
-  registry_->counter_fn(add("tokend_requests_errored"), [this] {
-    return static_cast<double>(errored_.load(std::memory_order_relaxed));
-  });
-  registry_->counter_fn(add("tokend_requests_malformed"), [this] {
-    return static_cast<double>(malformed_.load(std::memory_order_relaxed));
-  });
-  registry_->counter_fn(add("tokend_requests_shed"), [this] {
-    return static_cast<double>(shed_.load(std::memory_order_relaxed));
-  });
+  for (const auto& [name, count] :
+       {std::pair{"tokend_requests_served", &served_},
+        std::pair{"tokend_requests_errored", &errored_},
+        std::pair{"tokend_requests_malformed", &malformed_},
+        std::pair{"tokend_requests_shed", &shed_}}) {
+    registry_->counter_fn(add(name), [count] {
+      return static_cast<double>(count->load(std::memory_order_relaxed));
+    });
+  }
   registry_->gauge(add("tokend_namespaces"), [t = table_] {
     return static_cast<double>(t->namespace_count());
   });
@@ -117,29 +122,23 @@ void Server::register_metrics() {
   registry_->gauge(add("tokend_service_time_ewma_us"),
                    [this] { return admission_.ewma_service_us(); });
   // Table counters come from one quiesced stats() sweep per metric read;
-  // scrapes are rare enough that the simplicity wins.
-  registry_->counter_fn(add("tokend_acquires"), [this] {
-    return static_cast<double>(swept_stats().acquires);
-  });
-  registry_->counter_fn(add("tokend_tokens_granted"), [this] {
-    return static_cast<double>(swept_stats().tokens_granted);
-  });
-  registry_->counter_fn(add("tokend_refunds_dropped"), [this] {
-    return static_cast<double>(swept_stats().refunds_dropped);
-  });
-  registry_->counter_fn(add("tokend_accounts_evicted"), [this] {
-    return static_cast<double>(swept_stats().accounts_evicted);
-  });
-  // The online §3.4 check (ServiceConfig::watchdog_sample and audit
+  // scrapes are rare enough that the simplicity wins. The last two are the
+  // online §3.4 check (ServiceConfig::watchdog_sample and audit
   // namespaces): checks is how many grants of the checked keys it
   // verified; any nonzero violations means a *real* burst-bound breach
   // reached a client.
-  registry_->counter_fn(add("tokend_invariant_checks"), [this] {
-    return static_cast<double>(swept_stats().watchdog_checks);
-  });
-  registry_->counter_fn(add("tokend_invariant_violations"), [this] {
-    return static_cast<double>(swept_stats().watchdog_violations);
-  });
+  for (const auto& [name, field] :
+       {std::pair{"tokend_acquires", &TableStats::acquires},
+        std::pair{"tokend_tokens_granted", &TableStats::tokens_granted},
+        std::pair{"tokend_refunds_dropped", &TableStats::refunds_dropped},
+        std::pair{"tokend_accounts_evicted", &TableStats::accounts_evicted},
+        std::pair{"tokend_invariant_checks", &TableStats::watchdog_checks},
+        std::pair{"tokend_invariant_violations",
+                  &TableStats::watchdog_violations}}) {
+    registry_->counter_fn(add(name), [this, field] {
+      return static_cast<double>(swept_stats().*field);
+    });
+  }
   registry_->gauge(add("tokend_hot_key_share"), [this] {
     const auto top = swept_hot_keys(1);
     const std::uint64_t acquires = swept_stats().acquires;
@@ -176,97 +175,82 @@ std::int64_t Server::batch_hint() const {
                                   64);
 }
 
-void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
+void Server::on_frame(NodeId from,
+                      const std::optional<protocol::FrameHeader>& head,
+                      std::span<const std::byte> payload) {
   namespace proto = protocol;
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Header first (10 fixed bytes): it classifies garbage without paying a
+  // The header (10 fixed bytes) classifies garbage without paying a
   // decode, and gives the admission valve an id to answer with before any
   // per-request work happens.
-  const std::optional<proto::FrameHeader> head =
-      proto::try_parse_header(payload);
   if (!head.has_value() || head->is_response) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
 
-  const TraceInfo trace{head->traced, head->sampled, head->trace_id};
-
-  const bool head_is_data_op = head->type == proto::MsgType::kAcquire ||
-                               head->type == proto::MsgType::kRefund ||
-                               head->type == proto::MsgType::kQuery ||
-                               head->type == proto::MsgType::kBatchAcquire;
-  if (head_is_data_op && admission_.enabled()) {
+  const bool data_op = proto::is_data_op(head->type);
+  if (data_op && admission_.enabled()) {
     const TimeUs now = table_->clock().now_us();
     if (!admission_.try_admit(now)) {
       // Shed: typed kOverloaded with a retry-after hint, charged to no
       // budget and touching no table state. Admin/cluster/stats frames are
       // never shed — an overloaded server must stay operable.
-      shed_.fetch_add(1, std::memory_order_relaxed);
       if (tracer_ != nullptr) {
         // The body was never decoded, so the span has no key — the shed
         // decision itself (forced into the recorder) is the signal.
         tracer_->record(obs::Stage::kShed, obs::Decision::kShed,
-                        trace.trace_id, 0, kDefaultNamespace, tracer_us(t0),
-                        0, trace.sampled);
+                        head->trace_id, 0, kDefaultNamespace, tracer_us(t0),
+                        0, head->sampled);
       }
-      transport_->send(
-          from, proto::encode(proto::ErrorResponse{
-                    head->id, proto::ErrorCode::kOverloaded,
-                    admission_.retry_after_us(now)}));
+      reply(from, proto::ErrorResponse{head->id, proto::ErrorCode::kOverloaded,
+                                       admission_.retry_after_us(now)});
       return;
     }
   }
 
   proto::Request request;
   try {
-    request = proto::decode_request(payload);
+    request = proto::decode_request(*head, payload);
   } catch (const util::IoError&) {
     // The header decoded but the body did not: the sender gets a typed
     // error it can correlate.
-    errored_.fetch_add(1, std::memory_order_relaxed);
     if (tracer_ != nullptr) {
       tracer_->record(obs::Stage::kDecode, obs::Decision::kError,
-                      trace.trace_id, 0, kDefaultNamespace, tracer_us(t0),
-                      obs::Tracer::now_us() - tracer_us(t0), trace.sampled);
+                      head->trace_id, 0, kDefaultNamespace, tracer_us(t0),
+                      obs::Tracer::now_us() - tracer_us(t0), head->sampled);
     }
-    transport_->send(from,
-                     proto::encode(proto::ErrorResponse{
-                         head->id, proto::ErrorCode::kMalformedBody}));
+    reply(from,
+          proto::ErrorResponse{head->id, proto::ErrorCode::kMalformedBody});
     return;
   }
 
   // Data ops on a namespace that does not exist get a typed error before
   // touching the table (namespaces are never deleted, so the check cannot
-  // race a removal). Admin and cluster requests skip the precheck — they
-  // either create the namespace or don't address one.
-  const std::uint64_t id = proto::request_id(request);
-  const bool is_data_op = std::holds_alternative<proto::AcquireRequest>(request) ||
-                          std::holds_alternative<proto::RefundRequest>(request) ||
-                          std::holds_alternative<proto::QueryRequest>(request) ||
-                          std::holds_alternative<proto::BatchAcquireRequest>(request);
-  if (is_data_op && !table_->has_namespace(proto::namespace_of(request))) {
-    errored_.fetch_add(1, std::memory_order_relaxed);
-    if (tracer_ != nullptr && trace.traced) {
-      tracer_->record(obs::Stage::kDecode, obs::Decision::kError,
-                      trace.trace_id, 0, proto::namespace_of(request),
-                      tracer_us(t0), obs::Tracer::now_us() - tracer_us(t0),
-                      trace.sampled);
+  // race a removal); the rest go to their shard's owner worker, which
+  // sends the reply from its completion. Admin and stats requests stay on
+  // this thread (they quiesce the engine where they touch the table).
+  if (data_op) {
+    const NamespaceId ns = proto::namespace_of(request);
+    if (table_->has_namespace(ns)) {
+      dispatch_engine(from, std::move(request), t0, *head);
+      return;
     }
-    transport_->send(from, proto::encode(proto::ErrorResponse{
-                               id, proto::ErrorCode::kUnknownNamespace}));
+    if (tracer_ != nullptr && head->traced) {
+      tracer_->record(obs::Stage::kDecode, obs::Decision::kError,
+                      head->trace_id, 0, ns, tracer_us(t0),
+                      obs::Tracer::now_us() - tracer_us(t0), head->sampled);
+    }
+    reply(from,
+          proto::ErrorResponse{head->id, proto::ErrorCode::kUnknownNamespace});
     return;
   }
+  reply(from, answer(request));
+}
 
-  // Data ops go to their shard's owner worker; the reply is sent from the
-  // worker's completion. Admin, cluster and stats requests stay on this
-  // thread (they quiesce the engine where they touch the table).
-  if (is_data_op) {
-    dispatch_engine(from, std::move(request), t0, trace);
-    return;
-  }
-
-  proto::Response response = std::visit(
+protocol::Response Server::answer(const protocol::Request& request) {
+  namespace proto = protocol;
+  return std::visit(
       Overloaded{
           [&](const proto::ConfigureNamespaceRequest& r) -> proto::Response {
             try {
@@ -297,9 +281,9 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
           },
           // Cluster vocabulary on a standalone server: answered with a
           // typed error so a misconfigured cluster client fails fast
-          // instead of timing out (the ClusterServer wrapper intercepts
-          // these before they ever reach this table server). Data ops
-          // never get here: they went to the engine above.
+          // instead of timing out (a ClusterServer's triage answers these
+          // itself). Data ops never get here: they went to the engine
+          // above.
           [&](const auto& r) -> proto::Response {
             return proto::ErrorResponse{r.id, proto::ErrorCode::kUnsupported};
           },
@@ -361,79 +345,86 @@ void Server::on_frame(NodeId from, std::vector<std::byte> payload) {
           },
       },
       request);
+}
 
-  if (std::holds_alternative<proto::ErrorResponse>(response)) {
-    errored_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    served_.fetch_add(1, std::memory_order_relaxed);
-  }
-  transport_->send(from, proto::encode(response));
+void Server::reply(NodeId to, const protocol::Response& response) {
+  namespace proto = protocol;
+  const auto* error = std::get_if<proto::ErrorResponse>(&response);
+  std::atomic<std::uint64_t>& counter =
+      error == nullptr                              ? served_
+      : error->code == proto::ErrorCode::kOverloaded ? shed_
+                                                     : errored_;
+  counter.fetch_add(1, std::memory_order_relaxed);
+  transport_->send(to, proto::encode(response));
 }
 
 void Server::dispatch_engine(NodeId from, protocol::Request&& request,
                              std::chrono::steady_clock::time_point t0,
-                             const TraceInfo& trace) {
+                             const protocol::FrameHeader& head) {
   namespace proto = protocol;
-  const std::uint64_t id = proto::request_id(request);
-
+  auto pending = std::make_unique<Pending>(
+      Pending{this, from, t0, head, proto::namespace_of(request), 0});
+  bool queued;
   if (auto* batch = std::get_if<proto::BatchAcquireRequest>(&request)) {
-    auto pending = std::make_unique<Pending>();
-    *pending = Pending{this, from, id, t0, trace, batch->ns, 0};
-    if (!engine_->submit_batch(batch->ns, std::move(batch->ops),
-                               &Server::complete_engine_batch, pending.get(),
-                               trace.traced ? trace.trace_id : 0,
-                               trace.sampled)) {
-      shed_queue_full(from, id, trace, batch->ns, 0);
-      return;  // pending frees; nothing was enqueued
+    queued = engine_->submit_batch(batch->ns, std::move(batch->ops),
+                                   &Server::complete_engine_batch,
+                                   pending.get(),
+                                   head.traced ? head.trace_id : 0,
+                                   head.sampled);
+  } else {
+    ShardOp op;
+    std::visit(Overloaded{
+                   [&](const proto::AcquireRequest& r) {
+                     op.kind = ShardOp::Kind::kAcquire;
+                     op.ns = r.ns;
+                     op.key = r.key;
+                     op.tokens = r.tokens;
+                   },
+                   [&](const proto::RefundRequest& r) {
+                     op.kind = ShardOp::Kind::kRefund;
+                     op.ns = r.ns;
+                     op.key = r.key;
+                     op.tokens = r.tokens;
+                   },
+                   [&](const proto::QueryRequest& r) {
+                     op.kind = ShardOp::Kind::kQuery;
+                     op.ns = r.ns;
+                     op.key = r.key;
+                   },
+                   [](const auto&) {},  // unreachable: is_data_op gated
+               },
+               request);
+    pending->key = op.key;
+    if (tracer_ != nullptr && head.traced) {
+      // The decode span closes here: frame arrival -> op submitted. The
+      // submit timestamp seeds the worker's queue-wait span.
+      op.traced = true;
+      op.trace_sampled = head.sampled;
+      op.trace_id = head.trace_id;
+      op.t_submit_us = obs::Tracer::now_us();
+      tracer_->record(obs::Stage::kDecode, obs::Decision::kNone,
+                      head.trace_id, op.key, op.ns, tracer_us(t0),
+                      op.t_submit_us - tracer_us(t0), head.sampled);
     }
+    op.done = &Server::complete_engine_op;
+    op.ctx = pending.get();
+    queued = engine_->try_submit(std::move(op));
+  }
+  if (queued) {
     pending.release();  // owned by the completion now
     return;
   }
-
-  ShardOp op;
-  std::visit(Overloaded{
-                 [&](const proto::AcquireRequest& r) {
-                   op.kind = ShardOp::Kind::kAcquire;
-                   op.ns = r.ns;
-                   op.key = r.key;
-                   op.tokens = r.tokens;
-                 },
-                 [&](const proto::RefundRequest& r) {
-                   op.kind = ShardOp::Kind::kRefund;
-                   op.ns = r.ns;
-                   op.key = r.key;
-                   op.tokens = r.tokens;
-                 },
-                 [&](const proto::QueryRequest& r) {
-                   op.kind = ShardOp::Kind::kQuery;
-                   op.ns = r.ns;
-                   op.key = r.key;
-                 },
-                 [](const auto&) {},  // unreachable: is_data_op gated
-             },
-             request);
-  auto pending = std::make_unique<Pending>();
-  *pending = Pending{this, from, id, t0, trace, op.ns, op.key};
-  if (tracer_ != nullptr && trace.traced) {
-    // The decode span closes here: frame arrival -> op submitted. The
-    // submit timestamp seeds the worker's queue-wait span.
-    op.traced = true;
-    op.trace_sampled = trace.sampled;
-    op.trace_id = trace.trace_id;
-    op.t_submit_us = obs::Tracer::now_us();
-    tracer_->record(obs::Stage::kDecode, obs::Decision::kNone, trace.trace_id,
-                    op.key, op.ns, tracer_us(t0),
-                    op.t_submit_us - tracer_us(t0), trace.sampled);
+  // The owner's queue is full: shed (pending frees; nothing was enqueued).
+  if (tracer_ != nullptr) {
+    tracer_->record(obs::Stage::kShed, obs::Decision::kShed, head.trace_id,
+                    pending->key, pending->ns, obs::Tracer::now_us(), 0,
+                    head.sampled);
   }
-  op.done = &Server::complete_engine_op;
-  op.ctx = pending.get();
-  const NamespaceId op_ns = op.ns;
-  const std::uint64_t op_key = op.key;
-  if (!engine_->try_submit(std::move(op))) {
-    shed_queue_full(from, id, trace, op_ns, op_key);
-    return;  // pending frees; nothing was enqueued
-  }
-  pending.release();  // owned by the completion now
+  const TimeUs now = table_->clock().now_us();
+  reply(from, proto::ErrorResponse{head.id, proto::ErrorCode::kOverloaded,
+                                   admission_.enabled()
+                                       ? admission_.retry_after_us(now)
+                                       : kQueueFullRetryUs});
 }
 
 void Server::complete_engine_op(ShardOp& op, void* ctx) {
@@ -444,17 +435,18 @@ void Server::complete_engine_op(ShardOp& op, void* ctx) {
     // Rejected before touching an account (invalid arguments; the
     // namespace precheck already ran on the IO thread and namespaces are
     // never deleted).
-    response = proto::ErrorResponse{p->id, proto::ErrorCode::kMalformedBody};
+    response =
+        proto::ErrorResponse{p->head.id, proto::ErrorCode::kMalformedBody};
   } else {
     switch (op.kind) {
       case ShardOp::Kind::kAcquire:
-        response = proto::AcquireResponse{p->id, op.out_a, op.out_b};
+        response = proto::AcquireResponse{p->head.id, op.out_a, op.out_b};
         break;
       case ShardOp::Kind::kRefund:
-        response = proto::RefundResponse{p->id, op.out_a, op.out_b};
+        response = proto::RefundResponse{p->head.id, op.out_a, op.out_b};
         break;
       case ShardOp::Kind::kQuery:
-        response = proto::QueryResponse{p->id, op.out_a, op.out_b != 0};
+        response = proto::QueryResponse{p->head.id, op.out_a, op.out_b != 0};
         break;
       case ShardOp::Kind::kBatchGroup:
       case ShardOp::Kind::kInstall:
@@ -462,64 +454,42 @@ void Server::complete_engine_op(ShardOp& op, void* ctx) {
                  // installs are the cluster layer's
     }
   }
-  p->server->finish_engine_reply(p->from, response, *p);
+  p->server->finish_engine_reply(response, *p);
 }
 
 void Server::complete_engine_batch(EngineBatch& batch, void* ctx) {
   namespace proto = protocol;
   std::unique_ptr<Pending> p(static_cast<Pending*>(ctx));
   proto::BatchAcquireResponse resp;
-  resp.id = p->id;
+  resp.id = p->head.id;
   resp.results = std::move(batch.results);
-  p->server->finish_engine_reply(p->from, resp, *p);
+  p->server->finish_engine_reply(resp, *p);
 }
 
-void Server::finish_engine_reply(NodeId from,
-                                 const protocol::Response& response,
+void Server::finish_engine_reply(const protocol::Response& response,
                                  const Pending& p) {
-  namespace proto = protocol;
-  const bool is_error = std::holds_alternative<proto::ErrorResponse>(response);
-  if (is_error) {
-    errored_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    served_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const std::int64_t t_cork = tracer_ != nullptr && p.trace.traced
-                                  ? obs::Tracer::now_us()
-                                  : 0;
-  transport_->send(from, proto::encode(response));
-  if (tracer_ != nullptr && p.trace.traced) {
+  const bool traced = tracer_ != nullptr && p.head.traced;
+  const std::int64_t t_cork = traced ? obs::Tracer::now_us() : 0;
+  reply(p.from, response);
+  if (traced) {
     // Cork span: completion -> reply handed to the transport (on the epoll
     // mesh this is the append into the loop's cork buffer; the flush rides
     // the same loop iteration).
-    tracer_->record(obs::Stage::kCork,
-                    is_error ? obs::Decision::kError : obs::Decision::kNone,
-                    p.trace.trace_id, p.key, p.ns, t_cork,
-                    obs::Tracer::now_us() - t_cork, p.trace.sampled);
+    tracer_->record(
+        obs::Stage::kCork,
+        std::holds_alternative<protocol::ErrorResponse>(response)
+            ? obs::Decision::kError
+            : obs::Decision::kNone,
+        p.head.trace_id, p.key, p.ns, t_cork, obs::Tracer::now_us() - t_cork,
+        p.head.sampled);
   }
-  if (timed_) {
+  if (latency_ != nullptr || admission_.enabled()) {
     // Queue wait counts as service time on purpose: it is exactly the
     // signal the adaptive admission valve needs to see overload early.
     const double us = elapsed_us(p.t0);
     if (latency_) latency_->observe(us);
     if (admission_.enabled()) admission_.record_service_time_us(us);
   }
-}
-
-void Server::shed_queue_full(NodeId from, std::uint64_t id,
-                             const TraceInfo& trace, NamespaceId ns,
-                             std::uint64_t key) {
-  namespace proto = protocol;
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  if (tracer_ != nullptr) {
-    tracer_->record(obs::Stage::kShed, obs::Decision::kShed, trace.trace_id,
-                    key, ns, obs::Tracer::now_us(), 0, trace.sampled);
-  }
-  const TimeUs now = table_->clock().now_us();
-  const TimeUs retry = admission_.enabled() ? admission_.retry_after_us(now)
-                                            : kQueueFullRetryUs;
-  transport_->send(from, proto::encode(proto::ErrorResponse{
-                             id, proto::ErrorCode::kOverloaded, retry}));
 }
 
 }  // namespace toka::service

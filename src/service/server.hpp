@@ -1,13 +1,16 @@
 // tokend's request loop: an AccountTable exposed over a runtime::Transport.
 //
-// The server installs itself as the transport's receive handler; each
-// incoming frame is decoded on the transport-owned thread that read it (an
-// epoll event loop or the in-process dispatcher). Data ops are posted to
-// the ShardEngine worker that owns their shard, which executes them and
+// A standalone server installs itself as the transport's receive handler;
+// inside a tokad node it installs none, and cluster::ClusterServer's frame
+// triage hands it the frames the node answers as a table server. Either
+// way each frame is classified on the transport-owned thread that read it
+// (an epoll event loop or the in-process dispatcher). Data ops are posted
+// to the ShardEngine worker that owns their shard, which executes them and
 // sends the reply from its completion. Admin, stats and trace requests are
 // answered on the receiving thread, quiescing the engine where they touch
-// the table. The same server runs in-process for tests and as the real
-// tokend daemon over the epoll socket mesh.
+// the table. Every answer leaves through one reply path, which counts it
+// before sending it. The same server runs in-process for tests and as the
+// real tokend daemon over the epoll socket mesh.
 //
 // Failure taxonomy:
 //   - requests_served: executed and answered with a success response;
@@ -36,6 +39,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,6 +52,10 @@
 #include "service/protocol.hpp"
 #include "service/shard_engine.hpp"
 #include "util/types.hpp"
+
+namespace toka::cluster {
+class ClusterServer;
+}
 
 namespace toka::service {
 
@@ -87,9 +96,10 @@ class Server {
   explicit Server(AccountTable& table, runtime::Transport& transport,
                   ServerOptions options = {});
 
-  /// Detaches the handler and waits out any in-flight request, so frames
-  /// still arriving afterwards are dropped by the transport instead of
-  /// reaching a dead server; then unregisters its metrics.
+  /// Detaches the handler it installed and waits out any in-flight
+  /// request, so frames still arriving afterwards are dropped by the
+  /// transport instead of reaching a dead server; then drains the engine
+  /// and unregisters its metrics.
   ~Server();
 
   Server(const Server&) = delete;
@@ -129,24 +139,30 @@ class Server {
   std::int64_t batch_hint() const;
 
  private:
+  friend class cluster::ClusterServer;
   struct Pending;  ///< engine completion context (defined in server.cpp)
 
-  /// Trace identity of one in-flight request (zero-initialized when the
-  /// frame carried no context).
-  struct TraceInfo {
-    bool traced = false;
-    bool sampled = false;
-    std::uint64_t trace_id = 0;
-  };
+  /// With `attach` false the server is a ClusterServer's: it installs no
+  /// handler, so frames reach it only through that node's triage, and it
+  /// stamps spans with transport.self() unless options.node is set.
+  Server(AccountTable& table, runtime::Transport& transport,
+         ServerOptions options, bool attach);
 
-  void on_frame(NodeId from, std::vector<std::byte> payload);
+  /// Answers one frame. `head` is its header as try_parse_header read it
+  /// (nullopt: garbage, counted malformed and dropped).
+  void on_frame(NodeId from, const std::optional<protocol::FrameHeader>& head,
+                std::span<const std::byte> payload);
+  /// The one answer path: counts `response` (kOverloaded as shed, any
+  /// other ErrorResponse as errored, the rest as served), then sends it.
+  void reply(NodeId to, const protocol::Response& response);
+  /// The response to an admin, stats or traces request (kUnsupported for
+  /// the cluster vocabulary); never called with a data op.
+  protocol::Response answer(const protocol::Request& request);
   void dispatch_engine(NodeId from, protocol::Request&& request,
                        std::chrono::steady_clock::time_point t0,
-                       const TraceInfo& trace);
-  void finish_engine_reply(NodeId from, const protocol::Response& response,
+                       const protocol::FrameHeader& head);
+  void finish_engine_reply(const protocol::Response& response,
                            const Pending& p);
-  void shed_queue_full(NodeId from, std::uint64_t id, const TraceInfo& trace,
-                       NamespaceId ns, std::uint64_t key);
   static void complete_engine_op(ShardOp& op, void* ctx);
   static void complete_engine_batch(EngineBatch& batch, void* ctx);
   void register_metrics();
@@ -166,7 +182,7 @@ class Server {
   obs::Registry* registry_;
   obs::AdmissionBucket admission_;
   obs::Histogram* latency_ = nullptr;  ///< owned by the registry
-  bool timed_ = false;                 ///< measure per-request service time
+  bool attached_;                      ///< installed the transport handler
   std::vector<std::string> metric_names_;  ///< what to unregister on exit
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> errored_{0};
