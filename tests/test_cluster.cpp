@@ -706,6 +706,62 @@ TEST(ClusterServer, TriageAnswersAndCountsEveryFrameKind) {
   net.stop();
 }
 
+TEST(ClusterServer, RemotePromoteHonoursItsEpochGuard) {
+  const ClusterMap map{1, kDefaultVnodes, {0, 1, 2}, 1};
+  runtime::InProcNetwork net(4);
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (NodeId n = 0; n < 3; ++n) {
+    nodes.push_back(
+        std::make_unique<Node>(node_config(2, 8, 1000), net.endpoint(n), map));
+  }
+  runtime::Transport& raw = net.endpoint(3);
+  std::mutex mu;
+  std::vector<proto::PromoteResponse> replies;
+  raw.set_handler([&](NodeId, std::vector<std::byte> payload) {
+    std::lock_guard lock(mu);
+    replies.push_back(
+        std::get<proto::PromoteResponse>(proto::decode_response(payload)));
+  });
+  net.start();
+  nodes[2].reset();  // node 2 dies; frames to it are dropped from here on
+  const auto promote_on_0 = [&](std::uint64_t id, std::uint64_t epoch) {
+    raw.send(0, proto::encode(proto::PromoteRequest{id, 2, epoch}));
+    EXPECT_TRUE(eventually([&] {
+      std::lock_guard lock(mu);
+      return !replies.empty();
+    }));
+    std::lock_guard lock(mu);
+    const proto::PromoteResponse out =
+        replies.empty() ? proto::PromoteResponse{} : replies.back();
+    replies.clear();
+    return out;
+  };
+
+  // An unrelated newer map reaches node 0 first: a promotion planned
+  // against epoch 1 is stale and must not remove node 2.
+  ASSERT_TRUE(nodes[0]->server.apply_map({2, kDefaultVnodes, {0, 1, 2}, 1})
+                  .accepted);
+  const proto::PromoteResponse stale = promote_on_0(1, 1);
+  EXPECT_FALSE(stale.accepted);
+  EXPECT_EQ(stale.epoch, 2u);
+  EXPECT_TRUE(nodes[0]->server.map().contains(2));
+  EXPECT_EQ(nodes[0]->server.promotions(), 0u);
+
+  // At the current epoch it promotes: the epoch bumps past it and the
+  // survivors both adopt the map without node 2.
+  const proto::PromoteResponse current = promote_on_0(2, 2);
+  EXPECT_TRUE(current.accepted);
+  EXPECT_EQ(current.epoch, 3u);
+  EXPECT_EQ(nodes[0]->server.promotions(), 1u);
+  for (const NodeId survivor : {0u, 1u}) {
+    EXPECT_TRUE(eventually([&] {
+      const ClusterMap adopted = nodes[survivor]->server.map();
+      return adopted.epoch == 3 && !adopted.contains(2);
+    })) << "node " << survivor;
+  }
+  net.stop();
+}
+
 // ------------------------------------------------------------ ClusterClient
 
 TEST(ClusterClient, RoutesAcrossNodesAndFansBatchesOut) {
