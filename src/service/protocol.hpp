@@ -882,6 +882,9 @@ template <typename T>
   requires wire::kIsRequest<T> || wire::kIsResponse<T>
 std::vector<std::byte> encode(const T& m) {
   util::BinaryWriter w;
+  // One allocation holds every single-key frame; batches and snapshots
+  // grow from there.
+  w.reserve(64);
   wire::write_header(w, {wire::kSchema<T>.type, wire::kIsResponse<T>, m.id});
   wire::write(w, m);
   return w.take();

@@ -34,6 +34,8 @@ class BinaryWriter {
 
   const std::vector<std::byte>& data() const { return buf_; }
   std::vector<std::byte> take() { return std::move(buf_); }
+  /// Sizes the buffer for `bytes` in total before the writes that fill it.
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
  private:
   template <typename T>
