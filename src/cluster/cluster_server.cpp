@@ -117,12 +117,6 @@ std::uint64_t ClusterServer::map_epoch() const {
   return map_.epoch;
 }
 
-NodeId ClusterServer::owner_of(service::NamespaceId ns,
-                               std::uint64_t key) const {
-  std::shared_lock lock(map_mu_);
-  return ring_.owner(ns, key);
-}
-
 std::optional<proto::TraceContext> ClusterServer::mint_cluster_trace() {
   if (tracer_ == nullptr) return std::nullopt;
   // Cluster control events are rare and always worth a timeline: every
@@ -350,26 +344,24 @@ void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {
     // with no decode and no allocation; a batch with any foreign key
     // redirects whole (the client re-splits under the map it refreshes
     // anyway).
-    NodeId foreign_owner = kNoNode;
+    const NodeId self_id = self();
+    NodeId foreign_owner = self_id;  // the owner of the last key walked
     service::NamespaceId foreign_ns = service::kDefaultNamespace;
     std::uint64_t foreign_key = 0;
     std::uint64_t epoch = 0;
-    bool owned = true;
     bool walked;
     {
       std::shared_lock lock(map_mu_);
       epoch = map_.epoch;
-      const NodeId self_id = transport_->self();
       walked = proto::for_each_data_op_key(
           payload, [&](service::NamespaceId ns, std::uint64_t key) {
             foreign_owner = ring_.owner(ns, key);
             foreign_ns = ns;
             foreign_key = key;
-            owned = foreign_owner == self_id;
-            return owned;
+            return foreign_owner == self_id;
           });
     }
-    if (walked && !owned) {
+    if (walked && foreign_owner != self_id) {
       redirects_sent_.fetch_add(1, std::memory_order_relaxed);
       if (tracer_ != nullptr && head->traced) {
         // The redirect leg of a traced request: the span ties this node's
@@ -422,7 +414,10 @@ void ClusterServer::on_request(NodeId from, const proto::FrameHeader& head,
     op.tokens = r->balance;
     op.done = &ClusterServer::complete_handoff;
     op.ctx = new PendingHandoff{this, from, r->id, trace, t0};
-    if (owner_of(r->ns, r->key) == self()) {
+    std::shared_lock lock(map_mu_);
+    const bool owned = ring_.owner(r->ns, r->key) == self();
+    lock.unlock();
+    if (owned) {
       engine_->submit(op);  // waits for queue room: a handoff is never shed
     } else {
       complete_handoff(op, op.ctx);  // out_a = 0: refused

@@ -169,8 +169,6 @@ class ClusterServer {
   /// answered here, the rest by server_.
   void on_request(NodeId from, const service::protocol::FrameHeader& head,
                   const service::protocol::Request& request);
-  /// Ring placement under the current map; kNoNode on an empty ring.
-  NodeId owner_of(service::NamespaceId ns, std::uint64_t key) const;
   /// A handoff install in flight on its shard's worker.
   struct PendingHandoff {
     ClusterServer* server = nullptr;

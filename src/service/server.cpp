@@ -78,9 +78,9 @@ Server::Server(AccountTable& table, runtime::Transport& transport,
 }
 
 Server::~Server() {
-  // Quiesce first: once the handler is detached (by the owning
-  // ClusterServer, for a server that installed none) no request thread can
-  // still be recording into the histogram the unregistration frees. Then
+  // Quiesce first: once the handler is detached (by the ClusterServer, if
+  // this server installed none) no request thread can still be recording
+  // into the histogram the unregistration frees. Then
   // wait out queued ops — their completions send through transport_ and
   // record into latency_.
   if (attached_) transport_->set_handler({});
@@ -122,23 +122,29 @@ void Server::register_metrics() {
   registry_->gauge(add("tokend_service_time_ewma_us"),
                    [this] { return admission_.ewma_service_us(); });
   // Table counters come from one quiesced stats() sweep per metric read;
-  // scrapes are rare enough that the simplicity wins. The last two are the
-  // online §3.4 check (ServiceConfig::watchdog_sample and audit
+  // scrapes are rare enough that the simplicity wins.
+  registry_->counter_fn(add("tokend_acquires"), [this] {
+    return static_cast<double>(swept_stats().acquires);
+  });
+  registry_->counter_fn(add("tokend_tokens_granted"), [this] {
+    return static_cast<double>(swept_stats().tokens_granted);
+  });
+  registry_->counter_fn(add("tokend_refunds_dropped"), [this] {
+    return static_cast<double>(swept_stats().refunds_dropped);
+  });
+  registry_->counter_fn(add("tokend_accounts_evicted"), [this] {
+    return static_cast<double>(swept_stats().accounts_evicted);
+  });
+  // The online §3.4 check (ServiceConfig::watchdog_sample and audit
   // namespaces): checks is how many grants of the checked keys it
   // verified; any nonzero violations means a *real* burst-bound breach
   // reached a client.
-  for (const auto& [name, field] :
-       {std::pair{"tokend_acquires", &TableStats::acquires},
-        std::pair{"tokend_tokens_granted", &TableStats::tokens_granted},
-        std::pair{"tokend_refunds_dropped", &TableStats::refunds_dropped},
-        std::pair{"tokend_accounts_evicted", &TableStats::accounts_evicted},
-        std::pair{"tokend_invariant_checks", &TableStats::watchdog_checks},
-        std::pair{"tokend_invariant_violations",
-                  &TableStats::watchdog_violations}}) {
-    registry_->counter_fn(add(name), [this, field] {
-      return static_cast<double>(swept_stats().*field);
-    });
-  }
+  registry_->counter_fn(add("tokend_invariant_checks"), [this] {
+    return static_cast<double>(swept_stats().watchdog_checks);
+  });
+  registry_->counter_fn(add("tokend_invariant_violations"), [this] {
+    return static_cast<double>(swept_stats().watchdog_violations);
+  });
   registry_->gauge(add("tokend_hot_key_share"), [this] {
     const auto top = swept_hot_keys(1);
     const std::uint64_t acquires = swept_stats().acquires;
