@@ -354,7 +354,7 @@ void ClusterServer::on_frame(NodeId from, std::vector<std::byte> payload) {
       std::shared_lock lock(map_mu_);
       epoch = map_.epoch;
       walked = proto::for_each_data_op_key(
-          payload, [&](service::NamespaceId ns, std::uint64_t key) {
+          *head, payload, [&](service::NamespaceId ns, std::uint64_t key) {
             foreign_owner = ring_.owner(ns, key);
             foreign_ns = ns;
             foreign_key = key;

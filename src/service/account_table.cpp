@@ -54,7 +54,7 @@ void CoarseClock::advance(TimeUs dt) {
   advance_to(cur + dt);
 }
 
-std::shared_ptr<const AccountTable::Namespace> AccountTable::make_namespace(
+std::shared_ptr<AccountTable::Namespace> AccountTable::make_namespace(
     NamespaceId ns, const NamespaceConfig& config) {
   TOKA_CHECK_MSG(config.delta_us > 0,
                  "namespace " << ns << ": token period must be positive, got "
@@ -83,8 +83,9 @@ std::shared_ptr<const AccountTable::Namespace> AccountTable::make_namespace(
                                  "strategy; "
                               << out->strategy->name()
                               << " has unbounded bursts");
-  // Every balance the table stores lies in [0, C]: bounding C is what lets
-  // an account slot keep its balance in 32 bits.
+  // Every balance the table stores lies in [0, C], and every outstanding
+  // count it stores in [0, C]: bounding C is what lets an account slot keep
+  // each in 31 bits.
   TOKA_CHECK_MSG(out->capacity <= std::numeric_limits<std::int32_t>::max(),
                  "namespace " << ns << ": capacity " << out->capacity
                               << " exceeds the service limit "
@@ -100,9 +101,10 @@ std::shared_ptr<const AccountTable::Namespace> AccountTable::make_namespace(
 }
 
 AccountTable::AccountTable(ServiceConfig config) : config_(std::move(config)) {
-  namespaces_.emplace(kDefaultNamespace,
-                      make_namespace(kDefaultNamespace,
-                                     config_.default_namespace()));
+  // The default namespace takes index 0.
+  namespaces_.push_back(
+      make_namespace(kDefaultNamespace, config_.default_namespace()));
+  index_of_.emplace(kDefaultNamespace, 0);
   const std::size_t shards =
       std::bit_ceil(std::max<std::size_t>(config_.shards, 1));
   shard_mask_ = shards - 1;
@@ -118,20 +120,28 @@ AccountTable::AccountTable(ServiceConfig config) : config_(std::move(config)) {
 bool AccountTable::configure_namespace(NamespaceId ns,
                                        const NamespaceConfig& config) {
   auto fresh = make_namespace(ns, config);  // validates before any mutation
-  bool created;
   {
     std::unique_lock lock(ns_mu_);
-    auto [it, inserted] = namespaces_.try_emplace(ns, fresh);
-    created = inserted;
-    if (!inserted) it->second = std::move(fresh);
+    auto it = index_of_.find(ns);
+    if (it == index_of_.end()) {
+      TOKA_CHECK_MSG(namespaces_.size() < kMaxNamespaces,
+                     "namespace " << ns << ": a table holds at most "
+                                  << kMaxNamespaces << " namespaces");
+      fresh->index = static_cast<NamespaceIndex>(namespaces_.size());
+      index_of_.emplace(ns, fresh->index);
+      namespaces_.push_back(std::move(fresh));
+      return true;
+    }
+    fresh->index = it->second;
+    namespaces_[fresh->index] = fresh;
   }
   // Reset semantics on replace: drop the namespace's accounts so every key
   // restarts under the new policy from the initial balance (under-grants
   // only). The caller owns the whole table, so no request can create an
   // account under the outgoing policy once the purge has begun, and every
-  // account of `ns` left afterwards is one of the new snapshot's.
-  if (!created) purge_namespace(ns);
-  return created;
+  // account at the index left afterwards is one of the new snapshot's.
+  purge_namespace(*fresh);
+  return false;
 }
 
 template <typename Pred>
@@ -139,24 +149,24 @@ std::size_t AccountTable::erase_accounts_if(Shard& shard, Pred&& pred) {
   return shard.accounts.erase_if([&](const Slot& s) {
     if (!pred(s)) return false;
     // A re-created key must start from the empty check.
-    if ((s.meta & kSlotWatched) != 0)
-      shard.watchdogs.erase(
-          watch_slot(shard, account_hash(s.ns, s.key), s.ns, s.key));
+    if ((s.tokens & kSlotWatched) != 0)
+      shard.watchdogs.erase(watch_slot(
+          shard, store_hash(s.ns_index(), s.key), s.ns_index(), s.key));
     return true;
   });
 }
 
-void AccountTable::purge_namespace(NamespaceId ns) {
+void AccountTable::purge_namespace(const Namespace& ns) {
   for (auto& shard : shards_) {
     const std::size_t removed = erase_accounts_if(
-        *shard, [&](const Slot& s) { return s.ns == ns; });
-    stats_for(*shard, ns).accounts_evicted += removed;
+        *shard, [&](const Slot& s) { return s.ns_index() == ns.index; });
+    stats_for(*shard, ns.id).accounts_evicted += removed;
   }
 }
 
 bool AccountTable::has_namespace(NamespaceId ns) const {
   std::shared_lock lock(ns_mu_);
-  return namespaces_.contains(ns);
+  return index_of_.contains(ns);
 }
 
 std::size_t AccountTable::namespace_count() const {
@@ -166,19 +176,14 @@ std::size_t AccountTable::namespace_count() const {
 
 std::optional<NamespaceInfo> AccountTable::namespace_info(
     NamespaceId ns) const {
-  std::shared_ptr<const Namespace> nsp;
-  {
-    std::shared_lock lock(ns_mu_);
-    auto it = namespaces_.find(ns);
-    if (it == namespaces_.end()) return std::nullopt;
-    nsp = it->second;
-  }
+  const std::shared_ptr<const Namespace> nsp = find_namespace(ns);
+  if (nsp == nullptr) return std::nullopt;
   NamespaceInfo info;
   info.config = nsp->config;
   info.capacity = nsp->capacity;
   for (const auto& shard : shards_) {
     shard->accounts.for_each([&](const Slot& s) {
-      if (s.ns == ns) ++info.accounts;
+      if (s.ns_index() == nsp->index) ++info.accounts;
     });
   }
   return info;
@@ -187,7 +192,7 @@ std::optional<NamespaceInfo> AccountTable::namespace_info(
 TimeUs AccountTable::min_idle_ttl_us() const {
   std::shared_lock lock(ns_mu_);
   TimeUs min_ttl = 0;
-  for (const auto& [id, nsp] : namespaces_) {
+  for (const auto& nsp : namespaces_) {
     const TimeUs ttl = nsp->config.idle_ttl_us;
     if (ttl > 0 && (min_ttl == 0 || ttl < min_ttl)) min_ttl = ttl;
   }
@@ -198,15 +203,29 @@ Tokens AccountTable::capacity_bound(NamespaceId ns) const {
   return resolve(ns)->capacity;
 }
 
-std::shared_ptr<const AccountTable::Namespace> AccountTable::resolve(
+std::shared_ptr<const AccountTable::Namespace> AccountTable::find_namespace(
     NamespaceId ns) const {
   std::shared_lock lock(ns_mu_);
-  auto it = namespaces_.find(ns);
-  TOKA_CHECK_MSG(it != namespaces_.end(),
+  auto it = index_of_.find(ns);
+  return it == index_of_.end() ? nullptr : namespaces_[it->second];
+}
+
+std::shared_ptr<const AccountTable::Namespace> AccountTable::resolve(
+    NamespaceId ns) const {
+  std::shared_ptr<const Namespace> nsp = find_namespace(ns);
+  TOKA_CHECK_MSG(nsp != nullptr,
                  "unknown namespace " << ns
                                       << " (the server answers typed errors; "
                                          "direct callers must create it first)");
-  return it->second;
+  return nsp;
+}
+
+std::shared_ptr<const AccountTable::Namespace> AccountTable::resolve_index(
+    NamespaceIndex index) const {
+  std::shared_lock lock(ns_mu_);
+  TOKA_CHECK_MSG(index < namespaces_.size(),
+                 "namespace index " << index << " out of range");
+  return namespaces_[index];
 }
 
 TableStats& AccountTable::stats_for(Shard& shard, NamespaceId ns) {
@@ -228,58 +247,56 @@ std::size_t AccountTable::shard_index(NamespaceId ns, std::uint64_t key) const {
 }
 
 AccountTable::Slot* AccountTable::find_account(Shard& shard,
-                                               std::uint64_t hash,
-                                               NamespaceId ns,
+                                               std::uint64_t home,
+                                               NamespaceIndex index,
                                                std::uint64_t key) {
-  return shard.accounts.find(store_hash(hash), [&](const Slot& s) {
-    return s.key == key && s.ns == ns;
+  return shard.accounts.find(home, [&](const Slot& s) {
+    return s.key == key && s.ns_index() == index;
   });
 }
 
 AccountTable::WatchSlot& AccountTable::watch_slot(Shard& shard,
-                                                  std::uint64_t hash,
-                                                  NamespaceId ns,
+                                                  std::uint64_t home,
+                                                  NamespaceIndex index,
                                                   std::uint64_t key) {
-  WatchSlot* w =
-      shard.watchdogs.find(store_hash(hash), [&](const WatchSlot& e) {
-        return e.key == key && e.ns == ns;
-      });
-  TOKA_CHECK_MSG(w != nullptr, "watched account ns=" << ns << " key=" << key
-                                                     << " has no watchdog");
+  WatchSlot* w = shard.watchdogs.find(home, [&](const WatchSlot& e) {
+    return e.key == key && e.index == index;
+  });
+  TOKA_CHECK_MSG(w != nullptr, "watched account at namespace index "
+                                   << index << " key=" << key
+                                   << " has no watchdog");
   return *w;
 }
 
 AccountTable::Slot& AccountTable::create_account(Shard& shard,
                                                  const Namespace& ns,
-                                                 std::uint64_t hash,
+                                                 std::uint64_t home,
                                                  std::uint64_t key,
                                                  Tokens balance,
                                                  TimeUs now) {
   Slot slot;
   slot.key = key;
-  slot.ns = ns.id;
-  slot.meta = kSlotLive;
+  slot.stamp = (std::uint64_t{ns.index} + 1) << kStampIndexShift;
   slot.set_last_access_us(now);
-  slot.balance = static_cast<std::int32_t>(balance);  // in [0, C]
+  slot.set_counts(balance, 0);  // in [0, C]
   if (ns.config.audit ||
       watchdog_samples(config_.watchdog_sample, ns.id, key)) {
     // Every erase path drops the entry with its account, so the key has
     // none yet.
-    shard.watchdogs.insert(store_hash(hash),
-                           WatchSlot{key, ns.id, true, false, {}});
-    slot.meta |= kSlotWatched;
+    shard.watchdogs.insert(home, WatchSlot{key, ns.index, true, false, {}});
+    slot.tokens |= kSlotWatched;
   }
   ++stats_for(shard, ns.id).accounts_created;
-  return shard.accounts.insert(store_hash(hash), slot);
+  return shard.accounts.insert(home, slot);
 }
 
 AccountTable::Slot& AccountTable::find_or_create(Shard& shard,
                                                  const Namespace& ns,
-                                                 std::uint64_t hash,
+                                                 std::uint64_t home,
                                                  std::uint64_t key,
                                                  TimeUs now) {
-  if (Slot* slot = find_account(shard, hash, ns.id, key)) return *slot;
-  return create_account(shard, ns, hash, key, ns.config.initial_tokens, now);
+  if (Slot* slot = find_account(shard, home, ns.index, key)) return *slot;
+  return create_account(shard, ns, home, key, ns.config.initial_tokens, now);
 }
 
 void AccountTable::settle(Shard& shard, Slot& slot, const Namespace& ns,
@@ -296,7 +313,7 @@ void AccountTable::settle(Shard& shard, Slot& slot, const Namespace& ns,
     const std::int64_t apply = std::min<std::int64_t>(due, ns.catchup_limit);
     TableStats& stats = stats_for(shard, ns.id);
     stats.ticks_forfeited += static_cast<std::uint64_t>(due - apply);
-    Tokens balance = slot.balance;
+    Tokens balance = slot.balance();
     for (std::int64_t i = 0; i < apply; ++i) {
       // A proactive decision has no message to pay for here: the period's
       // token is dropped (never banked), exactly like the simulator's
@@ -305,21 +322,21 @@ void AccountTable::settle(Shard& shard, Slot& slot, const Namespace& ns,
                              shard.rng) == core::TickOutcome::kProactive)
         ++stats.proactive_dropped;
     }
-    slot.balance = static_cast<std::int32_t>(balance);
+    slot.set_counts(balance, slot.outstanding());
   }
   slot.set_last_access_us(now);
 }
 
 AcquireResult AccountTable::acquire_in_shard(Shard& shard, const Namespace& ns,
-                                             std::uint64_t hash,
+                                             std::uint64_t home,
                                              std::uint64_t key, Tokens n,
                                              TimeUs now) {
-  Slot& slot = find_or_create(shard, ns, hash, key, now);
+  Slot& slot = find_or_create(shard, ns, home, key, now);
   // Balance before this call's settle: a grant within it was banked; a
   // grant beyond it spent tokens the settle just minted ("fresh").
-  const Tokens banked = slot.balance;
+  const Tokens banked = slot.balance();
   settle(shard, slot, ns, now);
-  Tokens balance = slot.balance;
+  Tokens balance = slot.balance();
   Tokens want = n;
   if (repl_enabled_.load(std::memory_order_relaxed)) {
     // The spend gate: never grant below the highest floor a promoted
@@ -333,19 +350,24 @@ AcquireResult AccountTable::acquire_in_shard(Shard& shard, const Namespace& ns,
                             : 0;
     want = std::min(want, std::max<Tokens>(balance - gate, 0));
   }
-  const Tokens granted = core::spend_balance(balance, slot.spent, want,
+  std::uint64_t outstanding = slot.outstanding();
+  const Tokens granted = core::spend_balance(balance, outstanding, want,
                                              /*allow_overdraft=*/false);
-  slot.balance = static_cast<std::int32_t>(balance);
+  // The stored count saturates at C. A refund reads it only through
+  // min(count, C - balance), which the saturated count gives exactly as
+  // the true one would (proof in DESIGN.md, "Account store layout").
+  slot.set_counts(balance,
+                  std::min(outstanding, static_cast<std::uint64_t>(ns.capacity)));
   mark_repl_dirty(shard, slot);
   TableStats& stats = stats_for(shard, ns.id);
   ++stats.acquires;
   stats.tokens_requested += static_cast<std::uint64_t>(n);
   stats.tokens_granted += static_cast<std::uint64_t>(granted);
   shard.hot.record(fold_key(ns.id, key));
-  if ((slot.meta & kSlotWatched) != 0 && granted > 0) {
+  if ((slot.tokens & kSlotWatched) != 0 && granted > 0) {
     // The account lives exactly as long as its namespace snapshot (see
     // Namespace), so `ns` is the policy the check has applied all along.
-    WatchSlot& w = watch_slot(shard, hash, ns.id, key);
+    WatchSlot& w = watch_slot(shard, home, ns.index, key);
     const bool over =
         w.check.record(ns.config.delta_us, ns.capacity, now, granted);
     w.violated = w.violated || over;
@@ -365,7 +387,8 @@ AcquireResult AccountTable::acquire(NamespaceId ns, std::uint64_t key,
   Shard& shard = shard_for(hash);
   // The shard's one accessor reads a monotonic clock, so times per account
   // never decrease — which settle()'s bookkeeping relies on.
-  return acquire_in_shard(shard, *nsp, hash, key, n, clock_.now_us());
+  return acquire_in_shard(shard, *nsp, store_hash(nsp->index, key), key, n,
+                          clock_.now_us());
 }
 
 RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
@@ -378,7 +401,8 @@ RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
   const TimeUs now = clock_.now_us();
   TableStats& stats = stats_for(shard, ns);
   ++stats.refunds;
-  Slot* slot = find_account(shard, hash, ns, key);
+  const std::uint64_t home = store_hash(nsp->index, key);
+  Slot* slot = find_account(shard, home, nsp->index, key);
   if (slot == nullptr) {
     // Unknown or already-evicted account: the refund is dropped. Creating
     // an account here would let arbitrary keys mint balance from thin air.
@@ -395,17 +419,18 @@ RefundResult AccountTable::refund(NamespaceId ns, std::uint64_t key,
   // refilled the balance, and a late refund must not push it past C (that
   // would mint burst allowance past the §3.4 bound). refund_balance
   // further caps at the spends still outstanding.
-  Tokens balance = slot->balance;
+  Tokens balance = slot->balance();
   const Tokens headroom = std::max<Tokens>(nsp->capacity - balance, 0);
+  std::uint64_t outstanding = slot->outstanding();
   const Tokens accepted =
-      core::refund_balance(balance, slot->spent, std::min(n, headroom));
-  slot->balance = static_cast<std::int32_t>(balance);
+      core::refund_balance(balance, outstanding, std::min(n, headroom));
+  slot->set_counts(balance, outstanding);
   mark_repl_dirty(shard, *slot);
-  if ((slot->meta & kSlotWatched) != 0) {
+  if ((slot->tokens & kSlotWatched) != 0) {
     // The returned tokens' admissions never happened: strike them so the
     // check sees *net* admissions. accepted <= outstanding spends, which
     // are the newest grants the check recorded.
-    watch_slot(shard, hash, ns, key)
+    watch_slot(shard, home, nsp->index, key)
         .check.retract(nsp->config.delta_us, accepted);
   }
   stats.tokens_refunded += static_cast<std::uint64_t>(accepted);
@@ -420,10 +445,11 @@ QueryResult AccountTable::query(NamespaceId ns, std::uint64_t key) {
   Shard& shard = shard_for(hash);
   const TimeUs now = clock_.now_us();
   ++stats_for(shard, ns).queries;
-  Slot* slot = find_account(shard, hash, ns, key);
+  Slot* slot =
+      find_account(shard, store_hash(nsp->index, key), nsp->index, key);
   if (slot == nullptr) return QueryResult{0, false};
   settle(shard, *slot, *nsp, now);
-  return QueryResult{slot->balance, true};
+  return QueryResult{slot->balance(), true};
 }
 
 std::vector<AcquireResult> AccountTable::acquire_batch(
@@ -443,11 +469,13 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
   // ends as the end of the run.
   constexpr std::uint32_t kPlaced = std::uint32_t{1} << 31;
   std::vector<std::uint64_t> hashes(ops.size());
+  std::vector<std::uint64_t> homes(ops.size());
   std::vector<std::uint32_t> bound(shards_.size(), 0);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     TOKA_CHECK_MSG(ops[i].tokens >= 0,
                    "acquire requires n >= 0, got " << ops[i].tokens);
     hashes[i] = account_hash(ns, ops[i].key);
+    homes[i] = store_hash(nsp->index, ops[i].key);
     ++bound[hashes[i] & shard_mask_];
   }
   std::vector<std::uint32_t> order(ops.size());
@@ -464,8 +492,8 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
   // batch split across engine workers reaches this call once per worker
   // with only the ops of that worker's shards.
   for (std::size_t j = 0; j < std::min(kPrefetchDistance, order.size()); ++j) {
-    const std::uint64_t hash = hashes[order[j]];
-    shards_[hash & shard_mask_]->accounts.prefetch(store_hash(hash));
+    const std::uint32_t op = order[j];
+    shards_[hashes[op] & shard_mask_]->accounts.prefetch(homes[op]);
   }
   std::vector<AcquireResult> results(ops.size());
   for (std::size_t i = 0; i < order.size();) {
@@ -476,11 +504,11 @@ std::vector<AcquireResult> AccountTable::acquire_batch(
     const TimeUs now = clock_.now_us();
     for (; i < end; ++i) {
       if (i + kPrefetchDistance < order.size()) {
-        const std::uint64_t hash = hashes[order[i + kPrefetchDistance]];
-        shards_[hash & shard_mask_]->accounts.prefetch(store_hash(hash));
+        const std::uint32_t ahead = order[i + kPrefetchDistance];
+        shards_[hashes[ahead] & shard_mask_]->accounts.prefetch(homes[ahead]);
       }
       const std::uint32_t op = order[i];
-      results[op] = acquire_in_shard(shard, *nsp, hashes[op], ops[op].key,
+      results[op] = acquire_in_shard(shard, *nsp, homes[op], ops[op].key,
                                      ops[op].tokens, now);
     }
   }
@@ -502,7 +530,8 @@ std::size_t AccountTable::evict_idle_shard(std::size_t shard_idx) {
   const TimeUs now = clock_.now_us();
   NamespaceCache namespaces(*this);
   return erase_accounts_if(shard, [&](const Slot& s) {
-    const TimeUs ttl = namespaces.get(s.ns).config.idle_ttl_us;
+    const Namespace& ns = namespaces.get(s.ns_index());
+    const TimeUs ttl = ns.config.idle_ttl_us;
     const TimeUs idle = now - s.last_access_us();
     // A nonzero banked balance earns a grace window up to 2x the TTL:
     // evicting at the TTL would drop the account — and with it any
@@ -510,8 +539,8 @@ std::size_t AccountTable::evict_idle_shard(std::size_t shard_idx) {
     // goes quiet. The balance read is the unsettled banked value, which
     // only errs on the side of keeping the account.
     const bool expired =
-        ttl > 0 && idle >= ttl && (s.balance == 0 || idle >= 2 * ttl);
-    if (expired) ++stats_for(shard, s.ns).accounts_evicted;
+        ttl > 0 && idle >= ttl && (s.balance() == 0 || idle >= 2 * ttl);
+    if (expired) ++stats_for(shard, ns.id).accounts_evicted;
     return expired;
   });
 }
@@ -519,15 +548,16 @@ std::size_t AccountTable::evict_idle_shard(std::size_t shard_idx) {
 std::vector<AccountExport> AccountTable::extract_if(
     const std::function<bool(NamespaceId, std::uint64_t)>& should_extract) {
   std::vector<AccountExport> out;
+  NamespaceCache namespaces(*this);
   for (auto& shard : shards_) {
     erase_accounts_if(*shard, [&](const Slot& s) {
-      const NamespaceId ns = s.ns;
+      const NamespaceId ns = namespaces.get(s.ns_index()).id;
       if (!should_extract(ns, s.key)) return false;
       // Only the banked balance travels; unsettled elapsed ticks are
       // forfeited (the receiver settles at its own clock). The balance
       // can never exceed the account's own capacity, so the export is a
       // legitimate §3.4 bank wherever it lands.
-      out.push_back(AccountExport{ns, s.key, s.balance});
+      out.push_back(AccountExport{ns, s.key, s.balance()});
       ++stats_for(*shard, ns).accounts_extracted;
       return true;
     });
@@ -537,19 +567,15 @@ std::vector<AccountExport> AccountTable::extract_if(
 
 bool AccountTable::install_account(NamespaceId ns, std::uint64_t key,
                                    Tokens balance) {
-  std::shared_ptr<const Namespace> nsp;
-  {
-    std::shared_lock lock(ns_mu_);
-    auto it = namespaces_.find(ns);
-    if (it == namespaces_.end()) return false;  // unknown here: forfeit
-    nsp = it->second;
-  }
+  const std::shared_ptr<const Namespace> nsp = find_namespace(ns);
+  if (nsp == nullptr) return false;  // unknown here: forfeit
   const std::uint64_t hash = account_hash(ns, key);
   Shard& shard = shard_for(hash);
-  if (find_account(shard, hash, ns, key) != nullptr) return false;  // never duplicate
+  const std::uint64_t home = store_hash(nsp->index, key);
+  if (find_account(shard, home, nsp->index, key) != nullptr) return false;  // never duplicate
   // The check restarts empty: the installed balance is at most C, so
   // spending it all at once still fits a fresh window's 1 + C slack.
-  Slot& slot = create_account(shard, *nsp, hash, key,
+  Slot& slot = create_account(shard, *nsp, home, key,
                               std::clamp<Tokens>(balance, 0, nsp->capacity),
                               clock_.now_us());
   mark_repl_dirty(shard, slot);
@@ -566,10 +592,10 @@ void AccountTable::enable_replication(Tokens headroom) {
 
 void AccountTable::mark_repl_dirty(Shard& shard, Slot& slot) {
   if (!repl_enabled_.load(std::memory_order_relaxed) ||
-      (slot.meta & kSlotReplDirty) != 0)
+      (slot.tokens & kSlotReplDirty) != 0)
     return;
-  slot.meta |= kSlotReplDirty;
-  shard.repl_dirty.push_back(AccountKey{slot.ns, slot.key});
+  slot.tokens |= kSlotReplDirty;
+  shard.repl_dirty.push_back(AccountKey{slot.ns_index(), slot.key});
 }
 
 std::size_t AccountTable::drain_replica_dirty(
@@ -582,9 +608,10 @@ std::size_t AccountTable::drain_replica_dirty(
   NamespaceCache namespaces(*this);
   std::size_t appended = 0;
   for (const AccountKey& k : shard.repl_dirty) {
-    Slot* slot = find_account(shard, account_hash(k.ns, k.key), k.ns, k.key);
+    Slot* slot =
+        find_account(shard, store_hash(k.index, k.key), k.index, k.key);
     if (slot == nullptr) continue;  // evicted or extracted since
-    slot->meta &= ~kSlotReplDirty;
+    slot->tokens &= ~kSlotReplDirty;
     // The shard's first delta maps its cold column; the owner drains, so
     // the column is only ever touched by the shard's one accessor.
     shard.accounts.enable_cold();
@@ -595,16 +622,15 @@ std::size_t AccountTable::drain_replica_dirty(
     // gate drops to it and the headroom above it becomes spendable again.
     if (repl.floor_seq != 0 && repl.floor_seq <= acked_seq)
       repl.gate = repl.sent_floor;
-    const Tokens balance = slot->balance;
-    const Tokens h = configured > 0
-                         ? configured
-                         : (namespaces.get(k.ns).capacity + 1) / 2;
+    const Namespace& ns = namespaces.get(k.index);
+    const Tokens balance = slot->balance();
+    const Tokens h = configured > 0 ? configured : (ns.capacity + 1) / 2;
     // In [0, balance], so it fits 32 bits like the balance.
     const Tokens floor = std::max<Tokens>(balance - h, 0);
     repl.sent_floor = static_cast<std::int32_t>(floor);
     repl.floor_seq = seq;
     repl.gate = std::max(repl.gate, repl.sent_floor);
-    out.push_back(ReplicaDeltaExport{k.ns, k.key, balance, floor});
+    out.push_back(ReplicaDeltaExport{ns.id, k.key, balance, floor});
     ++appended;
   }
   shard.repl_dirty.clear();
@@ -662,23 +688,26 @@ TableStats AccountTable::stats() const {
 
 TableStats AccountTable::stats(NamespaceId ns) const {
   TableStats out;
+  const std::shared_ptr<const Namespace> nsp = find_namespace(ns);
   for (const auto& shard : shards_) {
     auto it = shard->stats.find(ns);
     if (it != shard->stats.end()) out.merge(it->second);
+    if (nsp == nullptr) continue;  // an unknown namespace has no accounts
     shard->accounts.for_each([&](const Slot& s) {
-      if (s.ns == ns) ++out.accounts;
+      if (s.ns_index() == nsp->index) ++out.accounts;
     });
   }
   return out;
 }
 
 std::optional<std::string> AccountTable::audit_violation() const {
+  NamespaceCache namespaces(*this);
   for (const auto& shard : shards_) {
     std::optional<std::string> found;
     shard->watchdogs.for_each([&](const WatchSlot& w) {
       if (!w.violated || found) return;
       std::ostringstream os;
-      os << "ns=" << w.ns << " key=" << w.key
+      os << "ns=" << namespaces.get(w.index).id << " key=" << w.key
          << ": rate limit violated: a grant ended a window over the §3.4 "
             "bound";
       found = os.str();

@@ -29,8 +29,10 @@
 // exactly once — strategy, clock divisor Δ and capacity come out of that
 // one lookup — and then works against the resolved snapshot.
 //
-// A shard keeps its accounts in a flat open-addressing store of 32-byte
-// slots (service/account_store.hpp). The replication state lives in the
+// A shard keeps its accounts in a flat open-addressing store of 24-byte
+// slots (service/account_store.hpp): key, last access time with the
+// namespace's dense index, and balance with the outstanding count capped
+// at C. The replication state lives in the
 // store's cold column, which only a shard of a replicated table maps; the
 // §3.4 checks of sampled keys, and of every key of an audit namespace,
 // live beside the slots in a second flat store under the same store hash,
@@ -80,6 +82,11 @@ namespace toka::service {
 /// an opaque 32-bit handle chosen by the operator.
 using NamespaceId = std::uint32_t;
 
+/// A namespace's dense index within one table: 0 for the default
+/// namespace, then 1, 2, ... in the order ids are first configured. An
+/// account slot records the index, not the id.
+using NamespaceIndex = std::uint16_t;
+
 /// The namespace every namespace-less call targets.
 inline constexpr NamespaceId kDefaultNamespace = 0;
 
@@ -89,9 +96,9 @@ inline constexpr NamespaceId kDefaultNamespace = 0;
 /// tick index now_us()/Δ, so sub-period precision is never needed.
 class CoarseClock {
  public:
-  /// Times stay below this (about 1142 years), so an account slot can
-  /// pack its last access time into 56 bits.
-  static constexpr TimeUs kLimitUs = TimeUs{1} << 55;
+  /// Times stay below this (about 8.9 years of table uptime), so an
+  /// account slot can pack its last access time into 48 bits.
+  static constexpr TimeUs kLimitUs = TimeUs{1} << 48;
 
   TimeUs now_us() const { return now_.load(std::memory_order_relaxed); }
 
@@ -271,6 +278,10 @@ struct ReplicaDeltaExport {
 
 class AccountTable {
  public:
+  /// The most namespaces one table holds, the default one included: a
+  /// slot keeps its namespace's index + 1 in 16 bits.
+  static constexpr std::size_t kMaxNamespaces = 65'535;
+
   /// Validates the config (bounded capacity, initial balance within it),
   /// builds the empty shards and creates the default namespace. Throws
   /// util::InvariantError on misuse.
@@ -296,8 +307,10 @@ class AccountTable {
   /// exists — replaces its policy and *resets* it (all its accounts are
   /// dropped; they restart from the initial balance on next contact, which
   /// only under-grants). Returns true if the namespace was newly created.
+  /// A new id takes the next dense index; a replaced one keeps its index.
   /// Throws util::InvariantError on an invalid config (unbounded strategy,
-  /// initial balance above capacity, non-positive Δ, negative TTL).
+  /// initial balance above capacity, non-positive Δ, negative TTL) and on
+  /// a new id past kMaxNamespaces, changing nothing.
   bool configure_namespace(NamespaceId ns, const NamespaceConfig& config);
 
   bool has_namespace(NamespaceId ns) const;
@@ -448,22 +461,24 @@ class AccountTable {
     return key + 0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(ns) + 1);
   }
 
-  /// The hash the shard stores place (ns, key) under: its homes read
+  /// The hash the shard stores place `key` under, in the namespace whose
+  /// dense index is `index` (the default namespace's is 0): its homes read
   /// neither the shard bits nor the HashRing position bits, so the keys a
   /// cluster node owns spread over each shard's array.
-  static std::uint64_t store_hash(NamespaceId ns, std::uint64_t key) {
-    return store_hash(account_hash(ns, key));
+  static std::uint64_t store_hash(NamespaceIndex index, std::uint64_t key) {
+    return store_hash(account_hash(index, key));
   }
 
  private:
   /// Immutable runtime form of a namespace: the resolved strategy object
-  /// plus the derived caps. An account records only its namespace's id,
-  /// and the registry's current snapshot for that id is always the one it
+  /// plus the derived caps. An account records only its namespace's index,
+  /// and the registry's current snapshot at that index is always the one it
   /// was created under: configure_namespace runs with the whole table
   /// owned and purges a replaced namespace's accounts before it returns,
   /// so no account outlives the policy it was created under.
   struct Namespace {
     NamespaceId id = 0;
+    NamespaceIndex index = 0;
     NamespaceConfig config;
     std::unique_ptr<core::Strategy> strategy;
     Tokens capacity = 0;       ///< effective balance cap
@@ -472,14 +487,15 @@ class AccountTable {
   };
 
   struct AccountKey {
-    NamespaceId ns = 0;
+    NamespaceIndex index = 0;
     std::uint64_t key = 0;
-    friend bool operator==(const AccountKey&, const AccountKey&) = default;
   };
 
-  /// The one hash of an account: shard_index() takes its bottom bits, the
-  /// cluster HashRing its top bits (HashRing::key_point is this hash), the
-  /// shard's slot and watchdog stores its middle bits through store_hash().
+  /// The one hash of an account: shard_index() takes its bottom bits and
+  /// the cluster HashRing its top bits (HashRing::key_point is this hash).
+  /// The shard's slot and watchdog stores take the same mix of the
+  /// namespace's index instead of its id, through store_hash(): a slot
+  /// keeps only the index, and must rehash from what it keeps.
   static std::uint64_t account_hash(NamespaceId ns, std::uint64_t key) {
     std::uint64_t state = fold_key(ns, key);
     return util::splitmix64(state);
@@ -498,35 +514,52 @@ class AccountTable {
     return std::rotl(hash, 32);
   }
 
-  // Slot::meta holds the last access time in its low 56 bits (CoarseClock
-  // keeps times below 2^55) and these flag bits in its top 8.
-  static constexpr std::uint64_t kSlotAccessMask = (1ULL << 56) - 1;
-  static constexpr std::uint64_t kSlotLive = 1ULL << 56;       ///< occupied
-  static constexpr std::uint64_t kSlotWatched = 1ULL << 57;    ///< watchdogs
-  static constexpr std::uint64_t kSlotReplDirty = 1ULL << 58;  ///< repl_dirty
+  // Slot::stamp holds the last access time in its low 48 bits (CoarseClock
+  // keeps times below 2^48) and the namespace's index + 1 in its top 16, so
+  // the stamp of a live slot is never 0.
+  static constexpr int kStampIndexShift = 48;
+  static constexpr std::uint64_t kStampAccessMask =
+      (std::uint64_t{1} << kStampIndexShift) - 1;
+  // Slot::tokens holds the balance in bits 0-30, the outstanding count in
+  // bits 31-61 and these flags in the top two.
+  static constexpr int kOutstandingShift = 31;
+  static constexpr std::uint64_t kCountMask = (std::uint64_t{1} << 31) - 1;
+  static constexpr std::uint64_t kSlotWatched = 1ULL << 62;    ///< watchdogs
+  static constexpr std::uint64_t kSlotReplDirty = 1ULL << 63;  ///< repl_dirty
+  static constexpr std::uint64_t kSlotFlags = kSlotWatched | kSlotReplDirty;
 
   /// One account: everything the data path reads. The tick index it last
   /// settled at is last_access_us() / Δ, since every settle stamps the
-  /// access time from the same clock read. The balance fits 32 bits
-  /// because make_namespace bounds every capacity by INT32_MAX; the spend
-  /// count keeps 64. The all-zero slot is empty.
+  /// access time from the same clock read. Both counts fit 31 bits because
+  /// make_namespace bounds every capacity by INT32_MAX: the balance lies in
+  /// [0, C], and the outstanding count — tokens granted and not refunded —
+  /// is stored as min(outstanding, C), which leaves every refund the same
+  /// (see DESIGN.md, "Account store layout"). The all-zero slot is empty.
   struct Slot {
     std::uint64_t key = 0;
-    /// Tokens granted and not refunded — exact, since the refund cap
-    /// reads it (core::refund_balance).
-    std::uint64_t spent = 0;
-    std::uint64_t meta = 0;  ///< last access time and kSlot* flags
-    std::int32_t balance = 0;
-    NamespaceId ns = 0;
+    std::uint64_t stamp = 0;   ///< last access time, namespace index + 1
+    std::uint64_t tokens = 0;  ///< balance, outstanding count, kSlot* flags
 
     TimeUs last_access_us() const {
-      return static_cast<TimeUs>(meta & kSlotAccessMask);
+      return static_cast<TimeUs>(stamp & kStampAccessMask);
     }
     void set_last_access_us(TimeUs t) {
-      meta = (meta & ~kSlotAccessMask) | static_cast<std::uint64_t>(t);
+      stamp = (stamp & ~kStampAccessMask) | static_cast<std::uint64_t>(t);
+    }
+    NamespaceIndex ns_index() const {
+      return static_cast<NamespaceIndex>((stamp >> kStampIndexShift) - 1);
+    }
+    Tokens balance() const { return static_cast<Tokens>(tokens & kCountMask); }
+    std::uint64_t outstanding() const {
+      return (tokens >> kOutstandingShift) & kCountMask;
+    }
+    /// Stores both counts, each in [0, C], keeping the flags.
+    void set_counts(Tokens balance, std::uint64_t outstanding) {
+      tokens = (tokens & kSlotFlags) | static_cast<std::uint64_t>(balance) |
+               outstanding << kOutstandingShift;
     }
   };
-  static_assert(sizeof(Slot) == 32, "an account slot is 32 bytes");
+  static_assert(sizeof(Slot) == 24, "an account slot is 24 bytes");
 
   /// An account's replication state, in its shard store's cold column:
   /// zero until the account's first replica delta, and never mapped by a
@@ -542,9 +575,9 @@ class AccountTable {
   static_assert(sizeof(ReplState) == 16);
 
   struct SlotTraits {
-    static bool live(const Slot& s) { return (s.meta & kSlotLive) != 0; }
+    static bool live(const Slot& s) { return s.stamp != 0; }
     static std::uint64_t hash(const Slot& s) {
-      return store_hash(s.ns, s.key);
+      return store_hash(s.ns_index(), s.key);
     }
   };
 
@@ -552,7 +585,7 @@ class AccountTable {
   /// store hash.
   struct WatchSlot {
     std::uint64_t key = 0;
-    NamespaceId ns = 0;
+    NamespaceIndex index = 0;
     bool live = false;
     bool violated = false;  ///< a grant has broken the bound
     core::BurstCheck check;
@@ -562,7 +595,7 @@ class AccountTable {
   struct WatchTraits {
     static bool live(const WatchSlot& w) { return w.live; }
     static std::uint64_t hash(const WatchSlot& w) {
-      return store_hash(w.ns, w.key);
+      return store_hash(w.index, w.key);
     }
   };
 
@@ -592,21 +625,29 @@ class AccountTable {
   };
 
   /// Builds and validates the runtime namespace object (throws
-  /// util::InvariantError on an invalid policy).
-  static std::shared_ptr<const Namespace> make_namespace(
+  /// util::InvariantError on an invalid policy); the caller sets its index.
+  static std::shared_ptr<Namespace> make_namespace(
       NamespaceId ns, const NamespaceConfig& config);
+
+  /// The current snapshot of namespace `ns`, or nullptr if it does not
+  /// exist.
+  std::shared_ptr<const Namespace> find_namespace(NamespaceId ns) const;
 
   /// One registry lookup per request; throws util::InvariantError on an
   /// unknown namespace.
   std::shared_ptr<const Namespace> resolve(NamespaceId ns) const;
 
-  /// resolve() behind a one-entry cache, for the sweeps that meet accounts
-  /// of any namespace rather than the one a request names.
+  /// The snapshot at `index`, an index some account or entry recorded.
+  std::shared_ptr<const Namespace> resolve_index(NamespaceIndex index) const;
+
+  /// resolve_index() behind a one-entry cache, for the sweeps that meet
+  /// accounts of any namespace rather than the one a request names.
   class NamespaceCache {
    public:
     explicit NamespaceCache(const AccountTable& table) : table_(&table) {}
-    const Namespace& get(NamespaceId id) {
-      if (ns_ == nullptr || ns_->id != id) ns_ = table_->resolve(id);
+    const Namespace& get(NamespaceIndex index) {
+      if (ns_ == nullptr || ns_->index != index)
+        ns_ = table_->resolve_index(index);
       return *ns_;
     }
 
@@ -619,22 +660,21 @@ class AccountTable {
   std::size_t shard_index(NamespaceId ns, std::uint64_t key) const;
   /// The shard of the account whose account_hash() is `hash`.
   Shard& shard_for(std::uint64_t hash) { return *shards_[hash & shard_mask_]; }
-  // The account helpers below take the account's `hash` — account_hash(ns,
-  // key), computed once per request by the caller — and hand the stores
-  // store_hash(hash).
-  /// The live account (ns, key) in `shard`, or nullptr.
-  static Slot* find_account(Shard& shard, std::uint64_t hash, NamespaceId ns,
-                            std::uint64_t key);
+  // The account helpers below take the account's `home` — its store hash,
+  // computed once per request by the caller.
+  /// The live account (index, key) in `shard`, or nullptr.
+  static Slot* find_account(Shard& shard, std::uint64_t home,
+                            NamespaceIndex index, std::uint64_t key);
   /// Creates the account with the given starting balance, settled at
   /// `now`, with its side state; the caller checked it is absent.
-  Slot& create_account(Shard& shard, const Namespace& ns, std::uint64_t hash,
+  Slot& create_account(Shard& shard, const Namespace& ns, std::uint64_t home,
                        std::uint64_t key, Tokens balance, TimeUs now);
-  Slot& find_or_create(Shard& shard, const Namespace& ns, std::uint64_t hash,
+  Slot& find_or_create(Shard& shard, const Namespace& ns, std::uint64_t home,
                        std::uint64_t key, TimeUs now);
-  /// The watchdog entry of (ns, key), an account of `shard` flagged
+  /// The watchdog entry of (index, key), an account of `shard` flagged
   /// kSlotWatched.
-  static WatchSlot& watch_slot(Shard& shard, std::uint64_t hash,
-                               NamespaceId ns, std::uint64_t key);
+  static WatchSlot& watch_slot(Shard& shard, std::uint64_t home,
+                               NamespaceIndex index, std::uint64_t key);
   /// The table's one erase path: removes every account of `shard` for which
   /// `pred(slot)` holds, dropping its side entries with it, and returns
   /// how many went.
@@ -647,13 +687,13 @@ class AccountTable {
   /// The acquire itself, on an account of `shard`; the caller has checked
   /// n >= 0.
   AcquireResult acquire_in_shard(Shard& shard, const Namespace& ns,
-                                 std::uint64_t hash, std::uint64_t key,
+                                 std::uint64_t home, std::uint64_t key,
                                  Tokens n, TimeUs now);
   /// Queues the account for the next replica drain (no-op when replication
   /// is off or it is already queued).
   void mark_repl_dirty(Shard& shard, Slot& slot);
   /// Drops every account of `ns` (reset on reconfigure).
-  void purge_namespace(NamespaceId ns);
+  void purge_namespace(const Namespace& ns);
 
   ServiceConfig config_;
   CoarseClock clock_;
@@ -663,7 +703,10 @@ class AccountTable {
   std::atomic<Tokens> repl_headroom_{0};  ///< 0 = auto (half capacity)
 
   mutable std::shared_mutex ns_mu_;
-  std::unordered_map<NamespaceId, std::shared_ptr<const Namespace>> namespaces_;
+  /// The registry: each namespace's current snapshot at its index, and the
+  /// index of each id.
+  std::vector<std::shared_ptr<const Namespace>> namespaces_;
+  std::unordered_map<NamespaceId, NamespaceIndex> index_of_;
 };
 
 /// Wall-clock driver for a live tokend: a background thread that advances

@@ -138,26 +138,17 @@ std::vector<std::byte> encode(const Response& m) {
 }
 
 Request decode_request(std::span<const std::byte> payload) {
-  std::optional<TraceContext> trace;
-  return decode_request(payload, trace);
-}
-
-Request decode_request(std::span<const std::byte> payload,
-                       std::optional<TraceContext>& trace_out) {
-  trace_out.reset();
   util::BinaryReader r(payload);
   const FrameHeader h = wire::read_header(r);
   if (h.is_response)
     throw util::IoError("tokend frame: response where a request was expected");
-  trace_out = h.trace();
   return read_body<Request>(h, r);
 }
 
 Request decode_request(const FrameHeader& head,
                        std::span<const std::byte> payload) {
   TOKA_CHECK_MSG(!head.is_response, "decode_request takes a request header");
-  // The header is 10 bytes, plus the 9-byte context of a traced request.
-  util::BinaryReader r(payload.subspan(head.traced ? 19 : 10));
+  util::BinaryReader r(payload.subspan(wire::header_bytes(head)));
   return read_body<Request>(head, r);
 }
 

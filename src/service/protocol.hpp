@@ -782,6 +782,12 @@ inline void write_header(util::BinaryWriter& w, const FrameHeader& h) {
   }
 }
 
+/// How many bytes write_header writes for `h`: version, type and id, then
+/// a traced request's 9-byte context. A body starts there.
+inline std::size_t header_bytes(const FrameHeader& h) {
+  return h.traced ? 19 : 10;
+}
+
 // ---------------------------------------------------------------- reader
 
 /// The default sink of read(): vector elements are stored in the vector.
@@ -893,15 +899,12 @@ std::vector<std::byte> encode(const T& m) {
 std::vector<std::byte> encode(const Request& m);
 std::vector<std::byte> encode(const Response& m);
 
-/// Parses a request frame; throws util::IoError on any malformation. The
-/// overload with `trace_out` also surfaces the frame's trace context
-/// (nullopt when the frame carries none).
+/// Parses a request frame; throws util::IoError on any malformation.
 Request decode_request(std::span<const std::byte> payload);
-Request decode_request(std::span<const std::byte> payload,
-                       std::optional<TraceContext>& trace_out);
 /// Parses the body of the request frame `payload` whose header `head`
 /// try_parse_header already read (a request header: checked); throws
-/// util::IoError on a malformed body.
+/// util::IoError on a malformed body. The frame's trace context is
+/// head.trace().
 Request decode_request(const FrameHeader& head,
                        std::span<const std::byte> payload);
 
@@ -921,33 +924,33 @@ std::uint64_t request_id(const Request& m);
 std::uint64_t request_id(const Response& m);
 
 /// Streaming routing view of a data-op request frame (acquire / refund /
-/// query / batch-acquire): invokes `fn(ns, key)` for every key
-/// the frame addresses, walking a batch's ops in place — no request is
-/// materialized and nothing allocates. This is the cluster layer's
-/// ownership check, which would otherwise pay a full decode on every
-/// request just to route it (the owned frame is decoded once more by the
-/// table server anyway).
+/// query / batch-acquire) whose header `head` try_parse_header already
+/// read from `payload`: invokes `fn(ns, key)` for every key the frame
+/// addresses, walking a batch's ops in place — no request is materialized,
+/// nothing allocates and the header is not read again. This is the
+/// cluster layer's ownership check, which would otherwise pay a full
+/// decode on every request just to route it (the owned frame is decoded
+/// once more by the table server anyway).
 ///
 /// Returns true if the frame was a data-op request walked to the caller's
 /// satisfaction (`fn` may return false to stop early); false for any
-/// other frame — responses, admin/cluster types, a wrong version, or a
-/// body the field reader rejects up to the last key — in which case the
-/// caller falls back to the full strict decoder for classification. The
-/// walk reads the same field lists as decode_request, with the same
-/// per-field checks; only trailing bytes, and the ops after an early
-/// stop, go unchecked.
+/// other frame — responses, admin/cluster types, or a body the field
+/// reader rejects up to the last key — in which case the caller falls back
+/// to the full strict decoder for classification. The walk reads the same
+/// field lists as decode_request, with the same per-field checks; only
+/// trailing bytes, and the ops after an early stop, go unchecked.
 template <typename KeyFn>
-bool for_each_data_op_key(std::span<const std::byte> payload, KeyFn&& fn) {
-  util::BinaryReader r(payload);
+bool for_each_data_op_key(const FrameHeader& head,
+                          std::span<const std::byte> payload, KeyFn&& fn) {
+  if (head.is_response) return false;
+  util::BinaryReader r(payload.subspan(wire::header_bytes(head)));
   const auto single = [&](auto m) {
     wire::read(r, m);
     fn(m.ns, m.key);
     return true;
   };
   try {
-    const FrameHeader h = wire::read_header(r);
-    if (h.is_response) return false;
-    switch (h.type) {
+    switch (head.type) {
       case MsgType::kAcquire: return single(AcquireRequest{});
       case MsgType::kRefund: return single(RefundRequest{});
       case MsgType::kQuery: return single(QueryRequest{});

@@ -129,8 +129,6 @@ class Server {
     return shed_.load(std::memory_order_relaxed);
   }
 
-  const obs::AdmissionBucket& admission() const { return admission_; }
-
   /// Server-side batching hint derived from the hot-key sketch: when one
   /// account dominates the acquire traffic, clients gain by batching ops
   /// per frame (one decode + one queue hand-off amortized over the batch).

@@ -186,6 +186,43 @@ TEST(ServiceEndToEnd, NamespacesConfiguredAndServedOverTheWire) {
   net.stop();
 }
 
+TEST(ServiceEndToEnd, NamespacePastTheTableLimitIsAnInvalidConfig) {
+  // The table holds at most 65,535 namespaces; the one after them comes
+  // back as kInvalidConfig, and the namespaces and accounts already there
+  // keep serving as before.
+  AccountTable table(generalized_config(2, 10, 1000));
+  NamespaceConfig bucket;
+  bucket.strategy.kind = core::StrategyKind::kTokenBucket;
+  bucket.strategy.c_param = 2;
+  bucket.delta_us = 1000;
+  bucket.initial_tokens = 2;
+  for (NamespaceId id = 1; table.namespace_count() < AccountTable::kMaxNamespaces;
+       ++id)
+    ASSERT_TRUE(table.configure_namespace(id, bucket));
+  ShardEngine engine(table);
+  runtime::InProcNetwork net(2);
+  Server server(table, net.endpoint(0), {.engine = &engine});
+  Client client(net.endpoint(1), 0);
+  net.start();
+
+  EXPECT_EQ(client.acquire(7, 1, 1).granted, 1);
+  try {
+    client.configure_namespace(100'000, bucket);
+    FAIL() << "expected RpcError";
+  } catch (const protocol::RpcError& e) {
+    EXPECT_EQ(e.code(), protocol::ErrorCode::kInvalidConfig);
+  }
+  EXPECT_FALSE(client.namespace_info(100'000).has_value());
+  EXPECT_EQ(client.query(7, 1).balance, 1);
+  EXPECT_EQ(client.acquire(7, 1, 5).granted, 1);
+  const auto info = client.namespace_info(7);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->config, bucket);
+  EXPECT_EQ(info->accounts, 1u);
+  EXPECT_EQ(table.namespace_count(), 65'535u);
+  net.stop();
+}
+
 TEST(ServiceEndToEnd, ServerRequiresAnEngineOnItsTable) {
   AccountTable table(generalized_config(1, 8, 1000));
   AccountTable other(generalized_config(1, 8, 1000));

@@ -297,9 +297,11 @@ TEST(ProtocolGolden, RequestFramesAreByteIdentical) {
 
     attach_trace_context(wire, g.trace);
     EXPECT_EQ(to_hex(wire), g.traced_hex);
-    std::optional<TraceContext> seen;
-    EXPECT_EQ(decode_request(from_hex(g.traced_hex), seen), g.msg);
-    EXPECT_EQ(seen, g.trace);
+    const std::vector<std::byte> traced = from_hex(g.traced_hex);
+    const std::optional<FrameHeader> head = try_parse_header(traced);
+    ASSERT_TRUE(head.has_value());
+    EXPECT_EQ(decode_request(*head, traced), g.msg);
+    EXPECT_EQ(head->trace(), g.trace);
     covered[g.msg.index()] = true;
   }
   for (std::size_t i = 0; i < std::variant_size_v<Request>; ++i)
@@ -343,13 +345,19 @@ TEST(Protocol, RandomizedResponseReencodeByteIdentity) {
 TEST(Protocol, RoutingWalkMatchesFullDecode) {
   // for_each_data_op_key mirrors decode_request's data-op layout; this
   // fuzz pins the two together so the wire format cannot drift apart.
+  // The walk starts after the header try_parse_header read, as the
+  // cluster triage calls it.
+  const auto walk = [](std::span<const std::byte> frame, auto&& fn) {
+    const std::optional<FrameHeader> head = try_parse_header(frame);
+    return head.has_value() && for_each_data_op_key(*head, frame, fn);
+  };
   Rng rng(7777);
   using KeyList = std::vector<std::pair<NamespaceId, std::uint64_t>>;
   for (int i = 0; i < 400; ++i) {
     const Request msg = random_request(rng);
     const std::vector<std::byte> wire = encode(msg);
     KeyList walked;
-    const bool ok = for_each_data_op_key(
+    const bool ok = walk(
         wire, [&](NamespaceId ns, std::uint64_t key) {
           walked.emplace_back(ns, key);
           return true;
@@ -374,17 +382,17 @@ TEST(Protocol, RoutingWalkMatchesFullDecode) {
   }
   // Responses are never walkable.
   const std::vector<std::byte> resp = encode(AcquireResponse{1, 2, 3});
-  EXPECT_FALSE(for_each_data_op_key(
+  EXPECT_FALSE(walk(
       resp, [](NamespaceId, std::uint64_t) { return true; }));
   // Early stop: the walk reports success without visiting further keys.
   BatchAcquireRequest batch;
   batch.id = 9;
   for (std::uint64_t k = 0; k < 8; ++k) batch.ops.push_back({k, 1});
   std::size_t seen = 0;
-  EXPECT_TRUE(for_each_data_op_key(encode(batch),
-                                   [&](NamespaceId, std::uint64_t) {
-                                     return ++seen < 3;
-                                   }));
+  EXPECT_TRUE(walk(encode(batch),
+                   [&](NamespaceId, std::uint64_t) {
+                     return ++seen < 3;
+                   }));
   EXPECT_EQ(seen, 3u);
 }
 
@@ -415,8 +423,11 @@ TEST(Protocol, WrongVersionRejected) {
   // any byte but kProtocolVersion — version 1 (the retired namespace-less
   // layout) included.
   const auto walks = [](std::span<const std::byte> frame) {
-    return for_each_data_op_key(
-        frame, [](NamespaceId, std::uint64_t) { return true; });
+    const std::optional<FrameHeader> head = try_parse_header(frame);
+    return head.has_value() &&
+           for_each_data_op_key(*head, frame, [](NamespaceId, std::uint64_t) {
+             return true;
+           });
   };
   for (const int version : {0, 1, kProtocolVersion + 1, 0xFF}) {
     std::vector<std::byte> request = encode(AcquireRequest{1, 2, 3});
@@ -725,8 +736,10 @@ TEST(ProtocolV2, TracedFramesFuzzRoundTripAndRejectTruncation) {
     std::vector<std::byte> wire = encode(msg);
     attach_trace_context(wire, ctx);
 
-    std::optional<TraceContext> seen;
-    EXPECT_EQ(decode_request(wire, seen), msg);
+    const std::optional<FrameHeader> head = try_parse_header(wire);
+    ASSERT_TRUE(head.has_value());
+    EXPECT_EQ(decode_request(*head, wire), msg);
+    const std::optional<TraceContext> seen = head->trace();
     ASSERT_TRUE(seen.has_value());
     EXPECT_EQ(*seen, ctx);
 

@@ -8,12 +8,14 @@
 #include <chrono>
 #include <future>
 #include <limits>
+#include <optional>
 #include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "cluster/hash_ring.hpp"
+#include "core/account.hpp"
 #include "service/shard_engine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -42,8 +44,8 @@ TEST(CoarseClock, MonotoneAdvance) {
 }
 
 TEST(CoarseClock, RejectsTimesPastTheSlotField) {
-  // An account slot packs its last access time into 56 bits; the clock
-  // refuses to reach 2^55 us rather than let that field wrap.
+  // An account slot packs its last access time into 48 bits; the clock
+  // refuses to reach 2^48 us rather than let that field wrap.
   CoarseClock clock;
   clock.advance_to(CoarseClock::kLimitUs - 1);
   EXPECT_EQ(clock.now_us(), CoarseClock::kLimitUs - 1);
@@ -453,7 +455,7 @@ TEST(AccountTable, AuditNamespaceChecksEveryKey) {
 }
 
 TEST(AccountTable, RejectsCapacitiesBeyondTheSlotBalance) {
-  // Account slots keep balances in 32 bits; a namespace whose capacity
+  // Account slots keep balances in 31 bits; a namespace whose capacity
   // could not fit is refused up front rather than wrapped later.
   ServiceConfig cfg = simple_config(10);
   AccountTable table(cfg);
@@ -1169,6 +1171,126 @@ TEST(AccountTable, SeededScriptKeepsItsDecisionDigest) {
   EXPECT_EQ(stats.watchdog_violations, 0u);
   EXPECT_EQ(digest, 0x7e7cd475dc096931ULL)
       << std::hex << "digest 0x" << digest;
+}
+
+TEST(AccountTable, RefundsMatchAnExactOutstandingCount) {
+  // A slot stores min(outstanding, C) for the tokens granted and not
+  // refunded. A refund reads that count only through min(count, C -
+  // balance), so the cap must change no refund. Seeded streams of acquires,
+  // refunds and clock jumps, in which each key's outstanding count climbs
+  // far past C, must give every grant, acceptance and balance of an exact
+  // u64 model run on the core arithmetic. The token bucket ticks without
+  // randomness: every elapsed tick, up to the catch-up cap, banks one
+  // token below C.
+  constexpr TimeUs kDelta = 1000;
+  for (const Tokens c : {Tokens{1}, Tokens{3}, Tokens{8}}) {
+    SCOPED_TRACE(c);
+    ServiceConfig cfg;
+    cfg.shards = 4;
+    cfg.delta_us = kDelta;
+    cfg.strategy.kind = core::StrategyKind::kTokenBucket;
+    cfg.strategy.c_param = c;
+    cfg.initial_tokens = c;
+    AccountTable table(cfg);
+    const Tokens catchup = std::max<Tokens>(2 * c, 16);
+
+    struct Account {
+      Tokens balance = 0;
+      std::uint64_t outstanding = 0;
+      TimeUs last_us = 0;
+    };
+    std::vector<std::optional<Account>> model(6);
+    const auto settle = [&](Account& a, TimeUs now) {
+      const std::int64_t due = now / kDelta - a.last_us / kDelta;
+      if (due > 0) a.balance = std::min(a.balance + std::min(due, catchup), c);
+      a.last_us = now;
+    };
+    util::Rng rng(900 + static_cast<std::uint64_t>(c));
+    std::uint64_t max_outstanding = 0;
+    for (int step = 0; step < 20'000; ++step) {
+      const std::uint64_t key = rng.below(model.size());
+      std::optional<Account>& a = model[key];
+      const TimeUs now = table.clock().now_us();
+      switch (rng.below(5)) {
+        case 0:
+        case 1: {
+          const auto n = static_cast<Tokens>(rng.below(2 * c + 1));
+          if (!a) a = Account{c, 0, now};
+          settle(*a, now);
+          const Tokens granted = core::spend_balance(
+              a->balance, a->outstanding, n, /*allow_overdraft=*/false);
+          const AcquireResult r = table.acquire(key, n);
+          ASSERT_EQ(r.granted, granted) << "step " << step;
+          ASSERT_EQ(r.balance, a->balance) << "step " << step;
+          break;
+        }
+        case 2:
+        case 3: {
+          const auto n = static_cast<Tokens>(rng.below(3 * c + 1));
+          Tokens accepted = 0;
+          Tokens balance = 0;
+          if (a) {
+            settle(*a, now);
+            const Tokens headroom = std::max<Tokens>(c - a->balance, 0);
+            accepted = core::refund_balance(a->balance, a->outstanding,
+                                            std::min(n, headroom));
+            balance = a->balance;
+          }
+          const RefundResult r = table.refund(key, n);
+          ASSERT_EQ(r.accepted, accepted) << "step " << step;
+          ASSERT_EQ(r.balance, balance) << "step " << step;
+          break;
+        }
+        default:
+          // Mostly part of a tick, sometimes past the catch-up cap.
+          table.clock().advance(static_cast<TimeUs>(
+              rng.below(8) == 0 ? rng.below(40 * kDelta) : rng.below(kDelta)));
+          break;
+      }
+      if (a) max_outstanding = std::max(max_outstanding, a->outstanding);
+    }
+    EXPECT_GT(max_outstanding, 100 * static_cast<std::uint64_t>(c));
+  }
+}
+
+TEST(AccountTableNamespaces, RefusesANamespacePastTheLimit) {
+  // A slot keeps its namespace's index + 1 in 16 bits, so a table holds
+  // 65,535 namespaces. One more is refused, and the registry and every
+  // account stay as they were.
+  ServiceConfig cfg = simple_config(10);
+  cfg.initial_tokens = 10;
+  AccountTable table(cfg);
+  NamespaceConfig bucket = bucket_namespace(4, 1000);
+  bucket.initial_tokens = 4;
+  ASSERT_TRUE(table.configure_namespace(70'000, bucket));
+  EXPECT_EQ(table.acquire(kDefaultNamespace, 1, 3).granted, 3);
+  EXPECT_EQ(table.acquire(70'000, 1, 1).granted, 1);
+  NamespaceId last = 0;
+  for (NamespaceId id = 1; table.namespace_count() < AccountTable::kMaxNamespaces;
+       ++id) {
+    ASSERT_TRUE(table.configure_namespace(id, bucket));
+    last = id;
+  }
+  ASSERT_EQ(table.namespace_count(), 65'535u);
+  EXPECT_EQ(table.acquire(last, 1, 2).granted, 2);  // the last index serves
+
+  EXPECT_THROW(table.configure_namespace(1'000'000, bucket),
+               util::InvariantError);
+  EXPECT_EQ(table.namespace_count(), 65'535u);
+  EXPECT_FALSE(table.has_namespace(1'000'000));
+  EXPECT_THROW(table.acquire(1'000'000, 1, 1), util::InvariantError);
+  // A namespace that exists is still replaced at the limit.
+  EXPECT_FALSE(table.configure_namespace(7, bucket));
+
+  EXPECT_EQ(table.query(kDefaultNamespace, 1).balance, 7);
+  EXPECT_EQ(table.query(70'000, 1).balance, 3);
+  EXPECT_EQ(table.query(last, 1).balance, 2);
+  EXPECT_EQ(table.account_count(), 3u);
+  EXPECT_EQ(table.stats(70'000).accounts, 1u);
+  const auto info = table.namespace_info(70'000);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->config, bucket);
+  EXPECT_EQ(info->accounts, 1u);
 }
 
 }  // namespace

@@ -39,15 +39,15 @@ TEST(TraceWire, AttachedContextRoundTrips) {
   std::vector<std::byte> wire = proto::encode(req);
   proto::attach_trace_context(wire, {0xABCDEF0123456789ULL, true});
 
-  std::optional<proto::TraceContext> trace;
-  const proto::Request decoded = proto::decode_request(wire, trace);
+  const auto head = proto::try_parse_header(wire);
+  ASSERT_TRUE(head.has_value());
+  const proto::Request decoded = proto::decode_request(*head, wire);
+  const std::optional<proto::TraceContext> trace = head->trace();
   ASSERT_TRUE(trace.has_value());
   EXPECT_EQ(trace->trace_id, 0xABCDEF0123456789ULL);
   EXPECT_TRUE(trace->sampled);
   EXPECT_EQ(std::get<proto::AcquireRequest>(decoded), req);
 
-  const auto head = proto::try_parse_header(wire);
-  ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->type, proto::MsgType::kAcquire);
   EXPECT_EQ(head->id, 77u);
   EXPECT_TRUE(head->traced);
@@ -58,8 +58,10 @@ TEST(TraceWire, AttachedContextRoundTrips) {
 TEST(TraceWire, UnsampledContextRoundTrips) {
   std::vector<std::byte> wire = proto::encode(proto::QueryRequest{9, 42});
   proto::attach_trace_context(wire, {7, false});
-  std::optional<proto::TraceContext> trace;
-  proto::decode_request(wire, trace);
+  const auto head = proto::try_parse_header(wire);
+  ASSERT_TRUE(head.has_value());
+  proto::decode_request(*head, wire);
+  const std::optional<proto::TraceContext> trace = head->trace();
   ASSERT_TRUE(trace.has_value());
   EXPECT_EQ(trace->trace_id, 7u);
   EXPECT_FALSE(trace->sampled);
@@ -71,9 +73,10 @@ TEST(TraceWire, ContextFreeFramesAreByteIdentical) {
   const std::vector<std::byte> wire = proto::encode(proto::AcquireRequest{1, 2, 3});
   EXPECT_EQ(std::to_integer<std::uint8_t>(wire[1]) & proto::kTraceBit, 0);
 
-  std::optional<proto::TraceContext> trace;
-  proto::decode_request(wire, trace);
-  EXPECT_FALSE(trace.has_value());
+  const auto head = proto::try_parse_header(wire);
+  ASSERT_TRUE(head.has_value());
+  proto::decode_request(*head, wire);
+  EXPECT_FALSE(head->trace().has_value());
 
   // Attaching is a pure 9-byte splice after the (version, type, id) header:
   // everything else is byte-identical.
@@ -127,8 +130,10 @@ TEST(TraceWire, UnknownTraceFlagBitsAreRejected) {
   for (bool sampled : {false, true}) {
     std::vector<std::byte> wire = proto::encode(proto::AcquireRequest{1, 2, 3});
     proto::attach_trace_context(wire, {11, sampled});
-    std::optional<proto::TraceContext> trace;
-    EXPECT_NO_THROW(proto::decode_request(wire, trace));
+    const auto head = proto::try_parse_header(wire);
+    ASSERT_TRUE(head.has_value());
+    EXPECT_NO_THROW(proto::decode_request(*head, wire));
+    const std::optional<proto::TraceContext> trace = head->trace();
     ASSERT_TRUE(trace.has_value());
     EXPECT_EQ(trace->sampled, sampled);
   }
