@@ -410,7 +410,7 @@ void run_sharded(Bench& b, const std::string& mode) {
 
 /// The whole plane end to end on its own table: one pipelined async client
 /// per thread over the nonblocking epoll mesh into the server, whose
-/// workers reply from their completions (the loop corks them).
+/// workers reply from their completions (the loop batches their writes).
 void run_epoll(Bench& b) {
   // Watchdog off, as in "sharded": "shardedwd" already prices the
   // watchdog, and ROADMAP item 2's epoll/sharded ratio must compare like

@@ -1,13 +1,10 @@
 #include "cluster/cluster_server.hpp"
 
-#include <algorithm>
-#include <exception>
 #include <optional>
 #include <utility>
 #include <variant>
 
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace toka::cluster {
 
@@ -51,10 +48,8 @@ ClusterServer::~ClusterServer() {
   engine_->set_drain_hook({});
   transport_->set_peer_down_handler({});
   transport_->set_handler({});
-  // No handler can defer another promotion now; wait out the running ones,
-  // then the handoff installs still queued (their completions reply
-  // through this object).
-  for (std::thread& t : deferred_) t.join();
+  // Then the handoff installs still queued: their completions reply
+  // through this object.
   engine_->drain();
   if (registry_) {
     for (const std::string& name : metric_names_) registry_->remove(name);
@@ -269,28 +264,7 @@ void ClusterServer::on_peer_down(NodeId peer) {
       }
     }
   }
-  if (coordinator != self()) return;
-  if (engine_->on_worker_thread()) {
-    // A shard worker's failed send surfaced the death; the promotion must
-    // quiesce that worker's engine, so it runs on a helper thread.
-    std::lock_guard lock(deferred_mu_);
-    if (std::find(deferring_.begin(), deferring_.end(), peer) !=
-        deferring_.end())
-      return;
-    deferring_.push_back(peer);
-    deferred_.emplace_back([this, peer, epoch = cur.epoch] {
-      try {
-        promote(peer, epoch);
-      } catch (const std::exception& e) {
-        TOKA_ERROR("node " << self() << ": promoting dead peer " << peer
-                           << " failed: " << e.what());
-      }
-      std::lock_guard done(deferred_mu_);
-      std::erase(deferring_, peer);
-    });
-    return;
-  }
-  promote(peer, cur.epoch);
+  if (coordinator == self()) promote(peer, cur.epoch);
 }
 
 void ClusterServer::complete_handoff(service::ShardOp& op, void* ctx) {

@@ -48,7 +48,6 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -191,7 +190,9 @@ class ClusterServer {
       NodeId failed, std::uint64_t expected_epoch,
       const std::optional<service::protocol::TraceContext>& trace);
   std::optional<service::protocol::TraceContext> mint_cluster_trace();
-  /// Peer-down reaction: the dead node's id-order successor promotes.
+  /// Peer-down reaction: the dead node's id-order successor promotes,
+  /// right on the transport thread that reports it (never a shard
+  /// worker, so the promotion may quiesce the engine).
   void on_peer_down(NodeId peer);
   /// Drain hook: streams worker `w`'s shards' dirty deltas.
   void flush_worker_shards(std::size_t w);
@@ -227,14 +228,6 @@ class ClusterServer {
   std::atomic<std::uint64_t> handoffs_installed_{0};
   std::atomic<Tokens> tokens_forfeited_{0};
   std::atomic<std::uint64_t> promotions_{0};
-
-  /// A shard worker that sees a peer go down (its delta send failed)
-  /// cannot quiesce its own engine, so it hands the promotion to a
-  /// helper thread — at most one in flight per dead peer. Joined on
-  /// destruction; declared last, after everything a promotion touches.
-  std::mutex deferred_mu_;
-  std::vector<NodeId> deferring_;  ///< peers with a helper still running
-  std::vector<std::thread> deferred_;
 };
 
 }  // namespace toka::cluster

@@ -73,8 +73,8 @@ constexpr std::uint64_t kWakeTag = 0;
 constexpr std::uint64_t kListenTag = 1;
 
 /// The event loop currently executing on this thread (nullptr elsewhere):
-/// send() compares against a connection's owner loop to decide between the
-/// corked same-loop path and the locked cross-thread path.
+/// a send made on a connection's owner loop needs no wake, since that
+/// loop flushes at the end of its iteration.
 thread_local const void* tls_epoll_loop = nullptr;
 
 }  // namespace
@@ -157,46 +157,29 @@ class EpollMesh::Endpoint final : public Transport {
   void send(NodeId to, std::vector<std::byte> payload) override {
     if (stopping_.load()) return;
     const std::shared_ptr<Conn> conn = connection_to(to);
-    if (conn == nullptr) {
+    bool dead = conn == nullptr;
+    if (!dead) {
+      std::lock_guard lock(conn->out_mu);
+      dead = conn->dead;
+      if (!dead) append_frame(conn->out, id_, payload);
+    }
+    if (dead) {
       // Unknown or dead peer: best-effort drop, surfaced as peer-down.
       notify_peer_down(to);
       return;
     }
+    // Queue the flush. A send on the owner loop's thread (a server handler
+    // answering mid-burst) leaves with the flush that ends the iteration,
+    // one write per connection for the whole burst; any other thread wakes
+    // the loop, and sends queued before the wake lands share it.
     Loop& loop = *loops_[conn->loop];
-    if (tls_epoll_loop == &loop) {
-      // Issued on the owning loop thread (a server handler answering
-      // mid-burst): cork. The buffer is loop-thread-private, and the whole
-      // iteration's corked replies leave with one write per connection.
-      append_frame(conn->cork, id_, payload);
-      if (!conn->corked) {
-        conn->corked = true;
-        loop.corked.push_back(conn);
-      }
-      return;
-    }
-    // Cross-thread send (a shard worker's completion, a client thread):
-    // append under the connection's buffer lock and wake the owning loop
-    // to flush. Repeated sends before the wake lands coalesce for free.
-    bool dead = false;
-    {
-      std::lock_guard lock(conn->out_mu);
-      if (conn->dead) {
-        dead = true;
-      } else {
-        append_frame(conn->out, id_, payload);
-      }
-    }
-    if (dead) {
-      notify_peer_down(to);
-      return;
-    }
     bool wake = false;
     {
       std::lock_guard lock(loop.mu);
       if (!conn->flush_queued) {
         conn->flush_queued = true;
         loop.pending_flush.push_back(conn);
-        wake = true;
+        wake = tls_epoll_loop != &loop;
       }
     }
     if (wake) wake_loop(loop);
@@ -226,7 +209,6 @@ class EpollMesh::Endpoint final : public Transport {
       for (auto& conn : adds) close_fd_of(*conn);
       for (auto& [fd, conn] : loop->conns) close_fd_of(*conn);
       loop->conns.clear();
-      loop->corked.clear();
       loop->graveyard.clear();
     }
   }
@@ -237,28 +219,26 @@ class EpollMesh::Endpoint final : public Transport {
     std::size_t loop = 0;       ///< owner loop index
     NodeId peer = kNoNode;      ///< outgoing: target; incoming: learned
     FrameDecoder decoder;
-    // Cross-thread send buffer (out_mu); out_off tracks partial writes.
+    // The send buffer every send appends to (out_mu); out_off tracks
+    // partial writes.
     std::mutex out_mu;
     std::vector<std::uint8_t> out;
     std::size_t out_off = 0;
     bool dead = false;          ///< set under out_mu exactly once
-    // Loop-thread-only state:
-    std::vector<std::uint8_t> cork;  ///< replies corked this iteration
-    bool corked = false;             ///< in the loop's corked list
-    bool want_write = false;         ///< EPOLLOUT armed
-    bool flush_queued = false;       ///< in pending_flush (guarded by loop mu)
+    bool want_write = false;    ///< EPOLLOUT armed (loop thread only)
+    bool flush_queued = false;  ///< in pending_flush (guarded by loop mu)
   };
 
   struct Loop {
     Fd epoll_fd;
     Fd wake_fd;
     std::thread thread;
-    std::mutex mu;  ///< guards pending_adds/pending_flush/flush_queued
+    std::mutex mu;  ///< guards the pending lists and Conn::flush_queued
     std::vector<std::shared_ptr<Conn>> pending_adds;
     std::vector<std::shared_ptr<Conn>> pending_flush;
+    std::vector<NodeId> pending_down;  ///< peer-down reports (loop 0 only)
     // Loop-thread-only:
     std::unordered_map<int, std::shared_ptr<Conn>> conns;
-    std::vector<std::shared_ptr<Conn>> corked;
     /// Connections closed this iteration: kept alive until the iteration
     /// ends so raw pointers in already-returned epoll events stay valid.
     std::vector<std::shared_ptr<Conn>> graveyard;
@@ -295,7 +275,6 @@ class EpollMesh::Endpoint final : public Transport {
           std::uint64_t drained = 0;
           while (::read(loop.wake_fd.get(), &drained, sizeof drained) > 0) {
           }
-          handle_pending(loop);
           continue;
         }
         if (ev.data.u64 == kListenTag) {
@@ -311,15 +290,15 @@ class EpollMesh::Endpoint final : public Transport {
         if (it == loop.conns.end() || it->second.get() != raw) continue;
         const std::shared_ptr<Conn> conn = it->second;
         if ((ev.events & (EPOLLERR | EPOLLHUP)) != 0) {
-          close_conn(loop, conn, /*notify=*/true);
+          close_conn(loop, conn);
           continue;
         }
         if ((ev.events & EPOLLOUT) != 0) try_flush(loop, conn);
         if ((ev.events & EPOLLIN) != 0) handle_read(loop, conn);
       }
-      // Also drain work queued without a wake (same-loop registrations):
+      // The queued work, this iteration's own sends among it: one write per
+      // connection for the whole batch.
       handle_pending(loop);
-      flush_corked(loop);
       loop.graveyard.clear();
     }
     tls_epoll_loop = nullptr;
@@ -388,14 +367,29 @@ class EpollMesh::Endpoint final : public Transport {
         static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&conn));
     const int op = adding ? EPOLL_CTL_ADD : EPOLL_CTL_MOD;
     if (::epoll_ctl(loop.epoll_fd.get(), op, conn.fd, &ev) != 0) {
-      // A MOD before the deferred ADD landed (cork-flush on a brand-new
-      // same-loop connection), or vice versa: retry with the other op.
+      // A MOD before the deferred ADD landed (a flush of a connection the
+      // loser of a connect race queued first), or vice versa: retry with
+      // the other op.
       const int fallback = adding ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
       ::epoll_ctl(loop.epoll_fd.get(), fallback, conn.fd, &ev);
     }
   }
 
+  /// Peer-down reports first, so that what their handlers send from this
+  /// thread leaves with this pass's flushes; a report queued while they run
+  /// is delivered on the next pass.
   void handle_pending(Loop& loop) {
+    std::vector<NodeId> downs;
+    {
+      std::lock_guard lock(loop.mu);
+      downs.swap(loop.pending_down);
+    }
+    if (!downs.empty()) {
+      std::shared_lock lock(peer_down_mutex_);
+      for (const NodeId peer : downs) {
+        if (peer_down_ && !stopping_.load()) peer_down_(peer);
+      }
+    }
     std::vector<std::shared_ptr<Conn>> adds;
     std::vector<std::shared_ptr<Conn>> flushes;
     {
@@ -405,9 +399,7 @@ class EpollMesh::Endpoint final : public Transport {
       for (auto& conn : flushes) conn->flush_queued = false;
     }
     for (auto& conn : adds) register_conn(loop, std::move(conn));
-    for (auto& conn : flushes) {
-      if (!conn->dead) try_flush(loop, conn);
-    }
+    for (auto& conn : flushes) try_flush(loop, conn);
   }
 
   /// Edge-triggered read: drain the socket to EAGAIN through the frame
@@ -427,18 +419,18 @@ class EpollMesh::Endpoint final : public Transport {
             });
         if (!ok) {
           frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-          close_conn(loop, conn, /*notify=*/true);  // corrupt stream
+          close_conn(loop, conn);  // corrupt stream
           return;
         }
         continue;
       }
       if (got == 0) {
-        close_conn(loop, conn, /*notify=*/true);  // EOF
+        close_conn(loop, conn);  // EOF
         return;
       }
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
-      close_conn(loop, conn, /*notify=*/true);
+      close_conn(loop, conn);
       return;
     }
   }
@@ -471,7 +463,7 @@ class EpollMesh::Endpoint final : public Transport {
         return;
       }
       lock.unlock();
-      close_conn(loop, conn, /*notify=*/true);
+      close_conn(loop, conn);
       return;
     }
     conn->out.clear();
@@ -482,31 +474,7 @@ class EpollMesh::Endpoint final : public Transport {
     }
   }
 
-  /// End of a loop iteration: every corked reply buffer is appended to its
-  /// connection's send queue and flushed — one write per connection for
-  /// the whole burst.
-  void flush_corked(Loop& loop) {
-    if (loop.corked.empty()) return;
-    std::vector<std::shared_ptr<Conn>> corked;
-    corked.swap(loop.corked);
-    for (auto& conn : corked) {
-      conn->corked = false;
-      if (conn->cork.empty()) continue;
-      bool flush = false;
-      {
-        std::lock_guard lock(conn->out_mu);
-        if (!conn->dead) {
-          conn->out.insert(conn->out.end(), conn->cork.begin(),
-                           conn->cork.end());
-          flush = true;
-        }
-      }
-      conn->cork.clear();
-      if (flush) try_flush(loop, conn);
-    }
-  }
-
-  void close_conn(Loop& loop, const std::shared_ptr<Conn>& conn, bool notify) {
+  void close_conn(Loop& loop, const std::shared_ptr<Conn>& conn) {
     {
       std::lock_guard lock(conn->out_mu);
       if (conn->dead) return;
@@ -524,8 +492,7 @@ class EpollMesh::Endpoint final : public Transport {
       loop.graveyard.push_back(std::move(it->second));
       loop.conns.erase(it);
     }
-    if (notify && conn->peer != kNoNode && !stopping_.load())
-      notify_peer_down(conn->peer);
+    if (conn->peer != kNoNode) notify_peer_down(conn->peer);
   }
 
   /// Returns the (shared) outgoing connection to `to`, opening one on
@@ -569,27 +536,20 @@ class EpollMesh::Endpoint final : public Transport {
     return conn;
   }
 
-  /// Re-entrancy guard stack for peer-down notifications: a handler may
-  /// send, that send may fail on the same endpoint, and a recursive
-  /// shared_lock is UB under a queued writer.
-  struct NotifyFrame {
-    const void* endpoint;
-    NotifyFrame* prev;
-  };
-  static inline thread_local NotifyFrame* tls_notifying = nullptr;
-
+  /// Queues a peer-down report for loop 0, which delivers it from
+  /// handle_pending: no handler ever runs inside send(). A peer already
+  /// queued is reported once.
   void notify_peer_down(NodeId peer) {
     if (stopping_.load()) return;
-    for (NotifyFrame* f = tls_notifying; f != nullptr; f = f->prev) {
-      if (f->endpoint == this) return;
-    }
-    NotifyFrame frame{this, tls_notifying};
-    tls_notifying = &frame;
+    Loop& loop = *loops_[0];
     {
-      std::shared_lock lock(peer_down_mutex_);
-      if (peer_down_) peer_down_(peer);
+      std::lock_guard lock(loop.mu);
+      if (std::find(loop.pending_down.begin(), loop.pending_down.end(),
+                    peer) != loop.pending_down.end())
+        return;
+      loop.pending_down.push_back(peer);
     }
-    tls_notifying = frame.prev;
+    wake_loop(loop);
   }
 
   EpollMesh* mesh_;

@@ -10,16 +10,23 @@
 // Each endpoint runs `io_threads` event loops (default 1). A loop owns a
 // set of connections: edge-triggered nonblocking reads drain the socket
 // into a FrameDecoder — one recv can surface dozens of pipelined frames,
-// all decoded and delivered without another syscall — and handler replies
-// issued on the loop thread are *corked*: appended to the destination
-// connection's buffer and flushed with one write per connection per loop
-// iteration. Adaptive by construction: a lone request's reply flushes
-// immediately (the iteration ends), a pipelined burst's replies coalesce.
-// Cross-thread sends enqueue under the connection's buffer lock and wake
-// the owning loop via eventfd; partial writes arm EPOLLOUT and resume when
-// the socket drains. Accept errors (EMFILE et al) back the acceptor off
-// instead of killing it — the listener is level-triggered, so retry is
-// free.
+// all decoded and delivered without another syscall. Every send appends
+// to its connection's one send buffer under that buffer's lock and queues
+// the connection for its loop's flush. A send made on the owning loop's
+// thread (a handler's reply) leaves with the flush that ends the loop
+// iteration, so a pipelined burst's replies coalesce into one write per
+// connection while a lone request's reply leaves at once (the iteration
+// ends). A send from any other thread wakes the loop via eventfd, and the
+// sends queued before the wake lands share it. Partial writes arm EPOLLOUT
+// and resume when the socket drains. Accept errors (EMFILE et al) back the
+// acceptor off instead of killing it — the listener is level-triggered, so
+// retry is free.
+//
+// Peer-down has one path too: EOF, reset or error on a connection, a
+// refused connect and a send to a dead connection each queue the peer on
+// loop 0, which delivers the queued peers, each once per pass, at the end
+// of its iteration. No handler runs inside send(), and nothing is
+// reported once the endpoint is shutting down.
 //
 // One loop multiplexes every peer instead of a reader thread per
 // connection, which is what lets a tokend node pair one IO thread with

@@ -33,7 +33,7 @@ inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 
 /// Appends one framed message (header + payload) to `out`. The encode-side
-/// twin of FrameDecoder, used by the mesh's send/cork paths.
+/// twin of FrameDecoder, used by the mesh's send path.
 inline void append_frame(std::vector<std::uint8_t>& out, NodeId from,
                          std::span<const std::byte> payload) {
   const auto len = static_cast<std::uint32_t>(payload.size());

@@ -2,8 +2,10 @@
 //
 // A Transport is one node's endpoint in some messaging fabric. Payloads are
 // opaque byte vectors (serialize with util::BinaryWriter). Delivery is
-// asynchronous and at-most-once; the receive handler runs on a transport-
-// owned thread, so handlers must be thread-safe.
+// asynchronous and at-most-once. The receive and peer-down handlers run on
+// transport-owned threads and never inside send(), so handlers must be
+// thread-safe, and a handler may send, to any peer, without re-entering
+// itself.
 #pragma once
 
 #include <cstddef>
@@ -20,10 +22,13 @@ class Transport {
   using Handler = std::function<void(NodeId, std::vector<std::byte>)>;
 
   /// Peer-down notification: the fabric observed the connection to `peer`
-  /// close or fail. Runs on a transport-internal thread (or on the sending
-  /// thread when a send fails). Best effort: fabrics with no connection
-  /// state (the in-process network) never fire it, so callers must keep
-  /// their timeout fallback.
+  /// close or fail, or a send to `peer` found it dead. Runs on a
+  /// transport-internal thread, never inside send(): a send that fails
+  /// queues the report, and one queued while a handler runs (the handler
+  /// sent to the dead peer, say) is delivered after it returns, not
+  /// dropped. Best effort: fabrics with no connection state (the
+  /// in-process network) never fire it, so callers must keep their timeout
+  /// fallback.
   using PeerDownHandler = std::function<void(NodeId)>;
 
   virtual ~Transport() = default;

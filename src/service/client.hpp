@@ -20,11 +20,14 @@
 // and a cluster redirect as protocol::RedirectError.
 //
 // Peer death is fail-fast: when the transport observes the connection to
-// the server close or fail (TCP EOF, refused connect), every in-flight
-// call is rejected immediately with util::IoError("... connection
-// closed"), instead of each ripening into its own timeout — the cluster
-// client's re-routing logic depends on this. The per-call deadline stays
-// as the fallback for fabrics that cannot observe peer death.
+// the server close or fail (TCP EOF, refused connect, a send to a dead
+// connection), every in-flight call is rejected immediately with
+// util::IoError("... connection closed"), instead of each ripening into
+// its own timeout — the cluster client's re-routing logic depends on this.
+// The report arrives on a transport thread, never inside a send, so a call
+// issued from one of those completions to the same dead server is
+// reported and rejected the same way. The per-call deadline stays as the
+// fallback for fabrics that cannot observe peer death.
 //
 // Overload is honored client-side: when the server sheds a call with
 // ErrorCode::kOverloaded, the call fails with protocol::OverloadedError

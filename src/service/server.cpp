@@ -479,8 +479,8 @@ void Server::finish_engine_reply(const protocol::Response& response,
   reply(p.from, response);
   if (traced) {
     // Cork span: completion -> reply handed to the transport (on the epoll
-    // mesh this is the append into the loop's cork buffer; the flush rides
-    // the same loop iteration).
+    // mesh this is the append into the connection's send buffer; the
+    // owning loop's next flush writes it).
     tracer_->record(
         obs::Stage::kCork,
         std::holds_alternative<protocol::ErrorResponse>(response)

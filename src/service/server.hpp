@@ -68,9 +68,10 @@ struct ServerOptions {
   /// Required: the engine that executes the server's data ops. It must run
   /// on the server's table and outlive the server. Data ops are posted to
   /// the owning shard worker; the reply is encoded and sent from the
-  /// worker's completion, where the event loop's cork batches it. A full
-  /// owner queue sheds the op with a typed kOverloaded. Admin requests and
-  /// table-sweeping gauges run under the engine's quiesce.
+  /// worker's completion, and the event loop writes the replies queued
+  /// before its wake lands as one batch. A full owner queue sheds the op
+  /// with a typed kOverloaded. Admin requests and table-sweeping gauges
+  /// run under the engine's quiesce.
   ShardEngine* engine = nullptr;
   /// Flight recorder: requests carrying a trace context get decode, shed
   /// and reply-cork spans recorded here (the engine records queue-wait and

@@ -10,7 +10,7 @@
 // (the coarse clock is read once per shard visit and the whole run settles
 // against that read), executes, and fires each op's completion callback —
 // which, on the server, encodes and sends the reply from the worker thread,
-// where the event loop's reply corking batches it.
+// and the event loop writes the replies queued before its wake as one batch.
 //
 // A worker runs the same table calls a single-threaded caller makes, so
 // grant decisions, RNG draws, stats and §3.4 audit traces equal those of
@@ -184,10 +184,6 @@ class ShardEngine {
     return std::forward<F>(fn)();
   }
 
-  /// True on this engine's worker threads — where quiesced() must not be
-  /// called (a transport callback running there hands admin work off).
-  bool on_worker_thread() const;
-
   /// Waits until every queue is empty and every in-flight op has
   /// completed. Producers must have stopped submitting first.
   void drain();
@@ -244,6 +240,9 @@ class ShardEngine {
   }
   void maybe_evict(Worker& me, std::size_t w);
   void park();
+  /// True on this engine's worker threads, where quiesced() would park
+  /// its own caller (begin_quiesce checks it).
+  bool on_worker_thread() const;
   void begin_quiesce();
   void end_quiesce();
   void register_metrics(obs::Registry& registry);

@@ -302,8 +302,15 @@ TEST(ObsOverload, ServerShedsAtBudgetWithTypedErrorAndClientBacksOff) {
   service::ShardEngine engine(table);
   runtime::InProcNetwork net(2);
   Registry registry;
-  service::Server server(table, net.endpoint(0),
-                         observed_options(engine, registry, /*budget=*/4));
+  // The table clock stands at 0, so the retry-after hint is one whole
+  // admission interval, and the client keeps its backoff window open that
+  // long in wall time. A 1 s interval outlasts any scheduling delay
+  // between the shed and the next call on a loaded host.
+  constexpr TimeUs kInterval = duration::kSecond;
+  service::ServerOptions options =
+      observed_options(engine, registry, /*budget=*/4);
+  options.admission.interval_us = kInterval;
+  service::Server server(table, net.endpoint(0), options);
   service::Client client(net.endpoint(1), 0);
   net.start();
 
@@ -326,7 +333,7 @@ TEST(ObsOverload, ServerShedsAtBudgetWithTypedErrorAndClientBacksOff) {
   } catch (const service::protocol::OverloadedError& e) {
     EXPECT_EQ(e.code(), service::protocol::ErrorCode::kOverloaded);
     EXPECT_GT(e.retry_after_us(), 0);
-    EXPECT_LE(e.retry_after_us(), 10'000);
+    EXPECT_LE(e.retry_after_us(), kInterval);
   }
   EXPECT_EQ(server.requests_shed(), 1u);
   EXPECT_EQ(client.overloads(), 1u);
@@ -346,8 +353,9 @@ TEST(ObsOverload, ServerShedsAtBudgetWithTypedErrorAndClientBacksOff) {
 
   // Recovery: the next admission interval refills the budget, and the
   // client's backoff window (the retry-after hint) expires.
-  table.clock().advance(10'000);
-  std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  table.clock().advance(kInterval);
+  std::this_thread::sleep_for(std::chrono::microseconds(kInterval) +
+                              std::chrono::milliseconds(50));
   EXPECT_NO_THROW(client.acquire(service::kDefaultNamespace, 99, 0));
   EXPECT_EQ(server.requests_served(), 6u);  // the stats call counts too
   net.stop();

@@ -138,9 +138,9 @@ TEST(EpollMesh, CleanShutdownWithPendingConnections) {
   SUCCEED();
 }
 
-// Replies issued from inside the receive handler take the corked same-loop
-// path (append to the connection's cork, one write per loop iteration) —
-// the server's reply pattern, exercised here directly.
+// Replies issued from inside the receive handler leave with the flush that
+// ends the loop iteration (one write per connection for the burst) — the
+// server's reply pattern, exercised here directly.
 TEST(EpollMesh, ReplyFromHandlerIsCorkedAndDelivered) {
   EpollMesh mesh(2);
   std::atomic<int> replies{0};
@@ -200,6 +200,36 @@ TEST(EpollMesh, ShutdownEndpointFiresPeerDown) {
   EXPECT_EQ(who.load(), 1u);
   // Idempotent.
   mesh.shutdown_endpoint(1);
+}
+
+// Peer-down is reported from the mesh's own loop thread, never from inside
+// the send that failed: a handler may send or take the sender's locks.
+TEST(EpollMesh, PeerDownIsReportedFromALoopThread) {
+  EpollMesh mesh(2);
+  mesh.shutdown_endpoint(1);
+  std::atomic<bool> down{false};
+  std::atomic<std::thread::id> where{};
+  mesh.endpoint(0).set_peer_down_handler([&](NodeId) {
+    where = std::this_thread::get_id();
+    down = true;
+  });
+  mesh.endpoint(0).send(1, payload_of(1));  // the connect is refused
+  ASSERT_TRUE(wait_for([&] { return down.load(); }));
+  EXPECT_NE(where.load(), std::this_thread::get_id());
+}
+
+// A report queued while a handler runs is delivered on the loop's next
+// pass, not dropped: a handler that sends to the dead peer hears of it
+// again.
+TEST(EpollMesh, AHandlerThatSendsToTheDeadPeerIsToldAgain) {
+  EpollMesh mesh(2);
+  mesh.shutdown_endpoint(1);
+  std::atomic<int> reports{0};
+  mesh.endpoint(0).set_peer_down_handler([&](NodeId peer) {
+    if (++reports == 1) mesh.endpoint(0).send(peer, payload_of(2));
+  });
+  mesh.endpoint(0).send(1, payload_of(1));
+  EXPECT_TRUE(wait_for([&] { return reports.load() == 2; }));
 }
 
 // ---------------------------------------------------------------------------

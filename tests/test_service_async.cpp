@@ -310,6 +310,46 @@ TEST(ClientAsync, CallsToANeverUpServerFailFastOverTcp) {
   EXPECT_GE(client.disconnects(), 1u);
 }
 
+TEST(ClientAsync, ACallIssuedFromAPeerDownCompletionFailsFast) {
+  // A completion that runs because the server is down issues another call
+  // to the same server. The transport reports peer-down from its loop, not
+  // from inside the failed send, so the nested call's failure is reported
+  // too and it rejects at once instead of ripening into its timeout.
+  runtime::EpollMesh mesh(2);
+  mesh.shutdown_endpoint(0);
+  // The nested call's error message, copied on the thread that completes
+  // it: the exception object dies there, so the test thread reads a copy.
+  std::promise<std::string> nested;
+  Client client(mesh.endpoint(1), 0, /*timeout_us=*/60 * duration::kSecond);
+  const auto started = std::chrono::steady_clock::now();
+  client.acquire_async(
+      kDefaultNamespace, 1, 1, [&](AcquireResult, std::exception_ptr error) {
+        EXPECT_NE(error, nullptr);
+        client.acquire_async(
+            kDefaultNamespace, 2, 1,
+            [&](AcquireResult, std::exception_ptr inner) {
+              std::string what = "no error";
+              try {
+                if (inner) std::rethrow_exception(inner);
+              } catch (const util::IoError& e) {
+                what = e.what();
+              } catch (...) {
+                what = "not an IoError";
+              }
+              nested.set_value(what);
+            });
+      });
+  std::future<std::string> done = nested.get_future();
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(10));
+  const std::string what = done.get();
+  EXPECT_NE(what.find("connection closed"), std::string::npos) << what;
+  EXPECT_GE(client.disconnects(), 2u);
+  EXPECT_EQ(client.timeouts(), 0u);
+}
+
 TEST(ClientAsync, PipelinedFuturesOverTcp) {
   AccountTable table(simple_config(10));
   table.acquire(1, 0);  // before the engine owns the shards

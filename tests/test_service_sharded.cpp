@@ -513,7 +513,7 @@ TEST(ShardedServer, OverEpollMeshEndToEnd) {
   table.clock().advance(6000);
 
   // Pipelined burst: many async acquires in flight at once, replies ride
-  // the corked write path back.
+  // the batched write path back.
   constexpr int kInFlight = 500;
   std::atomic<int> done_count{0};
   std::atomic<int> failures{0};
