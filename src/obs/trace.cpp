@@ -1,9 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "obs/telemetry.hpp"
+#include "util/clock.hpp"
 #include "util/error.hpp"
 
 namespace toka::obs {
@@ -86,11 +86,7 @@ void Tracer::register_metrics() {
       &reg.histogram("tokend_trace_cork_us");
 }
 
-std::int64_t Tracer::now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+std::int64_t Tracer::now_us() { return util::Clock::host().now_us(); }
 
 bool Tracer::sample_next() {
   if (opts_.sample_every == 0) return false;

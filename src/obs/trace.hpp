@@ -123,7 +123,7 @@ class Tracer {
   /// short tests see traces).
   bool sample_next();
 
-  /// Steady-clock microseconds — the timebase every span uses.
+  /// util::Clock::host() microseconds — the timebase every span uses.
   static std::int64_t now_us();
 
   /// Records one span if the policy says so (sampled, or a shed/denied/

@@ -120,9 +120,8 @@ void InProcNetwork::enqueue(NodeId from, NodeId to,
   Lane& lane = *lanes_[to % lanes_.size()];
   {
     std::lock_guard lock(lane.mutex);
-    lane.queue.push(Parcel{std::chrono::steady_clock::now() +
-                               std::chrono::microseconds(latency_us_),
-                           lane.next_seq++, from, to, std::move(payload)});
+    lane.queue.push(Parcel{clock_.now_us() + latency_us_, lane.next_seq++,
+                           from, to, std::move(payload)});
   }
   lane.cv.notify_all();
 }
@@ -137,9 +136,9 @@ void InProcNetwork::dispatch_loop(Lane& lane) {
                    [&] { return stopping_.load() || !lane.queue.empty(); });
       continue;
     }
-    const auto due = lane.queue.top().deliver_at;
-    if (std::chrono::steady_clock::now() < due) {
-      lane.cv.wait_until(lock, due);
+    const TimeUs wait_us = lane.queue.top().deliver_at - clock_.now_us();
+    if (wait_us > 0) {
+      lane.cv.wait_for(lock, std::chrono::microseconds(wait_us));
       continue;
     }
     Parcel parcel = lane.queue.top();

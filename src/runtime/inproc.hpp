@@ -11,7 +11,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <memory>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "runtime/transport.hpp"
+#include "util/clock.hpp"
 #include "util/types.hpp"
 
 namespace toka::runtime {
@@ -56,7 +56,7 @@ class InProcNetwork {
  private:
   class Endpoint;
   struct Parcel {
-    std::chrono::steady_clock::time_point deliver_at;
+    TimeUs deliver_at;  ///< on the network's clock
     std::uint64_t seq;
     NodeId from;
     NodeId to;
@@ -80,6 +80,7 @@ class InProcNetwork {
   void dispatch_loop(Lane& lane);
 
   TimeUs latency_us_;
+  util::Clock clock_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::vector<std::unique_ptr<Lane>> lanes_;
 

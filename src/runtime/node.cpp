@@ -1,6 +1,5 @@
 #include "runtime/node.hpp"
 
-#include <chrono>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -15,8 +14,9 @@ Node::Node(Transport& transport, NodeApp& app, NodeConfig config)
       account_(*strategy_, config_.initial_tokens,
                config_.strategy.kind == core::StrategyKind::kPureReactive),
       rng_(config_.seed),
-      epoch_(std::chrono::steady_clock::now()) {
-  TOKA_CHECK_MSG(config_.delta_us > 0, "delta must be positive");
+      // Stamped on the node's clock, not the ticker's (which restarts
+      // with every start()), so ticks and receives share one epoch.
+      ticker_(config_.delta_us, [this](TimeUs) { tick(clock_.now_us()); }) {
   audited_ =
       config_.audit && strategy_->capacity() != core::kUnboundedCapacity;
 }
@@ -25,12 +25,6 @@ Node::~Node() { stop(); }
 
 NodeId Node::id() const { return transport_->self(); }
 
-TimeUs Node::now_us() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
 void Node::start() {
   bool expected = false;
   TOKA_CHECK_MSG(running_.compare_exchange_strong(expected, true),
@@ -38,21 +32,12 @@ void Node::start() {
   transport_->set_handler([this](NodeId from, std::vector<std::byte> payload) {
     on_receive(from, std::move(payload));
   });
-  {
-    std::lock_guard lock(stop_mutex_);
-    stop_requested_ = false;
-  }
-  timer_ = std::thread([this] { timer_loop(); });
+  ticker_.start();
 }
 
 void Node::stop() {
   if (!running_.exchange(false)) return;
-  {
-    std::lock_guard lock(stop_mutex_);
-    stop_requested_ = true;
-  }
-  stop_cv_.notify_all();
-  if (timer_.joinable()) timer_.join();
+  ticker_.stop();
   transport_->set_handler({});
 }
 
@@ -70,20 +55,9 @@ void Node::send_one(TimeUs now) {
   transport_->send(peer, std::move(payload));
 }
 
-void Node::timer_loop() {
-  auto next = std::chrono::steady_clock::now() +
-              std::chrono::microseconds(config_.delta_us);
-  for (;;) {
-    {
-      std::unique_lock lock(stop_mutex_);
-      if (stop_cv_.wait_until(lock, next,
-                              [this] { return stop_requested_; }))
-        return;
-    }
-    next += std::chrono::microseconds(config_.delta_us);
-    std::lock_guard lock(mutex_);
-    if (account_.on_tick(rng_)) send_one(now_us());
-  }
+void Node::tick(TimeUs now) {
+  std::lock_guard lock(mutex_);
+  if (account_.on_tick(rng_)) send_one(now);
 }
 
 void Node::on_receive(NodeId from, std::vector<std::byte> payload) {
@@ -91,7 +65,7 @@ void Node::on_receive(NodeId from, std::vector<std::byte> payload) {
   std::lock_guard lock(mutex_);
   const bool useful = app_->update_state(from, payload);
   const Tokens x = account_.on_message(useful, rng_);
-  const TimeUs now = now_us();
+  const TimeUs now = clock_.now_us();
   for (Tokens i = 0; i < x; ++i) send_one(now);
 }
 

@@ -1,24 +1,25 @@
 // A live token-account node: Algorithm 4 over wall-clock time and a real
 // transport. The traffic-shaping loop is identical to the simulated one —
 // period ticks grant/spend tokens, incoming messages trigger reactive
-// sends — demonstrating that toka::core is directly deployable.
+// sends — demonstrating that toka::core is directly deployable. A
+// util::Ticker calls tick() every Δ, each tick at least Δ after the one
+// before it, so a stalled node forfeits the periods it missed instead of
+// bunching them past the §3.4 bound.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "core/account.hpp"
 #include "core/rate_limit.hpp"
 #include "core/strategy.hpp"
 #include "runtime/transport.hpp"
+#include "util/clock.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -61,11 +62,16 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  /// Starts the period timer thread and begins processing messages.
+  /// Starts the period ticker and begins processing messages.
   void start();
 
-  /// Stops the timer and detaches the receive handler. Idempotent.
+  /// Stops the ticker and detaches the receive handler. Idempotent.
   void stop();
+
+  /// One Algorithm-4 period: the tick decision and, if it spends, the
+  /// proactive send, stamped `now` on the node's clock. The ticker calls
+  /// it every Δ; it needs no running node.
+  void tick(TimeUs now);
 
   NodeId id() const;
   Tokens balance() const;
@@ -78,10 +84,8 @@ class Node {
   std::string audit_violation() const;
 
  private:
-  void timer_loop();
   void on_receive(NodeId from, std::vector<std::byte> payload);
   void send_one(TimeUs now_us);
-  TimeUs now_us() const;
 
   Transport* transport_;
   NodeApp* app_;
@@ -97,11 +101,8 @@ class Node {
   std::uint64_t sent_ = 0;
 
   std::atomic<bool> running_{false};
-  std::condition_variable stop_cv_;
-  std::mutex stop_mutex_;
-  bool stop_requested_ = false;
-  std::thread timer_;
-  std::chrono::steady_clock::time_point epoch_;
+  util::Clock clock_;
+  util::Ticker ticker_;
 };
 
 }  // namespace toka::runtime

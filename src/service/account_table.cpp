@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -715,48 +714,6 @@ std::optional<std::string> AccountTable::audit_violation() const {
     if (found) return found;
   }
   return std::nullopt;
-}
-
-ClockDriver::ClockDriver(AccountTable& table, TimeUs resolution_us)
-    : table_(&table), resolution_us_(resolution_us) {
-  TOKA_CHECK_MSG(resolution_us > 0,
-                 "clock resolution must be positive, got " << resolution_us);
-}
-
-ClockDriver::~ClockDriver() { stop(); }
-
-void ClockDriver::start() {
-  std::lock_guard lock(mu_);
-  TOKA_CHECK_MSG(!running_, "clock driver already started");
-  running_ = true;
-  stop_requested_ = false;
-  thread_ = std::thread([this] { loop(); });
-}
-
-void ClockDriver::stop() {
-  {
-    std::lock_guard lock(mu_);
-    if (!running_) return;
-    stop_requested_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-  std::lock_guard lock(mu_);
-  running_ = false;
-}
-
-void ClockDriver::loop() {
-  const auto epoch = std::chrono::steady_clock::now();
-  std::unique_lock lock(mu_);
-  while (!stop_requested_) {
-    cv_.wait_for(lock, std::chrono::microseconds(resolution_us_),
-                 [this] { return stop_requested_; });
-    if (stop_requested_) return;
-    const TimeUs elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-                               std::chrono::steady_clock::now() - epoch)
-                               .count();
-    table_->clock().advance_to(elapsed);
-  }
 }
 
 }  // namespace toka::service

@@ -56,7 +56,6 @@
 
 #include <atomic>
 #include <bit>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -65,7 +64,6 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -73,6 +71,7 @@
 #include "core/strategy.hpp"
 #include "obs/admission.hpp"
 #include "service/account_store.hpp"
+#include "util/clock.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -709,34 +708,24 @@ class AccountTable {
   std::unordered_map<NamespaceId, NamespaceIndex> index_of_;
 };
 
-/// Wall-clock driver for a live tokend: a background thread that advances
-/// the table's CoarseClock to the elapsed wall time every `resolution_us`.
+/// Wall-clock driver for a live tokend: a util::Ticker that advances the
+/// table's CoarseClock to the time since start() every `resolution_us`
+/// (so tokens accrue from the first start on, not from construction).
 /// It never touches a shard — idle-account eviction is the shard owners'
-/// job (each ShardEngine worker sweeps its own shards).
+/// job (each ShardEngine worker sweeps its own shards). Stops on
+/// destruction.
 class ClockDriver {
  public:
-  explicit ClockDriver(AccountTable& table, TimeUs resolution_us = 1'000);
+  explicit ClockDriver(AccountTable& table, TimeUs resolution_us = 1'000)
+      : ticker_(resolution_us,
+                [&table](TimeUs now) { table.clock().advance_to(now); }) {}
 
-  /// Stops the thread if still running.
-  ~ClockDriver();
-
-  ClockDriver(const ClockDriver&) = delete;
-  ClockDriver& operator=(const ClockDriver&) = delete;
-
-  void start();
+  void start() { ticker_.start(); }
   /// Idempotent.
-  void stop();
+  void stop() { ticker_.stop(); }
 
  private:
-  void loop();
-
-  AccountTable* table_;
-  TimeUs resolution_us_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_requested_ = false;
-  bool running_ = false;
-  std::thread thread_;
+  util::Ticker ticker_;
 };
 
 }  // namespace toka::service

@@ -16,57 +16,52 @@ namespace {
 /// Wraps a typed user callback into the type-erased Completion: unpacks
 /// the expected response alternative, turns ErrorResponse frames into
 /// protocol::RpcError, and maps the wire message to the caller's result.
+///
+/// Every error in this file is built in a statement of its own, before the
+/// completion runs: the temporary exception shares its message buffer with
+/// the copy in the exception_ptr, so it must be gone before the completion
+/// hands that copy to another thread (which may read what() at once).
 template <typename RespT, typename ResultT, typename Map>
 std::function<void(protocol::Response, std::exception_ptr)> make_completion(
     Client::Callback<ResultT> done, const char* what, Map map) {
   return [done = std::move(done), what, map = std::move(map)](
              protocol::Response response, std::exception_ptr error) {
-    if (error) {
-      done(ResultT{}, std::move(error));
-      return;
-    }
-    if (const auto* err = std::get_if<protocol::ErrorResponse>(&response)) {
+    ResultT result{};
+    if (error != nullptr) {
+      // Failed before any reply: timeout, peer down or shutdown.
+    } else if (const auto* err =
+                   std::get_if<protocol::ErrorResponse>(&response)) {
       if (err->code == protocol::ErrorCode::kOverloaded) {
-        done(ResultT{},
-             std::make_exception_ptr(protocol::OverloadedError(
-                 err->retry_after_us,
-                 std::string("tokend: server shed ") + what +
-                     " under overload (retry after " +
-                     std::to_string(err->retry_after_us) + "us)")));
-        return;
+        error = std::make_exception_ptr(protocol::OverloadedError(
+            err->retry_after_us,
+            std::string("tokend: server shed ") + what +
+                " under overload (retry after " +
+                std::to_string(err->retry_after_us) + "us)"));
+      } else {
+        error = std::make_exception_ptr(protocol::RpcError(
+            err->code, std::string("tokend: server rejected ") + what + ": " +
+                           protocol::to_string(err->code)));
       }
-      done(ResultT{},
-           std::make_exception_ptr(protocol::RpcError(
-               err->code, std::string("tokend: server rejected ") + what +
-                              ": " + protocol::to_string(err->code))));
-      return;
+    } else if (const auto* redirect =
+                   std::get_if<protocol::RedirectResponse>(&response)) {
+      error = std::make_exception_ptr(protocol::RedirectError(
+          redirect->epoch, redirect->owner,
+          std::string("tokend: node does not own the key for ") + what +
+              " (map epoch " + std::to_string(redirect->epoch) + ", owner " +
+              std::to_string(redirect->owner) + ")"));
+    } else if (RespT* msg = std::get_if<RespT>(&response)) {
+      try {
+        result = map(std::move(*msg));
+      } catch (...) {
+        error = std::current_exception();
+      }
+    } else {
+      error = std::make_exception_ptr(util::IoError(
+          std::string("tokend: server answered with the wrong message type "
+                      "for ") +
+          what));
     }
-    if (const auto* redirect =
-            std::get_if<protocol::RedirectResponse>(&response)) {
-      done(ResultT{},
-           std::make_exception_ptr(protocol::RedirectError(
-               redirect->epoch, redirect->owner,
-               std::string("tokend: node does not own the key for ") + what +
-                   " (map epoch " + std::to_string(redirect->epoch) +
-                   ", owner " + std::to_string(redirect->owner) + ")")));
-      return;
-    }
-    RespT* msg = std::get_if<RespT>(&response);
-    if (msg == nullptr) {
-      done(ResultT{}, std::make_exception_ptr(util::IoError(
-                          std::string("tokend: server answered with the wrong "
-                                      "message type for ") +
-                          what)));
-      return;
-    }
-    ResultT result;
-    try {
-      result = map(std::move(*msg));
-    } catch (...) {
-      done(ResultT{}, std::current_exception());
-      return;
-    }
-    done(std::move(result), nullptr);
+    done(std::move(result), std::move(error));
   };
 }
 
@@ -82,14 +77,15 @@ Client::Client(runtime::Transport& transport, NodeId server, TimeUs timeout_us)
     : transport_(&transport),
       server_(server),
       timeout_us_(timeout_us),
-      epoch_(std::chrono::steady_clock::now()) {
+      // The wheel ticks ~8x per default deadline: expiry is detected
+      // within 1/8th of the timeout, and a sweep touches only one slot's
+      // entries.
+      wheel_tick_us_(std::clamp<TimeUs>(timeout_us / 8, 1'000, 50'000)),
+      sweeper_(wheel_tick_us_, [this](TimeUs) { expire_overdue(); }) {
   TOKA_CHECK_MSG(timeout_us > 0,
                  "client timeout must be positive, got " << timeout_us);
-  // The wheel ticks ~8x per default deadline: expiry is detected within
-  // 1/8th of the timeout, and a sweep touches only one slot's entries.
-  wheel_tick_us_ = std::clamp<TimeUs>(timeout_us_ / 8, 1'000, 50'000);
   wheel_.resize(kWheelSlots);
-  sweeper_ = std::thread([this] { sweep_loop(); });
+  sweeper_.start();
   transport_->set_handler([this](NodeId from, std::vector<std::byte> payload) {
     on_frame(from, std::move(payload));
   });
@@ -107,10 +103,8 @@ Client::~Client() {
   {
     std::lock_guard lock(mu_);
     closed_ = true;
-    stop_sweeper_ = true;
   }
-  sweep_cv_.notify_all();
-  sweeper_.join();
+  sweeper_.stop();
 
   std::vector<Completion> orphans;
   {
@@ -121,15 +115,10 @@ Client::~Client() {
     for (auto& slot : wheel_) slot.clear();
   }
   for (Completion& done : orphans) {
-    done({}, std::make_exception_ptr(util::IoError(
-                 "tokend client destroyed with the call outstanding")));
+    std::exception_ptr error = std::make_exception_ptr(
+        util::IoError("tokend client destroyed with the call outstanding"));
+    done({}, std::move(error));
   }
-}
-
-TimeUs Client::now_us() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
 }
 
 std::size_t Client::inflight() const {
@@ -141,27 +130,30 @@ void Client::start_call(std::uint64_t id, std::vector<std::byte> frame,
                         Completion done, TimeUs timeout_us, bool data_op) {
   if (data_op) {
     const TimeUs until = suppress_until_us_.load(std::memory_order_relaxed);
-    const TimeUs now = now_us();
+    const TimeUs now = clock_.now_us();
     if (now < until) {
       // Backoff window is open: fail locally, never touching the wire —
       // the server already said no for this period.
       backoff_rejections_.fetch_add(1, std::memory_order_relaxed);
-      done({}, std::make_exception_ptr(protocol::OverloadedError(
-                   until - now,
-                   "tokend: client backing off after server overload "
-                   "(retry after " +
-                       std::to_string(until - now) + "us)")));
+      std::exception_ptr error =
+          std::make_exception_ptr(protocol::OverloadedError(
+              until - now,
+              "tokend: client backing off after server overload "
+              "(retry after " +
+                  std::to_string(until - now) + "us)"));
+      done({}, std::move(error));
       return;
     }
   }
   const TimeUs timeout = timeout_us > 0 ? timeout_us : timeout_us_;
-  const TimeUs deadline = now_us() + timeout;
+  const TimeUs deadline = clock_.now_us() + timeout;
   {
     std::unique_lock lock(mu_);
     if (closed_) {
       lock.unlock();
-      done({}, std::make_exception_ptr(
-                   util::IoError("tokend client is shut down")));
+      std::exception_ptr error =
+          std::make_exception_ptr(util::IoError("tokend client is shut down"));
+      done({}, std::move(error));
       return;
     }
     pending_.emplace(id, Pending{std::move(done), deadline, timeout});
@@ -223,7 +215,7 @@ void Client::on_frame(NodeId from, std::vector<std::byte> payload) {
     // completion-driven pipeline's next op is already suppressed.
     overloads_.fetch_add(1, std::memory_order_relaxed);
     const TimeUs until =
-        now_us() + std::max<TimeUs>(err->retry_after_us, 0);
+        clock_.now_us() + std::max<TimeUs>(err->retry_after_us, 0);
     TimeUs cur = suppress_until_us_.load(std::memory_order_relaxed);
     while (until > cur && !suppress_until_us_.compare_exchange_weak(
                               cur, until, std::memory_order_relaxed)) {
@@ -261,14 +253,16 @@ void Client::on_peer_down(NodeId peer) {
   }
   disconnects_.fetch_add(1, std::memory_order_relaxed);
   for (Completion& done : dropped) {
-    done({}, std::make_exception_ptr(util::IoError(
-                 "tokend: connection closed by server " +
-                 std::to_string(peer) + " with the call in flight")));
+    std::exception_ptr error = std::make_exception_ptr(
+        util::IoError("tokend: connection closed by server " +
+                      std::to_string(peer) + " with the call in flight"));
+    done({}, std::move(error));
   }
 }
 
-std::size_t Client::sweep_pass(std::unique_lock<std::mutex>& lock) {
-  const TimeUs now = now_us();
+std::size_t Client::expire_overdue() {
+  std::unique_lock lock(mu_);
+  const TimeUs now = clock_.now_us();
   const std::int64_t tick = now / wheel_tick_us_;
   // Sweep from the last swept tick *inclusive* (one cheap re-scan): a call
   // armed into the current tick after that slot's pass — any deadline
@@ -301,27 +295,11 @@ std::size_t Client::sweep_pass(std::unique_lock<std::mutex>& lock) {
   lock.unlock();
   for (auto& [done, timeout] : expired) {
     timeouts_.fetch_add(1, std::memory_order_relaxed);
-    done({}, std::make_exception_ptr(
-                 util::IoError("tokend call timed out after " +
-                               std::to_string(timeout) + "us")));
+    std::exception_ptr error = std::make_exception_ptr(util::IoError(
+        "tokend call timed out after " + std::to_string(timeout) + "us"));
+    done({}, std::move(error));
   }
-  lock.lock();
   return expired.size();
-}
-
-std::size_t Client::expire_overdue() {
-  std::unique_lock lock(mu_);
-  return sweep_pass(lock);
-}
-
-void Client::sweep_loop() {
-  std::unique_lock lock(mu_);
-  while (!stop_sweeper_) {
-    sweep_cv_.wait_for(lock, std::chrono::microseconds(wheel_tick_us_),
-                       [this] { return stop_sweeper_; });
-    if (stop_sweeper_) return;
-    sweep_pass(lock);
-  }
 }
 
 // ----------------------------------------------------------------- data ops

@@ -7,7 +7,7 @@
 // on the transport's receive thread are correlated by id and complete the
 // call — as a std::future, or by invoking the caller's completion callback
 // on the receive thread. Per-call deadlines are swept by a hashed timeout
-// wheel (a background thread ticking at ~timeout/8): an expired call's
+// wheel (a util::Ticker stepping at ~timeout/8): an expired call's
 // slot is reclaimed and its future is rejected with util::IoError; a reply
 // straggling in afterwards finds no slot and is dropped without touching
 // dead state.
@@ -40,15 +40,12 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -56,6 +53,7 @@
 #include "runtime/transport.hpp"
 #include "service/account_table.hpp"
 #include "service/protocol.hpp"
+#include "util/clock.hpp"
 #include "util/types.hpp"
 
 namespace toka::obs {
@@ -260,7 +258,6 @@ class Client {
   std::uint64_t next_id() {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
   }
-  TimeUs now_us() const;
   /// Registers the slot, arms the wheel and sends the frame. Calls marked
   /// `data_op` honor the overload backoff window (rejected locally with
   /// OverloadedError while it is open).
@@ -274,23 +271,19 @@ class Client {
                          std::uint64_t key);
   void on_frame(NodeId from, std::vector<std::byte> payload);
   void on_peer_down(NodeId peer);
-  void sweep_loop();
-  /// One wheel pass under `lock` (which is released while completions
-  /// run, and re-held on return). Returns the number expired.
-  std::size_t sweep_pass(std::unique_lock<std::mutex>& lock);
 
   runtime::Transport* transport_;
   NodeId server_;
   obs::Tracer* tracer_ = nullptr;
   TimeUs timeout_us_;
   TimeUs wheel_tick_us_;
-  std::chrono::steady_clock::time_point epoch_;
+  util::Clock clock_;
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::uint64_t> timeouts_{0};
   std::atomic<std::uint64_t> disconnects_{0};
   std::atomic<std::uint64_t> overloads_{0};
   std::atomic<std::uint64_t> backoff_rejections_{0};
-  /// End of the overload backoff window, on the now_us() clock (0 = none).
+  /// End of the overload backoff window, on clock_ (0 = none).
   std::atomic<TimeUs> suppress_until_us_{0};
 
   struct Pending {
@@ -300,13 +293,11 @@ class Client {
   };
 
   mutable std::mutex mu_;
-  std::condition_variable sweep_cv_;
   std::unordered_map<std::uint64_t, Pending> pending_;
   std::vector<std::vector<std::uint64_t>> wheel_;  ///< ids by deadline slot
   std::int64_t swept_tick_ = -1;  ///< last wheel tick fully processed
   bool closed_ = false;           ///< no new calls; reject immediately
-  bool stop_sweeper_ = false;
-  std::thread sweeper_;
+  util::Ticker sweeper_;  ///< expire_overdue() every wheel tick
 };
 
 }  // namespace toka::service

@@ -1,11 +1,11 @@
 #include "service/server.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 #include <utility>
 
 #include "service/protocol.hpp"
+#include "util/clock.hpp"
 #include "util/error.hpp"
 
 namespace toka::service {
@@ -18,19 +18,15 @@ struct Overloaded : Fs... {
 template <class... Fs>
 Overloaded(Fs...) -> Overloaded<Fs...>;
 
-double elapsed_us(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
+/// Microseconds since `t0_ns` on the host clock, with sub-µs resolution
+/// (for the latency histogram and the admission EWMA).
+double elapsed_us(std::int64_t t0_ns) {
+  return static_cast<double>(util::Clock::host().now_ns() - t0_ns) / 1e3;
 }
 
-/// `t` on obs::Tracer's timebase (both are the steady clock, so this is
+/// `t_ns` on obs::Tracer's timebase (both are the host clock, so this is
 /// just the unit change — spans and elapsed_us stay directly comparable).
-std::int64_t tracer_us(std::chrono::steady_clock::time_point t) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             t.time_since_epoch())
-      .count();
-}
+std::int64_t tracer_us(std::int64_t t_ns) { return t_ns / 1'000; }
 
 /// Retry hint for ops bounced off a full shard-owner queue when the
 /// admission valve is disabled: a full queue drains in well under this.
@@ -42,7 +38,7 @@ constexpr TimeUs kQueueFullRetryUs = 100;
 struct Server::Pending {
   Server* server = nullptr;
   NodeId from = 0;
-  std::chrono::steady_clock::time_point t0{};
+  std::int64_t t0_ns = 0;  ///< frame arrival on the host clock
   protocol::FrameHeader head{};  ///< the request's id and trace context
   NamespaceId ns = kDefaultNamespace;  ///< for the cork span's identity
   std::uint64_t key = 0;
@@ -185,7 +181,7 @@ void Server::on_frame(NodeId from,
                       const std::optional<protocol::FrameHeader>& head,
                       std::span<const std::byte> payload) {
   namespace proto = protocol;
-  const auto t0 = std::chrono::steady_clock::now();
+  const std::int64_t t0_ns = util::Clock::host().now_ns();
 
   // The header (10 fixed bytes) classifies garbage without paying a
   // decode, and gives the admission valve an id to answer with before any
@@ -206,7 +202,7 @@ void Server::on_frame(NodeId from,
         // The body was never decoded, so the span has no key — the shed
         // decision itself (forced into the recorder) is the signal.
         tracer_->record(obs::Stage::kShed, obs::Decision::kShed,
-                        head->trace_id, 0, kDefaultNamespace, tracer_us(t0),
+                        head->trace_id, 0, kDefaultNamespace, tracer_us(t0_ns),
                         0, head->sampled);
       }
       reply(from, proto::ErrorResponse{head->id, proto::ErrorCode::kOverloaded,
@@ -223,8 +219,8 @@ void Server::on_frame(NodeId from,
     // error it can correlate.
     if (tracer_ != nullptr) {
       tracer_->record(obs::Stage::kDecode, obs::Decision::kError,
-                      head->trace_id, 0, kDefaultNamespace, tracer_us(t0),
-                      obs::Tracer::now_us() - tracer_us(t0), head->sampled);
+                      head->trace_id, 0, kDefaultNamespace, tracer_us(t0_ns),
+                      obs::Tracer::now_us() - tracer_us(t0_ns), head->sampled);
     }
     reply(from,
           proto::ErrorResponse{head->id, proto::ErrorCode::kMalformedBody});
@@ -239,13 +235,13 @@ void Server::on_frame(NodeId from,
   if (data_op) {
     const NamespaceId ns = proto::namespace_of(request);
     if (table_->has_namespace(ns)) {
-      dispatch_engine(from, std::move(request), t0, *head);
+      dispatch_engine(from, std::move(request), t0_ns, *head);
       return;
     }
     if (tracer_ != nullptr && head->traced) {
       tracer_->record(obs::Stage::kDecode, obs::Decision::kError,
-                      head->trace_id, 0, ns, tracer_us(t0),
-                      obs::Tracer::now_us() - tracer_us(t0), head->sampled);
+                      head->trace_id, 0, ns, tracer_us(t0_ns),
+                      obs::Tracer::now_us() - tracer_us(t0_ns), head->sampled);
     }
     reply(from,
           proto::ErrorResponse{head->id, proto::ErrorCode::kUnknownNamespace});
@@ -365,11 +361,11 @@ void Server::reply(NodeId to, const protocol::Response& response) {
 }
 
 void Server::dispatch_engine(NodeId from, protocol::Request&& request,
-                             std::chrono::steady_clock::time_point t0,
+                             std::int64_t t0_ns,
                              const protocol::FrameHeader& head) {
   namespace proto = protocol;
   auto pending = std::make_unique<Pending>(
-      Pending{this, from, t0, head, proto::namespace_of(request), 0});
+      Pending{this, from, t0_ns, head, proto::namespace_of(request), 0});
   bool queued;
   if (auto* batch = std::get_if<proto::BatchAcquireRequest>(&request)) {
     queued = engine_->submit_batch(batch->ns, std::move(batch->ops),
@@ -409,8 +405,8 @@ void Server::dispatch_engine(NodeId from, protocol::Request&& request,
       op.trace_id = head.trace_id;
       op.t_submit_us = obs::Tracer::now_us();
       tracer_->record(obs::Stage::kDecode, obs::Decision::kNone,
-                      head.trace_id, op.key, op.ns, tracer_us(t0),
-                      op.t_submit_us - tracer_us(t0), head.sampled);
+                      head.trace_id, op.key, op.ns, tracer_us(t0_ns),
+                      op.t_submit_us - tracer_us(t0_ns), head.sampled);
     }
     op.done = &Server::complete_engine_op;
     op.ctx = pending.get();
@@ -492,7 +488,7 @@ void Server::finish_engine_reply(const protocol::Response& response,
   if (latency_ != nullptr || admission_.enabled()) {
     // Queue wait counts as service time on purpose: it is exactly the
     // signal the adaptive admission valve needs to see overload early.
-    const double us = elapsed_us(p.t0);
+    const double us = elapsed_us(p.t0_ns);
     if (latency_) latency_->observe(us);
     if (admission_.enabled()) admission_.record_service_time_us(us);
   }

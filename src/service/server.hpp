@@ -37,7 +37,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -158,8 +157,7 @@ class Server {
   /// the cluster vocabulary); never called with a data op.
   protocol::Response answer(const protocol::Request& request);
   void dispatch_engine(NodeId from, protocol::Request&& request,
-                       std::chrono::steady_clock::time_point t0,
-                       const protocol::FrameHeader& head);
+                       std::int64_t t0_ns, const protocol::FrameHeader& head);
   void finish_engine_reply(const protocol::Response& response,
                            const Pending& p);
   static void complete_engine_op(ShardOp& op, void* ctx);

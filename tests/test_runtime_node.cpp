@@ -50,6 +50,74 @@ NodeConfig demo_config(std::vector<NodeId> neighbors, TimeUs delta_us) {
   return cfg;
 }
 
+/// A simple token account (§3.3.1) with C = 2 that sends to node 1: its
+/// first two ticks bank, every later tick sends.
+NodeConfig simple_config(TimeUs delta_us) {
+  NodeConfig cfg;
+  cfg.delta_us = delta_us;
+  cfg.strategy.kind = core::StrategyKind::kSimple;
+  cfg.strategy.c_param = 2;
+  cfg.neighbors = {1};
+  return cfg;
+}
+
+/// Sleeps `stall` in its first create_message. That call runs on the
+/// ticker thread while the node holds its lock, so the node's timer stalls.
+class StallOnceApp final : public NodeApp {
+ public:
+  explicit StallOnceApp(std::chrono::microseconds stall) : stall_(stall) {}
+
+  std::vector<std::byte> create_message() override {
+    if (!stalled_) {
+      stalled_ = true;
+      std::this_thread::sleep_for(stall_);
+    }
+    return {};
+  }
+
+  bool update_state(NodeId, std::span<const std::byte>) override {
+    return false;
+  }
+
+ private:
+  std::chrono::microseconds stall_;
+  bool stalled_ = false;
+};
+
+TEST(RuntimeNode, AStalledTimerDoesNotBunchItsTicks) {
+  // The first send (third tick) stalls the ticker for 8Δ. Running the
+  // missed periods back to back would put eight sends at one instant,
+  // over the 1 + C = 3 that a window of length 0 allows.
+  constexpr TimeUs kDelta = 10'000;
+  InProcNetwork net(2);
+  StallOnceApp app(std::chrono::microseconds(8 * kDelta));
+  Node node(net.endpoint(0), app, simple_config(kDelta));
+  net.start();
+  node.start();
+  std::this_thread::sleep_for(200ms);
+  node.stop();
+  net.stop();
+  EXPECT_GE(node.messages_sent(), 2u);  // the ticks went on after the stall
+  EXPECT_EQ(node.audit_violation(), "");
+}
+
+TEST(RuntimeNode, TicksAtOneInstantAreFlagged) {
+  // Ticks driven by hand, no thread, all at 0.25 s: two bank C = 2
+  // tokens, then each sends, and the fourth send breaks the bound.
+  InProcNetwork net(2);
+  CounterApp app;
+  Node node(net.endpoint(0), app, simple_config(10'000));
+  constexpr TimeUs kAt = 250'000;
+  for (int i = 0; i < 5; ++i) node.tick(kAt);
+  EXPECT_EQ(node.messages_sent(), 3u);
+  EXPECT_EQ(node.audit_violation(), "");
+  node.tick(kAt);
+  EXPECT_EQ(node.messages_sent(), 4u);
+  EXPECT_EQ(node.audit_violation(),
+            "rate limit violated: the send at 0.25s ended a window over the "
+            "§3.4 bound");
+}
+
 TEST(RuntimeNode, ProactiveNodeSendsPeriodically) {
   InProcNetwork net(2);
   CounterApp app0, app1;
