@@ -79,7 +79,7 @@ thread_local const void* tls_epoll_loop = nullptr;
 
 }  // namespace
 
-class EpollMesh::Endpoint final : public Transport {
+class EpollMesh::Endpoint final : public Transport, public LoopHost {
  public:
   Endpoint(EpollMesh& mesh, NodeId id, std::size_t io_threads)
       : mesh_(&mesh), id_(id) {
@@ -154,6 +154,38 @@ class EpollMesh::Endpoint final : public Transport {
     peer_down_ = std::move(handler);
   }
 
+  LoopHost* loop_host() override { return this; }
+  std::size_t loop_count() const override { return loops_.size(); }
+
+  std::size_t current_loop() const override {
+    for (std::size_t i = 0; i < loops_.size(); ++i) {
+      if (tls_epoll_loop == loops_[i].get()) return i;
+    }
+    return kNoLoop;
+  }
+
+  void wake(std::size_t loop) override { wake_loop(*loops_[loop]); }
+
+  bool attach(LoopWork& work) override {
+    // Under work_mu_, like shutdown's stopping_ flip: a work installed
+    // before the flip is seen by every loop as it exits.
+    std::lock_guard lock(work_mu_);
+    if (stopping_.load() || work_.load() != nullptr) return false;
+    work_.store(&work);
+    return true;
+  }
+
+  void detach(LoopWork& work) override {
+    std::lock_guard lock(work_mu_);
+    if (work_.load() != &work) return;
+    work_.store(nullptr);
+    // A loop that loaded the work before the store is inside a call (maybe
+    // parked in it for a quiesce): wait it out.
+    for (auto& loop : loops_) {
+      while (loop->in_work.load()) std::this_thread::yield();
+    }
+  }
+
   void send(NodeId to, std::vector<std::byte> payload) override {
     if (stopping_.load()) return;
     const std::shared_ptr<Conn> conn = connection_to(to);
@@ -186,8 +218,11 @@ class EpollMesh::Endpoint final : public Transport {
   }
 
   void shutdown() {
-    bool expected = false;
-    if (!stopping_.compare_exchange_strong(expected, true)) return;
+    {
+      std::lock_guard lock(work_mu_);
+      bool expected = false;
+      if (!stopping_.compare_exchange_strong(expected, true)) return;
+    }
     for (auto& loop : loops_) wake_loop(*loop);
     for (auto& loop : loops_) {
       if (loop->thread.joinable()) loop->thread.join();
@@ -237,6 +272,8 @@ class EpollMesh::Endpoint final : public Transport {
     std::vector<std::shared_ptr<Conn>> pending_adds;
     std::vector<std::shared_ptr<Conn>> pending_flush;
     std::vector<NodeId> pending_down;  ///< peer-down reports (loop 0 only)
+    /// Set while the loop is inside a LoopWork call (detach waits on it).
+    std::atomic<bool> in_work{false};
     // Loop-thread-only:
     std::unordered_map<int, std::shared_ptr<Conn>> conns;
     /// Connections closed this iteration: kept alive until the iteration
@@ -258,12 +295,23 @@ class EpollMesh::Endpoint final : public Transport {
     ::close(conn.fd);
   }
 
+  /// Runs `fn` on the installed work, if any. The flag and the load are
+  /// sequentially consistent, so detach() either sees the flag or this
+  /// load sees its removal.
+  template <typename Fn>
+  void with_work(Loop& loop, Fn&& fn) {
+    loop.in_work.store(true);
+    if (LoopWork* work = work_.load()) fn(*work);
+    loop.in_work.store(false);
+  }
+
   void loop_run(std::size_t idx) {
     Loop& loop = *loops_[idx];
     tls_epoll_loop = &loop;
     epoll_event events[128];
+    int timeout_ms = -1;  // the work's answer from the previous pass
     while (!stopping_.load()) {
-      const int n = ::epoll_wait(loop.epoll_fd.get(), events, 128, -1);
+      const int n = ::epoll_wait(loop.epoll_fd.get(), events, 128, timeout_ms);
       if (n < 0) {
         if (errno == EINTR) continue;
         break;
@@ -298,9 +346,10 @@ class EpollMesh::Endpoint final : public Transport {
       }
       // The queued work, this iteration's own sends among it: one write per
       // connection for the whole batch.
-      handle_pending(loop);
+      timeout_ms = handle_pending(loop, idx);
       loop.graveyard.clear();
     }
+    with_work(loop, [idx](LoopWork& work) { work.on_loop_exit(idx); });
     tls_epoll_loop = nullptr;
   }
 
@@ -375,10 +424,11 @@ class EpollMesh::Endpoint final : public Transport {
     }
   }
 
-  /// Peer-down reports first, so that what their handlers send from this
-  /// thread leaves with this pass's flushes; a report queued while they run
-  /// is delivered on the next pass.
-  void handle_pending(Loop& loop) {
+  /// Peer-down reports first, then the installed work's step, so that what
+  /// either sends from this thread leaves with this pass's flushes; a
+  /// report queued while they run is delivered on the next pass. Returns
+  /// the work's wait bound for the next epoll_wait (-1 without work).
+  int handle_pending(Loop& loop, std::size_t idx) {
     std::vector<NodeId> downs;
     {
       std::lock_guard lock(loop.mu);
@@ -390,6 +440,8 @@ class EpollMesh::Endpoint final : public Transport {
         if (peer_down_ && !stopping_.load()) peer_down_(peer);
       }
     }
+    int timeout_ms = -1;
+    with_work(loop, [&](LoopWork& work) { timeout_ms = work.on_pass(idx); });
     std::vector<std::shared_ptr<Conn>> adds;
     std::vector<std::shared_ptr<Conn>> flushes;
     {
@@ -400,6 +452,7 @@ class EpollMesh::Endpoint final : public Transport {
     }
     for (auto& conn : adds) register_conn(loop, std::move(conn));
     for (auto& conn : flushes) try_flush(loop, conn);
+    return timeout_ms;
   }
 
   /// Edge-triggered read: drain the socket to EAGAIN through the frame
@@ -564,6 +617,8 @@ class EpollMesh::Endpoint final : public Transport {
   PeerDownHandler peer_down_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> frames_rejected_{0};
+  std::mutex work_mu_;  ///< serializes attach, detach and the stop flip
+  std::atomic<LoopWork*> work_{nullptr};
 
   std::mutex conn_mu_;
   std::map<NodeId, std::shared_ptr<Conn>> by_peer_;  ///< outgoing conns

@@ -34,7 +34,7 @@ constexpr TimeUs kQueueFullRetryUs = 100;
 }  // namespace
 
 /// Heap context carried through a ShardEngine completion: everything the
-/// worker needs to encode and send the reply from its own thread.
+/// owner's step needs to encode and send the reply from its own thread.
 struct Server::Pending {
   Server* server = nullptr;
   NodeId from = 0;
@@ -65,6 +65,11 @@ Server::Server(AccountTable& table, runtime::Transport& transport,
   TOKA_CHECK_MSG(&engine_->table() == table_,
                  "ServerOptions::engine must run on the server's table");
   if (registry_) register_metrics();
+  // On an endpoint whose loops can drive it, the engine runs each loop's
+  // own shard ops at the end of the loop's pass (see DESIGN.md, "The data
+  // plane").
+  if (runtime::LoopHost* host = transport_->loop_host())
+    loop_host_ = engine_->drive_from(*host) ? host : nullptr;
   if (attached_) {
     transport_->set_handler(
         [this](NodeId from, std::vector<std::byte> payload) {
@@ -78,9 +83,10 @@ Server::~Server() {
   // this server installed none) no request thread can still be recording
   // into the histogram the unregistration frees. Then
   // wait out queued ops — their completions send through transport_ and
-  // record into latency_.
+  // record into latency_ — and hand the engine back to its worker threads.
   if (attached_) transport_->set_handler({});
   engine_->drain();
+  if (loop_host_ != nullptr) engine_->stop_driving_from(*loop_host_);
   if (registry_) {
     for (const std::string& name : metric_names_) registry_->remove(name);
   }
@@ -229,9 +235,9 @@ void Server::on_frame(NodeId from,
 
   // Data ops on a namespace that does not exist get a typed error before
   // touching the table (namespaces are never deleted, so the check cannot
-  // race a removal); the rest go to their shard's owner worker, which
-  // sends the reply from its completion. Admin and stats requests stay on
-  // this thread (they quiesce the engine where they touch the table).
+  // race a removal); the rest go to their shard's owner, whose step sends
+  // the reply from its completion. Admin and stats requests stay on this
+  // thread (they quiesce the engine where they touch the table).
   if (data_op) {
     const NamespaceId ns = proto::namespace_of(request);
     if (table_->has_namespace(ns)) {
@@ -399,7 +405,7 @@ void Server::dispatch_engine(NodeId from, protocol::Request&& request,
     pending->key = op.key;
     if (tracer_ != nullptr && head.traced) {
       // The decode span closes here: frame arrival -> op submitted. The
-      // submit timestamp seeds the worker's queue-wait span.
+      // submit timestamp seeds the step's queue-wait span.
       op.traced = true;
       op.trace_sampled = head.sampled;
       op.trace_id = head.trace_id;
@@ -435,8 +441,8 @@ void Server::complete_engine_op(ShardOp& op, void* ctx) {
   proto::Response response;
   if (!op.ok) {
     // Rejected before touching an account (invalid arguments; the
-    // namespace precheck already ran on the IO thread and namespaces are
-    // never deleted).
+    // namespace precheck already ran on the receiving thread and
+    // namespaces are never deleted).
     response =
         proto::ErrorResponse{p->head.id, proto::ErrorCode::kMalformedBody};
   } else {

@@ -4,11 +4,13 @@
 // inside a tokad node it installs none, and cluster::ClusterServer's frame
 // triage hands it the frames the node answers as a table server. Either
 // way each frame is classified on the transport-owned thread that read it
-// (an epoll event loop or the in-process dispatcher). Data ops are posted
-// to the ShardEngine worker that owns their shard, which executes them and
-// sends the reply from its completion. Admin, stats and trace requests are
-// answered on the receiving thread, quiescing the engine where they touch
-// the table. Every answer leaves through one reply path, which counts it
+// (an epoll event loop or the in-process dispatcher). Data ops go to the
+// ShardEngine owner of their shard, which executes them and sends the reply
+// from its completion. On an EpollMesh endpoint the server hands the engine
+// to the endpoint's loops, so an op read on its owner's loop runs at the
+// end of that loop's pass and its reply leaves with the pass's one write.
+// Admin, stats and trace requests are answered on the receiving thread,
+// quiescing the engine where they touch the table. Every answer leaves through one reply path, which counts it
 // before sending it. The same server runs in-process for tests and as the
 // real tokend daemon over the epoll socket mesh.
 //
@@ -65,12 +67,13 @@ struct ServerOptions {
   /// Overload valve; disabled by default (never sheds).
   obs::AdmissionConfig admission{};
   /// Required: the engine that executes the server's data ops. It must run
-  /// on the server's table and outlive the server. Data ops are posted to
-  /// the owning shard worker; the reply is encoded and sent from the
-  /// worker's completion, and the event loop writes the replies queued
-  /// before its wake lands as one batch. A full owner queue sheds the op
-  /// with a typed kOverloaded. Admin requests and table-sweeping gauges
-  /// run under the engine's quiesce.
+  /// on the server's table and outlive the server. When the transport's
+  /// loops can drive it (runtime::LoopHost), the server moves the engine
+  /// onto them for its lifetime (ShardEngine::drive_from) and hands it
+  /// back to its worker threads on destruction. Either way the reply is
+  /// encoded and sent from the op's completion. A full owner queue sheds
+  /// the op with a typed kOverloaded. Admin requests and table-sweeping
+  /// gauges run under the engine's quiesce.
   ShardEngine* engine = nullptr;
   /// Flight recorder: requests carrying a trace context get decode, shed
   /// and reply-cork spans recorded here (the engine records queue-wait and
@@ -98,8 +101,8 @@ class Server {
 
   /// Detaches the handler it installed and waits out any in-flight
   /// request, so frames still arriving afterwards are dropped by the
-  /// transport instead of reaching a dead server; then drains the engine
-  /// and unregisters its metrics.
+  /// transport instead of reaching a dead server; then drains the engine,
+  /// takes it off the transport's loops and unregisters its metrics.
   ~Server();
 
   Server(const Server&) = delete;
@@ -180,6 +183,8 @@ class Server {
   obs::AdmissionBucket admission_;
   obs::Histogram* latency_ = nullptr;  ///< owned by the registry
   bool attached_;                      ///< installed the transport handler
+  /// The loops that drive engine_, when this server moved it onto them.
+  runtime::LoopHost* loop_host_ = nullptr;
   std::vector<std::string> metric_names_;  ///< what to unregister on exit
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> errored_{0};

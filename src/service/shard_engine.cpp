@@ -8,13 +8,18 @@
 namespace toka::service {
 
 namespace {
-/// Ops popped per queue drain. Bounds how long a worker can go between
-/// park checks, so a quiesce never waits on more than one batch per worker.
+/// Ops popped from an owner's queue per step. Bounds how long a driver can
+/// go between park checks, so a quiesce never waits on more than one step
+/// per owner.
 constexpr std::size_t kDrainMax = 256;
 
-/// The engine whose worker thread this is (nullptr on every other thread):
-/// quiesced() uses it to refuse self-deadlocking calls from completions.
-thread_local ShardEngine* tls_worker_engine = nullptr;
+/// Longest an idle loop waits before its owners' next TTL check.
+constexpr int kMaxLoopWaitMs = 1000;
+
+/// The engine whose step runs on this thread right now (nullptr outside
+/// run_once): quiesced() uses it to refuse self-deadlocking calls from
+/// completions and the drain hook.
+thread_local const ShardEngine* tls_stepping = nullptr;
 }  // namespace
 
 ShardEngine::ShardEngine(AccountTable& table, ShardEngineOptions options)
@@ -26,30 +31,21 @@ ShardEngine::ShardEngine(AccountTable& table, ShardEngineOptions options)
     workers = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
   }
   workers = std::clamp<std::size_t>(workers, 1, table.shard_count());
-  workers_.reserve(workers);
+  owners_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w)
-    workers_.push_back(std::make_unique<Worker>(options.queue_capacity));
+    owners_.push_back(std::make_unique<Owner>(options.queue_capacity));
+  parked_ = workers;  // no driver has entered yet
   if (registry_ != nullptr) register_metrics(*registry_);
-  for (std::size_t w = 0; w < workers; ++w)
-    workers_[w]->thread = std::thread([this, w] { worker_loop(w); });
+  start_threads();
 }
 
 ShardEngine::~ShardEngine() {
+  if (runtime::LoopHost* host = host_.load()) stop_driving_from(*host);
   drain();
   if (registry_ != nullptr) {
     for (const std::string& name : metric_names_) registry_->remove(name);
   }
-  stop_.store(true, std::memory_order_release);
-  for (auto& worker : workers_) worker->queue.notify();
-  {
-    // Pair the flag flip with the park mutex so a worker between its
-    // predicate check and its wait cannot miss the resume notification.
-    std::lock_guard lock(park_mu_);
-  }
-  resume_cv_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
+  stop_threads();
 }
 
 void ShardEngine::register_metrics(obs::Registry& registry) {
@@ -57,7 +53,7 @@ void ShardEngine::register_metrics(obs::Registry& registry) {
     metric_names_.push_back(name);
     return name;
   };
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
+  for (std::size_t w = 0; w < owners_.size(); ++w) {
     registry.gauge(add("tokend_shard_queue_depth_w" + std::to_string(w)),
                    [this, w] {
                      return static_cast<double>(queue_depth(w));
@@ -72,9 +68,67 @@ void ShardEngine::register_metrics(obs::Registry& registry) {
 
 std::size_t ShardEngine::queue_depth_max() const {
   std::size_t depth = 0;
-  for (const auto& worker : workers_)
-    depth = std::max(depth, worker->queue.size());
+  for (const auto& owner : owners_)
+    depth = std::max(depth, owner->queue.size());
   return depth;
+}
+
+std::size_t ShardEngine::queues_allocated() const {
+  return static_cast<std::size_t>(
+      std::count_if(owners_.begin(), owners_.end(),
+                    [](const auto& owner) { return owner->queue.allocated(); }));
+}
+
+// ------------------------------------------------------------- submitting
+
+bool ShardEngine::on_owner_loop(std::size_t w) const {
+  const runtime::LoopHost* host = host_.load(std::memory_order_acquire);
+  return host != nullptr && host->current_loop() == w % loops_;
+}
+
+bool ShardEngine::post(std::size_t w, const ShardOp& op) {
+  Owner& owner = *owners_[w];
+  if (!owner.queue.try_push(op)) return false;
+  runtime::LoopHost* host = host_.load(std::memory_order_acquire);
+  if (host != nullptr) {
+    // Pairs with the fence in on_pass: either the loop sees this op before
+    // it idles, or this thread sees it idle and wakes it (once).
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (owner.idle.load(std::memory_order_relaxed) &&
+        owner.idle.exchange(false, std::memory_order_acq_rel))
+      host->wake(w % loops_);
+  }
+  return true;
+}
+
+bool ShardEngine::try_submit(ShardOp op) {
+  const std::size_t w = worker_of(op.ns, op.key);
+  if (on_owner_loop(w)) {
+    Owner& owner = *owners_[w];
+    if (owner.local.size() >= owner.queue.capacity()) return false;
+    owner.local.push_back(op);
+    return true;
+  }
+  return post(w, op);
+}
+
+void ShardEngine::submit(ShardOp op) { submit_to(worker_of(op.ns, op.key), op); }
+
+void ShardEngine::submit_to(std::size_t w, const ShardOp& op) {
+  if (on_owner_loop(w)) {
+    owners_[w]->local.push_back(op);
+    return;
+  }
+  for (std::size_t spins = 0; !post(w, op); ++spins) {
+    // A loop spinning on a foreign owner's full queue still parks for a
+    // quiesce, or the quiescer would wait on it forever.
+    if (park_requested_.load(std::memory_order_acquire)) {
+      const runtime::LoopHost* host = host_.load(std::memory_order_acquire);
+      if (host != nullptr && host->current_loop() != runtime::LoopHost::kNoLoop)
+        park_loop(host->current_loop());
+    }
+    if (spins >= 64) std::this_thread::yield();
+  }
 }
 
 bool ShardEngine::submit_batch(NamespaceId ns, std::vector<AcquireOp> ops,
@@ -91,10 +145,10 @@ bool ShardEngine::submit_batch(NamespaceId ns, std::vector<AcquireOp> ops,
     if (done != nullptr) done(*batch, ctx);
     return true;
   }
-  // Counting sort by owner worker: one pass to count, one to scatter the
-  // ops into per-worker contiguous groups (original positions remembered
-  // so the worker can write results positionally).
-  const std::size_t W = workers_.size();
+  // Counting sort by owner: one pass to count, one to scatter the ops into
+  // per-owner contiguous groups (original positions remembered so the step
+  // can write results positionally).
+  const std::size_t W = owners_.size();
   std::vector<std::uint32_t> owner(total);
   std::vector<std::uint32_t> count(W, 0);
   for (std::size_t i = 0; i < total; ++i) {
@@ -124,17 +178,21 @@ bool ShardEngine::submit_batch(NamespaceId ns, std::vector<AcquireOp> ops,
   }
   batch->remaining.store(static_cast<std::uint32_t>(batch->groups.size()),
                          std::memory_order_relaxed);
-  // All-or-nothing admission: a group op occupies one queue cell, so a
-  // headroom probe per target (racy, but the blocking push below is the
-  // backstop) is enough to keep batch sheds clean — either every group is
-  // posted or none is.
+  // All-or-nothing admission: a group op occupies one queue cell (or one
+  // slot of the pass's batch), so a headroom probe per target (racy, but
+  // the blocking submit below is the backstop) is enough to keep batch
+  // sheds clean — either every group is posted or none is.
   for (const std::size_t w : targets) {
-    if (workers_[w]->queue.size() + 1 >= workers_[w]->queue.capacity())
+    const Owner& target = *owners_[w];
+    const std::size_t depth =
+        on_owner_loop(w) ? target.local.size() : target.queue.size();
+    if (depth + 1 >= target.queue.capacity())
       return false;  // batch (unique_ptr) frees; nothing was enqueued
   }
-  // From the first push on, workers race us to finish groups and the last
-  // finisher deletes the batch — so the loop may not touch `raw` after a
-  // push. The group count lives in `targets`, everything else in the op.
+  // From the first post on, other owners race us to finish groups and the
+  // last finisher deletes the batch — so the loop may not touch `raw`
+  // after a post. The group count lives in `targets`, everything else in
+  // the op.
   const bool trace = trace_id != 0 && tracer_ != nullptr;
   const std::int64_t t_submit_us = trace ? obs::Tracer::now_us() : 0;
   EngineBatch* raw = batch.release();
@@ -150,82 +208,23 @@ bool ShardEngine::submit_batch(NamespaceId ns, std::vector<AcquireOp> ops,
       op.trace_id = trace_id;
       op.t_submit_us = t_submit_us;
     }
-    workers_[targets[g]]->queue.push(std::move(op));
+    submit_to(targets[g], op);
   }
   return true;
 }
 
-void ShardEngine::drain() {
-  for (auto& worker : workers_) {
-    while (worker->queue.size() > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  // The queues are empty; one quiesce barrier waits out whatever each
-  // worker had already popped.
-  quiesced([] {});
-}
+// ------------------------------------------------------------------ the step
 
-bool ShardEngine::on_worker_thread() const {
-  return tls_worker_engine == this;
-}
-
-void ShardEngine::begin_quiesce() {
-  TOKA_CHECK_MSG(!on_worker_thread(),
-                 "quiesced() called from a shard worker completion — that "
-                 "would park the caller and deadlock; run admin ops from a "
-                 "non-worker thread");
-  admin_mu_.lock();
-  park_requested_.store(true, std::memory_order_release);
-  for (auto& worker : workers_) worker->queue.notify();
-  std::unique_lock lock(park_mu_);
-  park_cv_.wait(lock, [this] { return parked_ == workers_.size(); });
-}
-
-void ShardEngine::end_quiesce() {
-  {
-    std::lock_guard lock(park_mu_);
-    park_requested_.store(false, std::memory_order_release);
-  }
-  resume_cv_.notify_all();
-  admin_mu_.unlock();
-}
-
-void ShardEngine::park() {
-  std::unique_lock lock(park_mu_);
-  ++parked_;
-  if (parked_ == workers_.size()) park_cv_.notify_all();
-  resume_cv_.wait(lock, [this] {
-    return !park_requested_.load(std::memory_order_relaxed) ||
-           stop_.load(std::memory_order_relaxed);
-  });
-  --parked_;
-}
-
-void ShardEngine::worker_loop(std::size_t w) {
-  tls_worker_engine = this;
-  Worker& me = *workers_[w];
-  std::vector<ShardOp> ops;
-  ops.reserve(kDrainMax);
-  std::vector<AcquireOp> run;
-  for (;;) {
-    if (park_requested_.load(std::memory_order_acquire)) park();
-    if (stop_.load(std::memory_order_acquire)) break;
-    ops.clear();
-    const std::size_t n = me.queue.pop_batch(ops, kDrainMax);
-    if (n == 0) {
-      maybe_evict(me, w);
-      // The wait also breaks on the eviction deadline so an idle worker
-      // still sweeps its shards' TTLs (the clock read is one atomic load).
-      me.queue.wait_nonempty([this, &me] {
-        return stop_.load(std::memory_order_relaxed) ||
-               park_requested_.load(std::memory_order_relaxed) ||
-               table_->clock().now_us() >= me.next_evict_us;
-      });
-      continue;
-    }
-    // One pop timestamp serves the whole drained batch (queue-wait ends and
-    // execute begins here for every op in it); taken only when some op in
-    // the batch is actually traced, so an untraced drain reads no clock.
+std::size_t ShardEngine::run_once(std::size_t w) {
+  Owner& me = *owners_[w];
+  std::vector<ShardOp>& ops = me.batch;
+  ops.clear();
+  ops.swap(me.local);  // this pass's own ops; `local` keeps a spare buffer
+  me.queue.pop_batch(ops, kDrainMax);
+  if (!ops.empty()) {
+    // One pop timestamp serves the whole step (queue-wait ends and execute
+    // begins here for every op in it); taken only when some op in it is
+    // actually traced, so an untraced step reads no clock.
     std::int64_t t_pop_us = 0;
     if (tracer_ != nullptr) {
       for (const ShardOp& op : ops) {
@@ -235,15 +234,243 @@ void ShardEngine::worker_loop(std::size_t w) {
         }
       }
     }
-    execute(ops, run, t_pop_us);
-    // Drain boundary: completions for the whole batch have fired, this
-    // worker's shards are between batches — the granularity at which the
-    // replication layer captures per-account deltas (one flush per drain).
+    tls_stepping = this;
+    execute(ops, me.run, t_pop_us);
+    // Drain boundary: completions for the whole step have fired, this
+    // owner's shards are between steps — the granularity at which the
+    // replication layer captures per-account deltas (one flush per step).
     if (on_drain_) on_drain_(w);
-    maybe_evict(me, w);
+    tls_stepping = nullptr;
   }
-  tls_worker_engine = nullptr;
+  maybe_evict(me, w);
+  return ops.size();
 }
+
+// -------------------------------------------------------- the thread driver
+
+void ShardEngine::start_threads() {
+  stop_threads_.store(false, std::memory_order_release);
+  for (std::size_t w = 0; w < owners_.size(); ++w)
+    owners_[w]->thread = std::thread([this, w] { thread_main(w); });
+  worker_threads_.store(owners_.size(), std::memory_order_relaxed);
+}
+
+void ShardEngine::stop_threads() {
+  stop_threads_.store(true, std::memory_order_release);
+  for (auto& owner : owners_) owner->queue.notify();
+  {
+    // Pair the flag flip with the park mutex so a worker between its
+    // predicate check and its wait cannot miss the notification.
+    std::lock_guard lock(park_mu_);
+  }
+  resume_cv_.notify_all();
+  for (auto& owner : owners_) {
+    if (owner->thread.joinable()) owner->thread.join();
+  }
+  worker_threads_.store(0, std::memory_order_relaxed);
+}
+
+void ShardEngine::thread_main(std::size_t w) {
+  Owner& me = *owners_[w];
+  if (!enter(w, owners_.size(), /*worker=*/true)) return;  // stopped early
+  for (;;) {
+    if (stop_threads_.load(std::memory_order_acquire)) break;
+    if (park_requested_.load(std::memory_order_acquire)) {
+      std::unique_lock lock(park_mu_);
+      ++parked_;
+      park_cv_.notify_all();
+      resume_cv_.wait(lock, [this] {
+        return !quiescing_ || stop_threads_.load(std::memory_order_relaxed);
+      });
+      --parked_;
+      continue;
+    }
+    if (run_once(w) > 0) continue;
+    // The wait also breaks on the eviction deadline so an idle worker
+    // still sweeps its shards' TTLs (the clock read is one atomic load).
+    me.queue.wait_nonempty([this, &me] {
+      return stop_threads_.load(std::memory_order_relaxed) ||
+             park_requested_.load(std::memory_order_relaxed) ||
+             table_->clock().now_us() >= me.next_evict_us;
+    });
+  }
+  leave(w, owners_.size());
+}
+
+// ---------------------------------------------------------- the loop driver
+
+bool ShardEngine::drive_from(runtime::LoopHost& host) {
+  if (host_.load() != nullptr) return false;
+  {
+    QuiesceScope scope(*this);
+    stop_threads();  // parked workers leave; queued ops wait for the loops
+    loops_ = host.loop_count();
+    {
+      std::lock_guard lock(park_mu_);
+      loops_exited_ = 0;
+    }
+    for (auto& owner : owners_) owner->idle.store(true);
+    host_.store(&host, std::memory_order_release);
+    if (!host.attach(*this)) {
+      host_.store(nullptr, std::memory_order_release);
+      start_threads();  // the workers enter once this quiesce ends
+      return false;
+    }
+  }
+  // One pass per loop: each enters its owners, runs what the workers left
+  // queued and sets its TTL wait.
+  for (std::size_t l = 0; l < loops_; ++l) host.wake(l);
+  return true;
+}
+
+void ShardEngine::stop_driving_from(runtime::LoopHost& host) {
+  if (host_.load() != &host) return;
+  host.detach(*this);  // no on_pass or on_loop_exit runs after this
+  if (host_.load() != &host) return;  // the loops stopped: threads drive
+  leave(0, 1);  // every owner: no loop will park them again
+  host_.store(nullptr, std::memory_order_release);
+  QuiesceScope scope(*this);
+  // Ops that reached an owner after its loop's last step.
+  for (std::size_t w = 0; w < owners_.size(); ++w) {
+    while (run_once(w) > 0) {
+    }
+  }
+  start_threads();  // the workers enter once this quiesce ends
+}
+
+int ShardEngine::on_pass(std::size_t loop) {
+  if (loop >= owners_.size()) return -1;  // more loops than owners
+  if (!owners_[loop]->driven) enter(loop, loops_, /*worker=*/false);
+  for (std::size_t w = loop; w < owners_.size(); w += loops_) {
+    owners_[w]->idle.store(false, std::memory_order_relaxed);
+    run_once(w);
+  }
+  if (park_requested_.load(std::memory_order_acquire)) park_loop(loop);
+  int wait_ms = kMaxLoopWaitMs;
+  const TimeUs now = table_->clock().now_us();
+  for (std::size_t w = loop; w < owners_.size(); w += loops_) {
+    Owner& me = *owners_[w];
+    me.idle.store(true, std::memory_order_relaxed);
+    // Pairs with the fence in post().
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (!me.local.empty() || !me.queue.empty()) return 0;
+    const TimeUs until_ms = (me.next_evict_us - now + 999) / 1000;
+    if (until_ms < wait_ms) wait_ms = static_cast<int>(std::max<TimeUs>(until_ms, 1));
+  }
+  return wait_ms;
+}
+
+void ShardEngine::on_loop_exit(std::size_t loop) {
+  leave(loop, loops_);
+  bool last;
+  {
+    std::lock_guard lock(park_mu_);
+    last = ++loops_exited_ == loops_;
+  }
+  if (!last) return;
+  // Every loop is gone for good: the thread driver takes the owners back,
+  // so queued ops, drains and quiesces still complete.
+  host_.store(nullptr, std::memory_order_release);
+  start_threads();
+}
+
+// ---------------------------------------------------------- park protocol
+
+bool ShardEngine::enter(std::size_t first, std::size_t stride, bool worker) {
+  std::unique_lock lock(park_mu_);
+  // A worker stopped while it waits (drive_from stops the workers inside
+  // its own quiesce) never enters.
+  const auto stopped = [&] {
+    return worker && stop_threads_.load(std::memory_order_relaxed);
+  };
+  resume_cv_.wait(lock, [&] { return !quiescing_ || stopped(); });
+  if (stopped()) return false;
+  for (std::size_t w = first; w < owners_.size(); w += stride) {
+    --parked_;
+    owners_[w]->driven = true;
+  }
+  return true;
+}
+
+void ShardEngine::leave(std::size_t first, std::size_t stride) {
+  {
+    std::lock_guard lock(park_mu_);
+    for (std::size_t w = first; w < owners_.size(); w += stride) {
+      if (!owners_[w]->driven) continue;
+      owners_[w]->driven = false;
+      ++parked_;
+    }
+  }
+  park_cv_.notify_all();
+}
+
+std::size_t ShardEngine::driven_by_loop(std::size_t loop) const {
+  if (loop == runtime::LoopHost::kNoLoop) return 0;
+  std::size_t n = 0;
+  for (std::size_t w = loop; w < owners_.size(); w += loops_)
+    n += owners_[w]->driven ? 1 : 0;
+  return n;
+}
+
+void ShardEngine::park_loop(std::size_t loop) {
+  std::unique_lock lock(park_mu_);
+  if (!quiescing_) return;
+  const std::size_t mine = driven_by_loop(loop);
+  parked_ += mine;
+  park_cv_.notify_all();
+  resume_cv_.wait(lock, [this] { return !quiescing_; });
+  parked_ -= mine;
+}
+
+void ShardEngine::begin_quiesce() {
+  TOKA_CHECK_MSG(tls_stepping != this,
+                 "quiesced() called from a shard completion or drain hook — "
+                 "that would park the caller and deadlock; run admin ops "
+                 "outside the engine's step");
+  const runtime::LoopHost* host = host_.load(std::memory_order_acquire);
+  const std::size_t loop =
+      host != nullptr ? host->current_loop() : runtime::LoopHost::kNoLoop;
+  std::unique_lock lock(park_mu_);
+  // Called on a loop, its own owners are between steps: they count as
+  // parked, while this caller waits its turn and while it holds the table.
+  const std::size_t mine = driven_by_loop(loop);
+  while (quiescing_) {
+    parked_ += mine;
+    park_cv_.notify_all();
+    resume_cv_.wait(lock, [this] { return !quiescing_; });
+    parked_ -= mine;
+  }
+  quiescing_ = true;
+  park_requested_.store(true, std::memory_order_release);
+  lock.unlock();
+  for (auto& owner : owners_) owner->queue.notify();
+  if (runtime::LoopHost* driver = host_.load(std::memory_order_acquire)) {
+    for (std::size_t l = 0; l < loops_; ++l) driver->wake(l);
+  }
+  lock.lock();
+  park_cv_.wait(lock, [&] { return parked_ + mine >= owners_.size(); });
+}
+
+void ShardEngine::end_quiesce() {
+  {
+    std::lock_guard lock(park_mu_);
+    quiescing_ = false;
+    park_requested_.store(false, std::memory_order_release);
+  }
+  resume_cv_.notify_all();
+}
+
+void ShardEngine::drain() {
+  for (auto& owner : owners_) {
+    while (owner->queue.size() > 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  // The queues are empty; one quiesce barrier waits out whatever each
+  // driver had already taken (a loop parks only after its pass's step).
+  quiesced([] {});
+}
+
+// --------------------------------------------------------------- execution
 
 void ShardEngine::execute(std::vector<ShardOp>& ops,
                           std::vector<AcquireOp>& run, std::int64_t t_pop_us) {
@@ -388,7 +615,7 @@ void ShardEngine::run_batch_group(ShardOp& op, std::int64_t t_pop_us) {
     decision = obs::Decision::kError;
   }
   if (tracer_ != nullptr && op.traced) {
-    // One queue-wait + one execute span per worker group, stamped with the
+    // One queue-wait + one execute span per owner group, stamped with the
     // group's first key. Read everything off the batch *before* the
     // release below: the last finisher deletes it.
     const std::uint64_t key = slice.empty() ? 0 : slice.front().key;
@@ -406,14 +633,14 @@ void ShardEngine::run_batch_group(ShardOp& op, std::int64_t t_pop_us) {
   }
 }
 
-void ShardEngine::maybe_evict(Worker& me, std::size_t w) {
+void ShardEngine::maybe_evict(Owner& me, std::size_t w) {
   const TimeUs now = table_->clock().now_us();
   if (now < me.next_evict_us) return;
   const TimeUs ttl = table_->min_idle_ttl_us();
   if (ttl > 0) {
-    // Sweep only the shards this worker owns — eviction stays within the
+    // Sweep only the shards this owner owns — eviction stays within the
     // ownership discipline, no quiesce needed.
-    for (std::size_t s = w; s < table_->shard_count(); s += workers_.size())
+    for (std::size_t s = w; s < table_->shard_count(); s += owners_.size())
       table_->evict_idle_shard(s);
     me.next_evict_us = now + std::max<TimeUs>(ttl / 4, 1'000);
   } else {

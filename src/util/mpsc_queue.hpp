@@ -1,15 +1,17 @@
 // Bounded multi-producer / single-consumer op queue: the hand-off primitive
-// of the data plane (see DESIGN.md, "The data plane"). IO threads decode
-// requests and push ops; exactly one shard worker pops them — in FIFO order
-// per producer — and executes them against the shards it owns, so account
-// state needs no lock at all.
+// of the data plane (see DESIGN.md, "The data plane"). Threads other than a
+// shard owner's driver push ops; exactly one driver pops them — in FIFO
+// order per producer — and executes them against the shards it owns, so
+// account state needs no lock at all.
 //
 // The ring is the classic bounded MPMC design (per-cell sequence numbers,
 // a CAS on the tail per push) restricted to one consumer, which lets the
 // pop side run without any atomic RMW: the consumer owns `head_` and only
 // publishes cell releases. push/pop of one cell is two cache-line
 // transfers; pop_batch() amortizes the consumer's head publication over a
-// whole drain.
+// whole drain. The ring is allocated by the first push: a queue that no
+// producer ever uses (an owner whose ops all arrive on its own event loop)
+// costs no cells.
 //
 // Blocking is strictly opt-in and kept out of the fast path:
 //   - try_push() never blocks (returns false when full — the server turns
@@ -40,23 +42,28 @@ class MpscQueue {
  public:
   /// Capacity is rounded up to a power of two (at least 2).
   explicit MpscQueue(std::size_t capacity)
-      : cells_(std::bit_ceil(std::max<std::size_t>(capacity, 2))),
-        mask_(cells_.size() - 1) {
-    for (std::size_t i = 0; i < cells_.size(); ++i)
-      cells_[i].seq.store(i, std::memory_order_relaxed);
-  }
+      : capacity_(std::bit_ceil(std::max<std::size_t>(capacity, 2))),
+        mask_(capacity_ - 1) {}
+
+  ~MpscQueue() { delete[] cells_.load(std::memory_order_relaxed); }
 
   MpscQueue(const MpscQueue&) = delete;
   MpscQueue& operator=(const MpscQueue&) = delete;
 
-  std::size_t capacity() const { return cells_.size(); }
+  std::size_t capacity() const { return capacity_; }
+
+  /// True once a push has allocated the ring.
+  bool allocated() const {
+    return cells_.load(std::memory_order_acquire) != nullptr;
+  }
 
   /// Enqueues from any thread; returns false when the ring is full.
   bool try_push(T value) {
+    Cell* const cells = ring();
     Cell* cell;
     std::size_t pos = tail_.load(std::memory_order_relaxed);
     for (;;) {
-      cell = &cells_[pos & mask_];
+      cell = &cells[pos & mask_];
       const std::size_t seq = cell->seq.load(std::memory_order_acquire);
       const std::intptr_t dif = static_cast<std::intptr_t>(seq) -
                                 static_cast<std::intptr_t>(pos);
@@ -95,10 +102,12 @@ class MpscQueue {
   /// order. Returns the number popped (0 when empty or when a producer is
   /// mid-publish on the head cell).
   std::size_t pop_batch(std::vector<T>& out, std::size_t max) {
+    Cell* const cells = cells_.load(std::memory_order_acquire);
+    if (cells == nullptr) return 0;  // nothing was ever pushed
     std::size_t popped = 0;
     std::size_t pos = head_.load(std::memory_order_relaxed);
     while (popped < max) {
-      Cell& cell = cells_[pos & mask_];
+      Cell& cell = cells[pos & mask_];
       const std::size_t seq = cell.seq.load(std::memory_order_acquire);
       if (static_cast<std::intptr_t>(seq) !=
           static_cast<std::intptr_t>(pos + 1))
@@ -160,8 +169,26 @@ class MpscQueue {
     if (parked_.load(std::memory_order_seq_cst)) notify();
   }
 
-  std::vector<Cell> cells_;
+  /// The cells, allocated (and their sequence numbers seeded) by the
+  /// first caller; concurrent first pushes wait on the one allocation.
+  Cell* ring() {
+    Cell* cells = cells_.load(std::memory_order_acquire);
+    if (cells != nullptr) return cells;
+    std::lock_guard lock(alloc_mu_);
+    cells = cells_.load(std::memory_order_relaxed);
+    if (cells == nullptr) {
+      cells = new Cell[capacity_];
+      for (std::size_t i = 0; i < capacity_; ++i)
+        cells[i].seq.store(i, std::memory_order_relaxed);
+      cells_.store(cells, std::memory_order_release);
+    }
+    return cells;
+  }
+
+  std::size_t capacity_;
   std::size_t mask_;
+  std::atomic<Cell*> cells_{nullptr};
+  std::mutex alloc_mu_;
   alignas(64) std::atomic<std::size_t> tail_{0};   // producers
   alignas(64) std::atomic<std::size_t> head_{0};   // the consumer
   alignas(64) std::atomic<bool> parked_{false};
