@@ -28,10 +28,17 @@
 // of its iteration. No handler runs inside send(), and nothing is
 // reported once the endpoint is shutting down.
 //
+// An endpoint's loops also drive one runtime::LoopWork (its LoopHost, see
+// transport.hpp): at the end of each pass, after the pass's deliveries and
+// peer-down reports and before its flushes, loop i runs the work's step
+// for itself. A tokend server hands its service::ShardEngine to them, so
+// each loop executes the shard ops it decoded and their replies leave
+// with the pass's one write; the engine's worker threads then do not run
+// (DESIGN.md, "The data plane").
+//
 // One loop multiplexes every peer instead of a reader thread per
-// connection, which is what lets a tokend node pair one IO thread with
-// shard-owner workers (service::ShardEngine) instead of drowning in thread
-// context switches.
+// connection, and the same loop executes its own shards' ops, which is
+// what keeps a tokend node from drowning in thread context switches.
 #pragma once
 
 #include <cstddef>

@@ -15,9 +15,11 @@
 //
 // Keys are hash-partitioned over N shards (N rounded up to a power of two).
 // The threading rule: every shard has exactly one accessor at a time —
-//   - its owner worker in a service::ShardEngine (shard s belongs to worker
-//     s mod workers), which is how every Server executes data ops;
-//   - a ShardEngine::quiesced() callback, which runs with every worker
+//   - the driver of its owner in a service::ShardEngine (shard s belongs to
+//     owner s mod owners), which is how every Server executes data ops:
+//     the epoll loop that owns it on a fused server, or the owner's worker
+//     thread — one step at a time, whichever drives;
+//   - a ShardEngine::quiesced() callback, which runs with every owner
 //     parked and so owns the whole table (stats sweeps, reconfiguration,
 //     handoff extraction, replica installs);
 //   - or the single thread that owns the table while no engine runs
@@ -25,7 +27,7 @@
 // No shard carries a lock, so concurrent direct calls are a data race.
 // Only the namespace registry (read-mostly, std::shared_mutex) and the
 // coarse clock (one atomic) are safe from any thread: an IO thread checks
-// has_namespace() while the workers run. A request resolves its namespace
+// has_namespace() while the owners run. A request resolves its namespace
 // exactly once — strategy, clock divisor Δ and capacity come out of that
 // one lookup — and then works against the resolved snapshot.
 //

@@ -83,7 +83,7 @@ Server::~Server() {
   // this server installed none) no request thread can still be recording
   // into the histogram the unregistration frees. Then
   // wait out queued ops — their completions send through transport_ and
-  // record into latency_ — and hand the engine back to its worker threads.
+  // record into latency_ — and take the engine off the loops.
   if (attached_) transport_->set_handler({});
   engine_->drain();
   if (loop_host_ != nullptr) engine_->stop_driving_from(*loop_host_);

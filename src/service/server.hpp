@@ -70,7 +70,8 @@ struct ServerOptions {
   /// on the server's table and outlive the server. When the transport's
   /// loops can drive it (runtime::LoopHost), the server moves the engine
   /// onto them for its lifetime (ShardEngine::drive_from) and hands it
-  /// back to its worker threads on destruction. Either way the reply is
+  /// back on destruction (its worker threads start with the next op from
+  /// another thread). Either way the reply is
   /// encoded and sent from the op's completion. A full owner queue sheds
   /// the op with a typed kOverloaded. Admin requests and table-sweeping
   /// gauges run under the engine's quiesce.

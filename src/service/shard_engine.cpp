@@ -36,6 +36,7 @@ ShardEngine::ShardEngine(AccountTable& table, ShardEngineOptions options)
     owners_.push_back(std::make_unique<Owner>(options.queue_capacity));
   parked_ = workers;  // no driver has entered yet
   if (registry_ != nullptr) register_metrics(*registry_);
+  std::lock_guard lock(driver_mu_);
   start_threads();
 }
 
@@ -45,6 +46,7 @@ ShardEngine::~ShardEngine() {
   if (registry_ != nullptr) {
     for (const std::string& name : metric_names_) registry_->remove(name);
   }
+  std::lock_guard lock(driver_mu_);
   stop_threads();
 }
 
@@ -81,22 +83,39 @@ std::size_t ShardEngine::queues_allocated() const {
 
 // ------------------------------------------------------------- submitting
 
-bool ShardEngine::on_owner_loop(std::size_t w) const {
+std::size_t ShardEngine::current_loop() const {
   const runtime::LoopHost* host = host_.load(std::memory_order_acquire);
-  return host != nullptr && host->current_loop() == w % loops_;
+  return host != nullptr ? host->current_loop() : runtime::LoopHost::kNoLoop;
+}
+
+bool ShardEngine::on_owner_loop(std::size_t w) const {
+  return owners_[w]->driver.load(std::memory_order_acquire) == Driver::kLoop &&
+         current_loop() == w % loops_;
 }
 
 bool ShardEngine::post(std::size_t w, const ShardOp& op) {
   Owner& owner = *owners_[w];
   if (!owner.queue.try_push(op)) return false;
-  runtime::LoopHost* host = host_.load(std::memory_order_acquire);
-  if (host != nullptr) {
-    // Pairs with the fence in on_pass: either the loop sees this op before
-    // it idles, or this thread sees it idle and wakes it (once).
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (owner.idle.load(std::memory_order_relaxed) &&
-        owner.idle.exchange(false, std::memory_order_acq_rel))
-      host->wake(w % loops_);
+  // `idle` is the handshake with whoever changes the owner's state: the
+  // loop that goes idle (on_pass) and every driver change swap it after
+  // their own write and before they look at the queue. Both sides swap the
+  // same atomic, so either they see this op, or this swap sees their write
+  // (the loop idle, the driver changed) and acts on it.
+  const bool was_idle = owner.idle.exchange(false, std::memory_order_acq_rel);
+  switch (owner.driver.load(std::memory_order_acquire)) {
+    case Driver::kThread:
+      break;  // the push woke the worker if it was parked
+    case Driver::kLoop:
+      if (was_idle) {
+        if (runtime::LoopHost* host = host_.load(std::memory_order_acquire))
+          host->wake(w % loops_);
+      }
+      break;
+    case Driver::kNone: {
+      std::lock_guard lock(driver_mu_);
+      start_threads();  // a no-op if a driver was installed meanwhile
+      break;
+    }
   }
   return true;
 }
@@ -123,9 +142,8 @@ void ShardEngine::submit_to(std::size_t w, const ShardOp& op) {
     // A loop spinning on a foreign owner's full queue still parks for a
     // quiesce, or the quiescer would wait on it forever.
     if (park_requested_.load(std::memory_order_acquire)) {
-      const runtime::LoopHost* host = host_.load(std::memory_order_acquire);
-      if (host != nullptr && host->current_loop() != runtime::LoopHost::kNoLoop)
-        park_loop(host->current_loop());
+      const std::size_t loop = current_loop();
+      if (loop != runtime::LoopHost::kNoLoop) park_loop(loop);
     }
     if (spins >= 64) std::this_thread::yield();
   }
@@ -249,10 +267,17 @@ std::size_t ShardEngine::run_once(std::size_t w) {
 // -------------------------------------------------------- the thread driver
 
 void ShardEngine::start_threads() {
+  std::size_t started = 0;
   stop_threads_.store(false, std::memory_order_release);
-  for (std::size_t w = 0; w < owners_.size(); ++w)
-    owners_[w]->thread = std::thread([this, w] { thread_main(w); });
-  worker_threads_.store(owners_.size(), std::memory_order_relaxed);
+  for (std::size_t w = 0; w < owners_.size(); ++w) {
+    Owner& owner = *owners_[w];
+    if (owner.driver.load(std::memory_order_relaxed) != Driver::kNone)
+      continue;
+    owner.driver.store(Driver::kThread, std::memory_order_release);
+    owner.thread = std::thread([this, w] { thread_main(w); });
+    ++started;
+  }
+  worker_threads_.fetch_add(started, std::memory_order_relaxed);
 }
 
 void ShardEngine::stop_threads() {
@@ -265,7 +290,9 @@ void ShardEngine::stop_threads() {
   }
   resume_cv_.notify_all();
   for (auto& owner : owners_) {
-    if (owner->thread.joinable()) owner->thread.join();
+    if (!owner->thread.joinable()) continue;
+    owner->thread.join();
+    owner->driver.store(Driver::kNone, std::memory_order_release);
   }
   worker_threads_.store(0, std::memory_order_relaxed);
 }
@@ -300,25 +327,29 @@ void ShardEngine::thread_main(std::size_t w) {
 // ---------------------------------------------------------- the loop driver
 
 bool ShardEngine::drive_from(runtime::LoopHost& host) {
+  TOKA_CHECK_MSG(tls_stepping != this && host.current_loop() ==
+                                             runtime::LoopHost::kNoLoop,
+                 "ShardEngine::drive_from called on a loop or in a step");
+  std::lock_guard lock(driver_mu_);
   if (host_.load() != nullptr) return false;
   {
     QuiesceScope scope(*this);
     stop_threads();  // parked workers leave; queued ops wait for the loops
     loops_ = host.loop_count();
-    {
-      std::lock_guard lock(park_mu_);
-      loops_exited_ = 0;
-    }
-    for (auto& owner : owners_) owner->idle.store(true);
     host_.store(&host, std::memory_order_release);
+    for (auto& owner : owners_) {
+      owner->driver.store(Driver::kLoop, std::memory_order_release);
+      owner->idle.exchange(true, std::memory_order_acq_rel);  // see post()
+    }
     if (!host.attach(*this)) {
+      for (auto& owner : owners_) owner->driver.store(Driver::kNone);
       host_.store(nullptr, std::memory_order_release);
       start_threads();  // the workers enter once this quiesce ends
       return false;
     }
   }
-  // One pass per loop: each enters its owners, runs what the workers left
-  // queued and sets its TTL wait.
+  // One pass per loop: each enters its owners, runs what was queued before
+  // the move and sets its TTL wait.
   for (std::size_t l = 0; l < loops_; ++l) host.wake(l);
   return true;
 }
@@ -326,16 +357,23 @@ bool ShardEngine::drive_from(runtime::LoopHost& host) {
 void ShardEngine::stop_driving_from(runtime::LoopHost& host) {
   if (host_.load() != &host) return;
   host.detach(*this);  // no on_pass or on_loop_exit runs after this
-  if (host_.load() != &host) return;  // the loops stopped: threads drive
-  leave(0, 1);  // every owner: no loop will park them again
-  host_.store(nullptr, std::memory_order_release);
-  QuiesceScope scope(*this);
-  // Ops that reached an owner after its loop's last step.
-  for (std::size_t w = 0; w < owners_.size(); ++w) {
-    while (run_once(w) > 0) {
+  {
+    std::lock_guard lock(driver_mu_);
+    // From here a producer finds no driver and starts the workers; they
+    // enter once the quiesce below has run what the loops left queued.
+    // An owner whose loop stopped may have a worker by now; that one
+    // keeps it.
+    for (std::size_t w = 0; w < owners_.size(); ++w) {
+      Driver expected = Driver::kLoop;
+      if (!owners_[w]->driver.compare_exchange_strong(expected,
+                                                      Driver::kNone))
+        continue;
+      owners_[w]->idle.exchange(true, std::memory_order_acq_rel);  // post()
+      leave(w, owners_.size());
     }
+    host_.store(nullptr, std::memory_order_release);
   }
-  start_threads();  // the workers enter once this quiesce ends
+  quiesced([this] { run_undriven(); });
 }
 
 int ShardEngine::on_pass(std::size_t loop) {
@@ -350,9 +388,7 @@ int ShardEngine::on_pass(std::size_t loop) {
   const TimeUs now = table_->clock().now_us();
   for (std::size_t w = loop; w < owners_.size(); w += loops_) {
     Owner& me = *owners_[w];
-    me.idle.store(true, std::memory_order_relaxed);
-    // Pairs with the fence in post().
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    me.idle.exchange(true, std::memory_order_acq_rel);  // see post()
     if (!me.local.empty() || !me.queue.empty()) return 0;
     const TimeUs until_ms = (me.next_evict_us - now + 999) / 1000;
     if (until_ms < wait_ms) wait_ms = static_cast<int>(std::max<TimeUs>(until_ms, 1));
@@ -361,17 +397,37 @@ int ShardEngine::on_pass(std::size_t loop) {
 }
 
 void ShardEngine::on_loop_exit(std::size_t loop) {
-  leave(loop, loops_);
-  bool last;
-  {
-    std::lock_guard lock(park_mu_);
-    last = ++loops_exited_ == loops_;
+  if (loop >= owners_.size()) return;
+  // The loop stops for good, its owners still entered. It runs what they
+  // hold, gives them up (a producer that finds no driver starts a worker,
+  // which waits for this loop to leave) and runs what reached them before
+  // that: every op posted while the owner still looked loop-driven.
+  const auto run_all = [&] {
+    for (std::size_t w = loop; w < owners_.size(); w += loops_) {
+      while (run_once(w) > 0) {
+      }
+    }
+  };
+  if (owners_[loop]->driven) run_all();
+  for (std::size_t w = loop; w < owners_.size(); w += loops_) {
+    owners_[w]->driver.store(Driver::kNone, std::memory_order_release);
+    owners_[w]->idle.exchange(true, std::memory_order_acq_rel);  // see post()
   }
-  if (!last) return;
-  // Every loop is gone for good: the thread driver takes the owners back,
-  // so queued ops, drains and quiesces still complete.
-  host_.store(nullptr, std::memory_order_release);
-  start_threads();
+  if (owners_[loop]->driven) run_all();
+  leave(loop, loops_);
+}
+
+void ShardEngine::run_undriven() {
+  for (std::size_t w = 0; w < owners_.size(); ++w) {
+    bool driven;
+    {
+      std::lock_guard lock(park_mu_);
+      driven = owners_[w]->driven;
+    }
+    if (driven) continue;
+    while (run_once(w) > 0) {
+    }
+  }
 }
 
 // ---------------------------------------------------------- park protocol
@@ -383,7 +439,9 @@ bool ShardEngine::enter(std::size_t first, std::size_t stride, bool worker) {
   const auto stopped = [&] {
     return worker && stop_threads_.load(std::memory_order_relaxed);
   };
-  resume_cv_.wait(lock, [&] { return !quiescing_ || stopped(); });
+  resume_cv_.wait(lock, [&] {
+    return stopped() || (!quiescing_ && !(worker && owners_[first]->driven));
+  });
   if (stopped()) return false;
   for (std::size_t w = first; w < owners_.size(); w += stride) {
     --parked_;
@@ -402,6 +460,7 @@ void ShardEngine::leave(std::size_t first, std::size_t stride) {
     }
   }
   park_cv_.notify_all();
+  resume_cv_.notify_all();  // a worker waiting for this owner's loop
 }
 
 std::size_t ShardEngine::driven_by_loop(std::size_t loop) const {
@@ -427,9 +486,7 @@ void ShardEngine::begin_quiesce() {
                  "quiesced() called from a shard completion or drain hook — "
                  "that would park the caller and deadlock; run admin ops "
                  "outside the engine's step");
-  const runtime::LoopHost* host = host_.load(std::memory_order_acquire);
-  const std::size_t loop =
-      host != nullptr ? host->current_loop() : runtime::LoopHost::kNoLoop;
+  const std::size_t loop = current_loop();
   std::unique_lock lock(park_mu_);
   // Called on a loop, its own owners are between steps: they count as
   // parked, while this caller waits its turn and while it holds the table.
@@ -461,13 +518,28 @@ void ShardEngine::end_quiesce() {
 }
 
 void ShardEngine::drain() {
-  for (auto& owner : owners_) {
-    while (owner->queue.size() > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+  TOKA_CHECK_MSG(current_loop() == runtime::LoopHost::kNoLoop,
+                 "ShardEngine::drain called on a loop that drives the "
+                 "engine — it would wait on its own queue");
+  for (;;) {
+    // Driven queues empty on their own; what an owner without a driver
+    // holds is run below.
+    for (auto& owner : owners_) {
+      while (owner->driver.load(std::memory_order_acquire) != Driver::kNone &&
+             !owner->queue.empty())
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    // One quiesce barrier waits out whatever each driver had already taken
+    // (a loop parks only after its pass's step).
+    const bool empty = quiesced([this] {
+      run_undriven();
+      for (const auto& owner : owners_) {
+        if (!owner->queue.empty() || !owner->local.empty()) return false;
+      }
+      return true;
+    });
+    if (empty) return;
   }
-  // The queues are empty; one quiesce barrier waits out whatever each
-  // driver had already taken (a loop parks only after its pass's step).
-  quiesced([] {});
 }
 
 // --------------------------------------------------------------- execution

@@ -23,8 +23,12 @@
 //   - A worker thread per owner, where no loop can drive: InProcNetwork, a
 //     transport wrapper that does not forward its loops, and engine-only
 //     callers (tests, micro_bench, service_load's sharded modes). It spins,
-//     then parks, on its owner's queue. The engine starts on this driver
-//     and returns to it when the loops detach or stop.
+//     then parks, on its owner's queue. The engine starts on this driver.
+//     Once the loops hand it back or stop, the workers start again with
+//     the next op posted to an owner that has no driver. A loop that stops
+//     runs what its owners hold and gives them up; what reaches an owner
+//     before a worker takes it is run by drain(), so a node whose loop
+//     died still quiesces, drains and stops.
 //
 // Either way a step runs the same table calls a single-threaded caller
 // makes, so grant decisions, RNG draws, stats and §3.4 audit traces equal
@@ -147,10 +151,11 @@ struct ShardEngineOptions {
 class ShardEngine final : private runtime::LoopWork {
  public:
   /// The table must not be touched directly while the engine runs (use
-  /// quiesced() for admin sweeps). Starts the thread driver immediately.
+  /// quiesced() for admin sweeps). Starts the thread driver: tools that
+  /// watch or pin the engine's threads find them once this returns.
   explicit ShardEngine(AccountTable& table, ShardEngineOptions options = {});
 
-  /// Leaves any loops that drive it, drains queued ops, then stops and
+  /// Leaves any loops it was moved onto, drains queued ops, then stops and
   /// joins the workers. Producers must have stopped submitting. After
   /// destruction the table is single-owner again and may be accessed
   /// directly.
@@ -193,20 +198,22 @@ class ShardEngine final : private runtime::LoopWork {
   /// One step of owner `w`: executes the ops submitted on its loop since
   /// the last step and up to a drain batch from its queue, then (if any
   /// ran) the drain hook, then its TTL sweep. Returns the ops executed.
-  /// Only owner w's driver may call it: its worker thread, its loop, or a
-  /// test that stands in for that loop.
+  /// Only the thread that drives owner w may call it: its worker thread,
+  /// its loop, or a test thread that stands in for that loop.
   std::size_t run_once(std::size_t w);
 
   /// Moves the owners onto `host`'s loops (owner w on loop w mod L) and
   /// stops the worker threads. Returns false, leaving the thread driver,
   /// when another host already drives the engine or `host` refuses (its
-  /// loops stopped). No other thread may submit meanwhile. The Server
-  /// calls it from its constructor.
+  /// loops stopped). Ops submitted meanwhile from other threads are kept
+  /// and run by whichever driver follows. The Server calls it from its
+  /// constructor; not callable from a loop of `host` or from a step.
   bool drive_from(runtime::LoopHost& host);
 
-  /// Takes the owners back from `host`'s loops (a no-op unless they drive
-  /// the engine) and restarts the worker threads. No op may be submitted
-  /// on those loops afterwards: detach the handlers first.
+  /// Takes the owners back from `host`'s loops (a no-op unless drive_from
+  /// moved them there) and runs what they left queued. No op may be
+  /// submitted on those loops afterwards: detach the handlers first. A
+  /// later op from any other thread starts the worker threads.
   void stop_driving_from(runtime::LoopHost& host);
 
   /// Worker threads running right now (0 while loops drive every owner).
@@ -231,7 +238,10 @@ class ShardEngine final : private runtime::LoopWork {
   }
 
   /// Waits until every queue is empty and every in-flight op has
-  /// completed. Producers must have stopped submitting first.
+  /// completed; runs on the calling thread what owners without a driver
+  /// (their loop stopped) left queued. Producers must have stopped
+  /// submitting first. Not callable from a loop that drives the engine
+  /// (checked): it would wait on its own queue.
   void drain();
 
   /// Installs (or clears) the drain-boundary hook: it runs for owner `w`
@@ -255,6 +265,10 @@ class ShardEngine final : private runtime::LoopWork {
   std::size_t queue_depth_max() const;
 
  private:
+  /// Who runs an owner's steps. An owner without a driver has no thread
+  /// and no loop: before its first op, or after its loop stopped.
+  enum class Driver : std::uint8_t { kNone, kThread, kLoop };
+
   struct alignas(64) Owner {
     explicit Owner(std::size_t capacity) : queue(capacity) {}
     /// Ops from threads other than the owner's loop.
@@ -264,12 +278,14 @@ class ShardEngine final : private runtime::LoopWork {
     std::vector<ShardOp> local;
     std::vector<ShardOp> batch;  ///< run_once's scratch: the step's ops
     std::vector<AcquireOp> run;  ///< run_once's scratch: one acquire run
+    /// Changed under driver_mu_; read lock-free by producers.
+    std::atomic<Driver> driver{Driver::kNone};
     /// Loop driver: the loop may block, so a producer must wake it.
     std::atomic<bool> idle{true};
     /// A driver has entered and not left (park_mu_).
     bool driven = false;
     TimeUs next_evict_us = 0;
-    std::thread thread;  ///< the thread driver's worker
+    std::thread thread;  ///< the thread driver's worker (driver_mu_)
   };
 
   class QuiesceScope {
@@ -290,16 +306,25 @@ class ShardEngine final : private runtime::LoopWork {
   void on_loop_exit(std::size_t loop) override;
 
   void thread_main(std::size_t w);
+  /// Starts a worker for every owner without a driver (driver_mu_ held).
   void start_threads();
+  /// Stops and joins every worker (driver_mu_ held).
   void stop_threads();
+  /// The loop of the calling thread, kNoLoop off the driving loops.
+  std::size_t current_loop() const;
   /// True on the loop that drives owner w.
   bool on_owner_loop(std::size_t w) const;
-  /// Queues `op` for owner w from a thread other than its loop, waking the
-  /// loop if it is idle; false when the queue is full.
+  /// Queues `op` for owner w from a thread other than its loop and makes
+  /// sure a driver will run it: wakes the loop if it is idle, or starts
+  /// the worker threads if the owner has no driver. False when the queue
+  /// is full.
   bool post(std::size_t w, const ShardOp& op);
   /// Never sheds: joins the pass's batch on the owner's loop, else spins
   /// on post().
   void submit_to(std::size_t w, const ShardOp& op);
+  /// Under a quiesce: runs what owners without an entered driver left
+  /// queued, on the calling thread.
+  void run_undriven();
   void execute(std::vector<ShardOp>& ops, std::vector<AcquireOp>& run,
                std::int64_t t_pop_us);
   void run_batch_group(ShardOp& op, std::int64_t t_pop_us);
@@ -312,12 +337,13 @@ class ShardEngine final : private runtime::LoopWork {
 
   // The park protocol, all under park_mu_. parked_ counts the owners that
   // cannot touch the table right now: parked at a step boundary, or with
-  // no driver at all.
+  // no driver entered.
   // A driver enters or leaves all its owners at once: owners first,
   // first + stride, ... A loop never holds some of its owners while it
   // waits for a quiesce on the others.
-  /// Waits out any quiesce, then takes the owners; false for a worker
-  /// stopped meanwhile.
+  /// Waits out any quiesce (and, for a worker, the loop that still holds
+  /// its owner), then takes the owners; false for a worker stopped
+  /// meanwhile.
   bool enter(std::size_t first, std::size_t stride, bool worker);
   void leave(std::size_t first, std::size_t stride);
   /// Owners on `loop` with a driver in, or 0 off the loops (park_mu_ held).
@@ -335,10 +361,15 @@ class ShardEngine final : private runtime::LoopWork {
   std::function<void(std::size_t)> on_drain_;
   std::vector<std::string> metric_names_;
 
-  /// Non-null while loops drive the owners.
+  /// Serializes driver changes: drive_from, stop_driving_from, starting
+  /// and stopping the workers.
+  std::mutex driver_mu_;
+  /// The loops drive_from moved the owners onto; non-null until
+  /// stop_driving_from, also after those loops stopped.
   std::atomic<runtime::LoopHost*> host_{nullptr};
-  std::size_t loops_ = 1;         ///< host_'s loop count
-  std::size_t loops_exited_ = 0;  ///< host_ loops that stopped (park_mu_)
+  /// host_'s loop count. Atomic: a producer that saw the previous host
+  /// may still read it while drive_from installs the next.
+  std::atomic<std::size_t> loops_{1};
   std::atomic<std::size_t> worker_threads_{0};
 
   std::atomic<bool> stop_threads_{false};
