@@ -150,12 +150,18 @@ class SlotStore {
     }
   }
 
-  /// Starts loading the home slot of `hash`, the first line a find or
-  /// insert under it reads. A hint with no effect on contents; the caller
-  /// must hold the same access to the store as for find, since it reads the
-  /// array and its size.
+  /// Starts loading the home slot of `hash`, the first slot a find or
+  /// insert under it reads: its first line and, for a slot size that does
+  /// not divide the 64-byte line (a 24-byte slot straddles two lines at 2
+  /// of its 8 offsets), the line of its last byte. A hint with no effect
+  /// on contents; the caller must hold the same access to the store as for
+  /// find, since it reads the array and its size.
   void prefetch(std::uint64_t hash) const {
-    if (capacity_ != 0) __builtin_prefetch(&slots_[home(hash)], 1);
+    if (capacity_ == 0) return;
+    const Slot* slot = &slots_[home(hash)];
+    __builtin_prefetch(slot, 1);
+    if constexpr (64 % sizeof(Slot) != 0)
+      __builtin_prefetch(reinterpret_cast<const char*>(slot + 1) - 1, 1);
   }
 
   /// Inserts `value` — live, with Traits::hash(value) == `hash`, and not

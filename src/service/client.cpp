@@ -126,6 +126,21 @@ std::size_t Client::inflight() const {
   return pending_.size();
 }
 
+std::size_t Client::armed() const {
+  std::lock_guard lock(mu_);
+  std::size_t timers = 0;
+  for (const auto& slot : wheel_) timers += slot.size();
+  return timers;
+}
+
+void Client::unarm(Pending& pending) {
+  std::vector<Timer>& slot = wheel_[pending.slot];
+  Timer last = slot.back();
+  last->second.pos = pending.pos;
+  slot[pending.pos] = last;
+  slot.pop_back();
+}
+
 void Client::start_call(std::uint64_t id, std::vector<std::byte> frame,
                         Completion done, TimeUs timeout_us, bool data_op) {
   if (data_op) {
@@ -156,9 +171,15 @@ void Client::start_call(std::uint64_t id, std::vector<std::byte> frame,
       done({}, std::move(error));
       return;
     }
-    pending_.emplace(id, Pending{std::move(done), deadline, timeout});
-    wheel_[static_cast<std::size_t>(deadline / wheel_tick_us_) % kWheelSlots]
-        .push_back(id);
+    const auto slot = static_cast<std::uint32_t>(
+        static_cast<std::size_t>(deadline / wheel_tick_us_) % kWheelSlots);
+    std::vector<Timer>& timers = wheel_[slot];
+    const auto pos = static_cast<std::uint32_t>(timers.size());
+    auto it = pending_
+                  .emplace(id, Pending{std::move(done), deadline, timeout,
+                                       slot, pos})
+                  .first;
+    timers.push_back(&*it);
   }
   // Send strictly after registering: a reply can arrive before send()
   // returns on a fast in-process fabric.
@@ -227,8 +248,8 @@ void Client::on_frame(NodeId from, std::vector<std::byte> payload) {
     auto it = pending_.find(id);
     if (it == pending_.end()) return;  // timed out or duplicate: drop
     done = std::move(it->second.done);
+    unarm(it->second);
     pending_.erase(it);
-    // The wheel still holds the id; the sweep skips ids with no slot.
   }
   // Completed outside the lock: the continuation may issue the pipeline's
   // next call (which takes mu_) or unblock a sync caller.
@@ -248,8 +269,9 @@ void Client::on_peer_down(NodeId peer) {
     dropped.reserve(pending_.size());
     for (auto& [id, pending] : pending_)
       dropped.push_back(std::move(pending.done));
+    // Every call goes, so every timer does: empty the slots whole.
+    for (auto& slot : wheel_) slot.clear();
     pending_.clear();
-    // Wheel entries for the dropped ids are swept harmlessly later.
   }
   disconnects_.fetch_add(1, std::memory_order_relaxed);
   for (Completion& done : dropped) {
@@ -272,23 +294,26 @@ std::size_t Client::expire_overdue() {
   const std::int64_t first = std::max<std::int64_t>(
       std::max(swept_tick_, tick - static_cast<std::int64_t>(kWheelSlots) + 1),
       0);
+  // Every timer in a slot is a call in flight. Compact each slot in place:
+  // a call due in a later round of the wheel keeps its timer at the next
+  // free index; only the expiring ones are looked up, to be erased.
   std::vector<std::pair<Completion, TimeUs>> expired;
   for (std::int64_t t = first; t <= tick; ++t) {
-    std::vector<std::uint64_t>& slot =
+    std::vector<Timer>& slot =
         wheel_[static_cast<std::size_t>(t) % kWheelSlots];
-    std::vector<std::uint64_t> keep;
-    for (const std::uint64_t id : slot) {
-      auto it = pending_.find(id);
-      if (it == pending_.end()) continue;  // answered already
-      if (it->second.deadline_us <= now) {
-        expired.emplace_back(std::move(it->second.done),
-                             it->second.timeout_us);
-        pending_.erase(it);
-      } else {
-        keep.push_back(id);  // a later round of the wheel
+    std::uint32_t kept = 0;
+    for (const Timer timer : slot) {
+      Pending& pending = timer->second;
+      if (pending.deadline_us > now) {
+        pending.pos = kept;
+        slot[kept++] = timer;
+        continue;
       }
+      expired.emplace_back(std::move(pending.done), pending.timeout_us);
+      const std::uint64_t id = timer->first;
+      pending_.erase(id);
     }
-    slot = std::move(keep);
+    slot.resize(kept);
   }
   swept_tick_ = tick;
   if (expired.empty()) return 0;

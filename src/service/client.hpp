@@ -10,7 +10,11 @@
 // wheel (a util::Ticker stepping at ~timeout/8): an expired call's
 // slot is reclaimed and its future is rejected with util::IoError; a reply
 // straggling in afterwards finds no slot and is dropped without touching
-// dead state.
+// dead state. The wheel holds only calls in flight: answering a call
+// unarms its timer in O(1), and rejecting every call on peer-down or
+// destroying the client empties the wheel. So the registry's memory
+// follows the calls in flight, not the call rate times the timeout, and a
+// sweep never visits an answered call.
 //
 // The synchronous methods are thin wrappers — acquire(...) is exactly
 // acquire_async(...).get() — so pre-async call sites compile and behave
@@ -239,6 +243,10 @@ class Client {
   /// Calls in flight right now (registered, neither answered nor expired).
   std::size_t inflight() const;
 
+  /// Timers armed on the timeout wheel right now, summed over its slots.
+  /// Equals inflight() whenever no call is being started or finished.
+  std::size_t armed() const;
+
   /// Runs one synchronous sweep of the timeout wheel, expiring every call
   /// whose deadline has passed (their futures reject with util::IoError).
   /// The background sweeper does this automatically every tick; external
@@ -251,8 +259,9 @@ class Client {
   using Completion =
       std::function<void(protocol::Response response, std::exception_ptr error)>;
 
-  /// Deadlines are bucketed into a fixed ring of slots; expiry sweeps cost
-  /// O(entries in the tick's slot), not O(total in flight).
+  /// Deadlines are bucketed into a fixed ring of slots. Every entry of a
+  /// slot is a call in flight, so a sweep costs O(calls in flight whose
+  /// deadline hashed to the swept ticks), never O(calls issued).
   static constexpr std::size_t kWheelSlots = 256;
 
   std::uint64_t next_id() {
@@ -290,11 +299,23 @@ class Client {
     Completion done;
     TimeUs deadline_us = 0;
     TimeUs timeout_us = 0;  ///< the effective per-call timeout (for errors)
+    std::uint32_t slot = 0;  ///< wheel slot holding this call's timer
+    std::uint32_t pos = 0;   ///< index of the timer in that slot
   };
+  using Registry = std::unordered_map<std::uint64_t, Pending>;
+  /// A timer: the registry entry it belongs to. unordered_map nodes never
+  /// move, so the pointer stays valid until the entry is erased.
+  using Timer = Registry::value_type*;
+
+  /// Takes the call's timer off its slot by swap-remove: the slot's last
+  /// timer moves into its place. O(1), no hash lookup. Needs mu_.
+  void unarm(Pending& pending);
 
   mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, Pending> pending_;
-  std::vector<std::vector<std::uint64_t>> wheel_;  ///< ids by deadline slot
+  Registry pending_;
+  /// Timers by deadline slot. Invariant: every timer in a slot belongs to
+  /// a call in pending_, and pending_[id].pos is its index there.
+  std::vector<std::vector<Timer>> wheel_;
   std::int64_t swept_tick_ = -1;  ///< last wheel tick fully processed
   bool closed_ = false;           ///< no new calls; reject immediately
   util::Ticker sweeper_;  ///< expire_overdue() every wheel tick

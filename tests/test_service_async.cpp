@@ -1,12 +1,14 @@
 // The v2 client's async core: pipelined futures and callbacks, the timeout
 // wheel (slot reclamation, straggler replies after a timeout, per-call
-// deadlines), and destruction with calls outstanding. Runs under TSan in
+// deadlines, a timer armed for exactly the calls in flight), and
+// destruction with calls outstanding. Runs under TSan in
 // CI (the ^test_service regex), so the straggler/shutdown races are
 // exercised with the race detector on.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -79,9 +81,11 @@ TEST(ClientAsync, TimeoutRejectsFutureAndReclaimsSlot) {
   net.start();
   std::future<AcquireResult> future = client.acquire_async(kDefaultNamespace, 1, 1);
   EXPECT_EQ(client.inflight(), 1u);
+  EXPECT_EQ(client.armed(), 1u);
   EXPECT_THROW(future.get(), util::IoError);
   EXPECT_EQ(client.timeouts(), 1u);
   EXPECT_EQ(client.inflight(), 0u);  // the wheel reclaimed the slot
+  EXPECT_EQ(client.armed(), 0u);     // and the expired call's timer
   net.stop();
 }
 
@@ -274,6 +278,7 @@ TEST(ClientAsync, ServerDeathRejectsInFlightCallsImmediately) {
     stuck.push_back(client.acquire_async(kDefaultNamespace, 1, 0));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(client.inflight(), 8u);
+  EXPECT_EQ(client.armed(), 8u);
 
   // Kill the server's endpoint: its sockets close, the client's fabric
   // observes it, and every future rejects far inside the 60s deadline.
@@ -293,6 +298,7 @@ TEST(ClientAsync, ServerDeathRejectsInFlightCallsImmediately) {
   EXPECT_LT(waited, std::chrono::seconds(10));
   EXPECT_GE(client.disconnects(), 1u);
   EXPECT_EQ(client.inflight(), 0u);
+  EXPECT_EQ(client.armed(), 0u);  // the rejected calls' timers went too
   EXPECT_EQ(client.timeouts(), 0u);  // fail-fast, not timed out
 }
 
@@ -366,6 +372,62 @@ TEST(ClientAsync, PipelinedFuturesOverTcp) {
   for (auto& f : futures) granted += f.get().granted;
   EXPECT_EQ(granted, 10);  // exactly the banked capacity
   EXPECT_EQ(server.requests_served(), 64u);
+}
+
+TEST(ClientAsync, WheelArmsExactlyTheCallsInFlight) {
+  // 50,000 calls pipelined over TCP, a window of 64, with the 5 s default
+  // timeout: no call comes near its deadline, so only answering a call can
+  // take its timer off the wheel. Each completion issues the next call
+  // from the client's loop thread. Once the test thread has issued the
+  // window it leaves the client alone, so inside a completion (its call
+  // answered, the next not yet issued) the wheel must hold exactly
+  // inflight() timers. At the end it must hold none.
+  AccountTable table(simple_config(10));
+  ShardEngine engine(table);
+  runtime::EpollMesh mesh(2);
+  Server server(table, mesh.endpoint(0), {.engine = &engine});
+  Client client(mesh.endpoint(1), 0);
+
+  constexpr int kCalls = 50'000;
+  constexpr int kWindow = 64;
+  std::atomic<int> issued{0};
+  std::atomic<int> completed{0};
+  std::atomic<int> errors{0};
+  std::atomic<bool> window_issued{false};
+  std::atomic<int> checks{0};
+  std::atomic<int> mismatches{0};
+  std::promise<void> finished;
+  std::function<void()> issue = [&] {
+    const int n = issued.fetch_add(1);
+    if (n >= kCalls) return;
+    client.acquire_async(
+        kDefaultNamespace, static_cast<std::uint64_t>(n % 1024), 1,
+        [&](AcquireResult, std::exception_ptr error) {
+          if (error != nullptr) ++errors;
+          if (window_issued.load(std::memory_order_acquire)) {
+            ++checks;
+            if (client.armed() != client.inflight()) ++mismatches;
+          }
+          if (++completed == kCalls) {
+            finished.set_value();
+          } else {
+            issue();
+          }
+        });
+  };
+  for (int i = 0; i < kWindow; ++i) issue();
+  window_issued.store(true, std::memory_order_release);
+  std::future<void> done = finished.get_future();
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GT(checks.load(), kCalls / 2);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(server.requests_served(), static_cast<std::uint64_t>(kCalls));
+  EXPECT_EQ(client.inflight(), 0u);
+  EXPECT_EQ(client.armed(), 0u);
+  EXPECT_EQ(client.timeouts(), 0u);
 }
 
 }  // namespace
